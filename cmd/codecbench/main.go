@@ -103,7 +103,7 @@ type CodecResult struct {
 // conjunction of per-column range predicates whose combined selectivity
 // targets ~Selectivity, evaluated the decode-then-filter way (every
 // candidate block of every column decoded, the conjunction re-applied row
-// by row in the caller) and the selection-vector way (ScanWhereAll:
+// by row in the caller) and the selection-vector way (ColumnSet.Run:
 // bitmap per predicate, AND before materialization).
 type ConjunctiveScanResult struct {
 	Cols int `json:"cols"`
@@ -717,10 +717,10 @@ func buildColumnSet[T zukowski.Integer](codec zukowski.Codec[T], conjCols [][]T)
 // multi-column sweep. Each column gets a centered window of selectivity
 // s^(1/cols) over its own value distribution, so on decorrelated columns
 // the conjunction selects ~s of the rows. The oracle pass is the
-// decode-then-filter plan ScanWhereAll replaces: every candidate block of
+// decode-then-filter plan ColumnSet.Run replaces: every candidate block of
 // every column decoded in lockstep (zone maps prune for both plans), the
 // conjunction re-applied per row in the caller, matching rows and all
-// column values materialized — identical output to ScanWhereAll.
+// column values materialized — identical output to Run.
 func benchConjunctive[T zukowski.Integer](name string, set *zukowski.ColumnSet[T], sortedCols [][]T, s float64) ConjunctiveScanResult {
 	numCols := set.Columns()
 	res := ConjunctiveScanResult{Cols: numCols, Selectivity: s}
@@ -808,13 +808,15 @@ func benchConjunctive[T zukowski.Integer](name string, set *zukowski.ColumnSet[T
 	oracleMatched := len(rows)
 
 	matched := 0
+	ctx := context.Background()
+	q := zukowski.Query[T]{Preds: preds}
 	secs = bestOf(func() {
 		matched = 0
-		if err := set.ScanWhereAll(preds, func(r []int64, _ [][]T) bool {
+		if err := set.Run(ctx, q, func(_ int, r []int64, _ [][]T) bool {
 			matched += len(r)
 			return true
 		}); err != nil {
-			log.Fatalf("%s: ScanWhereAll: %v", name, err)
+			log.Fatalf("%s: Run: %v", name, err)
 		}
 	})
 	res.ScanAllMBps = experiments.MBps(rawBytes, secs)
@@ -824,19 +826,19 @@ func benchConjunctive[T zukowski.Integer](name string, set *zukowski.ColumnSet[T
 		res.Speedup = res.ScanAllMBps / res.OracleMBps
 	}
 	if matched != oracleMatched {
-		log.Fatalf("%s: ScanWhereAll matched %d rows, decode-then-filter matched %d", name, matched, oracleMatched)
+		log.Fatalf("%s: Run matched %d rows, decode-then-filter matched %d", name, matched, oracleMatched)
 	}
 	// One untimed pass proves the two plans emit identical rows and values
 	// for every column, not just equal counts.
 	i := 0
-	if err := set.ScanWhereAll(preds, func(r []int64, colVals [][]T) bool {
+	if err := set.Run(ctx, q, func(_ int, r []int64, colVals [][]T) bool {
 		for j := range r {
 			if r[j] != rows[i] {
-				log.Fatalf("%s: match %d: ScanWhereAll row %d != oracle row %d", name, i, r[j], rows[i])
+				log.Fatalf("%s: match %d: Run row %d != oracle row %d", name, i, r[j], rows[i])
 			}
 			for c := 0; c < numCols; c++ {
 				if colVals[c][j] != outs[c][i] {
-					log.Fatalf("%s: match %d col %d: ScanWhereAll %v != oracle %v",
+					log.Fatalf("%s: match %d col %d: Run %v != oracle %v",
 						name, i, c, colVals[c][j], outs[c][i])
 				}
 			}
@@ -844,25 +846,27 @@ func benchConjunctive[T zukowski.Integer](name string, set *zukowski.ColumnSet[T
 		}
 		return true
 	}); err != nil {
-		log.Fatalf("%s: ScanWhereAll verify pass: %v", name, err)
+		log.Fatalf("%s: Run verify pass: %v", name, err)
 	}
 
 	if *workers > 1 {
+		pq := q
+		pq.Workers = *workers
 		secs = bestOf(func() {
-			if err := set.ParallelScanWhereAll(preds, *workers, func(int, []int64, [][]T) bool { return true }); err != nil {
-				log.Fatalf("%s: ParallelScanWhereAll: %v", name, err)
+			if err := set.Run(ctx, pq, func(int, []int64, [][]T) bool { return true }); err != nil {
+				log.Fatalf("%s: parallel Run: %v", name, err)
 			}
 		})
 		res.ParallelScanAllMBps = experiments.MBps(rawBytes, secs)
 	}
 
 	secs = bestOf(func() {
-		agg, err := set.AggregateWhereAll(preds, 0)
+		agg, err := set.RunAggregate(ctx, q, 0)
 		if err != nil {
-			log.Fatalf("%s: AggregateWhereAll: %v", name, err)
+			log.Fatalf("%s: RunAggregate: %v", name, err)
 		}
 		if int(agg.Count) != matched {
-			log.Fatalf("%s: AggregateWhereAll counted %d rows, ScanWhereAll matched %d", name, agg.Count, matched)
+			log.Fatalf("%s: RunAggregate counted %d rows, Run matched %d", name, agg.Count, matched)
 		}
 	})
 	res.AggregateAllMBps = experiments.MBps(rawBytes, secs)
@@ -1062,7 +1066,7 @@ func printText(w io.Writer, rep Report) {
 		return
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "conjunctive scans (%d-column ScanWhereAll vs decode-then-filter oracle):\n", rep.Cols)
+	fmt.Fprintf(w, "conjunctive scans (%d-column ColumnSet.Run vs decode-then-filter oracle):\n", rep.Cols)
 	fmt.Fprintf(w, "%-12s %4s %8s %8s %12s %12s %12s %12s %8s\n",
 		"codec", "cols", "sel", "actual", "oracle MB/s", "all MB/s", "pall MB/s", "agg MB/s", "speedup")
 	for _, r := range rep.Results {

@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -39,6 +40,7 @@ import (
 	"repro/experiments"
 	"repro/internal/faultio"
 	"repro/zktable"
+	"repro/zukowski"
 )
 
 func main() {
@@ -242,16 +244,14 @@ func runVerify(dir string) int {
 
 // scanCount reopens the table read-only and counts every row an exact
 // full scan serves.
-func scanCount[T interface {
-	~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64
-}](dir string) (int64, *zktable.OpenReport, error) {
+func scanCount[T zukowski.Integer](dir string) (int64, *zktable.OpenReport, error) {
 	tb, rep, err := zktable.Open[T](dir, zktable.Options{ReadOnly: true})
 	if err != nil {
 		return 0, nil, err
 	}
 	defer tb.Close()
 	var n int64
-	err = tb.ScanWhereAll(nil, func(rows []int64, _ [][]T) bool {
+	err = tb.Run(context.Background(), zukowski.Query[T]{}, func(_ int, rows []int64, _ [][]T) bool {
 		n += int64(len(rows))
 		return true
 	})

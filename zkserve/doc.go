@@ -2,13 +2,18 @@
 // over the network, the paper's RAM–CPU argument extended one boundary
 // outward. The thesis of super-scalar decompression is that moving
 // compressed data and decoding it at the consumer beats moving decoded
-// data; zkserve applies that to the wire. A request names a table, a
-// column set and a conjunction of range predicates; the server pushes the
-// conjunction into the zukowski ColumnSet machinery (zone-map pruning,
-// compressed-domain selection bitmaps, refine kernels) and streams back
-// either materialized rows (NDJSON) or — in frame mode — the raw ZKC2
-// block frames themselves, zone-map-pruned but still compressed, for the
-// client to decode locally with zukowski.FrameDecoder.
+// data; zkserve applies that to the wire. A request names a table, output
+// columns and a predicate — a conjunction of ranges, optionally AND an
+// any_of disjunction; the server translates it, once, into a
+// zukowski.Query and hands it to the engine (zone-map pruning,
+// compressed-domain selection bitmaps, refine and union kernels),
+// streaming back either materialized rows (NDJSON), one aggregate, or —
+// in frame mode — the raw ZKC2 block frames themselves, zone-map-pruned
+// but still compressed, for the client to decode locally with
+// zukowski.FrameDecoder. The three modes are the engine's three entry
+// points: Run, RunAggregate and Candidates. The server is an adapter: it
+// owns admission, budgets, encoding and the wire↔typed translation, and
+// decides nothing about pruning or segment composition itself.
 //
 // The server is built to be saturated. Admission control is a bounded
 // worker semaphore: a scan either gets a slot immediately or is refused
@@ -34,12 +39,17 @@
 // cache configuration alongside the table listing.
 //
 // Tables are directories of .zkc column containers registered from a
-// data directory (one subdirectory per table) or from memory. The
-// container header records element width but not signedness, so columns
-// are served as signed integers of their stored width; values travel as
-// int64 on the wire. Columns scanned together in one request must agree
-// on block geometry (rows and block boundaries) — row-mode scans
-// additionally on element width — anything else is refused with 422.
+// data directory (one subdirectory per table) or from memory — flat
+// tables, each request running on a ColumnSet built over the columns it
+// involves — or zktable directories, served as sharded tables whose
+// requests run on the zktable handle directly. The container header
+// records element width but not signedness, so columns are served as
+// signed integers of their stored width; values travel as int64 on the
+// wire. Columns scanned together in one request must agree on block
+// geometry (rows and block boundaries), and the columns evaluated or
+// materialized together on element width: every involved column in row
+// and aggregate mode, the predicate columns in frame mode (whose output
+// frames may mix widths). Anything else is refused with 422.
 //
 // The companion packages are repro/zkserve/client (a small typed client,
 // used by cmd/loadgen and the tests) and the commands cmd/zkserved (the

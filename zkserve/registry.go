@@ -24,32 +24,25 @@ var (
 	ErrMismatch      = errors.New("zkserve: columns cannot be scanned together")
 )
 
-// colHandle is the width-erased handle of one registered column. The
-// underlying reader is a zukowski.ColumnReader[T] for the signed integer
-// type of the column's stored element width; predicates and statistics
-// cross this boundary in the wire domain (int64), clamped per column.
+// colHandle is the width-erased handle of one registered column of a
+// flat table. The underlying reader is a zukowski.ColumnReader[T] for the
+// signed integer type of the column's stored element width; geometry and
+// statistics cross this boundary untyped, predicates cross it inside the
+// typed ColumnSet a request is bound to.
 type colHandle interface {
 	colName() string
 	widthBytes() int
 	rows() int
 	numBlocks() int
 	blockCount(b int) int
-	blockFirstRow(b int) int64
-	compressedBytes() int
-	// minMax folds the column's zone maps; ok is false on ZKC1.
-	minMax() (lo, hi int64, ok bool)
-	// excludes reports whether block b's zone map proves the wire-domain
-	// range [lo, hi] selects nothing in the block.
-	excludes(b int, lo, hi int64) bool
+	// meta folds the reader's directory into a capability-listing entry.
+	meta() ColumnMeta
 	// frameBytes returns block b's raw frame, checksum-verified when the
 	// container stores one. The returned slice must not be modified.
 	frameBytes(b int) ([]byte, error)
 	// setCache attaches the registry's hot-block cache to the reader
 	// (a no-op for in-memory columns, which are already resident).
 	setCache(c zukowski.BlockCache)
-	// quarantinedBlocks counts the blocks the reader has latched as
-	// permanently corrupt — the per-column health gauge.
-	quarantinedBlocks() int
 	// reader returns the underlying *zukowski.ColumnReader[T].
 	reader() any
 }
@@ -58,51 +51,48 @@ type colHandle interface {
 type column[T zukowski.Integer] struct {
 	name   string
 	cr     *zukowski.ColumnReader[T]
-	starts []int64 // starts[b] = first row of block b
-	counts []int32 // counts[b] = rows in block b
-	zlo    int64   // folded zone-map min (wire domain)
-	zhi    int64   // folded zone-map max
-	hasZM  bool
+	counts []int32 // counts[b] = rows in block b, for the per-request geometry check
 }
 
-func (c *column[T]) colName() string           { return c.name }
-func (c *column[T]) rows() int                 { return c.cr.Len() }
-func (c *column[T]) numBlocks() int            { return c.cr.NumBlocks() }
-func (c *column[T]) blockCount(b int) int      { return int(c.counts[b]) }
-func (c *column[T]) blockFirstRow(b int) int64 { return c.starts[b] }
-func (c *column[T]) compressedBytes() int      { return c.cr.CompressedBytes() }
-func (c *column[T]) reader() any               { return c.cr }
+func (c *column[T]) colName() string  { return c.name }
+func (c *column[T]) widthBytes() int  { return int(elemWidth(*new(T))) }
+func (c *column[T]) rows() int        { return c.cr.Len() }
+func (c *column[T]) numBlocks() int   { return c.cr.NumBlocks() }
+func (c *column[T]) meta() ColumnMeta { return columnMeta(c.name, c.cr) }
+func (c *column[T]) reader() any      { return c.cr }
 
-func (c *column[T]) widthBytes() int {
-	var zero T
-	return int(elemWidth(zero))
-}
-
-func (c *column[T]) minMax() (int64, int64, bool) { return c.zlo, c.zhi, c.hasZM }
-
-func (c *column[T]) excludes(b int, lo, hi int64) bool {
-	tlo, thi, ok := clampRange[T](lo, hi)
-	if !ok {
-		return true // the range has no image in T's domain: nothing can match
-	}
-	bmin, bmax, zok := c.cr.ZoneMap(b)
-	return zok && (bmax < tlo || bmin > thi)
-}
+func (c *column[T]) blockCount(b int) int { return int(c.counts[b]) }
 
 // frameBytes delegates to the reader's verified frame path, so frame-mode
 // streaming shares the reader's verification latch (in-memory) or the
 // registry's hot-block cache (file-backed) instead of re-reading and
 // re-hashing the payload per request.
-func (c *column[T]) frameBytes(b int) ([]byte, error) {
-	return c.cr.FrameBytes(b)
-}
+func (c *column[T]) frameBytes(b int) ([]byte, error) { return c.cr.FrameBytes(b) }
 
-func (c *column[T]) setCache(cache zukowski.BlockCache) {
-	c.cr.SetBlockCache(cache)
-}
+func (c *column[T]) setCache(cache zukowski.BlockCache) { c.cr.SetBlockCache(cache) }
 
-func (c *column[T]) quarantinedBlocks() int {
-	return len(c.cr.QuarantinedBlocks())
+// columnMeta describes one reader for the capability listing, folding its
+// zone maps into one column-wide [min, max] (what loadgen draws predicate
+// windows from) and counting the blocks it has latched as corrupt.
+func columnMeta[T zukowski.Integer](name string, cr *zukowski.ColumnReader[T]) ColumnMeta {
+	cm := ColumnMeta{
+		Name:              name,
+		WidthBytes:        int(elemWidth(*new(T))),
+		Rows:              cr.Len(),
+		Blocks:            cr.NumBlocks(),
+		CompressedBytes:   cr.CompressedBytes(),
+		QuarantinedBlocks: len(cr.QuarantinedBlocks()),
+	}
+	for b := 0; b < cm.Blocks; b++ {
+		if lo, hi, ok := cr.ZoneMap(b); !ok {
+			break
+		} else if !cm.HasMinMax {
+			cm.Min, cm.Max, cm.HasMinMax = int64(lo), int64(hi), true
+		} else {
+			cm.Min, cm.Max = min(cm.Min, int64(lo)), max(cm.Max, int64(hi))
+		}
+	}
+	return cm
 }
 
 // elemWidth returns T's size in bytes without reflection on the hot path.
@@ -139,10 +129,7 @@ func clampRange[T zukowski.Integer](lo, hi int64) (tlo, thi T, ok bool) {
 	return T(max(lo, minT)), T(min(hi, maxT)), true
 }
 
-// openColumn builds the typed handle: the container is opened, the block
-// directory materialized into row starts, and the zone maps folded into
-// one column-wide [min, max] for the capability listing and loadgen's
-// predicate windows.
+// openColumn opens the container as element type T and wraps it.
 func openColumn[T zukowski.Integer](name string, mem []byte, src io.ReaderAt, size int64, opts []zukowski.ReaderOption) (colHandle, error) {
 	var cr *zukowski.ColumnReader[T]
 	var err error
@@ -154,34 +141,13 @@ func openColumn[T zukowski.Integer](name string, mem []byte, src io.ReaderAt, si
 	if err != nil {
 		return nil, err
 	}
-	return handleFromReader(name, cr)
-}
-
-// handleFromReader builds the typed handle around an already-open reader
-// — the path sharded tables use, whose readers belong to the zktable
-// handle.
-func handleFromReader[T zukowski.Integer](name string, cr *zukowski.ColumnReader[T]) (colHandle, error) {
-	c := &column[T]{name: name, cr: cr}
-	nb := cr.NumBlocks()
-	c.starts = make([]int64, nb)
-	c.counts = make([]int32, nb)
-	row := int64(0)
-	for b := 0; b < nb; b++ {
+	c := &column[T]{name: name, cr: cr, counts: make([]int32, cr.NumBlocks())}
+	for b := range c.counts {
 		info, err := cr.BlockInfo(b)
 		if err != nil {
 			return nil, err
 		}
-		c.starts[b] = row
 		c.counts[b] = int32(info.Count)
-		row += int64(info.Count)
-		if info.HasZoneMap {
-			lo, hi := int64(info.Min), int64(info.Max)
-			if !c.hasZM {
-				c.zlo, c.zhi, c.hasZM = lo, hi, true
-			} else {
-				c.zlo, c.zhi = min(c.zlo, lo), max(c.zhi, hi)
-			}
-		}
 	}
 	return c, nil
 }
@@ -214,83 +180,40 @@ func newColHandle(name string, mem []byte, src io.ReaderAt, size int64, opts []z
 	return nil, fmt.Errorf("%w: unsupported element width %d", zukowski.ErrCorruptColumn, hdr[4])
 }
 
-// Table is a named collection of columns. Columns are registered
-// individually and validated individually; whether a particular subset
-// can be scanned together (same geometry, and for row mode the same
-// element width) is checked per request, so one malformed column poisons
-// only the requests that touch it.
-//
-// A table is either flat (cols, one container per column — the classic
-// layout) or sharded (segs, backed by a zktable directory: one committed
-// manifest generation spanning many immutable segments). Sharded tables
-// expose the committed generation and quarantine state on /tables and
-// execute every scan per segment with global row and block numbering.
+// backend is what a Table is served from. A flat table is a set of
+// individually registered column containers (flatTable); a sharded one is
+// a zktable directory — one committed manifest generation spanning many
+// immutable segments (shard). Either binds a validated plan to the typed
+// engine that runs it; nothing above this interface knows which it has.
+type backend interface {
+	colWidth(i int) int
+	fillMeta(m *TableMeta)
+	setCache(c zukowski.BlockCache)
+	// bind validates p against the stored columns and translates it, once
+	// per request, into the engine's Query. aggCol is the aggregate column
+	// or -1; frames selects frame mode.
+	bind(p *scanPlan, frames bool, aggCol int) (runner, error)
+}
+
+// Table is a named collection of columns, flat or sharded (see backend).
+// Flat columns are registered and validated individually; whether a
+// particular subset can be scanned together (same geometry, one element
+// width across what is evaluated together) is checked per request, so one
+// malformed column poisons only the requests that touch it. Sharded
+// tables expose the committed generation and quarantine state on /tables
+// and scan with global row and block numbering.
 type Table struct {
-	name   string
-	cols   []colHandle
-	byName map[string]int
-
-	// Sharded (zktable-backed) state.
-	isShard   bool
-	segs      []*servedSeg
-	colNames  []string // schema order, from the manifest
-	gen       uint64   // committed generation being served
-	totalRows int64    // committed rows, including quarantined segments
-}
-
-// sharded reports whether the table is zktable-backed.
-func (t *Table) sharded() bool { return t.isShard }
-
-// allCols returns every live column handle — the flat list, or the
-// handles of every in-service segment of a sharded table.
-func (t *Table) allCols() []colHandle {
-	if !t.sharded() {
-		return t.cols
-	}
-	var out []colHandle
-	for _, s := range t.segs {
-		if s.sub != nil {
-			out = append(out, s.sub.cols...)
-		}
-	}
-	return out
-}
-
-// colName returns column i's name in schema order.
-func (t *Table) colName(i int) string {
-	if t.sharded() {
-		return t.colNames[i]
-	}
-	return t.cols[i].colName()
-}
-
-// colWidth returns column i's element width in bytes.
-func (t *Table) colWidth(i int) int {
-	if t.sharded() {
-		for _, s := range t.segs {
-			if s.sub != nil {
-				return s.sub.cols[i].widthBytes()
-			}
-		}
-		return 8 // every segment quarantined; width is moot
-	}
-	return t.cols[i].widthBytes()
+	name     string
+	colNames []string // schema order
+	byName   map[string]int
+	src      backend
 }
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
 // Columns returns the column names in registration (schema) order.
-func (t *Table) Columns() []string {
-	if t.sharded() {
-		return append([]string(nil), t.colNames...)
-	}
-	names := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		names[i] = c.colName()
-	}
-	return names
-}
+func (t *Table) Columns() []string { return append([]string(nil), t.colNames...) }
 
 // colIndex resolves a column name.
 func (t *Table) colIndex(name string) (int, error) {
@@ -338,27 +261,13 @@ type TableMeta struct {
 
 // Meta returns the table's capability listing entry.
 func (t *Table) Meta() TableMeta {
-	if t.sharded() {
-		return t.metaSharded()
-	}
 	m := TableMeta{Name: t.name}
-	if len(t.cols) > 0 {
-		m.Rows = t.cols[0].rows()
-	}
-	for _, c := range t.cols {
-		cm := ColumnMeta{
-			Name:              c.colName(),
-			WidthBytes:        c.widthBytes(),
-			Rows:              c.rows(),
-			Blocks:            c.numBlocks(),
-			CompressedBytes:   c.compressedBytes(),
-			QuarantinedBlocks: c.quarantinedBlocks(),
-		}
-		cm.Min, cm.Max, cm.HasMinMax = c.minMax()
+	t.src.fillMeta(&m)
+	m.Degraded = m.QuarantinedSegments > 0
+	for _, cm := range m.Columns {
 		if cm.QuarantinedBlocks > 0 {
 			m.Degraded = true
 		}
-		m.Columns = append(m.Columns, cm)
 	}
 	return m
 }
@@ -425,9 +334,7 @@ func (r *Registry) EnableCache(maxBytes int64) {
 		r.cache = zukowski.NewBlockLRU(maxBytes)
 	}
 	for _, t := range r.tables {
-		for _, c := range t.allCols() {
-			c.setCache(blockCacheOrNil(r.cache))
-		}
+		t.src.setCache(blockCacheOrNil(r.cache))
 	}
 }
 
@@ -466,8 +373,8 @@ func (r *Registry) CacheStats() zukowski.CacheStats {
 func (r *Registry) QuarantinedBlocks() int64 {
 	var n int64
 	for _, t := range r.tables {
-		for _, c := range t.allCols() {
-			n += int64(c.quarantinedBlocks())
+		for _, cm := range t.Meta().Columns {
+			n += int64(cm.QuarantinedBlocks)
 		}
 	}
 	return n
@@ -479,11 +386,7 @@ func (r *Registry) QuarantinedBlocks() int64 {
 func (r *Registry) QuarantinedSegments() int {
 	n := 0
 	for _, t := range r.tables {
-		for _, s := range t.segs {
-			if s.quarErr != nil {
-				n++
-			}
-		}
+		n += t.Meta().QuarantinedSegments
 	}
 	return n
 }
@@ -508,7 +411,7 @@ func (r *Registry) Table(name string) (*Table, error) {
 func (r *Registry) table(name string) *Table {
 	t, ok := r.tables[name]
 	if !ok {
-		t = &Table{name: name, byName: map[string]int{}}
+		t = &Table{name: name, byName: map[string]int{}, src: &flatTable{}}
 		r.tables[name] = t
 		r.names = append(r.names, name)
 	}
@@ -517,14 +420,16 @@ func (r *Registry) table(name string) *Table {
 
 func (r *Registry) addHandle(table string, h colHandle) error {
 	t := r.table(table)
-	if t.sharded() {
+	flat, ok := t.src.(*flatTable)
+	if !ok {
 		return fmt.Errorf("%w: table %q is sharded; individual columns cannot be added", ErrBadRequest, table)
 	}
 	if _, dup := t.byName[h.colName()]; dup {
 		return fmt.Errorf("%w: table %q already has column %q", ErrBadRequest, table, h.colName())
 	}
-	t.byName[h.colName()] = len(t.cols)
-	t.cols = append(t.cols, h)
+	t.byName[h.colName()] = len(flat.cols)
+	t.colNames = append(t.colNames, h.colName())
+	flat.cols = append(flat.cols, h)
 	if r.cache != nil {
 		h.setCache(r.cache)
 	}

@@ -414,11 +414,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	wantFrames := aggCol < 0 && strings.Contains(r.Header.Get("Accept"), MIMEFrames)
 	// Everything that would 422 must be known before the 200 header
 	// commits; mid-stream failures after this point travel in-band.
-	if wantFrames {
-		err = plan.validateFrameMode()
-	} else {
-		err = plan.validateRowMode()
-	}
+	run, err := plan.table.src.bind(plan, wantFrames, aggCol)
 	if err != nil {
 		s.fail(w, statusFor(err), err)
 		return
@@ -455,26 +451,27 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 
 	switch {
 	case aggCol >= 0:
-		s.runAgg(ctx, w, &req, plan, aggCol)
+		s.runAgg(ctx, w, &req, plan, run, aggCol)
 	case wantFrames:
-		s.runFrames(ctx, w, plan, maxRows, maxBytes)
+		s.runFrames(ctx, w, plan, run, maxRows, maxBytes)
 	default:
-		s.runRows(ctx, w, &req, plan, maxRows, maxBytes)
+		s.runRows(ctx, w, &req, plan, run, maxRows, maxBytes)
 	}
 }
 
 // recordScanned feeds the zone-map effectiveness counters from directory
-// metadata; called once per scan that ran to completion.
-func (s *Server) recordScanned(plan *scanPlan) {
-	scanned, pruned, raw := plan.blockStats()
+// metadata; called once per scan that ran to completion — even one whose
+// budget expired on its last block, hence the uncancelled context.
+func (s *Server) recordScanned(ctx context.Context, run runner) {
+	scanned, pruned, raw := run.stats(context.WithoutCancel(ctx))
 	s.metrics.BlocksScanned.Add(int64(scanned))
 	s.metrics.BlocksPruned.Add(int64(pruned))
 	s.metrics.RawBytesScanned.Add(raw)
 }
 
-func (s *Server) runAgg(ctx context.Context, w http.ResponseWriter, req *ScanRequest, plan *scanPlan, aggCol int) {
+func (s *Server) runAgg(ctx context.Context, w http.ResponseWriter, req *ScanRequest, plan *scanPlan, run runner, aggCol int) {
 	start := time.Now()
-	res, err := plan.aggregate(ctx, aggCol)
+	res, err := run.aggregate(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
 			s.metrics.ScansCanceled.Add(1)
@@ -484,12 +481,12 @@ func (s *Server) runAgg(ctx context.Context, w http.ResponseWriter, req *ScanReq
 		s.fail(w, statusFor(err), err)
 		return
 	}
-	s.recordScanned(plan)
+	s.recordScanned(ctx, run)
 	s.metrics.ScansOK.Add(1)
 	resp := AggResponse{
 		Table:     req.Table,
 		Agg:       req.Agg,
-		Col:       plan.table.colName(aggCol),
+		Col:       plan.table.colNames[aggCol],
 		Result:    res,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
@@ -514,7 +511,7 @@ func (s *Server) noteDegraded(rep *zukowski.ScanReport) {
 	)
 }
 
-func (s *Server) runRows(ctx context.Context, w http.ResponseWriter, req *ScanRequest, plan *scanPlan, maxRows, maxBytes int64) {
+func (s *Server) runRows(ctx context.Context, w http.ResponseWriter, req *ScanRequest, plan *scanPlan, run runner, maxRows, maxBytes int64) {
 	start := time.Now()
 	w.Header().Set("Content-Type", MIMERows)
 	w.WriteHeader(http.StatusOK)
@@ -523,7 +520,7 @@ func (s *Server) runRows(ctx context.Context, w http.ResponseWriter, req *ScanRe
 
 	var rows int64
 	truncated, reason := false, ""
-	err := plan.run(ctx, func(blockRows []int64, vals [][]int64) bool {
+	err := run.rows(ctx, func(blockRows []int64, vals [][]int64) bool {
 		if n := int64(len(blockRows)); maxRows > 0 && rows+n > maxRows {
 			keep := maxRows - rows
 			trimmed := make([][]int64, len(vals))
@@ -556,7 +553,7 @@ func (s *Server) runRows(ctx context.Context, w http.ResponseWriter, req *ScanRe
 	switch {
 	case err == nil:
 		if !truncated {
-			s.recordScanned(plan)
+			s.recordScanned(ctx, run)
 		}
 		s.metrics.ScansOK.Add(1)
 		if plan.report.Degraded() {
@@ -574,19 +571,19 @@ func (s *Server) runRows(ctx context.Context, w http.ResponseWriter, req *ScanRe
 	s.metrics.BytesEmitted.Add(rw.bytesWritten())
 }
 
-func (s *Server) runFrames(ctx context.Context, w http.ResponseWriter, plan *scanPlan, maxRows, maxBytes int64) {
+func (s *Server) runFrames(ctx context.Context, w http.ResponseWriter, plan *scanPlan, run runner, maxRows, maxBytes int64) {
 	w.Header().Set("Content-Type", MIMEFrames)
 	w.WriteHeader(http.StatusOK)
 	fw := newFrameWriter(w)
 	cols := make([]FrameStreamCol, len(plan.out))
 	for i, ci := range plan.out {
-		cols[i] = FrameStreamCol{Name: plan.table.colName(ci), WidthBytes: plan.table.colWidth(ci)}
+		cols[i] = FrameStreamCol{Name: plan.table.colNames[ci], WidthBytes: plan.table.src.colWidth(ci)}
 	}
 	fw.header(cols)
 
 	var rowsRep, frames int64
 	truncated := false
-	err := plan.streamBlocks(ctx, func(b int, firstRow int64, count int, blockFrames [][]byte) bool {
+	err := run.blocks(ctx, func(b int, firstRow int64, count int, blockFrames [][]byte) bool {
 		fw.block(b, firstRow, count, blockFrames)
 		rowsRep += int64(count)
 		frames += int64(len(blockFrames))
@@ -609,7 +606,7 @@ func (s *Server) runFrames(ctx context.Context, w http.ResponseWriter, plan *sca
 		status = FrameStatusTruncated
 		s.metrics.ScansOK.Add(1)
 	case err == nil:
-		s.recordScanned(plan)
+		s.recordScanned(ctx, run)
 		s.metrics.ScansOK.Add(1)
 	case ctx.Err() != nil:
 		status, msg = FrameStatusError, err.Error()

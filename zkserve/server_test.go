@@ -260,6 +260,9 @@ func TestErrorPaths(t *testing.T) {
 		{"geometry mismatch frames", `{"table":"t","cols":["c0","short"]}`, zkserve.MIMEFrames, http.StatusUnprocessableEntity},
 		{"width mismatch rows", `{"table":"t","cols":["c0","w32"]}`, "", http.StatusUnprocessableEntity},
 		{"width mismatch frames ok", `{"table":"t","cols":["c0","w32"]}`, zkserve.MIMEFrames, http.StatusOK},
+		{"cross-width predicates frames", `{"table":"t","cols":["c0"],"preds":[{"col":"c0","lo":1},{"col":"w32","lo":1}]}`, zkserve.MIMEFrames, http.StatusUnprocessableEntity},
+		{"cross-width any_of frames", `{"table":"t","cols":["c0"],"any_of":[{"preds":[{"col":"c0","lo":1}]},{"preds":[{"col":"w32","lo":1}]}]}`, zkserve.MIMEFrames, http.StatusUnprocessableEntity},
+		{"other-width predicate frames ok", `{"table":"t","cols":["c0"],"preds":[{"col":"w32","lo":10,"hi":20}]}`, zkserve.MIMEFrames, http.StatusOK},
 		{"mixed width scan ok alone", `{"table":"t","cols":["w32"],"preds":[{"col":"w32","lo":10,"hi":20}]}`, "", http.StatusOK},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,6 @@
 package zkserve
 
 import (
-	"context"
 	"fmt"
 
 	"repro/zktable"
@@ -10,22 +9,16 @@ import (
 
 // Sharded tables: one zktable directory served as one logical table. The
 // zktable layer owns durability (manifest generations, startup recovery,
-// salvage, quarantine); this file adapts its per-segment column readers
-// into the registry's colHandle world and runs every scan plan segment by
-// segment with global row and block numbering, so clients see one table
-// regardless of how ingest segmented it.
+// salvage, quarantine) and segment composition (global row and block
+// numbering, quarantine skip with exact loss accounting); this file only
+// holds the typed handle and binds each plan to it, so clients see one
+// table regardless of how ingest segmented it.
 
-// servedSeg is one committed segment of a sharded table: a flat
-// single-segment Table view over the zktable's open readers, or — when
-// the segment is quarantined — just enough manifest metadata to account
-// the loss exactly.
-type servedSeg struct {
-	sub        *Table // nil when quarantined
-	rowStart   int64  // first global row
-	blockStart int    // first global block index
-	rows       int
-	counts     []int // per-block row counts, from the manifest
-	quarErr    error // non-nil: out of service, wraps zktable.ErrSegmentQuarantined
+// shard is the backend of a zktable-backed table: the typed handle every
+// scan runs against directly.
+type shard[T zukowski.Integer] struct {
+	*zktable.Table[T]
+	names []string // schema order, from the manifest
 }
 
 // AddShardedTable opens the zktable at dir (running its startup
@@ -60,240 +53,69 @@ func addSharded[T zukowski.Integer](r *Registry, table, dir string) error {
 		return fmt.Errorf("table %q: %w", table, err)
 	}
 	t := r.table(table)
-	if t.sharded() || len(t.cols) > 0 {
+	if len(t.colNames) > 0 {
 		zt.Close()
 		return fmt.Errorf("%w: table %q already registered", ErrBadRequest, table)
 	}
-	t.isShard = true
 	t.colNames = zt.Columns()
 	for i, name := range t.colNames {
 		t.byName[name] = i
 	}
-	t.gen = zt.Generation()
-	t.totalRows = zt.Rows()
-	blockBase := 0
-	for i := 0; i < zt.NumSegments(); i++ {
-		rows, start := zt.SegmentRows(i)
-		counts := zt.SegmentBlockRows(i)
-		ss := &servedSeg{rowStart: start, blockStart: blockBase, rows: int(rows), counts: counts}
-		blockBase += len(counts)
-		rdrs, rerr := zt.SegmentReaders(i)
-		if rerr != nil {
-			ss.quarErr = rerr
-		} else {
-			sub := &Table{name: fmt.Sprintf("%s#%d", table, i), byName: map[string]int{}}
-			for ci, col := range t.colNames {
-				h, herr := handleFromReader(col, rdrs[ci])
-				if herr != nil {
-					zt.Close()
-					return fmt.Errorf("table %q segment %d: %w", table, i, herr)
-				}
-				sub.byName[col] = ci
-				sub.cols = append(sub.cols, h)
-			}
-			ss.sub = sub
-		}
-		t.segs = append(t.segs, ss)
-	}
-	if r.cache != nil {
-		for _, c := range t.allCols() {
-			c.setCache(r.cache)
-		}
-	}
+	t.src = &shard[T]{Table: zt, names: t.colNames}
+	t.src.setCache(blockCacheOrNil(r.cache))
 	r.closers = append(r.closers, zt)
 	return nil
 }
 
-// metaSharded folds per-segment column statistics into one capability
-// entry and reports the generation and quarantine state the ISSUE's ops
-// surface needs: which committed generation is served, and exactly how
-// many committed rows are out of service.
-func (t *Table) metaSharded() TableMeta {
-	m := TableMeta{
-		Name:       t.name,
-		Rows:       int(t.totalRows),
-		Generation: t.gen,
-		Segments:   len(t.segs),
+// colWidth is T's width: every column of a zktable shares it, and it
+// holds even when every segment is quarantined.
+func (s *shard[T]) colWidth(int) int { return int(elemWidth(*new(T))) }
+
+func (s *shard[T]) setCache(c zukowski.BlockCache) { s.SetBlockCache(c) }
+
+// fillMeta folds per-segment column statistics into one capability entry
+// and reports what the ops surface needs: which committed generation is
+// served, and exactly how many committed rows are out of service.
+func (s *shard[T]) fillMeta(m *TableMeta) {
+	m.Rows = int(s.Rows())
+	m.Generation = s.Generation()
+	m.Segments = s.NumSegments()
+	m.Columns = make([]ColumnMeta, len(s.names))
+	for ci, name := range s.names {
+		m.Columns[ci] = ColumnMeta{Name: name, WidthBytes: s.colWidth(ci)}
 	}
-	for ci, col := range t.colNames {
-		cm := ColumnMeta{Name: col, WidthBytes: t.colWidth(ci)}
-		for _, s := range t.segs {
-			if s.sub == nil {
-				continue
-			}
-			c := s.sub.cols[ci]
-			cm.Rows += c.rows()
-			cm.Blocks += c.numBlocks()
-			cm.CompressedBytes += c.compressedBytes()
-			cm.QuarantinedBlocks += c.quarantinedBlocks()
-			if lo, hi, ok := c.minMax(); ok {
+	for i := 0; i < m.Segments; i++ {
+		rdrs, err := s.SegmentReaders(i)
+		if err != nil {
+			rows, _ := s.SegmentRows(i)
+			m.QuarantinedSegments++
+			m.RowsUnavailable += rows
+			continue
+		}
+		for ci, cr := range rdrs {
+			cm, sm := &m.Columns[ci], columnMeta(s.names[ci], cr)
+			if sm.HasMinMax {
 				if !cm.HasMinMax {
-					cm.Min, cm.Max, cm.HasMinMax = lo, hi, true
+					cm.Min, cm.Max, cm.HasMinMax = sm.Min, sm.Max, true
 				} else {
-					cm.Min, cm.Max = min(cm.Min, lo), max(cm.Max, hi)
+					cm.Min, cm.Max = min(cm.Min, sm.Min), max(cm.Max, sm.Max)
 				}
 			}
-		}
-		if cm.QuarantinedBlocks > 0 {
-			m.Degraded = true
-		}
-		m.Columns = append(m.Columns, cm)
-	}
-	for _, s := range t.segs {
-		if s.quarErr != nil {
-			m.QuarantinedSegments++
-			m.RowsUnavailable += int64(s.rows)
-			m.Degraded = true
+			cm.Rows += sm.Rows
+			cm.Blocks += sm.Blocks
+			cm.CompressedBytes += sm.CompressedBytes
+			cm.QuarantinedBlocks += sm.QuarantinedBlocks
 		}
 	}
-	return m
 }
 
-// subPlan rebinds the plan to one segment's flat view. Column indices
-// carry over unchanged: every segment holds the full schema in the same
-// order.
-func (p *scanPlan) subPlan(s *servedSeg) *scanPlan {
-	return &scanPlan{table: s.sub, out: p.out, preds: p.preds, orGroups: p.orGroups, workers: p.workers, skip: p.skip, report: p.report}
-}
-
-// skipSeg handles one quarantined segment: under degraded mode every
-// committed block and row is recorded as lost and the scan moves on;
-// otherwise the scan must fail with the quarantine error.
-func (p *scanPlan) skipSeg(s *servedSeg) bool {
-	if !p.skip {
-		return false
+// bind needs no validation: a zktable's columns share geometry and width
+// by construction, and table column indices are the engine's own.
+func (s *shard[T]) bind(p *scanPlan, frames bool, aggCol int) (runner, error) {
+	b := bindEngine[T](p, s.Table, func(ci int) int { return ci }, frames, aggCol)
+	b.rowBytes = int64(len(p.involved()) * s.colWidth(0))
+	b.frame = func(cols []*zukowski.ColumnReader[T], i, local int) ([]byte, error) {
+		return cols[p.out[i]].FrameBytes(local)
 	}
-	for _, c := range s.counts {
-		p.report.Record(c, s.quarErr)
-	}
-	return true
-}
-
-// liveSegs validates the request against every in-service segment using
-// check and returns them; a quarantined segment fails the whole request
-// unless the plan runs degraded (the caller then accounts it per use).
-func (p *scanPlan) validateSharded(rowMode bool) error {
-	for _, s := range p.table.segs {
-		if s.sub == nil {
-			continue
-		}
-		sp := p.subPlan(s)
-		var err error
-		if rowMode {
-			err = sp.validateRowMode()
-		} else {
-			err = sp.validateFrameMode()
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// blockStatsSharded sums directory-metadata statistics across in-service
-// segments. Quarantined segments are not scanned and not counted as
-// pruned — they are out of service, which /tables reports separately.
-func (p *scanPlan) blockStatsSharded() (scanned, pruned int, rawBytes int64) {
-	for _, s := range p.table.segs {
-		if s.sub == nil {
-			continue
-		}
-		sc, pr, raw := p.subPlan(s).blockStats()
-		scanned += sc
-		pruned += pr
-		rawBytes += raw
-	}
-	return scanned, pruned, rawBytes
-}
-
-// runSharded executes row mode segment by segment in global row order,
-// offsetting each segment's local row IDs by its first global row.
-func (p *scanPlan) runSharded(ctx context.Context, emit func(rows []int64, vals [][]int64) bool) error {
-	stopped := false
-	for _, s := range p.table.segs {
-		if s.quarErr != nil {
-			if !p.skipSeg(s) {
-				return s.quarErr
-			}
-			continue
-		}
-		base := s.rowStart
-		err := p.subPlan(s).run(ctx, func(rows []int64, vals [][]int64) bool {
-			for j := range rows {
-				rows[j] += base
-			}
-			if !emit(rows, vals) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
-}
-
-// aggregateSharded folds the aggregate across in-service segments; Min
-// and Max only fold over segments that matched rows.
-func (p *scanPlan) aggregateSharded(ctx context.Context, aggCol int) (AggResult, error) {
-	var out AggResult
-	for _, s := range p.table.segs {
-		if s.quarErr != nil {
-			if !p.skipSeg(s) {
-				return AggResult{}, s.quarErr
-			}
-			continue
-		}
-		res, err := p.subPlan(s).aggregate(ctx, aggCol)
-		if err != nil {
-			return AggResult{}, err
-		}
-		if res.Count == 0 {
-			continue
-		}
-		if out.Count == 0 {
-			out = res
-			continue
-		}
-		out.Count += res.Count
-		out.Sum += res.Sum
-		out.Min = min(out.Min, res.Min)
-		out.Max = max(out.Max, res.Max)
-	}
-	return out, nil
-}
-
-// streamBlocksSharded executes frame mode segment by segment, offsetting
-// block indices and first-row numbers into the global space.
-func (p *scanPlan) streamBlocksSharded(ctx context.Context, emit func(b int, firstRow int64, count int, frames [][]byte) bool) error {
-	stopped := false
-	for _, s := range p.table.segs {
-		if s.quarErr != nil {
-			if !p.skipSeg(s) {
-				return s.quarErr
-			}
-			continue
-		}
-		rowBase, blkBase := s.rowStart, s.blockStart
-		err := p.subPlan(s).streamBlocks(ctx, func(b int, firstRow int64, count int, frames [][]byte) bool {
-			if !emit(blkBase+b, rowBase+firstRow, count, frames) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
+	return b, nil
 }

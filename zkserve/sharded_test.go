@@ -3,8 +3,10 @@ package zkserve_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/zkserve"
@@ -219,17 +221,62 @@ func TestShardedQuarantineServe(t *testing.T) {
 		t.Fatalf("truncate: %v", err)
 	}
 
+	// A second table, int32 and quarantined in full: its element width must
+	// still come out right everywhere it is advertised.
+	q32, err := zktable.Create[int32](filepath.Join(dir, "q32"), []string{"a", "b"}, testBV, zktable.Options{})
+	if err != nil {
+		t.Fatalf("Create q32: %v", err)
+	}
+	if _, err := q32.Append([][]int32{{1, 2, 3}, {4, 5, 6}}); err != nil {
+		t.Fatalf("Append q32: %v", err)
+	}
+	q32.Close()
+	// Cut inside the only block's payload: salvage has nothing to rebuild.
+	if err := os.Truncate(filepath.Join(dir, "q32", "seg-00000001-a.zkc"), 20); err != nil {
+		t.Fatalf("truncate q32: %v", err)
+	}
+
 	reg, err := zkserve.OpenDir(dir)
 	if err != nil {
 		t.Fatalf("OpenDir: %v", err)
 	}
 	defer reg.Close()
-	_, _, cl := newTestServer(t, zkserve.Config{Registry: reg})
+	_, ts, cl := newTestServer(t, zkserve.Config{Registry: reg})
 
 	resp, err := cl.Tables(context.Background())
 	if err != nil {
 		t.Fatalf("Tables: %v", err)
 	}
+	lost := findTable(t, resp, "q32")
+	if lost.QuarantinedSegments != 1 || lost.RowsUnavailable != 3 || len(lost.Columns) != 2 {
+		t.Fatalf("fully quarantined meta = %+v", lost)
+	}
+	for _, cm := range lost.Columns {
+		if cm.WidthBytes != 4 {
+			t.Fatalf("fully quarantined int32 column %q advertises %d-byte elements", cm.Name, cm.WidthBytes)
+		}
+	}
+	hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/scan",
+		strings.NewReader(`{"table":"q32","cols":["a","b"],"skip_corrupt":true}`))
+	hreq.Header.Set("Accept", zkserve.MIMEFrames)
+	hresp, err := ts.Client().Do(hreq)
+	if err != nil {
+		t.Fatalf("q32 frame scan: %v", err)
+	}
+	defer hresp.Body.Close()
+	fr, err := zkserve.NewFrameStreamReader(hresp.Body)
+	if err != nil {
+		t.Fatalf("q32 frame header: %v", err)
+	}
+	for _, c := range fr.Cols {
+		if c.WidthBytes != 4 {
+			t.Fatalf("frame header advertises %d-byte elements for int32 column %q", c.WidthBytes, c.Name)
+		}
+	}
+	if blk, err := fr.Next(); err != nil || blk != nil || fr.Trailer().RowsLost != 3 {
+		t.Fatalf("q32 degraded frames: block %v, err %v, trailer %+v; want no block and 3 rows lost", blk, err, fr.Trailer())
+	}
+
 	meta := findTable(t, resp, "st")
 	if !meta.Degraded || meta.QuarantinedSegments != 1 || meta.RowsUnavailable != 1300 {
 		t.Fatalf("quarantine meta = %+v", meta)

@@ -2,25 +2,28 @@ package zkserve
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 
 	"repro/zukowski"
 )
 
 // Query planning. A scanPlan is a validated request against one table:
 // resolved output columns, resolved predicates in the wire (int64)
-// domain, and a worker count. Execution dispatches on the involved
-// columns' shared element width to the generic runners below, which
-// build a zukowski.ColumnSet over exactly the involved columns and push
-// the predicate — the conjunction plus any any_of disjunction, mapped
-// onto an expression tree — into ColumnSet.Run: zone-map pruning,
-// compressed-domain bitmaps and refine/union kernels all engage
-// server-side, and only surviving rows are widened onto the wire.
+// domain, and a worker count. The table's backend binds it — once per
+// request — to the typed engine that will run it: the plan becomes one
+// zukowski.Query (the conjunction as Preds, any any_of disjunction as an
+// expression tree, the outputs as Query.Cols), and the three response
+// modes are the engine's own three entry points — Run for rows,
+// RunAggregate for aggregates, Candidates for raw frames and for the
+// prune statistics. The engine is a per-request zukowski.ColumnSet for a
+// flat table and the zktable handle for a sharded one; the serving layer
+// decides nothing about pruning or segment composition itself, it only
+// translates between the wire and the typed domain.
 
 // predSpec is one resolved conjunct in the wire domain.
 type predSpec struct {
-	col    int // index into table.cols
+	col    int // index into the table's columns
 	lo, hi int64
 }
 
@@ -42,66 +45,239 @@ type scanPlan struct {
 	report *zukowski.ScanReport
 }
 
+// predCols returns the deduplicated predicate columns in
+// first-appearance order.
+func (p *scanPlan) predCols() []int {
+	var cols []int
+	add := func(specs []predSpec) {
+		for _, ps := range specs {
+			if !slices.Contains(cols, ps.col) {
+				cols = append(cols, ps.col)
+			}
+		}
+	}
+	add(p.preds)
+	for _, g := range p.orGroups {
+		add(g)
+	}
+	return cols
+}
+
 // involved returns the deduplicated union of output and predicate
 // columns, preserving first-appearance order (outputs first).
 func (p *scanPlan) involved() []int {
-	seen := make(map[int]bool, len(p.out)+len(p.preds))
 	var inv []int
-	add := func(ci int) {
-		if !seen[ci] {
-			seen[ci] = true
+	for _, ci := range append(slices.Clone(p.out), p.predCols()...) {
+		if !slices.Contains(inv, ci) {
 			inv = append(inv, ci)
-		}
-	}
-	for _, ci := range p.out {
-		add(ci)
-	}
-	for _, ps := range p.preds {
-		add(ps.col)
-	}
-	for _, g := range p.orGroups {
-		for _, ps := range g {
-			add(ps.col)
 		}
 	}
 	return inv
 }
 
-// blockExcluded reports whether block b's zone maps prove the plan's
-// predicate selects no row of it: some conjunct excludes the block, or
-// the disjunction is present and every alternative has an excluding
-// conjunct. A predicate with lo > hi excludes everything.
-func (p *scanPlan) blockExcluded(b int) bool {
-	for _, ps := range p.preds {
-		if ps.lo > ps.hi || p.table.cols[ps.col].excludes(b, ps.lo, ps.hi) {
-			return true
+// AggResult is an aggregate in the wire domain. Min and Max are only
+// meaningful when Count > 0; Sum wraps in int64 like the engine's.
+type AggResult struct {
+	Count int64 `json:"count"`
+	Sum   int64 `json:"sum"`
+	Min   int64 `json:"min"`
+	Max   int64 `json:"max"`
+}
+
+// runner is a plan bound to the engine that executes it — the
+// width-erased face of bound[T].
+type runner interface {
+	// rows executes row mode: emit receives, once per block with
+	// surviving rows, the global row numbers and per requested output
+	// column the widened values (vals[i][j] is output column i's value at
+	// rows[j]). The slices are reused between calls. emit returning false
+	// stops the scan cleanly (nil); context death returns ctx.Err().
+	rows(ctx context.Context, emit func(rows []int64, vals [][]int64) bool) error
+	// aggregate folds the plan's aggregate column over the selected rows.
+	aggregate(ctx context.Context) (AggResult, error)
+	// blocks executes frame mode: for every block the predicate's zone
+	// maps cannot exclude, emit receives the global block index, its
+	// first global row, its row count, and the raw (still compressed)
+	// frame of every output column. The frames alias registry memory or a
+	// fresh per-block read; emit must not modify them.
+	blocks(ctx context.Context, emit func(b int, firstRow int64, count int, frames [][]byte) bool) error
+	// stats walks directory metadata only: how many blocks the predicate
+	// prunes, how many survive, and the raw (uncompressed) bytes of the
+	// survivors across the involved columns — the denominators of the
+	// bytes-scanned and prune-rate metrics. Blocks out of service are
+	// neither.
+	stats(ctx context.Context) (scanned, pruned int, rawBytes int64)
+}
+
+// engine is the scan surface a zukowski.ColumnSet and a zktable.Table
+// share; everything below runs against either.
+type engine[T zukowski.Integer] interface {
+	Run(ctx context.Context, q zukowski.Query[T], fn func(block int, rows []int64, cols [][]T) bool) error
+	RunAggregate(ctx context.Context, q zukowski.Query[T], col int) (zukowski.Aggregate[T], error)
+	Candidates(ctx context.Context, q zukowski.Query[T], fn func(block, local int, firstRow int64, rows int, cols []*zukowski.ColumnReader[T]) bool) (int, error)
+}
+
+// bound is the generic runner: one request's Query over one engine.
+type bound[T zukowski.Integer] struct {
+	eng      engine[T]
+	q        zukowski.Query[T]
+	agg      int   // aggregate column, in the engine's column space
+	nout     int   // output columns per frame-mode block
+	rowBytes int64 // raw bytes of one row across the involved columns
+
+	// frame fetches output column i's raw frame of a candidate block:
+	// from the readers the engine hands out when they hold every output
+	// column (sharded), from the table's width-erased handles when the
+	// outputs may be of other widths than the engine's set (flat).
+	frame func(cols []*zukowski.ColumnReader[T], i, local int) ([]byte, error)
+}
+
+// bindEngine translates p into eng's vocabulary. idx maps a table column index
+// to the engine's column space. Row and aggregate mode materialize
+// through the engine, so their outputs become Query.Cols; frame mode
+// ships frames and leaves Cols alone.
+func bindEngine[T zukowski.Integer](p *scanPlan, eng engine[T], idx func(ci int) int, frames bool, aggCol int) *bound[T] {
+	b := &bound[T]{eng: eng, nout: len(p.out)}
+	b.q = zukowski.Query[T]{SkipCorrupt: p.skip, Report: p.report}
+	if p.workers > 1 {
+		b.q.Workers, b.q.InOrder = p.workers, true
+	}
+	if !frames {
+		b.q.Cols = make([]int, len(p.out))
+		for i, ci := range p.out {
+			b.q.Cols[i] = idx(ci)
 		}
+	}
+	if aggCol >= 0 {
+		b.agg = idx(aggCol)
+	}
+	for _, ps := range p.preds {
+		tlo, thi, ok := clampRange[T](ps.lo, ps.hi)
+		if !ok {
+			// No image in T's domain: the engine's trivially empty
+			// conjunct, which selects no row and prunes every block.
+			tlo, thi = 1, 0
+		}
+		b.q.Preds = append(b.q.Preds, zukowski.Pred[T]{Col: idx(ps.col), Lo: tlo, Hi: thi})
 	}
 	if len(p.orGroups) == 0 {
-		return false
+		return b
 	}
+	// An alternative with an unrepresentable conjunct can never hold and
+	// is dropped; the others still apply. Or() of nothing selects nothing.
+	var branches []zukowski.Expr[T]
 	for _, g := range p.orGroups {
-		live := true
+		var branch []zukowski.Expr[T]
 		for _, ps := range g {
-			if ps.lo > ps.hi || p.table.cols[ps.col].excludes(b, ps.lo, ps.hi) {
-				live = false
+			tlo, thi, ok := clampRange[T](ps.lo, ps.hi)
+			if !ok {
+				branch = nil
 				break
 			}
+			branch = append(branch, zukowski.Range[T](idx(ps.col), tlo, thi))
 		}
-		if live {
-			return false
+		switch len(branch) {
+		case 0:
+		case 1:
+			branches = append(branches, branch[0])
+		default:
+			branches = append(branches, zukowski.And(branch...))
 		}
 	}
-	return true
+	b.q.Expr = zukowski.Or(branches...)
+	return b
+}
+
+func (b *bound[T]) rows(ctx context.Context, emit func(rows []int64, vals [][]int64) bool) error {
+	widened := make([][]int64, len(b.q.Cols))
+	return b.eng.Run(ctx, b.q, func(_ int, rows []int64, cols [][]T) bool {
+		for i := range cols {
+			w := widened[i][:0]
+			for _, v := range cols[i] {
+				w = append(w, int64(v))
+			}
+			widened[i] = w
+		}
+		return emit(rows, widened)
+	})
+}
+
+func (b *bound[T]) aggregate(ctx context.Context) (AggResult, error) {
+	agg, err := b.eng.RunAggregate(ctx, b.q, b.agg)
+	if err != nil {
+		return AggResult{}, err
+	}
+	return AggResult{Count: agg.Count, Sum: agg.Sum, Min: int64(agg.Min), Max: int64(agg.Max)}, nil
+}
+
+func (b *bound[T]) blocks(ctx context.Context, emit func(blk int, firstRow int64, count int, frames [][]byte) bool) error {
+	frames := make([][]byte, b.nout)
+	var fetchErr error
+	_, err := b.eng.Candidates(ctx, b.q, func(blk, local int, firstRow int64, count int, cols []*zukowski.ColumnReader[T]) bool {
+		for i := range frames {
+			if frames[i], fetchErr = b.frame(cols, i, local); fetchErr != nil {
+				// Degraded mode drops the whole block (all columns) when any
+				// column's frame is a data fault; other failures propagate.
+				if b.q.SkipCorrupt && zukowski.IsDataFault(fetchErr) {
+					b.q.Report.Record(count, fetchErr)
+					fetchErr = nil
+					return true
+				}
+				return false
+			}
+		}
+		return emit(blk, firstRow, count, frames)
+	})
+	if fetchErr != nil {
+		return fetchErr
+	}
+	return err
+}
+
+func (b *bound[T]) stats(ctx context.Context) (scanned, pruned int, rawBytes int64) {
+	// The dry run must neither fail on nor re-record what the scan itself
+	// already skipped and accounted.
+	q := b.q
+	q.SkipCorrupt, q.Report = true, nil
+	pruned, _ = b.eng.Candidates(ctx, q, func(_, _ int, _ int64, count int, _ []*zukowski.ColumnReader[T]) bool {
+		scanned++
+		rawBytes += int64(count) * b.rowBytes
+		return true
+	})
+	return scanned, pruned, rawBytes
+}
+
+// flatTable is the backend of a table registered column by column: one
+// container per column, validated individually, so whether a particular
+// subset can be scanned together is checked per request.
+type flatTable struct {
+	cols []colHandle
+}
+
+func (f *flatTable) colWidth(i int) int { return f.cols[i].widthBytes() }
+
+func (f *flatTable) setCache(c zukowski.BlockCache) {
+	for _, h := range f.cols {
+		h.setCache(c)
+	}
+}
+
+func (f *flatTable) fillMeta(m *TableMeta) {
+	if len(f.cols) > 0 {
+		m.Rows = f.cols[0].rows()
+	}
+	for _, h := range f.cols {
+		m.Columns = append(m.Columns, h.meta())
+	}
 }
 
 // checkGeometry verifies the involved columns agree on rows and block
 // boundaries — the invariant that lets one block's selection bitmap (or
 // one block index, in frame mode) apply across all of them.
-func (p *scanPlan) checkGeometry(involved []int) error {
-	first := p.table.cols[involved[0]]
+func (f *flatTable) checkGeometry(involved []int) error {
+	first := f.cols[involved[0]]
 	for _, ci := range involved[1:] {
-		c := p.table.cols[ci]
+		c := f.cols[ci]
 		if c.rows() != first.rows() {
 			return fmt.Errorf("%w: column %q holds %d rows, column %q holds %d",
 				ErrMismatch, first.colName(), first.rows(), c.colName(), c.rows())
@@ -120,275 +296,60 @@ func (p *scanPlan) checkGeometry(involved []int) error {
 	return nil
 }
 
-// uniformWidth verifies the involved columns share one element width —
-// required wherever values of several columns flow through one typed
-// ColumnSet — and returns it.
-func (p *scanPlan) uniformWidth(involved []int) (int, error) {
-	w := p.table.cols[involved[0]].widthBytes()
-	for _, ci := range involved[1:] {
-		if cw := p.table.cols[ci].widthBytes(); cw != w {
-			return 0, fmt.Errorf("%w: column %q is %d bytes wide, column %q is %d (row-mode scans need one width; frame mode has no such limit)",
-				ErrMismatch, p.table.cols[involved[0]].colName(), w, p.table.cols[ci].colName(), cw)
+// bind runs every check that must pass before the response header is
+// committed (mapped to 422 by the HTTP layer) and assembles the
+// per-request ColumnSet: geometry agreement across every involved
+// column, and one element width across the columns that flow through the
+// typed set — all of them in row and aggregate mode, the predicate
+// columns in frame mode, whose output frames ship side by side whatever
+// their widths.
+func (f *flatTable) bind(p *scanPlan, frames bool, aggCol int) (runner, error) {
+	involved := p.involved()
+	if err := f.checkGeometry(involved); err != nil {
+		return nil, err
+	}
+	set := involved
+	if frames {
+		if set = p.predCols(); len(set) == 0 {
+			set = involved[:1]
 		}
 	}
-	return w, nil
-}
-
-// validateRowMode runs every check that must pass before the response
-// header is committed: geometry and width agreement across the involved
-// columns. Mapped to 422 by the HTTP layer.
-func (p *scanPlan) validateRowMode() error {
-	if p.table.sharded() {
-		return p.validateSharded(true)
-	}
-	inv := p.involved()
-	if err := p.checkGeometry(inv); err != nil {
-		return err
-	}
-	_, err := p.uniformWidth(inv)
-	return err
-}
-
-// validateFrameMode checks what frame-mode streaming needs: geometry
-// only — frames of different element widths ship side by side fine.
-func (p *scanPlan) validateFrameMode() error {
-	if p.table.sharded() {
-		return p.validateSharded(false)
-	}
-	return p.checkGeometry(p.involved())
-}
-
-// blockStats walks directory metadata only: how many blocks the
-// conjunction's zone maps prune, how many survive, and the raw
-// (uncompressed) bytes of the surviving blocks across the involved
-// columns — the denominator feeding the bytes-scanned and prune-rate
-// metrics. Call only after geometry validation.
-func (p *scanPlan) blockStats() (scanned, pruned int, rawBytes int64) {
-	if p.table.sharded() {
-		return p.blockStatsSharded()
-	}
-	inv := p.involved()
-	first := p.table.cols[inv[0]]
-	rowWidth := int64(0)
-	for _, ci := range inv {
-		rowWidth += int64(p.table.cols[ci].widthBytes())
-	}
-	for b := 0; b < first.numBlocks(); b++ {
-		if p.blockExcluded(b) {
-			pruned++
-			continue
+	w := f.cols[set[0]].widthBytes()
+	for _, ci := range set[1:] {
+		if cw := f.cols[ci].widthBytes(); cw != w {
+			return nil, fmt.Errorf("%w: column %q is %d bytes wide, column %q is %d (columns evaluated or materialized together need one width; only frame-mode outputs may mix)",
+				ErrMismatch, f.cols[set[0]].colName(), w, f.cols[ci].colName(), cw)
 		}
-		scanned++
-		rawBytes += int64(first.blockCount(b)) * rowWidth
-	}
-	return scanned, pruned, rawBytes
-}
-
-// run executes the plan in row mode, invoking emit once per block with
-// surviving rows with the global row numbers and, per requested output
-// column, the widened values (vals[i][j] is output column i's value at
-// rows[j]). The slices are reused between calls. emit returning false
-// stops the scan cleanly (nil); context death returns ctx.Err().
-func (p *scanPlan) run(ctx context.Context, emit func(rows []int64, vals [][]int64) bool) error {
-	if p.table.sharded() {
-		return p.runSharded(ctx, emit)
-	}
-	inv := p.involved()
-	w, err := p.uniformWidth(inv)
-	if err != nil {
-		return err
 	}
 	switch w {
 	case 1:
-		return runScan[int8](ctx, p, inv, emit)
+		return bindFlat[int8](f, p, involved, set, frames, aggCol)
 	case 2:
-		return runScan[int16](ctx, p, inv, emit)
+		return bindFlat[int16](f, p, involved, set, frames, aggCol)
 	case 4:
-		return runScan[int32](ctx, p, inv, emit)
+		return bindFlat[int32](f, p, involved, set, frames, aggCol)
 	default:
-		return runScan[int64](ctx, p, inv, emit)
+		return bindFlat[int64](f, p, involved, set, frames, aggCol)
 	}
 }
 
-// AggResult is an aggregate in the wire domain. Min and Max are only
-// meaningful when Count > 0; Sum wraps in int64 like the engine's.
-type AggResult struct {
-	Count int64 `json:"count"`
-	Sum   int64 `json:"sum"`
-	Min   int64 `json:"min"`
-	Max   int64 `json:"max"`
-}
-
-// aggregate executes the plan as an aggregate over output column
-// aggCol (an index into table.cols, which must be in p.out or p.preds).
-func (p *scanPlan) aggregate(ctx context.Context, aggCol int) (AggResult, error) {
-	if p.table.sharded() {
-		return p.aggregateSharded(ctx, aggCol)
-	}
-	inv := p.involved()
-	w, err := p.uniformWidth(inv)
-	if err != nil {
-		return AggResult{}, err
-	}
-	switch w {
-	case 1:
-		return runAggregate[int8](ctx, p, inv, aggCol)
-	case 2:
-		return runAggregate[int16](ctx, p, inv, aggCol)
-	case 4:
-		return runAggregate[int32](ctx, p, inv, aggCol)
-	default:
-		return runAggregate[int64](ctx, p, inv, aggCol)
-	}
-}
-
-// buildSet assembles the typed ColumnSet over the involved columns and
-// translates the plan's predicates into its index space: the conjunction
-// as Preds, the any_of disjunction as an Or-of-Ands expression tree.
-// empty reports a predicate with no possible match — a conjunct whose
-// range has no image in T's domain, or a disjunction whose every
-// alternative has one — and the caller should emit zero rows and
-// succeed. An alternative with an unrepresentable conjunct is dropped
-// (it can never hold); the others still apply.
-func buildSet[T zukowski.Integer](p *scanPlan, involved []int) (set *zukowski.ColumnSet[T], setIdx map[int]int, q zukowski.Query[T], empty bool, err error) {
-	readers := make([]*zukowski.ColumnReader[T], len(involved))
-	setIdx = make(map[int]int, len(involved))
-	for i, ci := range involved {
-		cr, ok := p.table.cols[ci].reader().(*zukowski.ColumnReader[T])
-		if !ok {
-			return nil, nil, q, false, fmt.Errorf("%w: column %q element width changed underfoot",
-				ErrMismatch, p.table.cols[ci].colName())
-		}
-		readers[i] = cr
+func bindFlat[T zukowski.Integer](f *flatTable, p *scanPlan, involved, set []int, frames bool, aggCol int) (runner, error) {
+	readers := make([]*zukowski.ColumnReader[T], len(set))
+	setIdx := make(map[int]int, len(set))
+	for i, ci := range set {
+		readers[i] = f.cols[ci].reader().(*zukowski.ColumnReader[T])
 		setIdx[ci] = i
 	}
-	set, err = zukowski.NewColumnSet(readers...)
+	cs, err := zukowski.NewColumnSet(readers...)
 	if err != nil {
-		return nil, nil, q, false, err
+		return nil, err
 	}
-	for _, ps := range p.preds {
-		tlo, thi, ok := clampRange[T](ps.lo, ps.hi)
-		if !ok {
-			return set, setIdx, q, true, nil
-		}
-		q.Preds = append(q.Preds, zukowski.Pred[T]{Col: setIdx[ps.col], Lo: tlo, Hi: thi})
+	b := bindEngine[T](p, cs, func(ci int) int { return setIdx[ci] }, frames, aggCol)
+	for _, ci := range involved {
+		b.rowBytes += int64(f.cols[ci].widthBytes())
 	}
-	if len(p.orGroups) > 0 {
-		branches := make([]zukowski.Expr[T], 0, len(p.orGroups))
-		for _, g := range p.orGroups {
-			branch := make([]zukowski.Expr[T], 0, len(g))
-			dead := false
-			for _, ps := range g {
-				tlo, thi, ok := clampRange[T](ps.lo, ps.hi)
-				if !ok {
-					dead = true
-					break
-				}
-				branch = append(branch, zukowski.Range[T](setIdx[ps.col], tlo, thi))
-			}
-			if dead {
-				continue
-			}
-			if len(branch) == 1 {
-				branches = append(branches, branch[0])
-			} else {
-				branches = append(branches, zukowski.And(branch...))
-			}
-		}
-		if len(branches) == 0 {
-			return set, setIdx, q, true, nil
-		}
-		q.Expr = zukowski.Or(branches...)
+	b.frame = func(_ []*zukowski.ColumnReader[T], i, local int) ([]byte, error) {
+		return f.cols[p.out[i]].frameBytes(local)
 	}
-	q.SkipCorrupt = p.skip
-	q.Report = p.report
-	return set, setIdx, q, false, nil
-}
-
-func runScan[T zukowski.Integer](ctx context.Context, p *scanPlan, involved []int, emit func(rows []int64, vals [][]int64) bool) error {
-	set, setIdx, q, empty, err := buildSet[T](p, involved)
-	if err != nil || empty {
-		return err
-	}
-	q.Cols = make([]int, len(p.out))
-	for i, ci := range p.out {
-		q.Cols[i] = setIdx[ci]
-	}
-	if p.workers > 1 {
-		q.Workers = p.workers
-		q.InOrder = true
-	}
-	widened := make([][]int64, len(p.out))
-	return set.Run(ctx, q, func(_ int, rows []int64, cols [][]T) bool {
-		for i := range cols {
-			w := widened[i][:0]
-			for _, v := range cols[i] {
-				w = append(w, int64(v))
-			}
-			widened[i] = w
-		}
-		return emit(rows, widened)
-	})
-}
-
-func runAggregate[T zukowski.Integer](ctx context.Context, p *scanPlan, involved []int, aggCol int) (AggResult, error) {
-	set, setIdx, q, empty, err := buildSet[T](p, involved)
-	if err != nil || empty {
-		return AggResult{}, err
-	}
-	agg, err := set.RunAggregate(ctx, q, setIdx[aggCol])
-	if err != nil {
-		return AggResult{}, err
-	}
-	return AggResult{Count: agg.Count, Sum: agg.Sum, Min: int64(agg.Min), Max: int64(agg.Max)}, nil
-}
-
-// streamBlocks executes the plan in frame mode: for every block the
-// conjunction's zone maps cannot exclude, emit receives the block index,
-// its first global row, its row count, and the raw (still compressed)
-// frame of every output column. The frames alias registry memory or a
-// fresh per-block read; emit must not modify them. emit returning false
-// stops cleanly; context death returns ctx.Err() at block granularity.
-func (p *scanPlan) streamBlocks(ctx context.Context, emit func(b int, firstRow int64, count int, frames [][]byte) bool) error {
-	if p.table.sharded() {
-		return p.streamBlocksSharded(ctx, emit)
-	}
-	first := p.table.cols[p.involved()[0]]
-	frames := make([][]byte, len(p.out))
-	for b := 0; b < first.numBlocks(); b++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if p.blockExcluded(b) {
-			continue
-		}
-		bad := false
-		for i, ci := range p.out {
-			frame, err := p.table.cols[ci].frameBytes(b)
-			if err != nil {
-				// Degraded mode drops the whole block (all columns) when any
-				// column's frame is a data fault; other failures propagate.
-				if p.skip && skippableFrameErr(err) {
-					p.report.Record(first.blockCount(b), err)
-					bad = true
-					break
-				}
-				return err
-			}
-			frames[i] = frame
-		}
-		if bad {
-			continue
-		}
-		if !emit(b, first.blockFirstRow(b), first.blockCount(b), frames) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// skippableFrameErr mirrors the engine's degraded-mode classification for
-// the frame-streaming path: only faults of the data itself are skippable.
-func skippableFrameErr(err error) bool {
-	return errors.Is(err, zukowski.ErrCorruptColumn) || errors.Is(err, zukowski.ErrCorruptSegment)
+	return b, nil
 }

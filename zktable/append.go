@@ -230,19 +230,20 @@ func (t *Table[T]) Append(cols [][]T) (uint64, error) {
 // generation referencing only it — the defragmentation pass that keeps
 // block geometry uniform and zone maps tight after many small appends.
 // The protocol is Append's: new files first, then the manifest, so an
-// interrupted compaction is invisible. Old segment files linger until
-// the manifests referencing them age out of retention. Refuses to run
-// with quarantined segments, which would silently drop committed rows.
+// interrupted compaction is invisible. Old segment files linger on disk
+// until the manifests referencing them age out of retention; their open
+// handles are released as soon as the last scan still reading them
+// finishes. Refuses to run with quarantined segments, which would
+// silently drop committed rows.
 func (t *Table[T]) Compact() (uint64, error) {
 	t.ingest.Lock()
 	defer t.ingest.Unlock()
-	segs, _, _, rows, err := t.snapshot()
-	if err != nil {
-		return 0, err
-	}
 	t.mu.RLock()
-	man := t.man
+	closed, man, segs, rows := t.closed, t.man, t.segs, t.rows
 	t.mu.RUnlock()
+	if closed {
+		return 0, ErrClosed
+	}
 	for _, s := range segs {
 		if s.quar != nil {
 			return 0, fmt.Errorf("compact: %w", s.quar)
@@ -263,6 +264,7 @@ func (t *Table[T]) Compact() (uint64, error) {
 	for ci, col := range t.cols {
 		vals = vals[:0]
 		for _, s := range segs {
+			var err error
 			if vals, err = s.rdrs[ci].ReadAll(vals); err != nil {
 				cleanup()
 				return 0, fmt.Errorf("compact: column %q segment %d: %w", col, s.id, err)
@@ -295,7 +297,9 @@ func (t *Table[T]) Compact() (uint64, error) {
 		return 0, err
 	}
 	t.publish(newMan, func() {
-		t.retired = append(t.retired, t.segs...)
+		t.era.retired = t.segs
+		t.era.drain()
+		t.era = new(epoch[T])
 		t.segs = []*segment[T]{seg}
 		t.starts = []int64{0}
 		t.nextSeg = id + 1

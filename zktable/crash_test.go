@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultio"
@@ -348,7 +347,7 @@ func TestSalvageFooterDamage(t *testing.T) {
 	if len(repQ.Quarantined) != 1 || repQ.RowsUnavailable != baseRows {
 		t.Fatalf("report %+v, want 1 quarantined segment / %d rows unavailable", repQ, baseRows)
 	}
-	if err := tbQ.ScanWhereAll(nil, func([]int64, [][]int64) bool { return true }); !errors.Is(err, zktable.ErrSegmentQuarantined) {
+	if err := tbQ.Run(bg, where(), func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zktable.ErrSegmentQuarantined) {
 		t.Fatalf("exact scan over quarantine = %v, want ErrSegmentQuarantined", err)
 	}
 	tbQ.Close()
@@ -412,21 +411,22 @@ func TestQuarantineDegradedScan(t *testing.T) {
 	}
 
 	// Exact scans refuse.
-	err = tb2.ScanWhereAll(nil, func([]int64, [][]int64) bool { return true })
+	err = tb2.Run(bg, where(), func(int, []int64, [][]int64) bool { return true })
 	if !errors.Is(err, zktable.ErrSegmentQuarantined) {
 		t.Fatalf("exact scan = %v, want ErrSegmentQuarantined", err)
 	}
-	if _, err := tb2.AggregateWhereAll(nil, 0); !errors.Is(err, zktable.ErrSegmentQuarantined) {
+	if _, err := tb2.RunAggregate(bg, where(), 0); !errors.Is(err, zktable.ErrSegmentQuarantined) {
 		t.Fatalf("exact aggregate = %v, want ErrSegmentQuarantined", err)
 	}
 
 	// Degraded scans return the survivors and account the loss exactly.
 	srep := &zukowski.ScanReport{}
 	var got int64
-	err = tb2.ScanWhereAll(nil, func(rows []int64, _ [][]int64) bool {
+	count := func(_ int, rows []int64, _ [][]int64) bool {
 		got += int64(len(rows))
 		return true
-	}, zukowski.SkipCorrupt(srep))
+	}
+	err = tb2.Run(bg, zukowski.Query[int64]{SkipCorrupt: true, Report: srep}, count)
 	if err != nil {
 		t.Fatalf("degraded scan: %v", err)
 	}
@@ -446,16 +446,13 @@ func TestQuarantineDegradedScan(t *testing.T) {
 
 	// Parallel degraded scan agrees.
 	prep := &zukowski.ScanReport{}
-	var pn atomic.Int64
-	err = tb2.ParallelScanWhereAll(nil, 4, func(_ int, rows []int64, _ [][]int64) bool {
-		pn.Add(int64(len(rows)))
-		return true
-	}, zukowski.SkipCorrupt(prep))
+	got = 0
+	err = tb2.Run(bg, zukowski.Query[int64]{Workers: 4, SkipCorrupt: true, Report: prep}, count)
 	if err != nil {
 		t.Fatalf("parallel degraded scan: %v", err)
 	}
-	if pn.Load() != 900+700 {
-		t.Fatalf("parallel degraded scan saw %d rows, want %d", pn.Load(), 900+700)
+	if got != 900+700 {
+		t.Fatalf("parallel degraded scan saw %d rows, want %d", got, 900+700)
 	}
 	if prep.RowsLost != 1300 {
 		t.Fatalf("parallel RowsLost = %d, want 1300", prep.RowsLost)

@@ -39,18 +39,29 @@
 // spot-verifies every referenced segment against the manifest (file
 // size, geometry, per-block CRCs and zone maps); and — per Options —
 // salvages damaged segments via zukowski.RecoverColumn or quarantines
-// them with exact loss accounting. Quarantined segments fail exact scans
-// with ErrSegmentQuarantined; scans running under zukowski.SkipCorrupt
-// skip them and record every lost block and row in the caller's
-// ScanReport, the same contract the block engine applies within a
-// segment. Fsck performs the full read-only walk (every payload CRC of
-// every block) for ops; segdump -fsck exposes it on the command line.
+// them with exact loss accounting. Fsck performs the full read-only walk
+// (every payload CRC of every block) for ops; segdump -fsck exposes it on
+// the command line.
+//
+// # Scans
+//
+// A Table executes the engine's own vocabulary: Run, RunAggregate and
+// Candidates take a zukowski.Query — expression tree, conjunction,
+// projection, workers, degraded mode — exactly as a zukowski.ColumnSet
+// does, and run it over every committed segment in row order with global
+// row and block numbers. This package is the single owner of that
+// composition: Query.Workers is spent inside each segment, aggregates
+// fold with Aggregate.Merge, and quarantined segments fail exact scans
+// with ErrSegmentQuarantined while scans with Query.SkipCorrupt skip
+// them and record every lost block and row in Query.Report — the same
+// contract the block engine applies within a segment.
 //
 // # Concurrency
 //
 // A Table serializes writers (Append, Compact) and publishes each commit
-// atomically under a read lock that scans take only long enough to
-// snapshot the segment list, so scans run against a consistent committed
-// generation while ingest proceeds — ingest-while-scanning is safe and
-// race-clean by construction.
+// atomically under a lock that scans take only long enough to pin the
+// segment list, so scans run against a consistent committed generation
+// while ingest proceeds — ingest-while-scanning is safe and race-clean by
+// construction. The pin also bounds open files: a segment replaced by
+// Compact is closed as soon as the last scan that pinned it returns.
 package zktable

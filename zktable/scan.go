@@ -2,219 +2,112 @@ package zktable
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/zukowski"
 )
 
-// skipQuarantined handles one quarantined segment for a scan configured
-// by opts: under zukowski.SkipCorrupt it accounts every committed block
-// and row of the segment as lost in the caller's ScanReport and reports
-// true (keep scanning); otherwise it reports false and the scan must
-// fail with the segment's quarantine error.
-func skipQuarantined[T zukowski.Integer](seg *segment[T], opts []zukowski.ScanOption) bool {
-	rep, skip := zukowski.ConfiguredSkipCorrupt(opts...)
-	if !skip {
-		return false
-	}
-	for _, count := range seg.counts {
-		rep.Record(int(count), seg.quar)
-	}
-	return true
-}
+// Table scans speak the engine's own vocabulary: a zukowski.Query runs
+// over every committed segment in row order, with row and block numbers
+// offset into the table's global space. scan below is the single owner of
+// what "over every segment" means — pinning one committed generation,
+// quarantine handling with exact loss accounting, base offsets and early
+// stop — and Run, RunAggregate and Candidates are each one ColumnSet call
+// per segment on top of it. q.Workers is spent inside each segment;
+// segments run one after another, so deliveries stay serialized.
 
-// ScanWhereAll runs the conjunctive predicate scan across every segment
-// in row order, delivering global row IDs (segment-local IDs offset by
-// the rows before the segment). fn returning false stops the scan.
-// Options flow straight through to the block engine, so SkipCorrupt,
-// WithScanReport and WithRetryPolicy behave exactly as they do on a
-// single ColumnSet; quarantined segments fail exact scans with
-// ErrSegmentQuarantined and are skipped — with every lost block and row
-// recorded — under SkipCorrupt.
-func (t *Table[T]) ScanWhereAll(preds []zukowski.Pred[T], fn func(rows []int64, cols [][]T) bool, opts ...zukowski.ScanOption) error {
-	return t.ScanWhereAllContext(context.Background(), preds, fn, opts...)
-}
-
-// ScanWhereAllContext is ScanWhereAll under a context.
-func (t *Table[T]) ScanWhereAllContext(ctx context.Context, preds []zukowski.Pred[T], fn func(rows []int64, cols [][]T) bool, opts ...zukowski.ScanOption) error {
-	segs, starts, _, _, err := t.snapshot()
+// scan pins the committed generation and calls visit for each in-service
+// segment in row order with the segment's first global row and block.
+// visit returning more == false ends the scan cleanly. A quarantined
+// segment fails the scan with its quarantine error unless q.SkipCorrupt
+// is set, in which case every committed block and row of the segment is
+// recorded as lost in q.Report — the contract the block engine applies
+// within a segment, applied to faults the engine never sees.
+func (t *Table[T]) scan(q *zukowski.Query[T], visit func(seg *segment[T], rowBase int64, blockBase int) (more bool, err error)) error {
+	segs, starts, ep, err := t.pin()
 	if err != nil {
 		return err
 	}
-	stopped := false
+	defer t.unpin(ep)
+	blockBase := 0
 	for i, seg := range segs {
-		if seg.quar != nil {
-			if !skipQuarantined(seg, opts) {
-				return seg.quar
+		if seg.quar == nil {
+			if more, err := visit(seg, starts[i], blockBase); err != nil || !more {
+				return err
 			}
-			continue
+		} else if !q.SkipCorrupt {
+			return seg.quar
+		} else {
+			for _, count := range seg.counts {
+				q.Report.Record(int(count), seg.quar)
+			}
 		}
-		base := starts[i]
-		err := seg.set.ScanWhereAllContext(ctx, preds, func(rows []int64, cols [][]T) bool {
+		blockBase += len(seg.counts)
+	}
+	return nil
+}
+
+// Run executes q across every segment in row order: fn receives each
+// block with surviving rows exactly as zukowski.ColumnSet.Run delivers
+// it, with global block indices (a segment's first block is preceded by
+// every block of every earlier segment) and global row numbers. fn
+// returning false stops the scan (still returning nil). Every Query
+// field means what it means on a ColumnSet — Expr, Preds, Cols, Workers
+// (block workers within a segment), InOrder, SkipCorrupt and Report.
+// Quarantined segments fail exact scans with ErrSegmentQuarantined and
+// are skipped, with every lost block and row recorded, under SkipCorrupt.
+func (t *Table[T]) Run(ctx context.Context, q zukowski.Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
+	return t.scan(&q, func(seg *segment[T], rowBase int64, blockBase int) (bool, error) {
+		more := true
+		err := seg.set.Run(ctx, q, func(block int, rows []int64, cols [][]T) bool {
 			for j := range rows {
-				rows[j] += base
+				rows[j] += rowBase
 			}
-			if !fn(rows, cols) {
-				stopped = true
-				return false
-			}
-			return true
-		}, opts...)
-		if err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
+			more = fn(blockBase+block, rows, cols)
+			return more
+		})
+		return more, err
+	})
 }
 
-// ParallelScanWhereAll fans the scan out across segments and across
-// blocks within each segment, spending at most workers block-workers in
-// total. Like the single-set parallel scan, fn may be called from many
-// goroutines concurrently and block/row order is not deterministic;
-// block indices are global (the segment's first block is preceded by
-// every block of every earlier segment). fn returning false stops the
-// whole scan promptly but not instantly.
-func (t *Table[T]) ParallelScanWhereAll(preds []zukowski.Pred[T], workers int, fn func(block int, rows []int64, cols [][]T) bool, opts ...zukowski.ScanOption) error {
-	return t.ParallelScanWhereAllContext(context.Background(), preds, workers, fn, opts...)
-}
-
-// ParallelScanWhereAllContext is ParallelScanWhereAll under a context.
-func (t *Table[T]) ParallelScanWhereAllContext(ctx context.Context, preds []zukowski.Pred[T], workers int, fn func(block int, rows []int64, cols [][]T) bool, opts ...zukowski.ScanOption) error {
-	segs, starts, _, _, err := t.snapshot()
-	if err != nil {
-		return err
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Global block base per segment, from the committed geometry.
-	blockBase := make([]int, len(segs))
-	nb := 0
-	for i, seg := range segs {
-		blockBase[i] = nb
-		nb += len(seg.counts)
-	}
-	live := make([]int, 0, len(segs))
-	for i, seg := range segs {
-		if seg.quar != nil {
-			if !skipQuarantined(seg, opts) {
-				return seg.quar
-			}
-			continue
-		}
-		live = append(live, i)
-	}
-	if len(live) == 0 {
-		return nil
-	}
-
-	// Spread workers over segment-claiming goroutines: segConc segments
-	// in flight, each scanned with perSeg block-workers.
-	segConc := workers
-	if segConc > len(live) {
-		segConc = len(live)
-	}
-	perSeg := workers / segConc
-	if perSeg < 1 {
-		perSeg = 1
-	}
-
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		stopped  atomic.Bool
-		firstErr error
-		errOnce  sync.Once
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		cancel()
-	}
-	for g := 0; g < segConc; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(live) || sctx.Err() != nil {
-					return
-				}
-				i := live[k]
-				seg, rowBase, blkBase := segs[i], starts[i], blockBase[i]
-				err := seg.set.ParallelScanWhereAllContext(sctx, preds, perSeg, func(block int, rows []int64, cols [][]T) bool {
-					for j := range rows {
-						rows[j] += rowBase
-					}
-					if !fn(blkBase+block, rows, cols) {
-						stopped.Store(true)
-						cancel()
-						return false
-					}
-					return true
-				}, opts...)
-				if err != nil && !(stopped.Load() && err == sctx.Err()) {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := ctx.Err(); err != nil && !stopped.Load() {
-		return err
-	}
-	return nil
-}
-
-// AggregateWhereAll computes count/sum/min/max of column col over rows
-// matching every predicate, folded across all segments. Quarantine
-// semantics match ScanWhereAll.
-func (t *Table[T]) AggregateWhereAll(preds []zukowski.Pred[T], col int, opts ...zukowski.ScanOption) (zukowski.Aggregate[T], error) {
-	return t.AggregateWhereAllContext(context.Background(), preds, col, opts...)
-}
-
-// AggregateWhereAllContext is AggregateWhereAll under a context.
-func (t *Table[T]) AggregateWhereAllContext(ctx context.Context, preds []zukowski.Pred[T], col int, opts ...zukowski.ScanOption) (zukowski.Aggregate[T], error) {
+// RunAggregate computes count/sum/min/max of column col over the rows q
+// selects, folded across all segments. Quarantine semantics match Run.
+func (t *Table[T]) RunAggregate(ctx context.Context, q zukowski.Query[T], col int) (zukowski.Aggregate[T], error) {
 	var out zukowski.Aggregate[T]
-	segs, _, _, _, err := t.snapshot()
+	err := t.scan(&q, func(seg *segment[T], _ int64, _ int) (bool, error) {
+		agg, err := seg.set.RunAggregate(ctx, q, col)
+		out.Merge(agg)
+		return true, err
+	})
 	if err != nil {
-		return out, err
-	}
-	for _, seg := range segs {
-		if seg.quar != nil {
-			if !skipQuarantined(seg, opts) {
-				return out, seg.quar
-			}
-			continue
-		}
-		agg, err := seg.set.AggregateWhereAllContext(ctx, preds, col, opts...)
-		if err != nil {
-			return out, err
-		}
-		if agg.Count == 0 {
-			continue
-		}
-		if out.Count == 0 {
-			out = agg
-			continue
-		}
-		out.Count += agg.Count
-		out.Sum += agg.Sum
-		if agg.Min < out.Min {
-			out.Min = agg.Min
-		}
-		if agg.Max > out.Max {
-			out.Max = agg.Max
-		}
+		return zukowski.Aggregate[T]{}, err
 	}
 	return out, nil
+}
+
+// Candidates is the dry run of q over the table (see
+// zukowski.ColumnSet.Candidates): fn receives every block no zone map
+// excludes with its global block index, its index within its segment,
+// its first global row, its row count and the segment's column readers
+// in schema order; the result counts the blocks pruned. Nothing is
+// decoded. The readers are only guaranteed open for the duration of the
+// call. Quarantined segments contribute neither candidates nor pruned
+// blocks; they fail or are recorded exactly as in Run.
+func (t *Table[T]) Candidates(ctx context.Context, q zukowski.Query[T], fn func(block, local int, firstRow int64, rows int, cols []*zukowski.ColumnReader[T]) bool) (pruned int, err error) {
+	err = t.scan(&q, func(seg *segment[T], rowBase int64, blockBase int) (bool, error) {
+		more := true
+		n, err := seg.set.Candidates(ctx, q, func(block, local int, firstRow int64, rows int, cols []*zukowski.ColumnReader[T]) bool {
+			more = fn(blockBase+block, local, rowBase+firstRow, rows, cols)
+			return more
+		})
+		pruned += n
+		return more, err
+	})
+	return pruned, err
+}
+
+// AggregateWhereAllContext is RunAggregate over a bare conjunction. It is
+// pinned by bench/, which is frozen between benchmark re-anchors; remove
+// it at the next re-anchor.
+func (t *Table[T]) AggregateWhereAllContext(ctx context.Context, preds []zukowski.Pred[T], col int) (zukowski.Aggregate[T], error) {
+	return t.RunAggregate(ctx, zukowski.Query[T]{Preds: preds}, col)
 }

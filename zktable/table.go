@@ -98,9 +98,30 @@ func (s *segment[T]) close() {
 	s.files = nil
 }
 
+// epoch counts the scans running over the segments of one compaction
+// era. Appends only add segments, so every scan pinned to an era reads a
+// subset of the segments the next Compact replaces: Compact hands them to
+// the era it ends, and whoever finds the era unpinned — Compact itself,
+// or the last scan to release it — closes them. All fields are guarded
+// by Table.mu.
+type epoch[T zukowski.Integer] struct {
+	pins    int
+	retired []*segment[T]
+}
+
+// drain closes the era's retired segments once no scan pins it.
+func (e *epoch[T]) drain() {
+	if e.pins == 0 {
+		for _, s := range e.retired {
+			s.close()
+		}
+		e.retired = nil
+	}
+}
+
 // Table is an open table directory. One writer at a time (Append,
 // Compact serialize internally); any number of concurrent scans, each
-// running against the committed generation it snapshotted.
+// running against the committed generation it pinned.
 type Table[T zukowski.Integer] struct {
 	dir   string
 	opts  Options
@@ -116,7 +137,7 @@ type Table[T zukowski.Integer] struct {
 	starts  []int64 // starts[i] = first global row of segs[i]
 	rows    int64
 	nextSeg uint64
-	retired []*segment[T] // replaced by Compact; closed on Close
+	era     *epoch[T] // the current compaction era; scans pin it
 	cache   zukowski.BlockCache
 	closed  bool
 
@@ -197,7 +218,7 @@ func Create[T zukowski.Integer](dir string, cols []string, blockValues int, opts
 }
 
 func newTable[T zukowski.Integer](dir string, opts Options) (*Table[T], error) {
-	t := &Table[T]{dir: dir, opts: opts}
+	t := &Table[T]{dir: dir, opts: opts, era: new(epoch[T])}
 	if opts.Codec != "" {
 		c, err := zukowski.Lookup[T](opts.Codec)
 		if err != nil {
@@ -473,16 +494,28 @@ func (t *Table[T]) salvageSegment(sm *segMeta) error {
 	return nil
 }
 
-// snapshot returns the published state scans run against. The slices are
-// never mutated after publication (commits replace them wholesale), so
-// holding them outside the lock is safe.
-func (t *Table[T]) snapshot() (segs []*segment[T], starts []int64, gen uint64, rows int64, err error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+// pin returns the published state a scan runs against and pins its
+// compaction era, keeping the segments' files open until the matching
+// unpin even if a Compact replaces them meanwhile. The slices are never
+// mutated after publication (commits replace them wholesale), so holding
+// them outside the lock is safe.
+func (t *Table[T]) pin() (segs []*segment[T], starts []int64, era *epoch[T], err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		return nil, nil, 0, 0, ErrClosed
+		return nil, nil, nil, ErrClosed
 	}
-	return t.segs, t.starts, t.man.Generation, t.rows, nil
+	t.era.pins++
+	return t.segs, t.starts, t.era, nil
+}
+
+// unpin releases a pin; the last one out of a compacted-away era closes
+// its segments.
+func (t *Table[T]) unpin(era *epoch[T]) {
+	t.mu.Lock()
+	era.pins--
+	era.drain()
+	t.mu.Unlock()
 }
 
 // Generation returns the committed generation scans currently see.
@@ -523,23 +556,10 @@ func (t *Table[T]) SegmentRows(i int) (rows, firstRow int64) {
 	return t.segs[i].rows, t.starts[i]
 }
 
-// SegmentBlockRows returns segment i's committed per-block row counts,
-// from the manifest — available even for quarantined segments, so
-// serving layers can account losses block by block.
-func (t *Table[T]) SegmentBlockRows(i int) []int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]int, len(t.segs[i].counts))
-	for b, c := range t.segs[i].counts {
-		out[b] = int(c)
-	}
-	return out
-}
-
 // SegmentReaders returns segment i's open column readers in schema
 // order, or the quarantine error when the segment is out of service. The
-// readers stay valid until Close; serving layers build their own views
-// on top of them.
+// readers stay valid until the segment is compacted away or the table is
+// closed.
 func (t *Table[T]) SegmentReaders(i int) ([]*zukowski.ColumnReader[T], error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -588,9 +608,6 @@ func (t *Table[T]) Close() error {
 	}
 	t.closed = true
 	for _, s := range t.segs {
-		s.close()
-	}
-	for _, s := range t.retired {
 		s.close()
 	}
 	return nil

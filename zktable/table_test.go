@@ -1,13 +1,14 @@
 package zktable_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/zktable"
@@ -87,15 +88,23 @@ func scanOracle(cols [][]int64, preds []zukowski.Pred[int64]) (rows []int64, wan
 	return rows, want
 }
 
-func countRows(t *testing.T, tb *zktable.Table[int64], opts ...zukowski.ScanOption) int64 {
+// bg is the context of every scan that is not testing cancellation.
+var bg = context.Background()
+
+// where is the conjunction-only query.
+func where(preds ...zukowski.Pred[int64]) zukowski.Query[int64] {
+	return zukowski.Query[int64]{Preds: preds}
+}
+
+func countRows(t *testing.T, tb *zktable.Table[int64]) int64 {
 	t.Helper()
 	var n int64
-	err := tb.ScanWhereAll(nil, func(rows []int64, _ [][]int64) bool {
+	err := tb.Run(bg, where(), func(_ int, rows []int64, _ [][]int64) bool {
 		n += int64(len(rows))
 		return true
-	}, opts...)
+	})
 	if err != nil {
-		t.Fatalf("ScanWhereAll: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	return n
 }
@@ -125,7 +134,7 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 	wantRows, wantCols := scanOracle(all, preds)
 	var gotRows []int64
 	gotCols := make([][]int64, len(all))
-	err := tb.ScanWhereAll(preds, func(rows []int64, cols [][]int64) bool {
+	err := tb.Run(bg, where(preds...), func(_ int, rows []int64, cols [][]int64) bool {
 		gotRows = append(gotRows, rows...)
 		for ci := range cols {
 			gotCols[ci] = append(gotCols[ci], cols[ci]...)
@@ -133,7 +142,7 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 		return true
 	})
 	if err != nil {
-		t.Fatalf("ScanWhereAll: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(gotRows) != len(wantRows) {
 		t.Fatalf("scan returned %d rows, oracle %d", len(gotRows), len(wantRows))
@@ -150,9 +159,9 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 	}
 
 	// Aggregates fold across segments.
-	agg, err := tb.AggregateWhereAll(preds, 1)
+	agg, err := tb.RunAggregate(bg, where(preds...), 1)
 	if err != nil {
-		t.Fatalf("AggregateWhereAll: %v", err)
+		t.Fatalf("RunAggregate: %v", err)
 	}
 	var wantAgg zukowski.Aggregate[int64]
 	for i, v := range wantCols[1] {
@@ -171,7 +180,7 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 
 	// Early stop.
 	calls := 0
-	if err := tb.ScanWhereAll(nil, func(rows []int64, _ [][]int64) bool {
+	if err := tb.Run(bg, where(), func(_ int, rows []int64, _ [][]int64) bool {
 		calls++
 		return false
 	}); err != nil {
@@ -199,7 +208,10 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 	}
 }
 
-func TestParallelScanWhereAllEquivalence(t *testing.T) {
+// TestRunWorkersEquivalence: Query{Workers: n} returns exactly the
+// sequential scan's rows — unordered as a multiset, InOrder as the same
+// sequence — with global block indices, and stops on fn's say-so.
+func TestRunWorkersEquivalence(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "tbl")
 	tb := mustCreate(t, dir, zktable.Options{})
 	defer tb.Close()
@@ -211,18 +223,19 @@ func TestParallelScanWhereAllEquivalence(t *testing.T) {
 	preds := []zukowski.Pred[int64]{{Col: 1, Lo: 0, Hi: 750}}
 	wantRows, _ := scanOracle(all, preds)
 
-	var mu sync.Mutex
+	// Deliveries are serialized (the ColumnSet.Run contract), so fn needs
+	// no locking of its own.
 	var gotRows []int64
 	blocks := map[int]bool{}
-	err := tb.ParallelScanWhereAll(preds, 4, func(block int, rows []int64, cols [][]int64) bool {
-		mu.Lock()
+	q := where(preds...)
+	q.Workers = 4
+	collect := func(block int, rows []int64, cols [][]int64) bool {
 		gotRows = append(gotRows, rows...)
 		blocks[block] = true
-		mu.Unlock()
 		return true
-	})
-	if err != nil {
-		t.Fatalf("ParallelScanWhereAll: %v", err)
+	}
+	if err := tb.Run(bg, q, collect); err != nil {
+		t.Fatalf("parallel Run: %v", err)
 	}
 	sort.Slice(gotRows, func(i, j int) bool { return gotRows[i] < gotRows[j] })
 	if len(gotRows) != len(wantRows) {
@@ -241,16 +254,67 @@ func TestParallelScanWhereAllEquivalence(t *testing.T) {
 		}
 	}
 
-	// Early stop terminates promptly and without error.
-	var fired atomic.Int64
-	if err := tb.ParallelScanWhereAll(nil, 4, func(_ int, rows []int64, _ [][]int64) bool {
-		fired.Add(1)
+	// InOrder restores the sequential sequence across segment boundaries.
+	gotRows = gotRows[:0]
+	q.InOrder = true
+	if err := tb.Run(bg, q, collect); err != nil {
+		t.Fatalf("ordered parallel Run: %v", err)
+	}
+	if !slices.Equal(gotRows, wantRows) {
+		t.Fatalf("ordered parallel scan delivered %d rows out of sequence (oracle %d)", len(gotRows), len(wantRows))
+	}
+
+	// Early stop terminates without error, and no later segment delivers
+	// after fn said stop.
+	fired := 0
+	q = where()
+	q.Workers = 4
+	if err := tb.Run(bg, q, func(int, []int64, [][]int64) bool {
+		fired++
 		return false
 	}); err != nil {
 		t.Fatalf("early-stop parallel scan: %v", err)
 	}
-	if fired.Load() == 0 {
-		t.Fatal("early-stop parallel scan never delivered")
+	if fired != 1 {
+		t.Fatalf("early-stop parallel scan delivered %d times, want 1", fired)
+	}
+}
+
+// TestRunSteadyStateAllocs is the table-level twin of the ColumnSet
+// zero-allocation guard: a warmed Table.Run pays a fixed handful of
+// allocations per scan and per segment (the pin, the per-segment
+// closures) and nothing per block — a table with sixteen times the blocks
+// in the same three segments allocates exactly as much.
+func TestRunSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation exactness is asserted in the non-race run")
+	}
+	allocs := func(rowsPerSeg int) float64 {
+		tb := mustCreate(t, filepath.Join(t.TempDir(), "tbl"), zktable.Options{})
+		defer tb.Close()
+		// File-backed readers allocate a buffer per uncached block read; the
+		// steady state worth pinning is the one a serving process runs in,
+		// with the hot-block cache holding the table.
+		tb.SetBlockCache(zukowski.NewBlockLRU(64 << 20))
+		for s := 0; s < 3; s++ {
+			mustAppend(t, tb, synthCols(int64(50+s), rowsPerSeg))
+		}
+		q := where(zukowski.Pred[int64]{Col: 1, Lo: 100, Hi: 600}, zukowski.Pred[int64]{Col: 2, Lo: -10, Hi: 20})
+		sink := func(int, []int64, [][]int64) bool { return true }
+		scan := func() {
+			if err := tb.Run(bg, q, sink); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan() // warm the cache, the pooled scan states and the verification latches
+		return testing.AllocsPerRun(20, scan)
+	}
+	few, many := allocs(2*testBV), allocs(32*testBV)
+	if few != many {
+		t.Fatalf("Table.Run allocates per block: %v allocs over 6 blocks, %v over 96", few, many)
+	}
+	if few > 16 {
+		t.Fatalf("Table.Run: %v allocs per 3-segment scan, want a small per-segment constant", few)
 	}
 }
 
@@ -283,7 +347,7 @@ func TestCompact(t *testing.T) {
 	preds := []zukowski.Pred[int64]{{Col: 2, Lo: 0, Hi: 31}}
 	wantRows, _ := scanOracle(all, preds)
 	var got int64
-	if err := tb.ScanWhereAll(preds, func(rows []int64, _ [][]int64) bool {
+	if err := tb.Run(bg, where(preds...), func(_ int, rows []int64, _ [][]int64) bool {
 		got += int64(len(rows))
 		return true
 	}); err != nil {
@@ -355,18 +419,14 @@ func TestTableConcurrentIngestScan(t *testing.T) {
 				default:
 				}
 				var n int64
-				var err error
+				q := where()
 				if g == 0 {
-					err = tb.ParallelScanWhereAll(nil, 4, func(_ int, rows []int64, _ [][]int64) bool {
-						atomic.AddInt64(&n, int64(len(rows)))
-						return true
-					})
-				} else {
-					err = tb.ScanWhereAll(nil, func(rows []int64, _ [][]int64) bool {
-						n += int64(len(rows))
-						return true
-					})
+					q.Workers = 4
 				}
+				err := tb.Run(bg, q, func(_ int, rows []int64, _ [][]int64) bool {
+					n += int64(len(rows))
+					return true
+				})
 				if err != nil {
 					t.Errorf("concurrent scan: %v", err)
 					return
@@ -425,7 +485,7 @@ func TestOpenErrors(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	tb2.Close()
-	if err := tb2.ScanWhereAll(nil, func([]int64, [][]int64) bool { return true }); !errors.Is(err, zktable.ErrClosed) {
+	if err := tb2.Run(bg, where(), func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zktable.ErrClosed) {
 		t.Fatalf("scan after close: %v, want ErrClosed", err)
 	}
 	if _, err := tb2.Append(synthCols(41, 10)); !errors.Is(err, zktable.ErrClosed) {

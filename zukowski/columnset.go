@@ -15,8 +15,8 @@ import (
 // columns that share block geometry (same rows, same block boundaries —
 // the layout one ColumnWriter configuration produces for every column of
 // a table), so a selection bitmap computed over one column's block applies
-// row-for-row to every other column's same-numbered block. ScanWhereAll
-// evaluates a conjunction of range predicates one predicate at a time:
+// row-for-row to every other column's same-numbered block. Run evaluates
+// a conjunction of range predicates (Query.Preds) one predicate at a time:
 // the most selective predicate (estimated per block from the zone maps)
 // builds the block's bitmap with DecompressMask, each further predicate
 // narrows it with RefineMask — skipping 128-row groups the running bitmap
@@ -433,9 +433,9 @@ func (cs *ColumnSet[T]) blockQuery(st *setState[T], b int, q *Query[T]) (rows []
 	return st.rows, out, nil
 }
 
-// runSeq is the sequential scan loop shared by Run, ScanWhereAll and
-// their context variants — also the one-worker degenerate case of the
-// parallel form. ctx is consulted once per block (see ScanWhereAllContext);
+// runSeq is Run's sequential scan loop — also the one-worker degenerate
+// case of the parallel form. ctx is consulted once per block, the natural
+// preemption point (one block is one bounded quantum of decode work);
 // context.Background() never fires and costs one predictable branch.
 func (cs *ColumnSet[T]) runSeq(ctx context.Context, cfg *scanConfig, q *Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
 	empty, err := cs.checkQuery(q)
@@ -469,9 +469,9 @@ func (cs *ColumnSet[T]) runSeq(ctx context.Context, cfg *scanConfig, q *Query[T]
 	return nil
 }
 
-// runParallel is the block-parallel scan loop shared by Run and
-// ParallelScanWhereAll, with the delivery contract of the other parallel
-// scans: serialized, unordered unless configured otherwise.
+// runParallel is Run's block-parallel scan loop, with the delivery
+// contract of the other parallel scans: serialized, unordered unless
+// configured otherwise.
 func (cs *ColumnSet[T]) runParallel(ctx context.Context, cfg *scanConfig, q *Query[T], workers int, fn func(block int, rows []int64, cols [][]T) bool) error {
 	empty, err := cs.checkQuery(q)
 	if err != nil || empty {
@@ -498,9 +498,8 @@ func (cs *ColumnSet[T]) runParallel(ctx context.Context, cfg *scanConfig, q *Que
 		seq, cs.getState, cs.putState, work)
 }
 
-// runAggregate is the aggregate loop shared by RunAggregate and
-// AggregateWhereAll: bitmap composition per block, then a fold over just
-// the target column's survivors.
+// runAggregate is RunAggregate's loop: bitmap composition per block, then
+// a fold over just the target column's survivors.
 func (cs *ColumnSet[T]) runAggregate(ctx context.Context, cfg *scanConfig, q *Query[T], col int) (Aggregate[T], error) {
 	var agg Aggregate[T]
 	if col < 0 || col >= len(cs.cols) {
@@ -555,59 +554,8 @@ func (cs *ColumnSet[T]) runAggregate(ctx context.Context, cfg *scanConfig, q *Qu
 	return agg, nil
 }
 
-// ScanWhereAll scans the set with a conjunction of range predicates
-// evaluated below decompression, invoking fn once per block that contains
-// at least one surviving row with the global row numbers and, per column
-// of the set, the values of those rows (cols[i][j] is column i's value at
-// rows[j]). Blocks any predicate's zone map excludes are skipped unread;
-// inside a surviving block the most selective predicate (zone-map
-// estimate) builds the selection bitmap in the compressed code domain,
-// each further predicate refines it — groups the running bitmap has
-// emptied are never touched — and only rows passing every predicate are
-// materialized. The slices are reused between calls; fn must copy what it
-// keeps, and returning false stops the scan early. An empty preds slice
-// selects every row.
-//
-// ScanWhereAll is a thin wrapper over the Run machinery, kept for
-// callers of the original conjunction-only API: it is exactly
-// Run(ctx, Query{Preds: preds}, ...) without the block index.
-//
-// A warmed sequential ScanWhereAll performs no heap allocation: the scan
-// holds one pooled state — per-column decode scratch, the bitmap, and the
-// output buffers — for its whole pass.
-func (cs *ColumnSet[T]) ScanWhereAll(preds []Pred[T], fn func(rows []int64, cols [][]T) bool, opts ...ScanOption) error {
-	q := Query[T]{Preds: preds}
-	return cs.runSeq(context.Background(), parseScanOpts(opts), &q,
-		func(_ int, rows []int64, cols [][]T) bool { return fn(rows, cols) })
-}
-
-// ParallelScanWhereAll is ScanWhereAll across a block-granular worker
-// pool, with the delivery contract of the other parallel scans: fn
-// receives each surviving block's rows and column values exactly once,
-// never concurrently, unordered unless InOrder is given; fn returning
-// false (or an error) stops the scan. Blocks without surviving rows are
-// skipped without a delivery. Each worker owns one pooled scan state —
-// every column's decode scratch and bitmap — for the whole scan. It is a
-// thin wrapper over Run with Query.Workers set.
-func (cs *ColumnSet[T]) ParallelScanWhereAll(preds []Pred[T], workers int, fn func(block int, rows []int64, cols [][]T) bool, opts ...ScanOption) error {
-	q := Query[T]{Preds: preds}
-	return cs.runParallel(context.Background(), parseScanOpts(opts), &q, workers, fn)
-}
-
-// AggregateWhereAll computes Count, Sum, Min and Max over column col's
-// values at the rows matching every predicate. The bitmap composes
-// exactly as in ScanWhereAll; only the target column's surviving rows are
-// then decoded, into a reusable buffer, so the aggregate never
-// materializes a non-matching value. An empty preds slice aggregates the
-// whole column; a trivially empty conjunction yields Count == 0. It is a
-// thin wrapper over RunAggregate with Query{Preds: preds}.
-func (cs *ColumnSet[T]) AggregateWhereAll(preds []Pred[T], col int, opts ...ScanOption) (Aggregate[T], error) {
-	q := Query[T]{Preds: preds}
-	return cs.runAggregate(context.Background(), parseScanOpts(opts), &q, col)
-}
-
 // gatherBlockCol is gatherCol behind the crafted-frame panic guard (the
-// scan path inherits the guard from blockWhereAll).
+// scan path inherits the guard from blockQuery).
 func (cs *ColumnSet[T]) gatherBlockCol(st *setState[T], b, col int) (vals []T, err error) {
 	defer guardSegment(&err)
 	return cs.gatherCol(&st.cols[col], col, b, &st.sv)

@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -42,17 +43,17 @@ func oracleWhereAll[T zukowski.Integer](t testing.TB, cols []*zukowski.ColumnRea
 	return rows, vals
 }
 
-// collectWhereAll gathers a full ScanWhereAll pass, checking the batch
+// collectWhereAll gathers a full conjunctive Run, checking the batch
 // shape contract along the way.
 func collectWhereAll[T zukowski.Integer](t testing.TB, cs *zukowski.ColumnSet[T], preds []zukowski.Pred[T]) (rows []int64, vals [][]T) {
 	t.Helper()
 	vals = make([][]T, cs.Columns())
-	err := cs.ScanWhereAll(preds, func(r []int64, cols [][]T) bool {
+	err := cs.Run(context.Background(), zukowski.Query[T]{Preds: preds}, func(_ int, r []int64, cols [][]T) bool {
 		if len(r) == 0 {
-			t.Fatal("ScanWhereAll delivered an empty batch")
+			t.Fatal("Run delivered an empty batch")
 		}
 		if len(cols) != cs.Columns() {
-			t.Fatalf("ScanWhereAll handed %d columns, set has %d", len(cols), cs.Columns())
+			t.Fatalf("Run handed %d columns, set has %d", len(cols), cs.Columns())
 		}
 		for c := range cols {
 			if len(cols[c]) != len(r) {
@@ -84,7 +85,7 @@ func checkWhereAll[T zukowski.Integer](t *testing.T, cs *zukowski.ColumnSet[T], 
 
 	// The aggregate over each column must fold exactly the oracle's values.
 	for c := range cols {
-		agg, err := cs.AggregateWhereAll(preds, c)
+		agg, err := cs.RunAggregate(context.Background(), zukowski.Query[T]{Preds: preds}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func checkWhereAll[T zukowski.Integer](t *testing.T, cs *zukowski.ColumnSet[T], 
 			want.Sum += int64(v)
 		}
 		if agg != want {
-			t.Fatalf("preds %v col %d: AggregateWhereAll = %+v, want %+v", preds, c, agg, want)
+			t.Fatalf("preds %v col %d: RunAggregate = %+v, want %+v", preds, c, agg, want)
 		}
 	}
 }
@@ -117,10 +118,10 @@ func synthColumn(rng *rand.Rand, n int) []int64 {
 	return vals
 }
 
-// TestScanWhereAllOracle drives conjunctive scans over two and three
+// TestRunConjunctionOracle drives conjunctive scans over two and three
 // columns across codec mixes (patched, raw, baseline byte-stream) against
 // the decode-then-filter oracle.
-func TestScanWhereAllOracle(t *testing.T) {
+func TestRunConjunctionOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 40_000
 	a := synthColumn(rng, n)
@@ -165,10 +166,10 @@ func TestScanWhereAllOracle(t *testing.T) {
 	}
 }
 
-// TestScanWhereAllEdgeGeometry pins bitmap edge cases: tail rows not a
+// TestRunConjunctionEdgeGeometry pins bitmap edge cases: tail rows not a
 // multiple of 32, single-row blocks, a single-value column, and empty and
 // full selections over each.
-func TestScanWhereAllEdgeGeometry(t *testing.T) {
+func TestRunConjunctionEdgeGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, tc := range []struct {
 		name        string
@@ -234,18 +235,18 @@ func TestColumnSetMismatch(t *testing.T) {
 
 	// Predicate addressing a column outside the set is a typed error.
 	bad := []zukowski.Pred[int64]{{Col: 2, Lo: 0, Hi: 10}}
-	if err := cs.ScanWhereAll(bad, func([]int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrIndexOutOfRange) {
+	if err := cs.Run(context.Background(), zukowski.Query[int64]{Preds: bad}, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrIndexOutOfRange) {
 		t.Fatalf("out-of-range predicate column: %v, want ErrIndexOutOfRange", err)
 	}
-	if _, err := cs.AggregateWhereAll(nil, 5); !errors.Is(err, zukowski.ErrIndexOutOfRange) {
+	if _, err := cs.RunAggregate(context.Background(), zukowski.Query[int64]{}, 5); !errors.Is(err, zukowski.ErrIndexOutOfRange) {
 		t.Fatalf("out-of-range aggregate column: %v, want ErrIndexOutOfRange", err)
 	}
 }
 
-// TestParallelScanWhereAllMatchesSequential checks the parallel
-// conjunctive scan against the sequential one: ordered mode byte for
+// TestRunWorkersMatchesSequential checks the parallel conjunctive scan
+// (Query.Workers) against the sequential one: ordered mode byte for
 // byte, unordered mode as a multiset keyed by block.
-func TestParallelScanWhereAllMatchesSequential(t *testing.T) {
+func TestRunWorkersMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const n = 60_000
 	a := synthColumn(rng, n)
@@ -260,7 +261,8 @@ func TestParallelScanWhereAllMatchesSequential(t *testing.T) {
 
 	seq := map[int]csBatch{}
 	var seqOrder []int
-	if err := cs.ParallelScanWhereAll(preds, 1, func(blk int, rows []int64, cols [][]int64) bool {
+	ctx := context.Background()
+	if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: 1}, func(blk int, rows []int64, cols [][]int64) bool {
 		seq[blk] = csBatch{slices.Clone(rows), slices.Clone(cols[0]), slices.Clone(cols[1])}
 		seqOrder = append(seqOrder, blk)
 		return true
@@ -275,11 +277,11 @@ func TestParallelScanWhereAllMatchesSequential(t *testing.T) {
 		// Ordered: identical sequence of (block, rows, values).
 		var order []int
 		got := map[int]csBatch{}
-		if err := cs.ParallelScanWhereAll(preds, workers, func(blk int, rows []int64, cols [][]int64) bool {
+		if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: workers, InOrder: true}, func(blk int, rows []int64, cols [][]int64) bool {
 			order = append(order, blk)
 			got[blk] = csBatch{slices.Clone(rows), slices.Clone(cols[0]), slices.Clone(cols[1])}
 			return true
-		}, zukowski.InOrder()); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(order, seqOrder) {
@@ -289,7 +291,7 @@ func TestParallelScanWhereAllMatchesSequential(t *testing.T) {
 
 		// Unordered: same multiset of per-block batches.
 		got = map[int]csBatch{}
-		if err := cs.ParallelScanWhereAll(preds, workers, func(blk int, rows []int64, cols [][]int64) bool {
+		if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: workers}, func(blk int, rows []int64, cols [][]int64) bool {
 			got[blk] = csBatch{slices.Clone(rows), slices.Clone(cols[0]), slices.Clone(cols[1])}
 			return true
 		}); err != nil {
@@ -300,7 +302,7 @@ func TestParallelScanWhereAllMatchesSequential(t *testing.T) {
 
 	// Early stop: at most one more delivery after false.
 	deliveries := 0
-	if err := cs.ParallelScanWhereAll(preds, 4, func(int, []int64, [][]int64) bool {
+	if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: 4}, func(int, []int64, [][]int64) bool {
 		deliveries++
 		return false
 	}); err != nil {
@@ -333,10 +335,10 @@ func compareBatches(t *testing.T, workers int, got, want map[int]csBatch) {
 	}
 }
 
-// TestScanWhereAllCorruptBlock flips a payload bit in one column and
+// TestRunConjunctionCorruptBlock flips a payload bit in one column and
 // expects the typed checksum error from both scan forms and the
 // aggregate.
-func TestScanWhereAllCorruptBlock(t *testing.T) {
+func TestRunConjunctionCorruptBlock(t *testing.T) {
 	vals := make([]int64, 20_000)
 	for i := range vals {
 		vals[i] = int64(i % 1000)
@@ -364,20 +366,22 @@ func TestScanWhereAllCorruptBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	preds := []zukowski.Pred[int64]{{Col: 0, Lo: 0, Hi: 999}, {Col: 1, Lo: 0, Hi: 999}}
-	if err := cs.ScanWhereAll(preds, func([]int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("ScanWhereAll on corrupt column: %v, want ErrChecksumMismatch", err)
+	ctx := context.Background()
+	sink := func(int, []int64, [][]int64) bool { return true }
+	if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds}, sink); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+		t.Fatalf("Run on corrupt column: %v, want ErrChecksumMismatch", err)
 	}
-	if err := cs.ParallelScanWhereAll(preds, 4, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("ParallelScanWhereAll on corrupt column: %v, want ErrChecksumMismatch", err)
+	if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: 4}, sink); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+		t.Fatalf("parallel Run on corrupt column: %v, want ErrChecksumMismatch", err)
 	}
-	if _, err := cs.AggregateWhereAll(preds, 1); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("AggregateWhereAll on corrupt column: %v, want ErrChecksumMismatch", err)
+	if _, err := cs.RunAggregate(ctx, zukowski.Query[int64]{Preds: preds}, 1); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+		t.Fatalf("RunAggregate on corrupt column: %v, want ErrChecksumMismatch", err)
 	}
 }
 
-// TestScanWhereAllZKC1 runs the conjunction over containers without zone
+// TestRunConjunctionZKC1 runs the conjunction over containers without zone
 // maps: no pruning, no ordering estimates, same answers.
-func TestScanWhereAllZKC1(t *testing.T) {
+func TestRunConjunctionZKC1(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const n = 20_000
 	a := synthColumn(rng, n)
@@ -410,9 +414,9 @@ func TestScanWhereAllZKC1(t *testing.T) {
 		[]zukowski.Pred[int64]{{Col: 0, Lo: 0, Hi: 600}, {Col: 1, Lo: 0, Hi: 600}})
 }
 
-// TestScanWhereAllSteadyStateAllocs pins the 0 allocs/op contract of
-// warmed sequential conjunctive scans and aggregates.
-func TestScanWhereAllSteadyStateAllocs(t *testing.T) {
+// TestRunSteadyStateAllocs pins the 0 allocs/op contract of warmed
+// sequential conjunctive Run and RunAggregate.
+func TestRunSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation exactness is asserted in the non-race run")
 	}
@@ -435,23 +439,25 @@ func TestScanWhereAllSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		preds := []zukowski.Pred[int64]{{Col: 0, Lo: 10, Hi: 400}, {Col: 1, Lo: 10, Hi: 2000}}
+		q := zukowski.Query[int64]{Preds: []zukowski.Pred[int64]{{Col: 0, Lo: 10, Hi: 400}, {Col: 1, Lo: 10, Hi: 2000}}}
+		ctx := context.Background()
+		sink := func(int, []int64, [][]int64) bool { return true }
 		scan := func() {
-			if err := cs.ScanWhereAll(preds, func([]int64, [][]int64) bool { return true }); err != nil {
+			if err := cs.Run(ctx, q, sink); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cs.AggregateWhereAll(preds, 1); err != nil {
+			if _, err := cs.RunAggregate(ctx, q, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
 		scan() // warm the pooled state and verification latches
 		if avg := testing.AllocsPerRun(20, scan); avg != 0 {
-			t.Errorf("%s+%s: %v allocs/op on warmed ScanWhereAll+AggregateWhereAll, want 0", mix[0], mix[1], avg)
+			t.Errorf("%s+%s: %v allocs/op on warmed Run+RunAggregate, want 0", mix[0], mix[1], avg)
 		}
 	}
 }
 
-func BenchmarkScanWhereAll(b *testing.B) {
+func BenchmarkRunConjunction(b *testing.B) {
 	rng := rand.New(rand.NewSource(36))
 	const n = 1 << 20
 	av := synthColumn(rng, n)
@@ -464,13 +470,14 @@ func BenchmarkScanWhereAll(b *testing.B) {
 	}
 	raw := int64(2 * n * 8)
 	// ~10% per column => ~1% conjunctive.
-	preds := []zukowski.Pred[int64]{{Col: 0, Lo: 0, Hi: 400}, {Col: 1, Lo: 0, Hi: 400}}
+	q := zukowski.Query[int64]{Preds: []zukowski.Pred[int64]{{Col: 0, Lo: 0, Hi: 400}, {Col: 1, Lo: 0, Hi: 400}}}
+	ctx := context.Background()
 
-	b.Run("ScanWhereAll-1pct", func(b *testing.B) {
+	b.Run("Run-1pct", func(b *testing.B) {
 		b.SetBytes(raw)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := cs.ScanWhereAll(preds, func([]int64, [][]int64) bool { return true }); err != nil {
+			if err := cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -505,11 +512,11 @@ func BenchmarkScanWhereAll(b *testing.B) {
 			}
 		}
 	})
-	b.Run("AggregateWhereAll-1pct", func(b *testing.B) {
+	b.Run("RunAggregate-1pct", func(b *testing.B) {
 		b.SetBytes(raw)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := cs.AggregateWhereAll(preds, 1); err != nil {
+			if _, err := cs.RunAggregate(ctx, q, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

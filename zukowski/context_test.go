@@ -12,7 +12,7 @@ import (
 
 // buildCtxSet builds a small multi-block two-column set for the context
 // tests.
-func buildCtxSet(t *testing.T) (*zukowski.ColumnSet[int64], []zukowski.Pred[int64]) {
+func buildCtxSet(t *testing.T) (*zukowski.ColumnSet[int64], zukowski.Query[int64]) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
 	n := 40_000
@@ -35,68 +35,42 @@ func buildCtxSet(t *testing.T) (*zukowski.ColumnSet[int64], []zukowski.Pred[int6
 		t.Fatal(err)
 	}
 	preds := []zukowski.Pred[int64]{{Col: 0, Lo: 0, Hi: int64(n)}, {Col: 1, Lo: 0, Hi: 999}}
-	return set, preds
+	return set, zukowski.Query[int64]{Preds: preds}
 }
 
-// TestScanWhereAllContextEquivalence: a background context changes
-// nothing — same rows, same values as the context-free scan.
-func TestScanWhereAllContextEquivalence(t *testing.T) {
-	set, preds := buildCtxSet(t)
-	var wantRows, gotRows []int64
-	if err := set.ScanWhereAll(preds, func(rows []int64, _ [][]int64) bool {
-		wantRows = append(wantRows, rows...)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := set.ScanWhereAllContext(context.Background(), preds, func(rows []int64, _ [][]int64) bool {
-		gotRows = append(gotRows, rows...)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(wantRows) != len(gotRows) {
-		t.Fatalf("context scan delivered %d rows, context-free %d", len(gotRows), len(wantRows))
-	}
-	for i := range wantRows {
-		if wantRows[i] != gotRows[i] {
-			t.Fatalf("row %d: context scan %d != context-free %d", i, gotRows[i], wantRows[i])
-		}
-	}
-}
-
-// TestScanWhereAllContextCancelled: a pre-cancelled context stops the
-// scan before any delivery, returning context.Canceled.
-func TestScanWhereAllContextCancelled(t *testing.T) {
-	set, preds := buildCtxSet(t)
+// TestRunContextCancelled: a pre-cancelled context stops the scan before
+// any delivery, returning context.Canceled.
+func TestRunContextCancelled(t *testing.T) {
+	set, q := buildCtxSet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	err := set.ScanWhereAllContext(ctx, preds, func([]int64, [][]int64) bool { calls++; return true })
+	err := set.Run(ctx, q, func(int, []int64, [][]int64) bool { calls++; return true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if calls != 0 {
 		t.Fatalf("fn called %d times under a dead context", calls)
 	}
-	if _, err := set.AggregateWhereAllContext(ctx, preds, 0); !errors.Is(err, context.Canceled) {
+	if _, err := set.RunAggregate(ctx, q, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aggregate err = %v, want context.Canceled", err)
 	}
-	err = set.ParallelScanWhereAllContext(ctx, preds, 4, func(int, []int64, [][]int64) bool { return true })
+	q.Workers = 4
+	err = set.Run(ctx, q, func(int, []int64, [][]int64) bool { return true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel err = %v, want context.Canceled", err)
 	}
 }
 
-// TestScanWhereAllContextMidScan: cancelling from inside fn stops the
+// TestRunContextMidScan: cancelling from inside fn stops the
 // scan at the next block boundary — fn sees no delivery after the cancel
 // — and the scan returns context.Canceled, distinguishing budget kills
 // from fn's own voluntary early stop (which returns nil).
-func TestScanWhereAllContextMidScan(t *testing.T) {
-	set, preds := buildCtxSet(t)
+func TestRunContextMidScan(t *testing.T) {
+	set, q := buildCtxSet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	deliveries, after := 0, 0
-	err := set.ScanWhereAllContext(ctx, preds, func([]int64, [][]int64) bool {
+	err := set.Run(ctx, q, func(int, []int64, [][]int64) bool {
 		if ctx.Err() != nil {
 			after++
 		}
@@ -114,29 +88,29 @@ func TestScanWhereAllContextMidScan(t *testing.T) {
 	}
 }
 
-// TestScanWhereAllContextDeadline: an already-expired deadline surfaces
-// as context.DeadlineExceeded from all three entry points.
-func TestScanWhereAllContextDeadline(t *testing.T) {
-	set, preds := buildCtxSet(t)
+// TestRunContextDeadline: an already-expired deadline surfaces as
+// context.DeadlineExceeded from Run and RunAggregate.
+func TestRunContextDeadline(t *testing.T) {
+	set, q := buildCtxSet(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if err := set.ScanWhereAllContext(ctx, preds, func([]int64, [][]int64) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
+	if err := set.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if _, err := set.AggregateWhereAllContext(ctx, preds, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := set.RunAggregate(ctx, q, 1); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("aggregate err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// TestParallelScanWhereAllContextMidScan: cancelling mid-flight stops a
-// parallel scan with context.Canceled and no deliveries after the pool
-// drains.
-func TestParallelScanWhereAllContextMidScan(t *testing.T) {
-	set, preds := buildCtxSet(t)
+// TestRunWorkersContextMidScan: cancelling mid-flight stops a parallel
+// scan with context.Canceled and no deliveries after the pool drains.
+func TestRunWorkersContextMidScan(t *testing.T) {
+	set, q := buildCtxSet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var deliveries int
-	err := set.ParallelScanWhereAllContext(ctx, preds, 4, func(int, []int64, [][]int64) bool {
+	q.Workers = 4
+	err := set.Run(ctx, q, func(int, []int64, [][]int64) bool {
 		deliveries++
 		if deliveries == 2 {
 			cancel()

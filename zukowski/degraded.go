@@ -56,24 +56,14 @@ func (r *ScanReport) Degraded() bool { return r != nil && r.BlocksSkipped > 0 }
 
 // SkipCorrupt makes a scan degraded: block-level data faults are skipped
 // and recorded in rep instead of failing the scan. rep may be nil to skip
-// without accounting. It applies to the Scan/ScanWhere/ScanSelect,
-// Aggregate*, ScanWhereAll and parallel/context scan families.
+// without accounting. It applies to the single-column Scan/ScanWhere/
+// ScanSelect/Aggregate* families and their parallel forms; a Query asks
+// for the same contract with its SkipCorrupt and Report fields.
 func SkipCorrupt(rep *ScanReport) ScanOption {
 	return func(c *scanConfig) {
 		c.skip = true
 		c.report = rep
 	}
-}
-
-// ConfiguredSkipCorrupt reports whether opts put a scan in degraded mode
-// (SkipCorrupt) and returns the report it targets. Layers that compose
-// scans above block granularity — a multi-file table skipping a whole
-// quarantined segment — use this to apply the same degraded-mode contract
-// to failures the block engine never sees, accounting them in the same
-// report the engine fills.
-func ConfiguredSkipCorrupt(opts ...ScanOption) (*ScanReport, bool) {
-	cfg := parseScanOpts(opts)
-	return cfg.report, cfg.skip
 }
 
 // IsDataFault reports whether err is a fault of the stored data itself —

@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -212,11 +213,11 @@ func TestDegradedParallelScanSelect(t *testing.T) {
 	}
 }
 
-// TestDegradedScanWhereAllParallel: conjunctive multi-column scans and
-// aggregates skip a block that is corrupt in any member column, losing
-// that block's rows across the whole set — sequential, parallel and
-// context variants agree.
-func TestDegradedScanWhereAllParallel(t *testing.T) {
+// TestDegradedRunParallel: conjunctive multi-column scans and aggregates
+// skip a block that is corrupt in any member column, losing that block's
+// rows across the whole set — sequential, parallel and aggregate forms
+// agree.
+func TestDegradedRunParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	a := genValues[int64](rng, 6000)
 	b := genValues[int64](rng, 6000)
@@ -253,20 +254,22 @@ func TestDegradedScanWhereAllParallel(t *testing.T) {
 		}
 	}
 
-	if err := cs.ScanWhereAll(preds, func([]int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrCorruptColumn) {
-		t.Fatalf("ScanWhereAll err = %v", err)
+	ctx := context.Background()
+	if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds}, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrCorruptColumn) {
+		t.Fatalf("Run err = %v", err)
 	}
 
 	var rep zukowski.ScanReport
 	var gotRows []int64
-	if err := cs.ScanWhereAll(preds, func(rows []int64, _ [][]int64) bool {
+	collect := func(_ int, rows []int64, _ [][]int64) bool {
 		gotRows = append(gotRows, rows...)
 		return true
-	}, zukowski.SkipCorrupt(&rep)); err != nil {
-		t.Fatalf("degraded ScanWhereAll: %v", err)
+	}
+	if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, SkipCorrupt: true, Report: &rep}, collect); err != nil {
+		t.Fatalf("degraded Run: %v", err)
 	}
 	if !slices.Equal(gotRows, wantRows) {
-		t.Fatalf("degraded ScanWhereAll: %d rows, oracle %d", len(gotRows), len(wantRows))
+		t.Fatalf("degraded Run: %d rows, oracle %d", len(gotRows), len(wantRows))
 	}
 	if rep.BlocksSkipped != 1 || rep.RowsLost != int64(lost) {
 		t.Fatalf("report = %+v, want 1 block / %d rows", &rep, lost)
@@ -274,20 +277,17 @@ func TestDegradedScanWhereAllParallel(t *testing.T) {
 
 	var prep zukowski.ScanReport
 	gotRows = gotRows[:0]
-	if err := cs.ParallelScanWhereAll(preds, 4, func(_ int, rows []int64, _ [][]int64) bool {
-		gotRows = append(gotRows, rows...)
-		return true
-	}, zukowski.InOrder(), zukowski.SkipCorrupt(&prep)); err != nil {
-		t.Fatalf("degraded ParallelScanWhereAll: %v", err)
+	if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: 4, InOrder: true, SkipCorrupt: true, Report: &prep}, collect); err != nil {
+		t.Fatalf("degraded parallel Run: %v", err)
 	}
 	if !slices.Equal(gotRows, wantRows) || prep.BlocksSkipped != 1 {
 		t.Fatalf("parallel: %d rows (oracle %d), report %+v", len(gotRows), len(wantRows), &prep)
 	}
 
 	var agrep zukowski.ScanReport
-	agg, err := cs.AggregateWhereAll(preds, 0, zukowski.SkipCorrupt(&agrep))
+	agg, err := cs.RunAggregate(ctx, zukowski.Query[int64]{Preds: preds, SkipCorrupt: true, Report: &agrep}, 0)
 	if err != nil {
-		t.Fatalf("degraded AggregateWhereAll: %v", err)
+		t.Fatalf("degraded RunAggregate: %v", err)
 	}
 	if agg.Count != int64(len(wantRows)) || agg.Sum != wantSum {
 		t.Fatalf("aggregate = %+v, want count %d sum %d", agg, len(wantRows), wantSum)

@@ -64,32 +64,37 @@
 // ColumnSet composes selection vectors across predicates and columns —
 // the conjunctive step of the paper's RAM-CPU query pipeline. Columns
 // sharing block geometry (same rows, same block boundaries; anything
-// else is ErrColumnSetMismatch) scan as one unit: ScanWhereAll evaluates
-// a []Pred conjunction per block by building a one-bit-per-row bitmap
-// with the compare kernels of the most selective predicate (ordered by a
-// zone-map estimate), intersecting it branch-free with each further
-// predicate's matches — 32-row groups the running bitmap has emptied are
-// skipped before a single code is extracted — and materializing only the
-// rows that survive every predicate, from every column. AggregateWhereAll
-// folds one column's survivors without delivering them;
-// ParallelScanWhereAll runs blocks across the shared worker-pool engine
-// with the ParallelScan delivery contract. Warmed sequential conjunctive
-// scans allocate nothing.
+// else is ErrColumnSetMismatch) scan as one unit: Run evaluates a
+// Query's []Pred conjunction per block by building a one-bit-per-row
+// bitmap with the compare kernels of the most selective predicate
+// (ordered by a zone-map estimate), intersecting it branch-free with
+// each further predicate's matches — 32-row groups the running bitmap
+// has emptied are skipped before a single code is extracted — and
+// materializing only the rows that survive every predicate, from the
+// requested columns. RunAggregate folds one column's survivors without
+// delivering them; Query.Workers runs blocks across the shared
+// worker-pool engine with the ParallelScan delivery contract. Warmed
+// sequential scans allocate nothing.
 //
-// # Expression queries, grouping and joins
+// # One scan vocabulary: Query, Expr, grouping and joins
 //
-// Query[T] is the one-struct form of every ColumnSet scan — predicate
-// (conjunction and/or expression tree), output columns, parallelism,
-// ordering and degraded-mode options — executed by Run and
-// RunAggregate; the ScanWhereAll-family entrypoints are thin wrappers
-// over it, so existing []Pred call sites are unchanged. Expr generalizes
-// the conjunction to an AND/OR tree of Range and In leaves (built with
+// Query[T] is the only way a multi-column scan is expressed, at every
+// layer: predicate (conjunction and/or expression tree), output columns,
+// parallelism, ordering, degraded mode and the context it runs under.
+// ColumnSet executes it with Run, RunAggregate and Candidates (the
+// decode-free dry run: which blocks would be evaluated, how many the
+// zone maps prune); zktable.Table executes the same Query with the same
+// three methods across every segment of a durable table, and zkserve
+// translates each wire request into one. Expr generalizes the
+// conjunction to an AND/OR tree of Range and In leaves (built with
 // And, Or, Range, In), evaluated entirely at the selection-bitmap
 // level: a disjunction is one word-wise union per 32 rows, AND branches
 // prune at block granularity when any child's zone map excludes the
 // block, OR branches only when every child's does, and nothing outside
 // the final bitmap is ever decoded into a value. Inside an AND,
-// children still run most-selective-first by zone-map estimate.
+// children still run most-selective-first by zone-map estimate. That
+// zone-map verdict lives in one place (expr.go and Query's block match)
+// and every layer above asks it rather than re-deriving it.
 //
 // On top of the expression scan sit three result-shaped operators.
 // Project materializes the selected rows of chosen columns in one pass

@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -49,10 +50,10 @@ func ExampleFrameDecoder() {
 	// block 1: [1000 1001 1002 1003]
 }
 
-// ExampleColumnSet_ScanWhereAll runs a conjunctive predicate over two
-// columns: only rows passing every range predicate are materialized,
-// and blocks the zone maps rule out are never touched.
-func ExampleColumnSet_ScanWhereAll() {
+// ExampleColumnSet_Run runs a conjunctive predicate over two columns:
+// only rows passing every range predicate are materialized, and blocks
+// the zone maps rule out are never touched.
+func ExampleColumnSet_Run() {
 	encode := func(vals []int64) []byte {
 		var buf bytes.Buffer
 		cw, err := zukowski.NewColumnWriter[int64](&buf, nil, 4)
@@ -85,11 +86,11 @@ func ExampleColumnSet_ScanWhereAll() {
 	}
 
 	// key in [3, 7] AND value in [25, 45].
-	preds := []zukowski.Pred[int64]{
+	q := zukowski.Query[int64]{Preds: []zukowski.Pred[int64]{
 		{Col: 0, Lo: 3, Hi: 7},
 		{Col: 1, Lo: 25, Hi: 45},
-	}
-	err = cs.ScanWhereAll(preds, func(rows []int64, cols [][]int64) bool {
+	}}
+	err = cs.Run(context.Background(), q, func(_ int, rows []int64, cols [][]int64) bool {
 		for i, row := range rows {
 			fmt.Printf("row %d: key=%d value=%d\n", row, cols[0][i], cols[1][i])
 		}

@@ -2,11 +2,15 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
+	"repro/zktable"
 	"repro/zukowski"
 )
 
@@ -127,15 +131,99 @@ func (n *fuzzNode) eval(cols [][]int64, i int) bool {
 	}
 }
 
+// queryEngine is the scan surface a ColumnSet and a zktable.Table share.
+type queryEngine interface {
+	Run(ctx context.Context, q zukowski.Query[int64], fn func(block int, rows []int64, cols [][]int64) bool) error
+	RunAggregate(ctx context.Context, q zukowski.Query[int64], col int) (zukowski.Aggregate[int64], error)
+	Candidates(ctx context.Context, q zukowski.Query[int64], fn func(block, local int, firstRow int64, rows int, cols []*zukowski.ColumnReader[int64]) bool) (int, error)
+}
+
+// checkQueryEngine runs q (tree, Preds and Cols together) through all
+// three entry points of eng against the scalar oracle's answer: the same
+// global row ids and projected values from Run, the same fold from
+// RunAggregate over column aggCol, and from Candidates a strictly
+// ascending walk that accounts for every one of the blocks blocks and
+// leaves no matching row outside a candidate.
+func checkQueryEngine(t *testing.T, what string, eng queryEngine, q zukowski.Query[int64], blocks int,
+	wantRows []int64, wantVals [][]int64, aggCol int, wantAgg zukowski.Aggregate[int64]) {
+	t.Helper()
+	var gotRows []int64
+	gotVals := make([][]int64, len(q.Cols))
+	lastBlock := -1
+	if err := eng.Run(t.Context(), q, func(b int, r []int64, bc [][]int64) bool {
+		if b <= lastBlock || b >= blocks {
+			t.Fatalf("%s: Run delivered block %d after %d (of %d)", what, b, lastBlock, blocks)
+		}
+		lastBlock = b
+		gotRows = append(gotRows, r...)
+		for c := range bc {
+			gotVals[c] = append(gotVals[c], bc[c]...)
+		}
+		return true
+	}); err != nil {
+		t.Fatalf("%s: Run: %v", what, err)
+	}
+	if !slices.Equal(gotRows, wantRows) {
+		t.Fatalf("%s: Run disagrees with oracle: got %d rows, want %d", what, len(gotRows), len(wantRows))
+	}
+	for c := range gotVals {
+		if !slices.Equal(gotVals[c], wantVals[c]) {
+			t.Fatalf("%s: Run output column %d disagrees with oracle", what, c)
+		}
+	}
+
+	if agg, err := eng.RunAggregate(t.Context(), q, aggCol); err != nil || agg != wantAgg {
+		t.Fatalf("%s: RunAggregate = %+v, %v; want %+v", what, agg, err, wantAgg)
+	}
+
+	candidates, lastBlock, next := 0, -1, 0 // next indexes wantRows
+	pruned, err := eng.Candidates(t.Context(), q, func(b, local int, firstRow int64, rows int, rdrs []*zukowski.ColumnReader[int64]) bool {
+		if b <= lastBlock || b >= blocks {
+			t.Fatalf("%s: candidate block %d after %d (of %d)", what, b, lastBlock, blocks)
+		}
+		if info, err := rdrs[0].BlockInfo(local); err != nil || info.Count != rows {
+			t.Fatalf("%s: candidate %d is local block %d of %d rows, whose reader says %+v, %v", what, b, local, rows, info, err)
+		}
+		if next < len(wantRows) && wantRows[next] < firstRow {
+			t.Fatalf("%s: matching row %d lies in a pruned block before candidate %d", what, wantRows[next], b)
+		}
+		for next < len(wantRows) && wantRows[next] < firstRow+int64(rows) {
+			next++
+		}
+		lastBlock = b
+		candidates++
+		return true
+	})
+	if err != nil {
+		t.Fatalf("%s: Candidates: %v", what, err)
+	}
+	if next != len(wantRows) {
+		t.Fatalf("%s: matching row %d lies in a pruned block", what, wantRows[next])
+	}
+	if candidates+pruned != blocks {
+		t.Fatalf("%s: %d candidates + %d pruned != %d blocks", what, candidates, pruned, blocks)
+	}
+}
+
 // FuzzExprScan is the differential fuzzer of the expression scan: random
 // AND/OR/In/Range trees over two or three columns of fuzzed codecs must
 // agree exactly with the decode-then-filter oracle through Run (fresh
-// and preds-refined paths), RunAggregate and Project.
+// and preds-refined paths) and RunAggregate — and then, composed with a
+// Preds window and a Cols projection, through Run, RunAggregate and
+// Candidates of the ColumnSet and of a three-segment zktable cut from the
+// same columns, before and after Compact.
 func FuzzExprScan(f *testing.F) {
 	f.Add([]byte{}, []byte{0}, uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, []byte{3, 0, 1, 2, 9, 4}, uint8(1), uint8(2), uint8(3), uint8(1))
 	f.Add(bytes.Repeat([]byte{7, 9}, 40), []byte{2, 2, 0, 0, 10, 20, 1, 1, 3}, uint8(4), uint8(0), uint8(2), uint8(5))
 	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<40), []byte{3, 1, 5, 0, 128, 255, 2}, uint8(2), uint8(3), uint8(1), uint8(0))
+	// 400 ascending values at 64-row blocks: several blocks per table
+	// segment, with zone maps that genuinely prune.
+	var ramp []byte
+	for i := 0; i < 400; i++ {
+		ramp = binary.LittleEndian.AppendUint64(ramp, uint64(i*13))
+	}
+	f.Add(ramp, []byte{3, 0, 0, 40, 90, 1, 2, 0, 1, 200, 230, 1}, uint8(0), uint8(150), uint8(2), uint8(0))
 
 	names := zukowski.Codecs()
 	f.Fuzz(func(t *testing.T, data, tree []byte, codecA, codecB, codecC, blockSel uint8) {
@@ -264,5 +352,69 @@ func FuzzExprScan(f *testing.F) {
 		if agg != want {
 			t.Fatalf("RunAggregate = %+v, want %+v", agg, want)
 		}
+
+		// Tree, Preds and Cols together, through every engine that speaks
+		// Query. The window's upper bound is a fuzzed value of column 0.
+		q = zukowski.Query[int64]{
+			Expr:  expr,
+			Preds: []zukowski.Pred[int64]{{Col: 0, Lo: slices.Min(cols[0]), Hi: cols[0][int(codecB)%len(cols[0])]}},
+			Cols:  []int{ncols - 1, 0},
+		}
+		wantRows, want = wantRows[:0], zukowski.Aggregate[int64]{}
+		wantOut := make([][]int64, len(q.Cols))
+		for i := range cols[0] {
+			if cols[0][i] > q.Preds[0].Hi || !node.eval(cols, i) {
+				continue
+			}
+			wantRows = append(wantRows, int64(i))
+			for k, c := range q.Cols {
+				wantOut[k] = append(wantOut[k], cols[c][i])
+			}
+			want.Merge(zukowski.Aggregate[int64]{Count: 1, Sum: cols[1][i], Min: cols[1][i], Max: cols[1][i]})
+		}
+		checkQueryEngine(t, "ColumnSet", cs, q, cs.NumBlocks(), wantRows, wantOut, 1, want)
+
+		n := len(valsA)
+		if n < 3 {
+			return
+		}
+		// Every commit fsyncs, which on a disk-backed temp dir costs the
+		// fuzzer two orders of magnitude in exec rate; prefer RAM-backed
+		// scratch where the platform has it.
+		scratch := ""
+		if st, err := os.Stat("/dev/shm"); err == nil && st.IsDir() {
+			scratch = "/dev/shm"
+		}
+		dir, err := os.MkdirTemp(scratch, "zkfuzz-*")
+		if err != nil {
+			t.Fatalf("MkdirTemp: %v", err)
+		}
+		defer os.RemoveAll(dir)
+		colNames := []string{"a", "b", "c"}[:ncols]
+		tb, err := zktable.Create[int64](filepath.Join(dir, "tbl"), colNames, blockValues,
+			zktable.Options{Codec: names[int(codecA)%len(names)]})
+		if err != nil {
+			t.Fatalf("zktable.Create: %v", err)
+		}
+		defer tb.Close()
+		blocks := 0
+		for _, cut := range [][2]int{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
+			seg := make([][]int64, ncols)
+			for c := range seg {
+				seg[c] = cols[c][cut[0]:cut[1]]
+			}
+			if _, err := tb.Append(seg); err != nil {
+				if errors.Is(err, zukowski.ErrWidthOutOfRange) || errors.Is(err, zukowski.ErrValueOutOfRange) {
+					t.Skip()
+				}
+				t.Fatalf("Append: %v", err)
+			}
+			blocks += (cut[1] - cut[0] + blockValues - 1) / blockValues
+		}
+		checkQueryEngine(t, "3-segment table", tb, q, blocks, wantRows, wantOut, 1, want)
+		if _, err := tb.Compact(); err != nil {
+			t.Fatalf("Compact: %v", err)
+		}
+		checkQueryEngine(t, "compacted table", tb, q, cs.NumBlocks(), wantRows, wantOut, 1, want)
 	})
 }

@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"slices"
@@ -15,8 +16,8 @@ import (
 // several element types, fuzzed block sizes, per-column predicate windows
 // picked from each column's own quantiles (including empty, inverted and
 // all-covering windows) — must agree exactly with the decode-then-filter
-// oracle through ScanWhereAll, AggregateWhereAll and ordered
-// ParallelScanWhereAll. The second column is a deterministic scramble of
+// oracle through Run, RunAggregate and an ordered two-worker Run. The
+// second column is a deterministic scramble of
 // the first, so the two bitmaps genuinely disagree and the refine path
 // (zero-group skips included) is exercised, not just self-intersection.
 func FuzzMultiColumnScan(f *testing.F) {
@@ -121,22 +122,24 @@ func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, 
 
 	var gotRows []int64
 	var gotA, gotB []T
-	if err := cs.ScanWhereAll(preds, func(r []int64, cols [][]T) bool {
+	ctx := context.Background()
+	collect := func(_ int, r []int64, cols [][]T) bool {
 		gotRows = append(gotRows, r...)
 		gotA = append(gotA, cols[0]...)
 		gotB = append(gotB, cols[1]...)
 		return true
-	}); err != nil {
-		t.Fatalf("%s+%s: ScanWhereAll: %v", nameA, nameB, err)
+	}
+	if err := cs.Run(ctx, zukowski.Query[T]{Preds: preds}, collect); err != nil {
+		t.Fatalf("%s+%s: Run: %v", nameA, nameB, err)
 	}
 	if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotA, wantA) || !slices.Equal(gotB, wantB) {
-		t.Fatalf("%s+%s [%v,%v]∧[%v,%v]: ScanWhereAll disagrees with oracle: got %d matches, want %d",
+		t.Fatalf("%s+%s [%v,%v]∧[%v,%v]: Run disagrees with oracle: got %d matches, want %d",
 			nameA, nameB, pA0, pA1, pB0, pB1, len(gotRows), len(wantRows))
 	}
 
-	agg, err := cs.AggregateWhereAll(preds, 1)
+	agg, err := cs.RunAggregate(ctx, zukowski.Query[T]{Preds: preds}, 1)
 	if err != nil {
-		t.Fatalf("%s+%s: AggregateWhereAll: %v", nameA, nameB, err)
+		t.Fatalf("%s+%s: RunAggregate: %v", nameA, nameB, err)
 	}
 	var want zukowski.Aggregate[T]
 	for _, v := range wantB {
@@ -149,19 +152,14 @@ func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, 
 		want.Sum += int64(v)
 	}
 	if agg != want {
-		t.Fatalf("%s+%s: AggregateWhereAll = %+v, want %+v", nameA, nameB, agg, want)
+		t.Fatalf("%s+%s: RunAggregate = %+v, want %+v", nameA, nameB, agg, want)
 	}
 
 	gotRows, gotA, gotB = nil, nil, nil
-	if err := cs.ParallelScanWhereAll(preds, 2, func(_ int, r []int64, cols [][]T) bool {
-		gotRows = append(gotRows, r...)
-		gotA = append(gotA, cols[0]...)
-		gotB = append(gotB, cols[1]...)
-		return true
-	}, zukowski.InOrder()); err != nil {
-		t.Fatalf("%s+%s: ParallelScanWhereAll: %v", nameA, nameB, err)
+	if err := cs.Run(ctx, zukowski.Query[T]{Preds: preds, Workers: 2, InOrder: true}, collect); err != nil {
+		t.Fatalf("%s+%s: ordered parallel Run: %v", nameA, nameB, err)
 	}
 	if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotA, wantA) || !slices.Equal(gotB, wantB) {
-		t.Fatalf("%s+%s: ordered ParallelScanWhereAll disagrees with oracle", nameA, nameB)
+		t.Fatalf("%s+%s: ordered parallel Run disagrees with oracle", nameA, nameB)
 	}
 }

@@ -182,7 +182,7 @@ func applyRow[T Integer](specs []AggSpec[T], cells []int64, cols [][]T, i int) {
 // aggregate inputs themselves are materialized only at the selected
 // rows, exactly like a scan.
 //
-// The scan options are those of ScanWhereAll (SkipCorrupt; InOrder is
+// The one scan option that applies is SkipCorrupt (InOrder is
 // meaningless for a sequential fold).
 func (cs *ColumnSet[T]) GroupAggregate(expr Expr[T], groupCols []int, specs []AggSpec[T], opts ...ScanOption) (Grouped[T], error) {
 	var zero Grouped[T]

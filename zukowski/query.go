@@ -5,12 +5,11 @@ import (
 	"fmt"
 )
 
-// Query is the one-struct form of a ColumnSet scan: what to filter on,
-// what to materialize, and how to run. It subsumes the ScanWhereAll /
-// ParallelScanWhereAll / AggregateWhereAll entrypoint family — each of
-// those is now a thin wrapper constructing a Query — and is the only
-// form that reaches the expression tree: disjunctions, membership tests
-// and nested AND/OR composition all arrive through Expr.
+// Query is the one way a scan is expressed, at every layer: what to
+// filter on, what to materialize, and how to run. ColumnSet executes it
+// over one set of columns, zktable.Table over every segment of a table
+// with global row and block numbering, and zkserve translates each wire
+// request into one.
 //
 // The zero Query selects every row of every column, sequentially, with
 // the fail-stop error contract.
@@ -22,8 +21,8 @@ type Query[T Integer] struct {
 
 	// Preds is the conjunctive range-predicate form; it composes with
 	// Expr by AND. The conjunction runs first, most-selective-first, and
-	// the expression tree refines its bitmap. Query{Preds: preds} is
-	// exactly the original ScanWhereAll contract.
+	// the expression tree refines its bitmap. An empty Preds with a zero
+	// Expr selects every row.
 	Preds []Pred[T]
 
 	// Cols names the columns to materialize, by set index, in the order
@@ -100,14 +99,21 @@ func (cs *ColumnSet[T]) queryMatch(q *Query[T]) func(b int) bool {
 // keeps. fn returning false stops the scan early (still returning nil).
 //
 // Sequential runs (Workers < 2) deliver blocks in ascending order and
-// consult ctx once per block; a warmed sequential Run with no options
-// set performs no heap allocation, exactly like ScanWhereAll. Parallel
-// runs deliver serialized but unordered unless InOrder is set, and stop
-// claiming blocks once ctx is done.
+// consult ctx once per block, returning ctx.Err() before starting
+// another; a warmed sequential Run with no options set performs no heap
+// allocation — the scan holds one pooled state (per-column decode
+// scratch, the bitmap, the output buffers) for its whole pass. Parallel
+// runs deliver serialized but unordered unless InOrder is set; workers
+// stop claiming blocks once ctx is done and in-flight blocks are
+// discarded undelivered.
 func (cs *ColumnSet[T]) Run(ctx context.Context, q Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
 	cfg := q.config()
 	if q.Workers > 1 {
-		return cs.runParallel(ctx, cfg, &q, q.Workers, fn)
+		// The worker closures outlive this frame's escape analysis; a
+		// copy made only on this branch keeps the sequential path's q on
+		// the stack, and with it the zero-allocation contract.
+		pq := q
+		return cs.runParallel(ctx, cfg, &pq, pq.Workers, fn)
 	}
 	return cs.runSeq(ctx, cfg, &q, fn)
 }
@@ -117,6 +123,38 @@ func (cs *ColumnSet[T]) Run(ctx context.Context, q Query[T], fn func(block int, 
 // bitmap composes exactly as in Run; q.Cols is ignored.
 func (cs *ColumnSet[T]) RunAggregate(ctx context.Context, q Query[T], col int) (Aggregate[T], error) {
 	return cs.runAggregate(ctx, q.config(), &q, col)
+}
+
+// Candidates is the dry run of q: it walks the blocks q's zone-map
+// analysis cannot exclude — exactly the blocks Run would evaluate —
+// reading directory metadata only, and returns how many blocks were
+// pruned. fn receives each candidate's block index, its index within the
+// readers that hold it (for a ColumnSet the same number; a multi-segment
+// table numbers block globally and local within the segment), its first
+// row, its row count and those readers in set order — enough to ship the
+// block's frames (ColumnReader.FrameBytes(local)) without decoding them.
+// fn returning false stops the walk; ctx is consulted once per block.
+func (cs *ColumnSet[T]) Candidates(ctx context.Context, q Query[T], fn func(block, local int, firstRow int64, rows int, cols []*ColumnReader[T]) bool) (pruned int, err error) {
+	empty, err := cs.checkQuery(&q)
+	if err != nil {
+		return 0, err
+	}
+	first := cs.cols[0]
+	if empty {
+		return len(first.blocks), nil
+	}
+	match := cs.queryMatch(&q)
+	for b := range first.blocks {
+		if err := ctx.Err(); err != nil {
+			return pruned, err
+		}
+		if !match(b) {
+			pruned++
+		} else if !fn(b, b, int64(first.starts[b]), int(first.blocks[b].count), cs.cols) {
+			break
+		}
+	}
+	return pruned, nil
 }
 
 // Project materializes the named columns at every row expr selects, in

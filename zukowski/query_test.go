@@ -180,7 +180,7 @@ func TestRunExprOracle(t *testing.T) {
 }
 
 // TestQueryPredsAndExpr checks that Preds and Expr compose by AND, and
-// that Query{Preds} alone matches ScanWhereAll exactly.
+// that the equivalent pure-Expr form agrees.
 func TestQueryPredsAndExpr(t *testing.T) {
 	cs, all := buildExprSet(t, [3]string{"pfor", "pdict", "auto"}, 20_000, 7)
 	preds := []zukowski.Pred[int64]{{Col: 0, Lo: 100, Hi: 3000}}

@@ -27,8 +27,9 @@ type Aggregate[T Integer] struct {
 	Max   T
 }
 
-// merge folds one block's aggregate into the running column aggregate.
-func (a *Aggregate[T]) merge(b core.Aggregate[T]) {
+// Merge folds b — another block's, segment's or shard's aggregate over
+// disjoint rows — into a. Min and Max fold only when b matched rows.
+func (a *Aggregate[T]) Merge(b Aggregate[T]) {
 	if b.Count == 0 {
 		return
 	}
@@ -42,7 +43,7 @@ func (a *Aggregate[T]) merge(b core.Aggregate[T]) {
 			a.Max = b.Max
 		}
 	}
-	a.Count += int64(b.Count)
+	a.Count += b.Count
 	a.Sum += b.Sum
 }
 
@@ -196,7 +197,7 @@ func (cr *ColumnReader[T]) AggregateWhere(lo, hi T, opts ...ScanOption) (Aggrega
 			}
 			return Aggregate[T]{}, err
 		}
-		agg.merge(blockAgg)
+		agg.Merge(Aggregate[T]{Count: int64(blockAgg.Count), Sum: blockAgg.Sum, Min: blockAgg.Min, Max: blockAgg.Max})
 	}
 	return agg, nil
 }
