@@ -116,7 +116,7 @@ func BenchmarkFig4Decompress(b *testing.B) {
 	}
 }
 
-// --- Figure 5: compression bandwidth: NAIVE vs PRED vs DC ------------------
+// --- Figure 5: compression bandwidth: NAIVE vs PRED vs DC, and with analysis
 
 func BenchmarkFig5Compress(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
@@ -135,6 +135,17 @@ func BenchmarkFig5Compress(b *testing.B) {
 				}
 			})
 		}
+		// What a writer pays per block when nobody hands it (base, b): the
+		// compression-mode analysis of a sample, then DC compression with
+		// what it chose, both out of one reused Encoder.
+		b.Run(fmt.Sprintf("AUTO/exc=%.1f", rate), func(b *testing.B) {
+			b.SetBytes(8 * n)
+			b.ReportAllocs()
+			var e core.Encoder[int64]
+			for i := 0; i < b.N; i++ {
+				e.Compress(e.Analyze(vals), vals)
+			}
+		})
 	}
 }
 

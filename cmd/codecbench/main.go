@@ -7,8 +7,8 @@
 //
 // The JSON report doubles as a CI perf gate: pass -baseline to compare the
 // current run against a checked-in report and exit non-zero when the
-// compression ratio or decode bandwidth of any codec regresses by more
-// than -tolerance (default 20%).
+// compression ratio or the encode, decode or scan bandwidth of any codec
+// regresses by more than -tolerance (default 20%).
 //
 // Examples:
 //
@@ -1097,7 +1097,7 @@ func printText(w io.Writer, rep Report) {
 }
 
 // gate compares the run against a baseline report and errors on any codec
-// whose compression ratio or decode bandwidth regressed beyond tol.
+// whose compression ratio or bandwidths regressed beyond tol.
 func gate(rep Report, baselinePath string, tol float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -1107,10 +1107,10 @@ func gate(rep Report, baselinePath string, tol float64) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parsing %s: %w", baselinePath, err)
 	}
-	// Decode bandwidth is gated after normalizing by each run's memory
-	// bandwidth calibration, so the comparison survives heterogeneous or
-	// throttled CI runners; compression ratio is deterministic and gated
-	// absolutely.
+	// Encode and decode bandwidth are gated after normalizing by each
+	// run's memory bandwidth calibration, so the comparison survives
+	// heterogeneous or throttled CI runners; compression ratio is
+	// deterministic and gated absolutely.
 	scale := 1.0
 	if base.MemMBps > 0 && rep.MemMBps > 0 {
 		scale = base.MemMBps / rep.MemMBps
@@ -1163,6 +1163,10 @@ func gate(rep Report, baselinePath string, tol float64) error {
 		if norm := cur.DecodeMBps * scale; norm < b.DecodeMBps*(1-tol) {
 			failures = append(failures, fmt.Sprintf("%s: decode bandwidth %.0f MB/s (normalized %.0f) < baseline %.0f MB/s -%.0f%%",
 				b.Codec, cur.DecodeMBps, norm, b.DecodeMBps, tol*100))
+		}
+		if norm := cur.EncodeMBps * scale; norm < b.EncodeMBps*(1-tol) {
+			failures = append(failures, fmt.Sprintf("%s: encode bandwidth %.0f MB/s (normalized %.0f) < baseline %.0f MB/s -%.0f%%",
+				b.Codec, cur.EncodeMBps, norm, b.EncodeMBps, tol*100))
 		}
 		// Filtered-scan bandwidth is gated like decode bandwidth (memory-
 		// normalized), point by point: only selectivities measured in both

@@ -60,6 +60,31 @@ func SynthSorted(rng *rand.Rand, n int, step int64) []int64 {
 	return vals
 }
 
+// BenchColumns names the five columns of the layered benchmark's table
+// (bench/gen.go) in schema order: k sorted with steps up to 6 (zone-map
+// prunable, PFOR-DELTA), a 10-bit PFOR with 2 % exceptions, b 16-bit PFOR
+// with 10 % (patch-heavy), d a 64-entry dictionary with 1 % outliers
+// (PDICT), u uniform 62-bit (incompressible, stored raw).
+var BenchColumns = []string{"k", "a", "b", "d", "u"}
+
+// SynthBenchColumns draws n rows of the BenchColumns shapes, by name, the
+// way the benchmark does — the inputs the write path's tests and
+// go-test benchmarks pin sizes and timings on.
+func SynthBenchColumns(rng *rand.Rand, n int) map[string][]int64 {
+	cols := map[string][]int64{
+		"k": SynthSorted(rng, n, 3),
+		"a": SynthPFOR(rng, n, 10, 0.02),
+		"b": SynthPFOR(rng, n, 16, 0.10),
+	}
+	cols["d"], _ = SynthDict(rng, n, 6, 0.01)
+	u := make([]int64, n)
+	for i := range u {
+		u[i] = rng.Int63n(1 << 62)
+	}
+	cols["u"] = u
+	return cols
+}
+
 // TimeIt runs f repeatedly until it has consumed at least minDuration and
 // returns the mean seconds per call. It keeps harness binaries honest
 // without dragging in the testing package.

@@ -42,25 +42,34 @@ func Pack(dst, src []uint32, b uint) int {
 	}
 	mask := maskFor(b)
 	pk := pack32[b]
-	var group [32]uint32
+	// The kernels want codes of at most b bits. A group that already is
+	// (every caller that detects exceptions first) is packed in place;
+	// staging masked copies costs a heap buffer, because the kernel call
+	// is indirect, so it is paid only by callers relying on truncation.
+	var staged *[32]uint32
 	n := len(src)
 	i, w := 0, 0
 	for ; i+32 <= n; i, w = i+32, w+int(b) {
-		for k := 0; k < 32; k++ {
-			group[k] = src[i+k] & mask
+		group := (*[32]uint32)(src[i : i+32])
+		var a0, a1, a2, a3 uint32
+		for k := 0; k < 32; k += 4 {
+			a0, a1, a2, a3 = a0|group[k], a1|group[k+1], a2|group[k+2], a3|group[k+3]
 		}
-		pk(dst[w:], &group)
+		if (a0|a1|a2|a3)&^mask != 0 {
+			if staged == nil {
+				staged = new([32]uint32)
+			}
+			for k, v := range group {
+				staged[k] = v & mask
+			}
+			group = staged
+		}
+		pk(dst[w:], group)
 	}
 	if i < n {
-		// Partial tail: pack a zero-padded group into a stack buffer and
-		// copy only the words that carry payload.
-		group = [32]uint32{}
-		for k := 0; i+k < n; k++ {
-			group[k] = src[i+k] & mask
-		}
-		var tail [32]uint32
-		pk(tail[:], &group)
-		copy(dst[w:words], tail[:words-w])
+		// Partial tail: fewer than 32 codes remain and end on no group
+		// boundary, so the scalar path packs them.
+		PackGeneric(dst[w:words], src[i:], b)
 	}
 	return words
 }

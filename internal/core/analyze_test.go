@@ -33,20 +33,6 @@ func TestCompulsoryExceptionRate(t *testing.T) {
 	}
 }
 
-func TestPforAnalyzeBits(t *testing.T) {
-	// Sorted sample with a dense stretch [100..107] and two outliers.
-	sorted := []int64{-500, 100, 101, 102, 103, 104, 105, 106, 107, 9000}
-	start, length := pforAnalyzeBits(sorted, 3)
-	if start != 1 || length != 8 {
-		t.Fatalf("b=3: got (start=%d,len=%d), want (1,8)", start, length)
-	}
-	// b large enough to span everything.
-	start, length = pforAnalyzeBits(sorted, 32)
-	if start != 0 || length != len(sorted) {
-		t.Fatalf("b=32: got (start=%d,len=%d), want whole sample", start, length)
-	}
-}
-
 func TestAnalyzePFORPicksTightWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	// Values uniform in [1000, 1000+2^9) with 1% outliers: the analyzer

@@ -4,21 +4,21 @@ import (
 	"repro/internal/bitpack"
 )
 
-// finishBlock turns the output of an exception-detection pass into a
-// finished block: it inserts compulsory exceptions, links each group's
-// patch list through the code slots, records entry points, and bit-packs
-// the code section.
+// finish turns the output of an exception-detection pass into a finished
+// block: it inserts compulsory exceptions, links each group's patch list
+// through the code slots, records entry points, and bit-packs the code
+// section.
 //
-// codes holds one candidate code per value (garbage at exception slots is
+// e.codes holds one candidate code per value (garbage at exception slots is
 // fine — those slots are overwritten with patch-list gaps). miss holds the
-// positions of the natural exceptions in ascending order. excValue returns
-// the value to store in the exception section for a given position; for
-// PFOR and PDICT this is the original input value, for PFOR-DELTA the raw
-// delta.
-func finishBlock[T Integer](blk *Block[T], codes []uint32, miss []int32, excValue func(pos int) T) {
+// positions of the natural exceptions in ascending order. excSrc holds, by
+// position, the value to store in the exception section: for PFOR and PDICT
+// the original input, for PFOR-DELTA the raw deltas.
+func (e *Encoder[T]) finish(blk *Block[T], miss []int32, excSrc []T) {
 	n := blk.N
-	numGroups := (n + GroupSize - 1) / GroupSize
-	blk.Entries = make([]uint32, numGroups)
+	codes := e.codes
+	numGroups := blk.NumGroups()
+	blk.Entries = sized(blk.Entries, numGroups)
 	// maxGap is the largest representable distance between two linked
 	// exceptions: the code slot stores gap-1 in b bits (Section 3.1,
 	// "Compulsory Exceptions": "the maximum distance between elements in
@@ -26,7 +26,7 @@ func finishBlock[T Integer](blk *Block[T], codes []uint32, miss []int32, excValu
 	maxGap := int(min64(maxCode(blk.B)+1, GroupSize))
 
 	mi := 0 // cursor into miss
-	var positions []int32
+	positions := e.positions
 	for g := 0; g < numGroups; g++ {
 		gStart := g * GroupSize
 		gEnd := gStart + GroupSize
@@ -59,7 +59,7 @@ func finishBlock[T Integer](blk *Block[T], codes []uint32, miss []int32, excValu
 		}
 		blk.Entries[g] = uint32(int(positions[0])-gStart) | uint32(len(blk.Exc))<<7
 		for k, pos := range positions {
-			blk.Exc = append(blk.Exc, excValue(int(pos)))
+			blk.Exc = append(blk.Exc, excSrc[pos])
 			if k+1 < len(positions) {
 				codes[pos] = uint32(int(positions[k+1])-int(pos)) - 1
 			} else {
@@ -69,8 +69,9 @@ func finishBlock[T Integer](blk *Block[T], codes []uint32, miss []int32, excValu
 			}
 		}
 	}
+	e.positions = positions
 
-	blk.Codes = make([]uint32, bitpack.WordCount(n, blk.B))
+	blk.Codes = sized(blk.Codes, bitpack.WordCount(n, blk.B))
 	bitpack.Pack(blk.Codes, codes, blk.B)
 }
 

@@ -62,7 +62,8 @@ func CompressNaiveDict[T Integer](src []T, dict []T, b uint) *NaiveBlock[T] {
 	blk := &NaiveBlock[T]{Scheme: SchemePDict, B: b, N: len(src)}
 	blk.Dict = make([]T, 1<<b)
 	copy(blk.Dict, dict)
-	lk := newDictLookup(dict)
+	var lk dictLookup[T]
+	lk.build(dict)
 	codes := make([]uint32, len(src))
 	for i, v := range src {
 		if code, ok := lk.find(v); ok {

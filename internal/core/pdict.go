@@ -12,20 +12,24 @@ package core
 // become exceptions. Dictionaries are typically produced by AnalyzePDict,
 // which fills them with the most frequent sample values.
 func CompressPDict[T Integer](src []T, dict []T, b uint) *Block[T] {
+	return detach(new(Encoder[T]).pdict(src, dict, b))
+}
+
+func (e *Encoder[T]) pdict(src []T, dict []T, b uint) *Block[T] {
 	checkWidth[T](b)
 	checkLen(len(src))
 	if len(dict) > 1<<b {
 		panic("core: dictionary larger than code space")
 	}
-	blk := &Block[T]{Scheme: SchemePDict, B: b, N: len(src), DictLen: len(dict)}
+	blk := e.newBlock(Block[T]{Scheme: SchemePDict, B: b, N: len(src), DictLen: len(dict)})
 	// Pad the dictionary to the full code space so LOOP1 can index it with
 	// the bogus gap codes sitting at exception slots.
-	blk.Dict = make([]T, 1<<b)
-	copy(blk.Dict, dict)
+	blk.Dict = sized(blk.Dict, 1<<b)
+	clear(blk.Dict[copy(blk.Dict, dict):])
 
-	lk := newDictLookup(dict)
-	codes := make([]uint32, len(src))
-	miss := make([]int32, len(src))
+	lk := &e.lookup
+	lk.build(dict)
+	codes, miss := e.codes, e.miss
 	j := 0
 	for i := 0; i < len(src); i++ {
 		code, ok := lk.find(src[i])
@@ -33,7 +37,7 @@ func CompressPDict[T Integer](src []T, dict []T, b uint) *Block[T] {
 		miss[j] = int32(i)
 		j += b2i(!ok)
 	}
-	finishBlock(blk, codes, miss[:j], func(pos int) T { return src[pos] })
+	e.finish(blk, miss[:j], src)
 	return blk
 }
 
@@ -57,16 +61,14 @@ type dictLookup[T Integer] struct {
 	mask  uint64
 }
 
-func newDictLookup[T Integer](dict []T) *dictLookup[T] {
+// build fills the table with dict, reusing its arrays when they are large
+// enough.
+func (lk *dictLookup[T]) build(dict []T) {
 	size := 16
 	for size < 4*len(dict) {
 		size *= 2
 	}
-	lk := &dictLookup[T]{
-		keys:  make([]T, size),
-		codes: make([]int32, size),
-		mask:  uint64(size - 1),
-	}
+	lk.keys, lk.codes, lk.mask = sized(lk.keys, size), sized(lk.codes, size), uint64(size-1)
 	for i := range lk.codes {
 		lk.codes[i] = -1
 	}
@@ -82,7 +84,6 @@ func newDictLookup[T Integer](dict []T) *dictLookup[T] {
 		lk.keys[h] = v
 		lk.codes[h] = int32(code)
 	}
-	return lk
 }
 
 // find returns the code for v, or (garbage, false) when v is not in the

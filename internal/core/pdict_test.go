@@ -86,7 +86,8 @@ func TestPDictDuplicateDictPanics(t *testing.T) {
 
 func TestDictLookup(t *testing.T) {
 	dict := makeDict(1000)
-	lk := newDictLookup(dict)
+	var lk dictLookup[int64]
+	lk.build(dict)
 	for code, v := range dict {
 		got, ok := lk.find(v)
 		if !ok || got != uint32(code) {
@@ -103,7 +104,8 @@ func TestDictLookup(t *testing.T) {
 
 func TestDictLookupNarrowTypes(t *testing.T) {
 	dict := []int8{-128, -1, 0, 1, 127}
-	lk := newDictLookup(dict)
+	var lk dictLookup[int8]
+	lk.build(dict)
 	for code, v := range dict {
 		got, ok := lk.find(v)
 		if !ok || got != uint32(code) {

@@ -14,29 +14,54 @@ package core
 // CompressPFORPred produce identical blocks with the other two
 // detection-loop styles benchmarked in Figure 5.
 func CompressPFOR[T Integer](src []T, base T, b uint) *Block[T] {
-	return compressPFOR(src, base, b, detectPFORDC[T])
+	return detach(new(Encoder[T]).pfor(src, base, b, detectPFORDC[T]))
 }
 
 // CompressPFORPred compresses with the single-cursor predicated detection
 // loop (Figure 5, "PRED").
 func CompressPFORPred[T Integer](src []T, base T, b uint) *Block[T] {
-	return compressPFOR(src, base, b, detectPFORPred[T])
+	return detach(new(Encoder[T]).pfor(src, base, b, detectPFORPred[T]))
 }
 
 // CompressPFORNaive compresses with the branchy if-then-else detection loop
 // (Figure 5, "NAIVE"). The output block is identical; only the inner-loop
 // style differs.
 func CompressPFORNaive[T Integer](src []T, base T, b uint) *Block[T] {
-	return compressPFOR(src, base, b, detectPFORBranchy[T])
+	return detach(new(Encoder[T]).pfor(src, base, b, detectPFORBranchy[T]))
 }
 
-func compressPFOR[T Integer](src []T, base T, b uint, detect func([]T, T, uint, []uint32, []int32) []int32) *Block[T] {
+// detach copies a block header out of the Encoder that built it, so that
+// the block keeps its own sections alive but not the Encoder's scratch.
+func detach[T Integer](blk *Block[T]) *Block[T] {
+	if blk == nil {
+		return nil
+	}
+	out := *blk
+	return &out
+}
+
+// detectFunc is an exception-detection loop: it fills e.codes with one
+// candidate code per value of src and returns the positions of the values
+// that do not fit b bits above base, in ascending order.
+type detectFunc[T Integer] func(e *Encoder[T], src []T, base T, b uint) []int32
+
+func (e *Encoder[T]) pfor(src []T, base T, b uint, detect detectFunc[T]) *Block[T] {
 	checkWidth[T](b)
 	checkLen(len(src))
-	blk := &Block[T]{Scheme: SchemePFOR, B: b, N: len(src), Base: base}
-	codes := make([]uint32, len(src))
-	miss := detect(src, base, b, codes, make([]int32, len(src)))
-	finishBlock(blk, codes, miss, func(pos int) T { return src[pos] })
+	blk := e.newBlock(Block[T]{Scheme: SchemePFOR, B: b, N: len(src), Base: base})
+	e.finish(blk, detect(e, src, base, b), src)
+	return blk
+}
+
+// newBlock resets the Encoder's block to the given header, keeps the
+// sections' backing arrays for reuse and sizes the code scratch.
+func (e *Encoder[T]) newBlock(header Block[T]) *Block[T] {
+	blk := &e.blk
+	header.Dict, header.Totals, header.Exc = blk.Dict[:0], blk.Totals[:0], blk.Exc[:0]
+	header.Entries, header.Codes = blk.Entries, blk.Codes
+	*blk = header
+	e.codes = sized(e.codes, blk.N)
+	e.miss = sized(e.miss, blk.N)
 	return blk
 }
 
@@ -44,7 +69,8 @@ func compressPFOR[T Integer](src []T, base T, b uint, detect func([]T, T, uint, 
 // position is always appended to the miss list and the list cursor is
 // incremented with a boolean, turning the control dependency into a data
 // dependency.
-func detectPFORPred[T Integer](src []T, base T, b uint, codes []uint32, miss []int32) []int32 {
+func detectPFORPred[T Integer](e *Encoder[T], src []T, base T, b uint) []int32 {
+	codes, miss := e.codes, e.miss
 	mask := typeMask[T]()
 	maxc := maxCode(b)
 	j := 0
@@ -63,14 +89,14 @@ func detectPFORPred[T Integer](src []T, base T, b uint, codes []uint32, miss []i
 // the CPU two independent dependency chains. The two miss lists are
 // concatenated afterwards (every position in the second list is greater
 // than every position in the first, so the result stays sorted).
-func detectPFORDC[T Integer](src []T, base T, b uint, codes []uint32, miss []int32) []int32 {
+func detectPFORDC[T Integer](e *Encoder[T], src []T, base T, b uint) []int32 {
 	n := len(src)
 	m := n / 2
 	mask := typeMask[T]()
 	maxc := maxCode(b)
 
-	missLo := miss[:0]
-	missHi := make([]int32, n-m)
+	e.missHi = sized(e.missHi, n-m)
+	codes, miss, missHi := e.codes, e.miss, e.missHi
 	j0, jm := 0, 0
 	for i := 0; i < m; i++ {
 		v0 := src[i]
@@ -93,13 +119,13 @@ func detectPFORDC[T Integer](src []T, base T, b uint, codes []uint32, miss []int
 		missHi[jm] = int32(i)
 		jm += b2i(v < base || ud > maxc)
 	}
-	missLo = miss[:j0]
-	return append(missLo, missHi[:jm]...)
+	return append(miss[:j0], missHi[:jm]...)
 }
 
 // detectPFORBranchy is the NAIVE detection loop with an if-then-else in the
 // hot path, kept as the Figure-5 baseline.
-func detectPFORBranchy[T Integer](src []T, base T, b uint, codes []uint32, miss []int32) []int32 {
+func detectPFORBranchy[T Integer](e *Encoder[T], src []T, base T, b uint) []int32 {
+	codes, miss := e.codes, e.miss
 	mask := typeMask[T]()
 	maxc := maxCode(b)
 	j := 0

@@ -14,12 +14,17 @@ package core
 // frame-of-reference value for the delta domain (0 for monotonic sequences,
 // possibly negative for noisy ones); b is the code width.
 func CompressPFORDelta[T Integer](src []T, base, deltaBase T, b uint) *Block[T] {
+	return detach(new(Encoder[T]).pforDelta(src, base, deltaBase, b))
+}
+
+func (e *Encoder[T]) pforDelta(src []T, base, deltaBase T, b uint) *Block[T] {
 	checkWidth[T](b)
 	checkLen(len(src))
-	blk := &Block[T]{Scheme: SchemePFORDelta, B: b, N: len(src), Base: base, DeltaBase: deltaBase}
+	blk := e.newBlock(Block[T]{Scheme: SchemePFORDelta, B: b, N: len(src), Base: base, DeltaBase: deltaBase})
 
 	n := len(src)
-	deltas := make([]T, n)
+	e.deltas = sized(e.deltas, n)
+	deltas := e.deltas
 	prev := base
 	for i := 0; i < n; i++ {
 		deltas[i] = src[i] - prev // wraps; the running sum wraps back
@@ -28,9 +33,8 @@ func CompressPFORDelta[T Integer](src []T, base, deltaBase T, b uint) *Block[T] 
 
 	// Running totals per group enable fine-grained access: Totals[g] is
 	// the reconstructed value just before group g starts.
-	numGroups := (n + GroupSize - 1) / GroupSize
-	blk.Totals = make([]T, numGroups)
-	for g := 0; g < numGroups; g++ {
+	blk.Totals = sized(blk.Totals, blk.NumGroups())
+	for g := range blk.Totals {
 		if g == 0 {
 			blk.Totals[g] = base
 		} else {
@@ -38,11 +42,9 @@ func CompressPFORDelta[T Integer](src []T, base, deltaBase T, b uint) *Block[T] 
 		}
 	}
 
-	codes := make([]uint32, n)
-	miss := detectPFORDC(deltas, deltaBase, b, codes, make([]int32, n))
 	// Exceptions store the raw delta (paper: "PFOR-DELTA:
 	// ENCODE(input[cur])" — the delta-domain value, not the running sum).
-	finishBlock(blk, codes, miss, func(pos int) T { return deltas[pos] })
+	e.finish(blk, detectPFORDC(e, deltas, deltaBase, b), deltas)
 	return blk
 }
 

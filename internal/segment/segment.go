@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -48,11 +49,18 @@ func fnv32(data []byte) uint32 {
 // byte slice. The exception section is written in reverse order at the tail
 // of the segment, matching the paper's backward-growing exception area.
 func Marshal[T core.Integer](blk *core.Block[T]) []byte {
+	return AppendMarshal(nil, blk)
+}
+
+// AppendMarshal appends the serialized form of blk (see Marshal) to dst and
+// returns the extended slice.
+func AppendMarshal[T core.Integer](dst []byte, blk *core.Block[T]) []byte {
 	elem := elemSize[T]()
 	numGroups := len(blk.Entries)
 	size := headerSize + numGroups*4 + blk.DictLen*elem + len(blk.Totals)*elem +
 		len(blk.Codes)*4 + len(blk.Exc)*elem
-	buf := make([]byte, size)
+	dst = slices.Grow(dst, size)
+	buf := dst[len(dst) : len(dst)+size]
 
 	// Header.
 	buf[0] = magic
@@ -92,7 +100,7 @@ func Marshal[T core.Integer](blk *core.Block[T]) []byte {
 		putValue(buf[size-(k+1)*elem:], v)
 	}
 	binary.LittleEndian.PutUint32(buf[40:], fnv32(buf[headerSize:]))
-	return buf
+	return dst[:len(dst)+size]
 }
 
 // Unmarshal parses a segment produced by Marshal. The element type must
@@ -247,14 +255,23 @@ func sized[E any](s []E, n int) []E {
 
 // MarshalRaw serializes an uncompressed value array (SchemeNone storage).
 func MarshalRaw[T core.Integer](vals []T) []byte {
+	return AppendMarshalRaw(nil, vals)
+}
+
+// AppendMarshalRaw appends the raw segment of vals (see MarshalRaw) to dst
+// and returns the extended slice.
+func AppendMarshalRaw[T core.Integer](dst []byte, vals []T) []byte {
 	elem := elemSize[T]()
-	buf := make([]byte, 8+len(vals)*elem)
+	size := 8 + len(vals)*elem
+	dst = slices.Grow(dst, size)
+	buf := dst[len(dst) : len(dst)+size]
 	buf[0] = magic
 	buf[1] = byte(core.SchemeNone)
 	buf[2] = byte(elem)
+	buf[3] = 0 // reserved; dst's spare capacity may hold anything
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(vals)))
 	putValues(buf, 8, vals)
-	return buf
+	return dst[:len(dst)+size]
 }
 
 // UnmarshalRaw parses a MarshalRaw segment.

@@ -52,14 +52,15 @@ func (t *Table[T]) writeAtomic(name string, body func(io.Writer) error) (err err
 	return nil
 }
 
-// writeColumn writes one segment column container atomically.
-func (t *Table[T]) writeColumn(name string, vals []T) error {
+// writeColumn writes one segment column container atomically; fill hands
+// the column's values to the writer, in as many pieces as it likes.
+func (t *Table[T]) writeColumn(name string, fill func(*zukowski.ColumnWriter[T]) error) error {
 	return t.writeAtomic(name, func(w io.Writer) error {
 		cw, err := zukowski.NewColumnWriter[T](w, t.codec, t.bv)
 		if err != nil {
 			return err
 		}
-		if err := cw.Write(vals); err != nil {
+		if err := fill(cw); err != nil {
 			return err
 		}
 		return cw.Close()
@@ -191,7 +192,7 @@ func (t *Table[T]) Append(cols [][]T) (uint64, error) {
 	}
 	for ci, col := range t.cols {
 		name := segFileName(id, col)
-		if err := t.writeColumn(name, cols[ci]); err != nil {
+		if err := t.writeColumn(name, func(cw *zukowski.ColumnWriter[T]) error { return cw.Write(cols[ci]) }); err != nil {
 			cleanup()
 			return 0, err
 		}
@@ -233,8 +234,10 @@ func (t *Table[T]) Append(cols [][]T) (uint64, error) {
 // interrupted compaction is invisible. Old segment files linger on disk
 // until the manifests referencing them age out of retention; their open
 // handles are released as soon as the last scan still reading them
-// finishes. Refuses to run with quarantined segments, which would
-// silently drop committed rows.
+// finishes. Source segments are decoded one column at a time, so the
+// memory compaction needs on top of the writer's block is the largest
+// segment column, whatever the table's size. Refuses to run with
+// quarantined segments, which would silently drop committed rows.
 func (t *Table[T]) Compact() (uint64, error) {
 	t.ingest.Lock()
 	defer t.ingest.Unlock()
@@ -260,18 +263,25 @@ func (t *Table[T]) Compact() (uint64, error) {
 			os.Remove(filepath.Join(t.dir, name))
 		}
 	}
-	vals := make([]T, 0, rows)
+	// One source segment column at a time is decoded and handed to the
+	// writer, which carries partial blocks across the seams: compaction's
+	// extra memory is the largest segment column, not the table column.
+	var vals []T
 	for ci, col := range t.cols {
-		vals = vals[:0]
-		for _, s := range segs {
-			var err error
-			if vals, err = s.rdrs[ci].ReadAll(vals); err != nil {
-				cleanup()
-				return 0, fmt.Errorf("compact: column %q segment %d: %w", col, s.id, err)
-			}
-		}
 		name := segFileName(id, col)
-		if err := t.writeColumn(name, vals); err != nil {
+		err := t.writeColumn(name, func(cw *zukowski.ColumnWriter[T]) error {
+			for _, s := range segs {
+				var err error
+				if vals, err = s.rdrs[ci].ReadAll(vals[:0]); err != nil {
+					return fmt.Errorf("compact: column %q segment %d: %w", col, s.id, err)
+				}
+				if err := cw.Write(vals); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			cleanup()
 			return 0, err
 		}

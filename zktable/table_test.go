@@ -1,8 +1,10 @@
 package zktable_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -342,6 +344,30 @@ func TestCompact(t *testing.T) {
 	}
 	if got := countRows(t, tb); got != total {
 		t.Fatalf("after compact: scan saw %d rows, want %d", got, total)
+	}
+	// Compaction streams one source segment at a time into the writer; the
+	// files must be byte for byte what writing each whole column at once
+	// produces (the segments end mid-block, so blocks span the seams).
+	for ci, col := range testSchema {
+		var want bytes.Buffer
+		cw, err := zukowski.NewColumnWriter[int64](&want, nil, testBV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Write(all[ci]); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Segment ids count from 1; the compacted segment takes the next one.
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("seg-%08d-%s.zkc", len(segs)+1, col)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("compacted column %q: %d bytes differ from the %d of a one-shot write", col, len(got), want.Len())
+		}
 	}
 	// Scans still match the oracle on the compacted layout.
 	preds := []zukowski.Pred[int64]{{Col: 2, Lo: 0, Hi: 31}}

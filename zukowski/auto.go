@@ -35,10 +35,34 @@ type Analysis struct {
 	DictEntries int
 }
 
-// Analyze runs the compression-mode analysis on a sample of src and
-// reports the decision Encode would take, without encoding anything.
+// plan is the decision behind both Encode and Analyze: the analyzer's
+// choice for a sample of src and the block it compresses src to — or
+// SchemeNone and no block, when src is empty, the model prefers raw storage,
+// or the block the model preferred turns out no smaller than a raw segment
+// on this particular input (the model decided on a sample). Both results
+// live in e's scratch. src must pass checkLen.
+func plan[T Integer](e *core.Encoder[T], src []T) (core.Choice[T], *core.Block[T]) {
+	if len(src) > 0 {
+		ch := e.Analyze(src)
+		if blk := e.Compress(ch, src); blk != nil && blk.CompressedBytes() < 8+len(src)*elemSize[T]() {
+			return ch, blk
+		}
+	}
+	return core.Choice[T]{Scheme: core.SchemeNone, Bits: float64(8 * elemSize[T]())}, nil
+}
+
+// Analyze reports the decision Encode takes for src — NONE exactly when
+// Encode stores src raw — without serializing anything. For an input no
+// single frame can hold it reports the model's choice for a sample.
 func (Auto[T]) Analyze(src []T) Analysis {
-	ch := core.Choose(core.Sample(src, core.DefaultSampleSize))
+	e := core.GetEncoder[T]()
+	defer e.Release()
+	var ch core.Choice[T]
+	if checkLen(len(src)) == nil {
+		ch, _ = plan(e, src)
+	} else {
+		ch = e.Analyze(src)
+	}
 	return Analysis{
 		Scheme:        ch.Scheme.String(),
 		Width:         ch.B,
@@ -53,18 +77,12 @@ func (Auto[T]) Encode(dst []byte, src []T) ([]byte, error) {
 	if err := checkLen(len(src)); err != nil {
 		return nil, err
 	}
-	if len(src) > 0 {
-		ch := core.Choose(core.Sample(src, core.DefaultSampleSize))
-		if ch.Scheme != core.SchemeNone {
-			buf := segment.Marshal(ch.Compress(src))
-			// Fall back to raw storage when compression does not pay on
-			// this particular input (the model decided on a sample).
-			if len(buf) < 8+len(src)*elemSize[T]() {
-				return append(dst, buf...), nil
-			}
-		}
+	e := core.GetEncoder[T]()
+	defer e.Release()
+	if _, blk := plan(e, src); blk != nil {
+		return segment.AppendMarshal(dst, blk), nil
 	}
-	return append(dst, segment.MarshalRaw(src)...), nil
+	return segment.AppendMarshalRaw(dst, src), nil
 }
 
 // Decode implements Codec.

@@ -36,7 +36,7 @@ func (c PFOR[T]) Encode(dst []byte, src []T) ([]byte, error) {
 		return nil, err
 	}
 	if len(src) == 0 {
-		return append(dst, segment.MarshalRaw(src)...), nil
+		return segment.AppendMarshalRaw(dst, src), nil
 	}
 	base, b := c.Base, c.Width
 	if b == 0 {
@@ -45,7 +45,7 @@ func (c PFOR[T]) Encode(dst []byte, src []T) ([]byte, error) {
 	} else if err := checkWidth[T](b); err != nil {
 		return nil, err
 	}
-	return append(dst, segment.Marshal(core.CompressPFOR(src, base, b))...), nil
+	return segment.AppendMarshal(dst, core.CompressPFOR(src, base, b)), nil
 }
 
 // Decode implements Codec.
@@ -80,7 +80,7 @@ func (c PFORDelta[T]) Encode(dst []byte, src []T) ([]byte, error) {
 		return nil, err
 	}
 	if len(src) == 0 {
-		return append(dst, segment.MarshalRaw(src)...), nil
+		return segment.AppendMarshalRaw(dst, src), nil
 	}
 	deltaBase, b := c.DeltaBase, c.Width
 	if b == 0 {
@@ -92,7 +92,7 @@ func (c PFORDelta[T]) Encode(dst []byte, src []T) ([]byte, error) {
 	// Chain the frame so the first delta equals deltaBase and codes to
 	// zero, as the analyzer's Choice.Compress does.
 	blk := core.CompressPFORDelta(src, src[0]-deltaBase, deltaBase, b)
-	return append(dst, segment.Marshal(blk)...), nil
+	return segment.AppendMarshal(dst, blk), nil
 }
 
 // Decode implements Codec.
@@ -128,7 +128,7 @@ func (c PDict[T]) Encode(dst []byte, src []T) ([]byte, error) {
 		return nil, err
 	}
 	if len(src) == 0 {
-		return append(dst, segment.MarshalRaw(src)...), nil
+		return segment.AppendMarshalRaw(dst, src), nil
 	}
 	dict, b := c.Dict, c.Width
 	if b == 0 {
@@ -149,7 +149,7 @@ func (c PDict[T]) Encode(dst []byte, src []T) ([]byte, error) {
 				ErrWidthOutOfRange, len(dict), b)
 		}
 	}
-	return append(dst, segment.Marshal(core.CompressPDict(src, dict, b))...), nil
+	return segment.AppendMarshal(dst, core.CompressPDict(src, dict, b)), nil
 }
 
 // Decode implements Codec.
@@ -176,7 +176,7 @@ func (None[T]) Encode(dst []byte, src []T) ([]byte, error) {
 	if err := checkLen(len(src)); err != nil {
 		return nil, err
 	}
-	return append(dst, segment.MarshalRaw(src)...), nil
+	return segment.AppendMarshalRaw(dst, src), nil
 }
 
 // Decode implements Codec.
