@@ -43,7 +43,7 @@ type Choice[T Integer] struct {
 	B         uint
 	Base      T   // PFOR: frame base
 	DeltaBase T   // PFOR-DELTA: delta-frame base
-	Dict      []T // PDICT: dictionary (most frequent sample values)
+	Dict      []T // PDICT: dictionary (most frequent sample values, ascending)
 	// Bits is the modeled compressed size in bits per value, including
 	// projected exceptions (with the compulsory-exception correction of
 	// Figure 6).
@@ -300,10 +300,10 @@ func (h *runs[T]) count(i int32) int32 { return h.cum[i+1] - h.cum[i] }
 // and finds the b for which coding the 2^b most frequent values minimizes
 // the modeled size. The exception rate for width b is 1 - (coverage of the
 // top 2^b values). The ranking is total — falling count, then rising value
-// — so the dictionary's membership and order depend on the sample alone,
-// not on how a sort happens to break ties. Bits is +Inf when no width can
-// meet limit. The returned Dict is e's scratch, valid until e's next
-// analysis.
+// — so the dictionary's membership depends on the sample alone, not on how
+// a sort happens to break ties; the members are returned in ascending
+// order. Bits is +Inf when no width can meet limit. The returned Dict is
+// e's scratch, valid until e's next analysis.
 func (e *Encoder[T]) analyzePDict(sorted []T, limit float64) Choice[T] {
 	c := Choice[T]{Scheme: SchemePDict, B: 1}
 	n := len(sorted)
@@ -369,11 +369,22 @@ func (e *Encoder[T]) analyzePDict(sorted []T, limit float64) Choice[T] {
 			break
 		}
 	}
-	e.dict = sized(e.dict, min(1<<c.B, distinct))
-	for i := range e.dict {
-		e.dict[i] = h.vals[e.rank[i]]
+	// The ranking decides who is in the dictionary, not where: the members
+	// are emitted in ascending order, so that a value range is one code
+	// range and a filtered scan stays on the packed range kernels. Entry i
+	// ranks among the first k exactly when it outranks or is the last
+	// member, which one sweep over the value-ordered histogram tests.
+	k := min(1<<c.B, distinct)
+	last := e.rank[k-1]
+	cut := h.count(last)
+	e.dict = sized(e.dict, k+1) // a spare slot for the write past the last member
+	next := 0
+	for i, v := range h.vals {
+		e.dict[next] = v
+		count := h.count(int32(i))
+		next += b2i(count > cut || (count == cut && int32(i) <= last))
 	}
-	c.Dict = e.dict
+	c.Dict = e.dict[:k]
 	return c
 }
 
@@ -424,7 +435,8 @@ func AnalyzePFORDelta[T Integer](sample []T) Choice[T] {
 }
 
 // AnalyzePDict finds the dictionary — the 2^b most frequent sample values
-// by falling count, then rising value — minimizing modeled PDICT size.
+// by falling count, then rising value, listed in ascending order —
+// minimizing modeled PDICT size.
 func AnalyzePDict[T Integer](sample []T) Choice[T] {
 	e := GetEncoder[T]()
 	defer e.Release()

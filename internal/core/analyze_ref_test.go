@@ -127,6 +127,8 @@ func refAnalyzePDict[T Integer](sample []T) Choice[T] {
 	for i := 0; i < k; i++ {
 		c.Dict[i] = hist[i].value
 	}
+	// The ranking picks the members; they are listed in ascending order.
+	slices.Sort(c.Dict)
 	return c
 }
 

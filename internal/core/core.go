@@ -79,6 +79,13 @@ func (s Scheme) String() string {
 // compressed segment of Figure 3 (header fields, entry points, code section,
 // exception section). The segment package serializes blocks to the on-page
 // byte layout; this package owns the (de)compression kernels.
+//
+// A block parsed from a frame may borrow the frame's code section: Codes
+// then aliases bytes the block does not own (a cached frame, a container
+// in memory), so the decompression kernels only ever read it, and so must
+// everyone else. No other section aliases; Entries, Dict, Exc and Totals
+// are always the block's own. A parser that has to copy the codes asks
+// OwnCodes for the buffer to copy into.
 type Block[T Integer] struct {
 	Scheme Scheme
 	B      uint // code bit width, 1..32
@@ -98,9 +105,21 @@ type Block[T Integer] struct {
 	// instead of faulting, and LOOP2 overwrites the result.
 	Dict    []T
 	DictLen int // number of meaningful dictionary entries
+	// DictAscending says that Dict[:DictLen] is in non-decreasing order, so
+	// a value range is one code range found by binary search. The parser
+	// and the compressor note it while copying the dictionary; false is
+	// always safe. Dictionaries written since PR 14 are ascending, older
+	// frames hold theirs by falling frequency.
+	DictAscending bool
 
-	// Codes is the bit-packed code section: N codes of B bits each.
+	// Codes is the bit-packed code section: N codes of B bits each. It is
+	// the one section that may alias memory the block does not own; treat
+	// it as read-only.
 	Codes []uint32
+	// own is the code buffer the block does own, kept aside while Codes
+	// borrows so that a recycled block copies into its own memory and
+	// never into what it borrowed.
+	own []uint32
 	// Exc is the exception section in position order. (On disk it grows
 	// backwards from the end of the segment; in memory order is forward.)
 	Exc []T
@@ -113,6 +132,15 @@ type Block[T Integer] struct {
 	// Totals (PFOR-DELTA only) stores the running total just before each
 	// group, so fine-grained access decodes at most one group.
 	Totals []T
+}
+
+// OwnCodes makes Codes an n-word buffer the block owns, recycled from its
+// previous OwnCodes call, and returns it for the caller to fill. What
+// Codes borrowed in between (a plain assignment) is left untouched.
+func (b *Block[T]) OwnCodes(n int) []uint32 {
+	b.own = sized(b.own, n)
+	b.Codes = b.own
+	return b.Codes
 }
 
 // NumGroups returns the number of 128-value groups in the block.

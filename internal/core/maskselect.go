@@ -116,6 +116,17 @@ func allZero(words []uint32) bool {
 	return true
 }
 
+// lastLive returns the position of the last selected row among mask words
+// [w0, w1), or -1 when none is selected.
+func lastLive(mask []uint32, w0, w1 int) int {
+	for w := w1 - 1; w >= w0; w-- {
+		if m := mask[w]; m != 0 {
+			return w<<5 + 31 - bits.LeadingZeros32(m)
+		}
+	}
+	return -1
+}
+
 // RefineMask intersects sv — a selection over exactly blk.N rows, e.g.
 // another predicate's DecompressMask output or a different column's bitmap
 // under shared block geometry — with the match bitmap of [lo, hi] over
@@ -155,7 +166,8 @@ func (d *Decoder[T]) RefineMask(blk *Block[T], lo, hi T, sv *SelectionVector) {
 // branch-free refine kernels over the packed codes — a contiguous code
 // range uses refmask32, a non-contiguous PDICT predicate the per-code
 // bitmap — and then overwrites the exception slots with the captured
-// verdicts.
+// verdicts. The patch list is followed only up to the group's last
+// selected row: refining never sets a bit, so slots past it stay clear.
 func (d *Decoder[T]) refineCoded(blk *Block[T], lo, hi T, clo, span uint32, codable, contiguous bool, mask []uint32, s *selScratch[T]) {
 	raw := d.scratch(GroupSize)
 	numGroups := blk.NumGroups()
@@ -164,23 +176,25 @@ func (d *Decoder[T]) refineCoded(blk *Block[T], lo, hi T, clo, span uint32, coda
 		n := gEnd - gStart
 		w0 := gStart >> 5
 		w1 := (gEnd + 31) >> 5
-		if allZero(mask[w0:w1]) {
+		last := lastLive(mask, w0, w1)
+		if last < 0 {
 			continue
 		}
-		es, ee := blk.groupExc(g)
-		var all, keep []int32
-		if es != ee {
-			all = d.excPositions(blk, g, &s.xpos)
-			nk := 0
-			for i, pos := range all {
+		// live: the selected exception slots; keep: those whose value matches.
+		nl, nk := 0, 0
+		if es, ee := blk.groupExc(g); es != ee {
+			pos := gStart + blk.patchStart(g)
+			for k := es; k < ee && pos <= last; k++ {
 				if mask[pos>>5]>>(uint(pos)&31)&1 != 0 {
-					if ev := blk.Exc[es+i]; ev >= lo && ev <= hi {
-						s.epos[nk] = pos
+					s.xpos[nl] = int32(pos)
+					nl++
+					if ev := blk.Exc[k]; ev >= lo && ev <= hi {
+						s.epos[nk] = int32(pos)
 						nk++
 					}
 				}
+				pos += int(bitpack.CodeAt(blk.Codes, pos, blk.B)) + 1
 			}
-			keep = s.epos[:nk]
 		}
 		switch {
 		case !codable:
@@ -212,10 +226,10 @@ func (d *Decoder[T]) refineCoded(blk *Block[T], lo, hi T, clo, span uint32, coda
 				mask[w] = m & match
 			}
 		}
-		for _, pos := range all {
+		for _, pos := range s.xpos[:nl] {
 			mask[pos>>5] &^= 1 << (uint(pos) & 31)
 		}
-		for _, pos := range keep {
+		for _, pos := range s.epos[:nk] {
 			mask[pos>>5] |= 1 << (uint(pos) & 31)
 		}
 	}
@@ -346,20 +360,20 @@ func (d *Decoder[T]) DecompressSelected(blk *Block[T], sv *SelectionVector, vals
 			continue
 		}
 		// Exception slots hold bogus gap codes; a selected exception row
-		// reads its true value from the exception section. The merge walks
-		// the group's (ordered) exception positions alongside the ordered
-		// set bits.
-		all := d.excPositions(blk, g, &s.xpos)
-		xi := 0
+		// reads its true value from the exception section. The merge follows
+		// the group's patch list alongside the ordered set bits, one hop at
+		// a time and no further than the last selected row.
+		xp, xk := gStart+blk.patchStart(g), es
 		for w := w0; w < w1; w++ {
 			vb := w << 5
 			for m := mask[w]; m != 0; m &= m - 1 {
 				p := vb + bits.TrailingZeros32(m)
-				for xi < len(all) && int(all[xi]) < p {
-					xi++
+				for xk < ee && xp < p {
+					xp += int(bitpack.CodeAt(codes, xp, b)) + 1
+					xk++
 				}
-				if xi < len(all) && int(all[xi]) == p {
-					vals[k] = blk.Exc[es+xi]
+				if xk < ee && xp == p {
+					vals[k] = blk.Exc[xk]
 				} else {
 					c := bitpack.CodeAt(codes, p, b)
 					if pdict {
@@ -401,7 +415,6 @@ func (d *Decoder[T]) DecompressSelectedCodes(blk *Block[T], sv *SelectionVector,
 		codes = out
 	}
 	codes = codes[:k+count]
-	s := d.selectScratch()
 	mask := sv.words
 	packed := blk.Codes
 	b := blk.B
@@ -425,16 +438,16 @@ func (d *Decoder[T]) DecompressSelectedCodes(blk *Block[T], sv *SelectionVector,
 			}
 			continue
 		}
-		all := d.excPositions(blk, g, &s.xpos)
-		xi := 0
+		xp, xk := gStart+blk.patchStart(g), es
 		for w := w0; w < w1; w++ {
 			vb := w << 5
 			for m := mask[w]; m != 0; m &= m - 1 {
 				p := vb + bits.TrailingZeros32(m)
-				for xi < len(all) && int(all[xi]) < p {
-					xi++
+				for xk < ee && xp < p {
+					xp += int(bitpack.CodeAt(packed, xp, b)) + 1
+					xk++
 				}
-				if xi < len(all) && int(all[xi]) == p {
+				if xk < ee && xp == p {
 					codes[k] = -1
 				} else {
 					codes[k] = int32(bitpack.CodeAt(packed, p, b))

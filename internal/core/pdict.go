@@ -7,10 +7,13 @@ package core
 // the dictionary and stores infrequent ones as exceptions, strongly
 // reducing the coded domain on skewed data.
 
+import "slices"
+
 // CompressPDict compresses src against dict using code width b. dict must
 // hold at most 1<<b distinct values; values of src not present in dict
 // become exceptions. Dictionaries are typically produced by AnalyzePDict,
-// which fills them with the most frequent sample values.
+// which fills them with the most frequent sample values in ascending
+// order; any order is valid.
 func CompressPDict[T Integer](src []T, dict []T, b uint) *Block[T] {
 	return detach(new(Encoder[T]).pdict(src, dict, b))
 }
@@ -21,7 +24,7 @@ func (e *Encoder[T]) pdict(src []T, dict []T, b uint) *Block[T] {
 	if len(dict) > 1<<b {
 		panic("core: dictionary larger than code space")
 	}
-	blk := e.newBlock(Block[T]{Scheme: SchemePDict, B: b, N: len(src), DictLen: len(dict)})
+	blk := e.newBlock(Block[T]{Scheme: SchemePDict, B: b, N: len(src), DictLen: len(dict), DictAscending: slices.IsSorted(dict)})
 	// Pad the dictionary to the full code space so LOOP1 can index it with
 	// the bogus gap codes sitting at exception slots.
 	blk.Dict = sized(blk.Dict, 1<<b)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -146,5 +147,43 @@ func TestPDictStringsViaCodes(t *testing.T) {
 	checkRoundTrip(t, blk, src)
 	if blk.ExceptionCount() != 0 {
 		t.Fatalf("binary column should have no exceptions, got %d", blk.ExceptionCount())
+	}
+}
+
+// TestPDictCodeRangeBySearch: on an ascending dictionary the two binary
+// searches find the code range the linear scan finds, bounds at the ends of
+// the type included, and the analyzer's dictionaries are ascending.
+func TestPDictCodeRangeBySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	dict := []int8{-128, -100, -3, 0, 1, 7, 50, 127}
+	src := make([]int8, 700)
+	for i := range src {
+		src[i] = dict[rng.Intn(len(dict))]
+	}
+	blk := CompressPDict(src, dict, 3)
+	if !blk.DictAscending {
+		t.Fatal("an ascending dictionary was not noted as one")
+	}
+	scanned := *blk
+	scanned.DictAscending = false
+	var d Decoder[int8]
+	s := d.selectScratch()
+	for lo := -128; lo <= 127; lo++ {
+		for hi := lo; hi <= 127; hi++ {
+			c1, s1, ok1, cont1 := d.pdictCodeMatch(blk, int8(lo), int8(hi), s)
+			c2, s2, ok2, cont2 := d.pdictCodeMatch(&scanned, int8(lo), int8(hi), s)
+			if c1 != c2 || s1 != s2 || ok1 != ok2 || !cont1 || !cont2 {
+				t.Fatalf("[%d,%d]: search (%d,%d,%v,%v), scan (%d,%d,%v,%v)", lo, hi, c1, s1, ok1, cont1, c2, s2, ok2, cont2)
+			}
+		}
+	}
+
+	skewed := synthPDict(rng, 5000, []int64{900, 17, 512, 64, 3, 333}, 0.02)
+	c := AnalyzePDict(skewed)
+	if len(c.Dict) < 2 || !slices.IsSorted(c.Dict) {
+		t.Fatalf("AnalyzePDict returned dictionary %v, want ascending", c.Dict)
+	}
+	if !c.Compress(skewed).DictAscending {
+		t.Fatal("a block compressed against the analyzer's dictionary is not marked ascending")
 	}
 }

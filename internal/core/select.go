@@ -17,9 +17,11 @@ package core
 //     A range that misses the window entirely reduces the scan to a walk
 //     of the patch lists.
 //   - PDICT: the predicate is remapped into dictionary-code space once per
-//     block. When the matching codes happen to form a contiguous range the
-//     range kernels run as for PFOR; otherwise a per-code bitmap is built
-//     and membership is tested branch-free after unpacking.
+//     block. An ascending dictionary — what the analyzer emits — maps a
+//     value range to one code range and the range kernels run as for PFOR,
+//     as they do whenever the matching codes happen to be contiguous;
+//     otherwise a per-code bitmap is built and membership is tested
+//     branch-free after unpacking.
 //   - PFOR-DELTA: codes are differences, so a value predicate has no fixed
 //     code image; each group falls back to a fused decode+compare over the
 //     group's running sum (prefix-sum-aware: the per-group Totals keep the
@@ -33,6 +35,7 @@ package core
 import (
 	"math/bits"
 	"slices"
+	"sort"
 
 	"repro/internal/bitpack"
 )
@@ -349,15 +352,29 @@ func (d *Decoder[T]) selectPFORDelta(blk *Block[T], lo, hi T, sel []int32, vals 
 
 // pdictCodeMatch remaps [lo, hi] into dictionary-code space. When the
 // matching codes form one contiguous range it returns (clo, span, ok,
-// contiguous=true) so the packed range kernels apply; otherwise it builds
-// the per-code bitmap in s.bm (1<<B bits; codes >= DictLen never match —
-// they only occur as bogus gap codes on exception slots) and returns
-// contiguous=false. ok=false means no dictionary entry matches at all.
+// contiguous=true) so the packed range kernels apply — always the case for
+// an ascending dictionary, where two binary searches find the range.
+// Otherwise (a dictionary in frequency order from before PR 14, or one a
+// caller supplied) it builds the per-code bitmap in s.bm (1<<B bits; codes
+// >= DictLen never match — they only occur as bogus gap codes on exception
+// slots) and returns contiguous=false. ok=false means no dictionary entry
+// matches at all.
 func (d *Decoder[T]) pdictCodeMatch(blk *Block[T], lo, hi T, s *selScratch[T]) (clo, span uint32, ok, contiguous bool) {
+	dict := blk.Dict[:blk.DictLen]
+	if blk.DictAscending {
+		first, _ := slices.BinarySearch(dict, lo)
+		// How many entries from first on are no greater than hi (searching
+		// for hi+1 would wrap at the top of the type).
+		rest := dict[first:]
+		n := sort.Search(len(rest), func(i int) bool { return rest[i] > hi })
+		if n == 0 {
+			return 0, 0, false, true
+		}
+		return uint32(first), uint32(n - 1), true, true
+	}
 	first, last := -1, -1
 	count := 0
-	for c := 0; c < blk.DictLen; c++ {
-		v := blk.Dict[c]
+	for c, v := range dict {
 		if v >= lo && v <= hi {
 			if first < 0 {
 				first = c
@@ -378,8 +395,7 @@ func (d *Decoder[T]) pdictCodeMatch(blk *Block[T], lo, hi T, s *selScratch[T]) (
 	}
 	s.bm = s.bm[:words]
 	clear(s.bm)
-	for c := 0; c < blk.DictLen; c++ {
-		v := blk.Dict[c]
+	for c, v := range dict {
 		if v >= lo && v <= hi {
 			s.bm[c>>6] |= 1 << (uint(c) & 63)
 		}

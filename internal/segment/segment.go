@@ -6,6 +6,12 @@
 // ColumnBM stores one segment per chunk (DSM) or one segment per column per
 // chunk (PAX); this package is only concerned with the byte layout of a
 // single segment.
+//
+// Parsing a segment does not copy its code section when it can be read
+// where it lies: on a little-endian host, at a 4-byte-aligned address, the
+// parsed block's Codes alias the frame (see UnmarshalInto). Frames are
+// therefore immutable once parsed. Every other section — entry points,
+// dictionary, running totals, exceptions — is copied into the block.
 package segment
 
 import (
@@ -13,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -86,19 +93,20 @@ func AppendMarshal[T core.Integer](dst []byte, blk *core.Block[T]) []byte {
 		off += 4
 	}
 	// Dictionary (PDICT): only the meaningful entries travel to disk.
-	off = putValues(buf, off, blk.Dict[:blk.DictLen])
+	off = putValues(buf, off, elem, blk.Dict[:blk.DictLen])
 	// Running totals (PFOR-DELTA).
-	off = putValues(buf, off, blk.Totals)
+	off = putValues(buf, off, elem, blk.Totals)
 	// Code section (forward-growing).
-	for _, w := range blk.Codes {
-		binary.LittleEndian.PutUint32(buf[off:], w)
-		off += 4
+	if hostLittleEndian {
+		copy(buf[off:], wordBytes(blk.Codes))
+	} else {
+		for i, w := range blk.Codes {
+			binary.LittleEndian.PutUint32(buf[off+4*i:], w)
+		}
 	}
 	// Exception section: grows backwards from the end of the segment, so
 	// exception k lives at size - (k+1)*elem.
-	for k, v := range blk.Exc {
-		putValue(buf[size-(k+1)*elem:], v)
-	}
+	putValues(buf, size-elem, -elem, blk.Exc)
 	binary.LittleEndian.PutUint32(buf[40:], fnv32(buf[headerSize:]))
 	return dst[:len(dst)+size]
 }
@@ -118,6 +126,12 @@ func Unmarshal[T core.Integer](buf []byte) (*core.Block[T], error) {
 // Block across every segment of a column is the zero-allocation steady
 // state of a block-at-a-time scan. blk is overwritten completely; on error
 // its contents are unspecified.
+//
+// The code section is not copied when the host can read it in place
+// (little-endian, 4-byte-aligned): blk.Codes then aliases buf, which must
+// stay unchanged for as long as blk is in use, and blk must be treated as
+// read-only. Otherwise the words are copied into a buffer blk owns — never
+// into memory an earlier parse borrowed.
 func UnmarshalInto[T core.Integer](blk *core.Block[T], buf []byte) error {
 	return unmarshalInto(blk, buf, true)
 }
@@ -222,26 +236,45 @@ func unmarshalInto[T core.Integer](blk *core.Block[T], buf []byte, verify bool) 
 		// index it with any b-bit code; a recycled slice must have its
 		// stale tail cleared to keep that invariant.
 		blk.Dict = sized(blk.Dict, 1<<blk.B)
-		off = getValues(buf, off, blk.Dict[:blk.DictLen])
+		off = getValues(buf, off, elem, blk.Dict[:blk.DictLen])
 		clear(blk.Dict[blk.DictLen:])
 	} else {
 		blk.Dict = blk.Dict[:0]
 	}
+	blk.DictAscending = slices.IsSorted(blk.Dict[:blk.DictLen])
 	blk.Totals = sized(blk.Totals, numTotals)
-	if numTotals > 0 {
-		off = getValues(buf, off, blk.Totals)
-	}
-	blk.Codes = sized(blk.Codes, codeWords)
+	off = getValues(buf, off, elem, blk.Totals)
 	codes := buf[off : off+codeWords*4]
-	for i := range blk.Codes {
-		blk.Codes[i] = binary.LittleEndian.Uint32(codes[i*4:])
+	if words := wordView(codes); words != nil {
+		blk.Codes = words
+	} else {
+		own := blk.OwnCodes(codeWords)
+		for i := range own {
+			own[i] = binary.LittleEndian.Uint32(codes[i*4:])
+		}
 	}
-	off += codeWords * 4
 	blk.Exc = sized(blk.Exc, excCount)
-	for k := range blk.Exc {
-		blk.Exc[k] = getValue[T](buf[size-(k+1)*elem:])
-	}
+	getValues(buf, size-elem, -elem, blk.Exc)
 	return nil
+}
+
+// hostLittleEndian reports whether this machine lays a word out the way a
+// segment does, so that a code section can be read, or written, as words.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wordView returns b, a whole number of little-endian words, as a word
+// slice over the same memory, or nil when it cannot be read in place: on a
+// big-endian host, at an address a word load may not use, or when empty.
+func wordView(b []byte) []uint32 {
+	if !hostLittleEndian || len(b) == 0 || uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
+}
+
+// wordBytes returns the memory of w as bytes.
+func wordBytes(w []uint32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), len(w)*4)
 }
 
 // sized returns s resized to n elements, reusing its backing array when
@@ -270,7 +303,7 @@ func AppendMarshalRaw[T core.Integer](dst []byte, vals []T) []byte {
 	buf[2] = byte(elem)
 	buf[3] = 0 // reserved; dst's spare capacity may hold anything
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(vals)))
-	putValues(buf, 8, vals)
+	putValues(buf, 8, elem, vals)
 	return dst[:len(dst)+size]
 }
 
@@ -291,7 +324,7 @@ func UnmarshalRaw[T core.Integer](buf []byte) ([]T, error) {
 		return nil, ErrTooShort
 	}
 	vals := make([]T, n)
-	getValues(buf, 8, vals)
+	getValues(buf, 8, elem, vals)
 	return vals, nil
 }
 
@@ -368,16 +401,7 @@ func FrameSize(buf []byte) (int, error) {
 
 func elemSize[T core.Integer]() int {
 	var v T
-	switch any(v).(type) {
-	case int8, uint8:
-		return 1
-	case int16, uint16:
-		return 2
-	case int32, uint32:
-		return 4
-	default:
-		return 8
-	}
+	return int(unsafe.Sizeof(v))
 }
 
 // toBits widens a value to its 64-bit two's-complement image.
@@ -386,46 +410,51 @@ func toBits[T core.Integer](v T) uint64 { return uint64(int64(v)) }
 // fromBits truncates a 64-bit image back to T.
 func fromBits[T core.Integer](u uint64) T { return T(u) }
 
-func putValue[T core.Integer](buf []byte, v T) {
+// putValues stores vals little-endian in buf, value k at off+k*step: step
+// is the element size for a section that grows forwards and its negative
+// for the exception section. It returns the offset of the slot after the
+// last one. The width is decided once, not per value.
+func putValues[T core.Integer](buf []byte, off, step int, vals []T) int {
 	switch elemSize[T]() {
 	case 1:
-		buf[0] = byte(v)
+		for k, v := range vals {
+			buf[off+k*step] = byte(v)
+		}
 	case 2:
-		binary.LittleEndian.PutUint16(buf, uint16(v))
+		for k, v := range vals {
+			binary.LittleEndian.PutUint16(buf[off+k*step:], uint16(v))
+		}
 	case 4:
-		binary.LittleEndian.PutUint32(buf, uint32(v))
+		for k, v := range vals {
+			binary.LittleEndian.PutUint32(buf[off+k*step:], uint32(v))
+		}
 	default:
-		binary.LittleEndian.PutUint64(buf, uint64(v))
+		for k, v := range vals {
+			binary.LittleEndian.PutUint64(buf[off+k*step:], uint64(v))
+		}
 	}
+	return off + len(vals)*step
 }
 
-func getValue[T core.Integer](buf []byte) T {
+// getValues is the inverse of putValues.
+func getValues[T core.Integer](buf []byte, off, step int, vals []T) int {
 	switch elemSize[T]() {
 	case 1:
-		return T(buf[0])
+		for k := range vals {
+			vals[k] = T(buf[off+k*step])
+		}
 	case 2:
-		return T(binary.LittleEndian.Uint16(buf))
+		for k := range vals {
+			vals[k] = T(binary.LittleEndian.Uint16(buf[off+k*step:]))
+		}
 	case 4:
-		return T(binary.LittleEndian.Uint32(buf))
+		for k := range vals {
+			vals[k] = T(binary.LittleEndian.Uint32(buf[off+k*step:]))
+		}
 	default:
-		return T(binary.LittleEndian.Uint64(buf))
+		for k := range vals {
+			vals[k] = T(binary.LittleEndian.Uint64(buf[off+k*step:]))
+		}
 	}
-}
-
-func putValues[T core.Integer](buf []byte, off int, vals []T) int {
-	elem := elemSize[T]()
-	for _, v := range vals {
-		putValue(buf[off:], v)
-		off += elem
-	}
-	return off
-}
-
-func getValues[T core.Integer](buf []byte, off int, vals []T) int {
-	elem := elemSize[T]()
-	for i := range vals {
-		vals[i] = getValue[T](buf[off:])
-		off += elem
-	}
-	return off
+	return off + len(vals)*step
 }

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -256,6 +257,13 @@ type rowTrailer struct {
 	ElapsedMS     float64 `json:"elapsed_ms"`
 }
 
+// lineBuffers recycles the 64 KiB buffers row streams are scanned
+// through; one per scan would be most of the client's garbage.
+var lineBuffers = sync.Pool{New: func() any {
+	b := make([]byte, 64<<10)
+	return &b
+}}
+
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -279,7 +287,9 @@ func (c *Client) ScanRows(ctx context.Context, req zkserve.ScanRequest, fn func(
 	defer resp.Body.Close()
 	cr := &countingReader{r: resp.Body}
 	sc := bufio.NewScanner(cr)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	buf := lineBuffers.Get().(*[]byte)
+	defer lineBuffers.Put(buf) // nothing parsed from a line refers to it
+	sc.Buffer(*buf, 1<<20)
 	var res ScanResult
 	vals := make([]int64, 0, 8)
 	first := true

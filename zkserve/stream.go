@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"repro/zukowski"
 )
@@ -73,6 +74,27 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// streamBuffers recycles the 32 KiB write buffers of the row and frame
+// streams: allocated per response they are most of what a streaming scan
+// leaves for the garbage collector.
+var streamBuffers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+
+// getStreamBuffer takes a buffer writing to w from the pool; the stream
+// writers return it from flush, their last use of it.
+func getStreamBuffer(w io.Writer) *bufio.Writer {
+	bw := streamBuffers.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
+
+// flushStreamBuffer flushes bw and returns it to the pool.
+func flushStreamBuffer(bw *bufio.Writer) error {
+	err := bw.Flush()
+	bw.Reset(nil) // drop the response (and a sticky write error) before pooling
+	streamBuffers.Put(bw)
+	return err
+}
+
 // rowWriter encodes the NDJSON row stream.
 type rowWriter struct {
 	cw  countingWriter
@@ -83,7 +105,7 @@ type rowWriter struct {
 func newRowWriter(w io.Writer) *rowWriter {
 	rw := &rowWriter{}
 	rw.cw.w = w
-	rw.bw = bufio.NewWriterSize(&rw.cw, 32<<10)
+	rw.bw = getStreamBuffer(&rw.cw)
 	return rw
 }
 
@@ -140,8 +162,11 @@ func (rw *rowWriter) trailer(rows int64, truncated bool, reason string, scanErr 
 	rw.bw.WriteByte('\n')
 }
 
+// flush ends the stream; rw writes nothing afterwards.
 func (rw *rowWriter) flush() error {
-	if err := rw.bw.Flush(); err != nil {
+	err := flushStreamBuffer(rw.bw)
+	rw.bw = nil
+	if err != nil {
 		return err
 	}
 	return rw.cw.err
@@ -164,7 +189,7 @@ type frameWriter struct {
 func newFrameWriter(w io.Writer) *frameWriter {
 	fw := &frameWriter{}
 	fw.cw.w = w
-	fw.bw = bufio.NewWriterSize(&fw.cw, 32<<10)
+	fw.bw = getStreamBuffer(&fw.cw)
 	return fw
 }
 
@@ -210,8 +235,11 @@ func (fw *frameWriter) trailer(status byte, rows int64, blocksSkipped int64, row
 	fw.bw.Write(b)
 }
 
+// flush ends the stream; fw writes nothing afterwards.
 func (fw *frameWriter) flush() error {
-	if err := fw.bw.Flush(); err != nil {
+	err := flushStreamBuffer(fw.bw)
+	fw.bw = nil
+	if err != nil {
 		return err
 	}
 	return fw.cw.err

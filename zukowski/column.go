@@ -1022,6 +1022,13 @@ func (cr *ColumnReader[T]) parseBlock(b int) (*parsedBlock[T], error) {
 		if pb.N != want {
 			return nil, fmt.Errorf("%w: block %d holds %d values, directory says %d", ErrCorruptColumn, b, pb.N, want)
 		}
+		if !cr.src.stable() {
+			// The memo outlives the fetched frame — and its stay in the block
+			// cache, whose byte budget would not count a frame pinned from
+			// here — so it keeps its own codes; a stable source is resident
+			// anyway and is borrowed from.
+			pb.Codes = slices.Clone(pb.Codes)
+		}
 		p.blk = pb
 	} else {
 		vals, err := decodeColumnFrame[T](nil, frame)

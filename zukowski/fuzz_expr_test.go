@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -131,6 +132,24 @@ func (n *fuzzNode) eval(cols [][]int64, i int) bool {
 	}
 }
 
+// shuffledPDict is a PDICT codec with a fixed dictionary of up to 16 of
+// vals' distinct values, spread over their range, in shuffled order: code
+// order is then neither value order nor frequency order, as in a frame
+// from before dictionaries were written ascending or one compressed
+// against a caller's own dictionary, and a range predicate has to take
+// the per-code bitmap path.
+func shuffledPDict(vals []int64, seed uint8) zukowski.PDict[int64] {
+	distinct := slices.Clone(vals)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	dict := make([]int64, 0, 16)
+	for i := 0; i < 16 && i < len(distinct); i++ {
+		dict = append(dict, distinct[i*len(distinct)/min(16, len(distinct))])
+	}
+	rand.New(rand.NewSource(int64(seed))).Shuffle(len(dict), func(i, j int) { dict[i], dict[j] = dict[j], dict[i] })
+	return zukowski.PDict[int64]{Dict: dict, Width: 4}
+}
+
 // queryEngine is the scan surface a ColumnSet and a zktable.Table share.
 type queryEngine interface {
 	Run(ctx context.Context, q zukowski.Query[int64], fn func(block int, rows []int64, cols [][]int64) bool) error
@@ -226,6 +245,9 @@ func FuzzExprScan(f *testing.F) {
 	f.Add(ramp, []byte{3, 0, 0, 40, 90, 1, 2, 0, 1, 200, 230, 1}, uint8(0), uint8(150), uint8(2), uint8(0))
 
 	names := zukowski.Codecs()
+	// Two columns under PDICT with a shuffled dictionary (see shuffledPDict).
+	shuffled := uint8(slices.Index(names, "pdict") + len(names))
+	f.Add(bytes.Repeat([]byte{7, 9, 3, 200, 41}, 60), []byte{3, 1, 20, 200, 0, 0, 0, 90, 250, 1}, shuffled, shuffled, uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, data, tree []byte, codecA, codecB, codecC, blockSel uint8) {
 		var valsA []int64
 		for chunk := data; len(chunk) > 0; {
@@ -256,6 +278,9 @@ func FuzzExprScan(f *testing.F) {
 			codec, err := zukowski.Lookup[int64](name)
 			if err != nil {
 				t.Skip()
+			}
+			if name == "pdict" && int(codecSel[c])/len(names)%2 == 1 {
+				codec = shuffledPDict(cols[c], codecSel[c])
 			}
 			var buf bytes.Buffer
 			cw, err := zukowski.NewColumnWriter[int64](&buf, codec, blockValues)

@@ -3,6 +3,7 @@ package zukowski_test
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/zukowski"
@@ -67,6 +68,11 @@ func FuzzRoundTrip(f *testing.F) {
 			if _, err := codec.Stats(frame); err != nil {
 				t.Fatalf("%s: Stats of own frame: %v", name, err)
 			}
+			// The same frame one byte off its alignment: whichever of the two
+			// a patched codec could read in place, the other it had to copy.
+			if off, err := codec.Decode(nil, offByOne(frame)); err != nil || !slices.Equal(off, src) {
+				t.Fatalf("%s: decode of the frame moved by one byte differs (err %v)", name, err)
+			}
 		}
 
 		// Decode/Get/Stats of arbitrary bytes must error or succeed, never
@@ -119,6 +125,9 @@ func FuzzColumn(f *testing.F) {
 			func() (*zukowski.ColumnReader[int64], error) {
 				return zukowski.OpenColumnReaderAt[int64](bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 			},
+			func() (*zukowski.ColumnReader[int64], error) {
+				return zukowski.OpenColumn[int64](offByOne(buf.Bytes()))
+			},
 		} {
 			cr, err := open()
 			if err != nil {
@@ -167,6 +176,11 @@ func FuzzColumn(f *testing.F) {
 		}
 	})
 }
+
+// offByOne returns a copy of b that starts one byte past an aligned
+// address, so that every section a block could borrow from b in place is
+// one it must copy from the copy, and the other way round.
+func offByOne(b []byte) []byte { return append([]byte{0}, b...)[1:] }
 
 // tailBytes rebuilds a byte view of the fuzz values so the arbitrary-bytes
 // decode probe sees the original entropy.
