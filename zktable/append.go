@@ -12,10 +12,12 @@ import (
 
 // writeAtomic stages name in a temp file in the table directory, runs
 // body against it (through the fault-injection wrapper when one is
-// configured), fsyncs, renames into place, and fsyncs the directory —
-// the WriteColumnAtomic discipline. Every failure closes and removes the
-// temp file, so a torn write leaves at worst a sweepable orphan (when
-// the process died before the cleanup ran), never a half-visible file.
+// configured), fsyncs and renames into place. The rename is durable only
+// once the caller has run syncDir, which a commit does once for all of a
+// segment's column files and once for its manifest. Every failure closes
+// and removes the temp file, so a torn write leaves at worst a sweepable
+// orphan (when the process died before the cleanup ran), never a
+// half-visible file.
 func (t *Table[T]) writeAtomic(name string, body func(io.Writer) error) (err error) {
 	path := filepath.Join(t.dir, name)
 	tmp, err := os.CreateTemp(t.dir, "."+name+".tmp-*")
@@ -41,38 +43,64 @@ func (t *Table[T]) writeAtomic(name string, body func(io.Writer) error) (err err
 	if err = tmp.Close(); err != nil {
 		return err
 	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// Best effort: not every filesystem supports fsync on a directory.
-	if d, derr := os.Open(t.dir); derr == nil {
+	return os.Rename(tmp.Name(), path)
+}
+
+// syncDir makes the renames done so far durable. Best effort: not every
+// filesystem supports fsync on a directory.
+func (t *Table[T]) syncDir() {
+	if d, err := os.Open(t.dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
 }
 
-// writeColumn writes one segment column container atomically; fill hands
-// the column's values to the writer, in as many pieces as it likes.
-func (t *Table[T]) writeColumn(name string, fill func(*zukowski.ColumnWriter[T]) error) error {
-	return t.writeAtomic(name, func(w io.Writer) error {
-		cw, err := zukowski.NewColumnWriter[T](w, t.codec, t.bv)
+// writeSegment writes segment id's column containers, one atomic file per
+// schema column, and makes their renames durable with one directory
+// fsync; fill hands column ci's blocks to the writer, in as many pieces as
+// it likes. On failure nothing of the segment is left behind; on success
+// remove deletes the files again, for a caller whose commit fails later.
+func (t *Table[T]) writeSegment(id uint64, fill func(ci int, cw *zukowski.ColumnWriter[T]) error) (remove func(), err error) {
+	var written []string
+	remove = func() {
+		for _, name := range written {
+			os.Remove(filepath.Join(t.dir, name))
+		}
+	}
+	for ci, col := range t.cols {
+		name := segFileName(id, col)
+		err := t.writeAtomic(name, func(w io.Writer) error {
+			cw, err := zukowski.NewColumnWriter[T](w, t.codec, t.bv)
+			if err != nil {
+				return err
+			}
+			if err := fill(ci, cw); err != nil {
+				return err
+			}
+			return cw.Close()
+		})
 		if err != nil {
-			return err
+			remove()
+			return nil, err
 		}
-		if err := fill(cw); err != nil {
-			return err
-		}
-		return cw.Close()
-	})
+		written = append(written, name)
+	}
+	t.syncDir()
+	return remove, nil
 }
 
-// writeManifest commits one generation atomically.
+// writeManifest commits one generation atomically and durably. The files
+// the manifest names were made durable before it is written (writeSegment),
+// so a crash never leaves a manifest that outlived its segment.
 func (t *Table[T]) writeManifest(m *manifest) error {
-	return t.writeAtomic(manifestName(m.Generation), func(w io.Writer) error {
+	err := t.writeAtomic(manifestName(m.Generation), func(w io.Writer) error {
 		_, err := w.Write(m.encode())
 		return err
 	})
+	if err == nil {
+		t.syncDir()
+	}
+	return err
 }
 
 // loadSegment opens the freshly written segment id, hoists its directory
@@ -184,19 +212,11 @@ func (t *Table[T]) Append(cols [][]T) (uint64, error) {
 	}
 
 	id := t.nextSeg
-	var written []string
-	cleanup := func() {
-		for _, name := range written {
-			os.Remove(filepath.Join(t.dir, name))
-		}
-	}
-	for ci, col := range t.cols {
-		name := segFileName(id, col)
-		if err := t.writeColumn(name, func(cw *zukowski.ColumnWriter[T]) error { return cw.Write(cols[ci]) }); err != nil {
-			cleanup()
-			return 0, err
-		}
-		written = append(written, name)
+	cleanup, err := t.writeSegment(id, func(ci int, cw *zukowski.ColumnWriter[T]) error {
+		return cw.Write(cols[ci])
+	})
+	if err != nil {
+		return 0, err
 	}
 	seg, sm, err := t.loadSegment(id, n)
 	if err != nil {
@@ -227,17 +247,29 @@ func (t *Table[T]) Append(cols [][]T) (uint64, error) {
 	return newMan.Generation, nil
 }
 
-// Compact rewrites every live row into one fresh segment and commits a
+// Compact gathers every live row into one fresh segment and commits a
 // generation referencing only it — the defragmentation pass that keeps
 // block geometry uniform and zone maps tight after many small appends.
 // The protocol is Append's: new files first, then the manifest, so an
 // interrupted compaction is invisible. Old segment files linger on disk
 // until the manifests referencing them age out of retention; their open
 // handles are released as soon as the last scan still reading them
-// finishes. Source segments are decoded one column at a time, so the
-// memory compaction needs on top of the writer's block is the largest
-// segment column, whatever the table's size. Refuses to run with
-// quarantined segments, which would silently drop committed rows.
+// finishes.
+//
+// Blocks move compressed wherever the geometry allows: while every source
+// block so far was full — bulk loads of whole blocks, and whatever an
+// earlier compaction left behind — its verified frame is copied into the
+// new file with its directory entry (zukowski.ColumnWriter.WriteFrame).
+// From a column's first short block on, blocks straddle the seams and are
+// decoded and encoded again, one at a time, so compaction's memory on top
+// of the writer's block is one block, whatever the table's size. Either
+// way the new files hold the blocks a single write of each whole column
+// would have cut, and a copied frame keeps the layout it was written
+// with: compacting does not re-encode it under this handle's codec, and
+// PDICT frames from before dictionaries were stored ascending stay
+// frequency-ordered (readers check Block.DictAscending).
+// Refuses to run with quarantined segments, which would silently drop
+// committed rows.
 func (t *Table[T]) Compact() (uint64, error) {
 	t.ingest.Lock()
 	defer t.ingest.Unlock()
@@ -257,35 +289,21 @@ func (t *Table[T]) Compact() (uint64, error) {
 	}
 
 	id := t.nextSeg
-	var written []string
-	cleanup := func() {
-		for _, name := range written {
-			os.Remove(filepath.Join(t.dir, name))
-		}
-	}
-	// One source segment column at a time is decoded and handed to the
-	// writer, which carries partial blocks across the seams: compaction's
-	// extra memory is the largest segment column, not the table column.
-	var vals []T
-	for ci, col := range t.cols {
-		name := segFileName(id, col)
-		err := t.writeColumn(name, func(cw *zukowski.ColumnWriter[T]) error {
-			for _, s := range segs {
+	var vals []T // the one block being recoded
+	cleanup, err := t.writeSegment(id, func(ci int, cw *zukowski.ColumnWriter[T]) error {
+		for _, s := range segs {
+			cr := s.rdrs[ci]
+			for b := 0; b < cr.NumBlocks(); b++ {
 				var err error
-				if vals, err = s.rdrs[ci].ReadAll(vals[:0]); err != nil {
-					return fmt.Errorf("compact: column %q segment %d: %w", col, s.id, err)
-				}
-				if err := cw.Write(vals); err != nil {
-					return err
+				if vals, err = t.moveBlock(cw, cr, b, vals); err != nil {
+					return fmt.Errorf("compact: column %q segment %d block %d: %w", t.cols[ci], s.id, b, err)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			cleanup()
-			return 0, err
 		}
-		written = append(written, name)
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	seg, sm, err := t.loadSegment(id, rows)
 	if err != nil {
@@ -316,6 +334,28 @@ func (t *Table[T]) Compact() (uint64, error) {
 	})
 	t.pruneAfterCommit()
 	return newMan.Generation, nil
+}
+
+// moveBlock appends block b of cr to cw. A full block arriving on a block
+// boundary of the output is the block the writer would cut there itself,
+// so its frame is copied, verified on both sides of the copy; any other is
+// decoded into vals (returned for reuse) and written as values.
+func (t *Table[T]) moveBlock(cw *zukowski.ColumnWriter[T], cr *zukowski.ColumnReader[T], b int, vals []T) ([]T, error) {
+	info, err := cr.BlockInfo(b)
+	if err != nil {
+		return vals, err
+	}
+	if info.Count == t.bv && cw.Len() == cw.NumBlocks()*t.bv {
+		frame, err := cr.FrameBytes(b)
+		if err != nil {
+			return vals, err
+		}
+		return vals, cw.WriteFrame(frame, info)
+	}
+	if vals, err = cr.ReadBlock(b, vals[:0]); err != nil {
+		return vals, err
+	}
+	return vals, cw.Write(vals)
 }
 
 // publish swaps in the new committed state under the write lock. mutate

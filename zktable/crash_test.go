@@ -1,8 +1,10 @@
 package zktable_test
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,6 +23,7 @@ import (
 type tornBudget struct {
 	remaining int64
 	total     int64
+	writes    []int64 // the size of every write that reached a file, in order
 }
 
 func (tb *tornBudget) wrap(_ string, w io.Writer) io.Writer {
@@ -36,10 +39,11 @@ func (m *meteredWriter) Write(p []byte) (int, error) {
 	n, err := m.w.Write(p)
 	m.tb.remaining -= int64(n)
 	m.tb.total += int64(n)
+	m.tb.writes = append(m.tb.writes, int64(n))
 	return n, err
 }
 
-func copyDir(t *testing.T, src, dst string) {
+func copyDir(t testing.TB, src, dst string) {
 	t.Helper()
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		t.Fatal(err)
@@ -76,14 +80,47 @@ func flipByte(t *testing.T, path string, off int64) {
 	}
 }
 
-// seedBaseline builds a committed single-segment table to crash against.
-func seedBaseline(t *testing.T, rows int) (dir string, baseRows int64) {
+// seedBaseline builds a committed table of one segment per row count to
+// crash against.
+func seedBaseline(t *testing.T, rows ...int) (dir string, baseRows int64) {
 	t.Helper()
 	dir = filepath.Join(t.TempDir(), "base")
 	tb := mustCreate(t, dir, zktable.Options{})
-	mustAppend(t, tb, synthCols(100, rows))
+	for _, seg := range synthSegs(100, rows...) {
+		mustAppend(t, tb, seg)
+		baseRows += int64(len(seg[0]))
+	}
 	tb.Close()
-	return dir, int64(rows)
+	return dir, baseRows
+}
+
+// checkRecovered reopens dir after a torn commit and asserts what the
+// protocol promises: generation gen0 is served whole — no fallback, no
+// quarantine, no lost row — and the directory passes Fsck.
+func checkRecovered(t *testing.T, budget int64, dir string, gen0 uint64, baseRows int64) {
+	t.Helper()
+	tb, rep, err := zktable.Open[int64](dir, zktable.Options{})
+	if err != nil {
+		t.Fatalf("budget %d: reopen: %v", budget, err)
+	}
+	defer tb.Close()
+	if rep.Generation != gen0 || rep.Rows != baseRows {
+		t.Fatalf("budget %d: reopened at gen %d / %d rows, want %d / %d",
+			budget, rep.Generation, rep.Rows, gen0, baseRows)
+	}
+	if rep.FellBack || len(rep.Quarantined) > 0 || rep.RowsUnavailable != 0 {
+		t.Fatalf("budget %d: reopen report %+v", budget, rep)
+	}
+	if got := countRows(t, tb); got != baseRows {
+		t.Fatalf("budget %d: recovered scan saw %d rows, want %d", budget, got, baseRows)
+	}
+	fsck, err := zktable.Fsck(dir)
+	if err != nil {
+		t.Fatalf("budget %d: fsck: %v", budget, err)
+	}
+	if !fsck.OK() {
+		t.Fatalf("budget %d: fsck problems: %v", budget, fsck.Problems)
+	}
 }
 
 // TestAppendTornWriteMatrix tears an ingest at byte budgets spanning the
@@ -134,30 +171,126 @@ func TestAppendTornWriteMatrix(t *testing.T) {
 		}
 		tb.Close()
 
-		// Recovery after reopen: committed generation intact, no loss, no
-		// quarantine, no debris.
-		tb2, rep, err := zktable.Open[int64](dir, zktable.Options{})
+		checkRecovered(t, budget, dir, gen0, baseRows)
+	}
+}
+
+// readDir returns every file of dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			t.Fatalf("budget %d: reopen: %v", budget, err)
+			t.Fatal(err)
 		}
-		if rep.Generation != gen0 || rep.Rows != baseRows {
-			t.Fatalf("budget %d: reopened at gen %d / %d rows, want %d / %d",
-				budget, rep.Generation, rep.Rows, gen0, baseRows)
-		}
-		if rep.FellBack || len(rep.Quarantined) > 0 || rep.RowsUnavailable != 0 {
-			t.Fatalf("budget %d: reopen report %+v", budget, rep)
-		}
-		if got := countRows(t, tb2); got != baseRows {
-			t.Fatalf("budget %d: recovered scan saw %d rows, want %d", budget, got, baseRows)
-		}
-		tb2.Close()
-		fsck, err := zktable.Fsck(dir)
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestCompactTornWriteMatrix tears a compaction that copies its first
+// blocks as frames and encodes the rest anew, once in front of and once
+// halfway into every write it makes — each container header, frame,
+// footer and the manifest. Whatever the tear, the handle and a reopen
+// serve the generation committed before, whole.
+func TestCompactTornWriteMatrix(t *testing.T) {
+	base, baseRows := seedBaseline(t, 2*testBV, testBV, testBV+188, testBV)
+
+	meter := &tornBudget{remaining: 1 << 62}
+	mDir := filepath.Join(t.TempDir(), "meter")
+	copyDir(t, base, mDir)
+	mtb, _, err := zktable.Open[int64](mDir, zktable.Options{WriteWrapper: meter.wrap})
+	if err != nil {
+		t.Fatalf("Open meter copy: %v", err)
+	}
+	if _, err := mtb.Compact(); err != nil {
+		t.Fatalf("metered compact: %v", err)
+	}
+	mtb.Close()
+	// Per column: a header, six frames and a footer; then the manifest.
+	if want := len(testSchema)*8 + 1; len(meter.writes) != want {
+		t.Fatalf("metered compact made %d writes, want %d", len(meter.writes), want)
+	}
+
+	var budgets []int64
+	var off int64
+	for _, n := range meter.writes {
+		budgets = append(budgets, off, off+n/2)
+		off += n
+	}
+	for _, budget := range budgets {
+		dir := filepath.Join(t.TempDir(), "crash")
+		copyDir(t, base, dir)
+		before := readDir(t, dir)
+		tn := &tornBudget{remaining: budget}
+		tb, _, err := zktable.Open[int64](dir, zktable.Options{WriteWrapper: tn.wrap})
 		if err != nil {
-			t.Fatalf("budget %d: fsck: %v", budget, err)
+			t.Fatalf("budget %d: Open: %v", budget, err)
 		}
-		if !fsck.OK() {
-			t.Fatalf("budget %d: fsck problems: %v", budget, fsck.Problems)
+		gen0 := tb.Generation()
+		if _, err := tb.Compact(); !errors.Is(err, faultio.ErrInjected) {
+			t.Fatalf("budget %d: compact error = %v, want ErrInjected", budget, err)
 		}
+		if g, n := tb.Generation(), tb.NumSegments(); g != gen0 || n != 4 {
+			t.Fatalf("budget %d: failed compact left generation %d with %d segments, want %d with 4", budget, g, n, gen0)
+		}
+		if got := countRows(t, tb); got != baseRows {
+			t.Fatalf("budget %d: live scan saw %d rows, want %d", budget, got, baseRows)
+		}
+		tb.Close()
+		if after := readDir(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+			t.Fatalf("budget %d: the failed compact changed the directory", budget)
+		}
+
+		checkRecovered(t, budget, dir, gen0, baseRows)
+	}
+}
+
+// TestCompactRefusesRottenFrame flips a byte of a committed frame under an
+// open handle. A compaction that copies frames must not give the damage a
+// fresh checksum: it fails with ErrChecksumMismatch, the committed
+// generation stays in service, and the directory holds what it held — no
+// new segment, no temp file.
+func TestCompactRefusesRottenFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows []int
+	}{
+		{"copied frame", []int{2 * testBV, 2 * testBV}},
+		{"recoded block", []int{2*testBV + 9, 2 * testBV}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, _ := seedBaseline(t, tc.rows...)
+			tb, _, err := zktable.Open[int64](dir, zktable.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tb.Close()
+			gen0 := tb.Generation()
+			// Offset 600 lies in the frames of the second segment's "v".
+			flipByte(t, filepath.Join(dir, "seg-00000002-v.zkc"), 600)
+			before := readDir(t, dir)
+
+			if _, err := tb.Compact(); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+				t.Fatalf("Compact over a flipped frame = %v, want ErrChecksumMismatch", err)
+			}
+			if g, n := tb.Generation(), tb.NumSegments(); g != gen0 || n != 2 {
+				t.Fatalf("failed compact left generation %d with %d segments, want %d with 2", g, n, gen0)
+			}
+			if after := readDir(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+				t.Fatal("the failed compact changed the directory")
+			}
+			// The first segment is still served; the damaged one reports itself.
+			err = tb.Run(bg, where(), func(int, []int64, [][]int64) bool { return true })
+			if !errors.Is(err, zukowski.ErrChecksumMismatch) {
+				t.Fatalf("scan over the flipped frame = %v, want ErrChecksumMismatch", err)
+			}
+		})
 	}
 }
 

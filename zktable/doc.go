@@ -19,16 +19,19 @@
 //
 // # Commit protocol
 //
-// Append writes every column of the new segment with the
-// WriteColumnAtomic discipline (temp file in the table directory, fsync
-// file, rename, fsync directory), then commits by writing
-// MANIFEST-<generation+1> the same way. Segment files are invisible —
+// Append writes every column of the new segment to a temp file in the
+// table directory, fsyncs and renames it, fsyncs the directory once all
+// columns are in place, then commits by writing MANIFEST-<generation+1>
+// the same way (temp file, fsync, rename, directory fsync): the files a
+// manifest names are durable before it is. Segment files are invisible —
 // mere orphans — until a manifest generation references them, so a crash
 // at any byte of an ingest leaves the previous generation fully intact:
 // either the new manifest rename happened (the commit is durable and
 // complete) or it did not (the new files are swept and the table reopens
 // exactly as before). Compact follows the same protocol with a single
-// replacement segment.
+// replacement segment, into which it copies the frames of full,
+// block-aligned source blocks as they stand and re-encodes only the
+// blocks that straddle a seam between segments.
 //
 // # Recovery
 //

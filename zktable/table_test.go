@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/zktable"
@@ -320,11 +321,59 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// checkOneShot asserts that segment id's column files are byte for byte
+// what one ColumnWriter produces when handed each whole column at once.
+func checkOneShot(t *testing.T, dir string, id int, all [][]int64) {
+	t.Helper()
+	for ci, col := range testSchema {
+		var want bytes.Buffer
+		cw, err := zukowski.NewColumnWriter[int64](&want, nil, testBV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Write(all[ci]); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("seg-%08d-%s.zkc", id, col)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("compacted column %q: %d bytes differ from the %d of a one-shot write", col, len(got), want.Len())
+		}
+	}
+}
+
+// synthSegs builds one segment of data per row count.
+func synthSegs(seed int64, rows ...int) [][][]int64 {
+	segs := make([][][]int64, len(rows))
+	for i, n := range rows {
+		segs[i] = synthCols(seed+int64(i), n)
+	}
+	return segs
+}
+
 func TestCompact(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		segs [][][]int64
+	}{
+		// Segments ending mid-block: blocks span the seams and are encoded anew.
+		{"mid-block", synthSegs(20, 900, 1300, 400)},
+		// Whole blocks only: every frame is copied as it stands.
+		{"block-aligned", synthSegs(20, 2*testBV, 3*testBV, testBV)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testCompact(t, tc.segs) })
+	}
+}
+
+func testCompact(t *testing.T, segs [][][]int64) {
 	dir := filepath.Join(t.TempDir(), "tbl")
 	tb := mustCreate(t, dir, zktable.Options{})
 	defer tb.Close()
-	segs := [][][]int64{synthCols(20, 900), synthCols(21, 1300), synthCols(22, 400)}
 	for _, s := range segs {
 		mustAppend(t, tb, s)
 	}
@@ -345,30 +394,8 @@ func TestCompact(t *testing.T) {
 	if got := countRows(t, tb); got != total {
 		t.Fatalf("after compact: scan saw %d rows, want %d", got, total)
 	}
-	// Compaction streams one source segment at a time into the writer; the
-	// files must be byte for byte what writing each whole column at once
-	// produces (the segments end mid-block, so blocks span the seams).
-	for ci, col := range testSchema {
-		var want bytes.Buffer
-		cw, err := zukowski.NewColumnWriter[int64](&want, nil, testBV)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cw.Write(all[ci]); err != nil {
-			t.Fatal(err)
-		}
-		if err := cw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Segment ids count from 1; the compacted segment takes the next one.
-		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("seg-%08d-%s.zkc", len(segs)+1, col)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("compacted column %q: %d bytes differ from the %d of a one-shot write", col, len(got), want.Len())
-		}
-	}
+	// Segment ids count from 1; the compacted segment takes the next one.
+	checkOneShot(t, dir, len(segs)+1, all)
 	// Scans still match the oracle on the compacted layout.
 	preds := []zukowski.Pred[int64]{{Col: 2, Lo: 0, Hi: 31}}
 	wantRows, _ := scanOracle(all, preds)
@@ -400,6 +427,110 @@ func TestCompact(t *testing.T) {
 	// 3 live segments × 3 columns; nothing from before the compaction.
 	if segFiles != 9 {
 		t.Fatalf("%d segment files on disk after retention aged out, want 9", segFiles)
+	}
+}
+
+// countingAuto is the Auto codec, counting the blocks it is asked to encode.
+type countingAuto struct {
+	zukowski.Auto[int64]
+	encodes *atomic.Int64
+}
+
+func (c countingAuto) Encode(dst []byte, src []int64) ([]byte, error) {
+	c.encodes.Add(1)
+	return c.Auto.Encode(dst, src)
+}
+
+// TestCompactGeometry compacts tables cut into segments of every shape a
+// block size allows and checks the one segment that results from outside:
+// its values, its zone maps against the values' own min and max, uniform
+// block geometry, the files a one-shot write produces, a clean Fsck — and
+// how many blocks the codec was asked to encode, which is none while the
+// source blocks are full and only those the writer had to cut itself from
+// the first short one on.
+func TestCompactGeometry(t *testing.T) {
+	var encodes atomic.Int64
+	zukowski.Register("counting-auto", func() zukowski.Codec[int64] { return countingAuto{encodes: &encodes} })
+	const bv = testBV
+	for _, tc := range []struct {
+		name    string
+		rows    []int
+		encodes int64
+	}{
+		{"single rows", []int{1, 1, 1}, 1},
+		{"under a block", []int{300, 100}, 1},
+		{"one block each", []int{bv, bv}, 0},
+		{"a block and a row", []int{bv + 1, bv}, 2},
+		{"k blocks", []int{3 * bv, 2 * bv, bv, 4 * bv}, 0},
+		{"short tail", []int{2 * bv, 2*bv + 77}, 1},
+		{"aligned, ragged, aligned", []int{2 * bv, bv + 200, 2 * bv}, 3},
+		{"ragged first", []int{100, 2 * bv}, 3},
+		// The ragged pieces add up to a block: what follows lands on a
+		// block boundary again and is copied.
+		{"ragged realigns", []int{bv, 100, bv - 100, 2 * bv}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "tbl")
+			tb := mustCreate(t, dir, zktable.Options{Codec: "counting-auto"})
+			defer tb.Close()
+			segs := synthSegs(40, tc.rows...)
+			for _, s := range segs {
+				mustAppend(t, tb, s)
+			}
+			all := appendAll(segs...)
+			encodes.Store(0)
+			if _, err := tb.Compact(); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+			if got := encodes.Load() / int64(len(testSchema)); got != tc.encodes {
+				t.Fatalf("Compact encoded %d blocks per column, want %d", got, tc.encodes)
+			}
+
+			got := make([][]int64, len(testSchema))
+			if err := tb.Run(bg, where(), func(_ int, _ []int64, cols [][]int64) bool {
+				for ci := range cols {
+					got[ci] = append(got[ci], cols[ci]...)
+				}
+				return true
+			}); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			rdrs, err := tb.SegmentReaders(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, cr := range rdrs {
+				if !slices.Equal(got[ci], all[ci]) {
+					t.Fatalf("column %d reads back differently", ci)
+				}
+				nb := (len(all[ci]) + bv - 1) / bv
+				if cr.NumBlocks() != nb {
+					t.Fatalf("column %d: %d blocks, want %d", ci, cr.NumBlocks(), nb)
+				}
+				for b := 0; b < nb; b++ {
+					info, err := cr.BlockInfo(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					vals := all[ci][b*bv : min((b+1)*bv, len(all[ci]))]
+					if info.Count != len(vals) {
+						t.Fatalf("column %d block %d holds %d rows, want %d", ci, b, info.Count, len(vals))
+					}
+					if info.Min != slices.Min(vals) || info.Max != slices.Max(vals) {
+						t.Fatalf("column %d block %d zone map [%d,%d], values span [%d,%d]",
+							ci, b, info.Min, info.Max, slices.Min(vals), slices.Max(vals))
+					}
+				}
+			}
+			checkOneShot(t, dir, len(segs)+1, all)
+			fsck, err := zktable.Fsck(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fsck.OK() {
+				t.Fatalf("fsck after compact: %v", fsck.Problems)
+			}
+		})
 	}
 }
 

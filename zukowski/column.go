@@ -204,29 +204,20 @@ func (cw *ColumnWriter[T]) Write(vals []T) error {
 
 func (cw *ColumnWriter[T]) flushBlock() error {
 	frame, err := cw.codec.Encode(cw.frame[:0], cw.buf)
-	if err == nil {
+	if err == nil && !readableFrame(frame) {
 		// Fail at write time if the codec emits frames ColumnReader
 		// cannot dispatch on — otherwise the column would be accepted now
 		// and unreadable forever. User codecs must emit (or wrap) the
 		// segment or baseline frame formats.
-		if len(frame) == 0 || (frame[0] != segment.Magic && frame[0] != baselineMagic) {
-			err = fmt.Errorf("%w: codec %q emits frames the column reader cannot decode",
-				ErrUnknownCodec, cw.codec.Name())
-		}
-	}
-	if err == nil {
-		_, err = cw.w.Write(frame)
+		err = fmt.Errorf("%w: codec %q emits frames the column reader cannot decode",
+			ErrUnknownCodec, cw.codec.Name())
 	}
 	if err != nil {
 		cw.err = err
 		return err
 	}
 	cw.frame = frame // recycle the encode buffer across blocks
-	blk := columnBlock{
-		offset: cw.offset,
-		length: uint32(len(frame)),
-		count:  uint32(len(cw.buf)),
-	}
+	blk := columnBlock{count: uint32(len(cw.buf))}
 	if cw.version >= FormatZKC2 {
 		blk.crc = crc32.Checksum(frame, castagnoli)
 		lo, hi := cw.buf[0], cw.buf[0]
@@ -240,11 +231,75 @@ func (cw *ColumnWriter[T]) flushBlock() error {
 		}
 		blk.minBits, blk.maxBits = zoneBits(lo), zoneBits(hi)
 	}
-	cw.dir = append(cw.dir, blk)
-	cw.offset += uint64(len(frame))
-	cw.total += uint64(len(cw.buf))
+	if err := cw.appendBlock(frame, blk); err != nil {
+		return err
+	}
 	cw.buf = cw.buf[:0]
 	return nil
+}
+
+// readableFrame reports whether ColumnReader can dispatch on frame's magic.
+func readableFrame(frame []byte) bool {
+	return len(frame) > 0 && (frame[0] == segment.Magic || frame[0] == baselineMagic)
+}
+
+// appendBlock writes one frame to the stream and enters blk — its count,
+// checksum and zone map filled in by the caller — into the directory at
+// the frame's extent. A write error is sticky.
+func (cw *ColumnWriter[T]) appendBlock(frame []byte, blk columnBlock) error {
+	if _, err := cw.w.Write(frame); err != nil {
+		cw.err = err
+		return err
+	}
+	blk.offset, blk.length = cw.offset, uint32(len(frame))
+	cw.dir = append(cw.dir, blk)
+	cw.offset += uint64(len(frame))
+	cw.total += uint64(blk.count)
+	return nil
+}
+
+// WriteFrame appends one block that is already encoded: frame is written
+// as it stands and info — the directory entry it had in the container it
+// comes from (ColumnReader.BlockInfo) — supplies the new entry's count,
+// CRC32-C and zone map, so a block moves between containers without being
+// decoded. This is how zktable compacts block-aligned segments.
+//
+// Nothing unverified gets a fresh directory entry: WriteFrame hashes frame
+// and refuses it with ErrChecksumMismatch when that differs from
+// info.CRC32C. It also refuses an entry without a checksum or zone map
+// (ZKC1), a frame ColumnReader could not dispatch on, and anything that
+// would break the container's geometry — values still buffered by Write,
+// or a count other than the writer's block size; a column's short last
+// block has to arrive through Write. A refusal changes nothing: the writer
+// is as usable as before the call.
+func (cw *ColumnWriter[T]) WriteFrame(frame []byte, info BlockInfo[T]) error {
+	if cw.closed {
+		return ErrClosed
+	}
+	if cw.err != nil {
+		return cw.err
+	}
+	switch {
+	case len(cw.buf) > 0:
+		return fmt.Errorf("zukowski: WriteFrame with %d values buffered mid-block", len(cw.buf))
+	case info.Count != cw.blockValues:
+		return fmt.Errorf("zukowski: WriteFrame of a %d-value block into a column of %d-value blocks",
+			info.Count, cw.blockValues)
+	case !info.HasChecksum || !info.HasZoneMap:
+		return fmt.Errorf("zukowski: WriteFrame needs the source block's checksum and zone map (%s has none)",
+			FormatName(FormatZKC1))
+	case !readableFrame(frame):
+		return fmt.Errorf("%w: frame the column reader cannot decode", ErrUnknownCodec)
+	}
+	if err := checkCRC(frame, info.CRC32C, len(cw.dir)); err != nil {
+		return err
+	}
+	return cw.appendBlock(frame, columnBlock{
+		count:   uint32(info.Count),
+		crc:     info.CRC32C,
+		minBits: zoneBits(info.Min),
+		maxBits: zoneBits(info.Max),
+	})
 }
 
 // Close flushes the final partial block and writes the directory footer.

@@ -57,7 +57,9 @@
 // in-memory readers ignore the cache (their frames are already
 // resident). FrameBytes exposes the same verified-raw-frame fetch the
 // cache accelerates, for callers that ship frames instead of decoding
-// them.
+// them; ColumnWriter.WriteFrame is its counterpart, appending such a
+// frame and its directory entry to another container after hashing it
+// once more — how zktable compacts block-aligned segments.
 //
 // # Multi-column predicates
 //
