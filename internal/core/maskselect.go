@@ -291,14 +291,55 @@ func (d *Decoder[T]) refinePFORDelta(blk *Block[T], lo, hi T, mask []uint32, s *
 	}
 }
 
+// denseGatherMin is the number of selected rows in a 128-value group at
+// or above which the group is materialized by decoding it whole — unpack,
+// LOOP1, LOOP2, the paper's branch-free two-loop decompression — and
+// compacting the decoded values through the bitmap; below it each selected
+// row is extracted on its own (CodeAt plus the patch walk up to it, the
+// paper's fine-grained access). Both paths return the same values, so the
+// choice is made per group from the bitmap's popcount alone.
+//
+// The value is the crossover of BenchmarkGatherCrossover: ns per group on
+// the benchmark's column shapes (experiments.SynthBenchColumns), every
+// group holding the given number of selected rows at random positions,
+// best of five runs on the throttled 2-vCPU box (go1.24, amd64,
+// host.mem_gb_s ≈ 19). Sparse costs about 20 + 6..8 ns per row, dense about
+// 150 + 1 ns per row; the shapes cross between 14 and 32 rows. At 128 the
+// dense column is the block-level Decompress a fully selected block takes.
+// Re-run the benchmark when either path changes.
+//
+//	            a: PFOR 10 bit, 2 %   b: PFOR 16 bit, 10 %   d: PDICT 6 bit, 1 %
+//	rows/group     sparse    dense       sparse    dense       sparse    dense
+//	         2         28      150           55      161           21      178
+//	         4         42      139           76      163           27      169
+//	         8        100      156          126      175           45      170
+//	        16        124      150          202      180          100      186
+//	        24        211      168          240      177          146      186
+//	        32        270      184          277      182          192      192
+//	        40        332      194          329      209          247      171
+//	        48        364      199          325      209          265      218
+//	        64        486      215          428      220          386      247
+//	       128        501       96          569       86          540      106
+const denseGatherMin = 24
+
 // DecompressSelected appends the values of blk at the rows selected by sv
 // to vals, in row order, and returns the extended slice — the
 // materialization step after a multi-predicate bitmap has been composed.
-// Only groups with surviving rows are touched: PFOR and PDICT extract one
-// code per selected row (exception slots read their true values from the
-// exception section), PFOR-DELTA decodes just the groups that still
-// matter. sv must cover exactly blk.N rows.
+// Only groups with surviving rows are touched, and the bitmap picks the
+// decoder: a fully selected block is one Decompress, a group with at least
+// denseGatherMin selected rows (and every live PFOR-DELTA group, whose
+// values only exist as a running sum) is decoded whole and compacted, a
+// sparser PFOR or PDICT group extracts one code per selected row, with
+// exception slots reading their true values from the exception section.
+// sv must cover exactly blk.N rows.
 func (d *Decoder[T]) DecompressSelected(blk *Block[T], sv *SelectionVector, vals []T) []T {
+	return d.gatherSelected(blk, sv, vals, denseGatherMin)
+}
+
+// gatherSelected is DecompressSelected with the dense threshold as a
+// parameter, so tests and the crossover benchmark can force either regime:
+// 0 decodes every live group whole, GroupSize+1 none.
+func (d *Decoder[T]) gatherSelected(blk *Block[T], sv *SelectionVector, vals []T, denseMin int) []T {
 	if sv.n != blk.N {
 		panic(fmt.Sprintf("core: selection of %d rows gathered from block of %d", sv.n, blk.N))
 	}
@@ -308,13 +349,17 @@ func (d *Decoder[T]) DecompressSelected(blk *Block[T], sv *SelectionVector, vals
 	}
 	k := len(vals)
 	vals = growTo(vals, k+count)
-	s := d.selectScratch()
-	mask := sv.words
 	delta := blk.Scheme == SchemePFORDelta
 	pdict := blk.Scheme == SchemePDict
 	if !delta && !pdict && blk.Scheme != SchemePFOR {
 		panic("core: cannot select on scheme " + blk.Scheme.String())
 	}
+	if count == blk.N && denseMin <= GroupSize {
+		d.Decompress(blk, vals[k:])
+		return vals
+	}
+	s := d.selectScratch()
+	mask := sv.words
 	raw := d.scratch(GroupSize)
 	base := blk.Base
 	dict := blk.Dict
@@ -325,21 +370,13 @@ func (d *Decoder[T]) DecompressSelected(blk *Block[T], sv *SelectionVector, vals
 		gStart, gEnd := groupBounds(blk, g)
 		w0 := gStart >> 5
 		w1 := (gEnd + 31) >> 5
-		if allZero(mask[w0:w1]) {
+		live := popCount(mask[w0:w1])
+		if live == 0 {
 			continue
 		}
-		if delta {
-			n := gEnd - gStart
-			unpackGroup(blk, g, n, raw)
-			decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
-			for w := w0; w < w1; w++ {
-				vb := w << 5
-				for m := mask[w]; m != 0; m &= m - 1 {
-					p := vb + bits.TrailingZeros32(m)
-					vals[k] = s.vbuf[p-gStart]
-					k++
-				}
-			}
+		if delta || live >= denseMin {
+			d.decompressGroup(blk, g, raw, s.vbuf[:])
+			k = compactSelected(vals, k, s.vbuf[:], mask[w0:w1])
 			continue
 		}
 		es, ee := blk.groupExc(g)
@@ -389,15 +426,45 @@ func (d *Decoder[T]) DecompressSelected(blk *Block[T], sv *SelectionVector, vals
 	return vals[:k]
 }
 
+// compactSelected stores src[i] at dst[k], dst[k+1], ... for every bit i
+// set in mask — mask word j covers src[32j:] — and returns the advanced
+// cursor: the second half of the dense gather. A full word moves its 32
+// values as one run, without a bit walk.
+func compactSelected[D, S Integer](dst []D, k int, src []S, mask []uint32) int {
+	for j, m := range mask {
+		in := src[j<<5:]
+		if m == ^uint32(0) {
+			run := dst[k : k+32]
+			for i := range run {
+				run[i] = D(in[i])
+			}
+			k += 32
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			dst[k] = D(in[bits.TrailingZeros32(m)])
+			k++
+		}
+	}
+	return k
+}
+
 // DecompressSelectedCodes appends, for every row selected by sv in row
 // order, the row's PDICT dictionary code — or -1 for exception slots,
 // whose packed codes are bogus patch-list gaps and whose true values live
 // only in the exception section. This is the group-key extraction of
 // code-space grouped aggregation: keys stay in the tiny code domain, the
 // caller aggregates per code and decodes the dictionary once at the end,
-// handling the rare -1 rows on their materialized values. blk must be
-// PDICT; sv must cover exactly blk.N rows.
+// handling the rare -1 rows on their materialized values. Groups are
+// density-switched exactly as in DecompressSelected. blk must be PDICT; sv
+// must cover exactly blk.N rows.
 func (d *Decoder[T]) DecompressSelectedCodes(blk *Block[T], sv *SelectionVector, codes []int32) []int32 {
+	return d.gatherSelectedCodes(blk, sv, codes, denseGatherMin)
+}
+
+// gatherSelectedCodes is DecompressSelectedCodes with the dense threshold
+// as a parameter (see gatherSelected).
+func (d *Decoder[T]) gatherSelectedCodes(blk *Block[T], sv *SelectionVector, codes []int32, denseMin int) []int32 {
 	if blk.Scheme != SchemePDict {
 		panic("core: DecompressSelectedCodes on scheme " + blk.Scheme.String())
 	}
@@ -409,24 +476,35 @@ func (d *Decoder[T]) DecompressSelectedCodes(blk *Block[T], sv *SelectionVector,
 		return codes
 	}
 	k := len(codes)
-	if cap(codes) < k+count {
-		out := make([]int32, k, max(k+count, 2*cap(codes)))
-		copy(out, codes)
-		codes = out
-	}
-	codes = codes[:k+count]
+	codes = growTo(codes, k+count)
 	mask := sv.words
 	packed := blk.Codes
 	b := blk.B
+	raw := d.scratch(GroupSize)
 	numGroups := blk.NumGroups()
 	for g := 0; g < numGroups; g++ {
 		gStart, gEnd := groupBounds(blk, g)
 		w0 := gStart >> 5
 		w1 := (gEnd + 31) >> 5
-		if allZero(mask[w0:w1]) {
+		live := popCount(mask[w0:w1])
+		if live == 0 {
 			continue
 		}
 		es, ee := blk.groupExc(g)
+		if live >= denseMin {
+			// Unpack the group, overwrite each exception slot's gap code with
+			// all ones once the walk has read it, and compact: int32 of all
+			// ones is the -1 the caller expects.
+			unpackGroup(blk, g, gEnd-gStart, raw)
+			pos := blk.patchStart(g)
+			for x := es; x < ee; x++ {
+				next := pos + int(raw[pos]) + 1
+				raw[pos] = ^uint32(0)
+				pos = next
+			}
+			k = compactSelected(codes, k, raw, mask[w0:w1])
+			continue
+		}
 		if es == ee {
 			for w := w0; w < w1; w++ {
 				vb := w << 5

@@ -1,6 +1,9 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // SelectionVector is a per-block selection bitmap: one bit per row, bit i
 // set iff row i survives the predicates evaluated so far. It is the
@@ -58,9 +61,12 @@ func (sv *SelectionVector) Len() int { return sv.n }
 func (sv *SelectionVector) Words() []uint32 { return sv.words }
 
 // Count returns the number of set bits (rows selected).
-func (sv *SelectionVector) Count() int {
+func (sv *SelectionVector) Count() int { return popCount(sv.words) }
+
+// popCount returns the number of set bits in words.
+func popCount(words []uint32) int {
 	c := 0
-	for _, w := range sv.words {
+	for _, w := range words {
 		c += bits.OnesCount32(w)
 	}
 	return c
@@ -119,11 +125,25 @@ func (sv *SelectionVector) Or(other *SelectionVector) {
 
 // AppendRows appends base+i for every selected row i to dst, in row
 // order — the bitmap-to-row-number decode of the materialization step.
+// dst is sized once from Count and filled through indexed stores (per-row
+// appends reload and spill the slice header on every row); a full mask
+// word emits its 32 consecutive numbers without a bit walk.
 func (sv *SelectionVector) AppendRows(dst []int64, base int64) []int64 {
+	k, count := len(dst), sv.Count()
+	dst = slices.Grow(dst, count)[:k+count]
 	for w, m := range sv.words {
-		vb := base + int64(w<<5)
+		vb := base + int64(w)<<5
+		if m == ^uint32(0) {
+			run := dst[k : k+32]
+			for j := range run {
+				run[j] = vb + int64(j)
+			}
+			k += 32
+			continue
+		}
 		for ; m != 0; m &= m - 1 {
-			dst = append(dst, vb+int64(bits.TrailingZeros32(m)))
+			dst[k] = vb + int64(bits.TrailingZeros32(m))
+			k++
 		}
 	}
 	return dst

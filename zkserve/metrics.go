@@ -27,8 +27,10 @@ type Metrics struct {
 	InFlight atomic.Int64
 
 	// Data-plane volume. RawBytesScanned is the uncompressed size of the
-	// blocks the conjunction's zone maps could not prune (the work the
-	// scan engine actually did); BytesEmitted is response payload bytes;
+	// column blocks the scan read: over the blocks the zone maps could not
+	// prune, every output column and each predicate-only column the
+	// engine still had a conjunct to evaluate on (bound.stats);
+	// BytesEmitted is response payload bytes;
 	// RowsEmitted counts rows (row mode) or rows represented by shipped
 	// frames (frame mode); FramesShipped counts raw frames sent in frame
 	// mode.
@@ -111,7 +113,7 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	fmt.Fprintf(w, "# HELP zkserve_inflight_scans Scans currently holding a worker slot.\n# TYPE zkserve_inflight_scans gauge\nzkserve_inflight_scans %d\n", m.InFlight.Load())
 	counter("zkserve_rows_emitted_total", "Rows delivered to clients (rows represented, in frame mode).", m.RowsEmitted.Load())
 	counter("zkserve_bytes_emitted_total", "Response payload bytes delivered to clients.", m.BytesEmitted.Load())
-	counter("zkserve_raw_bytes_scanned_total", "Uncompressed bytes of blocks the scan engine evaluated (post-pruning).", m.RawBytesScanned.Load())
+	counter("zkserve_raw_bytes_scanned_total", "Uncompressed bytes of the column blocks scans read (post-pruning; a column the zone map decides is not read).", m.RawBytesScanned.Load())
 	counter("zkserve_frames_shipped_total", "Raw compressed block frames shipped in frame mode.", m.FramesShipped.Load())
 	counter("zkserve_blocks_scanned_total", "Blocks the conjunction's zone maps could not prune.", m.BlocksScanned.Load())
 	counter("zkserve_blocks_pruned_total", "Blocks proven empty by zone maps and skipped unread.", m.BlocksPruned.Load())

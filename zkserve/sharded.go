@@ -112,8 +112,7 @@ func (s *shard[T]) fillMeta(m *TableMeta) {
 // bind needs no validation: a zktable's columns share geometry and width
 // by construction, and table column indices are the engine's own.
 func (s *shard[T]) bind(p *scanPlan, frames bool, aggCol int) (runner, error) {
-	b := bindEngine[T](p, s.Table, func(ci int) int { return ci }, frames, aggCol)
-	b.rowBytes = int64(len(p.involved()) * s.colWidth(0))
+	b := bindEngine[T](p, s.Table, func(ci int) int { return ci }, s.colWidth, frames, aggCol)
 	b.frame = func(cols []*zukowski.ColumnReader[T], i, local int) ([]byte, error) {
 		return cols[p.out[i]].FrameBytes(local)
 	}

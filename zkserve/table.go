@@ -103,8 +103,10 @@ type runner interface {
 	blocks(ctx context.Context, emit func(b int, firstRow int64, count int, frames [][]byte) bool) error
 	// stats walks directory metadata only: how many blocks the predicate
 	// prunes, how many survive, and the raw (uncompressed) bytes of the
-	// survivors across the involved columns — the denominators of the
-	// bytes-scanned and prune-rate metrics. Blocks out of service are
+	// survivors across the columns the scan read — every output column,
+	// and a predicate-only column where the engine says the block's zone
+	// maps left a conjunct on it to evaluate. These are the denominators of
+	// the bytes-scanned and prune-rate metrics. Blocks out of service are
 	// neither.
 	stats(ctx context.Context) (scanned, pruned int, rawBytes int64)
 }
@@ -114,16 +116,23 @@ type runner interface {
 type engine[T zukowski.Integer] interface {
 	Run(ctx context.Context, q zukowski.Query[T], fn func(block int, rows []int64, cols [][]T) bool) error
 	RunAggregate(ctx context.Context, q zukowski.Query[T], col int) (zukowski.Aggregate[T], error)
-	Candidates(ctx context.Context, q zukowski.Query[T], fn func(block, local int, firstRow int64, rows int, cols []*zukowski.ColumnReader[T]) bool) (int, error)
+	Candidates(ctx context.Context, q zukowski.Query[T], fn func(c zukowski.Candidate[T]) bool) (int, error)
 }
 
 // bound is the generic runner: one request's Query over one engine.
 type bound[T zukowski.Integer] struct {
-	eng      engine[T]
-	q        zukowski.Query[T]
-	agg      int   // aggregate column, in the engine's column space
-	nout     int   // output columns per frame-mode block
-	rowBytes int64 // raw bytes of one row across the involved columns
+	eng  engine[T]
+	q    zukowski.Query[T]
+	agg  int // aggregate column, in the engine's column space
+	nout int // output columns per frame-mode block
+
+	// What one row of a candidate block costs in raw bytes: outBytes across
+	// the output columns, read in every candidate; predOnly the columns
+	// only the predicate names, read where the engine reports a conjunct
+	// left to evaluate (zukowski.Candidate.Reads) — never in frame mode,
+	// which ships blocks whole and evaluates nothing.
+	outBytes int64
+	predOnly []predCol
 
 	// frame fetches output column i's raw frame of a candidate block:
 	// from the readers the engine hands out when they hold every output
@@ -132,13 +141,30 @@ type bound[T zukowski.Integer] struct {
 	frame func(cols []*zukowski.ColumnReader[T], i, local int) ([]byte, error)
 }
 
+// predCol is a predicate-only column: its index in the engine's column
+// space and its element width.
+type predCol struct {
+	idx   int
+	width int64
+}
+
 // bindEngine translates p into eng's vocabulary. idx maps a table column index
-// to the engine's column space. Row and aggregate mode materialize
-// through the engine, so their outputs become Query.Cols; frame mode
-// ships frames and leaves Cols alone.
-func bindEngine[T zukowski.Integer](p *scanPlan, eng engine[T], idx func(ci int) int, frames bool, aggCol int) *bound[T] {
+// to the engine's column space and width gives its element width. Row and
+// aggregate mode materialize through the engine, so their outputs become
+// Query.Cols; frame mode ships frames and leaves Cols alone.
+func bindEngine[T zukowski.Integer](p *scanPlan, eng engine[T], idx, width func(ci int) int, frames bool, aggCol int) *bound[T] {
 	b := &bound[T]{eng: eng, nout: len(p.out)}
 	b.q = zukowski.Query[T]{SkipCorrupt: p.skip, Report: p.report}
+	for _, ci := range p.out {
+		b.outBytes += int64(width(ci))
+	}
+	if !frames {
+		for _, ci := range p.predCols() {
+			if !slices.Contains(p.out, ci) {
+				b.predOnly = append(b.predOnly, predCol{idx: idx(ci), width: int64(width(ci))})
+			}
+		}
+	}
 	if p.workers > 1 {
 		b.q.Workers, b.q.InOrder = p.workers, true
 	}
@@ -213,20 +239,20 @@ func (b *bound[T]) aggregate(ctx context.Context) (AggResult, error) {
 func (b *bound[T]) blocks(ctx context.Context, emit func(blk int, firstRow int64, count int, frames [][]byte) bool) error {
 	frames := make([][]byte, b.nout)
 	var fetchErr error
-	_, err := b.eng.Candidates(ctx, b.q, func(blk, local int, firstRow int64, count int, cols []*zukowski.ColumnReader[T]) bool {
+	_, err := b.eng.Candidates(ctx, b.q, func(c zukowski.Candidate[T]) bool {
 		for i := range frames {
-			if frames[i], fetchErr = b.frame(cols, i, local); fetchErr != nil {
+			if frames[i], fetchErr = b.frame(c.Cols, i, c.Local); fetchErr != nil {
 				// Degraded mode drops the whole block (all columns) when any
 				// column's frame is a data fault; other failures propagate.
 				if b.q.SkipCorrupt && zukowski.IsDataFault(fetchErr) {
-					b.q.Report.Record(count, fetchErr)
+					b.q.Report.Record(c.Rows, fetchErr)
 					fetchErr = nil
 					return true
 				}
 				return false
 			}
 		}
-		return emit(blk, firstRow, count, frames)
+		return emit(c.Block, c.FirstRow, c.Rows, frames)
 	})
 	if fetchErr != nil {
 		return fetchErr
@@ -239,9 +265,15 @@ func (b *bound[T]) stats(ctx context.Context) (scanned, pruned int, rawBytes int
 	// already skipped and accounted.
 	q := b.q
 	q.SkipCorrupt, q.Report = true, nil
-	pruned, _ = b.eng.Candidates(ctx, q, func(_, _ int, _ int64, count int, _ []*zukowski.ColumnReader[T]) bool {
+	pruned, _ = b.eng.Candidates(ctx, q, func(c zukowski.Candidate[T]) bool {
 		scanned++
-		rawBytes += int64(count) * b.rowBytes
+		rowBytes := b.outBytes
+		for _, pc := range b.predOnly {
+			if c.Reads[pc.idx] {
+				rowBytes += pc.width
+			}
+		}
+		rawBytes += int64(c.Rows) * rowBytes
 		return true
 	})
 	return scanned, pruned, rawBytes
@@ -323,17 +355,17 @@ func (f *flatTable) bind(p *scanPlan, frames bool, aggCol int) (runner, error) {
 	}
 	switch w {
 	case 1:
-		return bindFlat[int8](f, p, involved, set, frames, aggCol)
+		return bindFlat[int8](f, p, set, frames, aggCol)
 	case 2:
-		return bindFlat[int16](f, p, involved, set, frames, aggCol)
+		return bindFlat[int16](f, p, set, frames, aggCol)
 	case 4:
-		return bindFlat[int32](f, p, involved, set, frames, aggCol)
+		return bindFlat[int32](f, p, set, frames, aggCol)
 	default:
-		return bindFlat[int64](f, p, involved, set, frames, aggCol)
+		return bindFlat[int64](f, p, set, frames, aggCol)
 	}
 }
 
-func bindFlat[T zukowski.Integer](f *flatTable, p *scanPlan, involved, set []int, frames bool, aggCol int) (runner, error) {
+func bindFlat[T zukowski.Integer](f *flatTable, p *scanPlan, set []int, frames bool, aggCol int) (runner, error) {
 	readers := make([]*zukowski.ColumnReader[T], len(set))
 	setIdx := make(map[int]int, len(set))
 	for i, ci := range set {
@@ -344,10 +376,7 @@ func bindFlat[T zukowski.Integer](f *flatTable, p *scanPlan, involved, set []int
 	if err != nil {
 		return nil, err
 	}
-	b := bindEngine[T](p, cs, func(ci int) int { return setIdx[ci] }, frames, aggCol)
-	for _, ci := range involved {
-		b.rowBytes += int64(f.cols[ci].widthBytes())
-	}
+	b := bindEngine[T](p, cs, func(ci int) int { return setIdx[ci] }, f.colWidth, frames, aggCol)
 	b.frame = func(_ []*zukowski.ColumnReader[T], i, local int) ([]byte, error) {
 		return f.cols[p.out[i]].frameBytes(local)
 	}

@@ -87,16 +87,19 @@ func (t *Table[T]) RunAggregate(ctx context.Context, q zukowski.Query[T], col in
 // Candidates is the dry run of q over the table (see
 // zukowski.ColumnSet.Candidates): fn receives every block no zone map
 // excludes with its global block index, its index within its segment,
-// its first global row, its row count and the segment's column readers
-// in schema order; the result counts the blocks pruned. Nothing is
-// decoded. The readers are only guaranteed open for the duration of the
-// call. Quarantined segments contribute neither candidates nor pruned
-// blocks; they fail or are recorded exactly as in Run.
-func (t *Table[T]) Candidates(ctx context.Context, q zukowski.Query[T], fn func(block, local int, firstRow int64, rows int, cols []*zukowski.ColumnReader[T]) bool) (pruned int, err error) {
+// its first global row, its row count, the segment's column readers in
+// schema order and which of them the predicate would read; the result
+// counts the blocks pruned. Nothing is decoded. The readers are only
+// guaranteed open for the duration of the call. Quarantined segments
+// contribute neither candidates nor pruned blocks; they fail or are
+// recorded exactly as in Run.
+func (t *Table[T]) Candidates(ctx context.Context, q zukowski.Query[T], fn func(c zukowski.Candidate[T]) bool) (pruned int, err error) {
 	err = t.scan(&q, func(seg *segment[T], rowBase int64, blockBase int) (bool, error) {
 		more := true
-		n, err := seg.set.Candidates(ctx, q, func(block, local int, firstRow int64, rows int, cols []*zukowski.ColumnReader[T]) bool {
-			more = fn(blockBase+block, local, rowBase+firstRow, rows, cols)
+		n, err := seg.set.Candidates(ctx, q, func(c zukowski.Candidate[T]) bool {
+			c.Block += blockBase
+			c.FirstRow += rowBase
+			more = fn(c)
 			return more
 		})
 		pruned += n

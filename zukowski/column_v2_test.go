@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/zukowski"
@@ -47,7 +48,10 @@ func compatInt16(rng *rand.Rand) []int16 {
 // checkZKC1Fixture reads a golden ZKC1 container written before this PR,
 // verifies it still parses as format version 1 and yields the original
 // values, and re-writes the same values with WithFormatVersion(FormatZKC1)
-// to prove the v1 write path still emits byte-identical containers.
+// to prove the v1 write path still emits byte-identical containers. A
+// query over it finds no zone map to decide anything with: no block is
+// pruned, every candidate reads the predicate's column — even under a
+// window that covers the whole column — and the result is the oracle's.
 func checkZKC1Fixture[T zukowski.Integer](t *testing.T, file string, codec zukowski.Codec[T], blockValues int, want []T) {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", file))
@@ -81,6 +85,43 @@ func checkZKC1Fixture[T zukowski.Integer](t *testing.T, file string, codec zukow
 	}
 	if err := cr.Verify(); err != nil {
 		t.Fatalf("%s: Verify: %v", file, err)
+	}
+
+	cs, err := zukowski.NewColumnSet(cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := slices.Clone(want)
+	slices.Sort(sorted)
+	for _, window := range [][2]T{{sorted[0], sorted[len(sorted)-1]}, {sorted[len(sorted)/4], sorted[len(sorted)/2]}} {
+		q := zukowski.Query[T]{Preds: []zukowski.Pred[T]{{Col: 0, Lo: window[0], Hi: window[1]}}}
+		pruned, err := cs.Candidates(t.Context(), q, func(c zukowski.Candidate[T]) bool {
+			if !c.Reads[0] {
+				t.Fatalf("%s: block %d decided without a zone map", file, c.Block)
+			}
+			return true
+		})
+		if err != nil || pruned != 0 {
+			t.Fatalf("%s: Candidates pruned %d blocks, %v; want none", file, pruned, err)
+		}
+		var wantRows []int64
+		var wantVals []T
+		for i, v := range want {
+			if v >= window[0] && v <= window[1] {
+				wantRows, wantVals = append(wantRows, int64(i)), append(wantVals, v)
+			}
+		}
+		gotRows, gotVals, err := cs.Project(zukowski.Range(0, window[0], window[1]))
+		if err != nil || !slices.Equal(gotRows, wantRows) || !slices.Equal(gotVals[0], wantVals) {
+			t.Fatalf("%s: window %v: %d rows, %v; oracle %d", file, window, len(gotRows), err, len(wantRows))
+		}
+		var gotPredRows []int64
+		if err := cs.Run(t.Context(), q, func(_ int, rows []int64, _ [][]T) bool {
+			gotPredRows = append(gotPredRows, rows...)
+			return true
+		}); err != nil || !slices.Equal(gotPredRows, wantRows) {
+			t.Fatalf("%s: window %v through Preds: %d rows, %v; oracle %d", file, window, len(gotPredRows), err, len(wantRows))
+		}
 	}
 
 	var buf bytes.Buffer

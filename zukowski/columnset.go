@@ -22,8 +22,13 @@ import (
 // narrows it with RefineMask — skipping 128-row groups the running bitmap
 // has already emptied, without extracting a single code — and only the
 // rows that survive every predicate are materialized, from each column,
-// by DecompressSelected. Nothing that fails the conjunction is ever
-// decoded into a value.
+// by DecompressSelected. A predicate a block's zone map already decides is
+// not evaluated at all — its column is not even fetched — and a block
+// every row of which is selected is decoded whole. Where few rows of a
+// 128-value group survive, nothing that fails the conjunction is decoded
+// into a value; where many do, the group is decoded whole and the
+// survivors compacted out of it, which is cheaper than picking them one by
+// one (core.DecompressSelected).
 
 // Pred is one conjunct of a multi-column predicate: the inclusive value
 // range [Lo, Hi] over column Col of a ColumnSet. A Pred with Lo > Hi
@@ -299,23 +304,35 @@ func (cr *ColumnReader[T]) predEstimate(b int, lo, hi T) float64 {
 	return (float64(h) - float64(l) + 1) / span
 }
 
-// orderPreds fills st.ord with predicate indices, most selective first by
-// zone-map estimate (insertion sort on scratch: stable, allocation-free).
+// orderPreds fills st.ord with the indices of the predicates block b's
+// zone maps leave undecided — one every row satisfies has nothing to
+// contribute — most selective first by zone-map estimate (insertion sort
+// on scratch: stable, allocation-free).
 func (st *setState[T]) orderPreds(cs *ColumnSet[T], b int, preds []Pred[T]) []int {
 	if cap(st.ord) < len(preds) {
 		st.ord = make([]int, len(preds))
 		st.est = make([]float64, len(preds))
 	}
-	ord, est := st.ord[:len(preds)], st.est[:len(preds)]
+	ord, est := st.ord[:0], st.est[:len(preds)]
 	for i, p := range preds {
-		ord[i] = i
-		est[i] = cs.cols[p.Col].predEstimate(b, p.Lo, p.Hi)
-	}
-	for i := 1; i < len(ord); i++ {
-		for j := i; j > 0 && est[ord[j]] < est[ord[j-1]]; j-- {
-			ord[j], ord[j-1] = ord[j-1], ord[j]
+		if cs.cols[p.Col].rangeVerdict(b, p.Lo, p.Hi) == verdictAll {
+			continue
 		}
+		est[i] = cs.cols[p.Col].predEstimate(b, p.Lo, p.Hi)
+		ord = insertByEstimate(ord, est, i)
 	}
+	return ord
+}
+
+// insertByEstimate appends conjunct i to ord, which it keeps ascending by
+// est[conjunct]; among equal estimates the earlier conjunct stays first.
+func insertByEstimate(ord []int, est []float64, i int) []int {
+	j := len(ord)
+	ord = append(ord, i)
+	for ; j > 0 && est[i] < est[ord[j-1]]; j-- {
+		ord[j] = ord[j-1]
+	}
+	ord[j] = i
 	return ord
 }
 
@@ -334,69 +351,28 @@ func (cs *ColumnSet[T]) checkPreds(preds []Pred[T]) (empty bool, err error) {
 	return empty, nil
 }
 
-// zoneMatchAll returns the block predicate of the conjunction: a block
-// survives only if no predicate's zone map excludes it.
-func (cs *ColumnSet[T]) zoneMatchAll(preds []Pred[T]) func(b int) bool {
-	return func(b int) bool {
-		for _, p := range preds {
-			if cs.cols[p.Col].blockExcludes(b, p.Lo, p.Hi) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// blockMask composes the selection bitmap of block b into st.sv and
-// reports whether any row survives. Predicates run most-selective-first;
-// composition stops the moment the bitmap empties.
-func (cs *ColumnSet[T]) blockMask(st *setState[T], b int, preds []Pred[T]) (any bool, err error) {
+// blockMaskQuery composes block b's bitmap for q into st.sv and reports
+// whether any row survives: the []Pred conjunction first, most selective
+// first, then the expression tree refining it — or, without preds left to
+// evaluate, the tree evaluated fresh. Conjuncts and subtrees block b's
+// zone maps decide are skipped (see verdict), so a block every row of
+// which matches costs one Fill; either side emptying the bitmap stops the
+// block early.
+func (cs *ColumnSet[T]) blockMaskQuery(st *setState[T], b int, q *Query[T]) (any bool, err error) {
 	defer guardSegment(&err)
 	st.begin()
-	if len(preds) == 0 {
-		st.sv.Fill(int(cs.cols[0].blocks[b].count))
-		return st.sv.Any(), nil
-	}
-	ord := st.orderPreds(cs, b, preds)
-	for k, pi := range ord {
-		p := preds[pi]
-		mode := maskFresh
-		if k > 0 {
-			mode = maskRefine
-		}
+	mode := maskFresh
+	for _, pi := range st.orderPreds(cs, b, q.Preds) {
+		p := q.Preds[pi]
 		if err := cs.maskCol(&st.cols[p.Col], p.Col, b, p.Lo, p.Hi, &st.sv, mode); err != nil {
 			return false, err
 		}
 		if !st.sv.Any() {
 			return false, nil
 		}
+		mode = maskRefine
 	}
-	return true, nil
-}
-
-// blockMaskQuery composes block b's bitmap for q: the []Pred conjunction
-// first (most-selective-first, exactly the blockMask path), then the
-// expression tree refining it — or, without preds, the tree evaluated
-// fresh. Either side emptying the bitmap stops the block early.
-func (cs *ColumnSet[T]) blockMaskQuery(st *setState[T], b int, q *Query[T]) (any bool, err error) {
-	if q.Expr.isZero() {
-		return cs.blockMask(st, b, q.Preds)
-	}
-	if len(q.Preds) > 0 {
-		any, err = cs.blockMask(st, b, q.Preds)
-		if err != nil || !any {
-			return any, err
-		}
-		defer guardSegment(&err)
-		if err = cs.evalExpr(st, &q.Expr, b, st.sv.Len(), &st.sv, maskRefine); err != nil {
-			return false, err
-		}
-		return st.sv.Any(), nil
-	}
-	defer guardSegment(&err)
-	st.begin()
-	n := int(cs.cols[0].blocks[b].count)
-	if err = cs.evalExpr(st, &q.Expr, b, n, &st.sv, maskFresh); err != nil {
+	if err := cs.evalExpr(st, &q.Expr, b, int(cs.cols[0].blocks[b].count), &st.sv, mode); err != nil {
 		return false, err
 	}
 	return st.sv.Any(), nil
@@ -536,22 +512,26 @@ func (cs *ColumnSet[T]) runAggregate(ctx context.Context, cfg *scanConfig, q *Qu
 			}
 			return Aggregate[T]{}, err
 		}
-		for _, v := range vals {
-			if agg.Count == 0 {
-				agg.Min, agg.Max = v, v
-			} else {
-				if v < agg.Min {
-					agg.Min = v
-				}
-				if v > agg.Max {
-					agg.Max = v
-				}
-			}
-			agg.Count++
-			agg.Sum += int64(v)
-		}
+		agg.Merge(foldValues(vals))
 	}
 	return agg, nil
+}
+
+// foldValues aggregates one block's materialized survivors: a sum pass and
+// a min/max pass, neither carrying a first-value branch per element.
+func foldValues[T Integer](vals []T) Aggregate[T] {
+	if len(vals) == 0 {
+		return Aggregate[T]{}
+	}
+	var sum int64
+	for _, v := range vals {
+		sum += int64(v)
+	}
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return Aggregate[T]{Count: int64(len(vals)), Sum: sum, Min: lo, Max: hi}
 }
 
 // gatherBlockCol is gatherCol behind the crafted-frame panic guard (the

@@ -455,6 +455,60 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s+%s: %v allocs/op on warmed Run+RunAggregate, want 0", mix[0], mix[1], avg)
 		}
 	}
+
+	// What the zone-map verdict and the density switch add to the path: a
+	// sorted key under a window that covers blocks whole (the conjunct is
+	// dropped, and with nothing else to evaluate the block is filled and
+	// decoded whole) and cuts the blocks at its ends (a mixed block: the
+	// key is evaluated there), beside a wide range on a (most groups keep
+	// more rows than the dense threshold) and a narrow one (sparse groups),
+	// through Preds and through a tree with an AND to order.
+	k := make([]int64, n)
+	for i := range k {
+		k[i] = int64(i)*3 + rng.Int63n(3)
+	}
+	delta, err := zukowski.Lookup[int64]("pfor-delta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pfor, err := zukowski.Lookup[int64]("pfor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := zukowski.NewColumnSet(buildSelectColumn(t, delta, 4000, k),
+		buildSelectColumn(t, pfor, 4000, a), buildSelectColumn(t, pfor, 4000, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := zukowski.Pred[int64]{Col: 0, Lo: k[6_000], Hi: k[30_000]}
+	wide, narrow := zukowski.Pred[int64]{Col: 1, Lo: 0, Hi: 2500}, zukowski.Pred[int64]{Col: 1, Lo: 10, Hi: 60}
+	for name, q := range map[string]zukowski.Query[int64]{
+		"covered-whole": {Preds: []zukowski.Pred[int64]{window}},
+		"mixed-dense":   {Preds: []zukowski.Pred[int64]{window, wide}},
+		"mixed-sparse":  {Preds: []zukowski.Pred[int64]{window, narrow}, Cols: []int{2}},
+		"tree": {Expr: zukowski.Or(
+			zukowski.And(zukowski.Range(0, window.Lo, window.Hi), zukowski.Range(1, wide.Lo, wide.Hi), zukowski.Expr[int64]{}),
+			zukowski.In(2, b[0], b[1]))},
+	} {
+		ctx := context.Background()
+		rows := 0
+		sink := func(_ int, r []int64, _ [][]int64) bool { rows += len(r); return true }
+		scan := func() {
+			if err := cs.Run(ctx, q, sink); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cs.RunAggregate(ctx, q, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan()
+		if rows == 0 {
+			t.Fatalf("%s: the query selects nothing", name)
+		}
+		if avg := testing.AllocsPerRun(20, scan); avg != 0 {
+			t.Errorf("%s: %v allocs/op on warmed Run+RunAggregate, want 0", name, avg)
+		}
+	}
 }
 
 func BenchmarkRunConjunction(b *testing.B) {

@@ -15,6 +15,16 @@ import (
 // returned, and the caller-supplied ScanReport says exactly what was lost.
 // Cancellation, caller errors and fn-initiated stops are never skipped —
 // only faults of the data itself.
+//
+// A scan reports damage in the frames it read. A Query fetches, per block,
+// the columns it materializes and the columns of the predicates the block's
+// zone maps leave undecided (see verdict in expr.go); a column whose every
+// conjunct the zone map already decides is not fetched, so damage in that
+// frame neither fails an exact scan nor appears in a degraded scan's
+// report, and the block is not quarantined — the answer does not depend on
+// those bytes and is exact without them. The same damage in a frame that
+// is evaluated or materialized fails or skips exactly that block, as ever.
+// Verify and VerifyBlock are the passes that check every frame.
 
 // ScanReport accumulates what a degraded scan skipped. Pass a pointer to
 // SkipCorrupt, read the fields after the scan returns; a parallel scan

@@ -294,6 +294,146 @@ func TestDegradedRunParallel(t *testing.T) {
 	}
 }
 
+// damageFrame returns a copy of data with block b's frame damaged: one
+// bit flipped, or — torn — its second half zeroed, what a write cut short
+// leaves behind.
+func damageFrame(t *testing.T, data []byte, block int, torn bool) []byte {
+	t.Helper()
+	out := bytes.Clone(data)
+	if !torn {
+		corruptPayloadByte[int64](t, out, block)
+		return out
+	}
+	cr, err := zukowski.OpenColumn[int64](out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := cr.BlockInfo(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(out[int(info.Offset)+info.Length/2 : int(info.Offset)+info.Length])
+	return out
+}
+
+// TestDegradedScanReportsWhatItRead pins the rule that a scan reports
+// damage in the frames it read. A window on the sorted key k covers blocks
+// 2..5 whole and cuts blocks 1 and 6; the query filters on k and a and
+// materializes b. Damage in k's block 3 — covered whole, so the zone map
+// decides the conjunct and the frame is never fetched — leaves the answer
+// exact, the report empty and nothing quarantined. The same damage in k's
+// block 1 (the conjunct is evaluated there) or in b's block 3 (a
+// materialized column) fails an exact scan and costs a degraded one
+// exactly that block, which is then quarantined.
+func TestDegradedScanReportsWhatItRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(86))
+	const n, blockValues = 4000, 512
+	k := make([]int64, n)
+	for i := range k {
+		k[i] = int64(i)*5 + rng.Int63n(5)
+	}
+	a := genValues[int64](rng, n)
+	b := genValues[int64](rng, n)
+	lo, hi := k[blockValues+200], k[6*blockValues+100]
+	q := zukowski.Query[int64]{
+		Preds: []zukowski.Pred[int64]{{Col: 0, Lo: lo, Hi: hi}, {Col: 1, Lo: 0, Hi: 30}},
+		Cols:  []int{2},
+	}
+	dataK := buildColumnV2(t, zukowski.PFORDelta[int64]{}, blockValues, k)
+	dataA := buildColumnV2(t, zukowski.PFOR[int64]{}, blockValues, a)
+	dataB := buildColumnV2(t, zukowski.PFOR[int64]{}, blockValues, b)
+
+	for _, tc := range []struct {
+		name       string
+		col, block int
+		read       bool // the scan fetches the damaged frame
+	}{
+		{"k/covered-whole", 0, 3, false},
+		{"k/cut-by-the-window", 0, 1, true},
+		{"b/materialized", 2, 3, true},
+	} {
+		for _, torn := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				name := tc.name + map[bool]string{false: "/bitflip", true: "/torn"}[torn] + map[int]string{1: "/seq", 4: "/par"}[workers]
+				t.Run(name, func(t *testing.T) {
+					datas := [][]byte{dataK, dataA, dataB}
+					datas[tc.col] = damageFrame(t, datas[tc.col], tc.block, torn)
+					crs := make([]*zukowski.ColumnReader[int64], len(datas))
+					for c := range datas {
+						var err error
+						if crs[c], err = zukowski.OpenColumn[int64](datas[c]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					cs, err := zukowski.NewColumnSet(crs...)
+					if err != nil {
+						t.Fatal(err)
+					}
+
+					lostLo, lostHi := 0, 0
+					if tc.read {
+						lostLo, lostHi = blockRows(tc.block, blockValues, n)
+					}
+					var wantRows, wantB []int64
+					var wantAgg zukowski.Aggregate[int64]
+					for i := range k {
+						if (i >= lostLo && i < lostHi) || k[i] < lo || k[i] > hi || a[i] > 30 {
+							continue
+						}
+						wantRows, wantB = append(wantRows, int64(i)), append(wantB, b[i])
+						wantAgg.Merge(zukowski.Aggregate[int64]{Count: 1, Sum: b[i], Min: b[i], Max: b[i]})
+					}
+
+					ctx := context.Background()
+					q := q
+					q.Workers, q.InOrder = workers, true
+					if tc.read {
+						err := cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true })
+						if !errors.Is(err, zukowski.ErrCorruptColumn) {
+							t.Fatalf("exact Run over a damaged frame it reads: %v, want a data fault", err)
+						}
+					}
+					var rep, aggRep zukowski.ScanReport
+					q.SkipCorrupt, q.Report = true, &rep
+					var gotRows, gotB []int64
+					if err := cs.Run(ctx, q, func(_ int, rows []int64, cols [][]int64) bool {
+						gotRows, gotB = append(gotRows, rows...), append(gotB, cols[0]...)
+						return true
+					}); err != nil {
+						t.Fatalf("degraded Run: %v", err)
+					}
+					if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotB, wantB) {
+						t.Fatalf("degraded Run: %d rows, oracle %d", len(gotRows), len(wantRows))
+					}
+					q.Report = &aggRep
+					if agg, err := cs.RunAggregate(ctx, q, 2); err != nil || agg != wantAgg {
+						t.Fatalf("degraded RunAggregate = %+v, %v; want %+v", agg, err, wantAgg)
+					}
+
+					wantBlocks, wantLost, wantQuar := 0, int64(0), []int(nil)
+					if tc.read {
+						wantBlocks, wantLost, wantQuar = 1, int64(lostHi-lostLo), []int{tc.block}
+					}
+					for _, r := range []*zukowski.ScanReport{&rep, &aggRep} {
+						if r.BlocksSkipped != wantBlocks || r.RowsLost != wantLost || r.Degraded() != tc.read {
+							t.Fatalf("report = {blocks %d, rows %d, first %v}, want {%d, %d}", r.BlocksSkipped, r.RowsLost, r.FirstErr, wantBlocks, wantLost)
+						}
+					}
+					for c, cr := range crs {
+						want := []int(nil)
+						if c == tc.col {
+							want = wantQuar
+						}
+						if got := cr.QuarantinedBlocks(); !slices.Equal(got, want) {
+							t.Fatalf("column %d: quarantined blocks %v, want %v", c, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestRetryTransientFaults: a source that fails a block read at most twice
 // is invisible to a reader with a 3-attempt RetryPolicy, and fatal to one
 // without.

@@ -72,11 +72,20 @@
 // (ordered by a zone-map estimate), intersecting it branch-free with
 // each further predicate's matches — 32-row groups the running bitmap
 // has emptied are skipped before a single code is extracted — and
-// materializing only the rows that survive every predicate, from the
-// requested columns. RunAggregate folds one column's survivors without
-// delivering them; Query.Workers runs blocks across the shared
-// worker-pool engine with the ParallelScan delivery contract. Warmed
-// sequential scans allocate nothing.
+// materializing the rows that survive every predicate, from the
+// requested columns. Two things keep that from doing work nobody needs.
+// Before a block is read its zone maps give each predicate a
+// three-valued verdict: no row matches (the block is skipped), every row
+// matches (the predicate is dropped for this block and its column is not
+// fetched), or it must be evaluated. And the final bitmap picks the
+// decoder per 128-value group: where few rows survive each is extracted
+// on its own and nothing that fails the conjunction is decoded into a
+// value; where many do the group is decoded whole — the paper's
+// branch-free two-loop decompression — and the survivors are compacted
+// out of it; a block selected whole is one block decode. RunAggregate
+// folds one column's survivors without delivering them; Query.Workers
+// runs blocks across the shared worker-pool engine with the ParallelScan
+// delivery contract. Warmed sequential scans allocate nothing.
 //
 // # One scan vocabulary: Query, Expr, grouping and joins
 //
@@ -90,13 +99,15 @@
 // translates each wire request into one. Expr generalizes the
 // conjunction to an AND/OR tree of Range and In leaves (built with
 // And, Or, Range, In), evaluated entirely at the selection-bitmap
-// level: a disjunction is one word-wise union per 32 rows, AND branches
-// prune at block granularity when any child's zone map excludes the
-// block, OR branches only when every child's does, and nothing outside
-// the final bitmap is ever decoded into a value. Inside an AND,
-// children still run most-selective-first by zone-map estimate. That
-// zone-map verdict lives in one place (expr.go and Query's block match)
-// and every layer above asks it rather than re-deriving it.
+// level: a disjunction is one word-wise union per 32 rows, and the
+// zone-map verdict composes through the tree — an AND is "no row" when
+// any child is and "every row" when every child is, an OR the other way
+// round — so whole branches are skipped at block granularity, in either
+// direction, without their columns being read. Inside an AND, the
+// children left to evaluate still run most-selective-first by zone-map
+// estimate. That verdict lives in one place (verdict in expr.go) and
+// every layer above asks it rather than re-deriving it: Candidates
+// reports, per block, which columns the predicate still reads.
 //
 // On top of the expression scan sit three result-shaped operators.
 // Project materializes the selected rows of chosen columns in one pass

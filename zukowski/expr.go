@@ -14,10 +14,12 @@ import (
 // disjunction composes with one OR per 32 rows and nothing outside the
 // final bitmap is ever decoded into a value.
 //
-// Evaluation order inside an AND node is most-selective-first by zone-map
-// estimate, exactly like the []Pred path, and whole branches prune at
-// block granularity: an AND branch is skipped when any child's zone map
-// excludes the block, an OR branch only when every child's does.
+// Before a block is evaluated its zone maps give every node of the tree a
+// three-valued verdict — no row of the block matches, every row does, or
+// the node has to be evaluated (see verdict). A node decided either way
+// costs nothing: its column's frame is not fetched, checksummed, cached,
+// parsed or scanned. Evaluation order inside an AND node is
+// most-selective-first by zone-map estimate, exactly like the []Pred path.
 
 type exprOp uint8
 
@@ -81,6 +83,9 @@ func (e *Expr[T]) check(ncols int) error {
 		}
 		return nil
 	default:
+		if e.op == opAnd && len(e.kids) > maxAndKids {
+			return fmt.Errorf("%w: AND node with more than %d children", ErrIndexOutOfRange, maxAndKids)
+		}
 		for i := range e.kids {
 			if err := e.kids[i].check(ncols); err != nil {
 				return err
@@ -90,37 +95,122 @@ func (e *Expr[T]) check(ncols int) error {
 	}
 }
 
-// exprExcludes reports whether block b's zone maps prove e selects no row
-// of the block. An AND branch is excluded as soon as one child is — this
-// is the whole-branch pruning of the block match predicate — while an OR
-// branch needs every child excluded.
-func (cs *ColumnSet[T]) exprExcludes(e *Expr[T], b int) bool {
+// verdict is what a block's zone maps prove about a predicate before any
+// of the block is read. It is the one block-level pruning decision of the
+// query layer: queryMatch drops blocks on verdictNone, blockMaskQuery and
+// evalExpr skip every conjunct and subtree decided either way, Candidates
+// reports what is left to read.
+type verdict uint8
+
+const (
+	verdictSome verdict = iota // undecided: the predicate must be evaluated
+	verdictNone                // no row of the block matches
+	verdictAll                 // every row of the block matches
+)
+
+// rangeVerdict is the verdict of the inclusive range [lo, hi] over block b
+// of cr. Without zone maps (ZKC1) nothing is provable but the emptiness of
+// an inverted range.
+func (cr *ColumnReader[T]) rangeVerdict(b int, lo, hi T) verdict {
+	if lo > hi || cr.blockExcludes(b, lo, hi) {
+		return verdictNone
+	}
+	if bmin, bmax, ok := cr.ZoneMap(b); ok && lo <= bmin && bmax <= hi {
+		return verdictAll
+	}
+	return verdictSome
+}
+
+// verdict composes the leaves' verdicts through the tree for block b. An
+// AND is none as soon as one child is and all only when every child is; an
+// OR is all as soon as one child is and none only when every child is; a
+// membership leaf is all only when the block holds a single value and that
+// value is listed; the zero Expr selects everything.
+func (cs *ColumnSet[T]) verdict(e *Expr[T], b int) verdict {
 	switch e.op {
+	case opNone:
+		return verdictAll
 	case opRange:
-		return e.lo > e.hi || cs.cols[e.col].blockExcludes(b, e.lo, e.hi)
+		return cs.cols[e.col].rangeVerdict(b, e.lo, e.hi)
 	case opIn:
+		out := verdictNone
 		for _, v := range e.vals {
-			if !cs.cols[e.col].blockExcludes(b, v, v) {
-				return false
+			switch cs.cols[e.col].rangeVerdict(b, v, v) {
+			case verdictAll:
+				return verdictAll
+			case verdictSome:
+				out = verdictSome
 			}
 		}
-		return true
+		return out
 	case opAnd:
+		out := verdictAll
 		for i := range e.kids {
-			if cs.exprExcludes(&e.kids[i], b) {
-				return true
+			switch cs.verdict(&e.kids[i], b) {
+			case verdictNone:
+				return verdictNone
+			case verdictSome:
+				out = verdictSome
 			}
 		}
-		return false
+		return out
 	case opOr:
+		out := verdictNone
 		for i := range e.kids {
-			if !cs.exprExcludes(&e.kids[i], b) {
-				return false
+			switch cs.verdict(&e.kids[i], b) {
+			case verdictAll:
+				return verdictAll
+			case verdictSome:
+				out = verdictSome
 			}
 		}
-		return true
+		return out
 	default:
-		return false
+		return verdictSome
+	}
+}
+
+// queryVerdict is the verdict of q's whole predicate — the []Pred
+// conjunction AND the expression tree — over block b.
+func (cs *ColumnSet[T]) queryVerdict(q *Query[T], b int) verdict {
+	out := cs.verdict(&q.Expr, b)
+	if out == verdictNone {
+		return verdictNone
+	}
+	for _, p := range q.Preds {
+		switch cs.cols[p.Col].rangeVerdict(b, p.Lo, p.Hi) {
+		case verdictNone:
+			return verdictNone
+		case verdictSome:
+			out = verdictSome
+		}
+	}
+	return out
+}
+
+// markReads sets reads[c] for every column c that evaluating q over block
+// b fetches for the predicate's sake: the columns of the conjuncts and
+// leaves the verdict leaves undecided, outside any subtree it decides.
+func (cs *ColumnSet[T]) markReads(q *Query[T], b int, reads []bool) {
+	for _, p := range q.Preds {
+		if cs.cols[p.Col].rangeVerdict(b, p.Lo, p.Hi) == verdictSome {
+			reads[p.Col] = true
+		}
+	}
+	cs.markExprReads(&q.Expr, b, reads)
+}
+
+func (cs *ColumnSet[T]) markExprReads(e *Expr[T], b int, reads []bool) {
+	if cs.verdict(e, b) != verdictSome {
+		return
+	}
+	switch e.op {
+	case opRange, opIn:
+		reads[e.col] = true
+	default:
+		for i := range e.kids {
+			cs.markExprReads(&e.kids[i], b, reads)
+		}
 	}
 }
 
@@ -184,16 +274,31 @@ func (st *setState[T]) pushSV() *core.SelectionVector {
 func (st *setState[T]) popSV() { st.svDepth-- }
 
 // evalExpr evaluates e over block b (n rows) into sv under the given
-// mode. Zone-excluded subtrees short-circuit: fresh evaluation resets the
-// bitmap, refinement clears it, union leaves it untouched.
+// mode. A subtree the zone maps decide is not evaluated: when no row can
+// match, fresh evaluation and refinement leave the bitmap empty and union
+// leaves it untouched; when every row does, fresh evaluation and union
+// fill it and refinement leaves it untouched.
 func (cs *ColumnSet[T]) evalExpr(st *setState[T], e *Expr[T], b, n int, sv *core.SelectionVector, mode uint8) error {
-	switch e.op {
-	case opNone:
-		switch mode {
-		case maskFresh, maskUnion:
+	switch cs.verdict(e, b) {
+	case verdictNone:
+		if mode != maskUnion {
+			sv.Reset(n)
+		}
+		return nil
+	case verdictAll:
+		if mode != maskRefine {
 			sv.Fill(n)
 		}
 		return nil
+	}
+	return cs.evalSome(st, e, b, n, sv, mode)
+}
+
+// evalSome evaluates a node whose verdict is verdictSome — established by
+// the caller, so that no node's zone maps are consulted twice on the way
+// down.
+func (cs *ColumnSet[T]) evalSome(st *setState[T], e *Expr[T], b, n int, sv *core.SelectionVector, mode uint8) error {
+	switch e.op {
 	case opRange:
 		return cs.maskCol(&st.cols[e.col], e.col, b, e.lo, e.hi, sv, mode)
 	case opIn:
@@ -208,12 +313,11 @@ func (cs *ColumnSet[T]) evalExpr(st *setState[T], e *Expr[T], b, n int, sv *core
 }
 
 // evalIn evaluates a membership leaf: a union of point ranges over one
-// column. Refinement builds the union in a scratch vector first — point
-// ranges cannot refine in place without losing rows matched by an
-// earlier point.
+// column, the points the zone map excludes skipped. Refinement builds the
+// union in a scratch vector first — point ranges cannot refine in place
+// without losing rows matched by an earlier point.
 func (cs *ColumnSet[T]) evalIn(st *setState[T], e *Expr[T], b, n int, sv *core.SelectionVector, mode uint8) error {
-	switch mode {
-	case maskRefine:
+	if mode == maskRefine {
 		tmp := st.pushSV()
 		defer st.popSV()
 		if err := cs.evalIn(st, e, b, n, tmp, maskFresh); err != nil {
@@ -221,38 +325,28 @@ func (cs *ColumnSet[T]) evalIn(st *setState[T], e *Expr[T], b, n int, sv *core.S
 		}
 		sv.And(tmp)
 		return nil
-	case maskFresh:
-		if len(e.vals) == 0 {
-			sv.Reset(n)
-			return nil
+	}
+	for _, v := range e.vals {
+		if cs.cols[e.col].rangeVerdict(b, v, v) == verdictNone {
+			continue
 		}
-		if err := cs.maskCol(&st.cols[e.col], e.col, b, e.vals[0], e.vals[0], sv, maskFresh); err != nil {
+		if err := cs.maskCol(&st.cols[e.col], e.col, b, v, v, sv, mode); err != nil {
 			return err
 		}
-		for _, v := range e.vals[1:] {
-			if err := cs.maskCol(&st.cols[e.col], e.col, b, v, v, sv, maskUnion); err != nil {
-				return err
-			}
-		}
-		return nil
-	default: // maskUnion
-		for _, v := range e.vals {
-			if cs.cols[e.col].blockExcludes(b, v, v) {
-				continue
-			}
-			if err := cs.maskCol(&st.cols[e.col], e.col, b, v, v, sv, maskUnion); err != nil {
-				return err
-			}
-		}
-		return nil
+		mode = maskUnion
 	}
+	return nil
 }
 
-// evalAnd evaluates a conjunction node: children run most-selective-first
-// by zone-map estimate (the first child fresh, the rest refining), and
-// composition stops the moment the bitmap empties. The greedy order pick
-// is O(kids²) without scratch — child counts are small. Union mode
-// builds the conjunction in a scratch vector and ORs it in.
+// maxAndKids bounds the children of one AND node (Expr.check enforces it),
+// which sizes the per-block ordering scratch evalAnd keeps on its stack.
+const maxAndKids = 64
+
+// evalAnd evaluates a conjunction node: each child's verdict and zone-map
+// estimate are taken once, children every row satisfies are dropped, and
+// the rest run most-selective-first (the first fresh, the others refining)
+// until the bitmap empties. Union mode builds the conjunction in a scratch
+// vector and ORs it in.
 func (cs *ColumnSet[T]) evalAnd(st *setState[T], e *Expr[T], b, n int, sv *core.SelectionVector, mode uint8) error {
 	if mode == maskUnion {
 		tmp := st.pushSV()
@@ -263,48 +357,26 @@ func (cs *ColumnSet[T]) evalAnd(st *setState[T], e *Expr[T], b, n int, sv *core.
 		sv.Or(tmp)
 		return nil
 	}
-	if cs.exprExcludes(e, b) {
-		switch mode {
-		case maskFresh:
-			sv.Reset(n)
-		case maskRefine:
-			sv.Reset(n)
+	var (
+		ordBuf [maxAndKids]int
+		est    [maxAndKids]float64
+	)
+	ord := ordBuf[:0]
+	for i := range e.kids {
+		if cs.verdict(&e.kids[i], b) == verdictAll {
+			continue
 		}
-		return nil
+		est[i] = cs.exprEstimate(&e.kids[i], b)
+		ord = insertByEstimate(ord, est[:], i)
 	}
-	if len(e.kids) == 0 {
-		if mode == maskFresh {
-			sv.Fill(n)
-		}
-		return nil
-	}
-	done := 0
-	var evaled uint64 // bitmask of evaluated children; kids are capped well below 64 in practice
-	if len(e.kids) > 64 {
-		return fmt.Errorf("%w: AND node with more than 64 children", ErrIndexOutOfRange)
-	}
-	for done < len(e.kids) {
-		pick, best := -1, 2.0
-		for i := range e.kids {
-			if evaled&(1<<uint(i)) != 0 {
-				continue
-			}
-			if est := cs.exprEstimate(&e.kids[i], b); est < best {
-				pick, best = i, est
-			}
-		}
-		m := maskRefine
-		if done == 0 && mode == maskFresh {
-			m = maskFresh
-		}
-		if err := cs.evalExpr(st, &e.kids[pick], b, n, sv, m); err != nil {
+	for _, i := range ord {
+		if err := cs.evalSome(st, &e.kids[i], b, n, sv, mode); err != nil {
 			return err
 		}
-		evaled |= 1 << uint(pick)
-		done++
 		if !sv.Any() {
 			return nil
 		}
+		mode = maskRefine
 	}
 	return nil
 }
@@ -323,23 +395,14 @@ func (cs *ColumnSet[T]) evalOr(st *setState[T], e *Expr[T], b, n int, sv *core.S
 		sv.And(tmp)
 		return nil
 	}
-	first := mode == maskFresh
 	for i := range e.kids {
-		if cs.exprExcludes(&e.kids[i], b) {
+		if cs.verdict(&e.kids[i], b) == verdictNone {
 			continue
 		}
-		m := maskUnion
-		if first {
-			m = maskFresh
-			first = false
-		}
-		if err := cs.evalExpr(st, &e.kids[i], b, n, sv, m); err != nil {
+		if err := cs.evalSome(st, &e.kids[i], b, n, sv, mode); err != nil {
 			return err
 		}
-	}
-	if first && mode == maskFresh {
-		// No live branch: the disjunction selects nothing in this block.
-		sv.Reset(n)
+		mode = maskUnion
 	}
 	return nil
 }

@@ -20,36 +20,57 @@ import (
 // second column is a deterministic scramble of
 // the first, so the two bitmaps genuinely disagree and the refine path
 // (zero-group skips included) is exercised, not just self-intersection.
+// Bit 2 of typeSel sorts the first column and bit 3 snaps its window to the
+// zone maps — from the minimum of block loA to the maximum of block hiA,
+// each end moved by -1, 0 or +1 as typeSel's top nibble says — so that the
+// conjunct is decided "every row" on the blocks in between, "no row"
+// outside, and evaluated only where the window's ends cut a block.
 func FuzzMultiColumnScan(f *testing.F) {
+	names := zukowski.Codecs()
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), uint8(30), uint8(220), uint8(3))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(1), uint8(2), uint8(1), uint8(10), uint8(200), uint8(0), uint8(255), uint8(1))
 	f.Add(bytes.Repeat([]byte{7}, 64), uint8(2), uint8(3), uint8(2), uint8(128), uint8(64), uint8(0), uint8(255), uint8(0)) // inverted window
 	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<40), uint8(3), uint8(1), uint8(3), uint8(0), uint8(255), uint8(100), uint8(130), uint8(7))
+	// 400 ascending values in 64-row blocks, the window on them snapped to
+	// blocks 1..4: exactly (nibble 4), both ends one lower (0: block 4 is
+	// cut), both ends one higher (8: block 1 is cut), and a window from
+	// above block 3's minimum to below block 2's maximum, which is empty.
+	var ramp []byte
+	for i := 0; i < 400; i++ {
+		ramp = binary.LittleEndian.AppendUint64(ramp, uint64(i*13))
+	}
+	pfor, delta := uint8(slices.Index(names, "pfor")), uint8(slices.Index(names, "pfor-delta"))
+	for _, nibble := range []uint8{4, 0, 8} {
+		f.Add(ramp, delta, pfor, nibble<<4|0x0C, uint8(1), uint8(4), uint8(40), uint8(200), uint8(0))
+	}
+	f.Add(ramp, delta, pfor, uint8(2<<4|0x0C), uint8(3), uint8(2), uint8(0), uint8(255), uint8(0))
 
-	names := zukowski.Codecs()
 	f.Fuzz(func(t *testing.T, data []byte, codecA, codecB, typeSel, loA, hiA, loB, hiB, blockSel uint8) {
 		nameA := names[int(codecA)%len(names)]
 		nameB := names[int(codecB)%len(names)]
 		switch typeSel % 4 {
 		case 0:
-			fuzzMultiColumnScan[int64](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel)
+			fuzzMultiColumnScan[int64](t, nameA, nameB, data, typeSel, loA, hiA, loB, hiB, blockSel)
 		case 1:
-			fuzzMultiColumnScan[uint8](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel)
+			fuzzMultiColumnScan[uint8](t, nameA, nameB, data, typeSel, loA, hiA, loB, hiB, blockSel)
 		case 2:
-			fuzzMultiColumnScan[int16](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel)
+			fuzzMultiColumnScan[int16](t, nameA, nameB, data, typeSel, loA, hiA, loB, hiB, blockSel)
 		case 3:
-			fuzzMultiColumnScan[uint32](t, nameA, nameB, data, loA, hiA, loB, hiB, blockSel)
+			fuzzMultiColumnScan[uint32](t, nameA, nameB, data, typeSel, loA, hiA, loB, hiB, blockSel)
 		}
 	})
 }
 
-func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, data []byte, loA, hiA, loB, hiB, blockSel uint8) {
+func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, data []byte, typeSel, loA, hiA, loB, hiB, blockSel uint8) {
 	var valsA []T
 	for chunk := data; len(chunk) > 0; {
 		var tail [8]byte
 		n := copy(tail[:], chunk)
 		valsA = append(valsA, T(binary.LittleEndian.Uint64(tail[:])))
 		chunk = chunk[n:]
+	}
+	if typeSel&4 != 0 {
+		slices.Sort(valsA)
 	}
 	// Column B: a value-scrambled, order-scrambled sibling of A with the
 	// same length, so conjunctions select genuinely different row sets per
@@ -107,6 +128,16 @@ func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, 
 		return sorted[int(loSel)*len(sorted)/256], sorted[int(hiSel)*len(sorted)/256]
 	}
 	pA0, pA1 := window(valsA, loA, hiA)
+	if typeSel&8 != 0 && len(valsA) > 0 {
+		blocks := (len(valsA) + blockValues - 1) / blockValues
+		block := func(sel uint8) []T {
+			b := int(sel) % blocks
+			return valsA[b*blockValues : min(len(valsA), (b+1)*blockValues)]
+		}
+		nudge := typeSel >> 4
+		pA0 = slices.Min(block(loA)) + T(nudge%3) - 1
+		pA1 = slices.Max(block(hiA)) + T(nudge/3%3) - 1
+	}
 	pB0, pB1 := window(valsB, loB, hiB)
 	preds := []zukowski.Pred[T]{{Col: 0, Lo: pA0, Hi: pA1}, {Col: 1, Lo: pB0, Hi: pB1}}
 

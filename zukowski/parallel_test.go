@@ -378,6 +378,30 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("sequential Scan allocates %.1f times per pass in steady state, want 0", avg)
 	}
 	_ = sink
+
+	// The same column as a one-column set under a window on its sorted
+	// values: the blocks inside are selected whole without being evaluated
+	// (a fill and one block decode), the two at the ends are evaluated and
+	// gathered densely. One worker is the sequential loop; more allocate
+	// their pool and are not held to zero.
+	cs, err := zukowski.NewColumnSet(cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := zukowski.Query[int64]{Preds: []zukowski.Pred[int64]{{Col: 0, Lo: src[5_000], Hi: src[70_000]}}, Workers: 1}
+	first := func(_ int, _ []int64, cols [][]int64) bool {
+		sink += cols[0][0]
+		return true
+	}
+	run := func() {
+		if err := cs.Run(t.Context(), q, first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Fatalf("one-worker Run under a covering window allocates %.1f times per pass, want 0", avg)
+	}
 }
 
 func equalSlices[T comparable](a, b []T) bool {

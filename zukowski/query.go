@@ -79,18 +79,10 @@ func (cs *ColumnSet[T]) checkQuery(q *Query[T]) (empty bool, err error) {
 	return empty, nil
 }
 
-// queryMatch returns q's block predicate: a block survives only if no
-// conjunction predicate's zone map excludes it and the expression tree's
-// zone analysis cannot prove it empty.
+// queryMatch returns q's block predicate: a block survives unless its
+// zone maps prove that no row of it satisfies q.
 func (cs *ColumnSet[T]) queryMatch(q *Query[T]) func(b int) bool {
-	preds := cs.zoneMatchAll(q.Preds)
-	if q.Expr.isZero() {
-		return preds
-	}
-	e := &q.Expr
-	return func(b int) bool {
-		return preds(b) && !cs.exprExcludes(e, b)
-	}
+	return func(b int) bool { return cs.queryVerdict(q, b) != verdictNone }
 }
 
 // Run executes q, invoking fn once per block with at least one surviving
@@ -125,16 +117,33 @@ func (cs *ColumnSet[T]) RunAggregate(ctx context.Context, q Query[T], col int) (
 	return cs.runAggregate(ctx, q.config(), &q, col)
 }
 
+// Candidate is one block of a Candidates walk: a block the zone maps
+// cannot exclude, and what running the query over it would read.
+type Candidate[T Integer] struct {
+	// Block is the block's index in the engine's numbering and Local its
+	// index within Cols — for a ColumnSet the same number; a multi-segment
+	// table numbers Block globally and Local within the segment.
+	Block, Local int
+	FirstRow     int64 // the block's first row, in the engine's numbering
+	Rows         int   // rows in the block
+	// Cols are the readers holding the block, in set order — enough to
+	// ship its frames (ColumnReader.FrameBytes(Local)) without decoding.
+	Cols []*ColumnReader[T]
+	// Reads[i] reports whether evaluating the predicate over this block
+	// fetches column i: false for a column the predicate does not mention
+	// and for one whose every conjunct the block's zone maps already decide
+	// (every row matches, or the branch holding it cannot). A run reads
+	// these columns and the ones it materializes, no others. The slice is
+	// reused between calls.
+	Reads []bool
+}
+
 // Candidates is the dry run of q: it walks the blocks q's zone-map
 // analysis cannot exclude — exactly the blocks Run would evaluate —
 // reading directory metadata only, and returns how many blocks were
-// pruned. fn receives each candidate's block index, its index within the
-// readers that hold it (for a ColumnSet the same number; a multi-segment
-// table numbers block globally and local within the segment), its first
-// row, its row count and those readers in set order — enough to ship the
-// block's frames (ColumnReader.FrameBytes(local)) without decoding them.
-// fn returning false stops the walk; ctx is consulted once per block.
-func (cs *ColumnSet[T]) Candidates(ctx context.Context, q Query[T], fn func(block, local int, firstRow int64, rows int, cols []*ColumnReader[T]) bool) (pruned int, err error) {
+// pruned. fn returning false stops the walk; ctx is consulted once per
+// block.
+func (cs *ColumnSet[T]) Candidates(ctx context.Context, q Query[T], fn func(c Candidate[T]) bool) (pruned int, err error) {
 	empty, err := cs.checkQuery(&q)
 	if err != nil {
 		return 0, err
@@ -143,14 +152,19 @@ func (cs *ColumnSet[T]) Candidates(ctx context.Context, q Query[T], fn func(bloc
 	if empty {
 		return len(first.blocks), nil
 	}
-	match := cs.queryMatch(&q)
+	c := Candidate[T]{Cols: cs.cols, Reads: make([]bool, len(cs.cols))}
 	for b := range first.blocks {
 		if err := ctx.Err(); err != nil {
 			return pruned, err
 		}
-		if !match(b) {
+		if cs.queryVerdict(&q, b) == verdictNone {
 			pruned++
-		} else if !fn(b, b, int64(first.starts[b]), int(first.blocks[b].count), cs.cols) {
+			continue
+		}
+		clear(c.Reads)
+		cs.markReads(&q, b, c.Reads)
+		c.Block, c.Local, c.FirstRow, c.Rows = b, b, int64(first.starts[b]), int(first.blocks[b].count)
+		if !fn(c) {
 			break
 		}
 	}

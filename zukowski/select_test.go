@@ -376,17 +376,21 @@ func TestScanSelectSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		cr := buildSelectColumn(t, codec, 8000, vals)
-		scan := func() {
-			if err := cr.ScanSelect(10, 200, func([]int64, []int64) bool { return true }); err != nil {
-				t.Fatal(err)
+		// A narrow range (sparse groups), one most rows satisfy (dense
+		// groups) and one every row does (full blocks).
+		for _, r := range [][2]int64{{10, 200}, {100, 1 << 30}, {0, 1 << 30}} {
+			scan := func() {
+				if err := cr.ScanSelect(r[0], r[1], func([]int64, []int64) bool { return true }); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cr.AggregateWhere(r[0], r[1]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if _, err := cr.AggregateWhere(10, 200); err != nil {
-				t.Fatal(err)
+			scan() // warm the pooled state and block verification latches
+			if avg := testing.AllocsPerRun(20, scan); avg != 0 {
+				t.Errorf("%s [%d,%d]: %v allocs/op on warmed ScanSelect+AggregateWhere, want 0", name, r[0], r[1], avg)
 			}
-		}
-		scan() // warm the pooled state and block verification latches
-		if avg := testing.AllocsPerRun(20, scan); avg != 0 {
-			t.Errorf("%s: %v allocs/op on warmed ScanSelect+AggregateWhere, want 0", name, avg)
 		}
 	}
 }
