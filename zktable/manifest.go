@@ -288,8 +288,14 @@ func decodeManifest(data []byte) (*manifest, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
+		// The whole entry — nb block counts, then per column a file size and
+		// nb zone-map triples — has to lie in the bytes left before anything
+		// is sized by nb: a count the file cannot back would otherwise
+		// allocate numCols × nb entries before the reader runs dry. Past
+		// this check no read inside the segment can come up short.
+		segBytes := int64(nb)*(4+20*int64(numCols)) + 8*int64(numCols)
 		if s.Rows < 0 || nb < 0 || int64(nb)*int64(m.BlockValues) < s.Rows ||
-			4*nb > len(body)-r.off {
+			segBytes > int64(len(body)-r.off) {
 			return nil, fmt.Errorf("%w: segment %d: %d rows in %d blocks of %d",
 				ErrCorruptManifest, s.ID, s.Rows, nb, m.BlockValues)
 		}
@@ -298,14 +304,12 @@ func decodeManifest(data []byte) (*manifest, error) {
 		for b := range s.Counts {
 			s.Counts[b] = r.u32()
 			if int(s.Counts[b]) > m.BlockValues || s.Counts[b] == 0 {
-				if r.err == nil {
-					return nil, fmt.Errorf("%w: segment %d block %d holds %d rows",
-						ErrCorruptManifest, s.ID, b, s.Counts[b])
-				}
+				return nil, fmt.Errorf("%w: segment %d block %d holds %d rows",
+					ErrCorruptManifest, s.ID, b, s.Counts[b])
 			}
 			segRows += int64(s.Counts[b])
 		}
-		if r.err == nil && segRows != s.Rows {
+		if segRows != s.Rows {
 			return nil, fmt.Errorf("%w: segment %d: block counts sum to %d, header says %d",
 				ErrCorruptManifest, s.ID, segRows, s.Rows)
 		}
@@ -314,10 +318,8 @@ func decodeManifest(data []byte) (*manifest, error) {
 			cs := &s.Cols[ci]
 			cs.FileSize = int64(r.u64())
 			if cs.FileSize < 0 {
-				if r.err == nil {
-					return nil, fmt.Errorf("%w: segment %d column %q: negative file size",
-						ErrCorruptManifest, s.ID, m.Cols[ci])
-				}
+				return nil, fmt.Errorf("%w: segment %d column %q: negative file size",
+					ErrCorruptManifest, s.ID, m.Cols[ci])
 			}
 			cs.CRCs = make([]uint32, nb)
 			cs.MinBits = make([]uint64, nb)

@@ -21,14 +21,15 @@ import (
 // under the 25-bit exception-offset limit, lets the analyzer re-tune
 // parameters as the data drifts, and bounds the work of a point lookup.
 //
-// Two format versions exist. ZKC1 (the original layout):
+// Two format versions exist. ZKC1 (the original layout) is read-only:
+// OpenColumn, RecoverColumn and every scan accept it, nothing writes it.
 //
 //	header (16 B): "ZKC1", element size, reserved, block size in values
 //	blocks:        one compressed frame per block, back to back
 //	directory:     per block: u64 offset, u32 byte length, u32 value count
 //	tail (16 B):   u64 total values, u32 block count, "ZKE1"
 //
-// ZKC2 (the default since format version 2) keeps the header and frame
+// ZKC2 (the one format ColumnWriter emits) keeps the header and frame
 // layout byte-identical but hardens and enriches the footer:
 //
 //	header (16 B): "ZKC2", element size, reserved, block size in values
@@ -61,9 +62,8 @@ const (
 	// offsets.
 	DefaultBlockValues = 64 * 1024
 
-	// FormatZKC1 and FormatZKC2 are the column container format versions
-	// accepted by WithFormatVersion. Readers handle both; writers emit
-	// FormatZKC2 unless told otherwise.
+	// FormatZKC1 and FormatZKC2 are the column container format versions.
+	// Readers handle both; writers emit FormatZKC2.
 	FormatZKC1 = 1
 	FormatZKC2 = 2
 )
@@ -94,20 +94,6 @@ func columnTailSize(version int) int {
 	return columnTailSizeV2
 }
 
-// ColumnOption configures a ColumnWriter beyond the required arguments.
-type ColumnOption func(*columnConfig)
-
-type columnConfig struct {
-	version int
-}
-
-// WithFormatVersion selects the container format version the writer
-// emits: FormatZKC2 (the default) or FormatZKC1 for byte-compatibility
-// with readers that predate checksums and zone maps.
-func WithFormatVersion(v int) ColumnOption {
-	return func(c *columnConfig) { c.version = v }
-}
-
 // ColumnWriter streams a column of values into an io.Writer as a sequence
 // of compressed blocks. Values accumulate via Write; every full block is
 // encoded with the writer's codec and flushed immediately, so memory use
@@ -117,7 +103,6 @@ type ColumnWriter[T Integer] struct {
 	w           io.Writer
 	codec       Codec[T]
 	blockValues int
-	version     int
 
 	buf    []T
 	frame  []byte
@@ -142,16 +127,9 @@ type columnBlock struct {
 // NewColumnWriter starts a column on w. codec nil defaults to the
 // self-tuning Auto codec; blockValues <= 0 defaults to DefaultBlockValues
 // and may not exceed MaxBlockValues. The 16-byte container header is
-// written immediately. Options select the format version; the default is
-// ZKC2 (per-block CRC32-C, zone maps, directory checksum).
-func NewColumnWriter[T Integer](w io.Writer, codec Codec[T], blockValues int, opts ...ColumnOption) (*ColumnWriter[T], error) {
-	cfg := columnConfig{version: FormatZKC2}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.version != FormatZKC1 && cfg.version != FormatZKC2 {
-		return nil, fmt.Errorf("%w: column format version %d", ErrUnsupportedVersion, cfg.version)
-	}
+// written immediately. The container is ZKC2 (per-block CRC32-C, zone
+// maps, directory checksum).
+func NewColumnWriter[T Integer](w io.Writer, codec Codec[T], blockValues int) (*ColumnWriter[T], error) {
 	if blockValues <= 0 {
 		blockValues = DefaultBlockValues
 	}
@@ -162,11 +140,7 @@ func NewColumnWriter[T Integer](w io.Writer, codec Codec[T], blockValues int, op
 		codec = Auto[T]{}
 	}
 	var hdr [columnHeaderSize]byte
-	if cfg.version == FormatZKC1 {
-		copy(hdr[:4], columnMagicV1[:])
-	} else {
-		copy(hdr[:4], columnMagicV2[:])
-	}
+	copy(hdr[:4], columnMagicV2[:])
 	hdr[4] = byte(elemSize[T]())
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(blockValues))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -176,7 +150,6 @@ func NewColumnWriter[T Integer](w io.Writer, codec Codec[T], blockValues int, op
 		w:           w,
 		codec:       codec,
 		blockValues: blockValues,
-		version:     cfg.version,
 		offset:      columnHeaderSize,
 	}, nil
 }
@@ -217,19 +190,20 @@ func (cw *ColumnWriter[T]) flushBlock() error {
 		return err
 	}
 	cw.frame = frame // recycle the encode buffer across blocks
-	blk := columnBlock{count: uint32(len(cw.buf))}
-	if cw.version >= FormatZKC2 {
-		blk.crc = crc32.Checksum(frame, castagnoli)
-		lo, hi := cw.buf[0], cw.buf[0]
-		for _, v := range cw.buf[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
+	lo, hi := cw.buf[0], cw.buf[0]
+	for _, v := range cw.buf[1:] {
+		if v < lo {
+			lo = v
 		}
-		blk.minBits, blk.maxBits = zoneBits(lo), zoneBits(hi)
+		if v > hi {
+			hi = v
+		}
+	}
+	blk := columnBlock{
+		count:   uint32(len(cw.buf)),
+		crc:     crc32.Checksum(frame, castagnoli),
+		minBits: zoneBits(lo),
+		maxBits: zoneBits(hi),
 	}
 	if err := cw.appendBlock(frame, blk); err != nil {
 		return err
@@ -317,37 +291,27 @@ func (cw *ColumnWriter[T]) Close() error {
 		}
 	}
 	cw.closed = true
-	_, err := cw.w.Write(appendFooter(nil, cw.dir, cw.total, cw.version))
+	_, err := cw.w.Write(appendFooter(nil, cw.dir, cw.total))
 	if err != nil {
 		cw.err = err
 	}
 	return err
 }
 
-// appendFooter serializes the directory and tail of a container — the
+// appendFooter serializes the ZKC2 directory and tail of a container — the
 // format authority shared by ColumnWriter.Close and RecoverColumn.
-func appendFooter(footer []byte, dir []columnBlock, total uint64, version int) []byte {
-	entrySize := columnDirEntrySize(version)
-	footer = slices.Grow(footer, len(dir)*entrySize+columnTailSize(version))
+func appendFooter(footer []byte, dir []columnBlock, total uint64) []byte {
+	footer = slices.Grow(footer, len(dir)*columnDirEntryV2+columnTailSizeV2)
 	dirStart := len(footer)
 	for _, blk := range dir {
 		var ent [columnDirEntryV2]byte
 		binary.LittleEndian.PutUint64(ent[:], blk.offset)
 		binary.LittleEndian.PutUint32(ent[8:], blk.length)
 		binary.LittleEndian.PutUint32(ent[12:], blk.count)
-		if version >= FormatZKC2 {
-			binary.LittleEndian.PutUint32(ent[16:], blk.crc)
-			binary.LittleEndian.PutUint64(ent[24:], blk.minBits)
-			binary.LittleEndian.PutUint64(ent[32:], blk.maxBits)
-		}
-		footer = append(footer, ent[:entrySize]...)
-	}
-	if version == FormatZKC1 {
-		var tail [columnTailSizeV1]byte
-		binary.LittleEndian.PutUint64(tail[:], total)
-		binary.LittleEndian.PutUint32(tail[8:], uint32(len(dir)))
-		copy(tail[12:], columnTailV1[:])
-		return append(footer, tail[:]...)
+		binary.LittleEndian.PutUint32(ent[16:], blk.crc)
+		binary.LittleEndian.PutUint64(ent[24:], blk.minBits)
+		binary.LittleEndian.PutUint64(ent[32:], blk.maxBits)
+		footer = append(footer, ent[:]...)
 	}
 	dirCRC := crc32.Checksum(footer[dirStart:], castagnoli)
 	var tail [columnTailSizeV2]byte
@@ -364,15 +328,12 @@ func (cw *ColumnWriter[T]) Len() int { return int(cw.total) + len(cw.buf) }
 // NumBlocks returns the number of blocks flushed so far.
 func (cw *ColumnWriter[T]) NumBlocks() int { return len(cw.dir) }
 
-// FormatVersion returns the container format version being written.
-func (cw *ColumnWriter[T]) FormatVersion() int { return cw.version }
-
 // CompressedBytes returns the container bytes written so far (header and
 // flushed blocks; the directory is counted only after Close).
 func (cw *ColumnWriter[T]) CompressedBytes() int {
 	n := int(cw.offset)
 	if cw.closed {
-		n += len(cw.dir)*columnDirEntrySize(cw.version) + columnTailSize(cw.version)
+		n += len(cw.dir)*columnDirEntryV2 + columnTailSizeV2
 	}
 	return n
 }

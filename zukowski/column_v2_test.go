@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -45,14 +46,13 @@ func compatInt16(rng *rand.Rand) []int16 {
 	return vals
 }
 
-// checkZKC1Fixture reads a golden ZKC1 container written before this PR,
-// verifies it still parses as format version 1 and yields the original
-// values, and re-writes the same values with WithFormatVersion(FormatZKC1)
-// to prove the v1 write path still emits byte-identical containers. A
-// query over it finds no zone map to decide anything with: no block is
-// pruned, every candidate reads the predicate's column — even under a
-// window that covers the whole column — and the result is the oracle's.
-func checkZKC1Fixture[T zukowski.Integer](t *testing.T, file string, codec zukowski.Codec[T], blockValues int, want []T) {
+// checkZKC1Fixture reads a golden ZKC1 container written by the pre-ZKC2
+// writer and verifies it still parses as format version 1 and yields the
+// original values. A query over it finds no zone map to decide anything
+// with: no block is pruned, every candidate reads the predicate's column
+// — even under a window that covers the whole column — and the result is
+// the oracle's.
+func checkZKC1Fixture[T zukowski.Integer](t *testing.T, file string, want []T) {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
@@ -123,36 +123,18 @@ func checkZKC1Fixture[T zukowski.Integer](t *testing.T, file string, codec zukow
 			t.Fatalf("%s: window %v through Preds: %d rows, %v; oracle %d", file, window, len(gotPredRows), err, len(wantRows))
 		}
 	}
-
-	var buf bytes.Buffer
-	cw, err := zukowski.NewColumnWriter(&buf, codec, blockValues, zukowski.WithFormatVersion(zukowski.FormatZKC1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cw.FormatVersion() != zukowski.FormatZKC1 {
-		t.Fatalf("writer FormatVersion = %d", cw.FormatVersion())
-	}
-	if err := cw.Write(want); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatalf("%s: v1 writer no longer byte-identical (%d bytes vs fixture %d)", file, buf.Len(), len(data))
-	}
 }
 
 // TestZKC1Fixtures: golden containers written by the pre-ZKC2 writer still
-// read back exactly, and the v1 write path is still byte-identical.
+// read back exactly.
 func TestZKC1Fixtures(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	i64 := compatInt64(rng)
 	u32 := compatUint32(rng)
 	i16 := compatInt16(rng)
-	checkZKC1Fixture(t, "zkc1_int64_pfor.bin", zukowski.PFOR[int64]{}, 512, i64)
-	checkZKC1Fixture[uint32](t, "zkc1_uint32_auto.bin", nil, 300, u32)
-	checkZKC1Fixture(t, "zkc1_int16_for.bin", zukowski.FOR[int16]{}, 256, i16)
+	checkZKC1Fixture(t, "zkc1_int64_pfor.bin", i64)
+	checkZKC1Fixture(t, "zkc1_uint32_auto.bin", u32)
+	checkZKC1Fixture(t, "zkc1_int16_for.bin", i16)
 }
 
 // --- ZKC2 round trip ----------------------------------------------------
@@ -172,6 +154,28 @@ func buildColumnV2[T zukowski.Integer](t *testing.T, codec zukowski.Codec[T], bl
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// zkc1From rewrites a ZKC2 container as the ZKC1 container of the same
+// frames: v1 magic, 16-byte directory entries (offset, length, count — the
+// head of each 40-byte v2 entry), v1 tail. Nothing writes ZKC1 any more;
+// a test that needs one over values of its choosing gets it here.
+func zkc1From(t testing.TB, v2 []byte) []byte {
+	t.Helper()
+	const header, entryV1, entryV2, tailV2 = 16, 16, 40, 24
+	if len(v2) < header+tailV2 || string(v2[:4]) != "ZKC2" {
+		t.Fatalf("zkc1From: not a ZKC2 container (%d bytes)", len(v2))
+	}
+	tail := v2[len(v2)-tailV2:]
+	blocks := int(binary.LittleEndian.Uint32(tail[8:]))
+	dirStart := len(v2) - tailV2 - blocks*entryV2
+	out := slices.Clone(v2[:dirStart])
+	copy(out, "ZKC1")
+	for b := 0; b < blocks; b++ {
+		out = append(out, v2[dirStart+b*entryV2:][:entryV1]...)
+	}
+	out = append(out, tail[:12]...) // total values, block count
+	return append(out, "ZKE1"...)
 }
 
 // checkReads drives ReadAll, Get and Verify of one reader against src.
@@ -475,18 +479,7 @@ func TestScanWherePrunes(t *testing.T) {
 	}
 
 	// ZKC1 has no zone maps: same scan visits every block.
-	var bufV1 bytes.Buffer
-	cw, err := zukowski.NewColumnWriter(&bufV1, zukowski.PFORDelta[int64]{}, 1024, zukowski.WithFormatVersion(zukowski.FormatZKC1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Write(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	crV1, err := zukowski.OpenColumn[int64](bufV1.Bytes())
+	crV1, err := zukowski.OpenColumn[int64](zkc1From(t, data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,15 +596,6 @@ func TestColumnReaderAtTruncated(t *testing.T) {
 		if !errors.Is(err, zukowski.ErrCorruptColumn) && !errors.Is(err, zukowski.ErrCorruptSegment) {
 			t.Fatalf("cut %d: err = %v", cut, err)
 		}
-	}
-}
-
-// TestUnsupportedVersion: the writer rejects versions it cannot emit.
-func TestUnsupportedVersion(t *testing.T) {
-	var buf bytes.Buffer
-	_, err := zukowski.NewColumnWriter[int64](&buf, nil, 0, zukowski.WithFormatVersion(3))
-	if !errors.Is(err, zukowski.ErrUnsupportedVersion) {
-		t.Fatalf("err = %v, want ErrUnsupportedVersion", err)
 	}
 }
 

@@ -15,10 +15,11 @@
 //     benchmarks enumerate schemes instead of hard-coding them.
 //   - ColumnWriter / ColumnReader: a streaming multi-block column container
 //     with a directory footer, per-block codec dispatch and fine-grained
-//     Get across block boundaries. The default ZKC2 format adds per-block
-//     CRC32-C checksums, min/max zone maps consulted by ScanWhere to skip
-//     blocks before decompression, and a checksummed directory; ZKC1
-//     containers (and writers via WithFormatVersion) stay fully supported,
+//     Get across block boundaries. The ZKC2 format the writer emits adds
+//     per-block CRC32-C checksums, min/max zone maps consulted by
+//     ScanWhere to skip blocks before decompression, and a checksummed
+//     directory; ZKC1 containers are read-only — every reader, scan and
+//     RecoverColumn accepts them, nothing writes them —
 //     and OpenColumnReaderAt streams columns larger than RAM from any
 //     io.ReaderAt. A ColumnReader is safe for concurrent use — goroutines
 //     share one reader's block cache and checksum state — and

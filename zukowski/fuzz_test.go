@@ -109,24 +109,17 @@ func FuzzColumn(f *testing.F) {
 		}
 		version := zukowski.FormatZKC1 + int(sel)%2
 		blockValues := 1 + int(blockSel)*7 // [1, 1786]: past one-value, group, and multi-group shapes
-		var buf bytes.Buffer
-		cw, err := zukowski.NewColumnWriter[int64](&buf, nil, blockValues, zukowski.WithFormatVersion(version))
-		if err != nil {
-			t.Fatalf("NewColumnWriter: %v", err)
-		}
-		if err := cw.Write(src); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-		if err := cw.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
+		container := buildColumnV2[int64](t, nil, blockValues, src)
+		if version == zukowski.FormatZKC1 {
+			container = zkc1From(t, container)
 		}
 		for _, open := range []func() (*zukowski.ColumnReader[int64], error){
-			func() (*zukowski.ColumnReader[int64], error) { return zukowski.OpenColumn[int64](buf.Bytes()) },
+			func() (*zukowski.ColumnReader[int64], error) { return zukowski.OpenColumn[int64](container) },
 			func() (*zukowski.ColumnReader[int64], error) {
-				return zukowski.OpenColumnReaderAt[int64](bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+				return zukowski.OpenColumnReaderAt[int64](bytes.NewReader(container), int64(len(container)))
 			},
 			func() (*zukowski.ColumnReader[int64], error) {
-				return zukowski.OpenColumn[int64](offByOne(buf.Bytes()))
+				return zukowski.OpenColumn[int64](offByOne(container))
 			},
 		} {
 			cr, err := open()

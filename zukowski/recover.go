@@ -40,7 +40,7 @@ import (
 // leaves either the previous file (or no file) or the complete new
 // container — never a torn one. codec and blockValues follow
 // NewColumnWriter's defaults.
-func WriteColumnAtomic[T Integer](path string, codec Codec[T], blockValues int, vals []T, opts ...ColumnOption) (err error) {
+func WriteColumnAtomic[T Integer](path string, codec Codec[T], blockValues int, vals []T) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -52,7 +52,7 @@ func WriteColumnAtomic[T Integer](path string, codec Codec[T], blockValues int, 
 			os.Remove(tmp.Name())
 		}
 	}()
-	cw, err := NewColumnWriter[T](tmp, codec, blockValues, opts...)
+	cw, err := NewColumnWriter[T](tmp, codec, blockValues)
 	if err != nil {
 		return err
 	}
@@ -247,7 +247,7 @@ func RecoverColumn[T Integer](r io.ReaderAt, size int64, w io.Writer) (RecoverSt
 	}
 	stats.DroppedBytes = size - off
 
-	footer := appendFooter(nil, dir, total, FormatZKC2)
+	footer := appendFooter(nil, dir, total)
 	if _, err := w.Write(footer); err != nil {
 		return stats, err
 	}

@@ -166,18 +166,7 @@ func TestRecoverColumnBitFlip(t *testing.T) {
 func TestRecoverColumnZKC1(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	src := genValues[int64](rng, 3000)
-	var buf bytes.Buffer
-	cw, err := zukowski.NewColumnWriter(&buf, zukowski.PFOR[int64]{}, 512, zukowski.WithFormatVersion(zukowski.FormatZKC1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Write(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := zkc1From(t, buildColumnV2(t, zukowski.PFOR[int64]{}, 512, src))
 	torn := data[:len(data)-10] // rip through the ZKC1 tail
 	rebuilt, _ := recoverBytes[int64](t, torn)
 	checkRecovered(t, rebuilt, src)

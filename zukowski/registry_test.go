@@ -39,9 +39,8 @@ func TestRegistryBuiltins(t *testing.T) {
 
 // TestCodecsDeterministicOrder: Codecs() is a stable, documented order —
 // registration order, built-ins first — not map iteration order. Tools
-// that enumerate codecs (codecbench reports, the scan service's
-// capability listing, loadgen output) rely on two invocations agreeing,
-// and checked-in baselines rely on the order surviving process restarts.
+// that enumerate codecs (codecbench tables, the scan service's
+// capability listing, loadgen output) rely on two invocations agreeing.
 // User registrations append after this prefix, so the test pins the
 // built-in prefix exactly and then checks a second call returns an
 // identical snapshot.

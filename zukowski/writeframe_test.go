@@ -43,18 +43,7 @@ func TestWriteFrameRefusals(t *testing.T) {
 	frame, info := blockOf(t, cr, 0)
 	shortFrame, shortInfo := blockOf(t, cr, 2)
 
-	var v1 bytes.Buffer
-	cw1, err := zukowski.NewColumnWriter[int64](&v1, zukowski.PFOR[int64]{}, bv, zukowski.WithFormatVersion(zukowski.FormatZKC1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cw1.Write(vals); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cr1, err := zukowski.OpenColumn[int64](v1.Bytes())
+	cr1, err := zukowski.OpenColumn[int64](zkc1From(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
