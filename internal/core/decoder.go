@@ -13,7 +13,7 @@ import (
 type Decoder[T Integer] struct {
 	raw []uint32
 	// sel holds the compressed-domain selection scratch (select.go),
-	// allocated on first DecompressWhere/AggregateWhere.
+	// allocated on the first mask, refine, union or gather call.
 	sel *selScratch[T]
 }
 

@@ -1,8 +1,8 @@
 package core
 
-// Selection-vector composition: the compressed-domain predicate machinery
-// of select.go re-targeted at an explicit SelectionVector, so predicates
-// over several columns compose before anything is materialized. A
+// Selection-vector composition: the code-range and mask helpers of
+// select.go targeted at an explicit SelectionVector, so predicates over
+// several columns compose before anything is materialized. A
 // conjunctive scan runs DecompressMask for its most selective predicate,
 // RefineMask for each further predicate (same-column or — via the shared
 // block geometry — a different column's block), and only once the bitmap
@@ -180,17 +180,18 @@ func (d *Decoder[T]) refineCoded(blk *Block[T], lo, hi T, clo, span uint32, coda
 		if last < 0 {
 			continue
 		}
-		// live: the selected exception slots; keep: those whose value matches.
-		nl, nk := 0, 0
+		// xpos[:nl]: the selected exception slots; keep: the bits of those
+		// whose value matches, one word per mask word of the group.
+		var keep [GroupSize / 32]uint32
+		nl := 0
 		if es, ee := blk.groupExc(g); es != ee {
 			pos := gStart + blk.patchStart(g)
 			for k := es; k < ee && pos <= last; k++ {
-				if mask[pos>>5]>>(uint(pos)&31)&1 != 0 {
+				if bit := uint32(1) << (uint(pos) & 31); mask[pos>>5]&bit != 0 {
 					s.xpos[nl] = int32(pos)
 					nl++
 					if ev := blk.Exc[k]; ev >= lo && ev <= hi {
-						s.epos[nk] = int32(pos)
-						nk++
+						keep[pos>>5-w0] |= bit
 					}
 				}
 				pos += int(bitpack.CodeAt(blk.Codes, pos, blk.B)) + 1
@@ -229,8 +230,8 @@ func (d *Decoder[T]) refineCoded(blk *Block[T], lo, hi T, clo, span uint32, coda
 		for _, pos := range s.xpos[:nl] {
 			mask[pos>>5] &^= 1 << (uint(pos) & 31)
 		}
-		for _, pos := range s.epos[:nk] {
-			mask[pos>>5] |= 1 << (uint(pos) & 31)
+		for i, w := range keep[:w1-w0] {
+			mask[w0+i] |= w
 		}
 	}
 }

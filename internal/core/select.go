@@ -5,9 +5,10 @@ package core
 // packed code domain once per block, and the generated bitpack select
 // kernels then scan the code section directly, producing one 32-bit match
 // mask per 32 codes — a MonetDB/X100-style selection vector in bitmap
-// form. Only the set bits are ever visited afterwards, so values that fail
-// the predicate are never materialized; that is where the bandwidth of a
-// selective scan goes today.
+// form. This file holds the code-range translation and the mask builders;
+// maskselect.go composes them into DecompressMask / RefineMask / UnionMask
+// and materializes the surviving rows (DecompressSelected), so values that
+// fail the predicate are never decoded.
 //
 // Per scheme:
 //
@@ -27,71 +28,22 @@ package core
 //     group's running sum (prefix-sum-aware: the per-group Totals keep the
 //     decode self-contained).
 //
-// Exception slots carry bogus patch-list gap codes, so their mask bits are
-// cleared and every exception is judged on its true value from the
-// exception section; matching exceptions are merged back in position order
-// while walking the masks.
+// Exception slots carry bogus patch-list gap codes, so whatever bits the
+// kernels computed for them are overwritten with the verdict on the
+// exception's true value from the exception section.
 
 import (
-	"math/bits"
 	"slices"
 	"sort"
 
 	"repro/internal/bitpack"
 )
 
-// Aggregate summarizes the values of one block that fall inside a range.
-// Sum is the two's-complement (wrapping) sum of int64(v); Min and Max are
-// only meaningful when Count > 0.
-type Aggregate[T Integer] struct {
-	Count int
-	Sum   int64
-	Min   T
-	Max   T
-}
-
-// add folds one matching value into the aggregate.
-func (a *Aggregate[T]) add(v T) {
-	if a.Count == 0 {
-		a.Min, a.Max = v, v
-	} else {
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
-	}
-	a.Count++
-	a.Sum += int64(v)
-}
-
-// Merge folds another aggregate (e.g. a different block's) into a.
-func (a *Aggregate[T]) Merge(b Aggregate[T]) {
-	if b.Count == 0 {
-		return
-	}
-	if a.Count == 0 {
-		*a = b
-		return
-	}
-	if b.Min < a.Min {
-		a.Min = b.Min
-	}
-	if b.Max > a.Max {
-		a.Max = b.Max
-	}
-	a.Count += b.Count
-	a.Sum += b.Sum
-}
-
 // selScratch is the block-level selection scratch. It lives in the Decoder
 // so steady-state filtered scans allocate nothing.
 type selScratch[T Integer] struct {
 	mask []uint32         // one match bit per value, (N+31)/32 words
-	epos [GroupSize]int32 // block-absolute positions of matching exceptions
-	eval [GroupSize]T     // their true values, parallel to epos
-	xpos [GroupSize]int32 // all exception positions of one group, in order
+	xpos [GroupSize]int32 // exception positions of one group, in order
 	vbuf [GroupSize]T     // decoded group values (PFOR-DELTA fallback)
 	bm   []uint64         // PDICT code-match bitmap, 1<<B bits
 }
@@ -160,26 +112,6 @@ func (s *selScratch[T]) maskBuf(n int) []uint32 {
 	return s.mask
 }
 
-// fixExceptions resolves group g's exception slots against the match
-// masks: the bogus gap codes have their mask bits cleared, and each
-// exception is judged on its true value, filling s.epos/s.eval with the
-// matches in position order.
-func (d *Decoder[T]) fixExceptions(blk *Block[T], g int, lo, hi T, mask []uint32, s *selScratch[T]) (matched []int32) {
-	all := d.excPositions(blk, g, &s.xpos)
-	es, _ := blk.groupExc(g)
-	n := 0
-	for i, pos := range all {
-		mask[pos>>5] &^= 1 << (uint(pos) & 31)
-		ev := blk.Exc[es+i]
-		if ev >= lo && ev <= hi {
-			s.epos[n] = pos
-			s.eval[n] = ev
-			n++
-		}
-	}
-	return s.epos[:n]
-}
-
 // blockMasks runs the select kernels over the whole code section, filling
 // mask — sized for blk.N — with one match bit per value (tail handled by
 // the scalar path). When codable is false no code can match and the masks
@@ -225,129 +157,6 @@ func (d *Decoder[T]) bitmapMasks(blk *Block[T], mask []uint32, s *selScratch[T])
 			mw[i>>5] = m
 		}
 	}
-}
-
-// DecompressWhere appends the block-relative position and value of every
-// element of blk inside the inclusive range [lo, hi] to sel and vals, in
-// position order, and returns the extended slices. Non-matching values are
-// never materialized; exception slots are judged on their true values. An
-// inverted range (lo > hi) selects nothing.
-func (d *Decoder[T]) DecompressWhere(blk *Block[T], lo, hi T, sel []int32, vals []T) ([]int32, []T) {
-	if lo > hi || blk.N == 0 {
-		return sel, vals
-	}
-	// Pre-size once and emit through indexed stores: per-match appends
-	// would reload and spill two slice headers on every match, which at
-	// moderate selectivities costs more than the compare kernels
-	// themselves.
-	k := len(sel)
-	sel = slices.Grow(sel, blk.N)[:k+blk.N]
-	vals = slices.Grow(vals, blk.N)[:k+blk.N]
-	s := d.selectScratch()
-	switch blk.Scheme {
-	case SchemePFOR:
-		clo, span, ok := pforCodeRange(blk.Base, blk.B, lo, hi)
-		d.blockMasks(blk, clo, span, ok, s.maskBuf(blk.N))
-		k = d.emitMatches(blk, lo, hi, sel, vals, k, s)
-	case SchemePDict:
-		clo, span, ok, contiguous := d.pdictCodeMatch(blk, lo, hi, s)
-		if contiguous {
-			d.blockMasks(blk, clo, span, ok, s.maskBuf(blk.N))
-		} else {
-			d.bitmapMasks(blk, s.maskBuf(blk.N), s)
-		}
-		k = d.emitMatches(blk, lo, hi, sel, vals, k, s)
-	case SchemePFORDelta:
-		k = d.selectPFORDelta(blk, lo, hi, sel, vals, k, s)
-	default:
-		panic("core: cannot select on scheme " + blk.Scheme.String())
-	}
-	return sel[:k], vals[:k]
-}
-
-// emitMatches converts the match masks into the (position, value) output
-// streams starting at cursor k, fixing up exception groups along the way,
-// and returns the advanced cursor. Groups whose mask words are all zero
-// and that hold no exceptions are skipped wholesale.
-func (d *Decoder[T]) emitMatches(blk *Block[T], lo, hi T, sel []int32, vals []T, k int, s *selScratch[T]) int {
-	pdict := blk.Scheme == SchemePDict
-	dict := blk.Dict
-	base := blk.Base
-	b := blk.B
-	codes := blk.Codes
-	numGroups := blk.NumGroups()
-	for g := 0; g < numGroups; g++ {
-		gStart, gEnd := groupBounds(blk, g)
-		w0, w1 := gStart>>5, (gEnd+31)>>5
-		es, ee := blk.groupExc(g)
-		if es == ee {
-			// No exceptions: the masks are final.
-			for w := w0; w < w1; w++ {
-				vb := int32(w << 5)
-				for m := s.mask[w]; m != 0; m &= m - 1 {
-					p := vb + int32(bits.TrailingZeros32(m))
-					c := bitpack.CodeAt(codes, int(p), b)
-					sel[k] = p
-					if pdict {
-						vals[k] = dict[c]
-					} else {
-						vals[k] = base + T(c)
-					}
-					k++
-				}
-			}
-			continue
-		}
-		epos := d.fixExceptions(blk, g, lo, hi, s.mask, s)
-		xi := 0
-		for w := w0; w < w1; w++ {
-			vb := int32(w << 5)
-			for m := s.mask[w]; m != 0; m &= m - 1 {
-				p := vb + int32(bits.TrailingZeros32(m))
-				for xi < len(epos) && epos[xi] < p {
-					sel[k], vals[k] = epos[xi], s.eval[xi]
-					k++
-					xi++
-				}
-				c := bitpack.CodeAt(codes, int(p), b)
-				sel[k] = p
-				if pdict {
-					vals[k] = dict[c]
-				} else {
-					vals[k] = base + T(c)
-				}
-				k++
-			}
-		}
-		for ; xi < len(epos); xi++ {
-			sel[k], vals[k] = epos[xi], s.eval[xi]
-			k++
-		}
-	}
-	return k
-}
-
-// selectPFORDelta is the fused decode+compare fallback: deltas have no
-// fixed code image of a value range, so each group is decoded through its
-// running total and compared in place. The filter loop is predicated —
-// every slot is written at the cursor, which only advances on a match —
-// so selectivity costs no branch mispredictions.
-func (d *Decoder[T]) selectPFORDelta(blk *Block[T], lo, hi T, sel []int32, vals []T, k int, s *selScratch[T]) int {
-	raw := d.scratch(GroupSize)
-	numGroups := blk.NumGroups()
-	for g := 0; g < numGroups; g++ {
-		gStart, gEnd := groupBounds(blk, g)
-		n := gEnd - gStart
-		unpackGroup(blk, g, n, raw)
-		decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
-		for i := 0; i < n; i++ {
-			v := s.vbuf[i]
-			sel[k] = int32(gStart + i)
-			vals[k] = v
-			k += b2i(v >= lo && v <= hi)
-		}
-	}
-	return k
 }
 
 // pdictCodeMatch remaps [lo, hi] into dictionary-code space. When the
@@ -401,108 +210,6 @@ func (d *Decoder[T]) pdictCodeMatch(blk *Block[T], lo, hi T, s *selScratch[T]) (
 		}
 	}
 	return 0, 0, true, false
-}
-
-// AggregateWhere computes Count, Sum, Min and Max over the values of blk
-// inside [lo, hi] without materializing them. For PFOR the aggregate is
-// derived from the matching codes alone (Count by mask popcount, Sum as
-// Count*Base plus the code sum, Min/Max through the monotone code-to-value
-// mapping) — codes are never widened to T; PDICT folds dictionary values
-// per matching code; PFOR-DELTA falls back to the fused group decode.
-// Exceptions are folded on their true values.
-func (d *Decoder[T]) AggregateWhere(blk *Block[T], lo, hi T) Aggregate[T] {
-	var agg Aggregate[T]
-	if lo > hi || blk.N == 0 {
-		return agg
-	}
-	s := d.selectScratch()
-	switch blk.Scheme {
-	case SchemePFOR:
-		clo, span, ok := pforCodeRange(blk.Base, blk.B, lo, hi)
-		d.blockMasks(blk, clo, span, ok, s.maskBuf(blk.N))
-		d.aggregateMasks(blk, lo, hi, &agg, s)
-	case SchemePDict:
-		clo, span, ok, contiguous := d.pdictCodeMatch(blk, lo, hi, s)
-		if contiguous {
-			d.blockMasks(blk, clo, span, ok, s.maskBuf(blk.N))
-		} else {
-			d.bitmapMasks(blk, s.maskBuf(blk.N), s)
-		}
-		d.aggregateMasks(blk, lo, hi, &agg, s)
-	case SchemePFORDelta:
-		raw := d.scratch(GroupSize)
-		numGroups := blk.NumGroups()
-		for g := 0; g < numGroups; g++ {
-			gStart, gEnd := groupBounds(blk, g)
-			n := gEnd - gStart
-			unpackGroup(blk, g, n, raw)
-			decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
-			for i := 0; i < n; i++ {
-				if v := s.vbuf[i]; v >= lo && v <= hi {
-					agg.add(v)
-				}
-			}
-		}
-	default:
-		panic("core: cannot aggregate scheme " + blk.Scheme.String())
-	}
-	return agg
-}
-
-// aggregateMasks folds the masked matches of a PFOR or PDICT block.
-// Aggregation is order-free, so exceptions fold independently — no
-// position merge. The PFOR leg accumulates raw codes (popcount, code sum,
-// code min/max) and derives the value aggregate once at the end.
-func (d *Decoder[T]) aggregateMasks(blk *Block[T], lo, hi T, agg *Aggregate[T], s *selScratch[T]) {
-	pfor := blk.Scheme == SchemePFOR
-	dict := blk.Dict
-	b := blk.B
-	codes := blk.Codes
-	var codeCount int
-	var codeSum uint64
-	minC, maxC := ^uint32(0), uint32(0)
-	numGroups := blk.NumGroups()
-	for g := 0; g < numGroups; g++ {
-		gStart, gEnd := groupBounds(blk, g)
-		w0, w1 := gStart>>5, (gEnd+31)>>5
-		if es, ee := blk.groupExc(g); es != ee {
-			epos := d.fixExceptions(blk, g, lo, hi, s.mask, s)
-			for i := range epos {
-				agg.add(s.eval[i])
-			}
-		}
-		for w := w0; w < w1; w++ {
-			m := s.mask[w]
-			if m == 0 {
-				continue
-			}
-			vb := w << 5
-			codeCount += bits.OnesCount32(m)
-			for ; m != 0; m &= m - 1 {
-				p := vb + bits.TrailingZeros32(m)
-				c := bitpack.CodeAt(codes, p, b)
-				if pfor {
-					codeSum += uint64(c)
-					if c < minC {
-						minC = c
-					}
-					if c > maxC {
-						maxC = c
-					}
-				} else {
-					agg.add(dict[c])
-				}
-			}
-		}
-	}
-	if pfor && codeCount > 0 {
-		agg.Merge(Aggregate[T]{
-			Count: codeCount,
-			Sum:   int64(codeCount)*int64(blk.Base) + int64(codeSum),
-			Min:   blk.Base + T(minC),
-			Max:   blk.Base + T(maxC),
-		})
-	}
 }
 
 // selectScratch lazily allocates the decoder's selection scratch; one

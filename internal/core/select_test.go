@@ -6,38 +6,34 @@ import (
 	"testing"
 )
 
-// selectOracle filters decompressed values the straightforward way.
-func selectOracleCore[T Integer](blk *Block[T], lo, hi T) (sel []int32, vals []T) {
+// selectOracleCore filters decompressed values the straightforward way.
+func selectOracleCore[T Integer](blk *Block[T], lo, hi T) (rows []int64, vals []T) {
 	dst := make([]T, blk.N)
 	Decompress(blk, dst)
 	for i, v := range dst {
 		if v >= lo && v <= hi {
-			sel = append(sel, int32(i))
+			rows = append(rows, int64(i))
 			vals = append(vals, v)
 		}
 	}
-	return sel, vals
+	return rows, vals
 }
 
+// checkSelect runs the engine's per-block sequence — DecompressMask, row
+// positions from the bitmap, DecompressSelected — against decode-then-filter.
 func checkSelect[T Integer](t *testing.T, name string, blk *Block[T], lo, hi T) {
 	t.Helper()
 	var d Decoder[T]
-	wantSel, wantVals := selectOracleCore(blk, lo, hi)
-	gotSel, gotVals := d.DecompressWhere(blk, lo, hi, nil, nil)
-	if !slices.Equal(gotSel, wantSel) {
-		t.Fatalf("%s [%v,%v]: sel mismatch\n got %v\nwant %v", name, lo, hi, gotSel, wantSel)
+	var sv SelectionVector
+	wantRows, wantVals := selectOracleCore(blk, lo, hi)
+	d.DecompressMask(blk, lo, hi, &sv)
+	gotRows := sv.AppendRows(nil, 0)
+	gotVals := d.DecompressSelected(blk, &sv, nil)
+	if !slices.Equal(gotRows, wantRows) {
+		t.Fatalf("%s [%v,%v]: rows mismatch\n got %v\nwant %v", name, lo, hi, gotRows, wantRows)
 	}
 	if !slices.Equal(gotVals, wantVals) {
 		t.Fatalf("%s [%v,%v]: vals mismatch\n got %v\nwant %v", name, lo, hi, gotVals, wantVals)
-	}
-
-	var want Aggregate[T]
-	for _, v := range wantVals {
-		want.add(v)
-	}
-	got := d.AggregateWhere(blk, lo, hi)
-	if got != want {
-		t.Fatalf("%s [%v,%v]: aggregate = %+v, want %+v", name, lo, hi, got, want)
 	}
 }
 
@@ -65,9 +61,9 @@ func rangesFor[T Integer](vals []T) [][2]T {
 	return r
 }
 
-// TestDecompressWhereOracle drives every scheme, signed and unsigned,
-// across exception densities from none to compulsory-heavy.
-func TestDecompressWhereOracle(t *testing.T) {
+// TestMaskGatherOracle drives every scheme, signed and unsigned, across
+// exception densities from none to compulsory-heavy.
+func TestMaskGatherOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 
 	t.Run("pfor-int64", func(t *testing.T) {
@@ -184,58 +180,6 @@ func TestDecompressWhereOracle(t *testing.T) {
 		blk := CompressPDict(src, dict, 3)
 		for _, r := range rangesFor(src) {
 			checkSelect(t, "pdict-u16", blk, r[0], r[1])
-		}
-	})
-}
-
-// TestDecompressWhereReusesBuffers checks the append contract: passed-in
-// slices are extended, not replaced.
-func TestDecompressWhereReusesBuffers(t *testing.T) {
-	src := make([]int64, 500)
-	for i := range src {
-		src[i] = int64(i)
-	}
-	blk := CompressPFOR(src, 0, 10)
-	var d Decoder[int64]
-	sel := []int32{-1}
-	vals := []int64{-7}
-	sel, vals = d.DecompressWhere(blk, 10, 12, sel, vals)
-	if len(sel) != 4 || sel[0] != -1 || sel[1] != 10 || vals[0] != -7 || vals[3] != 12 {
-		t.Fatalf("append contract broken: sel=%v vals=%v", sel, vals)
-	}
-}
-
-func BenchmarkDecompressWhere(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	src := make([]int64, 1<<16)
-	for i := range src {
-		src[i] = rng.Int63n(1 << 10)
-		if rng.Intn(50) == 0 {
-			src[i] = rng.Int63n(1 << 30)
-		}
-	}
-	blk := CompressPFOR(src, 0, 10)
-	var d Decoder[int64]
-	sel := make([]int32, 0, len(src))
-	vals := make([]int64, 0, len(src))
-	b.Run("sel1pct", func(b *testing.B) {
-		b.SetBytes(int64(len(src) * 8))
-		for i := 0; i < b.N; i++ {
-			sel, vals = d.DecompressWhere(blk, 0, 10, sel[:0], vals[:0])
-		}
-	})
-	b.Run("decode-then-filter", func(b *testing.B) {
-		dst := make([]int64, len(src))
-		b.SetBytes(int64(len(src) * 8))
-		for i := 0; i < b.N; i++ {
-			d.Decompress(blk, dst)
-			sel, vals = sel[:0], vals[:0]
-			for j, v := range dst {
-				if v >= 0 && v <= 10 {
-					sel = append(sel, int32(j))
-					vals = append(vals, v)
-				}
-			}
 		}
 	})
 }

@@ -99,7 +99,10 @@ type ScanRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
 	// Workers asks for block-parallel execution (clamped to the server's
-	// MaxWorkers). Zero or one scans sequentially.
+	// MaxWorkers). Zero or one scans sequentially. Only row scans use it:
+	// an aggregate request ("agg") and a frame stream accept the field
+	// and run sequentially whatever it says (RunAggregate and Candidates
+	// ignore Query.Workers).
 	Workers int `json:"workers,omitempty"`
 
 	// SkipCorrupt opts this scan into degraded mode: blocks lost to

@@ -429,6 +429,11 @@ type ColumnReader[T Integer] struct {
 	// holds one state for its whole pass, so steady-state sequential scans
 	// allocate nothing; parallel scans draw one state per in-flight block.
 	states sync.Pool
+
+	// self is the one-column ColumnSet over this reader, built once at open:
+	// ScanSelect, ParallelScanSelect and AggregateWhere run as Queries over
+	// it, through the same engine as every multi-column scan.
+	self *ColumnSet[T]
 }
 
 // blockSlot is one block's share of the reader's concurrent state.
@@ -463,18 +468,13 @@ type parsedBlock[T Integer] struct {
 }
 
 // decodeState is the per-worker scratch of the decode paths: a Decoder
-// (bit-unpack and selection scratch), a reusable segment parse target, the
-// vector buffer scans hand to fn, and the selection-vector buffers of the
-// filtered scans (block-relative positions, global row numbers, matched
-// values). States cycle through the reader's pool, never shared between
-// two goroutines at once.
+// (bit-unpack and selection scratch), a reusable segment parse target and
+// the vector buffer scans hand to fn. States cycle through the reader's
+// pool, never shared between two goroutines at once.
 type decodeState[T Integer] struct {
-	dec   core.Decoder[T]
-	blk   core.Block[T]
-	vals  []T
-	sel   []int32
-	rows  []int64
-	fvals []T
+	dec  core.Decoder[T]
+	blk  core.Block[T]
+	vals []T
 }
 
 func (cr *ColumnReader[T]) getState() *decodeState[T] {
@@ -591,6 +591,7 @@ func openColumn[T Integer](src columnSource, opts []ReaderOption) (*ColumnReader
 		total:   int(total),
 		slots:   make([]blockSlot[T], numBlocks),
 	}
+	cr.self = &ColumnSet[T]{cols: []*ColumnReader[T]{cr}}
 	rows, nextOffset := 0, uint64(columnHeaderSize)
 	for i := range cr.blocks {
 		ent := dir[i*entrySize:]

@@ -378,14 +378,20 @@ func (cs *ColumnSet[T]) blockMaskQuery(st *setState[T], b int, q *Query[T]) (any
 	return st.sv.Any(), nil
 }
 
-// blockQuery evaluates block b of q: bitmap composition, then row-number
-// decoding and materialization of the requested columns (all of them when
-// q.Cols is nil). rows is nil when no row survives.
+// blockQuery evaluates block b of q: bitmap composition, then gatherBlock.
+// rows is nil when no row survives.
 func (cs *ColumnSet[T]) blockQuery(st *setState[T], b int, q *Query[T]) (rows []int64, out [][]T, err error) {
 	any, err := cs.blockMaskQuery(st, b, q)
 	if err != nil || !any {
 		return nil, nil, err
 	}
+	return cs.gatherBlock(st, b, q)
+}
+
+// gatherBlock turns block b's composed bitmap (st.sv) into q's output:
+// global row numbers and the requested columns' values at those rows (all
+// columns when q.Cols is nil).
+func (cs *ColumnSet[T]) gatherBlock(st *setState[T], b int, q *Query[T]) (rows []int64, out [][]T, err error) {
 	defer guardSegment(&err)
 	st.rows = st.sv.AppendRows(st.rows[:0], int64(cs.cols[0].starts[b]))
 	if q.Cols == nil {
@@ -409,40 +415,59 @@ func (cs *ColumnSet[T]) blockQuery(st *setState[T], b int, q *Query[T]) (rows []
 	return st.rows, out, nil
 }
 
-// runSeq is Run's sequential scan loop — also the one-worker degenerate
-// case of the parallel form. ctx is consulted once per block, the natural
-// preemption point (one block is one bounded quantum of decode work);
-// context.Background() never fires and costs one predictable branch.
-func (cs *ColumnSet[T]) runSeq(ctx context.Context, cfg *scanConfig, q *Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
+// visitBlocks is the engine's one sequential block loop; every sequential
+// scan — Run, RunAggregate, GroupAggregate, JoinOn and the single-column
+// ScanSelect and AggregateWhere — is a visit function under it. It checks q,
+// holds one pooled state for the whole pass and, per block, consults ctx
+// (the natural preemption point: one block is one bounded quantum of decode
+// work; context.Background() never fires and costs one predictable branch),
+// drops the block when its zone maps prove no row matches, composes q's
+// bitmap into st.sv and, when a row survives, calls visit to materialize
+// what it needs from st. visit returning false stops the scan; an error
+// from the bitmap or the visit is skipped and accounted when cfg runs
+// degraded and it is a fault of the data, and ends the scan otherwise.
+func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, cfg *scanConfig, q *Query[T], visit func(st *setState[T], b int) (more bool, err error)) error {
 	empty, err := cs.checkQuery(q)
 	if err != nil || empty {
 		return err
 	}
 	st := cs.getState()
 	defer cs.putState(st)
-	match := cs.queryMatch(q)
 	for b := range cs.cols[0].blocks {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !match(b) {
+		if cs.queryVerdict(q, b) == verdictNone {
 			continue
 		}
-		rows, out, err := cs.blockQuery(st, b, q)
+		more := true
+		any, err := cs.blockMaskQuery(st, b, q)
+		if err == nil && any {
+			more, err = visit(st, b)
+		}
 		if err != nil {
 			if cfg.skipBlock(int(cs.cols[0].blocks[b].count), err) {
 				continue
 			}
 			return err
 		}
-		if len(rows) == 0 {
-			continue
-		}
-		if !fn(b, rows, out) {
+		if !more {
 			return nil
 		}
 	}
 	return nil
+}
+
+// runSeq is Run's sequential form — also the one-worker degenerate case of
+// the parallel one.
+func (cs *ColumnSet[T]) runSeq(ctx context.Context, cfg *scanConfig, q *Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
+	return cs.visitBlocks(ctx, cfg, q, func(st *setState[T], b int) (bool, error) {
+		rows, out, err := cs.gatherBlock(st, b, q)
+		if err != nil {
+			return true, err
+		}
+		return fn(b, rows, out), nil
+	})
 }
 
 // runParallel is Run's block-parallel scan loop, with the delivery
@@ -470,49 +495,28 @@ func (cs *ColumnSet[T]) runParallel(ctx context.Context, cfg *scanConfig, q *Que
 		}
 		return func() bool { return fn(b, rows, out) }, nil
 	}
-	return parallelBlocksEngine(len(cs.cols[0].blocks), workers, cs.queryMatch(q), cfg,
+	match := func(b int) bool { return cs.queryVerdict(q, b) != verdictNone }
+	return parallelBlocksEngine(len(cs.cols[0].blocks), workers, match, cfg,
 		seq, cs.getState, cs.putState, work)
 }
 
-// runAggregate is RunAggregate's loop: bitmap composition per block, then
-// a fold over just the target column's survivors.
+// runAggregate is RunAggregate's visit: a fold over just the target
+// column's survivors.
 func (cs *ColumnSet[T]) runAggregate(ctx context.Context, cfg *scanConfig, q *Query[T], col int) (Aggregate[T], error) {
 	var agg Aggregate[T]
 	if col < 0 || col >= len(cs.cols) {
 		return agg, fmt.Errorf("%w: aggregate column %d not in [0,%d)", ErrIndexOutOfRange, col, len(cs.cols))
 	}
-	empty, err := cs.checkQuery(q)
-	if err != nil || empty {
-		return agg, err
-	}
-	st := cs.getState()
-	defer cs.putState(st)
-	match := cs.queryMatch(q)
-	for b := range cs.cols[0].blocks {
-		if err := ctx.Err(); err != nil {
-			return Aggregate[T]{}, err
-		}
-		if !match(b) {
-			continue
-		}
-		any, err := cs.blockMaskQuery(st, b, q)
-		if err != nil {
-			if cfg.skipBlock(int(cs.cols[0].blocks[b].count), err) {
-				continue
-			}
-			return Aggregate[T]{}, err
-		}
-		if !any {
-			continue
-		}
+	err := cs.visitBlocks(ctx, cfg, q, func(st *setState[T], b int) (bool, error) {
 		vals, err := cs.gatherBlockCol(st, b, col)
 		if err != nil {
-			if cfg.skipBlock(int(cs.cols[0].blocks[b].count), err) {
-				continue
-			}
-			return Aggregate[T]{}, err
+			return true, err
 		}
 		agg.Merge(foldValues(vals))
+		return true, nil
+	})
+	if err != nil {
+		return Aggregate[T]{}, err
 	}
 	return agg, nil
 }

@@ -29,20 +29,21 @@
 // # Filtered scans and aggregate pushdown
 //
 // ScanSelect, ParallelScanSelect and AggregateWhere evaluate a range
-// predicate below decompression. Zone maps prune blocks first; inside each
-// surviving patched block the predicate is translated into the compressed
+// predicate below decompression. They are one-column Queries — Range(0,
+// lo, hi) over a one-column ColumnSet the reader builds at open — and run
+// under the same block loop as Run and RunAggregate. Zone maps decide
+// blocks first (none: skipped unread; all: decoded whole); inside each
+// remaining patched block the predicate is translated into the compressed
 // code domain — PFOR subtracts the block base and clamps to the codable
 // window, PDICT remaps the range into dictionary-code space once per block
 // (a contiguous code run uses the packed range kernels, anything else a
 // per-code bitmap), PFOR-DELTA falls back to a fused decode+compare per
 // 128-value group through its stored running total — and the packed code
-// section is scanned by generated branch-free kernels emitting selection
-// bitmaps. Only matching (row, value) pairs are materialized; exception
-// slots are judged on their true values. AggregateWhere goes further and
-// derives Count/Sum/Min/Max for PFOR from the matching codes plus the
-// block base without widening codes to the element type. Raw and baseline
-// frames decode-then-filter with the same output contract, and warmed
-// sequential filtered scans allocate nothing.
+// section is scanned by generated branch-free kernels emitting a selection
+// bitmap, exception slots judged on their true values. Only the rows the
+// bitmap selects are materialized, and AggregateWhere folds those. Raw and
+// baseline frames decode-then-filter with the same output contract, and
+// warmed sequential filtered scans allocate nothing.
 //
 // # Hot-block caching
 //

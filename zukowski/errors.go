@@ -59,10 +59,6 @@ var (
 	// and ErrChecksumMismatch (the original cause stays in the chain).
 	ErrBlockQuarantined = errors.New("zukowski: block quarantined")
 
-	// ErrUnsupportedVersion reports a column format version this build
-	// cannot write (readers accept every released version).
-	ErrUnsupportedVersion = errors.New("zukowski: unsupported column format version")
-
 	// ErrClosed reports a write to a closed ColumnWriter.
 	ErrClosed = errors.New("zukowski: column writer is closed")
 

@@ -97,9 +97,9 @@ func (e *Expr[T]) check(ncols int) error {
 
 // verdict is what a block's zone maps prove about a predicate before any
 // of the block is read. It is the one block-level pruning decision of the
-// query layer: queryMatch drops blocks on verdictNone, blockMaskQuery and
-// evalExpr skip every conjunct and subtree decided either way, Candidates
-// reports what is left to read.
+// query layer: visitBlocks and runParallel drop blocks on verdictNone,
+// blockMaskQuery and evalExpr skip every conjunct and subtree decided
+// either way, Candidates reports what is left to read.
 type verdict uint8
 
 const (

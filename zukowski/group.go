@@ -1,6 +1,7 @@
 package zukowski
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -187,9 +188,6 @@ func applyRow[T Integer](specs []AggSpec[T], cells []int64, cols [][]T, i int) {
 func (cs *ColumnSet[T]) GroupAggregate(expr Expr[T], groupCols []int, specs []AggSpec[T], opts ...ScanOption) (Grouped[T], error) {
 	var zero Grouped[T]
 	q := Query[T]{Expr: expr}
-	if _, err := cs.checkQuery(&q); err != nil {
-		return zero, err
-	}
 	need := make([]bool, len(cs.cols))
 	for _, ci := range groupCols {
 		if ci < 0 || ci >= len(cs.cols) {
@@ -216,50 +214,29 @@ func (cs *ColumnSet[T]) GroupAggregate(expr Expr[T], groupCols []int, specs []Ag
 		need[specs[s].Col] = true
 	}
 
-	cfg := parseScanOpts(opts)
-	st := cs.getState()
-	defer cs.putState(st)
 	gt := newGroupTable(specs)
 	colsBuf := make([][]T, len(cs.cols))
 	key := make([]T, len(groupCols))
 	dictLens := make([]int, len(groupCols))
-	if cap(st.codes) < len(groupCols) {
-		st.codes = make([][]int32, len(groupCols))
-	}
-	codes := st.codes[:len(groupCols)]
 	var flatCells []int64 // specs-major: flatCells[s*P+code]
 	var flatCount []int64
 	var touched []int32
-
-	match := cs.queryMatch(&q)
-	for b := range cs.cols[0].blocks {
-		if !match(b) {
-			continue
-		}
-		nrows, err := cs.groupBlock(st, &q, b, groupCols, specs, need, gt,
-			colsBuf, key, dictLens, codes, &flatCells, &flatCount, &touched)
-		if err != nil {
-			if cfg.skipBlock(nrows, err) {
-				continue
-			}
-			return zero, err
-		}
+	err := cs.visitBlocks(context.Background(), parseScanOpts(opts), &q, func(st *setState[T], b int) (bool, error) {
+		return true, cs.groupBlock(st, b, groupCols, specs, need, gt,
+			colsBuf, key, dictLens, &flatCells, &flatCount, &touched)
+	})
+	if err != nil {
+		return zero, err
 	}
 	return gt.result(), nil
 }
 
-// groupBlock folds one block into gt. It returns the block's directory
-// row count alongside any error, for degraded-mode accounting.
-func (cs *ColumnSet[T]) groupBlock(st *setState[T], q *Query[T], b int,
+// groupBlock folds the rows block b's bitmap (st.sv) selects into gt.
+func (cs *ColumnSet[T]) groupBlock(st *setState[T], b int,
 	groupCols []int, specs []AggSpec[T], need []bool, gt *groupTable[T],
-	colsBuf [][]T, key []T, dictLens []int, codes [][]int32,
+	colsBuf [][]T, key []T, dictLens []int,
 	flatCells, flatCount *[]int64, touched *[]int32,
-) (nrows int, err error) {
-	nrows = int(cs.cols[0].blocks[b].count)
-	any, err := cs.blockMaskQuery(st, b, q)
-	if err != nil || !any {
-		return nrows, err
-	}
+) (err error) {
 	defer guardSegment(&err)
 	for ci := range cs.cols {
 		colsBuf[ci] = nil
@@ -268,7 +245,7 @@ func (cs *ColumnSet[T]) groupBlock(st *setState[T], q *Query[T], b int,
 		}
 		vals, err := cs.gatherCol(&st.cols[ci], ci, b, &st.sv)
 		if err != nil {
-			return nrows, err
+			return err
 		}
 		colsBuf[ci] = vals
 	}
@@ -297,9 +274,13 @@ func (cs *ColumnSet[T]) groupBlock(st *setState[T], q *Query[T], b int,
 			}
 			applyRow(specs, gt.group(key), colsBuf, i)
 		}
-		return nrows, nil
+		return nil
 	}
 
+	if cap(st.codes) < len(groupCols) {
+		st.codes = make([][]int32, len(groupCols))
+	}
+	codes := st.codes[:len(groupCols)]
 	for gi, ci := range groupCols {
 		cst := &st.cols[ci]
 		codes[gi] = cst.dec.DecompressSelectedCodes(&cst.blk, &st.sv, codes[gi][:0])
@@ -366,5 +347,5 @@ func (cs *ColumnSet[T]) groupBlock(st *setState[T], q *Query[T], b int,
 		count[code] = 0
 	}
 	*touched = tl[:0]
-	return nrows, nil
+	return nil
 }

@@ -1,6 +1,8 @@
 package zukowski
 
 import (
+	"context"
+
 	"repro/internal/core"
 )
 
@@ -48,81 +50,50 @@ func (jt *JoinTable[T]) Rows(key T) []int32 { return jt.rows[key] }
 // per dictionary entry, and each row then joins by its dictionary code;
 // only exception-slot rows probe the table individually, on their
 // materialized values.
-func (cs *ColumnSet[T]) JoinOn(expr Expr[T], probeCol int, jt *JoinTable[T], fn func(probeRows []int64, buildRows []int32) bool, opts ...ScanOption) (err error) {
-	q := Query[T]{Expr: expr}
-	if _, err := cs.checkQuery(&q); err != nil {
-		return err
-	}
-	if _, err := cs.checkQuery(&Query[T]{Cols: []int{probeCol}}); err != nil {
-		return err
-	}
-	cfg := parseScanOpts(opts)
-	st := cs.getState()
-	defer cs.putState(st)
+func (cs *ColumnSet[T]) JoinOn(expr Expr[T], probeCol int, jt *JoinTable[T], fn func(probeRows []int64, buildRows []int32) bool, opts ...ScanOption) error {
+	// Cols only carries probeCol to the query check; nothing reads it after.
+	q := Query[T]{Expr: expr, Cols: []int{probeCol}}
 	var (
 		pr       []int64
 		br       []int32
 		codes    []int32
 		dictRows [][]int32 // build matches per dictionary code of the current block
 	)
-	match := cs.queryMatch(&q)
-	for b := range cs.cols[0].blocks {
-		if !match(b) {
-			continue
-		}
-		stop, err := func() (stop bool, err error) {
-			any, err := cs.blockMaskQuery(st, b, &q)
-			if err != nil || !any {
-				return false, err
-			}
-			defer guardSegment(&err)
-			cst := &st.cols[probeCol]
-			vals, err := cs.gatherCol(cst, probeCol, b, &st.sv)
-			if err != nil {
-				return false, err
-			}
-			st.rows = st.sv.AppendRows(st.rows[:0], int64(cs.cols[0].starts[b]))
-			pr, br = pr[:0], br[:0]
-			if cst.form == colSeg && cst.blk.Scheme == core.SchemePDict {
-				dictRows = dictRows[:0]
-				for _, v := range cst.blk.Dict[:cst.blk.DictLen] {
-					dictRows = append(dictRows, jt.rows[v])
-				}
-				codes = cst.dec.DecompressSelectedCodes(&cst.blk, &st.sv, codes[:0])
-				for i, c := range codes {
-					var matches []int32
-					if c < 0 {
-						matches = jt.rows[vals[i]]
-					} else {
-						matches = dictRows[c]
-					}
-					for _, r := range matches {
-						pr = append(pr, st.rows[i])
-						br = append(br, r)
-					}
-				}
-			} else {
-				for i, v := range vals {
-					for _, r := range jt.rows[v] {
-						pr = append(pr, st.rows[i])
-						br = append(br, r)
-					}
-				}
-			}
-			if len(pr) == 0 {
-				return false, nil
-			}
-			return !fn(pr, br), nil
-		}()
+	return cs.visitBlocks(context.Background(), parseScanOpts(opts), &q, func(st *setState[T], b int) (more bool, err error) {
+		defer guardSegment(&err)
+		cst := &st.cols[probeCol]
+		vals, err := cs.gatherCol(cst, probeCol, b, &st.sv)
 		if err != nil {
-			if cfg.skipBlock(int(cs.cols[0].blocks[b].count), err) {
-				continue
+			return true, err
+		}
+		st.rows = st.sv.AppendRows(st.rows[:0], int64(cs.cols[0].starts[b]))
+		pr, br = pr[:0], br[:0]
+		if cst.form == colSeg && cst.blk.Scheme == core.SchemePDict {
+			dictRows = dictRows[:0]
+			for _, v := range cst.blk.Dict[:cst.blk.DictLen] {
+				dictRows = append(dictRows, jt.rows[v])
 			}
-			return err
+			codes = cst.dec.DecompressSelectedCodes(&cst.blk, &st.sv, codes[:0])
+			for i, c := range codes {
+				var matches []int32
+				if c < 0 {
+					matches = jt.rows[vals[i]]
+				} else {
+					matches = dictRows[c]
+				}
+				for _, r := range matches {
+					pr = append(pr, st.rows[i])
+					br = append(br, r)
+				}
+			}
+		} else {
+			for i, v := range vals {
+				for _, r := range jt.rows[v] {
+					pr = append(pr, st.rows[i])
+					br = append(br, r)
+				}
+			}
 		}
-		if stop {
-			return nil
-		}
-	}
-	return nil
+		return len(pr) == 0 || fn(pr, br), nil
+	})
 }

@@ -83,24 +83,15 @@ func (cr *ColumnReader[T]) parallelScan(match func(b int) bool, workers int, fn 
 		}
 		return func() bool { return fn(b, vals) }, nil
 	}
-	return cr.parallelBlocks(match, workers, cfg, seq, work)
-}
-
-// parallelBlocks is the block-parallel scan engine entry point of one
-// column: it binds the shared engine to the reader's block count and
-// decode-state pool. work decodes one block with a worker-owned state and
-// returns a deliver closure (nil to deliver nothing, e.g. a filtered
-// block without matches); seq is the one-worker degenerate case.
-func (cr *ColumnReader[T]) parallelBlocks(match func(b int) bool, workers int, cfg *scanConfig,
-	seq func() error, work func(st *decodeState[T], b int) (func() bool, error)) error {
 	return parallelBlocksEngine(len(cr.blocks), workers, match, cfg, seq, cr.getState, cr.putState, work)
 }
 
-// parallelBlocksEngine is the block-parallel scan engine shared by
-// ParallelScan, ParallelScanWhere, ParallelScanSelect and the ColumnSet
-// scans (whose worker state spans several columns — hence the state type
-// parameter). work decodes one block with a worker-owned state and
-// returns a deliver closure (nil to deliver nothing); deliveries run
+// parallelBlocksEngine is the block-parallel scan engine shared by the
+// whole-block scans of one column (ParallelScan, ParallelScanWhere) and the
+// ColumnSet query scans, ParallelScanSelect among them (whose worker state
+// spans several columns — hence the state type parameter). work decodes
+// one block with a worker-owned state and returns a deliver closure (nil
+// to deliver nothing); deliveries run
 // serialized under the engine mutex — in rank order when InOrder is set —
 // and a deliver returning false, a work error, or a panic in the delivery
 // stops the scan with sequential-equivalent semantics. seq is the

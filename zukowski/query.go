@@ -31,8 +31,9 @@ type Query[T Integer] struct {
 	// predicates need not appear — filtering never materializes them.
 	Cols []int
 
-	// Workers sets block-level parallelism. Values below 2 run the scan
-	// sequentially on the calling goroutine.
+	// Workers sets Run's block-level parallelism. Values below 2 run the
+	// scan sequentially on the calling goroutine. RunAggregate and
+	// Candidates are sequential and ignore it.
 	Workers int
 
 	// InOrder makes a parallel scan deliver blocks in ascending block
@@ -79,12 +80,6 @@ func (cs *ColumnSet[T]) checkQuery(q *Query[T]) (empty bool, err error) {
 	return empty, nil
 }
 
-// queryMatch returns q's block predicate: a block survives unless its
-// zone maps prove that no row of it satisfies q.
-func (cs *ColumnSet[T]) queryMatch(q *Query[T]) func(b int) bool {
-	return func(b int) bool { return cs.queryVerdict(q, b) != verdictNone }
-}
-
 // Run executes q, invoking fn once per block with at least one surviving
 // row: the global row numbers and, per requested column, the values of
 // those rows. The slices are reused between calls; fn must copy what it
@@ -112,7 +107,9 @@ func (cs *ColumnSet[T]) Run(ctx context.Context, q Query[T], fn func(block int, 
 
 // RunAggregate computes Count, Sum, Min and Max over column col's values
 // at the rows q selects, without materializing any other column. The
-// bitmap composes exactly as in Run; q.Cols is ignored.
+// bitmap composes exactly as in Run; q.Cols is ignored, and so are
+// q.Workers and q.InOrder: the fold is one sequential pass on the calling
+// goroutine, consulting ctx once per block.
 func (cs *ColumnSet[T]) RunAggregate(ctx context.Context, q Query[T], col int) (Aggregate[T], error) {
 	return cs.runAggregate(ctx, q.config(), &q, col)
 }

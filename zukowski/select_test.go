@@ -122,6 +122,7 @@ func columnRanges[T zukowski.Integer](vals []T) [][2]T {
 		{sorted[n-1] + 1, sorted[n-1] + 2}, // beyond max: zone maps prune all
 		{sorted[n/2] + 1, sorted[n/2]},     // inverted
 		{sorted[0], sorted[n/100]},
+		{sorted[20*n/100], sorted[80*n/100]}, // 60 %: groups cross into the dense gather
 	}
 }
 
@@ -252,7 +253,9 @@ func TestParallelScanSelectEquivalence(t *testing.T) {
 		lo, hi := r[0], r[1]
 		wantRows, wantVals := selectOracle(t, cr, lo, hi)
 
-		for _, workers := range []int{2, 4} {
+		// 0 is GOMAXPROCS and 1 the sequential loop: the method's contract,
+		// not Query.Workers' (where anything below 2 is sequential).
+		for _, workers := range []int{0, 1, 2, 4} {
 			var rows []int64
 			var got []int64
 			err := cr.ParallelScanSelect(lo, hi, workers, func(_ int, r []int64, v []int64) bool {
@@ -407,48 +410,57 @@ func BenchmarkScanSelect(b *testing.B) {
 	cr := buildSelectColumn(b, zukowski.PFOR[int64]{}, zukowski.DefaultBlockValues, vals)
 	sorted := slices.Clone(vals)
 	slices.Sort(sorted)
-	lo, hi := sorted[45*len(sorted)/100], sorted[55*len(sorted)/100]
 	raw := int64(len(vals) * 8)
-
-	b.Run("ScanSelect-10pct", func(b *testing.B) {
-		b.SetBytes(raw)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var n int
-			if err := cr.ScanSelect(lo, hi, func(rows []int64, v []int64) bool { n += len(rows); return true }); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ScanWhere-filter-10pct", func(b *testing.B) {
-		b.SetBytes(raw)
-		b.ReportAllocs()
-		rows := make([]int64, 0, len(vals))
-		out := make([]int64, 0, len(vals))
-		for i := 0; i < b.N; i++ {
-			base := 0
-			if err := cr.ScanWhere(lo, hi, func(v []int64) bool {
-				rows, out = rows[:0], out[:0]
-				for j, x := range v {
-					if x >= lo && x <= hi {
-						rows = append(rows, int64(base+j))
-						out = append(out, x)
-					}
+	// 10 % stays below the dense-gather threshold in most groups, 60 % is
+	// above it in all of them.
+	for _, w := range []struct {
+		name   string
+		lo, hi int64
+	}{
+		{"10pct", sorted[45*len(sorted)/100], sorted[55*len(sorted)/100]},
+		{"60pct", sorted[20*len(sorted)/100], sorted[80*len(sorted)/100]},
+	} {
+		lo, hi := w.lo, w.hi
+		b.Run("ScanSelect-"+w.name, func(b *testing.B) {
+			b.SetBytes(raw)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var n int
+				if err := cr.ScanSelect(lo, hi, func(rows []int64, v []int64) bool { n += len(rows); return true }); err != nil {
+					b.Fatal(err)
 				}
-				base += len(v)
-				return true
-			}); err != nil {
-				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("AggregateWhere-10pct", func(b *testing.B) {
-		b.SetBytes(raw)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cr.AggregateWhere(lo, hi); err != nil {
-				b.Fatal(err)
+		})
+		b.Run("ScanWhere-filter-"+w.name, func(b *testing.B) {
+			b.SetBytes(raw)
+			b.ReportAllocs()
+			rows := make([]int64, 0, len(vals))
+			out := make([]int64, 0, len(vals))
+			for i := 0; i < b.N; i++ {
+				base := 0
+				if err := cr.ScanWhere(lo, hi, func(v []int64) bool {
+					rows, out = rows[:0], out[:0]
+					for j, x := range v {
+						if x >= lo && x <= hi {
+							rows = append(rows, int64(base+j))
+							out = append(out, x)
+						}
+					}
+					base += len(v)
+					return true
+				}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+		b.Run("AggregateWhere-"+w.name, func(b *testing.B) {
+			b.SetBytes(raw)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cr.AggregateWhere(lo, hi); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
