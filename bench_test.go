@@ -16,7 +16,6 @@ import (
 
 	"repro/experiments"
 	"repro/internal/baseline"
-	"repro/internal/columnbm"
 	"repro/internal/core"
 	"repro/internal/invfile"
 	"repro/internal/tpch"
@@ -209,17 +208,17 @@ func BenchmarkFig7(b *testing.B) {
 // --- Table 2: TPC-H queries on compressed vs uncompressed DSM --------------
 
 func BenchmarkTable2Queries(b *testing.B) {
-	compressed := experiments.BuildTPCH(0.01, columnbm.DSM, true, experiments.LowEndRAID)
-	uncompressed := experiments.BuildTPCH(0.01, columnbm.DSM, false, experiments.LowEndRAID)
+	compressed := experiments.BuildTPCH(0.01, tpch.DSM, true, experiments.LowEndRAID)
+	uncompressed := experiments.BuildTPCH(0.01, tpch.DSM, false, experiments.LowEndRAID)
 	for _, q := range tpch.QueryOrder {
 		b.Run("Q"+q+"/compressed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				compressed.RunQuery(q, 1<<30, columnbm.VectorWise)
+				compressed.RunQuery(q, 1<<30, tpch.VectorWise)
 			}
 		})
 		b.Run("Q"+q+"/uncompressed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				uncompressed.RunQuery(q, 1<<30, columnbm.VectorWise)
+				uncompressed.RunQuery(q, 1<<30, tpch.VectorWise)
 			}
 		})
 	}
@@ -228,9 +227,9 @@ func BenchmarkTable2Queries(b *testing.B) {
 // --- Table 3: page-wise vs vector-wise on Q3/4/6/18 -------------------------
 
 func BenchmarkTable3Modes(b *testing.B) {
-	cfg := experiments.BuildTPCH(0.01, columnbm.DSM, true, experiments.MidEndRAID)
+	cfg := experiments.BuildTPCH(0.01, tpch.DSM, true, experiments.MidEndRAID)
 	for _, q := range []string{"03", "04", "06", "18"} {
-		for _, mode := range []columnbm.DecompressMode{columnbm.PageWise, columnbm.VectorWise} {
+		for _, mode := range []tpch.Mode{tpch.PageWise, tpch.VectorWise} {
 			b.Run("Q"+q+"/"+mode.String(), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cfg.RunQuery(q, 1<<30, mode)

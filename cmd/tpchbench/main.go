@@ -6,7 +6,11 @@
 //	Table 3  — page-wise vs vector-wise decompression (time + L2 misses)
 //	Figure 8 — per-query time split: decompression / other CPU / I/O stalls
 //	-check   — compressed-domain cross-check: the ZKC2 Expr/GroupAggregate
-//	           query path against the decode-then-filter engine oracle
+//	           query path against the same queries over the generated arrays
+//
+// Every table is measured on one storage stack: ZKC2 containers of
+// 4,096-value blocks behind a zukowski.BlockLRU of -buf bytes, read
+// through a byte-counting io.ReaderAt that stands in for the RAID.
 //
 // Every run that compares configurations also compares their results;
 // the process exits non-zero if any query's compressed and uncompressed
@@ -22,6 +26,7 @@ import (
 	"os"
 
 	"repro/experiments"
+	"repro/internal/tpch"
 )
 
 func main() {
@@ -49,9 +54,9 @@ func main() {
 		experiments.Table3(w, *sf, experiments.MidEndRAID, *buf)
 	}
 	if all || *fig8 {
-		experiments.Fig8(w, *sf, experiments.LowEndRAID, experiments.DSM, *buf)
-		experiments.Fig8(w, *sf, experiments.MidEndRAID, experiments.DSM, *buf)
-		experiments.Fig8(w, *sf, experiments.MidEndRAID, experiments.PAX, *buf)
+		experiments.Fig8(w, *sf, experiments.LowEndRAID, tpch.DSM, *buf)
+		experiments.Fig8(w, *sf, experiments.MidEndRAID, tpch.DSM, *buf)
+		experiments.Fig8(w, *sf, experiments.MidEndRAID, tpch.PAX, *buf)
 	}
 	if all || *check {
 		diverged += experiments.CompressedCheck(w, *sf, *buf)

@@ -92,7 +92,7 @@ func main() {
 		}
 	}
 
-	var regOpts []zkserve.RegistryOption
+	regOpts := []zkserve.RegistryOption{zkserve.WithCacheBytes(*cacheBytes)}
 	if *retryAttempts > 1 {
 		regOpts = append(regOpts, zkserve.WithRetryPolicy(zukowski.RetryPolicy{
 			MaxAttempts: *retryAttempts,
@@ -135,7 +135,6 @@ func main() {
 		MaxBytes:    *maxBytes,
 		MaxDuration: *maxDur,
 		MaxWorkers:  *maxWorkers,
-		CacheBytes:  *cacheBytes,
 		Logger:      logger,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv}

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/columnbm"
+	"repro/internal/tpch"
 )
 
 // The experiment harnesses run with tiny parameters here: the goal is to
@@ -90,8 +90,8 @@ func TestTable1(t *testing.T) {
 }
 
 func TestRunQueryAccounting(t *testing.T) {
-	cfg := BuildTPCH(0.002, columnbm.DSM, true, LowEndRAID)
-	run := cfg.RunQuery("06", 1<<30, columnbm.VectorWise)
+	com := BuildTPCH(0.002, tpch.DSM, true, LowEndRAID)
+	run := com.RunQuery("06", 1<<30, tpch.VectorWise)
 	if run.Ratio <= 1 {
 		t.Fatalf("compressed config ratio %.2f", run.Ratio)
 	}
@@ -104,19 +104,47 @@ func TestRunQueryAccounting(t *testing.T) {
 	if run.Decompress <= 0 || run.Decompress > run.CPUTime {
 		t.Fatalf("decompress %v vs cpu %v", run.Decompress, run.CPUTime)
 	}
+
+	// The I/O meter. IOTime is bytes fetched over one bandwidth, so it
+	// orders configurations by the bytes they fetch.
+	unc := BuildTPCH(0.002, tpch.DSM, false, LowEndRAID)
+	if u := unc.RunQuery("06", 1<<30, tpch.VectorWise); run.IOTime >= u.IOTime {
+		t.Fatalf("compressed Q6 fetched for %v, uncompressed for %v", run.IOTime, u.IOTime)
+	}
+	if p := com.as(tpch.PAX).RunQuery("06", 1<<30, tpch.VectorWise); p.IOTime < run.IOTime {
+		t.Fatalf("PAX Q6 fetched for %v, less than DSM's %v", p.IOTime, run.IOTime)
+	}
+	db := com.Image.Open(tpch.DSM, tpch.VectorWise, 1<<30)
+	cold, _ := com.run(db, "06")
+	warm, _ := com.run(db, "06")
+	if cold.IOTime != run.IOTime || warm.IOTime != 0 {
+		t.Fatalf("cold run fetched for %v (want %v), run on the warm pool for %v (want 0)",
+			cold.IOTime, run.IOTime, warm.IOTime)
+	}
+	if warm.Decompress <= 0 || warm.Decompress > warm.CPUTime {
+		t.Fatalf("warm run: decompress %v vs cpu %v", warm.Decompress, warm.CPUTime)
+	}
 }
 
 func TestCompressionSpeedsUpIOBoundQueries(t *testing.T) {
 	// The Table 2 headline at harness level: on the slow RAID, the
 	// compressed run of the scan-heavy Q6 beats the uncompressed run.
-	unc := BuildTPCH(0.005, columnbm.DSM, false, LowEndRAID)
-	com := BuildTPCH(0.005, columnbm.DSM, true, LowEndRAID)
-	u := unc.RunQuery("06", 1<<30, columnbm.VectorWise)
-	c := com.RunQuery("06", 1<<30, columnbm.VectorWise)
+	unc := BuildTPCH(0.005, tpch.DSM, false, LowEndRAID)
+	com := BuildTPCH(0.005, tpch.DSM, true, LowEndRAID)
+	u := unc.RunQuery("06", 1<<30, tpch.VectorWise)
+	c := com.RunQuery("06", 1<<30, tpch.VectorWise)
 	if c.Total >= u.Total {
 		t.Fatalf("compressed Q6 %v should beat uncompressed %v", c.Total, u.Total)
 	}
 	// And the win should be broadly in line with the ratio (I/O bound).
+	// I/O time is bytes over bandwidth, CPU time is this build's: one disk
+	// (an eighth of the 4-disk RAID's bandwidth) keeps the query I/O bound
+	// under the race detector too, whose ~15x slower pipeline falls behind
+	// the 4-disk RAID's compressed stream.
+	oneDisk := RAIDConfig{"1 disk", 10}
+	unc.RAID, com.RAID = oneDisk, oneDisk
+	u = unc.RunQuery("06", 1<<30, tpch.VectorWise)
+	c = com.RunQuery("06", 1<<30, tpch.VectorWise)
 	speedup := float64(u.Total) / float64(c.Total)
 	if speedup < c.Ratio/3 {
 		t.Fatalf("speedup %.2f too far below ratio %.2f for an I/O-bound query", speedup, c.Ratio)
@@ -124,12 +152,15 @@ func TestCompressionSpeedsUpIOBoundQueries(t *testing.T) {
 }
 
 func TestVectorWiseBeatsPageWise(t *testing.T) {
-	cfg := BuildTPCH(0.005, columnbm.DSM, true, MidEndRAID)
+	// At this scale a run is a few milliseconds, long enough for the sum
+	// to absorb a scheduler stall, and the four decoded columns (10 MB)
+	// no longer fit the cache page-wise reads them back from.
+	cfg := BuildTPCH(0.05, tpch.DSM, true, MidEndRAID)
 	// Compare CPU time over a few runs to damp scheduler noise.
 	var pw, vw time.Duration
 	for i := 0; i < 3; i++ {
-		pw += cfg.RunQuery("06", 1<<30, columnbm.PageWise).CPUTime
-		vw += cfg.RunQuery("06", 1<<30, columnbm.VectorWise).CPUTime
+		pw += cfg.RunQuery("06", 1<<30, tpch.PageWise).CPUTime
+		vw += cfg.RunQuery("06", 1<<30, tpch.VectorWise).CPUTime
 	}
 	if vw > pw*3/2 {
 		t.Fatalf("vector-wise CPU %v should not lose badly to page-wise %v", vw, pw)
@@ -154,7 +185,7 @@ func TestTable3AndFig8HarnessSmoke(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	Table3(&buf, 0.002, MidEndRAID, 1<<30)
-	Fig8(&buf, 0.002, LowEndRAID, columnbm.DSM, 1<<30)
+	Fig8(&buf, 0.002, LowEndRAID, tpch.DSM, 1<<30)
 	for _, want := range []string{"Table 3", "Figure 8", "vector-wise"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("missing %q", want)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/columnbm"
 	"repro/internal/iomodel"
 	"repro/internal/report"
 	"repro/internal/simcpu"
@@ -56,66 +55,61 @@ func (r QueryRun) IOStall() time.Duration {
 	return 0
 }
 
-// TPCHConfig is one (layout, compression) configuration over a dataset.
+// TPCHConfig is one (layout, compression) configuration over a dataset
+// stored on one simulated RAID.
 type TPCHConfig struct {
-	DS       *tpch.Dataset
-	Disk     *columnbm.Disk
-	Tables   map[string]*columnbm.Table
-	Layout   columnbm.Layout
-	Compress bool
+	Image  *tpch.Image // the stored containers; every run opens them cold
+	Layout tpch.Layout
+	RAID   RAIDConfig
 }
 
 // BuildTPCH generates and stores a dataset configuration.
-func BuildTPCH(sf float64, layout columnbm.Layout, compress bool, raid RAIDConfig) *TPCHConfig {
-	ds := tpch.Generate(sf, 42)
-	disk := columnbm.NewDisk(raid.BandwidthMBps)
-	tables := tpch.Store(ds, disk, layout, compress, 128*1024)
-	return &TPCHConfig{DS: ds, Disk: disk, Tables: tables, Layout: layout, Compress: compress}
+func BuildTPCH(sf float64, layout tpch.Layout, compress bool, raid RAIDConfig) *TPCHConfig {
+	return &TPCHConfig{Image: tpch.Store(tpch.Generate(sf, 42), compress), Layout: layout, RAID: raid}
 }
 
-// RunQuery executes one query cold (fresh buffer manager) and returns its
+// as returns cfg under another layout, sharing its stored containers:
+// the layout decides what a scan fetches, not what is stored.
+func (cfg *TPCHConfig) as(layout tpch.Layout) *TPCHConfig {
+	c := *cfg
+	c.Layout = layout
+	return &c
+}
+
+// RunQuery executes one query cold (empty buffer pool) and returns its
 // measurements. bufBytes models the paper's 4GB RAM, scaled.
-func (cfg *TPCHConfig) RunQuery(q string, bufBytes int64, mode columnbm.DecompressMode) QueryRun {
+func (cfg *TPCHConfig) RunQuery(q string, bufBytes int64, mode tpch.Mode) QueryRun {
 	run, _ := cfg.RunQueryResult(q, bufBytes, mode)
 	return run
 }
 
 // RunQueryResult is RunQuery keeping the query's materialized result, so
 // harnesses can cross-check configurations against each other.
-func (cfg *TPCHConfig) RunQueryResult(q string, bufBytes int64, mode columnbm.DecompressMode) (QueryRun, [][]int64) {
-	db := tpch.NewDB(cfg.DS, cfg.Disk, cfg.Tables, bufBytes, mode)
-	cfg.Disk.ResetStats()
-	db.ResetStats()
+func (cfg *TPCHConfig) RunQueryResult(q string, bufBytes int64, mode tpch.Mode) (QueryRun, [][]int64) {
+	return cfg.run(cfg.Image.Open(cfg.Layout, mode, bufBytes), q)
+}
 
+// run executes q on an open database and measures what that execution
+// added to db's accounting, so a second run shows the warm buffer pool.
+func (cfg *TPCHConfig) run(db *tpch.DB, q string) (QueryRun, [][]int64) {
+	fetched, decompress := db.BytesFetched(), db.DecompressTime()
 	start := time.Now()
 	res := tpch.Queries[q](db)
 	cpu := time.Since(start)
+	fetched = db.BytesFetched() - fetched
 
 	run := QueryRun{
 		Query:      q,
 		CPUTime:    cpu,
-		Decompress: db.DecompressTime(),
-		IOTime:     cfg.Disk.ReadTime(),
+		Decompress: db.DecompressTime() - decompress,
+		IOTime:     time.Duration(float64(fetched) / (cfg.RAID.BandwidthMBps * 1e6) * float64(time.Second)),
 	}
-	run.Total = run.CPUTime
-	if run.IOTime > run.Total {
-		run.Total = run.IOTime
-	}
-	// Per-query compression ratio over the columns the query scans.
+	run.Total = max(run.CPUTime, run.IOTime)
+	// Per-query compression ratio over the columns the query's scans fetch.
 	var unc, comp int64
 	for rel, cols := range tpch.ScanColumns[q] {
-		t := cfg.Tables[rel]
-		r := cfg.DS.Rel(rel)
-		idx := make([]int, len(cols))
-		for i, c := range cols {
-			idx[i] = r.Col(c)
-		}
-		comp += t.ScanBytes(idx)
-		if cfg.Layout == columnbm.DSM {
-			unc += int64(r.Rows()) * int64(len(cols)) * 8
-		} else {
-			unc += int64(r.Rows()) * int64(len(r.Cols)) * 8
-		}
+		u, c := db.ScanBytes(rel, cols...)
+		unc, comp = unc+u, comp+c
 	}
 	if comp > 0 {
 		run.Ratio = float64(unc) / float64(comp)
@@ -137,17 +131,16 @@ func Table2(w io.Writer, sf float64, raid RAIDConfig, bufBytes int64) int {
 		"query", "DSM ratio", "PAX ratio", "dec.speed MB/s",
 		"DSM unc", "DSM compr", "PAX unc", "PAX compr", "DSM speedup", "match")
 
-	dsmU := BuildTPCH(sf, columnbm.DSM, false, raid)
-	dsmC := BuildTPCH(sf, columnbm.DSM, true, raid)
-	paxU := BuildTPCH(sf, columnbm.PAX, false, raid)
-	paxC := BuildTPCH(sf, columnbm.PAX, true, raid)
+	dsmU := BuildTPCH(sf, tpch.DSM, false, raid)
+	dsmC := BuildTPCH(sf, tpch.DSM, true, raid)
+	paxU, paxC := dsmU.as(tpch.PAX), dsmC.as(tpch.PAX)
 
 	diverged := 0
 	for _, q := range tpch.QueryOrder {
-		du, want := dsmU.RunQueryResult(q, bufBytes, columnbm.VectorWise)
-		dc, dcRes := dsmC.RunQueryResult(q, bufBytes, columnbm.VectorWise)
-		pu, puRes := paxU.RunQueryResult(q, bufBytes, columnbm.VectorWise)
-		pc, pcRes := paxC.RunQueryResult(q, bufBytes, columnbm.VectorWise)
+		du, want := dsmU.RunQueryResult(q, bufBytes, tpch.VectorWise)
+		dc, dcRes := dsmC.RunQueryResult(q, bufBytes, tpch.VectorWise)
+		pu, puRes := paxU.RunQueryResult(q, bufBytes, tpch.VectorWise)
+		pc, pcRes := paxC.RunQueryResult(q, bufBytes, tpch.VectorWise)
 		speedup := 0.0
 		if dc.Total > 0 {
 			speedup = float64(du.Total) / float64(dc.Total)
@@ -173,16 +166,16 @@ func Table3(w io.Writer, sf float64, raid RAIDConfig, bufBytes int64) {
 	tbl := report.NewTable("Table 3: page-wise vs vector-wise decompression",
 		"query", "page-wise ms", "pw L2 misses (M)", "vector-wise ms", "vw L2 misses (M)")
 
-	cfg := BuildTPCH(sf, columnbm.DSM, true, raid)
+	cfg := BuildTPCH(sf, tpch.DSM, true, raid)
 	for _, q := range []string{"03", "04", "06", "18"} {
-		pw := cfg.RunQuery(q, bufBytes, columnbm.PageWise)
-		vw := cfg.RunQuery(q, bufBytes, columnbm.VectorWise)
+		pw := cfg.RunQuery(q, bufBytes, tpch.PageWise)
+		vw := cfg.RunQuery(q, bufBytes, tpch.VectorWise)
 
 		// Replay each mode's memory traffic through the cache model,
 		// sized by the bytes the query actually scanned.
 		var unc int64
 		for rel, cols := range tpch.ScanColumns[q] {
-			unc += int64(cfg.DS.Rel(rel).Rows()) * int64(len(cols)) * 8
+			unc += int64(cfg.Image.DS.Rel(rel).Rows()) * int64(len(cols)) * 8
 		}
 		ratio := pw.Ratio
 		if ratio <= 0 {
@@ -198,7 +191,7 @@ func Table3(w io.Writer, sf float64, raid RAIDConfig, bufBytes int64) {
 
 // Fig8 reproduces Figure 8: per-query time split into decompression, other
 // CPU, and I/O stalls, normalized to the uncompressed run.
-func Fig8(w io.Writer, sf float64, raid RAIDConfig, layout columnbm.Layout, bufBytes int64) {
+func Fig8(w io.Writer, sf float64, raid RAIDConfig, layout tpch.Layout, bufBytes int64) {
 	tbl := report.NewTable(
 		fmt.Sprintf("Figure 8: time split on %s, %s (%% of uncompressed query time)", raid.Name, layout),
 		"query", "unc total ms", "compr total ms",
@@ -207,8 +200,8 @@ func Fig8(w io.Writer, sf float64, raid RAIDConfig, layout columnbm.Layout, bufB
 	unc := BuildTPCH(sf, layout, false, raid)
 	com := BuildTPCH(sf, layout, true, raid)
 	for _, q := range tpch.QueryOrder {
-		u := unc.RunQuery(q, bufBytes, columnbm.VectorWise)
-		c := com.RunQuery(q, bufBytes, columnbm.VectorWise)
+		u := unc.RunQuery(q, bufBytes, tpch.VectorWise)
+		c := com.RunQuery(q, bufBytes, tpch.VectorWise)
 		base := float64(u.Total)
 		if base == 0 {
 			continue

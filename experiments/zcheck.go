@@ -5,25 +5,22 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/columnbm"
 	"repro/internal/report"
 	"repro/internal/tpch"
 )
 
 // CompressedCheck cross-checks the compressed-domain query path (ZKC2
 // columns queried through Expr trees and code-space GroupAggregate)
-// against the decode-then-filter engine over the same generated dataset,
-// and prints a timing table. The oracle runs uncompressed DSM through
-// the vector-wise engine — the configuration every other path is gated
-// on — so a zero return means every ZQuery produced a byte-identical
-// result. The return value is the number of diverging queries.
+// against the decode-then-process queries over the same generated
+// dataset, and prints a timing table. The oracle runs the engine over the
+// generated arrays — no container and no codec, so it shares nothing with
+// the storage it checks — and a zero return means every ZQuery produced a
+// byte-identical result. The return value is the number of diverging
+// queries.
 func CompressedCheck(w io.Writer, sf float64, bufBytes int64) int {
-	oracle := BuildTPCH(sf, columnbm.DSM, false, MidEndRAID)
-	zdb, err := tpch.BuildZDB(oracle.DS)
-	if err != nil {
-		fmt.Fprintf(w, "CompressedCheck: BuildZDB: %v\n", err)
-		return 1
-	}
+	ds := tpch.Generate(sf, 42)
+	oracle := tpch.Oracle(ds)
+	db := tpch.Store(ds, true).Open(tpch.DSM, tpch.VectorWise, bufBytes)
 
 	tbl := report.NewTable(
 		fmt.Sprintf("Compressed-domain cross-check: ZKC2 Expr/GroupAggregate vs engine oracle, SF-%g (times in ms)", sf),
@@ -31,9 +28,11 @@ func CompressedCheck(w io.Writer, sf float64, bufBytes int64) int {
 
 	diverged := 0
 	for _, q := range tpch.ZQueryOrder {
-		run, want := oracle.RunQueryResult(q, bufBytes, columnbm.VectorWise)
 		start := time.Now()
-		got := tpch.ZQueries[q](zdb)
+		want := tpch.Queries[q](oracle)
+		ot := time.Since(start)
+		start = time.Now()
+		got := tpch.ZQueries[q](db)
 		zt := time.Since(start)
 
 		rows := 0
@@ -44,7 +43,7 @@ func CompressedCheck(w io.Writer, sf float64, bufBytes int64) int {
 		if !ok {
 			diverged++
 		}
-		tbl.Row(q, ms(run.CPUTime), ms(zt), rows, ok)
+		tbl.Row(q, ms(ot), ms(zt), rows, ok)
 	}
 	tbl.Print(w)
 	if diverged > 0 {

@@ -1,32 +1,5 @@
 package engine
 
-import (
-	"repro/internal/columnbm"
-)
-
-// --- Scan -------------------------------------------------------------------
-
-// Scan adapts a ColumnBM scanner to the operator interface.
-type Scan struct {
-	sc  *columnbm.Scanner
-	out *Batch
-}
-
-// NewScan wraps a scanner; the batch arity equals the scanned column count.
-func NewScan(sc *columnbm.Scanner) *Scan {
-	return &Scan{sc: sc, out: NewBatch(sc.NumCols(), sc.VectorSize())}
-}
-
-// Next pulls one vector from storage.
-func (s *Scan) Next() *Batch {
-	n := s.sc.Next(s.out.Cols)
-	if n == 0 {
-		return nil
-	}
-	s.out.N = n
-	return s.out
-}
-
 // --- Select -----------------------------------------------------------------
 
 // Filter narrows a candidate selection vector against one batch.
@@ -213,8 +186,9 @@ func Materialize(op Operator, arity int) [][]int64 {
 	}
 }
 
-// SliceSource replays materialized columns as an operator (for tests and
-// join build sides).
+// SliceSource replays materialized columns as an operator: the oracle's
+// scan over generated arrays, the replay of a pushed-down scan's result,
+// TopN's output.
 type SliceSource struct {
 	cols [][]int64
 	pos  int

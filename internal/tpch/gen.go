@@ -1,6 +1,7 @@
 // Package tpch provides a deterministic, scaled-down TPC-H data generator
 // and the eleven benchmark queries of Table 2 (Q1, 3, 4, 5, 6, 7, 11, 14,
-// 15, 18, 21), implemented on the vectorized engine over ColumnBM storage.
+// 15, 18, 21), implemented on the vectorized engine over ZKC2 column
+// containers (store.go).
 //
 // The generator reproduces the value distributions that drive compression
 // behaviour — sequential keys with gaps, clustered dates, low-cardinality
@@ -15,8 +16,6 @@ package tpch
 import (
 	"math/rand"
 	"time"
-
-	"repro/internal/columnbm"
 )
 
 // Relation names.
@@ -34,7 +33,7 @@ const (
 // Rel is one generated relation: named int64 columns.
 type Rel struct {
 	Name string
-	Cols []columnbm.Column
+	Cols []string
 	Data [][]int64
 	idx  map[string]int
 }
@@ -59,10 +58,10 @@ func (r *Rel) Rows() int {
 	return len(r.Data[0])
 }
 
-func newRel(name string, cols ...columnbm.Column) *Rel {
+func newRel(name string, cols ...string) *Rel {
 	r := &Rel{Name: name, Cols: cols, Data: make([][]int64, len(cols)), idx: map[string]int{}}
 	for i, c := range cols {
-		r.idx[c.Name] = i
+		r.idx[c] = i
 	}
 	return r
 }
@@ -136,7 +135,7 @@ func Generate(sf float64, seed int64) *Dataset {
 }
 
 func genRegion() *Rel {
-	r := newRel(Region, columnbm.Column{Name: "r_regionkey"})
+	r := newRel(Region, "r_regionkey")
 	for k := int64(0); k < NumRegions; k++ {
 		r.Data[0] = append(r.Data[0], k)
 	}
@@ -144,9 +143,7 @@ func genRegion() *Rel {
 }
 
 func genNation(rng *rand.Rand) *Rel {
-	r := newRel(Nation,
-		columnbm.Column{Name: "n_nationkey"},
-		columnbm.Column{Name: "n_regionkey"})
+	r := newRel(Nation, "n_nationkey", "n_regionkey")
 	for k := int64(0); k < NumNations; k++ {
 		r.Data[0] = append(r.Data[0], k)
 		r.Data[1] = append(r.Data[1], k%NumRegions)
@@ -155,9 +152,7 @@ func genNation(rng *rand.Rand) *Rel {
 }
 
 func genSupplier(rng *rand.Rand, n int) *Rel {
-	r := newRel(Supplier,
-		columnbm.Column{Name: "s_suppkey"},
-		columnbm.Column{Name: "s_nationkey"})
+	r := newRel(Supplier, "s_suppkey", "s_nationkey")
 	for k := 0; k < n; k++ {
 		r.Data[0] = append(r.Data[0], int64(k+1))
 		r.Data[1] = append(r.Data[1], rng.Int63n(NumNations))
@@ -166,10 +161,7 @@ func genSupplier(rng *rand.Rand, n int) *Rel {
 }
 
 func genCustomer(rng *rand.Rand, n int) *Rel {
-	r := newRel(Customer,
-		columnbm.Column{Name: "c_custkey"},
-		columnbm.Column{Name: "c_nationkey"},
-		columnbm.Column{Name: "c_mktsegment"})
+	r := newRel(Customer, "c_custkey", "c_nationkey", "c_mktsegment")
 	for k := 0; k < n; k++ {
 		r.Data[0] = append(r.Data[0], int64(k+1))
 		r.Data[1] = append(r.Data[1], rng.Int63n(NumNations))
@@ -179,10 +171,7 @@ func genCustomer(rng *rand.Rand, n int) *Rel {
 }
 
 func genPart(rng *rand.Rand, n int) *Rel {
-	r := newRel(Part,
-		columnbm.Column{Name: "p_partkey"},
-		columnbm.Column{Name: "p_type"},
-		columnbm.Column{Name: "p_size"})
+	r := newRel(Part, "p_partkey", "p_type", "p_size")
 	for k := 0; k < n; k++ {
 		r.Data[0] = append(r.Data[0], int64(k+1))
 		r.Data[1] = append(r.Data[1], rng.Int63n(NumTypes))
@@ -192,11 +181,7 @@ func genPart(rng *rand.Rand, n int) *Rel {
 }
 
 func genPartSupp(rng *rand.Rand, numPart int) *Rel {
-	r := newRel(PartSupp,
-		columnbm.Column{Name: "ps_partkey"},
-		columnbm.Column{Name: "ps_suppkey"},
-		columnbm.Column{Name: "ps_availqty"},
-		columnbm.Column{Name: "ps_supplycost"})
+	r := newRel(PartSupp, "ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost")
 	for k := 0; k < numPart; k++ {
 		for s := 0; s < 4; s++ {
 			r.Data[0] = append(r.Data[0], int64(k+1))
@@ -219,28 +204,11 @@ var (
 )
 
 func genOrdersLineitem(rng *rand.Rand, numOrders, numCust, numSupp, numPart int) (*Rel, *Rel) {
-	o := newRel(Orders,
-		columnbm.Column{Name: "o_orderkey"},
-		columnbm.Column{Name: "o_custkey"},
-		columnbm.Column{Name: "o_orderdate"},
-		columnbm.Column{Name: "o_orderpriority"},
-		columnbm.Column{Name: "o_comment", NoCompress: true})
+	o := newRel(Orders, "o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority", "o_comment")
 	l := newRel(Lineitem,
-		columnbm.Column{Name: "l_orderkey"},
-		columnbm.Column{Name: "l_partkey"},
-		columnbm.Column{Name: "l_suppkey"},
-		columnbm.Column{Name: "l_linenumber"},
-		columnbm.Column{Name: "l_quantity"},
-		columnbm.Column{Name: "l_extendedprice"},
-		columnbm.Column{Name: "l_discount"},
-		columnbm.Column{Name: "l_tax"},
-		columnbm.Column{Name: "l_returnflag"},
-		columnbm.Column{Name: "l_linestatus"},
-		columnbm.Column{Name: "l_shipdate"},
-		columnbm.Column{Name: "l_commitdate"},
-		columnbm.Column{Name: "l_receiptdate"},
-		columnbm.Column{Name: "l_shipmode"},
-		columnbm.Column{Name: "l_comment", NoCompress: true})
+		"l_orderkey", "l_partkey", "l_suppkey", "l_linenumber", "l_quantity",
+		"l_extendedprice", "l_discount", "l_tax", "l_returnflag", "l_linestatus",
+		"l_shipdate", "l_commitdate", "l_receiptdate", "l_shipmode", "l_comment")
 
 	dateSpan := endDate - startDate - 151
 

@@ -14,6 +14,35 @@ import (
 // the same dominant selections, and produces a deterministic result so
 // compressed and uncompressed runs can be cross-checked (DESIGN.md §3).
 
+// QueryFunc runs one benchmark query and returns its materialized result.
+type QueryFunc func(*DB) [][]int64
+
+// QueryOrder lists the Table 2 queries in paper order.
+var QueryOrder = []string{"01", "03", "04", "05", "06", "07", "11", "14", "15", "18", "21"}
+
+// Queries maps query number to implementation.
+var Queries = map[string]QueryFunc{
+	"01": Q1, "03": Q3, "04": Q4, "05": Q5, "06": Q6, "07": Q7,
+	"11": Q11, "14": Q14, "15": Q15, "18": Q18, "21": Q21,
+}
+
+// ScanColumns lists the columns each query reads, used for Table 2's
+// per-query compression-ratio accounting (the paper reports the ratio of
+// the data each query touches).
+var ScanColumns = map[string]map[string][]string{
+	"01": {Lineitem: {"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate"}},
+	"03": {Customer: {"c_custkey", "c_mktsegment"}, Orders: {"o_orderkey", "o_custkey", "o_orderdate"}, Lineitem: {"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"}},
+	"04": {Orders: {"o_orderkey", "o_orderdate", "o_orderpriority"}, Lineitem: {"l_orderkey", "l_commitdate", "l_receiptdate"}},
+	"05": {Customer: {"c_custkey", "c_nationkey"}, Supplier: {"s_suppkey", "s_nationkey"}, Orders: {"o_orderkey", "o_custkey", "o_orderdate"}, Lineitem: {"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"}},
+	"06": {Lineitem: {"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"}},
+	"07": {Customer: {"c_custkey", "c_nationkey"}, Supplier: {"s_suppkey", "s_nationkey"}, Orders: {"o_orderkey", "o_custkey"}, Lineitem: {"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"}},
+	"11": {Supplier: {"s_suppkey", "s_nationkey"}, PartSupp: {"ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost"}},
+	"14": {Part: {"p_partkey", "p_type"}, Lineitem: {"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"}},
+	"15": {Lineitem: {"l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"}},
+	"18": {Orders: {"o_orderkey", "o_custkey", "o_orderdate"}, Lineitem: {"l_orderkey", "l_quantity"}},
+	"21": {Supplier: {"s_suppkey", "s_nationkey"}, Lineitem: {"l_orderkey", "l_suppkey", "l_commitdate", "l_receiptdate"}},
+}
+
 // Q1: pricing summary report. Full lineitem scan, one predicate, group by
 // (returnflag, linestatus) with five aggregates.
 func Q1(db *DB) [][]int64 {

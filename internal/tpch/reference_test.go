@@ -1,16 +1,16 @@
 package tpch
 
 import (
+	"cmp"
+	"slices"
 	"testing"
-
-	"repro/internal/columnbm"
 )
 
 // Scalar reference implementations: the vectorized pipeline must agree
 // with a plain row-at-a-time computation over the generated data.
 
 func TestQ6MatchesScalarReference(t *testing.T) {
-	ds, db := buildDB(t, columnbm.DSM, true, columnbm.VectorWise)
+	ds, db := buildDB(t, DSM, true, VectorWise)
 	li := ds.Rel(Lineitem)
 	ship := li.Column("l_shipdate")
 	disc := li.Column("l_discount")
@@ -31,7 +31,7 @@ func TestQ6MatchesScalarReference(t *testing.T) {
 }
 
 func TestQ1MatchesScalarReference(t *testing.T) {
-	ds, db := buildDB(t, columnbm.PAX, true, columnbm.VectorWise)
+	ds, db := buildDB(t, PAX, true, VectorWise)
 	li := ds.Rel(Lineitem)
 	flag := li.Column("l_returnflag")
 	status := li.Column("l_linestatus")
@@ -74,7 +74,7 @@ func TestQ1MatchesScalarReference(t *testing.T) {
 }
 
 func TestQ15MatchesScalarReference(t *testing.T) {
-	ds, db := buildDB(t, columnbm.DSM, true, columnbm.PageWise)
+	ds, db := buildDB(t, DSM, true, PageWise)
 	li := ds.Rel(Lineitem)
 	supp := li.Column("l_suppkey")
 	price := li.Column("l_extendedprice")
@@ -101,7 +101,7 @@ func TestQ15MatchesScalarReference(t *testing.T) {
 }
 
 func TestQ4MatchesScalarReference(t *testing.T) {
-	ds, db := buildDB(t, columnbm.DSM, false, columnbm.VectorWise)
+	ds, db := buildDB(t, DSM, false, VectorWise)
 	li := ds.Rel(Lineitem)
 	orders := ds.Rel(Orders)
 
@@ -133,4 +133,97 @@ func TestQ4MatchesScalarReference(t *testing.T) {
 			t.Fatalf("priority %d: count %d, want %d", got[0][i], got[1][i], counts[got[0][i]])
 		}
 	}
+}
+
+// checkTopN compares a top-n-by-orderCol result, keyed by column 0, with
+// the full reference row set. The engine's TopN leaves the choice and
+// order among equal values open, so the check pins everything else: the
+// row count, the descending order values (which must be the n largest of
+// the reference), and every emitted row against the reference row of its
+// key, each key at most once.
+func checkTopN(t *testing.T, name string, got [][]int64, orderCol, n int, want map[int64][]int64) {
+	t.Helper()
+	order := make([]int64, 0, len(want))
+	for _, row := range want {
+		order = append(order, row[orderCol])
+	}
+	slices.SortFunc(order, func(a, b int64) int { return cmp.Compare(b, a) })
+	order = order[:min(n, len(order))]
+	if !slices.Equal(got[orderCol], order) {
+		t.Fatalf("%s: order column %v, reference top %d is %v", name, got[orderCol], n, order)
+	}
+	seen := map[int64]bool{}
+	for i, key := range got[0] {
+		row, ok := want[key]
+		if !ok || seen[key] {
+			t.Fatalf("%s: row %d has key %d (known %v, repeated %v)", name, i, key, ok, seen[key])
+		}
+		seen[key] = true
+		for c := range got {
+			if got[c][i] != row[c] {
+				t.Fatalf("%s: key %d column %d = %d, reference %d", name, key, c, got[c][i], row[c])
+			}
+		}
+	}
+}
+
+func TestQ3MatchesScalarReference(t *testing.T) {
+	ds, db := buildDB(t, DSM, true, VectorWise)
+	cust, orders, li := ds.Rel(Customer), ds.Rel(Orders), ds.Rel(Lineitem)
+	cutoff := Date(1995, 3, 15)
+
+	building := map[int64]bool{}
+	for i, seg := range cust.Column("c_mktsegment") {
+		if seg == SegmentBuilding {
+			building[cust.Column("c_custkey")[i]] = true
+		}
+	}
+	orderDate := map[int64]int64{}
+	for i, key := range orders.Column("o_orderkey") {
+		if d := orders.Column("o_orderdate")[i]; d < cutoff && building[orders.Column("o_custkey")[i]] {
+			orderDate[key] = d
+		}
+	}
+	// rows: [orderkey, orderdate, revenue]
+	want := map[int64][]int64{}
+	price, disc := li.Column("l_extendedprice"), li.Column("l_discount")
+	for i, key := range li.Column("l_orderkey") {
+		d, ok := orderDate[key]
+		if !ok || li.Column("l_shipdate")[i] <= cutoff {
+			continue
+		}
+		if want[key] == nil {
+			want[key] = []int64{key, d, 0}
+		}
+		want[key][2] += price[i] * (100 - disc[i])
+	}
+	if len(want) <= 10 {
+		t.Fatalf("only %d qualifying orders: the top-10 cut is not exercised", len(want))
+	}
+	checkTopN(t, "Q3", Q3(db), 2, 10, want)
+	checkTopN(t, "ZQ3", ZQ3(db), 2, 10, want)
+}
+
+func TestQ18MatchesScalarReference(t *testing.T) {
+	ds, db := buildDB(t, DSM, true, PageWise)
+	orders, li := ds.Rel(Orders), ds.Rel(Lineitem)
+
+	qty := map[int64]int64{}
+	for i, key := range li.Column("l_orderkey") {
+		qty[key] += li.Column("l_quantity")[i]
+	}
+	// rows: [orderkey, sum(quantity), custkey, orderdate]
+	want := map[int64][]int64{}
+	for i, key := range orders.Column("o_orderkey") {
+		if qty[key] > 300 {
+			want[key] = []int64{key, qty[key], orders.Column("o_custkey")[i], orders.Column("o_orderdate")[i]}
+		}
+	}
+	// Few generated orders exceed 300 units (one at this scale), so this
+	// checks the aggregate, the filter and the join; Q3 exercises the cut.
+	if len(want) == 0 {
+		t.Fatal("no order above 300 units: the reference checks nothing")
+	}
+	checkTopN(t, "Q18", Q18(db), 1, 100, want)
+	checkTopN(t, "ZQ18", ZQ18(db), 1, 100, want)
 }

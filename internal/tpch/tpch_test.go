@@ -4,20 +4,15 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/columnbm"
 	"repro/internal/core"
 )
 
-const testSF = 0.002 // ~3000 orders, ~12k lineitems: fast but multi-chunk
-const testChunkRows = 4096
+const testSF = 0.002 // ~3000 orders, ~12k lineitems: fast but multi-block
 
-func buildDB(t *testing.T, layout columnbm.Layout, compress bool, mode columnbm.DecompressMode) (*Dataset, *DB) {
+func buildDB(t *testing.T, layout Layout, compress bool, mode Mode) (*Dataset, *DB) {
 	t.Helper()
 	ds := Generate(testSF, 42)
-	disk := columnbm.NewDisk(80)
-	tables := Store(ds, disk, layout, compress, testChunkRows)
-	db := NewDB(ds, disk, tables, 1<<30, mode)
-	return ds, db
+	return ds, Store(ds, compress).Open(layout, mode, 1<<30)
 }
 
 func TestGeneratorDeterministic(t *testing.T) {
@@ -68,12 +63,10 @@ func TestGeneratorShapes(t *testing.T) {
 
 func TestCompressionChoicesMatchPaperIntuition(t *testing.T) {
 	ds := Generate(testSF, 7)
-	disk := columnbm.NewDisk(80)
-	tables := Store(ds, disk, columnbm.DSM, true, testChunkRows)
-
-	li := tables[Lineitem]
 	rel := ds.Rel(Lineitem)
-	choice := func(col string) core.Choice[int64] { return li.Choices[rel.Col(col)] }
+	choice := func(col string) core.Choice[int64] {
+		return core.Choose(core.Sample(rel.Column(col), core.DefaultSampleSize))
+	}
 
 	// l_orderkey is sorted and dense: PFOR-DELTA.
 	if c := choice("l_orderkey"); c.Scheme != core.SchemePFORDelta {
@@ -87,30 +80,32 @@ func TestCompressionChoicesMatchPaperIntuition(t *testing.T) {
 	if c := choice("l_comment"); c.Scheme != core.SchemeNone {
 		t.Errorf("l_comment chose %v, want NONE", c.Scheme)
 	}
-	// Table-wide ratio in the paper's 2-4.5 band for lineitem (comments
-	// drag it down, keys and enums pull it up).
-	if r := li.Ratio(); r < 2 || r > 6 {
+	// Table-wide container ratio in the paper's 2-4.5 band for lineitem
+	// (comments drag it down, keys and enums pull it up).
+	unc, stored := Store(ds, true).Open(DSM, VectorWise, 0).ScanBytes(Lineitem, rel.Cols...)
+	if r := float64(unc) / float64(stored); r < 2 || r > 6 {
 		t.Errorf("lineitem ratio %.2f outside [2,6]", r)
 	}
 }
 
 func TestAllQueriesRunAndMatchAcrossConfigs(t *testing.T) {
-	// The central correctness claim: every query must produce the exact
-	// same result on every (layout, compression, decompression-mode)
-	// configuration.
-	_, ref := buildDB(t, columnbm.DSM, false, columnbm.VectorWise)
+	// The central correctness claim: every query must produce, on every
+	// (layout, compression, decompression-mode) configuration, exactly
+	// the result it produces over the generated arrays.
+	ds := Generate(testSF, 42)
 	want := map[string][][]int64{}
 	for _, q := range QueryOrder {
-		want[q] = Queries[q](ref)
+		want[q] = Queries[q](Oracle(ds))
 		if len(want[q]) == 0 {
 			t.Fatalf("Q%s returned no columns", q)
 		}
 	}
 
-	for _, layout := range []columnbm.Layout{columnbm.DSM, columnbm.PAX} {
-		for _, compress := range []bool{true, false} {
-			for _, mode := range []columnbm.DecompressMode{columnbm.VectorWise, columnbm.PageWise} {
-				_, db := buildDB(t, layout, compress, mode)
+	for _, compress := range []bool{true, false} {
+		stored := Store(ds, compress)
+		for _, layout := range []Layout{DSM, PAX} {
+			for _, mode := range []Mode{VectorWise, PageWise} {
+				db := stored.Open(layout, mode, 1<<30)
 				for _, q := range QueryOrder {
 					got := Queries[q](db)
 					if len(got) != len(want[q]) {
@@ -137,7 +132,7 @@ func clip(v []int64) []int64 {
 }
 
 func TestQ1Sanity(t *testing.T) {
-	_, db := buildDB(t, columnbm.DSM, true, columnbm.VectorWise)
+	_, db := buildDB(t, DSM, true, VectorWise)
 	out := Q1(db)
 	// Groups: (A,F), (N,F), (N,O), (R,F) — the classic Q1 result shape.
 	if len(out[0]) != 4 {
@@ -155,7 +150,7 @@ func TestQ1Sanity(t *testing.T) {
 }
 
 func TestQ6Sanity(t *testing.T) {
-	_, db := buildDB(t, columnbm.DSM, true, columnbm.VectorWise)
+	_, db := buildDB(t, DSM, true, VectorWise)
 	out := Q6(db)
 	if len(out[0]) != 1 || out[0][0] <= 0 {
 		t.Fatalf("Q6 revenue = %v", out)
@@ -163,7 +158,7 @@ func TestQ6Sanity(t *testing.T) {
 }
 
 func TestQ18ThresholdRespected(t *testing.T) {
-	_, db := buildDB(t, columnbm.DSM, true, columnbm.VectorWise)
+	_, db := buildDB(t, DSM, true, VectorWise)
 	out := Q18(db)
 	for _, q := range out[1] {
 		if q <= 300 {
@@ -196,8 +191,7 @@ func TestScanColumnsCoverage(t *testing.T) {
 }
 
 func TestDecompressTimeAccounting(t *testing.T) {
-	_, db := buildDB(t, columnbm.DSM, true, columnbm.VectorWise)
-	db.ResetStats()
+	_, db := buildDB(t, DSM, true, VectorWise)
 	Q1(db)
 	if db.DecompressTime() <= 0 {
 		t.Fatal("compressed scan must account decompression time")

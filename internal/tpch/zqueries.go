@@ -1,86 +1,16 @@
 package tpch
 
 import (
-	"bytes"
-	"fmt"
-
 	"repro/internal/engine"
 	"repro/zukowski"
 )
 
-// ZDB is the compressed-domain database: every relation encoded as one
-// zukowski.ColumnSet of ZKC2 columns (Auto codec per block), queried
+// The ZQueries are the compressed-domain family: the same *DB, queried
 // through the expression tree API — Expr filtering below decompression,
-// GroupAggregate folding in dictionary-code space — instead of the
-// decode-then-filter engine pipeline DB drives. The ZQueries family
-// produces results byte-identical to the corresponding tpch.Queries, so
-// the two paths cross-check each other end to end.
-type ZDB struct {
-	DS   *Dataset
-	sets map[string]*zukowski.ColumnSet[int64]
-}
-
-// BuildZDB encodes every column of every relation in ds into in-memory
-// ZKC2 and assembles one ColumnSet per relation, with set column indexes
-// matching Rel.Col.
-func BuildZDB(ds *Dataset) (*ZDB, error) {
-	z := &ZDB{DS: ds, sets: make(map[string]*zukowski.ColumnSet[int64], len(ds.Rels))}
-	for name, rel := range ds.Rels {
-		crs := make([]*zukowski.ColumnReader[int64], len(rel.Data))
-		for i, vals := range rel.Data {
-			var buf bytes.Buffer
-			cw, err := zukowski.NewColumnWriter[int64](&buf, nil, 0)
-			if err != nil {
-				return nil, fmt.Errorf("tpch: %s.%s: %w", name, rel.Cols[i].Name, err)
-			}
-			if err := cw.Write(vals); err != nil {
-				return nil, fmt.Errorf("tpch: %s.%s: %w", name, rel.Cols[i].Name, err)
-			}
-			if err := cw.Close(); err != nil {
-				return nil, fmt.Errorf("tpch: %s.%s: %w", name, rel.Cols[i].Name, err)
-			}
-			if crs[i], err = zukowski.OpenColumn[int64](buf.Bytes()); err != nil {
-				return nil, fmt.Errorf("tpch: %s.%s: %w", name, rel.Cols[i].Name, err)
-			}
-		}
-		set, err := zukowski.NewColumnSet(crs...)
-		if err != nil {
-			return nil, fmt.Errorf("tpch: %s: %w", name, err)
-		}
-		z.sets[name] = set
-	}
-	return z, nil
-}
-
-// Set returns the relation's ColumnSet.
-func (z *ZDB) Set(rel string) *zukowski.ColumnSet[int64] {
-	s, ok := z.sets[rel]
-	if !ok {
-		panic("tpch: unknown relation " + rel)
-	}
-	return s
-}
-
-// Col returns the set column index of rel's named column.
-func (z *ZDB) Col(rel, col string) int { return z.DS.Rel(rel).Col(col) }
-
-// Scan returns an operator over the named columns of rel, in row order.
-func (z *ZDB) Scan(rel string, cols ...string) *engine.SetScan {
-	return z.ScanWhere(rel, zukowski.Expr[int64]{}, cols...)
-}
-
-// ScanWhere returns an operator over the named columns of rel at the
-// rows expr selects, in row order. The expression is pushed below
-// decompression: zone maps prune blocks, masks evaluate on compressed
-// words, and only surviving rows materialize.
-func (z *ZDB) ScanWhere(rel string, expr zukowski.Expr[int64], cols ...string) *engine.SetScan {
-	r := z.DS.Rel(rel)
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		idx[i] = r.Col(c)
-	}
-	return engine.NewSetScan(z.Set(rel), expr, idx...)
-}
+// GroupAggregate folding in dictionary-code space — instead of Scan's
+// decode-then-process pipeline. Each produces results byte-identical to
+// the corresponding Queries entry, so the two families cross-check each
+// other end to end.
 
 // maxDate is the open upper bound for "later than" date pushdowns; no
 // generated date reaches it, and it keeps range arithmetic far from the
@@ -93,7 +23,7 @@ var ZQueryOrder = []string{"01", "03", "06", "14", "15", "18"}
 // ZQueries maps query names to their compressed-domain implementations.
 // Each produces exactly the same result slices as Queries[name] over the
 // same Dataset.
-var ZQueries = map[string]func(*ZDB) [][]int64{
+var ZQueries = map[string]QueryFunc{
 	"01": ZQ1,
 	"03": ZQ3,
 	"06": ZQ6,
@@ -106,14 +36,14 @@ var ZQueries = map[string]func(*ZDB) [][]int64{
 // GroupAggregate — the date predicate filters below decompression, and
 // the (returnflag, linestatus) grouping folds in dictionary-code space.
 // GroupAggregate's key-sorted output matches HashAgg's sorted order.
-func ZQ1(z *ZDB) [][]int64 {
-	set := z.Set(Lineitem)
-	qty := z.Col(Lineitem, "l_quantity")
-	price := z.Col(Lineitem, "l_extendedprice")
-	disc := z.Col(Lineitem, "l_discount")
-	rf := z.Col(Lineitem, "l_returnflag")
-	ls := z.Col(Lineitem, "l_linestatus")
-	ship := z.Col(Lineitem, "l_shipdate")
+func ZQ1(db *DB) [][]int64 {
+	set := db.Set(Lineitem)
+	qty := db.Col(Lineitem, "l_quantity")
+	price := db.Col(Lineitem, "l_extendedprice")
+	disc := db.Col(Lineitem, "l_discount")
+	rf := db.Col(Lineitem, "l_returnflag")
+	ls := db.Col(Lineitem, "l_linestatus")
+	ship := db.Col(Lineitem, "l_shipdate")
 	g, err := set.GroupAggregate(
 		zukowski.Range[int64](ship, 0, Date(1998, 9, 2)),
 		[]int{rf, ls},
@@ -147,17 +77,17 @@ func ZQ1(z *ZDB) [][]int64 {
 // In, the date cutoffs via Range. Row-order delivery keeps the hash
 // join's build order, the aggregate's group order and TopN's tie
 // handling identical to the oracle.
-func ZQ3(z *ZDB) [][]int64 {
+func ZQ3(db *DB) [][]int64 {
 	cutoff := Date(1995, 3, 15)
-	custs := engine.SemiJoinSet(z.ScanWhere(Customer,
-		zukowski.In[int64](z.Col(Customer, "c_mktsegment"), SegmentBuilding),
+	custs := engine.SemiJoinSet(db.ScanWhere(Customer,
+		zukowski.In[int64](db.Col(Customer, "c_mktsegment"), SegmentBuilding),
 		"c_custkey"), 0)
-	orders := engine.NewSelect(z.ScanWhere(Orders,
-		zukowski.Range[int64](z.Col(Orders, "o_orderdate"), 0, cutoff-1),
+	orders := engine.NewSelect(db.ScanWhere(Orders,
+		zukowski.Range[int64](db.Col(Orders, "o_orderdate"), 0, cutoff-1),
 		"o_orderkey", "o_custkey", "o_orderdate"), 3,
 		engine.FilterIn(1, custs))
-	items := engine.NewProject(z.ScanWhere(Lineitem,
-		zukowski.Range[int64](z.Col(Lineitem, "l_shipdate"), cutoff+1, maxDate),
+	items := engine.NewProject(db.ScanWhere(Lineitem,
+		zukowski.Range[int64](db.Col(Lineitem, "l_shipdate"), cutoff+1, maxDate),
 		"l_orderkey", "l_extendedprice", "l_discount"),
 		engine.Col(0), engine.Revenue(1, 2))
 	join := engine.NewHashJoin(orders, items, 0, 0, []int{2}, []int{0, 1})
@@ -169,12 +99,12 @@ func ZQ3(z *ZDB) [][]int64 {
 // ZQ6: forecasting revenue change — the paper's scan query as one
 // conjunctive expression over three columns, folded by a group-less
 // GroupAggregate. Nothing but the two aggregate inputs ever decompresses.
-func ZQ6(z *ZDB) [][]int64 {
-	set := z.Set(Lineitem)
-	ship := z.Col(Lineitem, "l_shipdate")
-	discCol := z.Col(Lineitem, "l_discount")
-	qty := z.Col(Lineitem, "l_quantity")
-	price := z.Col(Lineitem, "l_extendedprice")
+func ZQ6(db *DB) [][]int64 {
+	set := db.Set(Lineitem)
+	ship := db.Col(Lineitem, "l_shipdate")
+	discCol := db.Col(Lineitem, "l_discount")
+	qty := db.Col(Lineitem, "l_quantity")
+	price := db.Col(Lineitem, "l_extendedprice")
 	g, err := set.GroupAggregate(
 		zukowski.And(
 			zukowski.Range[int64](ship, Date(1994, 1, 1), Date(1995, 1, 1)-1),
@@ -201,9 +131,9 @@ func ZQ6(z *ZDB) [][]int64 {
 // ZQ14: promotion effect. The part-type lookup projects straight out of
 // the compressed part relation; the lineitem month filters below
 // decompression. The ratio is order-independent.
-func ZQ14(z *ZDB) [][]int64 {
-	_, pv, err := z.Set(Part).Project(zukowski.Expr[int64]{},
-		z.Col(Part, "p_partkey"), z.Col(Part, "p_type"))
+func ZQ14(db *DB) [][]int64 {
+	_, pv, err := db.Set(Part).Project(zukowski.Expr[int64]{},
+		db.Col(Part, "p_partkey"), db.Col(Part, "p_type"))
 	if err != nil {
 		panic(err)
 	}
@@ -211,8 +141,8 @@ func ZQ14(z *ZDB) [][]int64 {
 	for i := range pv[0] {
 		partType[pv[0][i]] = pv[1][i]
 	}
-	items := engine.NewProject(z.ScanWhere(Lineitem,
-		zukowski.Range[int64](z.Col(Lineitem, "l_shipdate"), Date(1995, 9, 1), Date(1995, 10, 1)-1),
+	items := engine.NewProject(db.ScanWhere(Lineitem,
+		zukowski.Range[int64](db.Col(Lineitem, "l_shipdate"), Date(1995, 9, 1), Date(1995, 10, 1)-1),
 		"l_partkey", "l_extendedprice", "l_discount"),
 		engine.Col(0), engine.Revenue(1, 2))
 	var promo, total int64
@@ -237,12 +167,12 @@ func ZQ14(z *ZDB) [][]int64 {
 
 // ZQ15: top supplier. A filtered GroupAggregate by suppkey; the maximum
 // is order-independent under Q15's (value desc, key asc) tie-break.
-func ZQ15(z *ZDB) [][]int64 {
-	set := z.Set(Lineitem)
-	supp := z.Col(Lineitem, "l_suppkey")
-	price := z.Col(Lineitem, "l_extendedprice")
-	disc := z.Col(Lineitem, "l_discount")
-	ship := z.Col(Lineitem, "l_shipdate")
+func ZQ15(db *DB) [][]int64 {
+	set := db.Set(Lineitem)
+	supp := db.Col(Lineitem, "l_suppkey")
+	price := db.Col(Lineitem, "l_extendedprice")
+	disc := db.Col(Lineitem, "l_discount")
+	ship := db.Col(Lineitem, "l_shipdate")
 	g, err := set.GroupAggregate(
 		zukowski.Range[int64](ship, Date(1996, 1, 1), Date(1996, 4, 1)-1),
 		[]int{supp},
@@ -271,13 +201,14 @@ func ZQ15(z *ZDB) [][]int64 {
 // the full-relation scans decompress through the mask path with zone
 // pruning disabled by the empty expression, and row order preserves the
 // oracle's group and tie behaviour.
-func ZQ18(z *ZDB) [][]int64 {
+func ZQ18(db *DB) [][]int64 {
+	var all zukowski.Expr[int64]
 	qty := engine.NewHashAgg(
-		z.Scan(Lineitem, "l_orderkey", "l_quantity"),
+		db.ScanWhere(Lineitem, all, "l_orderkey", "l_quantity"),
 		[]int{0}, []engine.AggSpec{{Kind: engine.AggSum, Col: 1}}, false)
 	big := engine.NewSelect(qty, 2, engine.FilterGT(1, 300))
 	join := engine.NewHashJoin(
-		z.Scan(Orders, "o_orderkey", "o_custkey", "o_orderdate"),
+		db.ScanWhere(Orders, all, "o_orderkey", "o_custkey", "o_orderdate"),
 		big, 0, 0, []int{1, 2}, []int{0, 1})
 	top := engine.NewTopN(join, 1, 100, true)
 	return engine.Materialize(top, 4)

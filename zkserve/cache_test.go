@@ -63,13 +63,13 @@ func scrapeMetric(t *testing.T, url, name string) int64 {
 	return 0
 }
 
-// TestCacheServesRepeatScans: with Config.CacheBytes set, the second
+// TestCacheServesRepeatScans: with WithCacheBytes set, the second
 // frame-mode sweep over a file-backed table is answered from the cache
 // — hits show up in the registry stats, /metrics and /tables — and both
 // sweeps carry identical data.
 func TestCacheServesRepeatScans(t *testing.T) {
-	reg := newFileRegistry(t)
-	_, ts, cl := newTestServer(t, zkserve.Config{Registry: reg, CacheBytes: 64 << 20})
+	reg := newFileRegistry(t, zkserve.WithCacheBytes(64<<20))
+	_, ts, cl := newTestServer(t, zkserve.Config{Registry: reg})
 
 	sweep := func() (rows int64, frames int) {
 		res, err := cl.ScanFrames(context.Background(), zkserve.ScanRequest{
@@ -131,8 +131,8 @@ func TestCacheRowScansAgree(t *testing.T) {
 		Preds: []zkserve.PredSpec{pred("c1", 100, 499)},
 	}
 	collect := func(cacheBytes int64) map[int64]int64 {
-		reg := newFileRegistry(t)
-		_, _, cl := newTestServer(t, zkserve.Config{Registry: reg, CacheBytes: cacheBytes})
+		reg := newFileRegistry(t, zkserve.WithCacheBytes(cacheBytes))
+		_, _, cl := newTestServer(t, zkserve.Config{Registry: reg})
 		got := map[int64]int64{}
 		for pass := 0; pass < 2; pass++ {
 			clear(got)
@@ -222,8 +222,8 @@ func TestCacheRegistryOption(t *testing.T) {
 // TestCacheInMemoryColumnsBypass: an all-in-memory registry with a cache
 // configured never fills it — the stable readers bypass by design.
 func TestCacheInMemoryColumnsBypass(t *testing.T) {
-	reg := newTestRegistry(t)
-	_, _, cl := newTestServer(t, zkserve.Config{Registry: reg, CacheBytes: 1 << 20})
+	reg := newTestRegistry(t, zkserve.WithCacheBytes(1<<20))
+	_, _, cl := newTestServer(t, zkserve.Config{Registry: reg})
 	if _, err := cl.ScanRows(context.Background(), zkserve.ScanRequest{
 		Table: "t", Cols: []string{"c0"},
 	}, func(int64, []int64) bool { return true }); err != nil {

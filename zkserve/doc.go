@@ -28,7 +28,7 @@
 // format; /healthz flips to 503 while draining so load balancers stop
 // routing before shutdown.
 //
-// Config.CacheBytes (zkserved -cache-bytes) attaches one process-wide
+// WithCacheBytes (zkserved -cache-bytes) gives a registry one process-wide
 // hot-block cache — a zukowski.BlockLRU over verified raw frames —
 // shared across every registered table, so repeat traffic to
 // file-backed columns skips the per-block read and checksum work.

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/experiments"
 	"repro/zktable"
 	"repro/zukowski"
 )
@@ -58,12 +57,7 @@ func GenerateTable(dir string, spec TableSpec) error {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	for c := 0; c < spec.Cols; c++ {
-		var vals []int64
-		if c == 0 {
-			vals = experiments.SynthSorted(rng, spec.Rows, 3)
-		} else {
-			vals = experiments.SynthPFOR(rng, spec.Rows, 10, 0.02)
-		}
+		vals := synthColumn(rng, c, spec.Rows)
 		// Atomic writes keep a crashed or killed generator from leaving a
 		// torn container that the next OpenDir refuses to serve.
 		path := filepath.Join(tdir, fmt.Sprintf("c%d.zkc", c))
@@ -90,16 +84,38 @@ func generateSharded(dir string, spec TableSpec) error {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	for s := 0; s < spec.Segments; s++ {
 		seg := make([][]int64, spec.Cols)
-		for c := 0; c < spec.Cols; c++ {
-			if c == 0 {
-				seg[c] = experiments.SynthSorted(rng, spec.Rows, 3)
-			} else {
-				seg[c] = experiments.SynthPFOR(rng, spec.Rows, 10, 0.02)
-			}
+		for c := range seg {
+			seg[c] = synthColumn(rng, c, spec.Rows)
 		}
 		if _, err := tb.Append(seg); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// synthColumn draws n values of generated column c: c0 nondecreasing with
+// steps uniform in [0, 6], every other column below 2^10 but for 2 %
+// outliers up to 2^40 above it. The draws are, call for call, those of the
+// paper harness's SynthSorted(rng, n, 3) and SynthPFOR(rng, n, 10, 0.02),
+// so a seed yields the bytes it always has.
+func synthColumn(rng *rand.Rand, c, n int) []int64 {
+	vals := make([]int64, n)
+	if c == 0 {
+		var cur int64
+		for i := range vals {
+			cur += rng.Int63n(7)
+			vals[i] = cur
+		}
+		return vals
+	}
+	const window = 1 << 10
+	for i := range vals {
+		if rng.Float64() < 0.02 {
+			vals[i] = window + rng.Int63n(1<<40)
+		} else {
+			vals[i] = rng.Int63n(window - 1)
+		}
+	}
+	return vals
 }

@@ -45,11 +45,6 @@ type Config struct {
 	// Defaults to GOMAXPROCS.
 	MaxWorkers int
 
-	// CacheBytes, when positive, enables the registry's shared hot-block
-	// cache with this byte budget (see Registry.EnableCache). Zero leaves
-	// the registry's existing cache configuration untouched.
-	CacheBytes int64
-
 	// Logger receives request logs; defaults to slog.Default.
 	Logger *slog.Logger
 }
@@ -171,9 +166,6 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
-	}
-	if cfg.CacheBytes > 0 && cfg.Registry != nil {
-		cfg.Registry.EnableCache(cfg.CacheBytes)
 	}
 	s := &Server{
 		cfg: cfg,

@@ -5,18 +5,22 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/experiments"
 	"repro/zkserve"
 	"repro/zkserve/client"
 	"repro/zukowski"
@@ -49,7 +53,7 @@ func c1Val(i int64) int64 { return (i * 7919) % 1000 }
 // zone maps prune), c1 a deterministic pseudo-random column, w32 an
 // int32 column with the same geometry, and "short" an int64 column with
 // half the rows (a geometry mismatch on purpose).
-func newTestRegistry(t *testing.T) *zkserve.Registry {
+func newTestRegistry(t *testing.T, opts ...zkserve.RegistryOption) *zkserve.Registry {
 	t.Helper()
 	c0 := make([]int64, testRows)
 	c1 := make([]int64, testRows)
@@ -59,7 +63,7 @@ func newTestRegistry(t *testing.T) *zkserve.Registry {
 		c1[i] = c1Val(int64(i))
 		w32[i] = int32(i % 100)
 	}
-	reg := zkserve.NewRegistry()
+	reg := zkserve.NewRegistry(opts...)
 	for col, data := range map[string][]byte{
 		"c0":    encodeCol(t, c0, testBV),
 		"c1":    encodeCol(t, c1, testBV),
@@ -549,6 +553,25 @@ func TestGenerateTableOpenDir(t *testing.T) {
 	}
 	if resp.Result.Count != 10000 {
 		t.Fatalf("count = %d, want 10000", resp.Result.Count)
+	}
+	// The generator's draws are the paper harness's, call for call, so a
+	// seed keeps yielding the corpus the CI serve and chaos jobs expect.
+	rng := rand.New(rand.NewSource(spec.Seed))
+	for c, want := range [][]int64{
+		experiments.SynthSorted(rng, spec.Rows, 3),
+		experiments.SynthPFOR(rng, spec.Rows, 10, 0.02),
+	} {
+		data, err := os.ReadFile(filepath.Join(dir, "gen", fmt.Sprintf("c%d.zkc", c)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := zukowski.OpenColumn[int64](data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := cr.ReadAll(nil); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("c%d: generated values differ from the harness generator (err %v)", c, err)
+		}
 	}
 	// Determinism: the same spec generates byte-identical containers.
 	dir2 := t.TempDir()

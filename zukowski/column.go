@@ -748,13 +748,26 @@ func (cr *ColumnReader[T]) frame(b int) ([]byte, error) {
 	if err := cr.quarantined(b); err != nil {
 		return nil, err
 	}
+	slot := &cr.slots[b]
 	if ac := cr.cache.Load(); ac != nil {
 		if buf := ac.c.Get(ac.id, b); buf != nil {
 			return buf, nil
 		}
-		slot := &cr.slots[b]
-		slot.mu.Lock()
-		defer slot.mu.Unlock()
+	} else if cr.version < FormatZKC2 || !cr.src.stable() {
+		return cr.fetchVerified(b) // nothing to latch or fill: no singleflight
+	} else if slot.verified.Load() {
+		return cr.view(b)
+	}
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	return cr.frameLocked(b)
+}
+
+// frameLocked is the part of frame that runs under slots[b].mu, which the
+// caller holds: the re-check of the cache or the verification latch, and
+// on a miss the one fetch. The caller has consulted the quarantine latch.
+func (cr *ColumnReader[T]) frameLocked(b int) ([]byte, error) {
+	if ac := cr.cache.Load(); ac != nil {
 		if buf := ac.c.Get(ac.id, b); buf != nil {
 			return buf, nil
 		}
@@ -765,16 +778,7 @@ func (cr *ColumnReader[T]) frame(b int) ([]byte, error) {
 		ac.c.Put(ac.id, b, buf)
 		return buf, nil
 	}
-	if cr.version < FormatZKC2 || !cr.src.stable() {
-		return cr.fetchVerified(b)
-	}
-	slot := &cr.slots[b]
-	if slot.verified.Load() {
-		return cr.view(b)
-	}
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.verified.Load() {
+	if cr.src.stable() && cr.slots[b].verified.Load() {
 		return cr.view(b)
 	}
 	return cr.fetchVerified(b)
@@ -1013,19 +1017,7 @@ func (cr *ColumnReader[T]) parseBlock(b int) (*parsedBlock[T], error) {
 	if p := slot.parsed.Load(); p != nil {
 		return p, nil
 	}
-	var frame []byte
-	var err error
-	if ac := cr.cache.Load(); ac != nil {
-		if frame = ac.c.Get(ac.id, b); frame == nil {
-			if frame, err = cr.fetchVerified(b); err == nil {
-				ac.c.Put(ac.id, b, frame)
-			}
-		}
-	} else if cr.src.stable() && slot.verified.Load() {
-		frame, err = cr.view(b)
-	} else {
-		frame, err = cr.fetchVerified(b)
-	}
+	frame, err := cr.frameLocked(b)
 	if err != nil {
 		return nil, err
 	}
