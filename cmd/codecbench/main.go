@@ -17,6 +17,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -186,7 +187,20 @@ func benchCodec[T zukowski.Integer](name string, vals []T, lo, hi T) result {
 	rawBytes := cr.UncompressedBytes()
 	res.ratio = cr.Ratio()
 	if blocks := cr.NumBlocks(); blocks > 0 {
-		res.skipRate = 1 - float64(cr.CountCandidateBlocks(lo, hi))/float64(blocks)
+		// The zone-map skip rate is the share of blocks a one-column Query
+		// over [lo, hi] prunes without reading them.
+		cs, err := zukowski.NewColumnSet(cr)
+		if err != nil {
+			res.err = err
+			return res
+		}
+		q := zukowski.Query[T]{Expr: zukowski.Range(0, lo, hi)}
+		pruned, err := cs.Candidates(context.Background(), q, func(zukowski.Candidate[T]) bool { return true })
+		if err != nil {
+			res.err = err
+			return res
+		}
+		res.skipRate = float64(pruned) / float64(blocks)
 	}
 
 	res.encodeMBps = experiments.MBps(rawBytes, bestOf(func() {

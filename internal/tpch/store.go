@@ -68,7 +68,7 @@ type Image struct {
 // DB is one queryable database: an Image opened cold under a layout, a
 // decompression mode and a buffer pool, or the Oracle, which has no
 // storage and replays the generated arrays. Queries and ZQueries both
-// take a *DB. Layout and mode govern Scan; ScanWhere fetches and decodes
+// take a *DB. Layout and mode govern Scan; scanExpr fetches and decodes
 // what its pushed-down predicate leaves, and only Scan's decode time is
 // split out as DecompressTime.
 type DB struct {
@@ -232,7 +232,7 @@ func (db *DB) Scan(rel string, cols ...string) engine.Operator {
 	}
 }
 
-// ScanWhere returns an operator over the named columns of rel at the
+// scanExpr returns an operator over the named columns of rel at the
 // rows expr selects, in row order. The expression is pushed below
 // decompression: zone maps prune blocks, masks evaluate on compressed
 // words, and only surviving rows materialize. The filtered result
@@ -240,7 +240,7 @@ func (db *DB) Scan(rel string, cols ...string) engine.Operator {
 // first-seen group order, TopN's tie handling, HashJoin's build order)
 // behave as over Scan + Select. It fetches the columns it reads whatever
 // the layout says, and its decode time is not split out (see DB).
-func (db *DB) ScanWhere(rel string, expr zukowski.Expr[int64], cols ...string) engine.Operator {
+func (db *DB) scanExpr(rel string, expr zukowski.Expr[int64], cols ...string) engine.Operator {
 	idx := make([]int, len(cols))
 	for i, c := range cols {
 		idx[i] = db.Col(rel, c)

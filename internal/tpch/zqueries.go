@@ -45,7 +45,7 @@ func ZQ1(db *DB) [][]int64 {
 	ls := db.Col(Lineitem, "l_linestatus")
 	ship := db.Col(Lineitem, "l_shipdate")
 	g, err := set.GroupAggregate(
-		zukowski.Range[int64](ship, 0, Date(1998, 9, 2)),
+		zukowski.Query[int64]{Expr: zukowski.Range[int64](ship, 0, Date(1998, 9, 2))},
 		[]int{rf, ls},
 		[]zukowski.AggSpec[int64]{
 			{Kind: zukowski.AggSum, Col: qty},
@@ -79,14 +79,14 @@ func ZQ1(db *DB) [][]int64 {
 // handling identical to the oracle.
 func ZQ3(db *DB) [][]int64 {
 	cutoff := Date(1995, 3, 15)
-	custs := engine.SemiJoinSet(db.ScanWhere(Customer,
+	custs := engine.SemiJoinSet(db.scanExpr(Customer,
 		zukowski.In[int64](db.Col(Customer, "c_mktsegment"), SegmentBuilding),
 		"c_custkey"), 0)
-	orders := engine.NewSelect(db.ScanWhere(Orders,
+	orders := engine.NewSelect(db.scanExpr(Orders,
 		zukowski.Range[int64](db.Col(Orders, "o_orderdate"), 0, cutoff-1),
 		"o_orderkey", "o_custkey", "o_orderdate"), 3,
 		engine.FilterIn(1, custs))
-	items := engine.NewProject(db.ScanWhere(Lineitem,
+	items := engine.NewProject(db.scanExpr(Lineitem,
 		zukowski.Range[int64](db.Col(Lineitem, "l_shipdate"), cutoff+1, maxDate),
 		"l_orderkey", "l_extendedprice", "l_discount"),
 		engine.Col(0), engine.Revenue(1, 2))
@@ -106,11 +106,11 @@ func ZQ6(db *DB) [][]int64 {
 	qty := db.Col(Lineitem, "l_quantity")
 	price := db.Col(Lineitem, "l_extendedprice")
 	g, err := set.GroupAggregate(
-		zukowski.And(
+		zukowski.Query[int64]{Expr: zukowski.And(
 			zukowski.Range[int64](ship, Date(1994, 1, 1), Date(1995, 1, 1)-1),
 			zukowski.Range[int64](discCol, 5, 7),
 			zukowski.Range[int64](qty, 0, 23),
-		),
+		)},
 		nil,
 		[]zukowski.AggSpec[int64]{
 			{Kind: zukowski.AggSum, Cols: []int{price, discCol}, Map: func(c [][]int64, i int) int64 {
@@ -141,7 +141,7 @@ func ZQ14(db *DB) [][]int64 {
 	for i := range pv[0] {
 		partType[pv[0][i]] = pv[1][i]
 	}
-	items := engine.NewProject(db.ScanWhere(Lineitem,
+	items := engine.NewProject(db.scanExpr(Lineitem,
 		zukowski.Range[int64](db.Col(Lineitem, "l_shipdate"), Date(1995, 9, 1), Date(1995, 10, 1)-1),
 		"l_partkey", "l_extendedprice", "l_discount"),
 		engine.Col(0), engine.Revenue(1, 2))
@@ -174,7 +174,7 @@ func ZQ15(db *DB) [][]int64 {
 	disc := db.Col(Lineitem, "l_discount")
 	ship := db.Col(Lineitem, "l_shipdate")
 	g, err := set.GroupAggregate(
-		zukowski.Range[int64](ship, Date(1996, 1, 1), Date(1996, 4, 1)-1),
+		zukowski.Query[int64]{Expr: zukowski.Range[int64](ship, Date(1996, 1, 1), Date(1996, 4, 1)-1)},
 		[]int{supp},
 		[]zukowski.AggSpec[int64]{
 			{Kind: zukowski.AggSum, Cols: []int{price, disc}, Map: func(c [][]int64, i int) int64 {
@@ -204,11 +204,11 @@ func ZQ15(db *DB) [][]int64 {
 func ZQ18(db *DB) [][]int64 {
 	var all zukowski.Expr[int64]
 	qty := engine.NewHashAgg(
-		db.ScanWhere(Lineitem, all, "l_orderkey", "l_quantity"),
+		db.scanExpr(Lineitem, all, "l_orderkey", "l_quantity"),
 		[]int{0}, []engine.AggSpec{{Kind: engine.AggSum, Col: 1}}, false)
 	big := engine.NewSelect(qty, 2, engine.FilterGT(1, 300))
 	join := engine.NewHashJoin(
-		db.ScanWhere(Orders, all, "o_orderkey", "o_custkey", "o_orderdate"),
+		db.scanExpr(Orders, all, "o_orderkey", "o_custkey", "o_orderdate"),
 		big, 0, 0, []int{1, 2}, []int{0, 1})
 	top := engine.NewTopN(join, 1, 100, true)
 	return engine.Materialize(top, 4)

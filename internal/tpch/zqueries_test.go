@@ -105,7 +105,7 @@ func TestZDBScanWherePushdown(t *testing.T) {
 		zukowski.Range[int64](rel.Col("l_shipdate"), lo, hi),
 		zukowski.In[int64](rel.Col("l_discount"), 0, 10),
 	)
-	scan := db.ScanWhere(Lineitem, expr, "l_shipdate", "l_discount")
+	scan := db.scanExpr(Lineitem, expr, "l_shipdate", "l_discount")
 	ship, disc := rel.Column("l_shipdate"), rel.Column("l_discount")
 	var want int
 	for i := range ship {

@@ -4,7 +4,7 @@ import "errors"
 
 // Typed errors of the table layer. Errors that describe damaged data wrap
 // zukowski.ErrCorruptColumn where they arise, so zukowski.IsDataFault and
-// the SkipCorrupt machinery classify them like any other data fault.
+// a Query run with SkipCorrupt classify them like any other data fault.
 var (
 	// ErrNotTable reports a directory with no MANIFEST-* file at all —
 	// not a table, as opposed to a damaged one.
@@ -25,8 +25,9 @@ var (
 	ErrTableExists = errors.New("zktable: directory already holds a table")
 
 	// ErrSegmentQuarantined reports a scan that touched a segment Open
-	// could neither verify nor salvage. Exact scans fail with it; scans
-	// under zukowski.SkipCorrupt skip the segment and account the loss.
+	// could neither verify nor salvage. Exact scans fail with it; a
+	// zukowski.Query with SkipCorrupt set skips the segment and accounts
+	// the loss.
 	ErrSegmentQuarantined = errors.New("zktable: segment quarantined")
 
 	// ErrClosed reports use of a closed table.

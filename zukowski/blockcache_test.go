@@ -203,7 +203,7 @@ func openCached[T zukowski.Integer](t *testing.T, data []byte, c zukowski.BlockC
 
 // TestCacheScanEquivalence: scans through a cache — including a tiny
 // cache that evicts mid-scan — return exactly the bytes an uncached
-// reader returns, for full scans, Get, ScanWhere and repeated passes.
+// reader returns, for full scans, Get and repeated passes.
 func TestCacheScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	src := genValues[int64](rng, 20_000)

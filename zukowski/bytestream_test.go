@@ -13,7 +13,7 @@ import (
 var byteStreamNames = []string{"flate", "lzw", "lzrw1"}
 
 // TestByteStreamColumn runs the byte-stream baselines through the column
-// container: write, read back, Get, ScanSelect vs oracle.
+// container: write, read back, Get, a one-column range Query vs oracle.
 func TestByteStreamColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	vals := make([]int64, 20_000)

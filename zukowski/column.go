@@ -41,7 +41,7 @@ import (
 //	               u32 CRC32-C of the directory bytes, u32 reserved, "ZKE2"
 //
 // The per-block CRC32-C turns silent bit rot into ErrChecksumMismatch at
-// read time; the min/max pair per block is the zone map ScanWhere consults
+// read time; the min/max pair per block is the zone map a Query consults
 // to skip blocks without decompressing them; the directory checksum
 // protects the metadata that all of this depends on. The directory lives
 // at the end so the writer streams blocks without seeking; the reader
@@ -398,9 +398,15 @@ func (s *readerAtSource) view(off int64, n int) ([]byte, error) {
 // A ColumnReader is safe for concurrent use: all per-block state lives in
 // atomic slots whose first parse and first checksum verification are
 // singleflighted, and decode scratch comes from an internal pool. Any mix
-// of Get, Scan, ScanWhere, ParallelScan, ReadBlock and ReadAll may share
-// one reader over one set of bytes or one io.ReaderAt — the multi-core
-// scan path the paper's RAM-bandwidth decompression asks for.
+// of Get, Scan, ReadBlock, ReadAll and Query scans over ColumnSets holding
+// the reader, parallel ones included, may share one reader over one set of
+// bytes or one io.ReaderAt — the multi-core scan path the paper's
+// RAM-bandwidth decompression asks for.
+//
+// The reader offers the paper's access paths over one column: a block
+// decode (ReadBlock), a full scan (Scan, ReadAll) and a fine-grained point
+// lookup (Get). A filtered, aggregating, degraded or parallel scan of the
+// column is a Query on NewColumnSet(cr).
 type ColumnReader[T Integer] struct {
 	src     columnSource
 	version int
@@ -425,15 +431,9 @@ type ColumnReader[T Integer] struct {
 	// RetryPolicy. The zero value performs no retries.
 	retry RetryPolicy
 
-	// states pools per-worker decode scratch (*decodeState[T]). A scan
-	// holds one state for its whole pass, so steady-state sequential scans
-	// allocate nothing; parallel scans draw one state per in-flight block.
+	// states pools decode scratch (*decodeState[T]). A scan holds one
+	// state for its whole pass, so steady-state scans allocate nothing.
 	states sync.Pool
-
-	// self is the one-column ColumnSet over this reader, built once at open:
-	// ScanSelect, ParallelScanSelect and AggregateWhere run as Queries over
-	// it, through the same engine as every multi-column scan.
-	self *ColumnSet[T]
 }
 
 // blockSlot is one block's share of the reader's concurrent state.
@@ -591,7 +591,6 @@ func openColumn[T Integer](src columnSource, opts []ReaderOption) (*ColumnReader
 		total:   int(total),
 		slots:   make([]blockSlot[T], numBlocks),
 	}
-	cr.self = &ColumnSet[T]{cols: []*ColumnReader[T]{cr}}
 	rows, nextOffset := 0, uint64(columnHeaderSize)
 	for i := range cr.blocks {
 		ent := dir[i*entrySize:]
@@ -911,36 +910,23 @@ func (cr *ColumnReader[T]) ReadBlock(b int, dst []T) ([]T, error) {
 
 // Scan decodes the column block by block, invoking fn with each decoded
 // vector. The vector is reused between calls; fn must copy values it
-// keeps. Scanning stops early when fn returns false. SkipCorrupt makes
-// the scan degraded: unreadable blocks are skipped and accounted instead
-// of failing the scan.
+// keeps. Scanning stops early when fn returns false. Scan is fail-stop: the
+// first unreadable block ends it with that block's error. A degraded
+// whole-column read is Run on NewColumnSet(cr) with Query.SkipCorrupt.
 //
 // The scan holds one pooled decode state for its whole pass, so a warmed
 // sequential scan performs no heap allocation; concurrent scans on one
 // shared reader each draw their own state.
-func (cr *ColumnReader[T]) Scan(fn func(vals []T) bool, opts ...ScanOption) error {
-	return cr.scanBlocks(parseScanOpts(opts), nil, func(_ int, vals []T) bool { return fn(vals) })
-}
-
-// scanBlocks is the sequential scan loop over the blocks selected by match
-// (nil selects every block); it is also the degenerate one-worker case of
-// the parallel scans, which is why fn receives the block index.
-func (cr *ColumnReader[T]) scanBlocks(cfg *scanConfig, match func(b int) bool, fn func(b int, vals []T) bool) error {
+func (cr *ColumnReader[T]) Scan(fn func(vals []T) bool) error {
 	st := cr.getState()
 	defer cr.putState(st)
 	for i := range cr.blocks {
-		if match != nil && !match(i) {
-			continue
-		}
 		vals, err := cr.readBlockInto(st, i, st.vals[:0])
 		if err != nil {
-			if cfg.skipBlock(int(cr.blocks[i].count), err) {
-				continue
-			}
 			return err
 		}
 		st.vals = vals
-		if !fn(i, vals) {
+		if !fn(vals) {
 			return nil
 		}
 	}

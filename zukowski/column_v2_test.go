@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -294,12 +295,24 @@ func TestZKC2NegativeZoneMaps(t *testing.T) {
 	if !ok || lo != -100 || hi != 99 {
 		t.Fatalf("ZoneMap(0) = %d, %d, %v; want -100, 99, true", lo, hi, ok)
 	}
-	if n := cr.CountCandidateBlocks(-200, -101); n != 0 {
-		t.Fatalf("CountCandidateBlocks below range = %d, want 0", n)
+	cs := oneColumn(t, cr)
+	if n := candidateBlocks(t, cs, rangeQuery[int32](-200, -101)); n != 0 {
+		t.Fatalf("candidate blocks below range = %d, want 0", n)
 	}
-	if n := cr.CountCandidateBlocks(-100, -100); n != cr.NumBlocks() {
-		t.Fatalf("CountCandidateBlocks(-100,-100) = %d, want %d", n, cr.NumBlocks())
+	if n := candidateBlocks(t, cs, rangeQuery[int32](-100, -100)); n != cr.NumBlocks() {
+		t.Fatalf("candidate blocks of [-100,-100] = %d, want %d", n, cr.NumBlocks())
 	}
+}
+
+// candidateBlocks is the number of blocks q's zone-map analysis cannot
+// exclude: the set's blocks less Candidates' pruned count.
+func candidateBlocks[T zukowski.Integer](t *testing.T, cs *zukowski.ColumnSet[T], q zukowski.Query[T]) int {
+	t.Helper()
+	pruned, err := cs.Candidates(context.Background(), q, func(zukowski.Candidate[T]) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs.NumBlocks() - pruned
 }
 
 // --- checksum corruption ------------------------------------------------
@@ -382,10 +395,11 @@ func TestZKC2DirectoryBitFlip(t *testing.T) {
 	}
 }
 
-// --- ScanWhere ---------------------------------------------------------
+// --- zone-map pruning of a one-column Query -------------------------------
 
-// TestScanWhereOracle: for random ranges over random data, ScanWhere plus
-// an exact filter selects exactly what filtering a full ReadAll selects.
+// TestScanWhereOracle: for random ranges over random data, a zone-pruned
+// one-column range Query selects exactly the rows and values filtering a
+// full ReadAll selects.
 func TestScanWhereOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	src := genValues[int64](rng, 10_000)
@@ -394,40 +408,29 @@ func TestScanWhereOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs := oneColumn(t, cr)
 	for trial := 0; trial < 50; trial++ {
 		lo := rng.Int63n(130) - 2
 		hi := lo + rng.Int63n(40)
-		var want []int64
-		for _, v := range src {
+		var wantRows, want []int64
+		for i, v := range src {
 			if v >= lo && v <= hi {
-				want = append(want, v)
+				wantRows, want = append(wantRows, int64(i)), append(want, v)
 			}
 		}
-		var got []int64
-		if err := cr.ScanWhere(lo, hi, func(vals []int64) bool {
-			for _, v := range vals {
-				if v >= lo && v <= hi {
-					got = append(got, v)
-				}
-			}
-			return true
-		}); err != nil {
-			t.Fatalf("ScanWhere(%d,%d): %v", lo, hi, err)
+		rows, got, err := collectRun(t, cs, rangeQuery(lo, hi))
+		if err != nil {
+			t.Fatalf("[%d,%d]: %v", lo, hi, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("ScanWhere(%d,%d) selected %d values, oracle %d", lo, hi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("ScanWhere(%d,%d) value %d: got %d want %d", lo, hi, i, got[i], want[i])
-			}
+		if !slices.Equal(rows, wantRows) || !slices.Equal(got, want) {
+			t.Fatalf("[%d,%d] selected %d values, oracle %d", lo, hi, len(got), len(want))
 		}
 	}
 }
 
-// TestScanWherePrunes: on a sorted column a selective range decompresses
-// strictly fewer blocks than a full Scan — the zone-map pruning claim of
-// the acceptance criteria, asserted by counting fn invocations.
+// TestScanWherePrunes: on a sorted column a selective range leaves strictly
+// fewer candidate blocks than the column has — the zone-map pruning claim,
+// asserted on Candidates' count and on the blocks Run delivers.
 func TestScanWherePrunes(t *testing.T) {
 	src := make([]int64, 20_000)
 	for i := range src {
@@ -447,55 +450,59 @@ func TestScanWherePrunes(t *testing.T) {
 		t.Fatalf("Scan visited %d of %d blocks", fullBlocks, cr.NumBlocks())
 	}
 
-	prunedBlocks := 0
-	var selected []int64
+	cs := oneColumn(t, cr)
+	ctx := context.Background()
 	lo, hi := int64(5000), int64(5999)
-	if err := cr.ScanWhere(lo, hi, func(vals []int64) bool {
-		prunedBlocks++
-		for _, v := range vals {
-			if v >= lo && v <= hi {
-				selected = append(selected, v)
-			}
-		}
+	q := rangeQuery(lo, hi)
+	candidates := candidateBlocks(t, cs, q)
+	if candidates >= fullBlocks {
+		t.Fatalf("%d candidate blocks of %d — no pruning", candidates, fullBlocks)
+	}
+	delivered := 0
+	var selected []int64
+	if err := cs.Run(ctx, q, func(_ int, _ []int64, cols [][]int64) bool {
+		delivered++
+		selected = append(selected, cols[0]...)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if prunedBlocks >= fullBlocks {
-		t.Fatalf("ScanWhere decompressed %d blocks, full Scan %d — no pruning", prunedBlocks, fullBlocks)
+	if delivered != candidates {
+		t.Fatalf("Run delivered %d blocks, Candidates left %d", delivered, candidates)
 	}
 	if len(selected) != 1000 {
-		t.Fatalf("ScanWhere selected %d values, want 1000", len(selected))
-	}
-	if want := cr.CountCandidateBlocks(lo, hi); prunedBlocks != want {
-		t.Fatalf("ScanWhere decompressed %d blocks, CountCandidateBlocks says %d", prunedBlocks, want)
+		t.Fatalf("Run selected %d values, want 1000", len(selected))
 	}
 	// A range outside the domain touches nothing.
-	if err := cr.ScanWhere(-100, -1, func([]int64) bool {
-		t.Fatal("ScanWhere visited a block for an empty range")
+	if n := candidateBlocks(t, cs, rangeQuery[int64](-100, -1)); n != 0 {
+		t.Fatalf("%d candidate blocks for a range outside the domain", n)
+	}
+	if err := cs.Run(ctx, rangeQuery[int64](-100, -1), func(int, []int64, [][]int64) bool {
+		t.Fatal("Run delivered a block for an empty range")
 		return false
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	// ZKC1 has no zone maps: same scan visits every block.
+	// ZKC1 has no zone maps: every block stays a candidate, and the answer
+	// is the same.
 	crV1, err := zukowski.OpenColumn[int64](zkc1From(t, data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1Blocks := 0
-	if err := crV1.ScanWhere(lo, hi, func([]int64) bool { v1Blocks++; return true }); err != nil {
-		t.Fatal(err)
+	csV1 := oneColumn(t, crV1)
+	if n := candidateBlocks(t, csV1, q); n != crV1.NumBlocks() {
+		t.Fatalf("ZKC1: %d candidate blocks of %d", n, crV1.NumBlocks())
 	}
-	if v1Blocks != crV1.NumBlocks() {
-		t.Fatalf("ZKC1 ScanWhere visited %d of %d blocks", v1Blocks, crV1.NumBlocks())
+	if _, v1, err := collectRun(t, csV1, q); err != nil || !slices.Equal(v1, selected) {
+		t.Fatalf("ZKC1 range Query: %d values, err %v; want the ZKC2 answer", len(v1), err)
 	}
 }
 
 // --- ReaderAt source ----------------------------------------------------
 
 // TestColumnReaderAtFile: a ZKC2 column streams from an actual *os.File
-// through OpenColumnReaderAt, including ScanWhere pruning.
+// through OpenColumnReaderAt, including a zone-pruned range Query.
 func TestColumnReaderAtFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	src := genValues[uint32](rng, 8000)
@@ -522,25 +529,18 @@ func TestColumnReaderAtFile(t *testing.T) {
 		t.Fatalf("CompressedBytes = %d, want %d", cr.CompressedBytes(), len(data))
 	}
 	checkReads(t, cr, src)
-	count := 0
-	if err := cr.ScanWhere(0, 10, func(vals []uint32) bool {
-		for _, v := range vals {
-			if v <= 10 {
-				count++
-			}
-		}
-		return true
-	}); err != nil {
+	rows, _, err := collectRun(t, oneColumn(t, cr), rangeQuery[uint32](0, 10))
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := 0
+	count, want := len(rows), 0
 	for _, v := range src {
 		if v <= 10 {
 			want++
 		}
 	}
 	if count != want {
-		t.Fatalf("file-backed ScanWhere selected %d, oracle %d", count, want)
+		t.Fatalf("file-backed range Query selected %d, oracle %d", count, want)
 	}
 }
 
@@ -626,8 +626,8 @@ func TestColumnEmptyV2(t *testing.T) {
 		if err := cr.Verify(); err != nil {
 			t.Fatal(err)
 		}
-		if err := cr.ScanWhere(0, 100, func([]int8) bool { return true }); err != nil {
-			t.Fatal(err)
+		if rows, _, err := collectRun(t, oneColumn(t, cr), rangeQuery[int8](0, 100)); err != nil || len(rows) != 0 {
+			t.Fatalf("range Query over an empty column: %d rows, %v", len(rows), err)
 		}
 	}
 }

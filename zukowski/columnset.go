@@ -260,26 +260,29 @@ func (cs *ColumnSet[T]) maskCol(st *setColState[T], ci, b int, lo, hi T, sv *cor
 	return nil
 }
 
-// gatherCol materializes column ci's values at the rows sv selects, into
-// the column's reusable buffer.
-func (cs *ColumnSet[T]) gatherCol(st *setColState[T], ci, b int, sv *core.SelectionVector) ([]T, error) {
-	patched, err := st.prepare(cs.cols[ci], b)
+// gatherCol materializes column ci's values at the rows block b's bitmap
+// (st.sv) selects, into the column's reusable buffer, behind the
+// crafted-frame panic guard.
+func (cs *ColumnSet[T]) gatherCol(st *setState[T], b, ci int) (out []T, err error) {
+	defer guardSegment(&err)
+	cst := &st.cols[ci]
+	patched, err := cst.prepare(cs.cols[ci], b)
 	if err != nil {
 		return nil, err
 	}
 	if patched {
-		st.gath = st.dec.DecompressSelected(&st.blk, sv, st.gath[:0])
-		return st.gath, nil
+		cst.gath = cst.dec.DecompressSelected(&cst.blk, &st.sv, cst.gath[:0])
+		return cst.gath, nil
 	}
-	out := st.gath[:0]
-	vals := st.vals
-	for w, m := range sv.Words() {
+	out = cst.gath[:0]
+	vals := cst.vals
+	for w, m := range st.sv.Words() {
 		vb := w << 5
 		for ; m != 0; m &= m - 1 {
 			out = append(out, vals[vb+bits.TrailingZeros32(m)])
 		}
 	}
-	st.gath = out
+	cst.gath = out
 	return out, nil
 }
 
@@ -378,25 +381,14 @@ func (cs *ColumnSet[T]) blockMaskQuery(st *setState[T], b int, q *Query[T]) (any
 	return st.sv.Any(), nil
 }
 
-// blockQuery evaluates block b of q: bitmap composition, then gatherBlock.
-// rows is nil when no row survives.
-func (cs *ColumnSet[T]) blockQuery(st *setState[T], b int, q *Query[T]) (rows []int64, out [][]T, err error) {
-	any, err := cs.blockMaskQuery(st, b, q)
-	if err != nil || !any {
-		return nil, nil, err
-	}
-	return cs.gatherBlock(st, b, q)
-}
-
 // gatherBlock turns block b's composed bitmap (st.sv) into q's output:
 // global row numbers and the requested columns' values at those rows (all
 // columns when q.Cols is nil).
 func (cs *ColumnSet[T]) gatherBlock(st *setState[T], b int, q *Query[T]) (rows []int64, out [][]T, err error) {
-	defer guardSegment(&err)
 	st.rows = st.sv.AppendRows(st.rows[:0], int64(cs.cols[0].starts[b]))
 	if q.Cols == nil {
 		for ci := range cs.cols {
-			vals, err := cs.gatherCol(&st.cols[ci], ci, b, &st.sv)
+			vals, err := cs.gatherCol(st, b, ci)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -406,7 +398,7 @@ func (cs *ColumnSet[T]) gatherBlock(st *setState[T], b int, q *Query[T]) (rows [
 	}
 	out = st.out[:len(q.Cols)]
 	for i, ci := range q.Cols {
-		vals, err := cs.gatherCol(&st.cols[ci], ci, b, &st.sv)
+		vals, err := cs.gatherCol(st, b, ci)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -416,17 +408,18 @@ func (cs *ColumnSet[T]) gatherBlock(st *setState[T], b int, q *Query[T]) (rows [
 }
 
 // visitBlocks is the engine's one sequential block loop; every sequential
-// scan — Run, RunAggregate, GroupAggregate, JoinOn and the single-column
-// ScanSelect and AggregateWhere — is a visit function under it. It checks q,
-// holds one pooled state for the whole pass and, per block, consults ctx
-// (the natural preemption point: one block is one bounded quantum of decode
-// work; context.Background() never fires and costs one predictable branch),
-// drops the block when its zone maps prove no row matches, composes q's
-// bitmap into st.sv and, when a row survives, calls visit to materialize
-// what it needs from st. visit returning false stops the scan; an error
-// from the bitmap or the visit is skipped and accounted when cfg runs
-// degraded and it is a fault of the data, and ends the scan otherwise.
-func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, cfg *scanConfig, q *Query[T], visit func(st *setState[T], b int) (more bool, err error)) error {
+// scan — Run, RunAggregate, GroupAggregate and JoinOn — is a visit function
+// under it. It checks q, holds one pooled state for the whole pass and, per
+// block, consults ctx (the natural preemption point: one block is one bounded
+// quantum of decode work; context.Background() never fires and costs one
+// predictable branch), drops the block when its zone maps prove no row
+// matches, composes q's bitmap into st.sv and, when a row survives, calls
+// visit to materialize what it needs from st. visit returning false stops the
+// scan; an error from the bitmap or the visit is skipped and accounted when q
+// runs degraded and it is a fault of the data, and ends the scan otherwise.
+// visit runs outside any panic guard: a panic in caller code reaches the
+// caller.
+func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, q *Query[T], visit func(st *setState[T], b int) (more bool, err error)) error {
 	empty, err := cs.checkQuery(q)
 	if err != nil || empty {
 		return err
@@ -446,7 +439,7 @@ func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, cfg *scanConfig, q *Que
 			more, err = visit(st, b)
 		}
 		if err != nil {
-			if cfg.skipBlock(int(cs.cols[0].blocks[b].count), err) {
+			if q.skipBlock(int(cs.cols[0].blocks[b].count), err) {
 				continue
 			}
 			return err
@@ -460,65 +453,14 @@ func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, cfg *scanConfig, q *Que
 
 // runSeq is Run's sequential form — also the one-worker degenerate case of
 // the parallel one.
-func (cs *ColumnSet[T]) runSeq(ctx context.Context, cfg *scanConfig, q *Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
-	return cs.visitBlocks(ctx, cfg, q, func(st *setState[T], b int) (bool, error) {
+func (cs *ColumnSet[T]) runSeq(ctx context.Context, q *Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
+	return cs.visitBlocks(ctx, q, func(st *setState[T], b int) (bool, error) {
 		rows, out, err := cs.gatherBlock(st, b, q)
 		if err != nil {
 			return true, err
 		}
 		return fn(b, rows, out), nil
 	})
-}
-
-// runParallel is Run's block-parallel scan loop, with the delivery
-// contract of the other parallel scans: serialized, unordered unless
-// configured otherwise.
-func (cs *ColumnSet[T]) runParallel(ctx context.Context, cfg *scanConfig, q *Query[T], workers int, fn func(block int, rows []int64, cols [][]T) bool) error {
-	empty, err := cs.checkQuery(q)
-	if err != nil || empty {
-		return err
-	}
-	seq := func() error { return cs.runSeq(ctx, cfg, q, fn) }
-	work := func(st *setState[T], b int) (func() bool, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rows, out, err := cs.blockQuery(st, b, q)
-		if err != nil {
-			if cfg.skipBlock(int(cs.cols[0].blocks[b].count), err) {
-				return nil, nil
-			}
-			return nil, err
-		}
-		if len(rows) == 0 {
-			return nil, nil
-		}
-		return func() bool { return fn(b, rows, out) }, nil
-	}
-	match := func(b int) bool { return cs.queryVerdict(q, b) != verdictNone }
-	return parallelBlocksEngine(len(cs.cols[0].blocks), workers, match, cfg,
-		seq, cs.getState, cs.putState, work)
-}
-
-// runAggregate is RunAggregate's visit: a fold over just the target
-// column's survivors.
-func (cs *ColumnSet[T]) runAggregate(ctx context.Context, cfg *scanConfig, q *Query[T], col int) (Aggregate[T], error) {
-	var agg Aggregate[T]
-	if col < 0 || col >= len(cs.cols) {
-		return agg, fmt.Errorf("%w: aggregate column %d not in [0,%d)", ErrIndexOutOfRange, col, len(cs.cols))
-	}
-	err := cs.visitBlocks(ctx, cfg, q, func(st *setState[T], b int) (bool, error) {
-		vals, err := cs.gatherBlockCol(st, b, col)
-		if err != nil {
-			return true, err
-		}
-		agg.Merge(foldValues(vals))
-		return true, nil
-	})
-	if err != nil {
-		return Aggregate[T]{}, err
-	}
-	return agg, nil
 }
 
 // foldValues aggregates one block's materialized survivors: a sum pass and
@@ -538,9 +480,9 @@ func foldValues[T Integer](vals []T) Aggregate[T] {
 	return Aggregate[T]{Count: int64(len(vals)), Sum: sum, Min: lo, Max: hi}
 }
 
-// gatherBlockCol is gatherCol behind the crafted-frame panic guard (the
-// scan path inherits the guard from blockQuery).
-func (cs *ColumnSet[T]) gatherBlockCol(st *setState[T], b, col int) (vals []T, err error) {
+// selectedCodes is DecompressSelectedCodes over the PDICT block cst holds,
+// behind the crafted-frame panic guard.
+func selectedCodes[T Integer](cst *setColState[T], sv *core.SelectionVector, dst []int32) (codes []int32, err error) {
 	defer guardSegment(&err)
-	return cs.gatherCol(&st.cols[col], col, b, &st.sv)
+	return cst.dec.DecompressSelectedCodes(&cst.blk, sv, dst), nil
 }

@@ -9,10 +9,11 @@ import (
 // The default contract is fail-stop — one unreadable or corrupt block
 // kills the whole scan — which is right for correctness-critical readers
 // but wrong for a serving layer that would rather answer 99.9% of a table
-// than none of it. SkipCorrupt flips a scan to degraded mode: block-level
-// data faults (quarantined blocks, checksum mismatches, I/O failures that
-// survived the retry policy, undecodable frames) are skipped instead of
-// returned, and the caller-supplied ScanReport says exactly what was lost.
+// than none of it. Query.SkipCorrupt flips a scan to degraded mode:
+// block-level data faults (quarantined blocks, checksum mismatches, I/O
+// failures that survived the retry policy, undecodable frames) are skipped
+// instead of returned, and the caller-supplied ScanReport says exactly what
+// was lost.
 // Cancellation, caller errors and fn-initiated stops are never skipped —
 // only faults of the data itself.
 //
@@ -26,10 +27,10 @@ import (
 // is evaluated or materialized fails or skips exactly that block, as ever.
 // Verify and VerifyBlock are the passes that check every frame.
 
-// ScanReport accumulates what a degraded scan skipped. Pass a pointer to
-// SkipCorrupt, read the fields after the scan returns; a parallel scan
-// records from its workers, so the fields must not be read while the scan
-// runs.
+// ScanReport accumulates what a degraded scan skipped. Set a pointer to one
+// as Query.Report beside Query.SkipCorrupt and read the fields after the
+// scan returns; a parallel scan records from its workers, so the fields
+// must not be read while the scan runs.
 type ScanReport struct {
 	mu sync.Mutex
 
@@ -64,56 +65,21 @@ func (r *ScanReport) Record(rows int, err error) {
 // Degraded reports whether the scan skipped anything.
 func (r *ScanReport) Degraded() bool { return r != nil && r.BlocksSkipped > 0 }
 
-// SkipCorrupt makes a scan degraded: block-level data faults are skipped
-// and recorded in rep instead of failing the scan. rep may be nil to skip
-// without accounting. It applies to the single-column Scan/ScanWhere/
-// ScanSelect/Aggregate* families and their parallel forms; a Query asks
-// for the same contract with its SkipCorrupt and Report fields.
-func SkipCorrupt(rep *ScanReport) ScanOption {
-	return func(c *scanConfig) {
-		c.skip = true
-		c.report = rep
-	}
-}
-
 // IsDataFault reports whether err is a fault of the stored data itself —
 // corrupt container or segment bytes, a checksum mismatch, a quarantined
 // block, retry-exhausted I/O — the class a degraded scan may skip.
 // Cancellation and caller errors are not data faults.
-func IsDataFault(err error) bool { return skippableBlockErr(err) }
-
-// skippableBlockErr reports whether a block-level failure is a fault of
-// the data — corrupt container or segment bytes, checksum mismatch,
-// quarantine, retry-exhausted I/O — rather than cancellation or caller
-// misuse. Only data faults are skippable in degraded mode.
-func skippableBlockErr(err error) bool {
+func IsDataFault(err error) bool {
 	return errors.Is(err, ErrCorruptColumn) || errors.Is(err, ErrCorruptSegment)
 }
 
-// skipBlock decides one failed block's fate under this config: true means
-// the scan recorded the loss (rows from the block's directory count) and
-// continues, false means the error propagates.
-func (c *scanConfig) skipBlock(rows int, err error) bool {
-	if !c.skip || !skippableBlockErr(err) {
+// skipBlock decides one failed block's fate under q: true means the scan
+// recorded the loss (rows from the block's directory count) and continues,
+// false means the error propagates.
+func (q *Query[T]) skipBlock(rows int, err error) bool {
+	if !q.SkipCorrupt || !IsDataFault(err) {
 		return false
 	}
-	c.report.Record(rows, err)
+	q.Report.Record(rows, err)
 	return true
-}
-
-// defaultScanConfig is the shared zero-option config. It is never
-// mutated, so every optionless scan can use it without allocating — the
-// steady-state scan paths stay zero-alloc.
-var defaultScanConfig scanConfig
-
-// parseScanOpts folds scan options into a config.
-func parseScanOpts(opts []ScanOption) *scanConfig {
-	if len(opts) == 0 {
-		return &defaultScanConfig
-	}
-	cfg := new(scanConfig)
-	for _, opt := range opts {
-		opt(cfg)
-	}
-	return cfg
 }

@@ -37,8 +37,9 @@ func blockRows(block, blockValues, n int) (int, int) {
 }
 
 // TestDegradedScanSkipCorrupt: a scan over a container with one corrupt
-// block fails by default, but with SkipCorrupt completes, delivers exactly
-// the surviving rows, and reports exactly the damaged block's rows lost.
+// block fails by default, but a whole-column Query with SkipCorrupt
+// completes, delivers exactly the surviving rows, and reports exactly the
+// damaged block's rows lost.
 func TestDegradedScanSkipCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	src := genValues[int64](rng, 4000)
@@ -59,12 +60,10 @@ func TestDegradedScanSkipCorrupt(t *testing.T) {
 	// surviving rows.
 	lo, hi := blockRows(bad, 512, len(src))
 	want := slices.Concat(src[:lo], src[hi:])
+	cs := oneColumn(t, cr)
 	var rep zukowski.ScanReport
-	var got []int64
-	if err := cr.Scan(func(vals []int64) bool {
-		got = append(got, vals...)
-		return true
-	}, zukowski.SkipCorrupt(&rep)); err != nil {
+	_, got, err := collectRun(t, cs, zukowski.Query[int64]{SkipCorrupt: true, Report: &rep})
+	if err != nil {
 		t.Fatalf("degraded Scan: %v", err)
 	}
 	if !slices.Equal(got, want) {
@@ -91,11 +90,7 @@ func TestDegradedScanSkipCorrupt(t *testing.T) {
 	}
 	// A second degraded pass skips via the latch and still matches.
 	var rep2 zukowski.ScanReport
-	got = got[:0]
-	if err := cr.Scan(func(vals []int64) bool {
-		got = append(got, vals...)
-		return true
-	}, zukowski.SkipCorrupt(&rep2)); err != nil || !slices.Equal(got, want) {
+	if _, got, err = collectRun(t, cs, zukowski.Query[int64]{SkipCorrupt: true, Report: &rep2}); err != nil || !slices.Equal(got, want) {
 		t.Fatalf("second degraded Scan: err=%v rows=%d", err, len(got))
 	}
 	if !errors.Is(rep2.FirstErr, zukowski.ErrBlockQuarantined) {
@@ -103,8 +98,8 @@ func TestDegradedScanSkipCorrupt(t *testing.T) {
 	}
 }
 
-// TestDegradedSelectAndAggregate: the filtered-scan and aggregate paths
-// honor SkipCorrupt the same way, against the decode oracle.
+// TestDegradedSelectAndAggregate: a one-column range Query and its
+// RunAggregate honor SkipCorrupt the same way, against the decode oracle.
 func TestDegradedSelectAndAggregate(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	src := genValues[int64](rng, 5000)
@@ -119,19 +114,20 @@ func TestDegradedSelectAndAggregate(t *testing.T) {
 	}
 	surviving := slices.Concat(src[:lo], src[hi:])
 	plo, phi := int64(5), int64(40)
+	cs := oneColumn(t, cr)
+	ctx := context.Background()
 
-	// ScanSelect: fails by default, degraded pass matches filtering the
-	// surviving rows.
-	if err := cr.ScanSelect(plo, phi, func([]int64, []int64) bool { return true }); !errors.Is(err, zukowski.ErrCorruptColumn) {
-		t.Fatalf("ScanSelect err = %v", err)
+	// The range Query fails by default; the degraded pass matches filtering
+	// the surviving rows.
+	q := rangeQuery(plo, phi)
+	if _, _, err := collectRun(t, cs, q); !errors.Is(err, zukowski.ErrCorruptColumn) {
+		t.Fatalf("Run err = %v", err)
 	}
 	var rep zukowski.ScanReport
-	var got []int64
-	if err := cr.ScanSelect(plo, phi, func(_ []int64, vals []int64) bool {
-		got = append(got, vals...)
-		return true
-	}, zukowski.SkipCorrupt(&rep)); err != nil {
-		t.Fatalf("degraded ScanSelect: %v", err)
+	q.SkipCorrupt, q.Report = true, &rep
+	_, got, err := collectRun(t, cs, q)
+	if err != nil {
+		t.Fatalf("degraded Run: %v", err)
 	}
 	var want []int64
 	for _, v := range surviving {
@@ -140,23 +136,23 @@ func TestDegradedSelectAndAggregate(t *testing.T) {
 		}
 	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("degraded ScanSelect selected %d, oracle %d", len(got), len(want))
+		t.Fatalf("degraded Run selected %d, oracle %d", len(got), len(want))
 	}
 	if rep.BlocksSkipped != 1 || rep.RowsLost != int64(lost) {
 		t.Fatalf("select report = %+v", &rep)
 	}
 
-	// AggregateWhere over the full domain: count is exactly the surviving
+	// RunAggregate over the full domain: count is exactly the surviving
 	// rows, sum matches the oracle.
-	var agg zukowski.Aggregate[int64]
-	minV, maxV := slices.Min(src), slices.Max(src)
-	if _, err := cr.AggregateWhere(minV, maxV); !errors.Is(err, zukowski.ErrCorruptColumn) {
-		t.Fatalf("AggregateWhere err = %v", err)
+	q = rangeQuery(slices.Min(src), slices.Max(src))
+	if _, err := cs.RunAggregate(ctx, q, 0); !errors.Is(err, zukowski.ErrCorruptColumn) {
+		t.Fatalf("RunAggregate err = %v", err)
 	}
 	var arep zukowski.ScanReport
-	agg, err = cr.AggregateWhere(minV, maxV, zukowski.SkipCorrupt(&arep))
+	q.SkipCorrupt, q.Report = true, &arep
+	agg, err := cs.RunAggregate(ctx, q, 0)
 	if err != nil {
-		t.Fatalf("degraded AggregateWhere: %v", err)
+		t.Fatalf("degraded RunAggregate: %v", err)
 	}
 	var wantSum int64
 	for _, v := range surviving {
@@ -170,9 +166,9 @@ func TestDegradedSelectAndAggregate(t *testing.T) {
 	}
 }
 
-// TestDegradedParallelScanSelect: the parallel filtered scan skips the
-// damaged block from whichever worker hits it, race-clean, and the report
-// is still exact.
+// TestDegradedParallelScanSelect: a one-column range Query with Workers
+// skips the damaged block from whichever worker hits it, race-clean, and
+// the report is still exact.
 func TestDegradedParallelScanSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	src := genValues[int64](rng, 8000)
@@ -186,16 +182,17 @@ func TestDegradedParallelScanSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cr.ParallelScanSelect(0, 1<<40, 4, func(int, []int64, []int64) bool { return true }); !errors.Is(err, zukowski.ErrCorruptColumn) {
-		t.Fatalf("ParallelScanSelect err = %v", err)
+	cs := oneColumn(t, cr)
+	q := rangeQuery[int64](0, 1<<40)
+	q.Workers = 4
+	if _, _, err := collectRun(t, cs, q); !errors.Is(err, zukowski.ErrCorruptColumn) {
+		t.Fatalf("parallel Run err = %v", err)
 	}
 	for _, workers := range []int{1, 4} {
 		var rep zukowski.ScanReport
-		var got []int64
-		if err := cr.ParallelScanSelect(0, 1<<40, workers, func(_ int, _ []int64, vals []int64) bool {
-			got = append(got, vals...) // fn is never called concurrently
-			return true
-		}, zukowski.InOrder(), zukowski.SkipCorrupt(&rep)); err != nil {
+		q.Workers, q.InOrder, q.SkipCorrupt, q.Report = workers, true, true, &rep
+		_, got, err := collectRun(t, cs, q) // fn is never called concurrently
+		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var want []int64
@@ -291,6 +288,97 @@ func TestDegradedRunParallel(t *testing.T) {
 	}
 	if agg.Count != int64(len(wantRows)) || agg.Sum != wantSum {
 		t.Fatalf("aggregate = %+v, want count %d sum %d", agg, len(wantRows), wantSum)
+	}
+}
+
+// TestDegradedGroupAggregateJoinOn: one flipped bit in a frame of the column
+// GroupAggregate groups by and JoinOn probes fails both exact scans with a
+// typed fault. Under SkipCorrupt each loses exactly that block: the report
+// names one block and its rows, and the answer — code-space paths included
+// — equals the oracle over the surviving blocks.
+func TestDegradedGroupAggregateJoinOn(t *testing.T) {
+	rng := rand.New(rand.NewSource(88))
+	const n, blockValues, bad = 6000, 512, 5
+	base := []int64{11, 23, 35, 47, 59}
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = base[rng.Intn(len(base))]
+		if rng.Intn(100) == 0 {
+			keys[i] = 1000 + rng.Int63n(20) // out of the dictionary: exception slots
+		}
+	}
+	vals := genValues[int64](rng, n)
+	dataK := buildColumnV2(t, zukowski.PDict[int64]{}, blockValues, keys)
+	lost := corruptPayloadByte[int64](t, dataK, bad)
+	crK, err := zukowski.OpenColumn[int64](dataK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := zukowski.NewColumnSet(crK, buildSelectColumn(t, zukowski.PFOR[int64]{}, blockValues, vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lostLo, lostHi := blockRows(bad, blockValues, n)
+	survives := func(i int) bool { return (i < lostLo || i >= lostHi) && vals[i] <= 50 }
+	q := zukowski.Query[int64]{Expr: zukowski.Range[int64](1, 0, 50)}
+
+	specs := []zukowski.AggSpec[int64]{
+		{Kind: zukowski.AggCount},
+		{Kind: zukowski.AggSum, Col: 1},
+		{Kind: zukowski.AggMax, Cols: []int{0, 1}, Map: func(c [][]int64, i int) int64 { return c[0][i] - c[1][i] }},
+	}
+	buildKeys := []int64{23, 47, 23, 1005, 4}
+	jt := zukowski.BuildJoin(buildKeys)
+	join := func(q zukowski.Query[int64]) (probe []int64, build []int32, err error) {
+		err = cs.JoinOn(q, 0, jt, func(pr []int64, br []int32) bool {
+			probe, build = append(probe, pr...), append(build, br...)
+			return true
+		})
+		return probe, build, err
+	}
+
+	if _, err := cs.GroupAggregate(q, []int{0}, specs); !errors.Is(err, zukowski.ErrCorruptColumn) {
+		t.Fatalf("exact GroupAggregate over a damaged frame: %v, want a data fault", err)
+	}
+	if _, _, err := join(q); !errors.Is(err, zukowski.ErrCorruptColumn) {
+		t.Fatalf("exact JoinOn over a damaged frame: %v, want a data fault", err)
+	}
+
+	var grep, jrep zukowski.ScanReport
+	q.SkipCorrupt, q.Report = true, &grep
+	got, err := cs.GroupAggregate(q, []int{0}, specs)
+	if err != nil {
+		t.Fatalf("degraded GroupAggregate: %v", err)
+	}
+	checkGrouped(t, "degraded GroupAggregate", got,
+		groupOracle([][]int64{keys, vals}, func(_ [][]int64, i int) bool { return survives(i) }, []int{0}, specs))
+
+	q.Report = &jrep
+	gotProbe, gotBuild, err := join(q)
+	if err != nil {
+		t.Fatalf("degraded JoinOn: %v", err)
+	}
+	var wantProbe []int64
+	var wantBuild []int32
+	for i, k := range keys {
+		if !survives(i) {
+			continue
+		}
+		for bi, bk := range buildKeys {
+			if k == bk {
+				wantProbe, wantBuild = append(wantProbe, int64(i)), append(wantBuild, int32(bi))
+			}
+		}
+	}
+	if !slices.Equal(gotProbe, wantProbe) || !slices.Equal(gotBuild, wantBuild) {
+		t.Fatalf("degraded JoinOn: %d pairs, oracle %d", len(gotProbe), len(wantProbe))
+	}
+
+	for name, r := range map[string]*zukowski.ScanReport{"GroupAggregate": &grep, "JoinOn": &jrep} {
+		if r.BlocksSkipped != 1 || r.RowsLost != int64(lost) || !zukowski.IsDataFault(r.FirstErr) {
+			t.Fatalf("%s report = {blocks %d, rows %d, first %v}, want {1, %d, a data fault}",
+				name, r.BlocksSkipped, r.RowsLost, r.FirstErr, lost)
+		}
 	}
 }
 
@@ -544,11 +632,8 @@ func TestRetryQuarantineFailFast(t *testing.T) {
 	// Degraded scan over the same reader: surviving rows intact — which
 	// also proves the corrupt frame never entered the cache.
 	var rep zukowski.ScanReport
-	var got []int64
-	if err := cr.Scan(func(vals []int64) bool {
-		got = append(got, vals...)
-		return true
-	}, zukowski.SkipCorrupt(&rep)); err != nil {
+	_, got, err := collectRun(t, oneColumn(t, cr), zukowski.Query[int64]{SkipCorrupt: true, Report: &rep})
+	if err != nil {
 		t.Fatalf("degraded Scan: %v", err)
 	}
 	want := slices.Concat(src[:512], src[1024:])

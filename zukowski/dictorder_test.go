@@ -156,7 +156,7 @@ func TestFrequencyOrderedPDictFixture(t *testing.T) {
 				t.Fatalf("column %d [%d,%d]: RunAggregate = %+v, %v; oracle %+v", col, lo, hi, got, err, want)
 			}
 			specs := []zukowski.AggSpec[int64]{{Kind: zukowski.AggCount}, {Kind: zukowski.AggSum, Col: 2}}
-			got, err := cs.GroupAggregate(q.Expr, []int{col}, specs)
+			got, err := cs.GroupAggregate(q, []int{col}, specs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,23 +16,22 @@
 //   - ColumnWriter / ColumnReader: a streaming multi-block column container
 //     with a directory footer, per-block codec dispatch and fine-grained
 //     Get across block boundaries. The ZKC2 format the writer emits adds
-//     per-block CRC32-C checksums, min/max zone maps consulted by
-//     ScanWhere to skip blocks before decompression, and a checksummed
-//     directory; ZKC1 containers are read-only — every reader, scan and
-//     RecoverColumn accepts them, nothing writes them —
-//     and OpenColumnReaderAt streams columns larger than RAM from any
-//     io.ReaderAt. A ColumnReader is safe for concurrent use — goroutines
-//     share one reader's block cache and checksum state — and
-//     ParallelScan / ParallelScanWhere decode blocks across a worker pool
-//     to scale scan bandwidth with cores.
+//     per-block CRC32-C checksums, min/max zone maps a Query consults to
+//     skip blocks before decompression, and a checksummed directory; ZKC1
+//     containers are read-only — every reader, scan and RecoverColumn
+//     accepts them, nothing writes them — and OpenColumnReaderAt streams
+//     columns larger than RAM from any io.ReaderAt. A ColumnReader offers
+//     the paper's access paths over one column — ReadBlock, Scan/ReadAll
+//     and Get — and is safe for concurrent use: goroutines share one
+//     reader's block cache and checksum state.
 //
 // # Filtered scans and aggregate pushdown
 //
-// ScanSelect, ParallelScanSelect and AggregateWhere evaluate a range
-// predicate below decompression. They are one-column Queries — Range(0,
-// lo, hi) over a one-column ColumnSet the reader builds at open — and run
-// under the same block loop as Run and RunAggregate. Zone maps decide
-// blocks first (none: skipped unread; all: decoded whole); inside each
+// A filtered, aggregating, degraded or parallel scan of one column is a
+// one-column Query: Range(0, lo, hi) over NewColumnSet(cr), run by Run or
+// RunAggregate under the same block loop as every multi-column scan. Zone
+// maps decide blocks first (none: skipped unread; all: decoded whole);
+// inside each
 // remaining patched block the predicate is translated into the compressed
 // code domain — PFOR subtracts the block base and clamps to the codable
 // window, PDICT remaps the range into dictionary-code space once per block
@@ -41,7 +40,7 @@
 // 128-value group through its stored running total — and the packed code
 // section is scanned by generated branch-free kernels emitting a selection
 // bitmap, exception slots judged on their true values. Only the rows the
-// bitmap selects are materialized, and AggregateWhere folds those. Raw and
+// bitmap selects are materialized, and RunAggregate folds those. Raw and
 // baseline frames decode-then-filter with the same output contract, and
 // warmed sequential filtered scans allocate nothing.
 //
@@ -86,13 +85,13 @@
 // branch-free two-loop decompression — and the survivors are compacted
 // out of it; a block selected whole is one block decode. RunAggregate
 // folds one column's survivors without delivering them; Query.Workers
-// runs blocks across the shared worker-pool engine with the ParallelScan
-// delivery contract. Warmed sequential scans allocate nothing.
+// runs Run's blocks across a worker pool, delivering serialized and — with
+// Query.InOrder — in block order. Warmed sequential scans allocate nothing.
 //
 // # One scan vocabulary: Query, Expr, grouping and joins
 //
-// Query[T] is the only way a multi-column scan is expressed, at every
-// layer: predicate (conjunction and/or expression tree), output columns,
+// Query[T] is the only way a filtered or parallel scan is expressed, at
+// every layer: predicate (conjunction and/or expression tree), output columns,
 // parallelism, ordering, degraded mode and the context it runs under.
 // ColumnSet executes it with Run, RunAggregate and Candidates (the
 // decode-free dry run: which blocks would be evaluated, how many the
@@ -119,10 +118,10 @@
 // once per block rather than once per row; results arrive sorted on the
 // decoded key values. BuildJoin/JoinOn hash-join the selected rows of a
 // probe column against a build-side key set — on PDICT blocks the hash
-// table is probed once per dictionary entry, not once per row. All
-// three accept the usual scan options (SkipCorrupt, ...), and
-// FuzzExprScan differentially fuzzes the expression path against a
-// scalar oracle.
+// table is probed once per dictionary entry, not once per row.
+// GroupAggregate and JoinOn take a Query like RunAggregate does and honour
+// its SkipCorrupt and Report; FuzzExprScan differentially fuzzes the
+// expression path against a scalar oracle.
 //
 // Unlike the internal packages, nothing here panics on bad input: invalid
 // parameters and corrupt or truncated bytes surface as typed errors

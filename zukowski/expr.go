@@ -112,10 +112,11 @@ const (
 // of cr. Without zone maps (ZKC1) nothing is provable but the emptiness of
 // an inverted range.
 func (cr *ColumnReader[T]) rangeVerdict(b int, lo, hi T) verdict {
-	if lo > hi || cr.blockExcludes(b, lo, hi) {
+	bmin, bmax, ok := cr.ZoneMap(b)
+	switch {
+	case lo > hi || ok && (bmax < lo || bmin > hi):
 		return verdictNone
-	}
-	if bmin, bmax, ok := cr.ZoneMap(b); ok && lo <= bmin && bmax <= hi {
+	case ok && lo <= bmin && bmax <= hi:
 		return verdictAll
 	}
 	return verdictSome

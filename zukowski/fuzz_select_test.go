@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"slices"
@@ -10,12 +11,12 @@ import (
 	"repro/zukowski"
 )
 
-// FuzzFilteredScan is the differential fuzzer of the filtered-scan paths:
-// whatever column the writer produces from arbitrary values — any codec,
-// several element types, fuzzed block sizes, predicate windows picked from
-// the data itself (including empty and inverted ones) — ScanSelect,
-// AggregateWhere and ordered ParallelScanSelect must agree exactly with
-// the decode-then-filter oracle. Exception density and clustering are
+// FuzzFilteredScan is the differential fuzzer of the one-column filtered
+// scans: whatever column the writer produces from arbitrary values — any
+// codec, several element types, fuzzed block sizes, predicate windows
+// picked from the data itself (including empty and inverted ones) — a
+// one-column range Query through sequential Run, RunAggregate and ordered
+// two-worker Run must agree exactly with the decode-then-filter oracle. Exception density and clustering are
 // whatever the fuzzed values induce, which over the corpus covers none,
 // sparse, and compulsory-heavy patch lists.
 func FuzzFilteredScan(f *testing.F) {
@@ -104,47 +105,30 @@ func fuzzFilteredScan[T zukowski.Integer](t *testing.T, name string, data []byte
 		}
 	}
 
-	var gotRows []int64
-	var gotVals []T
-	if err := cr.ScanSelect(lo, hi, func(r []int64, v []T) bool {
-		gotRows = append(gotRows, r...)
-		gotVals = append(gotVals, v...)
-		return true
-	}); err != nil {
-		t.Fatalf("%s: ScanSelect: %v", name, err)
+	cs := oneColumn(t, cr)
+	q := rangeQuery(lo, hi)
+	gotRows, gotVals, err := collectRun(t, cs, q)
+	if err != nil {
+		t.Fatalf("%s: Run: %v", name, err)
 	}
 	if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotVals, wantVals) {
-		t.Fatalf("%s [%v,%v]: ScanSelect disagrees with oracle: got %d matches, want %d",
+		t.Fatalf("%s [%v,%v]: Run disagrees with oracle: got %d matches, want %d",
 			name, lo, hi, len(gotRows), len(wantRows))
 	}
 
-	agg, err := cr.AggregateWhere(lo, hi)
+	agg, err := cs.RunAggregate(context.Background(), q, 0)
 	if err != nil {
-		t.Fatalf("%s: AggregateWhere: %v", name, err)
+		t.Fatalf("%s: RunAggregate: %v", name, err)
 	}
-	var want zukowski.Aggregate[T]
-	for _, v := range wantVals {
-		if want.Count == 0 {
-			want.Min, want.Max = v, v
-		} else {
-			want.Min, want.Max = min(want.Min, v), max(want.Max, v)
-		}
-		want.Count++
-		want.Sum += int64(v)
-	}
-	if agg != want {
-		t.Fatalf("%s [%v,%v]: AggregateWhere = %+v, want %+v", name, lo, hi, agg, want)
+	if want := aggregateOf(wantVals); agg != want {
+		t.Fatalf("%s [%v,%v]: RunAggregate = %+v, want %+v", name, lo, hi, agg, want)
 	}
 
-	gotRows, gotVals = nil, nil
-	if err := cr.ParallelScanSelect(lo, hi, 2, func(_ int, r []int64, v []T) bool {
-		gotRows = append(gotRows, r...)
-		gotVals = append(gotVals, v...)
-		return true
-	}, zukowski.InOrder()); err != nil {
-		t.Fatalf("%s: ParallelScanSelect: %v", name, err)
+	q.Workers, q.InOrder = 2, true
+	if gotRows, gotVals, err = collectRun(t, cs, q); err != nil {
+		t.Fatalf("%s: two-worker Run: %v", name, err)
 	}
 	if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotVals, wantVals) {
-		t.Fatalf("%s [%v,%v]: ordered ParallelScanSelect disagrees with oracle", name, lo, hi)
+		t.Fatalf("%s [%v,%v]: ordered two-worker Run disagrees with oracle", name, lo, hi)
 	}
 }

@@ -150,8 +150,12 @@ func FuzzColumn(f *testing.F) {
 					t.Fatalf("Get(%d) = %d, %v; want %d", i, v, err, src[i])
 				}
 				lo := src[0]
-				if err := cr.ScanWhere(lo, lo, func([]int64) bool { return true }); err != nil {
-					t.Fatalf("ScanWhere: %v", err)
+				rows, _, err := collectRun(t, oneColumn(t, cr), rangeQuery(lo, lo))
+				if err != nil {
+					t.Fatalf("point Query: %v", err)
+				}
+				if want := countOf(src, lo); len(rows) != want {
+					t.Fatalf("point Query selected %d rows, want %d", len(rows), want)
 				}
 			}
 		}
@@ -161,13 +165,24 @@ func FuzzColumn(f *testing.F) {
 			cr.ReadAll(nil)
 			cr.Get(0)
 			cr.Verify()
-			cr.ScanWhere(0, 1<<40, func([]int64) bool { return true })
+			collectRun(t, oneColumn(t, cr), rangeQuery[int64](0, 1<<40))
 		}
 		if cr, err := zukowski.OpenColumnReaderAt[int64](bytes.NewReader(data), int64(len(data))); err == nil {
 			cr.ReadAll(nil)
 			cr.Get(0)
 		}
 	})
+}
+
+// countOf counts the occurrences of v in vals.
+func countOf(vals []int64, v int64) int {
+	n := 0
+	for _, x := range vals {
+		if x == v {
+			n++
+		}
+	}
+	return n
 }
 
 // offByOne returns a copy of b that starts one byte past an aligned

@@ -170,12 +170,12 @@ func applyRow[T Integer](specs []AggSpec[T], cells []int64, cols [][]T, i int) {
 	}
 }
 
-// GroupAggregate evaluates expr over the set and folds the aggregate
-// specs per distinct combination of the group columns' values, in one
-// sequential pass. The result has one entry per group, sorted
+// GroupAggregate evaluates q's predicate over the set and folds the
+// aggregate specs per distinct combination of the group columns' values,
+// in one sequential pass. The result has one entry per group, sorted
 // lexicographically by key; an empty groupCols folds everything the
-// expression selects into a single group with an empty key (and an
-// expression selecting nothing yields no groups at all).
+// predicate selects into a single group with an empty key (and a
+// predicate selecting nothing yields no groups at all).
 //
 // Group columns whose blocks are dictionary-compressed are aggregated in
 // code space — see the package comment above AggKind — so a low-
@@ -183,11 +183,11 @@ func applyRow[T Integer](specs []AggSpec[T], cells []int64, cols [][]T, i int) {
 // aggregate inputs themselves are materialized only at the selected
 // rows, exactly like a scan.
 //
-// The one scan option that applies is SkipCorrupt (InOrder is
-// meaningless for a sequential fold).
-func (cs *ColumnSet[T]) GroupAggregate(expr Expr[T], groupCols []int, specs []AggSpec[T], opts ...ScanOption) (Grouped[T], error) {
+// Of q's run options SkipCorrupt and Report apply; Cols, Workers and
+// InOrder are ignored, as in RunAggregate. A panic in a spec's Map reaches
+// the caller.
+func (cs *ColumnSet[T]) GroupAggregate(q Query[T], groupCols []int, specs []AggSpec[T]) (Grouped[T], error) {
 	var zero Grouped[T]
-	q := Query[T]{Expr: expr}
 	need := make([]bool, len(cs.cols))
 	for _, ci := range groupCols {
 		if ci < 0 || ci >= len(cs.cols) {
@@ -221,7 +221,7 @@ func (cs *ColumnSet[T]) GroupAggregate(expr Expr[T], groupCols []int, specs []Ag
 	var flatCells []int64 // specs-major: flatCells[s*P+code]
 	var flatCount []int64
 	var touched []int32
-	err := cs.visitBlocks(context.Background(), parseScanOpts(opts), &q, func(st *setState[T], b int) (bool, error) {
+	err := cs.visitBlocks(context.Background(), &q, func(st *setState[T], b int) (bool, error) {
 		return true, cs.groupBlock(st, b, groupCols, specs, need, gt,
 			colsBuf, key, dictLens, &flatCells, &flatCount, &touched)
 	})
@@ -231,19 +231,20 @@ func (cs *ColumnSet[T]) GroupAggregate(expr Expr[T], groupCols []int, specs []Ag
 	return gt.result(), nil
 }
 
-// groupBlock folds the rows block b's bitmap (st.sv) selects into gt.
+// groupBlock folds the rows block b's bitmap (st.sv) selects into gt. Only
+// the decode calls run under the crafted-frame panic guard; the specs' Map
+// functions are the caller's code and run outside it.
 func (cs *ColumnSet[T]) groupBlock(st *setState[T], b int,
 	groupCols []int, specs []AggSpec[T], need []bool, gt *groupTable[T],
 	colsBuf [][]T, key []T, dictLens []int,
 	flatCells, flatCount *[]int64, touched *[]int32,
-) (err error) {
-	defer guardSegment(&err)
+) error {
 	for ci := range cs.cols {
 		colsBuf[ci] = nil
 		if !need[ci] {
 			continue
 		}
-		vals, err := cs.gatherCol(&st.cols[ci], ci, b, &st.sv)
+		vals, err := cs.gatherCol(st, b, ci)
 		if err != nil {
 			return err
 		}
@@ -282,8 +283,10 @@ func (cs *ColumnSet[T]) groupBlock(st *setState[T], b int,
 	}
 	codes := st.codes[:len(groupCols)]
 	for gi, ci := range groupCols {
-		cst := &st.cols[ci]
-		codes[gi] = cst.dec.DecompressSelectedCodes(&cst.blk, &st.sv, codes[gi][:0])
+		var err error
+		if codes[gi], err = selectedCodes(&st.cols[ci], &st.sv, codes[gi][:0]); err != nil {
+			return err
+		}
 	}
 	if cap(*flatCount) < product {
 		*flatCount = make([]int64, product)
@@ -296,14 +299,15 @@ func (cs *ColumnSet[T]) groupBlock(st *setState[T], b int,
 		code, ok := 0, true
 		for gi := range groupCols {
 			c := codes[gi][i]
-			if c < 0 {
+			if uint32(c) >= uint32(dictLens[gi]) {
 				ok = false
 				break
 			}
 			code = code*dictLens[gi] + int(c)
 		}
 		if !ok {
-			// Exception slot: the row's true value may be out of the
+			// Exception slot (-1, or a code past the dictionary that only a
+			// crafted frame holds): the row's true value may be out of the
 			// dictionary — fold it through the hash path on values.
 			for gi, ci := range groupCols {
 				key[gi] = colsBuf[ci][i]

@@ -1,6 +1,7 @@
 package zukowski_test
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -163,7 +164,7 @@ func TestGroupAggregateOracle(t *testing.T) {
 		}
 		for _, ge := range exprs {
 			for _, groupCols := range [][]int{{0}, {0, 1}, {}} {
-				got, err := cs.GroupAggregate(ge.expr, groupCols, specs)
+				got, err := cs.GroupAggregate(zukowski.Query[int64]{Expr: ge.expr}, groupCols, specs)
 				if err != nil {
 					t.Fatalf("%v/%s/%v: GroupAggregate: %v", mix, ge.name, groupCols, err)
 				}
@@ -177,14 +178,15 @@ func TestGroupAggregateOracle(t *testing.T) {
 // TestGroupAggregateErrors checks column validation.
 func TestGroupAggregateErrors(t *testing.T) {
 	cs, _ := buildGroupSet(t, []string{"pdict", "pdict", "pfor", "auto"}, 1_000, 3)
-	if _, err := cs.GroupAggregate(zukowski.Expr[int64]{}, []int{4}, nil); err == nil {
+	var all zukowski.Query[int64]
+	if _, err := cs.GroupAggregate(all, []int{4}, nil); err == nil {
 		t.Fatal("bad group column accepted")
 	}
-	if _, err := cs.GroupAggregate(zukowski.Expr[int64]{}, nil,
+	if _, err := cs.GroupAggregate(all, nil,
 		[]zukowski.AggSpec[int64]{{Kind: zukowski.AggSum, Col: 9}}); err == nil {
 		t.Fatal("bad aggregate column accepted")
 	}
-	if _, err := cs.GroupAggregate(zukowski.Range[int64](7, 0, 1), nil, nil); err == nil {
+	if _, err := cs.GroupAggregate(zukowski.Query[int64]{Expr: zukowski.Range[int64](7, 0, 1)}, nil, nil); err == nil {
 		t.Fatal("bad expression column accepted")
 	}
 }
@@ -221,7 +223,7 @@ func TestJoinOnOracle(t *testing.T) {
 
 		var gotProbe []int64
 		var gotBuild []int32
-		err := cs.JoinOn(expr, 0, jt, func(pr []int64, br []int32) bool {
+		err := cs.JoinOn(zukowski.Query[int64]{Expr: expr}, 0, jt, func(pr []int64, br []int32) bool {
 			gotProbe = append(gotProbe, pr...)
 			gotBuild = append(gotBuild, br...)
 			return true
@@ -232,6 +234,10 @@ func TestJoinOnOracle(t *testing.T) {
 		if !slices.Equal(gotProbe, wantProbe) || !slices.Equal(gotBuild, wantBuild) {
 			t.Fatalf("%s: JoinOn disagrees with oracle: got %d pairs, want %d",
 				probeCodec, len(gotProbe), len(wantProbe))
+		}
+		err = cs.JoinOn(zukowski.Query[int64]{}, 4, jt, func([]int64, []int32) bool { return true })
+		if !errors.Is(err, zukowski.ErrIndexOutOfRange) {
+			t.Fatalf("%s: JoinOn on probe column 4 of 4: %v, want ErrIndexOutOfRange", probeCodec, err)
 		}
 	}
 }

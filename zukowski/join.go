@@ -2,6 +2,7 @@ package zukowski
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/core"
 )
@@ -38,7 +39,7 @@ func (jt *JoinTable[T]) Len() int { return len(jt.rows) }
 // slice is the table's own — don't mutate it.
 func (jt *JoinTable[T]) Rows(key T) []int32 { return jt.rows[key] }
 
-// JoinOn probes the table with column probeCol of every row expr
+// JoinOn probes the table with column probeCol of every row q's predicate
 // selects, invoking fn once per block that produced at least one match
 // with aligned pair slices: probe row probeRows[i] joined build row
 // buildRows[i]. A probe row matching k build rows contributes k pairs,
@@ -50,19 +51,22 @@ func (jt *JoinTable[T]) Rows(key T) []int32 { return jt.rows[key] }
 // per dictionary entry, and each row then joins by its dictionary code;
 // only exception-slot rows probe the table individually, on their
 // materialized values.
-func (cs *ColumnSet[T]) JoinOn(expr Expr[T], probeCol int, jt *JoinTable[T], fn func(probeRows []int64, buildRows []int32) bool, opts ...ScanOption) error {
-	// Cols only carries probeCol to the query check; nothing reads it after.
-	q := Query[T]{Expr: expr, Cols: []int{probeCol}}
+//
+// Of q's run options SkipCorrupt and Report apply; Cols, Workers and
+// InOrder are ignored, as in RunAggregate. A panic in fn reaches the caller.
+func (cs *ColumnSet[T]) JoinOn(q Query[T], probeCol int, jt *JoinTable[T], fn func(probeRows []int64, buildRows []int32) bool) error {
+	if probeCol < 0 || probeCol >= len(cs.cols) {
+		return fmt.Errorf("%w: probe column %d not in [0,%d)", ErrIndexOutOfRange, probeCol, len(cs.cols))
+	}
 	var (
 		pr       []int64
 		br       []int32
 		codes    []int32
 		dictRows [][]int32 // build matches per dictionary code of the current block
 	)
-	return cs.visitBlocks(context.Background(), parseScanOpts(opts), &q, func(st *setState[T], b int) (more bool, err error) {
-		defer guardSegment(&err)
+	return cs.visitBlocks(context.Background(), &q, func(st *setState[T], b int) (bool, error) {
 		cst := &st.cols[probeCol]
-		vals, err := cs.gatherCol(cst, probeCol, b, &st.sv)
+		vals, err := cs.gatherCol(st, b, probeCol)
 		if err != nil {
 			return true, err
 		}
@@ -73,10 +77,14 @@ func (cs *ColumnSet[T]) JoinOn(expr Expr[T], probeCol int, jt *JoinTable[T], fn 
 			for _, v := range cst.blk.Dict[:cst.blk.DictLen] {
 				dictRows = append(dictRows, jt.rows[v])
 			}
-			codes = cst.dec.DecompressSelectedCodes(&cst.blk, &st.sv, codes[:0])
+			if codes, err = selectedCodes(cst, &st.sv, codes[:0]); err != nil {
+				return true, err
+			}
 			for i, c := range codes {
 				var matches []int32
-				if c < 0 {
+				if uint32(c) >= uint32(len(dictRows)) {
+					// An exception slot (-1), or a code past the dictionary
+					// that only a crafted frame holds: probe on the value.
 					matches = jt.rows[vals[i]]
 				} else {
 					matches = dictRows[c]

@@ -2,9 +2,12 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/zukowski"
@@ -178,32 +181,40 @@ func TestCraftedPatchListEscape(t *testing.T) {
 		wantCorrupt(t, "Get", err)
 	}
 
-	// The same frame inside a ZKC2 container: ScanSelect and AggregateWhere
-	// must surface the fault as a typed error too. The container checksums
-	// are fixed up so the CRC cannot mask the deeper corruption.
+	// The same frame inside a ZKC2 container: every one-column Query form —
+	// Run, RunAggregate, Run with workers, GroupAggregate and JoinOn — must
+	// surface the fault as a typed error too. The container checksums are
+	// fixed up so the CRC cannot mask the deeper corruption.
 	data := containerWithFrame(t, frame, 100)
 	cr, err := zukowski.OpenColumn[int64](data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = mustNotPanic(t, "ScanSelect", func() error {
-		return cr.ScanSelect(0, 1<<50, func([]int64, []int64) bool { return true })
-	})
-	wantCorrupt(t, "ScanSelect", err)
-	err = mustNotPanic(t, "AggregateWhere", func() error {
-		_, err := cr.AggregateWhere(0, 1<<50)
-		return err
-	})
-	wantCorrupt(t, "AggregateWhere", err)
-	err = mustNotPanic(t, "ReadAll", func() error {
-		_, err := cr.ReadAll(nil)
-		return err
-	})
-	wantCorrupt(t, "ReadAll", err)
-	err = mustNotPanic(t, "ParallelScanSelect", func() error {
-		return cr.ParallelScanSelect(0, 1<<50, 2, func(int, []int64, []int64) bool { return true })
-	})
-	wantCorrupt(t, "ParallelScanSelect", err)
+	cs := oneColumn(t, cr)
+	ctx := context.Background()
+	q := rangeQuery[int64](0, 1<<50)
+	for _, p := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { return cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }) }},
+		{"RunAggregate", func() error { _, err := cs.RunAggregate(ctx, q, 0); return err }},
+		{"ReadAll", func() error { _, err := cr.ReadAll(nil); return err }},
+		{"Run/workers", func() error {
+			pq := q
+			pq.Workers = 2
+			return cs.Run(ctx, pq, func(int, []int64, [][]int64) bool { return true })
+		}},
+		{"GroupAggregate", func() error {
+			_, err := cs.GroupAggregate(q, []int{0}, []zukowski.AggSpec[int64]{{Kind: zukowski.AggCount}})
+			return err
+		}},
+		{"JoinOn", func() error {
+			return cs.JoinOn(q, 0, zukowski.BuildJoin([]int64{1, 2, 3}), func([]int64, []int32) bool { return true })
+		}},
+	} {
+		wantCorrupt(t, p.name, mustNotPanic(t, p.name, p.run))
+	}
 }
 
 // containerWithFrame hand-assembles a one-block ZKC2 container around an
@@ -242,8 +253,8 @@ func containerWithFrame(t *testing.T, frame []byte, count int) []byte {
 }
 
 // TestCraftedCountMismatch puts a frame holding fewer values than the
-// directory claims into a checksum-valid container: the filtered scans
-// must refuse with ErrCorruptColumn rather than emit wrong row numbers.
+// directory claims into a checksum-valid container: a filtered Query must
+// refuse with ErrCorruptColumn rather than emit wrong row numbers.
 func TestCraftedCountMismatch(t *testing.T) {
 	vals := make([]int64, 100)
 	for i := range vals {
@@ -258,10 +269,148 @@ func TestCraftedCountMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = mustNotPanic(t, "ScanSelect", func() error {
-		return cr.ScanSelect(0, 1<<40, func([]int64, []int64) bool { return true })
+	err = mustNotPanic(t, "Run", func() error {
+		return oneColumn(t, cr).Run(context.Background(), rangeQuery[int64](0, 1<<40), func(int, []int64, [][]int64) bool { return true })
 	})
 	if !errors.Is(err, zukowski.ErrCorruptColumn) {
-		t.Fatalf("ScanSelect with lying directory: %v, want ErrCorruptColumn", err)
+		t.Fatalf("Run with lying directory: %v, want ErrCorruptColumn", err)
+	}
+}
+
+// TestCraftedPDictCodePastDictionary packs a code past a PDICT frame's
+// dictionary into a checksum-valid container. The decoders read such a
+// code through the zero-padded dictionary; GroupAggregate's and JoinOn's
+// code-space paths must not index past it either, and must agree with
+// grouping and joining the values ReadAll decodes.
+func TestCraftedPDictCodePastDictionary(t *testing.T) {
+	dict := []int64{10, 20, 30}
+	vals := make([]int64, 100)
+	for i := range vals {
+		vals[i] = dict[i%len(dict)]
+	}
+	frame, err := zukowski.PDict[int64]{Dict: dict, Width: 2}.Encode(nil, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exc := binary.LittleEndian.Uint32(frame[28:]); exc != 0 {
+		t.Fatalf("fixture frame holds %d exceptions, want none", exc)
+	}
+	// Rows 0-3 get code 3, one past the three-entry dictionary.
+	codeOff := len(frame) - 4*int(binary.LittleEndian.Uint32(frame[32:]))
+	frame[codeOff] = 0xFF
+	fixSegmentChecksum(frame)
+	cr, err := zukowski.OpenColumn[int64](containerWithFrame(t, frame, len(vals)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := cr.ReadAll(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(all, 0) {
+		t.Fatal("fixture: no crafted code decoded through the padded dictionary")
+	}
+	cs := oneColumn(t, cr)
+
+	specs := []zukowski.AggSpec[int64]{{Kind: zukowski.AggCount}}
+	var got zukowski.Grouped[int64]
+	err = mustNotPanic(t, "GroupAggregate", func() (err error) {
+		got, err = cs.GroupAggregate(zukowski.Query[int64]{}, []int{0}, specs)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGrouped(t, "GroupAggregate", got, groupOracle([][]int64{all}, func([][]int64, int) bool { return true }, []int{0}, specs))
+
+	buildKeys := []int64{0, 20, 40}
+	var gotProbe, wantProbe []int64
+	err = mustNotPanic(t, "JoinOn", func() error {
+		return cs.JoinOn(zukowski.Query[int64]{}, 0, zukowski.BuildJoin(buildKeys), func(pr []int64, _ []int32) bool {
+			gotProbe = append(gotProbe, pr...)
+			return true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range all {
+		for _, k := range buildKeys {
+			if v == k {
+				wantProbe = append(wantProbe, int64(i))
+			}
+		}
+	}
+	if !slices.Equal(gotProbe, wantProbe) {
+		t.Fatalf("JoinOn probed %v, want %v", gotProbe, wantProbe)
+	}
+}
+
+// --- caller panics --------------------------------------------------------
+
+// callerPanic is what the caller-code probes below panic with.
+type callerPanic struct{ where string }
+
+// recoverCaller runs run and returns the value it panicked with (nil when
+// it returned) and the error it returned.
+func recoverCaller(run func() error) (r any, err error) {
+	defer func() { r = recover() }()
+	return nil, run()
+}
+
+// TestRunCallerPanic is the other half of the panic audit: a panic in the
+// caller's code — Run's fn, sequential or across workers, JoinOn's fn, an
+// AggSpec's Map — is not a decoder fault. It reaches the caller as that
+// panic, exact or degraded: never an ErrCorruptSegment, never a block a
+// degraded scan skips and reports lost.
+func TestRunCallerPanic(t *testing.T) {
+	rng := rand.New(rand.NewSource(87))
+	const n, blockValues = 8000, 500
+	keys := make([]int64, n)
+	base := []int64{11, 23, 35, 47}
+	for i := range keys {
+		keys[i] = base[rng.Intn(len(base))]
+	}
+	cs, err := zukowski.NewColumnSet(
+		buildSelectColumn(t, zukowski.PDict[int64]{}, blockValues, keys),
+		buildSelectColumn(t, zukowski.PFOR[int64]{}, blockValues, genValues[int64](rng, n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, p := range []struct {
+		name string
+		run  func(q zukowski.Query[int64]) error
+	}{
+		{"Run/seq", func(q zukowski.Query[int64]) error {
+			return cs.Run(ctx, q, func(int, []int64, [][]int64) bool { panic(callerPanic{"Run"}) })
+		}},
+		{"Run/workers", func(q zukowski.Query[int64]) error {
+			q.Workers = 4
+			return cs.Run(ctx, q, func(int, []int64, [][]int64) bool { panic(callerPanic{"Run"}) })
+		}},
+		{"JoinOn", func(q zukowski.Query[int64]) error {
+			return cs.JoinOn(q, 0, zukowski.BuildJoin(base), func([]int64, []int32) bool { panic(callerPanic{"JoinOn"}) })
+		}},
+		{"GroupAggregate/Map", func(q zukowski.Query[int64]) error {
+			_, err := cs.GroupAggregate(q, []int{0}, []zukowski.AggSpec[int64]{{
+				Kind: zukowski.AggSum, Cols: []int{1},
+				Map: func([][]int64, int) int64 { panic(callerPanic{"Map"}) },
+			}})
+			return err
+		}},
+	} {
+		for _, degraded := range []bool{false, true} {
+			var rep zukowski.ScanReport
+			q := zukowski.Query[int64]{Expr: zukowski.Range[int64](1, 0, 50), SkipCorrupt: degraded, Report: &rep}
+			r, err := recoverCaller(func() error { return p.run(q) })
+			if _, ok := r.(callerPanic); !ok {
+				t.Fatalf("%s (degraded %v): recovered %v, returned %v; want the caller's panic", p.name, degraded, r, err)
+			}
+			if rep.BlocksSkipped != 0 || rep.RowsLost != 0 || rep.FirstErr != nil {
+				t.Fatalf("%s (degraded %v): report {blocks %d, rows %d, first %v}, want empty",
+					p.name, degraded, rep.BlocksSkipped, rep.RowsLost, rep.FirstErr)
+			}
+		}
 	}
 }

@@ -1,131 +1,48 @@
 package zukowski
 
 import (
-	"runtime"
+	"context"
 	"sync"
 
 	"repro/internal/core"
 )
 
-// Parallel column scans. The paper closes by observing that its
-// super-scalar decompression "can already improve this bandwidth on
-// parallel architectures": one goroutine decodes PFOR at RAM-like speed,
-// so saturating a multi-core machine means decoding many blocks at once.
+// Parallel scans. The paper closes by observing that its super-scalar
+// decompression "can already improve this bandwidth on parallel
+// architectures": one goroutine decodes PFOR at RAM-like speed, so
+// saturating a multi-core machine means decoding many blocks at once.
 // Blocks are the natural grain — each frame is self-contained, and the
-// ZKC2 fetch path is stateless — so ParallelScan runs a block-granular
-// worker pool (core.ParallelDo) over the candidate blocks. Each worker
-// owns one pooled decode state for the whole scan and hands its vector to
-// fn under a delivery mutex: decoding overlaps freely, delivery is
-// serialized, and no channel hop or consumer goroutine sits on the per-
-// block path.
+// ZKC2 fetch path is stateless — so a Query with Workers > 1 runs a
+// block-granular worker pool (core.ParallelDo) over the candidate blocks.
+// Each worker owns one pooled scan state for the whole scan and hands its
+// block's output to fn under a delivery mutex: decoding overlaps freely,
+// delivery is serialized, and no channel hop or consumer goroutine sits on
+// the per-block path.
 
-// ScanOption configures the scan families: delivery order for the
-// parallel scans (InOrder), degraded mode for all of them (SkipCorrupt).
-type ScanOption func(*scanConfig)
-
-type scanConfig struct {
-	ordered bool
-	skip    bool
-	report  *ScanReport
-}
-
-// InOrder makes a parallel scan deliver vectors in block order — exactly
-// the sequence a sequential Scan produces. Blocks still decode across all
-// workers; a worker whose block is ready early waits its turn to deliver,
-// so ordering can idle workers when block decode times vary widely.
-func InOrder() ScanOption {
-	return func(c *scanConfig) { c.ordered = true }
-}
-
-// ParallelScan decodes the column's blocks across up to workers goroutines
-// (GOMAXPROCS when workers <= 0) and hands each decoded vector to fn along
-// with its block index. Delivery is serialized — fn is never called
-// concurrently, so it needs no locking of its own — and unordered by
-// default: vectors arrive as blocks finish decoding. InOrder restores the
-// sequential delivery order. The vector is reused once fn returns; fn must
-// copy values it keeps. A panic in fn is re-raised on the calling
-// goroutine.
-//
-// fn returning false stops the scan early: workers stop claiming blocks,
-// in-flight blocks are discarded undelivered, and ParallelScan returns
-// nil. A decode or I/O error stops the scan the same way; with InOrder the
-// error surfaces exactly where the sequential scan would have hit it (or
-// not at all, if fn stops first), while an unordered scan returns the
-// first error delivered.
-//
-// ParallelScan is safe to run concurrently with any other method of the
-// shared reader.
-func (cr *ColumnReader[T]) ParallelScan(workers int, fn func(block int, vals []T) bool, opts ...ScanOption) error {
-	return cr.parallelScan(nil, workers, fn, opts)
-}
-
-// ParallelScanWhere is ParallelScan restricted to the blocks whose zone
-// map intersects the inclusive range [lo, hi], with the same pruning
-// contract as ScanWhere: a skipped block is provably free of the range,
-// and fn still applies the exact predicate to the vectors it receives.
-func (cr *ColumnReader[T]) ParallelScanWhere(lo, hi T, workers int, fn func(block int, vals []T) bool, opts ...ScanOption) error {
-	return cr.parallelScan(cr.zoneMatch(lo, hi), workers, fn, opts)
-}
-
-// parallelScan scans the blocks selected by match (nil selects every
-// block) across a worker pool.
-func (cr *ColumnReader[T]) parallelScan(match func(b int) bool, workers int, fn func(block int, vals []T) bool, opts []ScanOption) error {
-	cfg := parseScanOpts(opts)
-	seq := func() error { return cr.scanBlocks(cfg, match, fn) }
-	work := func(st *decodeState[T], b int) (func() bool, error) {
-		vals, err := cr.readBlockInto(st, b, st.vals[:0])
-		st.vals = vals
-		if err != nil {
-			if cfg.skipBlock(int(cr.blocks[b].count), err) {
-				return nil, nil
-			}
-			return nil, err
-		}
-		return func() bool { return fn(b, vals) }, nil
+// runParallel is Run's block-parallel form. It stays apart from the
+// sequential visitBlocks because core.ParallelDo moves whatever its closure
+// captures to the heap (Run hands it a copy of q for that reason). Workers
+// claim, in block order, the blocks queryVerdict does not rule out — the
+// pruning step of visitBlocks and Candidates — and deliver serialized, in
+// block order under q.InOrder. fn returning false, an error q does not skip,
+// or a panic in fn stops the scan as it would the sequential one: in-flight
+// blocks are discarded undelivered, and the panic is re-raised here once the
+// pool has drained. With InOrder an error surfaces exactly where the
+// sequential scan would hit it; unordered, the first error delivered wins.
+func (cs *ColumnSet[T]) runParallel(ctx context.Context, q *Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
+	empty, err := cs.checkQuery(q)
+	if err != nil || empty {
+		return err
 	}
-	return parallelBlocksEngine(len(cr.blocks), workers, match, cfg, seq, cr.getState, cr.putState, work)
-}
-
-// parallelBlocksEngine is the block-parallel scan engine shared by the
-// whole-block scans of one column (ParallelScan, ParallelScanWhere) and the
-// ColumnSet query scans, ParallelScanSelect among them (whose worker state
-// spans several columns — hence the state type parameter). work decodes
-// one block with a worker-owned state and returns a deliver closure (nil
-// to deliver nothing); deliveries run
-// serialized under the engine mutex — in rank order when InOrder is set —
-// and a deliver returning false, a work error, or a panic in the delivery
-// stops the scan with sequential-equivalent semantics. seq is the
-// one-worker degenerate case.
-func parallelBlocksEngine[S any](numBlocks, workers int, match func(b int) bool, cfg *scanConfig,
-	seq func() error, getState func() S, putState func(S),
-	work func(st S, b int) (func() bool, error)) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// The rank gate and worker pool need an indexable candidate list; the
-	// one-worker degenerate case is exactly the sequential loop instead.
 	var candidates []int
-	n := numBlocks
-	if workers > 1 && match != nil {
-		candidates = make([]int, 0, n)
-		for b := 0; b < numBlocks; b++ {
-			if match(b) {
-				candidates = append(candidates, b)
-			}
+	for b := range cs.cols[0].blocks {
+		if cs.queryVerdict(q, b) != verdictNone {
+			candidates = append(candidates, b)
 		}
-		n = len(candidates)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(q.Workers, len(candidates))
 	if workers <= 1 {
-		return seq()
-	}
-	blockAt := func(t int) int {
-		if candidates != nil {
-			return candidates[t]
-		}
-		return t
+		return cs.runSeq(ctx, q, fn)
 	}
 
 	var (
@@ -136,32 +53,44 @@ func parallelBlocksEngine[S any](numBlocks, workers int, match func(b int) bool,
 		firstErr error
 		panicked any
 	)
-	// call runs a delivery, converting a panic into a stop; the panic value
-	// is re-raised on the calling goroutine once the pool has drained, so a
-	// panicking fn behaves like it does under a sequential scan.
-	call := func(deliver func() bool) (ok bool) {
+	// deliver runs fn, converting a panic into a stop; the panic value is
+	// re-raised once the pool has drained, so a panicking fn behaves as it
+	// does under a sequential scan.
+	deliver := func(b int, rows []int64, out [][]T) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				panicked = r
 				ok = false
 			}
 		}()
-		return deliver()
+		return fn(b, rows, out)
 	}
 	// Tasks are claimed in rank order, so in ordered mode every rank below
 	// the one a worker holds is either delivered or in flight; waiting for
-	// next == t therefore cannot deadlock and buffers at most one decoded
+	// next == t therefore cannot deadlock and buffers at most one evaluated
 	// block per worker.
-	states := make([]S, workers)
+	states := make([]*setState[T], workers)
 	for w := range states {
-		states[w] = getState()
+		states[w] = cs.getState()
 	}
-	core.ParallelDo(workers, n, func(w, t int) bool {
-		deliver, err := work(states[w], blockAt(t))
+	core.ParallelDo(workers, len(candidates), func(w, t int) bool {
+		b, st := candidates[t], states[w]
+		var rows []int64
+		var out [][]T
+		err := ctx.Err()
+		if err == nil {
+			var any bool
+			if any, err = cs.blockMaskQuery(st, b, q); err == nil && any {
+				rows, out, err = cs.gatherBlock(st, b, q)
+			}
+		}
+		if err != nil && q.skipBlock(int(cs.cols[0].blocks[b].count), err) {
+			err = nil
+		}
 
 		mu.Lock()
 		defer mu.Unlock()
-		if cfg.ordered {
+		if q.InOrder {
 			for next != t && !stopped {
 				turn.Wait()
 			}
@@ -173,19 +102,16 @@ func parallelBlocksEngine[S any](numBlocks, workers int, match func(b int) bool,
 		}
 		if err != nil {
 			firstErr = err
-			// Returning false makes ParallelDo stop handing out tasks;
-			// workers mid-decode drain through the stopped check above.
-			stopped = true
-			return false
+		} else if len(rows) == 0 || deliver(b, rows, out) {
+			return true
 		}
-		if deliver != nil && !call(deliver) {
-			stopped = true
-			return false
-		}
-		return true
+		// Returning false makes ParallelDo stop handing out tasks; workers
+		// mid-block drain through the stopped check above.
+		stopped = true
+		return false
 	})
 	for _, st := range states {
-		putState(st)
+		cs.putState(st)
 	}
 	if panicked != nil {
 		panic(panicked)

@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -55,40 +56,47 @@ func collectSeq[T zukowski.Integer](t *testing.T, cr *zukowski.ColumnReader[T]) 
 	return got
 }
 
+// TestParallelScanMatchesScan: a whole-column Query (the zero Expr) run
+// with Workers delivers exactly what the sequential Scan decodes — in the
+// same sequence with InOrder, every block exactly once without.
 func TestParallelScanMatchesScan(t *testing.T) {
 	src := rampValues(50_000)
 	data := buildColumn[int64](t, zukowski.Auto[int64]{}, 4096, src)
 	for name, cr := range openBoth[int64](t, data) {
 		t.Run(name, func(t *testing.T) {
 			want := collectSeq(t, cr)
+			cs := oneColumn(t, cr)
+			ctx := context.Background()
 
 			for _, workers := range []int{0, 1, 3, 4, 100} {
 				// Ordered delivery must reproduce the sequential sequence
 				// exactly.
 				var ordered []int64
 				lastBlock := -1
-				err := cr.ParallelScan(workers, func(b int, vals []int64) bool {
+				q := zukowski.Query[int64]{Workers: workers, InOrder: true}
+				err := cs.Run(ctx, q, func(b int, _ []int64, cols [][]int64) bool {
 					if b <= lastBlock {
 						t.Errorf("workers=%d: block %d delivered after %d", workers, b, lastBlock)
 					}
 					lastBlock = b
-					ordered = append(ordered, vals...)
+					ordered = append(ordered, cols[0]...)
 					return true
-				}, zukowski.InOrder())
+				})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				if !equalSlices(ordered, want) {
-					t.Fatalf("workers=%d: ordered ParallelScan diverges from Scan", workers)
+					t.Fatalf("workers=%d: ordered Run diverges from Scan", workers)
 				}
 
 				// Unordered delivery must cover every block exactly once.
 				byBlock := map[int][]int64{}
-				err = cr.ParallelScan(workers, func(b int, vals []int64) bool {
+				q.InOrder = false
+				err = cs.Run(ctx, q, func(b int, _ []int64, cols [][]int64) bool {
 					if _, dup := byBlock[b]; dup {
 						t.Errorf("workers=%d: block %d delivered twice", workers, b)
 					}
-					byBlock[b] = append([]int64(nil), vals...)
+					byBlock[b] = append([]int64(nil), cols[0]...)
 					return true
 				})
 				if err != nil {
@@ -99,13 +107,16 @@ func TestParallelScanMatchesScan(t *testing.T) {
 					unordered = append(unordered, byBlock[b]...)
 				}
 				if !equalSlices(unordered, want) {
-					t.Fatalf("workers=%d: unordered ParallelScan diverges from Scan", workers)
+					t.Fatalf("workers=%d: unordered Run diverges from Scan", workers)
 				}
 			}
 		})
 	}
 }
 
+// TestParallelScanWhereMatchesSequential: a zone-pruned range Query over one
+// column selects exactly the full-scan oracle's values, and with Workers
+// and InOrder the same rows in the same sequence.
 func TestParallelScanWhereMatchesSequential(t *testing.T) {
 	src := rampValues(60_000)
 	data := buildColumn[int64](t, zukowski.Auto[int64]{}, 4096, src)
@@ -121,40 +132,30 @@ func TestParallelScanWhereMatchesSequential(t *testing.T) {
 
 	for name, cr := range openBoth[int64](t, data) {
 		t.Run(name, func(t *testing.T) {
-			var seq []int64
-			if err := cr.ScanWhere(lo, hi, func(vals []int64) bool {
-				seq = append(seq, vals...)
-				return true
-			}); err != nil {
+			cs := oneColumn(t, cr)
+			q := rangeQuery(lo, hi)
+			seqRows, seq, err := collectRun(t, cs, q)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if !equalSlices(seq, oracle) {
+				t.Fatalf("sequential range Query: %d values, oracle has %d", len(seq), len(oracle))
+			}
 
-			var par []int64
-			if err := cr.ParallelScanWhere(lo, hi, 4, func(_ int, vals []int64) bool {
-				par = append(par, vals...)
-				return true
-			}, zukowski.InOrder()); err != nil {
+			q.Workers, q.InOrder = 4, true
+			parRows, par, err := collectRun(t, cs, q)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalSlices(par, seq) {
-				t.Fatal("ParallelScanWhere diverges from sequential ScanWhere")
-			}
-
-			// Applying the exact predicate to the delivered vectors must
-			// reproduce the full-scan oracle.
-			var filtered []int64
-			for _, v := range par {
-				if v >= lo && v <= hi {
-					filtered = append(filtered, v)
-				}
-			}
-			if !equalSlices(filtered, oracle) {
-				t.Fatalf("predicate over ParallelScanWhere vectors: %d values, oracle has %d", len(filtered), len(oracle))
+			if !equalSlices(par, seq) || !equalSlices(parRows, seqRows) {
+				t.Fatal("range Query with 4 workers diverges from the sequential one")
 			}
 		})
 	}
 }
 
+// TestParallelScanEarlyStop: fn returning false ends a Run after exactly one
+// delivery, sequential or parallel, ordered or not.
 func TestParallelScanEarlyStop(t *testing.T) {
 	src := rampValues(50_000)
 	data := buildColumn[int64](t, zukowski.Auto[int64]{}, 4096, src)
@@ -162,13 +163,15 @@ func TestParallelScanEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs := oneColumn(t, cr)
 	for _, workers := range []int{1, 4} {
-		for _, opts := range [][]zukowski.ScanOption{nil, {zukowski.InOrder()}} {
+		for _, inOrder := range []bool{false, true} {
 			calls := 0
-			err := cr.ParallelScan(workers, func(int, []int64) bool {
+			q := zukowski.Query[int64]{Workers: workers, InOrder: inOrder}
+			err := cs.Run(context.Background(), q, func(int, []int64, [][]int64) bool {
 				calls++
 				return false
-			}, opts...)
+			})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -179,6 +182,8 @@ func TestParallelScanEarlyStop(t *testing.T) {
 	}
 }
 
+// TestParallelScanError: a corrupt block fails a parallel Run with the typed
+// error, after delivering in order every block before it under InOrder.
 func TestParallelScanError(t *testing.T) {
 	src := rampValues(50_000)
 	data := buildColumn[int64](t, zukowski.Auto[int64]{}, 4096, src)
@@ -202,11 +207,14 @@ func TestParallelScanError(t *testing.T) {
 
 	// Ordered: blocks before the corrupt one arrive, then the error —
 	// exactly where the sequential scan would fail.
+	cs := oneColumn(t, cc)
+	ctx := context.Background()
 	var delivered []int
-	err = cc.ParallelScan(4, func(b int, _ []int64) bool {
+	q := zukowski.Query[int64]{Workers: 4, InOrder: true}
+	err = cs.Run(ctx, q, func(b int, _ []int64, _ [][]int64) bool {
 		delivered = append(delivered, b)
 		return true
-	}, zukowski.InOrder())
+	})
 	if !errors.Is(err, zukowski.ErrChecksumMismatch) {
 		t.Fatalf("ordered scan over corrupt block: err = %v", err)
 	}
@@ -217,14 +225,15 @@ func TestParallelScanError(t *testing.T) {
 	}
 
 	// Unordered: the error must still surface.
-	if err := cc.ParallelScan(4, func(int, []int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+	q.InOrder = false
+	if err := cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
 		t.Fatalf("unordered scan over corrupt block: err = %v", err)
 	}
 }
 
 // TestConcurrentColumnReader hammers one shared reader with a mix of Get,
-// Scan, ScanWhere, ParallelScan, ReadAll and Verify goroutines on both
-// source kinds. Run under -race (CI does, at -cpu=1,4); the assertions
+// Scan, one-column range Queries (sequential and with Workers), ReadAll and
+// Verify goroutines on both source kinds. Run under -race (CI does, at -cpu=1,4); the assertions
 // double as a correctness check that concurrent use returns the same
 // values as the source slice.
 func TestConcurrentColumnReader(t *testing.T) {
@@ -233,6 +242,7 @@ func TestConcurrentColumnReader(t *testing.T) {
 	lo, hi := src[len(src)/4], src[3*len(src)/4]
 	for name, cr := range openBoth[int64](t, data) {
 		t.Run(name, func(t *testing.T) {
+			cs := oneColumn(t, cr)
 			var wg sync.WaitGroup
 			fail := make(chan error, 64)
 			report := func(format string, args ...any) {
@@ -285,38 +295,38 @@ func TestConcurrentColumnReader(t *testing.T) {
 				}()
 			}
 
-			// Zone-map scans applying the exact predicate.
+			// Range Queries, each row checked against the source.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				n := 0
-				err := cr.ScanWhere(lo, hi, func(vals []int64) bool {
-					for _, v := range vals {
-						if v >= lo && v <= hi {
-							n++
+				err := cs.Run(context.Background(), rangeQuery(lo, hi), func(_ int, rows []int64, cols [][]int64) bool {
+					for i, r := range rows {
+						if v := cols[0][i]; v != src[r] || v < lo || v > hi {
+							report("range Query row %d = %d, source %d, range [%d,%d]", r, v, src[r], lo, hi)
+							return false
 						}
 					}
 					return true
 				})
 				if err != nil {
-					report("ScanWhere: %v", err)
+					report("range Query: %v", err)
 				}
 			}()
 
-			// Parallel scans sharing the same slots and state pool.
+			// Parallel scans sharing the same slots and state pools.
 			for g := 0; g < 2; g++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					var sum int64
-					err := cr.ParallelScan(3, func(_ int, vals []int64) bool {
-						for _, v := range vals {
+					err := cs.Run(context.Background(), zukowski.Query[int64]{Workers: 3}, func(_ int, _ []int64, cols [][]int64) bool {
+						for _, v := range cols[0] {
 							sum += v
 						}
 						return true
 					})
 					if err != nil {
-						report("ParallelScan: %v", err)
+						report("parallel Run: %v", err)
 					}
 				}()
 			}
@@ -474,19 +484,23 @@ func BenchmarkScan(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkParallelScan scans the same 64-block uint32 column with a
-// worker pool; the MB/s column divided by BenchmarkScan's is the scaling
-// headline (near-linear until the core count or memory bandwidth caps it).
+// BenchmarkParallelScan runs a whole-column Query over the same 64-block
+// uint32 column with a worker pool; the MB/s column divided by
+// BenchmarkScan's is the scaling headline (near-linear until the core
+// count or memory bandwidth caps it).
 func BenchmarkParallelScan(b *testing.B) {
 	cr, rawBytes := benchReader(b, 64, 16384)
+	cs := oneColumn(b, cr)
+	ctx := context.Background()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(rawBytes)
 			b.ReportAllocs()
 			var sink uint32
+			q := zukowski.Query[uint32]{Workers: workers}
 			for i := 0; i < b.N; i++ {
-				if err := cr.ParallelScan(workers, func(_ int, vals []uint32) bool {
-					sink += vals[0]
+				if err := cs.Run(ctx, q, func(_ int, _ []int64, cols [][]uint32) bool {
+					sink += cols[0][0]
 					return true
 				}); err != nil {
 					b.Fatal(err)

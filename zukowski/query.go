@@ -31,34 +31,26 @@ type Query[T Integer] struct {
 	// predicates need not appear — filtering never materializes them.
 	Cols []int
 
-	// Workers sets Run's block-level parallelism. Values below 2 run the
-	// scan sequentially on the calling goroutine. RunAggregate and
-	// Candidates are sequential and ignore it.
+	// Workers sets Run's block-level parallelism: up to Workers
+	// goroutines evaluate blocks at once. Values below 2 run the scan
+	// sequentially on the calling goroutine. RunAggregate, Candidates,
+	// GroupAggregate and JoinOn are sequential and ignore it.
 	Workers int
 
-	// InOrder makes a parallel scan deliver blocks in ascending block
-	// order (see the InOrder scan option). Sequential scans are always
-	// ordered.
+	// InOrder makes a parallel Run deliver blocks in ascending block order,
+	// the sequential scan's sequence; a worker whose block is ready early
+	// waits its turn. Sequential scans are always ordered.
 	InOrder bool
 
 	// SkipCorrupt runs the scan degraded: block-level data faults are
 	// skipped — and accounted in Report when non-nil — instead of
-	// failing the scan (see the SkipCorrupt scan option).
+	// failing the scan (see ScanReport). Every scan that takes a Query
+	// honours it.
 	SkipCorrupt bool
 
 	// Report receives the degraded-scan accounting when SkipCorrupt is
 	// set. May be nil to skip without accounting.
 	Report *ScanReport
-}
-
-// config folds the Query's run options into a scan config. The zero
-// option set shares the immutable default config, so optionless queries
-// keep the steady-state scan paths allocation-free.
-func (q *Query[T]) config() *scanConfig {
-	if !q.InOrder && !q.SkipCorrupt && q.Report == nil {
-		return &defaultScanConfig
-	}
-	return &scanConfig{ordered: q.InOrder, skip: q.SkipCorrupt, report: q.Report}
 }
 
 // checkQuery validates every column reference in q and reports whether
@@ -87,31 +79,72 @@ func (cs *ColumnSet[T]) checkQuery(q *Query[T]) (empty bool, err error) {
 //
 // Sequential runs (Workers < 2) deliver blocks in ascending order and
 // consult ctx once per block, returning ctx.Err() before starting
-// another; a warmed sequential Run with no options set performs no heap
-// allocation — the scan holds one pooled state (per-column decode
-// scratch, the bitmap, the output buffers) for its whole pass. Parallel
+// another; a warmed sequential Run performs no heap allocation of its own
+// — the scan holds one pooled state (per-column decode scratch, the
+// bitmap, the output buffers) for its whole pass. fn escapes, so a closure
+// that captures variables costs one allocation where it is built. Parallel
 // runs deliver serialized but unordered unless InOrder is set; workers
 // stop claiming blocks once ctx is done and in-flight blocks are
-// discarded undelivered.
+// discarded undelivered. A panic in fn reaches the caller either way.
 func (cs *ColumnSet[T]) Run(ctx context.Context, q Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
-	cfg := q.config()
 	if q.Workers > 1 {
 		// The worker closures outlive this frame's escape analysis; a
 		// copy made only on this branch keeps the sequential path's q on
 		// the stack, and with it the zero-allocation contract.
 		pq := q
-		return cs.runParallel(ctx, cfg, &pq, pq.Workers, fn)
+		return cs.runParallel(ctx, &pq, fn)
 	}
-	return cs.runSeq(ctx, cfg, &q, fn)
+	return cs.runSeq(ctx, &q, fn)
 }
 
 // RunAggregate computes Count, Sum, Min and Max over column col's values
 // at the rows q selects, without materializing any other column. The
 // bitmap composes exactly as in Run; q.Cols is ignored, and so are
 // q.Workers and q.InOrder: the fold is one sequential pass on the calling
-// goroutine, consulting ctx once per block.
+// goroutine, consulting ctx once per block. A warmed RunAggregate performs
+// no heap allocation.
 func (cs *ColumnSet[T]) RunAggregate(ctx context.Context, q Query[T], col int) (Aggregate[T], error) {
-	return cs.runAggregate(ctx, q.config(), &q, col)
+	var agg Aggregate[T]
+	if col < 0 || col >= len(cs.cols) {
+		return agg, fmt.Errorf("%w: aggregate column %d not in [0,%d)", ErrIndexOutOfRange, col, len(cs.cols))
+	}
+	err := cs.visitBlocks(ctx, &q, func(st *setState[T], b int) (bool, error) {
+		vals, err := cs.gatherCol(st, b, col)
+		if err != nil {
+			return true, err
+		}
+		agg.Merge(foldValues(vals))
+		return true, nil
+	})
+	if err != nil {
+		return Aggregate[T]{}, err
+	}
+	return agg, nil
+}
+
+// Aggregate is the result of RunAggregate. Sum is the two's-complement
+// (wrapping) sum of int64(v) over the selected values; Min and Max are
+// only meaningful when Count > 0.
+type Aggregate[T Integer] struct {
+	Count int64
+	Sum   int64
+	Min   T
+	Max   T
+}
+
+// Merge folds b — another block's, segment's or shard's aggregate over
+// disjoint rows — into a. Min and Max fold only when b matched rows.
+func (a *Aggregate[T]) Merge(b Aggregate[T]) {
+	if b.Count == 0 {
+		return
+	}
+	if a.Count == 0 {
+		a.Min, a.Max = b.Min, b.Max
+	} else {
+		a.Min, a.Max = min(a.Min, b.Min), max(a.Max, b.Max)
+	}
+	a.Count += b.Count
+	a.Sum += b.Sum
 }
 
 // Candidate is one block of a Candidates walk: a block the zone maps

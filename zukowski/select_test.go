@@ -2,6 +2,7 @@ package zukowski_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -9,6 +10,10 @@ import (
 
 	"repro/zukowski"
 )
+
+// The filtered scans of one column are one-column Queries: a Range on
+// column 0 of NewColumnSet(cr), run by Run (sequential or with Workers) and
+// RunAggregate. The tests here hold them to the decode-then-filter oracle.
 
 // buildColumn writes vals through codec into a fresh in-memory container.
 func buildSelectColumn[T zukowski.Integer](t testing.TB, codec zukowski.Codec[T], blockValues int, vals []T) *zukowski.ColumnReader[T] {
@@ -31,8 +36,8 @@ func buildSelectColumn[T zukowski.Integer](t testing.TB, codec zukowski.Codec[T]
 	return cr
 }
 
-// selectOracle is the decode-then-filter reference ScanSelect must match
-// byte for byte.
+// selectOracle is the decode-then-filter reference a one-column range
+// Query must match byte for byte.
 func selectOracle[T zukowski.Integer](t testing.TB, cr *zukowski.ColumnReader[T], lo, hi T) (rows []int64, vals []T) {
 	t.Helper()
 	all, err := cr.ReadAll(nil)
@@ -48,30 +53,56 @@ func selectOracle[T zukowski.Integer](t testing.TB, cr *zukowski.ColumnReader[T]
 	return rows, vals
 }
 
-// collectSelect gathers a full ScanSelect pass.
-func collectSelect[T zukowski.Integer](t testing.TB, cr *zukowski.ColumnReader[T], lo, hi T) (rows []int64, vals []T) {
+// oneColumn is the one-column set every filtered, aggregating, degraded or
+// parallel scan of cr runs on.
+func oneColumn[T zukowski.Integer](t testing.TB, cr *zukowski.ColumnReader[T]) *zukowski.ColumnSet[T] {
 	t.Helper()
-	err := cr.ScanSelect(lo, hi, func(r []int64, v []T) bool {
-		if len(r) != len(v) {
-			t.Fatalf("ScanSelect handed %d rows but %d values", len(r), len(v))
-		}
-		if len(r) == 0 {
-			t.Fatal("ScanSelect delivered an empty batch")
-		}
-		rows = append(rows, r...)
-		vals = append(vals, v...)
-		return true
-	})
+	cs, err := zukowski.NewColumnSet(cr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rows, vals
+	return cs
+}
+
+// rangeQuery selects the rows of column 0 whose value lies in [lo, hi].
+func rangeQuery[T zukowski.Integer](lo, hi T) zukowski.Query[T] {
+	return zukowski.Query[T]{Expr: zukowski.Range(0, lo, hi)}
+}
+
+// collectRun runs q over a one-column set and gathers the delivered rows
+// and values in delivery order; the scan's error is returned. fn may run
+// on a worker goroutine, so a malformed delivery is reported with Errorf.
+func collectRun[T zukowski.Integer](t testing.TB, cs *zukowski.ColumnSet[T], q zukowski.Query[T]) (rows []int64, vals []T, err error) {
+	t.Helper()
+	err = cs.Run(context.Background(), q, func(_ int, r []int64, c [][]T) bool {
+		if len(r) != len(c[0]) || len(r) == 0 {
+			t.Errorf("Run delivered %d rows and %d values", len(r), len(c[0]))
+			return false
+		}
+		rows = append(rows, r...)
+		vals = append(vals, c[0]...)
+		return true
+	})
+	return rows, vals, err
+}
+
+// aggregateOf folds vals the way RunAggregate must.
+func aggregateOf[T zukowski.Integer](vals []T) zukowski.Aggregate[T] {
+	var agg zukowski.Aggregate[T]
+	for _, v := range vals {
+		agg.Merge(zukowski.Aggregate[T]{Count: 1, Sum: int64(v), Min: v, Max: v})
+	}
+	return agg
 }
 
 func checkColumnSelect[T zukowski.Integer](t *testing.T, cr *zukowski.ColumnReader[T], lo, hi T) {
 	t.Helper()
 	wantRows, wantVals := selectOracle(t, cr, lo, hi)
-	gotRows, gotVals := collectSelect(t, cr, lo, hi)
+	cs := oneColumn(t, cr)
+	gotRows, gotVals, err := collectRun(t, cs, rangeQuery(lo, hi))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !slices.Equal(gotRows, wantRows) {
 		t.Fatalf("[%v,%v]: rows mismatch: got %d rows, want %d (first diff at %d)",
 			lo, hi, len(gotRows), len(wantRows), firstDiff(gotRows, wantRows))
@@ -80,22 +111,12 @@ func checkColumnSelect[T zukowski.Integer](t *testing.T, cr *zukowski.ColumnRead
 		t.Fatalf("[%v,%v]: values mismatch", lo, hi)
 	}
 
-	agg, err := cr.AggregateWhere(lo, hi)
+	agg, err := cs.RunAggregate(context.Background(), rangeQuery(lo, hi), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want zukowski.Aggregate[T]
-	for _, v := range wantVals {
-		if want.Count == 0 {
-			want.Min, want.Max = v, v
-		} else {
-			want.Min, want.Max = min(want.Min, v), max(want.Max, v)
-		}
-		want.Count++
-		want.Sum += int64(v)
-	}
-	if agg != want {
-		t.Fatalf("[%v,%v]: AggregateWhere = %+v, want %+v", lo, hi, agg, want)
+	if want := aggregateOf(wantVals); agg != want {
+		t.Fatalf("[%v,%v]: RunAggregate = %+v, want %+v", lo, hi, agg, want)
 	}
 }
 
@@ -126,9 +147,10 @@ func columnRanges[T zukowski.Integer](vals []T) [][2]T {
 	}
 }
 
-// TestScanSelectOracleAllCodecs proves the acceptance contract: ScanSelect
-// returns byte-for-byte identical (row, value) sets as decode-then-filter
-// for every registered codec.
+// TestScanSelectOracleAllCodecs proves the acceptance contract: a
+// one-column range Query returns byte-for-byte identical (row, value) sets
+// as decode-then-filter, and RunAggregate their fold, for every registered
+// codec.
 func TestScanSelectOracleAllCodecs(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	vals := make([]int64, 40_000)
@@ -215,8 +237,8 @@ func TestScanSelectSchemes(t *testing.T) {
 	})
 }
 
-// TestScanSelectEarlyStop verifies fn returning false stops after the
-// current batch, exactly like Scan.
+// TestScanSelectEarlyStop verifies fn returning false stops a one-column
+// Run after the current batch, exactly like Scan.
 func TestScanSelectEarlyStop(t *testing.T) {
 	vals := make([]int64, 10_000)
 	for i := range vals {
@@ -224,7 +246,7 @@ func TestScanSelectEarlyStop(t *testing.T) {
 	}
 	cr := buildSelectColumn(t, zukowski.PFORDelta[int64]{}, 1000, vals)
 	calls := 0
-	err := cr.ScanSelect(0, 9999, func(rows []int64, v []int64) bool {
+	err := oneColumn(t, cr).Run(context.Background(), rangeQuery[int64](0, 9999), func(int, []int64, [][]int64) bool {
 		calls++
 		return calls < 3
 	})
@@ -236,9 +258,9 @@ func TestScanSelectEarlyStop(t *testing.T) {
 	}
 }
 
-// TestParallelScanSelectEquivalence checks the parallel filtered scan
-// against the sequential one: exact sequence with InOrder, same multiset
-// unordered, plus early-stop and zero-match ranges.
+// TestParallelScanSelectEquivalence checks a one-column range Query with
+// Workers against the sequential oracle: exact sequence with InOrder, same
+// multiset unordered, plus early-stop and zero-match ranges.
 func TestParallelScanSelectEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	vals := make([]int64, 50_000)
@@ -249,20 +271,16 @@ func TestParallelScanSelectEquivalence(t *testing.T) {
 		}
 	}
 	cr := buildSelectColumn[int64](t, zukowski.PFOR[int64]{}, 4000, vals)
+	cs := oneColumn(t, cr)
 	for _, r := range columnRanges(vals) {
 		lo, hi := r[0], r[1]
 		wantRows, wantVals := selectOracle(t, cr, lo, hi)
 
-		// 0 is GOMAXPROCS and 1 the sequential loop: the method's contract,
-		// not Query.Workers' (where anything below 2 is sequential).
-		for _, workers := range []int{0, 1, 2, 4} {
-			var rows []int64
-			var got []int64
-			err := cr.ParallelScanSelect(lo, hi, workers, func(_ int, r []int64, v []int64) bool {
-				rows = append(rows, r...)
-				got = append(got, v...)
-				return true
-			}, zukowski.InOrder())
+		// Below 2 workers the scan is the sequential loop.
+		for _, workers := range []int{1, 2, 4, 8} {
+			q := rangeQuery(lo, hi)
+			q.Workers, q.InOrder = workers, true
+			rows, got, err := collectRun(t, cs, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,9 +294,10 @@ func TestParallelScanSelectEquivalence(t *testing.T) {
 				val int64
 			}
 			var pairs []pair
-			err = cr.ParallelScanSelect(lo, hi, workers, func(_ int, r []int64, v []int64) bool {
+			q.InOrder = false
+			err = cs.Run(context.Background(), q, func(_ int, r []int64, c [][]int64) bool {
 				for i := range r {
-					pairs = append(pairs, pair{r[i], v[i]})
+					pairs = append(pairs, pair{r[i], c[0][i]})
 				}
 				return true
 			})
@@ -308,7 +327,9 @@ func TestParallelScanSelectEquivalence(t *testing.T) {
 
 	// Early stop: at most one more delivery after false.
 	deliveries := 0
-	err := cr.ParallelScanSelect(0, 1<<30, 4, func(int, []int64, []int64) bool {
+	q := rangeQuery[int64](0, 1<<30)
+	q.Workers = 4
+	err := cs.Run(context.Background(), q, func(int, []int64, [][]int64) bool {
 		deliveries++
 		return false
 	})
@@ -321,7 +342,8 @@ func TestParallelScanSelectEquivalence(t *testing.T) {
 }
 
 // TestScanSelectCorruptBlock flips one payload bit and expects the typed
-// checksum error from every filtered entry point, sequential and parallel.
+// checksum error from every one-column Query form: sequential, aggregate,
+// parallel and ordered parallel.
 func TestScanSelectCorruptBlock(t *testing.T) {
 	vals := make([]int64, 20_000)
 	for i := range vals {
@@ -345,22 +367,25 @@ func TestScanSelectCorruptBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err) // directory is intact; the damage is in a payload
 	}
-	if err := cr.ScanSelect(0, 999, func([]int64, []int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("ScanSelect on corrupt block: %v, want ErrChecksumMismatch", err)
+	cs := oneColumn(t, cr)
+	ctx := context.Background()
+	q := rangeQuery[int64](0, 999)
+	if _, _, err := collectRun(t, cs, q); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+		t.Fatalf("Run on corrupt block: %v, want ErrChecksumMismatch", err)
 	}
-	if _, err := cr.AggregateWhere(0, 999); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("AggregateWhere on corrupt block: %v, want ErrChecksumMismatch", err)
+	if _, err := cs.RunAggregate(ctx, q, 0); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+		t.Fatalf("RunAggregate on corrupt block: %v, want ErrChecksumMismatch", err)
 	}
-	if err := cr.ParallelScanSelect(0, 999, 4, func(int, []int64, []int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("ParallelScanSelect on corrupt block: %v, want ErrChecksumMismatch", err)
-	}
-	if err := cr.ParallelScanSelect(0, 999, 4, func(int, []int64, []int64) bool { return true }, zukowski.InOrder()); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("ordered ParallelScanSelect on corrupt block: %v, want ErrChecksumMismatch", err)
+	for _, inOrder := range []bool{false, true} {
+		q.Workers, q.InOrder = 4, inOrder
+		if _, _, err := collectRun(t, cs, q); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+			t.Fatalf("Run with 4 workers (InOrder %v) on corrupt block: %v, want ErrChecksumMismatch", inOrder, err)
+		}
 	}
 }
 
 // TestScanSelectSteadyStateAllocs pins the 0 allocs/op contract of warmed
-// sequential filtered scans.
+// sequential one-column Run and RunAggregate passes.
 func TestScanSelectSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation exactness is asserted in the non-race run")
@@ -378,27 +403,34 @@ func TestScanSelectSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cr := buildSelectColumn(t, codec, 8000, vals)
+		cs := oneColumn(t, buildSelectColumn(t, codec, 8000, vals))
+		ctx := context.Background()
 		// A narrow range (sparse groups), one most rows satisfy (dense
 		// groups) and one every row does (full blocks).
 		for _, r := range [][2]int64{{10, 200}, {100, 1 << 30}, {0, 1 << 30}} {
+			q := rangeQuery(r[0], r[1])
 			scan := func() {
-				if err := cr.ScanSelect(r[0], r[1], func([]int64, []int64) bool { return true }); err != nil {
+				if err := cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := cr.AggregateWhere(r[0], r[1]); err != nil {
+				if _, err := cs.RunAggregate(ctx, q, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
 			scan() // warm the pooled state and block verification latches
 			if avg := testing.AllocsPerRun(20, scan); avg != 0 {
-				t.Errorf("%s [%d,%d]: %v allocs/op on warmed ScanSelect+AggregateWhere, want 0", name, r[0], r[1], avg)
+				t.Errorf("%s [%d,%d]: %v allocs/op on warmed Run+RunAggregate, want 0", name, r[0], r[1], avg)
 			}
 		}
 	}
 }
 
-func BenchmarkScanSelect(b *testing.B) {
+// BenchmarkColumnFilter times a range over one unprunable PFOR column three
+// ways: a one-column Run (the bitmap in the code domain, only survivors
+// materialized), Scan plus a filter loop (the decode-then-filter plan Run
+// replaces) and RunAggregate. CI's floors step divides the second by the
+// first at 10 %.
+func BenchmarkColumnFilter(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
 	vals := make([]int64, 1<<20)
 	for i := range vals {
@@ -408,6 +440,8 @@ func BenchmarkScanSelect(b *testing.B) {
 		}
 	}
 	cr := buildSelectColumn(b, zukowski.PFOR[int64]{}, zukowski.DefaultBlockValues, vals)
+	cs := oneColumn(b, cr)
+	ctx := context.Background()
 	sorted := slices.Clone(vals)
 	slices.Sort(sorted)
 	raw := int64(len(vals) * 8)
@@ -421,24 +455,28 @@ func BenchmarkScanSelect(b *testing.B) {
 		{"60pct", sorted[20*len(sorted)/100], sorted[80*len(sorted)/100]},
 	} {
 		lo, hi := w.lo, w.hi
-		b.Run("ScanSelect-"+w.name, func(b *testing.B) {
+		q := rangeQuery(lo, hi)
+		b.Run("Run-"+w.name, func(b *testing.B) {
 			b.SetBytes(raw)
 			b.ReportAllocs()
+			// One callback for every pass: fn escapes into Run's parallel
+			// branch, so a closure built per call would be one allocation.
+			var n int
+			count := func(_ int, rows []int64, _ [][]int64) bool { n += len(rows); return true }
 			for i := 0; i < b.N; i++ {
-				var n int
-				if err := cr.ScanSelect(lo, hi, func(rows []int64, v []int64) bool { n += len(rows); return true }); err != nil {
+				if err := cs.Run(ctx, q, count); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run("ScanWhere-filter-"+w.name, func(b *testing.B) {
+		b.Run("Scan-filter-"+w.name, func(b *testing.B) {
 			b.SetBytes(raw)
 			b.ReportAllocs()
 			rows := make([]int64, 0, len(vals))
 			out := make([]int64, 0, len(vals))
 			for i := 0; i < b.N; i++ {
 				base := 0
-				if err := cr.ScanWhere(lo, hi, func(v []int64) bool {
+				if err := cr.Scan(func(v []int64) bool {
 					rows, out = rows[:0], out[:0]
 					for j, x := range v {
 						if x >= lo && x <= hi {
@@ -453,11 +491,11 @@ func BenchmarkScanSelect(b *testing.B) {
 				}
 			}
 		})
-		b.Run("AggregateWhere-"+w.name, func(b *testing.B) {
+		b.Run("RunAggregate-"+w.name, func(b *testing.B) {
 			b.SetBytes(raw)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cr.AggregateWhere(lo, hi); err != nil {
+				if _, err := cs.RunAggregate(ctx, q, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,6 @@
 package zukowski
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Zone maps: the ZKC2 directory stores the min and max value of every
 // block, so a selective scan consults 16 bytes of metadata instead of
@@ -10,7 +8,7 @@ import (
 // trick. Pruning matters most exactly where the paper's superscalar
 // decompression shines: on clustered or sorted columns a range predicate
 // touches a handful of blocks and the decode bandwidth is spent only on
-// those.
+// those. A Query prunes through one function, rangeVerdict (expr.go).
 //
 // Values are stored as 64-bit two's-complement bit patterns
 // (sign-extended), so one directory layout serves all eight element
@@ -47,43 +45,6 @@ func (cr *ColumnReader[T]) ZoneMap(b int) (min, max T, ok bool) {
 		return min, max, false
 	}
 	return zoneValue[T](cr.blocks[b].minBits), zoneValue[T](cr.blocks[b].maxBits), true
-}
-
-// ScanWhere scans only the blocks whose zone map intersects the inclusive
-// range [lo, hi], invoking fn with each decoded candidate vector exactly
-// like Scan. Blocks whose min/max provably exclude the range are skipped
-// without being read or decompressed; fn still receives whole blocks and
-// must apply the exact predicate itself (a zone map proves absence, not
-// presence). On a ZKC1 container there are no zone maps and every block
-// is scanned. The vector is reused between calls; fn must copy values it
-// keeps, and returning false stops the scan early.
-func (cr *ColumnReader[T]) ScanWhere(lo, hi T, fn func(vals []T) bool, opts ...ScanOption) error {
-	return cr.scanBlocks(parseScanOpts(opts), cr.zoneMatch(lo, hi), func(_ int, vals []T) bool { return fn(vals) })
-}
-
-// zoneMatch returns the block predicate of a [lo, hi] range scan.
-func (cr *ColumnReader[T]) zoneMatch(lo, hi T) func(b int) bool {
-	return func(b int) bool { return !cr.blockExcludes(b, lo, hi) }
-}
-
-// CountCandidateBlocks returns how many blocks a ScanWhere over [lo, hi]
-// would decompress — the denominator of a zone-map skip rate is
-// NumBlocks. It reads only directory metadata.
-func (cr *ColumnReader[T]) CountCandidateBlocks(lo, hi T) int {
-	n := 0
-	for i := range cr.blocks {
-		if !cr.blockExcludes(i, lo, hi) {
-			n++
-		}
-	}
-	return n
-}
-
-// blockExcludes reports whether block b's zone map proves that no value
-// in [lo, hi] can occur in the block.
-func (cr *ColumnReader[T]) blockExcludes(b int, lo, hi T) bool {
-	bmin, bmax, ok := cr.ZoneMap(b)
-	return ok && (bmax < lo || bmin > hi)
 }
 
 // BlockInfo describes one block of a column container: its extent in the
