@@ -208,24 +208,32 @@ func RefineMask(dst, src []uint32, b uint, lo, span uint32) {
 // RefineMaskTail is the scalar counterpart of RefineMask for a final
 // partial group: it returns m intersected with the match mask of the first
 // n (<= 32) b-bit codes of src, which must start on a word boundary. An
-// already-empty m short-circuits without touching src.
+// already-empty m short-circuits without touching src, once the width and
+// the count have passed the same checks as SelectMaskTail's.
 func RefineMaskTail(src []uint32, n int, b uint, lo, span uint32, m uint32) uint32 {
+	checkTail(n, b)
 	if m == 0 {
 		return 0
 	}
 	return m & SelectMaskTail(src, n, b, lo, span)
 }
 
-// SelectMaskTail is the scalar counterpart of SelectMask for a final
-// partial group: it scans the first n (<= 32) b-bit codes of src, which
-// must start on a word boundary, and returns their match mask.
-func SelectMaskTail(src []uint32, n int, b uint, lo, span uint32) uint32 {
+// checkTail panics on the misuses of the tail kernels: a width past
+// MaxBits or a partial group of more than 32 codes.
+func checkTail(n int, b uint) {
 	if b > MaxBits {
 		panic(fmt.Sprintf("bitpack: width %d out of range", b))
 	}
 	if n > 32 {
 		panic(fmt.Sprintf("bitpack: group of %d codes", n))
 	}
+}
+
+// SelectMaskTail is the scalar counterpart of SelectMask for a final
+// partial group: it scans the first n (<= 32) b-bit codes of src, which
+// must start on a word boundary, and returns their match mask.
+func SelectMaskTail(src []uint32, n int, b uint, lo, span uint32) uint32 {
+	checkTail(n, b)
 	mask := maskFor(b)
 	var m uint32
 	for i := 0; i < n; i++ {
@@ -245,10 +253,13 @@ func SelectMaskTail(src []uint32, n int, b uint, lo, span uint32) uint32 {
 }
 
 // CodeAt extracts the b-bit code at position x of a packed code section —
-// the per-match decode step after a SelectMask scan.
+// the per-match decode step after a SelectMask scan, and each hop of a
+// patch-list walk, where one call's result is the next call's position.
+// The arithmetic is unsigned, so the word index and the shift are one
+// instruction each on that chain.
 func CodeAt(src []uint32, x int, b uint) uint32 {
-	bitPos := x * int(b)
-	word, shift := bitPos/32, uint(bitPos%32)
+	bitPos := uint(x) * b
+	word, shift := bitPos/32, bitPos%32
 	v := src[word] >> shift
 	if shift+b > 32 {
 		v |= src[word+1] << (32 - shift)
@@ -257,4 +268,26 @@ func CodeAt(src []uint32, x int, b uint) uint32 {
 		return v
 	}
 	return v & (1<<b - 1)
+}
+
+// swarRange restates the wrap-safe code range [lo, lo+span] of b-bit
+// codes in the form the word-parallel kernels compare against: code c
+// matches iff l <= c <= h, with l <= h <= the largest b-bit code, and the
+// whole mask is inverted when flip is all ones. A range that does not
+// wrap but starts past every code matches nothing (the inverse of all
+// codes). One that wraps past 2^32 at end = lo+span matches [0, end] and
+// [lo, max]: all codes when end reaches max or the span is the whole
+// uint32 domain, else the complement of [end+1, lo-1].
+func swarRange(lo, span uint32, b uint) (l, h, flip uint32) {
+	maxc := maskFor(b)
+	end := lo + span
+	switch {
+	case end >= lo && lo <= maxc:
+		return lo, min(end, maxc), 0
+	case end >= lo:
+		return 0, maxc, ^uint32(0)
+	case end >= maxc || end+1 == lo:
+		return 0, maxc, 0
+	}
+	return end + 1, min(lo-1, maxc), ^uint32(0)
 }

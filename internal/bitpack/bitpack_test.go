@@ -1,6 +1,8 @@
 package bitpack
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -261,6 +263,27 @@ func selectOracle(src []uint32, n int, b uint, lo, span uint32) []uint32 {
 	return masks
 }
 
+// edgeRanges are the (lo, span) pairs every range kernel is checked on at
+// a width whose largest code is mask: the empty and all-matching extremes,
+// the bounds of the code domain, a range starting past every code, the
+// whole uint32 domain, a span wrapping past 2^32 by one, and a random
+// window. The word-parallel kernels restate each of these differently
+// (swarRange), so each one pins a branch.
+func edgeRanges(rng *rand.Rand, mask uint32) [][2]uint32 {
+	lo := rng.Uint32() & mask
+	return [][2]uint32{
+		{0, 0},
+		{0, mask},            // everything matches
+		{mask, 0},            // only the top code
+		{mask / 2, mask / 4}, // middle window
+		{mask + 1, 0},        // past every code (at b=32: wraps to code 0)
+		{lo, mask - lo},      // from lo to the top code
+		{0, ^uint32(0)},      // the whole uint32 domain
+		{lo, -lo},            // wraps past 2^32 by one: lo.. and code 0
+		{rng.Uint32() & mask, rng.Uint32() & mask},
+	}
+}
+
 // TestSelectMaskAllWidths cross-checks every generated select kernel
 // against the unpack-then-filter oracle over random codes and ranges,
 // including the empty and all-matching extremes, plus the scalar tail path
@@ -273,14 +296,9 @@ func TestSelectMaskAllWidths(t *testing.T) {
 			packed := make([]uint32, WordCount(n, b))
 			Pack(packed, src, b)
 			mask := maskFor(b)
-			ranges := [][2]uint32{
-				{0, 0},
-				{0, mask},            // everything matches
-				{mask, 0},            // only the top code
-				{1, ^uint32(0) - 1},  // wrap-around span: excludes only code 0
-				{mask / 2, mask / 4}, // middle window
-				{rng.Uint32() & mask, rng.Uint32() & mask},
-			}
+			ranges := append(edgeRanges(rng, mask),
+				[2]uint32{1, ^uint32(0) - 1}, // wrap-around span: excludes only code 0
+			)
 			for _, r := range ranges {
 				lo, span := r[0], r[1]
 				want := selectOracle(packed, n, b, lo, span)
@@ -320,13 +338,7 @@ func TestRefineMaskAllWidths(t *testing.T) {
 			packed := make([]uint32, WordCount(n, b))
 			Pack(packed, src, b)
 			mask := maskFor(b)
-			ranges := [][2]uint32{
-				{0, 0},
-				{0, mask},
-				{mask, 0},
-				{mask / 2, mask / 4},
-				{rng.Uint32() & mask, rng.Uint32() & mask},
-			}
+			ranges := edgeRanges(rng, mask)
 			words := (n + 31) / 32
 			groups := n / 32
 			fresh := make([]uint32, words)
@@ -390,4 +402,148 @@ func TestPanicContracts(t *testing.T) {
 	expectPanic("RefineMask width", func() { RefineMask(make([]uint32, 1), make([]uint32, 64), 33, 0, 0) })
 	expectPanic("RefineMask src too small", func() { RefineMask(make([]uint32, 4), make([]uint32, 1), 8, 0, 0) })
 	expectPanic("RefineMaskTail width", func() { RefineMaskTail(make([]uint32, 64), 4, 33, 0, 0, 1) })
+	expectPanic("RefineMaskTail group too long", func() { RefineMaskTail(make([]uint32, 64), 33, 8, 0, 0, 1) })
+	// An empty incoming mask does not excuse the misuse.
+	expectPanic("RefineMaskTail width, m == 0", func() { RefineMaskTail(make([]uint32, 64), 4, 40, 0, 0, 0) })
+	expectPanic("RefineMaskTail group too long, m == 0", func() { RefineMaskTail(make([]uint32, 64), 33, 8, 0, 0, 0) })
+	expectPanic("RefineMaskTail width and group, m == 0", func() { RefineMaskTail(make([]uint32, 64), 40, 33, 0, 0, 0) })
+}
+
+// FuzzSelectMask checks the four range kernels — SelectMask and
+// SelectMaskTail, RefineMask and RefineMaskTail — against selectOracle on
+// arbitrary packed codes at any width 0-32 and any (lo, span): wrapping
+// spans and ranges starting past every code included. The refine kernels
+// start from an incoming mask drawn from the same input.
+func FuzzSelectMask(f *testing.F) {
+	codes := make([]byte, 200)
+	rand.New(rand.NewSource(5)).Read(codes)
+	for _, seed := range []struct {
+		width          uint8
+		lo, span, fill uint32
+	}{
+		{6, 10, 20, 0xFFFFFFFF},
+		{10, 100, 50, 0xAAAAAAAA},
+		{10, 1 << 10, 0, 0xFFFFFFFF},              // past every code
+		{12, 4000, ^uint32(0) - 3990, 0x0F0F0F0F}, // wraps to code 5
+		{7, 3, ^uint32(0), 0x12345678},            // the whole domain
+		{16, 0, 0, 0xFFFFFFFF},
+		{32, ^uint32(0) - 5, 9, 0xFFFFFFFF},
+		{0, 0, 0, 0x1},
+	} {
+		f.Add(seed.width, seed.lo, seed.span, seed.fill, codes)
+	}
+	f.Fuzz(func(t *testing.T, width uint8, lo, span, fill uint32, data []byte) {
+		b := uint(width % (MaxBits + 1))
+		words := make([]uint32, (len(data)+3)/4)
+		for i, c := range data {
+			words[i/4] |= uint32(c) << (8 * (i % 4))
+		}
+		n := len(data)
+		if b > 0 {
+			n = len(words) * 32 / int(b)
+		}
+		packed := words[:WordCount(n, b)]
+		want := selectOracle(packed, n, b, lo, span)
+		groups, tail := n/32, n%32
+
+		got := make([]uint32, len(want))
+		SelectMask(got[:groups], packed, b, lo, span)
+		if tail > 0 {
+			got[groups] = SelectMaskTail(packed[groups*int(b):], tail, b, lo, span)
+		}
+		for g := range want {
+			if got[g] != want[g] {
+				t.Fatalf("b=%d n=%d lo=%d span=%d: SelectMask word %d = %08x, want %08x", b, n, lo, span, g, got[g], want[g])
+			}
+		}
+
+		prior := make([]uint32, len(want))
+		for g := range prior {
+			prior[g] = bits.RotateLeft32(fill, g)
+		}
+		if tail > 0 {
+			prior[groups] &= 1<<tail - 1
+		}
+		copy(got, prior)
+		RefineMask(got[:groups], packed, b, lo, span)
+		if tail > 0 {
+			got[groups] = RefineMaskTail(packed[groups*int(b):], tail, b, lo, span, got[groups])
+		}
+		for g := range want {
+			if w := prior[g] & want[g]; got[g] != w {
+				t.Fatalf("b=%d n=%d lo=%d span=%d: RefineMask word %d = %08x, want %08x", b, n, lo, span, g, got[g], w)
+			}
+		}
+	})
+}
+
+// BenchmarkSelectMask times the select kernel ("expr") over 4,096 packed
+// codes against the decode-then-filter plan it stands in for ("oracle":
+// Unpack, then a branch-free compare loop building the same masks), at
+// the widths around the word-parallel range (swarMinBits..swarMaxBits in
+// cmd/genbitpack). CI's floors step holds oracle/expr at b=6 and b=10 to
+// 1.5x. A GB is 1e9 bytes of the 32-bit codes the kernel stands for.
+func BenchmarkSelectMask(b *testing.B) {
+	benchMaskKernel(b, func(dst, src []uint32, w uint, lo, span uint32, _ []uint32) {
+		SelectMask(dst, src, w, lo, span)
+	}, func(dst, vals []uint32, lo, span uint32, _ []uint32) {
+		for g := range dst {
+			dst[g] = oracleMask(vals[g*32:g*32+32], lo, span)
+		}
+	})
+}
+
+// BenchmarkRefineMask is BenchmarkSelectMask for the refine kernel: both
+// sides start from the same incoming mask, every other row selected, so
+// no group is skipped.
+func BenchmarkRefineMask(b *testing.B) {
+	benchMaskKernel(b, func(dst, src []uint32, w uint, lo, span uint32, prior []uint32) {
+		copy(dst, prior)
+		RefineMask(dst, src, w, lo, span)
+	}, func(dst, vals []uint32, lo, span uint32, prior []uint32) {
+		for g := range dst {
+			dst[g] = prior[g] & oracleMask(vals[g*32:g*32+32], lo, span)
+		}
+	})
+}
+
+// oracleMask is the match mask of 32 unpacked codes, compared one by one.
+func oracleMask(vals []uint32, lo, span uint32) uint32 {
+	var m uint32
+	for i, v := range vals[:32] {
+		m |= uint32(inRange(v, lo, span)) << i
+	}
+	return m
+}
+
+func benchMaskKernel(b *testing.B,
+	kernel func(dst, src []uint32, w uint, lo, span uint32, prior []uint32),
+	filter func(dst, vals []uint32, lo, span uint32, prior []uint32)) {
+	const n = 4096
+	rng := rand.New(rand.NewSource(6))
+	prior := make([]uint32, n/32)
+	for g := range prior {
+		prior[g] = 0x55555555
+	}
+	dst := make([]uint32, n/32)
+	vals := make([]uint32, n)
+	for _, width := range []uint{6, 8, 10, 12, 16} {
+		packed := make([]uint32, WordCount(n, width))
+		Pack(packed, randomValues(rng, n, width), width)
+		// A 2 % window a quarter of the way up the code domain.
+		lo, span := maskFor(width)/4, maskFor(width)/50
+		b.Run(fmt.Sprintf("b=%d/expr", width), func(b *testing.B) {
+			b.SetBytes(n * 4)
+			for b.Loop() {
+				kernel(dst, packed, width, lo, span, prior)
+			}
+		})
+		b.Run(fmt.Sprintf("b=%d/oracle", width), func(b *testing.B) {
+			b.SetBytes(n * 4)
+			for b.Loop() {
+				Unpack(vals, packed, width)
+				filter(dst, vals, lo, span, prior)
+			}
+		})
+	}
 }

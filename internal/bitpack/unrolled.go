@@ -2,6 +2,8 @@
 
 package bitpack
 
+import "math/bits"
+
 // unpack32x0 expands 32 zero-bit values: all zeros.
 func unpack32x0(dst *[32]uint32, src []uint32) {
 	*dst = [32]uint32{}
@@ -2221,848 +2223,755 @@ func selmask32x5(dst, src []uint32, lo, span uint32) {
 
 // selmask32x6 scans len(dst) groups of 32 6-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x6(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 6)
+	hs := h - l
+	ll, hh := uint64(l)*0x1001001001001, uint64(h)*0x1001001001001|0x40040040040040
 	for g := range dst {
 		s := src[g*6:]
 		_ = s[5]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 6) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0] >> 12) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[0] >> 18) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[0] >> 24) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[0]>>30 | s[1]<<2) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[1] >> 4) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[1] >> 10) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[1] >> 16) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[1] >> 22) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[1]>>28 | s[2]<<4) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[2] >> 2) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[2] >> 8) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[2] >> 14) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[2] >> 20) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[2] >> 26
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[3] & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[3] >> 6) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[3] >> 12) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[3] >> 18) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[3] >> 24) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[3]>>30 | s[4]<<2) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[4] >> 4) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[4] >> 10) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[4] >> 16) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[4] >> 22) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[4]>>28 | s[5]<<4) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[5] >> 2) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[5] >> 8) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[5] >> 14) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[5] >> 20) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[5] >> 26
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		// codes 0-9
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x3F03F03F03F03F
+		o = x0 >> 6 & 0x3F03F03F03F03F
+		e = ((e | 0x40040040040040) - ll) & (hh - e) & 0x40040040040040
+		o = ((o | 0x40040040040040) - ll) & (hh - o) & 0x40040040040040
+		p, _ = bits.Mul64(e|o<<1, 0x401004010040000)
+		m0 |= uint32(p) & 0x3FF
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>60|x1<<4) & 0x3F
+		m1 |= uint32(inRange(v, l, hs)) << 10
+		// codes 11-20
+		e = x1 >> 2 & 0x3F03F03F03F03F
+		o = x1 >> 8 & 0x3F03F03F03F03F
+		e = ((e | 0x40040040040040) - ll) & (hh - e) & 0x40040040040040
+		o = ((o | 0x40040040040040) - ll) & (hh - o) & 0x40040040040040
+		m2 |= uint32(((e|o<<1)*0x10040100401)>>35) & 0x1FF800
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>62|x2<<2) & 0x3F
+		m3 |= uint32(inRange(v, l, hs)) << 21
+		// codes 22-31
+		e = x2 >> 4 & 0x3F03F03F03F03F
+		o = x2 >> 10 & 0x3F03F03F03F03F
+		e = ((e | 0x40040040040040) - ll) & (hh - e) & 0x40040040040040
+		o = ((o | 0x40040040040040) - ll) & (hh - o) & 0x40040040040040
+		m0 |= uint32(((e|o<<1)*0x10040100401)>>24) & 0xFFC00000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
 // selmask32x7 scans len(dst) groups of 32 7-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x7(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 7)
+	hs := h - l
+	ll, hh := uint64(l)*0x100040010004001, uint64(h)*0x100040010004001|0x8002000800200080
 	for g := range dst {
 		s := src[g*7:]
 		_ = s[6]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 7) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0] >> 14) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[0] >> 21) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[0]>>28 | s[1]<<4) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1] >> 3) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[1] >> 10) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[1] >> 17) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[1] >> 24) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[1]>>31 | s[2]<<1) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[2] >> 6) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[2] >> 13) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[2] >> 20) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[2]>>27 | s[3]<<5) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[3] >> 2) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = (s[3] >> 9) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = (s[3] >> 16) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[3] >> 23) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[3]>>30 | s[4]<<2) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[4] >> 5) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[4] >> 12) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[4] >> 19) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[4]>>26 | s[5]<<6) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[5] >> 1) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[5] >> 8) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[5] >> 15) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[5] >> 22) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[5]>>29 | s[6]<<3) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[6] >> 4) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[6] >> 11) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[6] >> 18) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[6] >> 25
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		// codes 0-8
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x7F01FC07F01FC07F
+		o = x0 >> 7 & 0x7F01FC07F01FC07F
+		e = ((e | 0x8002000800200080) - ll) & (hh - e) & 0x8002000800200080
+		o = ((o | 0x8002000800200080) - ll) & (hh - o) & 0x2000800200080
+		p, _ = bits.Mul64(e|o<<1, 0x200200200200200)
+		m0 |= uint32(p) & 0x1FF
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>63|x1<<1) & 0x7F
+		m1 |= uint32(inRange(v, l, hs)) << 9
+		// codes 10-17
+		e = x1 >> 6 & 0x1FC07F01FC07F
+		o = x1 >> 13 & 0x1FC07F01FC07F
+		e = ((e | 0x8002000800200080) - ll) & (hh - e) & 0x2000800200080
+		o = ((o | 0x8002000800200080) - ll) & (hh - o) & 0x2000800200080
+		m2 |= uint32(((e|o<<1)*0x1001001001)>>33) & 0x3FC00
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>62|x2<<2) & 0x7F
+		m3 |= uint32(inRange(v, l, hs)) << 18
+		// codes 19-26
+		e = x2 >> 5 & 0x1FC07F01FC07F
+		o = x2 >> 12 & 0x1FC07F01FC07F
+		e = ((e | 0x8002000800200080) - ll) & (hh - e) & 0x2000800200080
+		o = ((o | 0x8002000800200080) - ll) & (hh - o) & 0x2000800200080
+		m0 |= uint32(((e|o<<1)*0x1001001001)>>24) & 0x7F80000
+		x3 := uint64(s[6])
+		v = uint32(x2>>61|x3<<3) & 0x7F
+		m1 |= uint32(inRange(v, l, hs)) << 27
+		// codes 28-31
+		e = x3 >> 4 & 0x1FC07F
+		o = x3 >> 11 & 0x1FC07F
+		e = ((e | 0x8002000800200080) - ll) & (hh - e) & 0x200080
+		o = ((o | 0x8002000800200080) - ll) & (hh - o) & 0x200080
+		m2 |= uint32((e|o<<1)*0x200200) & 0xF0000000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
 // selmask32x8 scans len(dst) groups of 32 8-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x8(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 8)
+	ll, hh := uint64(l)*0x1000100010001, uint64(h)*0x1000100010001|0x100010001000100
 	for g := range dst {
 		s := src[g*8:]
 		_ = s[7]
 		var m0, m1, m2, m3 uint32
-		var v uint32
-		v = s[0] & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 8) & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0] >> 16) & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = s[0] >> 24
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = s[1] & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1] >> 8) & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[1] >> 16) & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = s[1] >> 24
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = s[2] & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[2] >> 8) & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[2] >> 16) & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = s[2] >> 24
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = s[3] & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[3] >> 8) & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[3] >> 16) & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[3] >> 24
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[4] & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[4] >> 8) & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[4] >> 16) & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = s[4] >> 24
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = s[5] & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[5] >> 8) & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[5] >> 16) & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = s[5] >> 24
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = s[6] & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[6] >> 8) & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[6] >> 16) & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = s[6] >> 24
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = s[7] & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[7] >> 8) & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[7] >> 16) & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[7] >> 24
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		var e, o uint64
+		var p uint64
+		// codes 0-7
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0xFF00FF00FF00FF
+		o = x0 >> 8 & 0xFF00FF00FF00FF
+		e = ((e | 0x100010001000100) - ll) & (hh - e) & 0x100010001000100
+		o = ((o | 0x100010001000100) - ll) & (hh - o) & 0x100010001000100
+		p, _ = bits.Mul64(e|o<<1, 0x100040010004000)
+		m0 |= uint32(p) & 0xFF
+		// codes 8-15
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		e = x1 & 0xFF00FF00FF00FF
+		o = x1 >> 8 & 0xFF00FF00FF00FF
+		e = ((e | 0x100010001000100) - ll) & (hh - e) & 0x100010001000100
+		o = ((o | 0x100010001000100) - ll) & (hh - o) & 0x100010001000100
+		m1 |= uint32(((e|o<<1)*0x40010004001)>>42) & 0xFF00
+		// codes 16-23
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		e = x2 & 0xFF00FF00FF00FF
+		o = x2 >> 8 & 0xFF00FF00FF00FF
+		e = ((e | 0x100010001000100) - ll) & (hh - e) & 0x100010001000100
+		o = ((o | 0x100010001000100) - ll) & (hh - o) & 0x100010001000100
+		m2 |= uint32(((e|o<<1)*0x40010004001)>>34) & 0xFF0000
+		// codes 24-31
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		e = x3 & 0xFF00FF00FF00FF
+		o = x3 >> 8 & 0xFF00FF00FF00FF
+		e = ((e | 0x100010001000100) - ll) & (hh - e) & 0x100010001000100
+		o = ((o | 0x100010001000100) - ll) & (hh - o) & 0x100010001000100
+		m3 |= uint32(((e|o<<1)*0x40010004001)>>26) & 0xFF000000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
 // selmask32x9 scans len(dst) groups of 32 9-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x9(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 9)
+	hs := h - l
+	ll, hh := uint64(l)*0x40001000040001, uint64(h)*0x40001000040001|0x8000200008000200
 	for g := range dst {
 		s := src[g*9:]
 		_ = s[8]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 9) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0] >> 18) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[0]>>27 | s[1]<<5) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1] >> 4) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1] >> 13) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[1] >> 22) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[1]>>31 | s[2]<<1) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[2] >> 8) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[2] >> 17) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[2]>>26 | s[3]<<6) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[3] >> 3) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[3] >> 12) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[3] >> 21) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[3]>>30 | s[4]<<2) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = (s[4] >> 7) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = (s[4] >> 16) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[4]>>25 | s[5]<<7) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[5] >> 2) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[5] >> 11) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[5] >> 20) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[5]>>29 | s[6]<<3) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[6] >> 6) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[6] >> 15) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[6]>>24 | s[7]<<8) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[7] >> 1) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[7] >> 10) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[7] >> 19) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[7]>>28 | s[8]<<4) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[8] >> 5) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[8] >> 14) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[8] >> 23
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		// codes 0-6
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x7FC01FF007FC01FF
+		o = x0 >> 9 & 0x7FC01FF007FC01FF
+		e = ((e | 0x8000200008000200) - ll) & (hh - e) & 0x8000200008000200
+		o = ((o | 0x8000200008000200) - ll) & (hh - o) & 0x200008000200
+		p, _ = bits.Mul64(e|o<<1, 0x80008000800080)
+		m0 |= uint32(p) & 0x7F
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>63|x1<<1) & 0x1FF
+		m1 |= uint32(inRange(v, l, hs)) << 7
+		// codes 8-13
+		e = x1 >> 8 & 0x1FF007FC01FF
+		o = x1 >> 17 & 0x1FF007FC01FF
+		e = ((e | 0x8000200008000200) - ll) & (hh - e) & 0x200008000200
+		o = ((o | 0x8000200008000200) - ll) & (hh - o) & 0x200008000200
+		p, _ = bits.Mul64(e|o<<1, 0x8000800080000000)
+		m2 |= uint32(p) & 0x3F00
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>62|x2<<2) & 0x1FF
+		m3 |= uint32(inRange(v, l, hs)) << 14
+		// codes 15-20
+		e = x2 >> 7 & 0x1FF007FC01FF
+		o = x2 >> 16 & 0x1FF007FC01FF
+		e = ((e | 0x8000200008000200) - ll) & (hh - e) & 0x200008000200
+		o = ((o | 0x8000200008000200) - ll) & (hh - o) & 0x200008000200
+		m0 |= uint32(((e|o<<1)*0x100010001)>>26) & 0x1F8000
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>61|x3<<3) & 0x1FF
+		m1 |= uint32(inRange(v, l, hs)) << 21
+		// codes 22-27
+		e = x3 >> 6 & 0x1FF007FC01FF
+		o = x3 >> 15 & 0x1FF007FC01FF
+		e = ((e | 0x8000200008000200) - ll) & (hh - e) & 0x200008000200
+		o = ((o | 0x8000200008000200) - ll) & (hh - o) & 0x200008000200
+		m2 |= uint32(((e|o<<1)*0x100010001)>>19) & 0xFC00000
+		x4 := uint64(s[8])
+		v = uint32(x3>>60|x4<<4) & 0x1FF
+		m3 |= uint32(inRange(v, l, hs)) << 28
+		// codes 29-31
+		e = x4 >> 5 & 0x7FC01FF
+		o = x4 >> 14 & 0x7FC01FF
+		e = ((e | 0x8000200008000200) - ll) & (hh - e) & 0x8000200
+		o = ((o | 0x8000200008000200) - ll) & (hh - o) & 0x200
+		m0 |= uint32((e|o<<1)*0x100010) & 0xE0000000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
 // selmask32x10 scans len(dst) groups of 32 10-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x10(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 10)
+	hs := h - l
+	ll, hh := uint64(l)*0x10000100001, uint64(h)*0x10000100001|0x4000040000400
 	for g := range dst {
 		s := src[g*10:]
 		_ = s[9]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 10) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0] >> 20) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[0]>>30 | s[1]<<2) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1] >> 8) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1] >> 18) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[1]>>28 | s[2]<<4) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[2] >> 6) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[2] >> 16) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[2]>>26 | s[3]<<6) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[3] >> 4) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[3] >> 14) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[3]>>24 | s[4]<<8) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[4] >> 2) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[4] >> 12) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[4] >> 22
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[5] & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[5] >> 10) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[5] >> 20) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[5]>>30 | s[6]<<2) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[6] >> 8) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[6] >> 18) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[6]>>28 | s[7]<<4) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[7] >> 6) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[7] >> 16) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[7]>>26 | s[8]<<6) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[8] >> 4) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[8] >> 14) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[8]>>24 | s[9]<<8) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[9] >> 2) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[9] >> 12) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[9] >> 22
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		// codes 0-5
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x3FF003FF003FF
+		o = x0 >> 10 & 0x3FF003FF003FF
+		e = ((e | 0x4000040000400) - ll) & (hh - e) & 0x4000040000400
+		o = ((o | 0x4000040000400) - ll) & (hh - o) & 0x4000040000400
+		p, _ = bits.Mul64(e|o<<1, 0x40001000040000)
+		m0 |= uint32(p) & 0x3F
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>60|x1<<4) & 0x3FF
+		m1 |= uint32(inRange(v, l, hs)) << 6
+		// codes 7-11
+		e = x1 >> 6 & 0x3FF003FF003FF
+		o = x1 >> 16 & 0x3FF003FF003FF
+		e = ((e | 0x4000040000400) - ll) & (hh - e) & 0x4000040000400
+		o = ((o | 0x4000040000400) - ll) & (hh - o) & 0x40000400
+		p, _ = bits.Mul64(e|o<<1, 0x2000080002000000)
+		m2 |= uint32(p) & 0xF80
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>56|x2<<8) & 0x3FF
+		m3 |= uint32(inRange(v, l, hs)) << 12
+		// codes 13-18
+		e = x2 >> 2 & 0x3FF003FF003FF
+		o = x2 >> 12 & 0x3FF003FF003FF
+		e = ((e | 0x4000040000400) - ll) & (hh - e) & 0x4000040000400
+		o = ((o | 0x4000040000400) - ll) & (hh - o) & 0x4000040000400
+		m0 |= uint32(((e|o<<1)*0x1000040001)>>33) & 0x7E000
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>62|x3<<2) & 0x3FF
+		m1 |= uint32(inRange(v, l, hs)) << 19
+		// codes 20-24
+		e = x3 >> 8 & 0x3FF003FF003FF
+		o = x3 >> 18 & 0x3FF003FF003FF
+		e = ((e | 0x4000040000400) - ll) & (hh - e) & 0x4000040000400
+		o = ((o | 0x4000040000400) - ll) & (hh - o) & 0x40000400
+		m2 |= uint32(((e|o<<1)*0x1000040001)>>26) & 0x1F00000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>58|x4<<6) & 0x3FF
+		m3 |= uint32(inRange(v, l, hs)) << 25
+		// codes 26-31
+		e = x4 >> 4 & 0x3FF003FF003FF
+		o = x4 >> 14 & 0x3FF003FF003FF
+		e = ((e | 0x4000040000400) - ll) & (hh - e) & 0x4000040000400
+		o = ((o | 0x4000040000400) - ll) & (hh - o) & 0x4000040000400
+		m0 |= uint32(((e|o<<1)*0x1000040001)>>20) & 0xFC000000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
 // selmask32x11 scans len(dst) groups of 32 11-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x11(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 11)
+	hs := h - l
+	ll, hh := uint64(l)*0x100000400001, uint64(h)*0x100000400001|0x80000200000800
 	for g := range dst {
 		s := src[g*11:]
 		_ = s[10]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 11) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0]>>22 | s[1]<<10) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[1] >> 1) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1] >> 12) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1]>>23 | s[2]<<9) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[2] >> 2) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[2] >> 13) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[2]>>24 | s[3]<<8) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[3] >> 3) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[3] >> 14) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[3]>>25 | s[4]<<7) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[4] >> 4) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[4] >> 15) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[4]>>26 | s[5]<<6) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = (s[5] >> 5) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = (s[5] >> 16) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[5]>>27 | s[6]<<5) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[6] >> 6) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[6] >> 17) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[6]>>28 | s[7]<<4) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[7] >> 7) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[7] >> 18) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[7]>>29 | s[8]<<3) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[8] >> 8) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[8] >> 19) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[8]>>30 | s[9]<<2) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[9] >> 9) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[9] >> 20) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[9]>>31 | s[10]<<1) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[10] >> 10) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[10] >> 21
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		// codes 0-4
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x7FF001FFC007FF
+		o = x0 >> 11 & 0x7FF001FFC007FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x80000200000800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x200000800
+		p, _ = bits.Mul64(e|o<<1, 0x20000200002000)
+		m0 |= uint32(p) & 0x1F
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>55|x1<<9) & 0x7FF
+		m1 |= uint32(inRange(v, l, hs)) << 5
+		// codes 6-10
+		e = x1 >> 2 & 0x7FF001FFC007FF
+		o = x1 >> 13 & 0x7FF001FFC007FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x80000200000800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x200000800
+		p, _ = bits.Mul64(e|o<<1, 0x800008000080000)
+		m2 |= uint32(p) & 0x7C0
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>57|x2<<7) & 0x7FF
+		m3 |= uint32(inRange(v, l, hs)) << 11
+		// codes 12-16
+		e = x2 >> 4 & 0x7FF001FFC007FF
+		o = x2 >> 15 & 0x7FF001FFC007FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x80000200000800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x200000800
+		m0 |= uint32(((e|o<<1)*0x10000100001)>>39) & 0x1F000
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>59|x3<<5) & 0x7FF
+		m1 |= uint32(inRange(v, l, hs)) << 17
+		// codes 18-22
+		e = x3 >> 6 & 0x7FF001FFC007FF
+		o = x3 >> 17 & 0x7FF001FFC007FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x80000200000800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x200000800
+		m2 |= uint32(((e|o<<1)*0x10000100001)>>33) & 0x7C0000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>61|x4<<3) & 0x7FF
+		m3 |= uint32(inRange(v, l, hs)) << 23
+		// codes 24-28
+		e = x4 >> 8 & 0x7FF001FFC007FF
+		o = x4 >> 19 & 0x7FF001FFC007FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x80000200000800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x200000800
+		m0 |= uint32(((e|o<<1)*0x10000100001)>>27) & 0x1F000000
+		x5 := uint64(s[10])
+		v = uint32(x4>>63|x5<<1) & 0x7FF
+		m1 |= uint32(inRange(v, l, hs)) << 29
+		// codes 30-31
+		e = x5 >> 10 & 0x7FF
+		o = x5 >> 21 & 0x7FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x800
+		m2 |= uint32((e|o<<1)*0x80000) & 0xC0000000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
 // selmask32x12 scans len(dst) groups of 32 12-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x12(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 12)
+	hs := h - l
+	ll, hh := uint64(l)*0x1000001000001, uint64(h)*0x1000001000001|0x1000001000001000
 	for g := range dst {
 		s := src[g*12:]
 		_ = s[11]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 12) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0]>>24 | s[1]<<8) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[1] >> 4) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1] >> 16) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1]>>28 | s[2]<<4) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[2] >> 8) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = s[2] >> 20
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = s[3] & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[3] >> 12) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[3]>>24 | s[4]<<8) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[4] >> 4) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[4] >> 16) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[4]>>28 | s[5]<<4) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[5] >> 8) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[5] >> 20
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[6] & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[6] >> 12) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[6]>>24 | s[7]<<8) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[7] >> 4) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[7] >> 16) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[7]>>28 | s[8]<<4) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[8] >> 8) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = s[8] >> 20
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = s[9] & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[9] >> 12) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[9]>>24 | s[10]<<8) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[10] >> 4) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[10] >> 16) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[10]>>28 | s[11]<<4) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[11] >> 8) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[11] >> 20
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		// codes 0-4
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0xFFF000FFF000FFF
+		o = x0 >> 12 & 0xFFF000FFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		p, _ = bits.Mul64(e|o<<1, 0x10000040000100)
+		m0 |= uint32(p) & 0x1F
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>60|x1<<4) & 0xFFF
+		m1 |= uint32(inRange(v, l, hs)) << 5
+		// codes 6-9
+		e = x1 >> 8 & 0xFFF000FFF
+		o = x1 >> 20 & 0xFFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		p, _ = bits.Mul64(e|o<<1, 0x400001000000000)
+		m2 |= uint32(p) & 0x3C0
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>56|x2<<8) & 0xFFF
+		m3 |= uint32(inRange(v, l, hs)) << 10
+		// codes 11-15
+		e = x2 >> 4 & 0xFFF000FFF000FFF
+		o = x2 >> 16 & 0xFFF000FFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		p, _ = bits.Mul64(e|o<<1, 0x8000020000080000)
+		m0 |= uint32(p) & 0xF800
+		// codes 16-20
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		e = x3 & 0xFFF000FFF000FFF
+		o = x3 >> 12 & 0xFFF000FFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		m1 |= uint32(((e|o<<1)*0x100000400001)>>40) & 0x1F0000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>60|x4<<4) & 0xFFF
+		m2 |= uint32(inRange(v, l, hs)) << 21
+		// codes 22-25
+		e = x4 >> 8 & 0xFFF000FFF
+		o = x4 >> 20 & 0xFFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		m3 |= uint32(((e|o<<1)*0x400001)>>12) & 0x3C00000
+		x5 := uint64(s[10]) | uint64(s[11])<<32
+		v = uint32(x4>>56|x5<<8) & 0xFFF
+		m0 |= uint32(inRange(v, l, hs)) << 26
+		// codes 27-31
+		e = x5 >> 4 & 0xFFF000FFF000FFF
+		o = x5 >> 16 & 0xFFF000FFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		m1 |= uint32(((e|o<<1)*0x100000400001)>>29) & 0xF8000000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
 // selmask32x13 scans len(dst) groups of 32 13-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x13(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 13)
+	hs := h - l
+	ll, hh := uint64(l)*0x4000001, uint64(h)*0x4000001|0x8000002000
 	for g := range dst {
 		s := src[g*13:]
 		_ = s[12]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 13) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0]>>26 | s[1]<<6) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[1] >> 7) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1]>>20 | s[2]<<12) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[2] >> 1) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[2] >> 14) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[2]>>27 | s[3]<<5) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[3] >> 8) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[3]>>21 | s[4]<<11) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[4] >> 2) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[4] >> 15) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[4]>>28 | s[5]<<4) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[5] >> 9) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[5]>>22 | s[6]<<10) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = (s[6] >> 3) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = (s[6] >> 16) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[6]>>29 | s[7]<<3) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[7] >> 10) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[7]>>23 | s[8]<<9) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[8] >> 4) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[8] >> 17) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[8]>>30 | s[9]<<2) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[9] >> 11) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[9]>>24 | s[10]<<8) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[10] >> 5) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[10] >> 18) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[10]>>31 | s[11]<<1) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[11] >> 12) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[11]>>25 | s[12]<<7) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[12] >> 6) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[12] >> 19
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		// codes 0-3
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x7FFC001FFF
+		o = x0 >> 13 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		p, _ = bits.Mul64(e|o<<1, 0x8000008000000)
+		m0 |= uint32(p) & 0xF
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>52|x1<<12) & 0x1FFF
+		m1 |= uint32(inRange(v, l, hs)) << 4
+		// codes 5-8
+		e = x1 >> 1 & 0x7FFC001FFF
+		o = x1 >> 14 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		p, _ = bits.Mul64(e|o<<1, 0x100000100000000)
+		m2 |= uint32(p) & 0x1E0
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>53|x2<<11) & 0x1FFF
+		m3 |= uint32(inRange(v, l, hs)) << 9
+		// codes 10-13
+		e = x2 >> 2 & 0x7FFC001FFF
+		o = x2 >> 15 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		p, _ = bits.Mul64(e|o<<1, 0x2000002000000000)
+		m0 |= uint32(p) & 0x3C00
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>54|x3<<10) & 0x1FFF
+		m1 |= uint32(inRange(v, l, hs)) << 14
+		// codes 15-18
+		e = x3 >> 3 & 0x7FFC001FFF
+		o = x3 >> 16 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		m2 |= uint32(((e|o<<1)*0x1000001)>>22) & 0x78000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>55|x4<<9) & 0x1FFF
+		m3 |= uint32(inRange(v, l, hs)) << 19
+		// codes 20-23
+		e = x4 >> 4 & 0x7FFC001FFF
+		o = x4 >> 17 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		m0 |= uint32(((e|o<<1)*0x1000001)>>17) & 0xF00000
+		x5 := uint64(s[10]) | uint64(s[11])<<32
+		v = uint32(x4>>56|x5<<8) & 0x1FFF
+		m1 |= uint32(inRange(v, l, hs)) << 24
+		// codes 25-28
+		e = x5 >> 5 & 0x7FFC001FFF
+		o = x5 >> 18 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		m2 |= uint32(((e|o<<1)*0x1000001)>>12) & 0x1E000000
+		x6 := uint64(s[12])
+		v = uint32(x5>>57|x6<<7) & 0x1FFF
+		m3 |= uint32(inRange(v, l, hs)) << 29
+		// codes 30-31
+		e = x6 >> 6 & 0x1FFF
+		o = x6 >> 19 & 0x1FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x2000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x2000
+		m0 |= uint32((e|o<<1)*0x20000) & 0xC0000000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
 // selmask32x14 scans len(dst) groups of 32 14-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x14(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 14)
+	hs := h - l
+	ll, hh := uint64(l)*0x10000001, uint64(h)*0x10000001|0x40000004000
 	for g := range dst {
 		s := src[g*14:]
 		_ = s[13]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 14) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0]>>28 | s[1]<<4) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[1] >> 10) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1]>>24 | s[2]<<8) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[2] >> 6) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[2]>>20 | s[3]<<12) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[3] >> 2) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[3] >> 16) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[3]>>30 | s[4]<<2) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[4] >> 12) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[4]>>26 | s[5]<<6) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[5] >> 8) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[5]>>22 | s[6]<<10) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[6] >> 4) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[6] >> 18
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[7] & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[7] >> 14) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[7]>>28 | s[8]<<4) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[8] >> 10) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[8]>>24 | s[9]<<8) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[9] >> 6) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[9]>>20 | s[10]<<12) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[10] >> 2) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[10] >> 16) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[10]>>30 | s[11]<<2) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[11] >> 12) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[11]>>26 | s[12]<<6) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[12] >> 8) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[12]>>22 | s[13]<<10) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[13] >> 4) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[13] >> 18
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		// codes 0-3
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x3FFF0003FFF
+		o = x0 >> 14 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x40000004000
+		p, _ = bits.Mul64(e|o<<1, 0x4000001000000)
+		m0 |= uint32(p) & 0xF
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>56|x1<<8) & 0x3FFF
+		m1 |= uint32(inRange(v, l, hs)) << 4
+		// codes 5-8
+		e = x1 >> 6 & 0x3FFF0003FFF
+		o = x1 >> 20 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x40000004000
+		p, _ = bits.Mul64(e|o<<1, 0x80000020000000)
+		m2 |= uint32(p) & 0x1E0
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>62|x2<<2) & 0x3FFF
+		m3 |= uint32(inRange(v, l, hs)) << 9
+		// codes 10-12
+		e = x2 >> 12 & 0x3FFF0003FFF
+		o = x2 >> 26 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x4000
+		p, _ = bits.Mul64(e|o<<1, 0x1000000400000000)
+		m0 |= uint32(p) & 0x1C00
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>54|x3<<10) & 0x3FFF
+		m1 |= uint32(inRange(v, l, hs)) << 13
+		// codes 14-17
+		e = x3 >> 4 & 0x3FFF0003FFF
+		o = x3 >> 18 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x40000004000
+		m2 |= uint32(((e|o<<1)*0x4000001)>>26) & 0x3C000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>60|x4<<4) & 0x3FFF
+		m3 |= uint32(inRange(v, l, hs)) << 18
+		// codes 19-21
+		e = x4 >> 10 & 0x3FFF0003FFF
+		o = x4 >> 24 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x4000
+		m0 |= uint32(((e|o<<1)*0x4000001)>>21) & 0x380000
+		x5 := uint64(s[10]) | uint64(s[11])<<32
+		v = uint32(x4>>52|x5<<12) & 0x3FFF
+		m1 |= uint32(inRange(v, l, hs)) << 22
+		// codes 23-26
+		e = x5 >> 2 & 0x3FFF0003FFF
+		o = x5 >> 16 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x40000004000
+		m2 |= uint32(((e|o<<1)*0x4000001)>>17) & 0x7800000
+		x6 := uint64(s[12]) | uint64(s[13])<<32
+		v = uint32(x5>>58|x6<<6) & 0x3FFF
+		m3 |= uint32(inRange(v, l, hs)) << 27
+		// codes 28-31
+		e = x6 >> 8 & 0x3FFF0003FFF
+		o = x6 >> 22 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x40000004000
+		m0 |= uint32(((e|o<<1)*0x4000001)>>12) & 0xF0000000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
 // selmask32x15 scans len(dst) groups of 32 15-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x15(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 15)
+	hs := h - l
+	ll, hh := uint64(l)*0x40000001, uint64(h)*0x40000001|0x200000008000
 	for g := range dst {
 		s := src[g*15:]
 		_ = s[14]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 15) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0]>>30 | s[1]<<2) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[1] >> 13) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1]>>28 | s[2]<<4) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[2] >> 11) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[2]>>26 | s[3]<<6) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[3] >> 9) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[3]>>24 | s[4]<<8) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[4] >> 7) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[4]>>22 | s[5]<<10) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[5] >> 5) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[5]>>20 | s[6]<<12) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[6] >> 3) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[6]>>18 | s[7]<<14) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = (s[7] >> 1) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = (s[7] >> 16) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[7]>>31 | s[8]<<1) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[8] >> 14) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[8]>>29 | s[9]<<3) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[9] >> 12) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[9]>>27 | s[10]<<5) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[10] >> 10) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[10]>>25 | s[11]<<7) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[11] >> 8) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[11]>>23 | s[12]<<9) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[12] >> 6) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[12]>>21 | s[13]<<11) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[13] >> 4) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[13]>>19 | s[14]<<13) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[14] >> 2) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[14] >> 17
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		// codes 0-3
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x1FFFC0007FFF
+		o = x0 >> 15 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x200000008000
+		p, _ = bits.Mul64(e|o<<1, 0x2000000200000)
+		m0 |= uint32(p) & 0xF
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>60|x1<<4) & 0x7FFF
+		m1 |= uint32(inRange(v, l, hs)) << 4
+		// codes 5-7
+		e = x1 >> 11 & 0x1FFFC0007FFF
+		o = x1 >> 26 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		p, _ = bits.Mul64(e|o<<1, 0x40000004000000)
+		m2 |= uint32(p) & 0xE0
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>56|x2<<8) & 0x7FFF
+		m3 |= uint32(inRange(v, l, hs)) << 8
+		// codes 9-11
+		e = x2 >> 7 & 0x1FFFC0007FFF
+		o = x2 >> 22 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		p, _ = bits.Mul64(e|o<<1, 0x400000040000000)
+		m0 |= uint32(p) & 0xE00
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>52|x3<<12) & 0x7FFF
+		m1 |= uint32(inRange(v, l, hs)) << 12
+		// codes 13-16
+		e = x3 >> 3 & 0x1FFFC0007FFF
+		o = x3 >> 18 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x200000008000
+		p, _ = bits.Mul64(e|o<<1, 0x4000000400000000)
+		m2 |= uint32(p) & 0x1E000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>63|x4<<1) & 0x7FFF
+		m3 |= uint32(inRange(v, l, hs)) << 17
+		// codes 18-20
+		e = x4 >> 14 & 0x1FFFC0007FFF
+		o = x4 >> 29 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		m0 |= uint32(((e|o<<1)*0x10000001)>>25) & 0x1C0000
+		x5 := uint64(s[10]) | uint64(s[11])<<32
+		v = uint32(x4>>59|x5<<5) & 0x7FFF
+		m1 |= uint32(inRange(v, l, hs)) << 21
+		// codes 22-24
+		e = x5 >> 10 & 0x1FFFC0007FFF
+		o = x5 >> 25 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		m2 |= uint32(((e|o<<1)*0x10000001)>>21) & 0x1C00000
+		x6 := uint64(s[12]) | uint64(s[13])<<32
+		v = uint32(x5>>55|x6<<9) & 0x7FFF
+		m3 |= uint32(inRange(v, l, hs)) << 25
+		// codes 26-28
+		e = x6 >> 6 & 0x1FFFC0007FFF
+		o = x6 >> 21 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		m0 |= uint32(((e|o<<1)*0x10000001)>>17) & 0x1C000000
+		x7 := uint64(s[14])
+		v = uint32(x6>>51|x7<<13) & 0x7FFF
+		m1 |= uint32(inRange(v, l, hs)) << 29
+		// codes 30-31
+		e = x7 >> 2 & 0x7FFF
+		o = x7 >> 17 & 0x7FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x8000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		m2 |= uint32((e|o<<1)*0x8000) & 0xC0000000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
 // selmask32x16 scans len(dst) groups of 32 16-bit codes from src and
 // writes one match mask per group: bit i of dst[g] is set iff code
-// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe).
+// g*32+i lies in [lo, lo+span] (unsigned, wrap-safe). Codes are
+// compared in place, a 64-bit chunk at a time.
 func selmask32x16(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 16)
+	ll, hh := uint64(l)*0x100000001, uint64(h)*0x100000001|0x1000000010000
 	for g := range dst {
 		s := src[g*16:]
 		_ = s[15]
 		var m0, m1, m2, m3 uint32
-		var v uint32
-		v = s[0] & 0xFFFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = s[0] >> 16
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = s[1] & 0xFFFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = s[1] >> 16
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = s[2] & 0xFFFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = s[2] >> 16
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = s[3] & 0xFFFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = s[3] >> 16
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = s[4] & 0xFFFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = s[4] >> 16
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = s[5] & 0xFFFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = s[5] >> 16
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = s[6] & 0xFFFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = s[6] >> 16
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = s[7] & 0xFFFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[7] >> 16
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[8] & 0xFFFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = s[8] >> 16
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = s[9] & 0xFFFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = s[9] >> 16
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = s[10] & 0xFFFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = s[10] >> 16
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = s[11] & 0xFFFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = s[11] >> 16
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = s[12] & 0xFFFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = s[12] >> 16
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = s[13] & 0xFFFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = s[13] >> 16
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = s[14] & 0xFFFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = s[14] >> 16
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = s[15] & 0xFFFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[15] >> 16
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m0 | m1 | m2 | m3
+		var e, o uint64
+		var p uint64
+		// codes 0-3
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0xFFFF0000FFFF
+		o = x0 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		p, _ = bits.Mul64(e|o<<1, 0x1000000040000)
+		m0 |= uint32(p) & 0xF
+		// codes 4-7
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		e = x1 & 0xFFFF0000FFFF
+		o = x1 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		p, _ = bits.Mul64(e|o<<1, 0x10000000400000)
+		m1 |= uint32(p) & 0xF0
+		// codes 8-11
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		e = x2 & 0xFFFF0000FFFF
+		o = x2 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		p, _ = bits.Mul64(e|o<<1, 0x100000004000000)
+		m2 |= uint32(p) & 0xF00
+		// codes 12-15
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		e = x3 & 0xFFFF0000FFFF
+		o = x3 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		p, _ = bits.Mul64(e|o<<1, 0x1000000040000000)
+		m3 |= uint32(p) & 0xF000
+		// codes 16-19
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		e = x4 & 0xFFFF0000FFFF
+		o = x4 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		m0 |= uint32(((e|o<<1)*0x40000001)>>30) & 0xF0000
+		// codes 20-23
+		x5 := uint64(s[10]) | uint64(s[11])<<32
+		e = x5 & 0xFFFF0000FFFF
+		o = x5 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		m1 |= uint32(((e|o<<1)*0x40000001)>>26) & 0xF00000
+		// codes 24-27
+		x6 := uint64(s[12]) | uint64(s[13])<<32
+		e = x6 & 0xFFFF0000FFFF
+		o = x6 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		m2 |= uint32(((e|o<<1)*0x40000001)>>22) & 0xF000000
+		// codes 28-31
+		x7 := uint64(s[14]) | uint64(s[15])<<32
+		e = x7 & 0xFFFF0000FFFF
+		o = x7 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		m3 |= uint32(((e|o<<1)*0x40000001)>>18) & 0xF0000000
+		dst[g] = (m0 | m1 | m2 | m3) ^ flip
 	}
 }
 
@@ -4723,6 +4632,9 @@ func refmask32x5(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x6(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 6)
+	hs := h - l
+	ll, hh := uint64(l)*0x1001001001001, uint64(h)*0x1001001001001|0x40040040040040
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -4731,72 +4643,36 @@ func refmask32x6(dst, src []uint32, lo, span uint32) {
 		s := src[g*6:]
 		_ = s[5]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 6) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0] >> 12) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[0] >> 18) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[0] >> 24) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[0]>>30 | s[1]<<2) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[1] >> 4) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[1] >> 10) & 0x3F
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[1] >> 16) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[1] >> 22) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[1]>>28 | s[2]<<4) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[2] >> 2) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[2] >> 8) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[2] >> 14) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[2] >> 20) & 0x3F
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[2] >> 26
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[3] & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[3] >> 6) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[3] >> 12) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[3] >> 18) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[3] >> 24) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[3]>>30 | s[4]<<2) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[4] >> 4) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[4] >> 10) & 0x3F
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[4] >> 16) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[4] >> 22) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[4]>>28 | s[5]<<4) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[5] >> 2) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[5] >> 8) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[5] >> 14) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[5] >> 20) & 0x3F
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[5] >> 26
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		// codes 0-9
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x3F03F03F03F03F
+		o = x0 >> 6 & 0x3F03F03F03F03F
+		e = ((e | 0x40040040040040) - ll) & (hh - e) & 0x40040040040040
+		o = ((o | 0x40040040040040) - ll) & (hh - o) & 0x40040040040040
+		p, _ = bits.Mul64(e|o<<1, 0x401004010040000)
+		m0 |= uint32(p) & 0x3FF
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>60|x1<<4) & 0x3F
+		m1 |= uint32(inRange(v, l, hs)) << 10
+		// codes 11-20
+		e = x1 >> 2 & 0x3F03F03F03F03F
+		o = x1 >> 8 & 0x3F03F03F03F03F
+		e = ((e | 0x40040040040040) - ll) & (hh - e) & 0x40040040040040
+		o = ((o | 0x40040040040040) - ll) & (hh - o) & 0x40040040040040
+		m2 |= uint32(((e|o<<1)*0x10040100401)>>35) & 0x1FF800
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>62|x2<<2) & 0x3F
+		m3 |= uint32(inRange(v, l, hs)) << 21
+		// codes 22-31
+		e = x2 >> 4 & 0x3F03F03F03F03F
+		o = x2 >> 10 & 0x3F03F03F03F03F
+		e = ((e | 0x40040040040040) - ll) & (hh - e) & 0x40040040040040
+		o = ((o | 0x40040040040040) - ll) & (hh - o) & 0x40040040040040
+		m0 |= uint32(((e|o<<1)*0x10040100401)>>24) & 0xFFC00000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 
@@ -4805,6 +4681,9 @@ func refmask32x6(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x7(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 7)
+	hs := h - l
+	ll, hh := uint64(l)*0x100040010004001, uint64(h)*0x100040010004001|0x8002000800200080
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -4813,72 +4692,45 @@ func refmask32x7(dst, src []uint32, lo, span uint32) {
 		s := src[g*7:]
 		_ = s[6]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 7) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0] >> 14) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[0] >> 21) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[0]>>28 | s[1]<<4) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1] >> 3) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[1] >> 10) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[1] >> 17) & 0x7F
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[1] >> 24) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[1]>>31 | s[2]<<1) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[2] >> 6) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[2] >> 13) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[2] >> 20) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[2]>>27 | s[3]<<5) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[3] >> 2) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = (s[3] >> 9) & 0x7F
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = (s[3] >> 16) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[3] >> 23) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[3]>>30 | s[4]<<2) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[4] >> 5) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[4] >> 12) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[4] >> 19) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[4]>>26 | s[5]<<6) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[5] >> 1) & 0x7F
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[5] >> 8) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[5] >> 15) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[5] >> 22) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[5]>>29 | s[6]<<3) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[6] >> 4) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[6] >> 11) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[6] >> 18) & 0x7F
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[6] >> 25
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		// codes 0-8
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x7F01FC07F01FC07F
+		o = x0 >> 7 & 0x7F01FC07F01FC07F
+		e = ((e | 0x8002000800200080) - ll) & (hh - e) & 0x8002000800200080
+		o = ((o | 0x8002000800200080) - ll) & (hh - o) & 0x2000800200080
+		p, _ = bits.Mul64(e|o<<1, 0x200200200200200)
+		m0 |= uint32(p) & 0x1FF
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>63|x1<<1) & 0x7F
+		m1 |= uint32(inRange(v, l, hs)) << 9
+		// codes 10-17
+		e = x1 >> 6 & 0x1FC07F01FC07F
+		o = x1 >> 13 & 0x1FC07F01FC07F
+		e = ((e | 0x8002000800200080) - ll) & (hh - e) & 0x2000800200080
+		o = ((o | 0x8002000800200080) - ll) & (hh - o) & 0x2000800200080
+		m2 |= uint32(((e|o<<1)*0x1001001001)>>33) & 0x3FC00
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>62|x2<<2) & 0x7F
+		m3 |= uint32(inRange(v, l, hs)) << 18
+		// codes 19-26
+		e = x2 >> 5 & 0x1FC07F01FC07F
+		o = x2 >> 12 & 0x1FC07F01FC07F
+		e = ((e | 0x8002000800200080) - ll) & (hh - e) & 0x2000800200080
+		o = ((o | 0x8002000800200080) - ll) & (hh - o) & 0x2000800200080
+		m0 |= uint32(((e|o<<1)*0x1001001001)>>24) & 0x7F80000
+		x3 := uint64(s[6])
+		v = uint32(x2>>61|x3<<3) & 0x7F
+		m1 |= uint32(inRange(v, l, hs)) << 27
+		// codes 28-31
+		e = x3 >> 4 & 0x1FC07F
+		o = x3 >> 11 & 0x1FC07F
+		e = ((e | 0x8002000800200080) - ll) & (hh - e) & 0x200080
+		o = ((o | 0x8002000800200080) - ll) & (hh - o) & 0x200080
+		m2 |= uint32((e|o<<1)*0x200200) & 0xF0000000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 
@@ -4887,6 +4739,8 @@ func refmask32x7(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x8(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 8)
+	ll, hh := uint64(l)*0x1000100010001, uint64(h)*0x1000100010001|0x100010001000100
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -4895,72 +4749,38 @@ func refmask32x8(dst, src []uint32, lo, span uint32) {
 		s := src[g*8:]
 		_ = s[7]
 		var m0, m1, m2, m3 uint32
-		var v uint32
-		v = s[0] & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 8) & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0] >> 16) & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = s[0] >> 24
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = s[1] & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1] >> 8) & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[1] >> 16) & 0xFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = s[1] >> 24
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = s[2] & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[2] >> 8) & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[2] >> 16) & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = s[2] >> 24
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = s[3] & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[3] >> 8) & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[3] >> 16) & 0xFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[3] >> 24
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[4] & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[4] >> 8) & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[4] >> 16) & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = s[4] >> 24
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = s[5] & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[5] >> 8) & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[5] >> 16) & 0xFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = s[5] >> 24
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = s[6] & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[6] >> 8) & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[6] >> 16) & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = s[6] >> 24
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = s[7] & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[7] >> 8) & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[7] >> 16) & 0xFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[7] >> 24
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		var e, o uint64
+		var p uint64
+		// codes 0-7
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0xFF00FF00FF00FF
+		o = x0 >> 8 & 0xFF00FF00FF00FF
+		e = ((e | 0x100010001000100) - ll) & (hh - e) & 0x100010001000100
+		o = ((o | 0x100010001000100) - ll) & (hh - o) & 0x100010001000100
+		p, _ = bits.Mul64(e|o<<1, 0x100040010004000)
+		m0 |= uint32(p) & 0xFF
+		// codes 8-15
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		e = x1 & 0xFF00FF00FF00FF
+		o = x1 >> 8 & 0xFF00FF00FF00FF
+		e = ((e | 0x100010001000100) - ll) & (hh - e) & 0x100010001000100
+		o = ((o | 0x100010001000100) - ll) & (hh - o) & 0x100010001000100
+		m1 |= uint32(((e|o<<1)*0x40010004001)>>42) & 0xFF00
+		// codes 16-23
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		e = x2 & 0xFF00FF00FF00FF
+		o = x2 >> 8 & 0xFF00FF00FF00FF
+		e = ((e | 0x100010001000100) - ll) & (hh - e) & 0x100010001000100
+		o = ((o | 0x100010001000100) - ll) & (hh - o) & 0x100010001000100
+		m2 |= uint32(((e|o<<1)*0x40010004001)>>34) & 0xFF0000
+		// codes 24-31
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		e = x3 & 0xFF00FF00FF00FF
+		o = x3 >> 8 & 0xFF00FF00FF00FF
+		e = ((e | 0x100010001000100) - ll) & (hh - e) & 0x100010001000100
+		o = ((o | 0x100010001000100) - ll) & (hh - o) & 0x100010001000100
+		m3 |= uint32(((e|o<<1)*0x40010004001)>>26) & 0xFF000000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 
@@ -4969,6 +4789,9 @@ func refmask32x8(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x9(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 9)
+	hs := h - l
+	ll, hh := uint64(l)*0x40001000040001, uint64(h)*0x40001000040001|0x8000200008000200
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -4977,72 +4800,55 @@ func refmask32x9(dst, src []uint32, lo, span uint32) {
 		s := src[g*9:]
 		_ = s[8]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 9) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0] >> 18) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[0]>>27 | s[1]<<5) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1] >> 4) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1] >> 13) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[1] >> 22) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[1]>>31 | s[2]<<1) & 0x1FF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[2] >> 8) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[2] >> 17) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[2]>>26 | s[3]<<6) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[3] >> 3) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[3] >> 12) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[3] >> 21) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[3]>>30 | s[4]<<2) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = (s[4] >> 7) & 0x1FF
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = (s[4] >> 16) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[4]>>25 | s[5]<<7) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[5] >> 2) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[5] >> 11) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[5] >> 20) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[5]>>29 | s[6]<<3) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[6] >> 6) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[6] >> 15) & 0x1FF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[6]>>24 | s[7]<<8) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[7] >> 1) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[7] >> 10) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[7] >> 19) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[7]>>28 | s[8]<<4) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[8] >> 5) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[8] >> 14) & 0x1FF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[8] >> 23
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		// codes 0-6
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x7FC01FF007FC01FF
+		o = x0 >> 9 & 0x7FC01FF007FC01FF
+		e = ((e | 0x8000200008000200) - ll) & (hh - e) & 0x8000200008000200
+		o = ((o | 0x8000200008000200) - ll) & (hh - o) & 0x200008000200
+		p, _ = bits.Mul64(e|o<<1, 0x80008000800080)
+		m0 |= uint32(p) & 0x7F
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>63|x1<<1) & 0x1FF
+		m1 |= uint32(inRange(v, l, hs)) << 7
+		// codes 8-13
+		e = x1 >> 8 & 0x1FF007FC01FF
+		o = x1 >> 17 & 0x1FF007FC01FF
+		e = ((e | 0x8000200008000200) - ll) & (hh - e) & 0x200008000200
+		o = ((o | 0x8000200008000200) - ll) & (hh - o) & 0x200008000200
+		p, _ = bits.Mul64(e|o<<1, 0x8000800080000000)
+		m2 |= uint32(p) & 0x3F00
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>62|x2<<2) & 0x1FF
+		m3 |= uint32(inRange(v, l, hs)) << 14
+		// codes 15-20
+		e = x2 >> 7 & 0x1FF007FC01FF
+		o = x2 >> 16 & 0x1FF007FC01FF
+		e = ((e | 0x8000200008000200) - ll) & (hh - e) & 0x200008000200
+		o = ((o | 0x8000200008000200) - ll) & (hh - o) & 0x200008000200
+		m0 |= uint32(((e|o<<1)*0x100010001)>>26) & 0x1F8000
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>61|x3<<3) & 0x1FF
+		m1 |= uint32(inRange(v, l, hs)) << 21
+		// codes 22-27
+		e = x3 >> 6 & 0x1FF007FC01FF
+		o = x3 >> 15 & 0x1FF007FC01FF
+		e = ((e | 0x8000200008000200) - ll) & (hh - e) & 0x200008000200
+		o = ((o | 0x8000200008000200) - ll) & (hh - o) & 0x200008000200
+		m2 |= uint32(((e|o<<1)*0x100010001)>>19) & 0xFC00000
+		x4 := uint64(s[8])
+		v = uint32(x3>>60|x4<<4) & 0x1FF
+		m3 |= uint32(inRange(v, l, hs)) << 28
+		// codes 29-31
+		e = x4 >> 5 & 0x7FC01FF
+		o = x4 >> 14 & 0x7FC01FF
+		e = ((e | 0x8000200008000200) - ll) & (hh - e) & 0x8000200
+		o = ((o | 0x8000200008000200) - ll) & (hh - o) & 0x200
+		m0 |= uint32((e|o<<1)*0x100010) & 0xE0000000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 
@@ -5051,6 +4857,9 @@ func refmask32x9(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x10(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 10)
+	hs := h - l
+	ll, hh := uint64(l)*0x10000100001, uint64(h)*0x10000100001|0x4000040000400
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -5059,72 +4868,55 @@ func refmask32x10(dst, src []uint32, lo, span uint32) {
 		s := src[g*10:]
 		_ = s[9]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 10) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0] >> 20) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[0]>>30 | s[1]<<2) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1] >> 8) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1] >> 18) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[1]>>28 | s[2]<<4) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[2] >> 6) & 0x3FF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[2] >> 16) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[2]>>26 | s[3]<<6) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[3] >> 4) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[3] >> 14) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[3]>>24 | s[4]<<8) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[4] >> 2) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[4] >> 12) & 0x3FF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[4] >> 22
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[5] & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[5] >> 10) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[5] >> 20) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[5]>>30 | s[6]<<2) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[6] >> 8) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[6] >> 18) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[6]>>28 | s[7]<<4) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[7] >> 6) & 0x3FF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[7] >> 16) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[7]>>26 | s[8]<<6) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[8] >> 4) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[8] >> 14) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[8]>>24 | s[9]<<8) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[9] >> 2) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[9] >> 12) & 0x3FF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[9] >> 22
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		// codes 0-5
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x3FF003FF003FF
+		o = x0 >> 10 & 0x3FF003FF003FF
+		e = ((e | 0x4000040000400) - ll) & (hh - e) & 0x4000040000400
+		o = ((o | 0x4000040000400) - ll) & (hh - o) & 0x4000040000400
+		p, _ = bits.Mul64(e|o<<1, 0x40001000040000)
+		m0 |= uint32(p) & 0x3F
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>60|x1<<4) & 0x3FF
+		m1 |= uint32(inRange(v, l, hs)) << 6
+		// codes 7-11
+		e = x1 >> 6 & 0x3FF003FF003FF
+		o = x1 >> 16 & 0x3FF003FF003FF
+		e = ((e | 0x4000040000400) - ll) & (hh - e) & 0x4000040000400
+		o = ((o | 0x4000040000400) - ll) & (hh - o) & 0x40000400
+		p, _ = bits.Mul64(e|o<<1, 0x2000080002000000)
+		m2 |= uint32(p) & 0xF80
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>56|x2<<8) & 0x3FF
+		m3 |= uint32(inRange(v, l, hs)) << 12
+		// codes 13-18
+		e = x2 >> 2 & 0x3FF003FF003FF
+		o = x2 >> 12 & 0x3FF003FF003FF
+		e = ((e | 0x4000040000400) - ll) & (hh - e) & 0x4000040000400
+		o = ((o | 0x4000040000400) - ll) & (hh - o) & 0x4000040000400
+		m0 |= uint32(((e|o<<1)*0x1000040001)>>33) & 0x7E000
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>62|x3<<2) & 0x3FF
+		m1 |= uint32(inRange(v, l, hs)) << 19
+		// codes 20-24
+		e = x3 >> 8 & 0x3FF003FF003FF
+		o = x3 >> 18 & 0x3FF003FF003FF
+		e = ((e | 0x4000040000400) - ll) & (hh - e) & 0x4000040000400
+		o = ((o | 0x4000040000400) - ll) & (hh - o) & 0x40000400
+		m2 |= uint32(((e|o<<1)*0x1000040001)>>26) & 0x1F00000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>58|x4<<6) & 0x3FF
+		m3 |= uint32(inRange(v, l, hs)) << 25
+		// codes 26-31
+		e = x4 >> 4 & 0x3FF003FF003FF
+		o = x4 >> 14 & 0x3FF003FF003FF
+		e = ((e | 0x4000040000400) - ll) & (hh - e) & 0x4000040000400
+		o = ((o | 0x4000040000400) - ll) & (hh - o) & 0x4000040000400
+		m0 |= uint32(((e|o<<1)*0x1000040001)>>20) & 0xFC000000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 
@@ -5133,6 +4925,9 @@ func refmask32x10(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x11(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 11)
+	hs := h - l
+	ll, hh := uint64(l)*0x100000400001, uint64(h)*0x100000400001|0x80000200000800
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -5141,72 +4936,64 @@ func refmask32x11(dst, src []uint32, lo, span uint32) {
 		s := src[g*11:]
 		_ = s[10]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 11) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0]>>22 | s[1]<<10) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[1] >> 1) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1] >> 12) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1]>>23 | s[2]<<9) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[2] >> 2) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[2] >> 13) & 0x7FF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[2]>>24 | s[3]<<8) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[3] >> 3) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[3] >> 14) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[3]>>25 | s[4]<<7) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[4] >> 4) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[4] >> 15) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[4]>>26 | s[5]<<6) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = (s[5] >> 5) & 0x7FF
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = (s[5] >> 16) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[5]>>27 | s[6]<<5) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[6] >> 6) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[6] >> 17) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[6]>>28 | s[7]<<4) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[7] >> 7) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[7] >> 18) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[7]>>29 | s[8]<<3) & 0x7FF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[8] >> 8) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[8] >> 19) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[8]>>30 | s[9]<<2) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[9] >> 9) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[9] >> 20) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[9]>>31 | s[10]<<1) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[10] >> 10) & 0x7FF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[10] >> 21
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		// codes 0-4
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x7FF001FFC007FF
+		o = x0 >> 11 & 0x7FF001FFC007FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x80000200000800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x200000800
+		p, _ = bits.Mul64(e|o<<1, 0x20000200002000)
+		m0 |= uint32(p) & 0x1F
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>55|x1<<9) & 0x7FF
+		m1 |= uint32(inRange(v, l, hs)) << 5
+		// codes 6-10
+		e = x1 >> 2 & 0x7FF001FFC007FF
+		o = x1 >> 13 & 0x7FF001FFC007FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x80000200000800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x200000800
+		p, _ = bits.Mul64(e|o<<1, 0x800008000080000)
+		m2 |= uint32(p) & 0x7C0
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>57|x2<<7) & 0x7FF
+		m3 |= uint32(inRange(v, l, hs)) << 11
+		// codes 12-16
+		e = x2 >> 4 & 0x7FF001FFC007FF
+		o = x2 >> 15 & 0x7FF001FFC007FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x80000200000800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x200000800
+		m0 |= uint32(((e|o<<1)*0x10000100001)>>39) & 0x1F000
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>59|x3<<5) & 0x7FF
+		m1 |= uint32(inRange(v, l, hs)) << 17
+		// codes 18-22
+		e = x3 >> 6 & 0x7FF001FFC007FF
+		o = x3 >> 17 & 0x7FF001FFC007FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x80000200000800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x200000800
+		m2 |= uint32(((e|o<<1)*0x10000100001)>>33) & 0x7C0000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>61|x4<<3) & 0x7FF
+		m3 |= uint32(inRange(v, l, hs)) << 23
+		// codes 24-28
+		e = x4 >> 8 & 0x7FF001FFC007FF
+		o = x4 >> 19 & 0x7FF001FFC007FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x80000200000800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x200000800
+		m0 |= uint32(((e|o<<1)*0x10000100001)>>27) & 0x1F000000
+		x5 := uint64(s[10])
+		v = uint32(x4>>63|x5<<1) & 0x7FF
+		m1 |= uint32(inRange(v, l, hs)) << 29
+		// codes 30-31
+		e = x5 >> 10 & 0x7FF
+		o = x5 >> 21 & 0x7FF
+		e = ((e | 0x80000200000800) - ll) & (hh - e) & 0x800
+		o = ((o | 0x80000200000800) - ll) & (hh - o) & 0x800
+		m2 |= uint32((e|o<<1)*0x80000) & 0xC0000000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 
@@ -5215,6 +5002,9 @@ func refmask32x11(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x12(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 12)
+	hs := h - l
+	ll, hh := uint64(l)*0x1000001000001, uint64(h)*0x1000001000001|0x1000001000001000
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -5223,72 +5013,63 @@ func refmask32x12(dst, src []uint32, lo, span uint32) {
 		s := src[g*12:]
 		_ = s[11]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 12) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0]>>24 | s[1]<<8) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[1] >> 4) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1] >> 16) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[1]>>28 | s[2]<<4) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[2] >> 8) & 0xFFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = s[2] >> 20
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = s[3] & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[3] >> 12) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[3]>>24 | s[4]<<8) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[4] >> 4) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[4] >> 16) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[4]>>28 | s[5]<<4) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[5] >> 8) & 0xFFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[5] >> 20
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[6] & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[6] >> 12) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[6]>>24 | s[7]<<8) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[7] >> 4) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[7] >> 16) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[7]>>28 | s[8]<<4) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[8] >> 8) & 0xFFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = s[8] >> 20
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = s[9] & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[9] >> 12) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[9]>>24 | s[10]<<8) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[10] >> 4) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[10] >> 16) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[10]>>28 | s[11]<<4) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[11] >> 8) & 0xFFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[11] >> 20
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		// codes 0-4
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0xFFF000FFF000FFF
+		o = x0 >> 12 & 0xFFF000FFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		p, _ = bits.Mul64(e|o<<1, 0x10000040000100)
+		m0 |= uint32(p) & 0x1F
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>60|x1<<4) & 0xFFF
+		m1 |= uint32(inRange(v, l, hs)) << 5
+		// codes 6-9
+		e = x1 >> 8 & 0xFFF000FFF
+		o = x1 >> 20 & 0xFFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		p, _ = bits.Mul64(e|o<<1, 0x400001000000000)
+		m2 |= uint32(p) & 0x3C0
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>56|x2<<8) & 0xFFF
+		m3 |= uint32(inRange(v, l, hs)) << 10
+		// codes 11-15
+		e = x2 >> 4 & 0xFFF000FFF000FFF
+		o = x2 >> 16 & 0xFFF000FFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		p, _ = bits.Mul64(e|o<<1, 0x8000020000080000)
+		m0 |= uint32(p) & 0xF800
+		// codes 16-20
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		e = x3 & 0xFFF000FFF000FFF
+		o = x3 >> 12 & 0xFFF000FFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		m1 |= uint32(((e|o<<1)*0x100000400001)>>40) & 0x1F0000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>60|x4<<4) & 0xFFF
+		m2 |= uint32(inRange(v, l, hs)) << 21
+		// codes 22-25
+		e = x4 >> 8 & 0xFFF000FFF
+		o = x4 >> 20 & 0xFFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		m3 |= uint32(((e|o<<1)*0x400001)>>12) & 0x3C00000
+		x5 := uint64(s[10]) | uint64(s[11])<<32
+		v = uint32(x4>>56|x5<<8) & 0xFFF
+		m0 |= uint32(inRange(v, l, hs)) << 26
+		// codes 27-31
+		e = x5 >> 4 & 0xFFF000FFF000FFF
+		o = x5 >> 16 & 0xFFF000FFF000FFF
+		e = ((e | 0x1000001000001000) - ll) & (hh - e) & 0x1000001000001000
+		o = ((o | 0x1000001000001000) - ll) & (hh - o) & 0x1000001000
+		m1 |= uint32(((e|o<<1)*0x100000400001)>>29) & 0xF8000000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 
@@ -5297,6 +5078,9 @@ func refmask32x12(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x13(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 13)
+	hs := h - l
+	ll, hh := uint64(l)*0x4000001, uint64(h)*0x4000001|0x8000002000
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -5305,72 +5089,74 @@ func refmask32x13(dst, src []uint32, lo, span uint32) {
 		s := src[g*13:]
 		_ = s[12]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 13) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0]>>26 | s[1]<<6) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[1] >> 7) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1]>>20 | s[2]<<12) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[2] >> 1) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[2] >> 14) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[2]>>27 | s[3]<<5) & 0x1FFF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[3] >> 8) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[3]>>21 | s[4]<<11) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[4] >> 2) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[4] >> 15) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[4]>>28 | s[5]<<4) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[5] >> 9) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[5]>>22 | s[6]<<10) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = (s[6] >> 3) & 0x1FFF
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = (s[6] >> 16) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[6]>>29 | s[7]<<3) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[7] >> 10) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[7]>>23 | s[8]<<9) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[8] >> 4) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[8] >> 17) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[8]>>30 | s[9]<<2) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[9] >> 11) & 0x1FFF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[9]>>24 | s[10]<<8) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[10] >> 5) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[10] >> 18) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[10]>>31 | s[11]<<1) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[11] >> 12) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[11]>>25 | s[12]<<7) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[12] >> 6) & 0x1FFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[12] >> 19
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		// codes 0-3
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x7FFC001FFF
+		o = x0 >> 13 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		p, _ = bits.Mul64(e|o<<1, 0x8000008000000)
+		m0 |= uint32(p) & 0xF
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>52|x1<<12) & 0x1FFF
+		m1 |= uint32(inRange(v, l, hs)) << 4
+		// codes 5-8
+		e = x1 >> 1 & 0x7FFC001FFF
+		o = x1 >> 14 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		p, _ = bits.Mul64(e|o<<1, 0x100000100000000)
+		m2 |= uint32(p) & 0x1E0
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>53|x2<<11) & 0x1FFF
+		m3 |= uint32(inRange(v, l, hs)) << 9
+		// codes 10-13
+		e = x2 >> 2 & 0x7FFC001FFF
+		o = x2 >> 15 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		p, _ = bits.Mul64(e|o<<1, 0x2000002000000000)
+		m0 |= uint32(p) & 0x3C00
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>54|x3<<10) & 0x1FFF
+		m1 |= uint32(inRange(v, l, hs)) << 14
+		// codes 15-18
+		e = x3 >> 3 & 0x7FFC001FFF
+		o = x3 >> 16 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		m2 |= uint32(((e|o<<1)*0x1000001)>>22) & 0x78000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>55|x4<<9) & 0x1FFF
+		m3 |= uint32(inRange(v, l, hs)) << 19
+		// codes 20-23
+		e = x4 >> 4 & 0x7FFC001FFF
+		o = x4 >> 17 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		m0 |= uint32(((e|o<<1)*0x1000001)>>17) & 0xF00000
+		x5 := uint64(s[10]) | uint64(s[11])<<32
+		v = uint32(x4>>56|x5<<8) & 0x1FFF
+		m1 |= uint32(inRange(v, l, hs)) << 24
+		// codes 25-28
+		e = x5 >> 5 & 0x7FFC001FFF
+		o = x5 >> 18 & 0x7FFC001FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x8000002000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x8000002000
+		m2 |= uint32(((e|o<<1)*0x1000001)>>12) & 0x1E000000
+		x6 := uint64(s[12])
+		v = uint32(x5>>57|x6<<7) & 0x1FFF
+		m3 |= uint32(inRange(v, l, hs)) << 29
+		// codes 30-31
+		e = x6 >> 6 & 0x1FFF
+		o = x6 >> 19 & 0x1FFF
+		e = ((e | 0x8000002000) - ll) & (hh - e) & 0x2000
+		o = ((o | 0x8000002000) - ll) & (hh - o) & 0x2000
+		m0 |= uint32((e|o<<1)*0x20000) & 0xC0000000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 
@@ -5379,6 +5165,9 @@ func refmask32x13(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x14(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 14)
+	hs := h - l
+	ll, hh := uint64(l)*0x10000001, uint64(h)*0x10000001|0x40000004000
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -5387,72 +5176,74 @@ func refmask32x14(dst, src []uint32, lo, span uint32) {
 		s := src[g*14:]
 		_ = s[13]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 14) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0]>>28 | s[1]<<4) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[1] >> 10) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1]>>24 | s[2]<<8) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[2] >> 6) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[2]>>20 | s[3]<<12) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[3] >> 2) & 0x3FFF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[3] >> 16) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[3]>>30 | s[4]<<2) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[4] >> 12) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[4]>>26 | s[5]<<6) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[5] >> 8) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[5]>>22 | s[6]<<10) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[6] >> 4) & 0x3FFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[6] >> 18
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[7] & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[7] >> 14) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[7]>>28 | s[8]<<4) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[8] >> 10) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[8]>>24 | s[9]<<8) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[9] >> 6) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[9]>>20 | s[10]<<12) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[10] >> 2) & 0x3FFF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[10] >> 16) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[10]>>30 | s[11]<<2) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[11] >> 12) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[11]>>26 | s[12]<<6) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[12] >> 8) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[12]>>22 | s[13]<<10) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[13] >> 4) & 0x3FFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[13] >> 18
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		// codes 0-3
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x3FFF0003FFF
+		o = x0 >> 14 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x40000004000
+		p, _ = bits.Mul64(e|o<<1, 0x4000001000000)
+		m0 |= uint32(p) & 0xF
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>56|x1<<8) & 0x3FFF
+		m1 |= uint32(inRange(v, l, hs)) << 4
+		// codes 5-8
+		e = x1 >> 6 & 0x3FFF0003FFF
+		o = x1 >> 20 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x40000004000
+		p, _ = bits.Mul64(e|o<<1, 0x80000020000000)
+		m2 |= uint32(p) & 0x1E0
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>62|x2<<2) & 0x3FFF
+		m3 |= uint32(inRange(v, l, hs)) << 9
+		// codes 10-12
+		e = x2 >> 12 & 0x3FFF0003FFF
+		o = x2 >> 26 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x4000
+		p, _ = bits.Mul64(e|o<<1, 0x1000000400000000)
+		m0 |= uint32(p) & 0x1C00
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>54|x3<<10) & 0x3FFF
+		m1 |= uint32(inRange(v, l, hs)) << 13
+		// codes 14-17
+		e = x3 >> 4 & 0x3FFF0003FFF
+		o = x3 >> 18 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x40000004000
+		m2 |= uint32(((e|o<<1)*0x4000001)>>26) & 0x3C000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>60|x4<<4) & 0x3FFF
+		m3 |= uint32(inRange(v, l, hs)) << 18
+		// codes 19-21
+		e = x4 >> 10 & 0x3FFF0003FFF
+		o = x4 >> 24 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x4000
+		m0 |= uint32(((e|o<<1)*0x4000001)>>21) & 0x380000
+		x5 := uint64(s[10]) | uint64(s[11])<<32
+		v = uint32(x4>>52|x5<<12) & 0x3FFF
+		m1 |= uint32(inRange(v, l, hs)) << 22
+		// codes 23-26
+		e = x5 >> 2 & 0x3FFF0003FFF
+		o = x5 >> 16 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x40000004000
+		m2 |= uint32(((e|o<<1)*0x4000001)>>17) & 0x7800000
+		x6 := uint64(s[12]) | uint64(s[13])<<32
+		v = uint32(x5>>58|x6<<6) & 0x3FFF
+		m3 |= uint32(inRange(v, l, hs)) << 27
+		// codes 28-31
+		e = x6 >> 8 & 0x3FFF0003FFF
+		o = x6 >> 22 & 0x3FFF0003FFF
+		e = ((e | 0x40000004000) - ll) & (hh - e) & 0x40000004000
+		o = ((o | 0x40000004000) - ll) & (hh - o) & 0x40000004000
+		m0 |= uint32(((e|o<<1)*0x4000001)>>12) & 0xF0000000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 
@@ -5461,6 +5252,9 @@ func refmask32x14(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x15(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 15)
+	hs := h - l
+	ll, hh := uint64(l)*0x40000001, uint64(h)*0x40000001|0x200000008000
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -5469,72 +5263,84 @@ func refmask32x15(dst, src []uint32, lo, span uint32) {
 		s := src[g*15:]
 		_ = s[14]
 		var m0, m1, m2, m3 uint32
+		var e, o uint64
+		var p uint64
 		var v uint32
-		v = s[0] & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = (s[0] >> 15) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = (s[0]>>30 | s[1]<<2) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = (s[1] >> 13) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = (s[1]>>28 | s[2]<<4) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = (s[2] >> 11) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = (s[2]>>26 | s[3]<<6) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = (s[3] >> 9) & 0x7FFF
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = (s[3]>>24 | s[4]<<8) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = (s[4] >> 7) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = (s[4]>>22 | s[5]<<10) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = (s[5] >> 5) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = (s[5]>>20 | s[6]<<12) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = (s[6] >> 3) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = (s[6]>>18 | s[7]<<14) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = (s[7] >> 1) & 0x7FFF
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = (s[7] >> 16) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = (s[7]>>31 | s[8]<<1) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = (s[8] >> 14) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = (s[8]>>29 | s[9]<<3) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = (s[9] >> 12) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = (s[9]>>27 | s[10]<<5) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = (s[10] >> 10) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = (s[10]>>25 | s[11]<<7) & 0x7FFF
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = (s[11] >> 8) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = (s[11]>>23 | s[12]<<9) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = (s[12] >> 6) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = (s[12]>>21 | s[13]<<11) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = (s[13] >> 4) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = (s[13]>>19 | s[14]<<13) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = (s[14] >> 2) & 0x7FFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[14] >> 17
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		// codes 0-3
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0x1FFFC0007FFF
+		o = x0 >> 15 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x200000008000
+		p, _ = bits.Mul64(e|o<<1, 0x2000000200000)
+		m0 |= uint32(p) & 0xF
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		v = uint32(x0>>60|x1<<4) & 0x7FFF
+		m1 |= uint32(inRange(v, l, hs)) << 4
+		// codes 5-7
+		e = x1 >> 11 & 0x1FFFC0007FFF
+		o = x1 >> 26 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		p, _ = bits.Mul64(e|o<<1, 0x40000004000000)
+		m2 |= uint32(p) & 0xE0
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		v = uint32(x1>>56|x2<<8) & 0x7FFF
+		m3 |= uint32(inRange(v, l, hs)) << 8
+		// codes 9-11
+		e = x2 >> 7 & 0x1FFFC0007FFF
+		o = x2 >> 22 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		p, _ = bits.Mul64(e|o<<1, 0x400000040000000)
+		m0 |= uint32(p) & 0xE00
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		v = uint32(x2>>52|x3<<12) & 0x7FFF
+		m1 |= uint32(inRange(v, l, hs)) << 12
+		// codes 13-16
+		e = x3 >> 3 & 0x1FFFC0007FFF
+		o = x3 >> 18 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x200000008000
+		p, _ = bits.Mul64(e|o<<1, 0x4000000400000000)
+		m2 |= uint32(p) & 0x1E000
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		v = uint32(x3>>63|x4<<1) & 0x7FFF
+		m3 |= uint32(inRange(v, l, hs)) << 17
+		// codes 18-20
+		e = x4 >> 14 & 0x1FFFC0007FFF
+		o = x4 >> 29 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		m0 |= uint32(((e|o<<1)*0x10000001)>>25) & 0x1C0000
+		x5 := uint64(s[10]) | uint64(s[11])<<32
+		v = uint32(x4>>59|x5<<5) & 0x7FFF
+		m1 |= uint32(inRange(v, l, hs)) << 21
+		// codes 22-24
+		e = x5 >> 10 & 0x1FFFC0007FFF
+		o = x5 >> 25 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		m2 |= uint32(((e|o<<1)*0x10000001)>>21) & 0x1C00000
+		x6 := uint64(s[12]) | uint64(s[13])<<32
+		v = uint32(x5>>55|x6<<9) & 0x7FFF
+		m3 |= uint32(inRange(v, l, hs)) << 25
+		// codes 26-28
+		e = x6 >> 6 & 0x1FFFC0007FFF
+		o = x6 >> 21 & 0x1FFFC0007FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x200000008000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		m0 |= uint32(((e|o<<1)*0x10000001)>>17) & 0x1C000000
+		x7 := uint64(s[14])
+		v = uint32(x6>>51|x7<<13) & 0x7FFF
+		m1 |= uint32(inRange(v, l, hs)) << 29
+		// codes 30-31
+		e = x7 >> 2 & 0x7FFF
+		o = x7 >> 17 & 0x7FFF
+		e = ((e | 0x200000008000) - ll) & (hh - e) & 0x8000
+		o = ((o | 0x200000008000) - ll) & (hh - o) & 0x8000
+		m2 |= uint32((e|o<<1)*0x8000) & 0xC0000000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 
@@ -5543,6 +5349,8 @@ func refmask32x15(dst, src []uint32, lo, span uint32) {
 // range [lo, lo+span] (unsigned, wrap-safe). Groups already empty are
 // skipped without extracting any code.
 func refmask32x16(dst, src []uint32, lo, span uint32) {
+	l, h, flip := swarRange(lo, span, 16)
+	ll, hh := uint64(l)*0x100000001, uint64(h)*0x100000001|0x1000000010000
 	for g := range dst {
 		m := dst[g]
 		if m == 0 {
@@ -5551,72 +5359,69 @@ func refmask32x16(dst, src []uint32, lo, span uint32) {
 		s := src[g*16:]
 		_ = s[15]
 		var m0, m1, m2, m3 uint32
-		var v uint32
-		v = s[0] & 0xFFFF
-		m0 |= uint32(inRange(v, lo, span)) << 0
-		v = s[0] >> 16
-		m0 |= uint32(inRange(v, lo, span)) << 1
-		v = s[1] & 0xFFFF
-		m0 |= uint32(inRange(v, lo, span)) << 2
-		v = s[1] >> 16
-		m0 |= uint32(inRange(v, lo, span)) << 3
-		v = s[2] & 0xFFFF
-		m0 |= uint32(inRange(v, lo, span)) << 4
-		v = s[2] >> 16
-		m0 |= uint32(inRange(v, lo, span)) << 5
-		v = s[3] & 0xFFFF
-		m0 |= uint32(inRange(v, lo, span)) << 6
-		v = s[3] >> 16
-		m0 |= uint32(inRange(v, lo, span)) << 7
-		v = s[4] & 0xFFFF
-		m1 |= uint32(inRange(v, lo, span)) << 8
-		v = s[4] >> 16
-		m1 |= uint32(inRange(v, lo, span)) << 9
-		v = s[5] & 0xFFFF
-		m1 |= uint32(inRange(v, lo, span)) << 10
-		v = s[5] >> 16
-		m1 |= uint32(inRange(v, lo, span)) << 11
-		v = s[6] & 0xFFFF
-		m1 |= uint32(inRange(v, lo, span)) << 12
-		v = s[6] >> 16
-		m1 |= uint32(inRange(v, lo, span)) << 13
-		v = s[7] & 0xFFFF
-		m1 |= uint32(inRange(v, lo, span)) << 14
-		v = s[7] >> 16
-		m1 |= uint32(inRange(v, lo, span)) << 15
-		v = s[8] & 0xFFFF
-		m2 |= uint32(inRange(v, lo, span)) << 16
-		v = s[8] >> 16
-		m2 |= uint32(inRange(v, lo, span)) << 17
-		v = s[9] & 0xFFFF
-		m2 |= uint32(inRange(v, lo, span)) << 18
-		v = s[9] >> 16
-		m2 |= uint32(inRange(v, lo, span)) << 19
-		v = s[10] & 0xFFFF
-		m2 |= uint32(inRange(v, lo, span)) << 20
-		v = s[10] >> 16
-		m2 |= uint32(inRange(v, lo, span)) << 21
-		v = s[11] & 0xFFFF
-		m2 |= uint32(inRange(v, lo, span)) << 22
-		v = s[11] >> 16
-		m2 |= uint32(inRange(v, lo, span)) << 23
-		v = s[12] & 0xFFFF
-		m3 |= uint32(inRange(v, lo, span)) << 24
-		v = s[12] >> 16
-		m3 |= uint32(inRange(v, lo, span)) << 25
-		v = s[13] & 0xFFFF
-		m3 |= uint32(inRange(v, lo, span)) << 26
-		v = s[13] >> 16
-		m3 |= uint32(inRange(v, lo, span)) << 27
-		v = s[14] & 0xFFFF
-		m3 |= uint32(inRange(v, lo, span)) << 28
-		v = s[14] >> 16
-		m3 |= uint32(inRange(v, lo, span)) << 29
-		v = s[15] & 0xFFFF
-		m3 |= uint32(inRange(v, lo, span)) << 30
-		v = s[15] >> 16
-		m3 |= uint32(inRange(v, lo, span)) << 31
-		dst[g] = m & (m0 | m1 | m2 | m3)
+		var e, o uint64
+		var p uint64
+		// codes 0-3
+		x0 := uint64(s[0]) | uint64(s[1])<<32
+		e = x0 & 0xFFFF0000FFFF
+		o = x0 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		p, _ = bits.Mul64(e|o<<1, 0x1000000040000)
+		m0 |= uint32(p) & 0xF
+		// codes 4-7
+		x1 := uint64(s[2]) | uint64(s[3])<<32
+		e = x1 & 0xFFFF0000FFFF
+		o = x1 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		p, _ = bits.Mul64(e|o<<1, 0x10000000400000)
+		m1 |= uint32(p) & 0xF0
+		// codes 8-11
+		x2 := uint64(s[4]) | uint64(s[5])<<32
+		e = x2 & 0xFFFF0000FFFF
+		o = x2 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		p, _ = bits.Mul64(e|o<<1, 0x100000004000000)
+		m2 |= uint32(p) & 0xF00
+		// codes 12-15
+		x3 := uint64(s[6]) | uint64(s[7])<<32
+		e = x3 & 0xFFFF0000FFFF
+		o = x3 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		p, _ = bits.Mul64(e|o<<1, 0x1000000040000000)
+		m3 |= uint32(p) & 0xF000
+		// codes 16-19
+		x4 := uint64(s[8]) | uint64(s[9])<<32
+		e = x4 & 0xFFFF0000FFFF
+		o = x4 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		m0 |= uint32(((e|o<<1)*0x40000001)>>30) & 0xF0000
+		// codes 20-23
+		x5 := uint64(s[10]) | uint64(s[11])<<32
+		e = x5 & 0xFFFF0000FFFF
+		o = x5 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		m1 |= uint32(((e|o<<1)*0x40000001)>>26) & 0xF00000
+		// codes 24-27
+		x6 := uint64(s[12]) | uint64(s[13])<<32
+		e = x6 & 0xFFFF0000FFFF
+		o = x6 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		m2 |= uint32(((e|o<<1)*0x40000001)>>22) & 0xF000000
+		// codes 28-31
+		x7 := uint64(s[14]) | uint64(s[15])<<32
+		e = x7 & 0xFFFF0000FFFF
+		o = x7 >> 16 & 0xFFFF0000FFFF
+		e = ((e | 0x1000000010000) - ll) & (hh - e) & 0x1000000010000
+		o = ((o | 0x1000000010000) - ll) & (hh - o) & 0x1000000010000
+		m3 |= uint32(((e|o<<1)*0x40000001)>>18) & 0xF0000000
+		dst[g] = m & ((m0 | m1 | m2 | m3) ^ flip)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/bitpack"
 )
 
 // The density-switched gather against a decode-then-pick oracle. Both
@@ -22,6 +24,25 @@ const (
 
 func (d *Decoder[T]) GatherSelected(blk *Block[T], sv *SelectionVector, vals []T, denseMin int) []T {
 	return d.gatherSelected(blk, sv, vals, denseMin)
+}
+
+// excPositions walks group g's patch list and writes the block-absolute
+// position of every exception to out, returning the filled prefix: the
+// tests' way to find the exception slots. The gaps live in the code
+// slots, so each hop extracts one packed code.
+func (d *Decoder[T]) excPositions(blk *Block[T], g int, out *[GroupSize]int32) []int32 {
+	es, ee := blk.groupExc(g)
+	if es == ee {
+		return out[:0]
+	}
+	pos := g*GroupSize + blk.patchStart(g)
+	n := 0
+	for k := es; k < ee; k++ {
+		out[n] = int32(pos)
+		n++
+		pos += int(bitpack.CodeAt(blk.Codes, pos, blk.B)) + 1
+	}
+	return out[:n]
 }
 
 // checkGather holds every regime of DecompressSelected — and, for PDICT,

@@ -48,7 +48,7 @@ func (d *Decoder[T]) buildMask(blk *Block[T], lo, hi T, mask []uint32, s *selScr
 	case SchemePFOR:
 		clo, span, ok := pforCodeRange(blk.Base, blk.B, lo, hi)
 		d.blockMasks(blk, clo, span, ok, mask)
-		d.maskFixExceptions(blk, lo, hi, mask, s)
+		maskFixExceptions(blk, lo, hi, mask)
 	case SchemePDict:
 		clo, span, ok, contiguous := d.pdictCodeMatch(blk, lo, hi, s)
 		if contiguous {
@@ -56,7 +56,7 @@ func (d *Decoder[T]) buildMask(blk *Block[T], lo, hi T, mask []uint32, s *selScr
 		} else {
 			d.bitmapMasks(blk, mask, s)
 		}
-		d.maskFixExceptions(blk, lo, hi, mask, s)
+		maskFixExceptions(blk, lo, hi, mask)
 	case SchemePFORDelta:
 		d.maskPFORDelta(blk, lo, hi, mask, s)
 	default:
@@ -87,21 +87,20 @@ func (d *Decoder[T]) UnionMask(blk *Block[T], lo, hi T, sv *SelectionVector) {
 
 // maskFixExceptions resolves exception slots of a freshly built mask: the
 // bogus patch-list gap codes produced whatever bits the kernels computed,
-// so each exception slot is overwritten with the verdict on its true value.
-func (d *Decoder[T]) maskFixExceptions(blk *Block[T], lo, hi T, mask []uint32, s *selScratch[T]) {
+// so each exception slot is overwritten with the verdict on its true
+// value as the walk of its group's patch list reaches it.
+func maskFixExceptions[T Integer](blk *Block[T], lo, hi T, mask []uint32) {
 	numGroups := blk.NumGroups()
 	for g := 0; g < numGroups; g++ {
 		es, ee := blk.groupExc(g)
 		if es == ee {
 			continue
 		}
-		all := d.excPositions(blk, g, &s.xpos)
-		for i, pos := range all {
-			if ev := blk.Exc[es+i]; ev >= lo && ev <= hi {
-				mask[pos>>5] |= 1 << (uint(pos) & 31)
-			} else {
-				mask[pos>>5] &^= 1 << (uint(pos) & 31)
-			}
+		pos := g*GroupSize + blk.patchStart(g)
+		for k := es; k < ee; k++ {
+			sh := uint(pos) & 31
+			mask[pos>>5] = mask[pos>>5]&^(1<<sh) | uint32(b2i(blk.Exc[k] >= lo && blk.Exc[k] <= hi))<<sh
+			pos += int(bitpack.CodeAt(blk.Codes, pos, blk.B)) + 1
 		}
 	}
 }
@@ -160,58 +159,60 @@ func (d *Decoder[T]) RefineMask(blk *Block[T], lo, hi T, sv *SelectionVector) {
 	}
 }
 
-// refineCoded is the PFOR / PDICT refinement walk. Per 128-value group it
-// captures which still-selected exception slots truly match (their codes
-// are bogus patch-list gaps, so the kernels must not judge them), runs the
-// branch-free refine kernels over the packed codes — a contiguous code
-// range uses refmask32, a non-contiguous PDICT predicate the per-code
-// bitmap — and then overwrites the exception slots with the captured
-// verdicts. The patch list is followed only up to the group's last
-// selected row: refining never sets a bit, so slots past it stay clear.
+// refineCoded is the PFOR / PDICT refinement. It first captures which
+// still-selected exception slots truly match (their codes are bogus
+// patch-list gaps, so the kernels must not judge them), following each
+// group's patch list only up to the group's last selected row: refining
+// never sets a bit, so slots past it stay clear. Then the branch-free
+// refine kernels run over the packed codes — a contiguous code range in
+// one refmask32 call for the whole block, whose per-call set-up is paid
+// once and which skips every 32-row word already empty; a non-contiguous
+// PDICT predicate group by group against the per-code bitmap — and
+// finally the exception slots are overwritten with the captured verdicts.
 func (d *Decoder[T]) refineCoded(blk *Block[T], lo, hi T, clo, span uint32, codable, contiguous bool, mask []uint32, s *selScratch[T]) {
-	raw := d.scratch(GroupSize)
+	// fix lists the selected exception slots as pos<<1 | verdict.
+	if cap(s.fix) < blk.N {
+		s.fix = make([]int32, 0, blk.N)
+	}
+	fix := s.fix[:0]
 	numGroups := blk.NumGroups()
 	for g := 0; g < numGroups; g++ {
-		gStart, gEnd := groupBounds(blk, g)
-		n := gEnd - gStart
-		w0 := gStart >> 5
-		w1 := (gEnd + 31) >> 5
-		last := lastLive(mask, w0, w1)
-		if last < 0 {
+		es, ee := blk.groupExc(g)
+		if es == ee {
 			continue
 		}
-		// xpos[:nl]: the selected exception slots; keep: the bits of those
-		// whose value matches, one word per mask word of the group.
-		var keep [GroupSize / 32]uint32
-		nl := 0
-		if es, ee := blk.groupExc(g); es != ee {
-			pos := gStart + blk.patchStart(g)
-			for k := es; k < ee && pos <= last; k++ {
-				if bit := uint32(1) << (uint(pos) & 31); mask[pos>>5]&bit != 0 {
-					s.xpos[nl] = int32(pos)
-					nl++
-					if ev := blk.Exc[k]; ev >= lo && ev <= hi {
-						keep[pos>>5-w0] |= bit
-					}
-				}
-				pos += int(bitpack.CodeAt(blk.Codes, pos, blk.B)) + 1
+		gStart, gEnd := groupBounds(blk, g)
+		last := lastLive(mask, gStart>>5, (gEnd+31)>>5)
+		pos := gStart + blk.patchStart(g)
+		for k := es; k < ee && pos <= last; k++ {
+			if mask[pos>>5]&(1<<(uint(pos)&31)) != 0 {
+				fix = append(fix, int32(pos<<1|b2i(blk.Exc[k] >= lo && blk.Exc[k] <= hi)))
 			}
+			pos += int(bitpack.CodeAt(blk.Codes, pos, blk.B)) + 1
 		}
-		switch {
-		case !codable:
-			clear(mask[w0:w1])
-		case contiguous:
-			full := n / 32
-			b := int(blk.B)
-			bitpack.RefineMask(mask[w0:w0+full], blk.Codes[4*g*b:], blk.B, clo, span)
-			if tail := n % 32; tail > 0 {
-				mask[w0+full] = bitpack.RefineMaskTail(blk.Codes[(4*g+full)*b:], tail, blk.B, clo, span, mask[w0+full])
+	}
+	switch {
+	case !codable:
+		clear(mask)
+	case contiguous:
+		full := blk.N / 32
+		bitpack.RefineMask(mask[:full], blk.Codes, blk.B, clo, span)
+		if tail := blk.N % 32; tail > 0 {
+			mask[full] = bitpack.RefineMaskTail(blk.Codes[full*int(blk.B):], tail, blk.B, clo, span, mask[full])
+		}
+	default:
+		// Non-contiguous PDICT: unpack each group with survivors once and
+		// test each still-live word's codes against the per-code bitmap.
+		raw := d.scratch(GroupSize)
+		bm := s.bm
+		for g := 0; g < numGroups; g++ {
+			gStart, gEnd := groupBounds(blk, g)
+			n := gEnd - gStart
+			w0 := gStart >> 5
+			if allZero(mask[w0 : (gEnd+31)>>5]) {
+				continue
 			}
-		default:
-			// Non-contiguous PDICT: unpack the group once and test each
-			// still-live word's codes against the per-code bitmap.
 			unpackGroup(blk, g, n, raw)
-			bm := s.bm
 			for i := 0; i < n; i += 32 {
 				w := w0 + i>>5
 				m := mask[w]
@@ -227,13 +228,12 @@ func (d *Decoder[T]) refineCoded(blk *Block[T], lo, hi T, clo, span uint32, coda
 				mask[w] = m & match
 			}
 		}
-		for _, pos := range s.xpos[:nl] {
-			mask[pos>>5] &^= 1 << (uint(pos) & 31)
-		}
-		for i, w := range keep[:w1-w0] {
-			mask[w0+i] |= w
-		}
 	}
+	for _, f := range fix {
+		pos := f >> 1
+		mask[pos>>5] = mask[pos>>5]&^(1<<(uint(pos)&31)) | uint32(f&1)<<(uint(pos)&31)
+	}
+	s.fix = fix
 }
 
 // maskPFORDelta emits the match bitmap of a PFOR-DELTA block: deltas have
@@ -304,23 +304,24 @@ func (d *Decoder[T]) refinePFORDelta(blk *Block[T], lo, hi T, mask []uint32, s *
 // the benchmark's column shapes (experiments.SynthBenchColumns), every
 // group holding the given number of selected rows at random positions,
 // best of five runs on the throttled 2-vCPU box (go1.24, amd64,
-// host.mem_gb_s ≈ 19). Sparse costs about 20 + 6..8 ns per row, dense about
-// 150 + 1 ns per row; the shapes cross between 14 and 32 rows. At 128 the
-// dense column is the block-level Decompress a fully selected block takes.
-// Re-run the benchmark when either path changes.
+// host.mem_gb_s ≈ 5-6 during the run: the box was loaded, so compare the
+// columns with each other, not with figures taken elsewhere). The shapes
+// cross between 16 and 40 rows. At 128 the dense column is the
+// block-level Decompress a fully selected block takes. Re-run the
+// benchmark when either path changes.
 //
 //	            a: PFOR 10 bit, 2 %   b: PFOR 16 bit, 10 %   d: PDICT 6 bit, 1 %
 //	rows/group     sparse    dense       sparse    dense       sparse    dense
-//	         2         28      150           55      161           21      178
-//	         4         42      139           76      163           27      169
-//	         8        100      156          126      175           45      170
-//	        16        124      150          202      180          100      186
-//	        24        211      168          240      177          146      186
-//	        32        270      184          277      182          192      192
-//	        40        332      194          329      209          247      171
-//	        48        364      199          325      209          265      218
-//	        64        486      215          428      220          386      247
-//	       128        501       96          569       86          540      106
+//	         2         55      214           56      222           25      202
+//	         4         39      249           72      201           37      268
+//	         8        130      315          140      327           72      216
+//	        16        185      274          230      202          162      356
+//	        24        245      241          269      213          215      345
+//	        32        302      388          309      222          289      301
+//	        40        416      288          374      260          263      352
+//	        48        466      313          382      311          389      344
+//	        64        571      337          463      322          442      259
+//	       128        748      240          647      149          600      133
 const denseGatherMin = 24
 
 // DecompressSelected appends the values of blk at the rows selected by sv

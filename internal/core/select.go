@@ -42,10 +42,10 @@ import (
 // selScratch is the block-level selection scratch. It lives in the Decoder
 // so steady-state filtered scans allocate nothing.
 type selScratch[T Integer] struct {
-	mask []uint32         // one match bit per value, (N+31)/32 words
-	xpos [GroupSize]int32 // exception positions of one group, in order
-	vbuf [GroupSize]T     // decoded group values (PFOR-DELTA fallback)
-	bm   []uint64         // PDICT code-match bitmap, 1<<B bits
+	mask []uint32     // one match bit per value, (N+31)/32 words
+	vbuf [GroupSize]T // decoded group values (PFOR-DELTA fallback)
+	bm   []uint64     // PDICT code-match bitmap, 1<<B bits
+	fix  []int32      // selected exception slots of a refinement, pos<<1 | verdict
 }
 
 // pforCodeRange translates the value-domain range [lo, hi] (lo <= hi) into
@@ -82,24 +82,6 @@ func groupBounds[T Integer](blk *Block[T], g int) (start, end int) {
 		end = blk.N
 	}
 	return start, end
-}
-
-// excPositions walks group g's patch list and writes the block-absolute
-// position of every exception to out, returning the filled prefix. The
-// gaps live in the code slots, so each hop extracts one packed code.
-func (d *Decoder[T]) excPositions(blk *Block[T], g int, out *[GroupSize]int32) []int32 {
-	es, ee := blk.groupExc(g)
-	if es == ee {
-		return out[:0]
-	}
-	pos := g*GroupSize + blk.patchStart(g)
-	n := 0
-	for k := es; k < ee; k++ {
-		out[n] = int32(pos)
-		n++
-		pos += int(bitpack.CodeAt(blk.Codes, pos, blk.B)) + 1
-	}
-	return out[:n]
 }
 
 // maskBuf sizes the scratch mask to cover n values and returns it.
