@@ -1,10 +1,11 @@
 // Command zkserved serves columnar scans over HTTP. It registers every
-// table found under -data (one subdirectory per table, one .zkc column
-// container per file) and exposes POST /scan, GET /tables, GET /healthz
-// and GET /metrics via the zkserve package: predicate pushdown into the
-// compressed-domain scan engine, admission control with 429 shedding,
-// per-query row/byte/time budgets, Prometheus metrics and structured
-// request logs.
+// table found under -data (one zktable directory per table: a manifest
+// and its segments' column containers; a subdirectory of loose .zkc
+// containers is refused) and exposes POST /scan, GET /tables, GET
+// /healthz and GET /metrics via the zkserve package: predicate pushdown
+// into the compressed-domain scan engine, admission control with 429
+// shedding, per-query row/byte/time budgets, Prometheus metrics and
+// structured request logs.
 //
 // Column reads retry transient I/O failures with jittered backoff
 // (-retry-attempts, -retry-base); blocks whose checksum mismatch
@@ -168,8 +169,8 @@ func main() {
 }
 
 // parseGenSpec parses name:rows:cols[:blockValues[:codec[:segments]]].
-// segments > 1 generates a sharded zktable directory (rows per segment)
-// instead of flat per-column files.
+// The table is a zktable directory of segments committed segments (one
+// when omitted) of rows rows each.
 func parseGenSpec(s string, seed int64) (zkserve.TableSpec, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) < 3 || len(parts) > 6 {

@@ -14,18 +14,14 @@ import (
 // engine left a conjunct on it to evaluate. c0 is the row number in
 // 512-row blocks, so c0 in [700, 3000] has five candidate blocks: 1 and 5
 // are cut by the window, 2..4 are covered whole — there the engine drops
-// the conjunct and never reads c0.
+// the conjunct and never reads c0. Every case runs on the one-segment
+// table t and on st, the same rows cut into three segments.
 func TestRawBytesScannedFollowsTheVerdict(t *testing.T) {
-	flatSrv, _, flatClient := newTestServer(t, zkserve.Config{})
+	oneSrv, _, oneClient := newTestServer(t, zkserve.Config{})
 
 	dir := t.TempDir()
 	buildShardedTable(t, dir, []int{2048, 2048, 4096})
-	reg, err := zkserve.OpenDir(dir)
-	if err != nil {
-		t.Fatalf("OpenDir: %v", err)
-	}
-	t.Cleanup(func() { reg.Close() })
-	shardedSrv, _, shardedClient := newTestServer(t, zkserve.Config{Registry: reg})
+	shardedSrv, _, shardedClient := newTestServer(t, zkserve.Config{Registry: openTestDir(t, dir)})
 
 	const block = testBV * 8 // raw bytes of one int64 column block
 	window := pred("c0", 700, 3000)
@@ -33,10 +29,10 @@ func TestRawBytesScannedFollowsTheVerdict(t *testing.T) {
 	noRow := func(int64, []int64) bool { return true }
 	noFrame := func([]zkserve.FrameStreamCol, *zkserve.FrameBlock) bool { return true }
 	cases := []struct {
-		name     string
-		scan     func(cl *client.Client, table string) error
-		want     int64
-		flatOnly bool // names a column only the flat table has
+		name string
+		scan func(cl *client.Client, table string) error
+		want int64
+		only string // runs on this table of the one-segment registry alone
 	}{
 		{
 			name: "aggregate of c1: c1 in 5 candidates, c0 in the 2 the window cuts",
@@ -76,25 +72,28 @@ func TestRawBytesScannedFollowsTheVerdict(t *testing.T) {
 			want: 5 * block,
 		},
 		{
-			name: "frames of c1 and the int32 w32: each output at its own width",
+			name: "rows of the int32 w32 under its own predicate: charged at 4 bytes a value",
 			scan: func(cl *client.Client, table string) error {
-				_, err := cl.ScanFrames(ctx, zkserve.ScanRequest{Table: table, Cols: []string{"c1", "w32"},
-					Preds: []zkserve.PredSpec{window}}, noFrame)
+				_, err := cl.ScanRows(ctx, zkserve.ScanRequest{Table: table, Cols: []string{"w32"},
+					Preds: []zkserve.PredSpec{pred("w32", 10, 20)}}, noRow)
 				return err
 			},
-			want:     5*block + 5*block/2,
-			flatOnly: true,
+			// w32 is the row number mod 100: no block is pruned.
+			want: testRows / testBV * block / 2,
+			only: "w32",
 		},
 	}
 	for _, tc := range cases {
-		for _, eng := range []struct {
+		engines := []struct {
 			table string
 			srv   *zkserve.Server
 			cl    *client.Client
-		}{{"t", flatSrv, flatClient}, {"st", shardedSrv, shardedClient}} {
-			if tc.flatOnly && eng.table != "t" {
-				continue
-			}
+		}{{"t", oneSrv, oneClient}, {"st", shardedSrv, shardedClient}}
+		if tc.only != "" {
+			engines = engines[:1]
+			engines[0].table = tc.only
+		}
+		for _, eng := range engines {
 			before := eng.srv.Metrics().RawBytesScanned.Load()
 			if err := tc.scan(eng.cl, eng.table); err != nil {
 				t.Fatalf("%s, table %s: %v", tc.name, eng.table, err)

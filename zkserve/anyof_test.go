@@ -185,7 +185,6 @@ func TestAnyOfRejections(t *testing.T) {
 		}}, http.StatusUnprocessableEntity},
 		{"empty group", []zkserve.PredGroup{{}}, http.StatusBadRequest},
 		{"unknown column", client.AnyOf([]zkserve.PredSpec{pred("nope", 0, 1)}), http.StatusNotFound},
-		{"mixed width", client.AnyOf([]zkserve.PredSpec{pred("w32", 0, 1)}), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		_, err := cl.ScanRows(context.Background(), zkserve.ScanRequest{

@@ -5,41 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/zkserve"
 )
-
-// newFileRegistry builds the standard test table out of file-backed
-// columns, the configuration the hot-block cache exists for.
-func newFileRegistry(t *testing.T, opts ...zkserve.RegistryOption) *zkserve.Registry {
-	t.Helper()
-	dir := t.TempDir()
-	c0 := make([]int64, testRows)
-	c1 := make([]int64, testRows)
-	for i := range c0 {
-		c0[i] = int64(i)
-		c1[i] = c1Val(int64(i))
-	}
-	reg := zkserve.NewRegistry(opts...)
-	t.Cleanup(func() { reg.Close() })
-	for col, data := range map[string][]byte{
-		"c0": encodeCol(t, c0, testBV),
-		"c1": encodeCol(t, c1, testBV),
-	} {
-		path := filepath.Join(dir, col+".zkc")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.AddColumnFile("t", col, path); err != nil {
-			t.Fatalf("AddColumnFile(%s): %v", col, err)
-		}
-	}
-	return reg
-}
 
 // scrapeMetric pulls one un-labeled series value out of /metrics.
 func scrapeMetric(t *testing.T, url, name string) int64 {
@@ -64,11 +34,11 @@ func scrapeMetric(t *testing.T, url, name string) int64 {
 }
 
 // TestCacheServesRepeatScans: with WithCacheBytes set, the second
-// frame-mode sweep over a file-backed table is answered from the cache
+// frame-mode sweep over a table is answered from the cache
 // — hits show up in the registry stats, /metrics and /tables — and both
 // sweeps carry identical data.
 func TestCacheServesRepeatScans(t *testing.T) {
-	reg := newFileRegistry(t, zkserve.WithCacheBytes(64<<20))
+	reg := newTestRegistry(t, zkserve.WithCacheBytes(64<<20))
 	_, ts, cl := newTestServer(t, zkserve.Config{Registry: reg})
 
 	sweep := func() (rows int64, frames int) {
@@ -131,7 +101,7 @@ func TestCacheRowScansAgree(t *testing.T) {
 		Preds: []zkserve.PredSpec{pred("c1", 100, 499)},
 	}
 	collect := func(cacheBytes int64) map[int64]int64 {
-		reg := newFileRegistry(t, zkserve.WithCacheBytes(cacheBytes))
+		reg := newTestRegistry(t, zkserve.WithCacheBytes(cacheBytes))
 		_, _, cl := newTestServer(t, zkserve.Config{Registry: reg})
 		got := map[int64]int64{}
 		for pass := 0; pass < 2; pass++ {
@@ -165,7 +135,7 @@ func TestCacheRowScansAgree(t *testing.T) {
 // TestCacheDisabledZeroSeries: with no cache configured the series still
 // exist, zero-valued, and /tables reports it off.
 func TestCacheDisabledZeroSeries(t *testing.T) {
-	_, ts, cl := newTestServer(t, zkserve.Config{Registry: newFileRegistry(t)})
+	_, ts, cl := newTestServer(t, zkserve.Config{Registry: newTestRegistry(t)})
 	if got := scrapeMetric(t, ts.URL, "zkserve_cache_enabled"); got != 0 {
 		t.Fatal("cache reported enabled")
 	}
@@ -181,15 +151,15 @@ func TestCacheDisabledZeroSeries(t *testing.T) {
 	}
 }
 
-// TestCacheRegistryOption: WithCacheBytes at construction wires columns
-// registered afterwards, and EnableCache retrofits columns registered
-// before — both end with every file-backed reader caching.
+// TestCacheRegistryOption: WithCacheBytes at construction wires tables
+// registered afterwards, and EnableCache retrofits tables registered
+// before — both end with every segment reader caching.
 func TestCacheRegistryOption(t *testing.T) {
-	viaOption := newFileRegistry(t, zkserve.WithCacheBytes(1<<20))
+	viaOption := newTestRegistry(t, zkserve.WithCacheBytes(1<<20))
 	if !viaOption.CacheEnabled() || viaOption.CacheCapacity() != 1<<20 {
 		t.Fatalf("option: enabled=%v capacity=%d", viaOption.CacheEnabled(), viaOption.CacheCapacity())
 	}
-	retro := newFileRegistry(t)
+	retro := newTestRegistry(t)
 	if retro.CacheEnabled() {
 		t.Fatal("cache on before EnableCache")
 	}
@@ -216,24 +186,5 @@ func TestCacheRegistryOption(t *testing.T) {
 	retro.EnableCache(0)
 	if retro.CacheEnabled() {
 		t.Fatal("EnableCache(0) left the cache on")
-	}
-}
-
-// TestCacheInMemoryColumnsBypass: an all-in-memory registry with a cache
-// configured never fills it — the stable readers bypass by design.
-func TestCacheInMemoryColumnsBypass(t *testing.T) {
-	reg := newTestRegistry(t, zkserve.WithCacheBytes(1<<20))
-	_, _, cl := newTestServer(t, zkserve.Config{Registry: reg})
-	if _, err := cl.ScanRows(context.Background(), zkserve.ScanRequest{
-		Table: "t", Cols: []string{"c0"},
-	}, func(int64, []int64) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	st := reg.CacheStats()
-	if st.Puts != 0 || st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("in-memory columns drove the cache: %+v", st)
-	}
-	if !reg.CacheEnabled() {
-		t.Fatal("cache config lost")
 	}
 }

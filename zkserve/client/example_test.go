@@ -1,50 +1,48 @@
 package client_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 
 	"repro/zkserve"
 	"repro/zkserve/client"
-	"repro/zukowski"
+	"repro/zktable"
 )
 
 // Example walks the whole client surface against an in-process server:
 // list tables, stream a filtered row scan, and push an aggregate down
 // into the compressed domain.
 func Example() {
-	// Build a one-table registry in memory. Real deployments point
-	// zkserve.OpenDir at a directory of .zkc containers instead.
-	encode := func(vals []int64) []byte {
-		var buf bytes.Buffer
-		cw, err := zukowski.NewColumnWriter[int64](&buf, nil, 64)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cw.Write(vals); err != nil {
-			log.Fatal(err)
-		}
-		if err := cw.Close(); err != nil {
-			log.Fatal(err)
-		}
-		return buf.Bytes()
+	// Write a one-table data directory, then serve it. Real deployments
+	// point zkserve.OpenDir at a directory of tables written by ingest.
+	dir, err := os.MkdirTemp("", "zkserve-example")
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer os.RemoveAll(dir)
 	ids := make([]int64, 256)
 	scores := make([]int64, 256)
 	for i := range ids {
 		ids[i] = int64(i)
 		scores[i] = int64(i) % 10
 	}
-	reg := zkserve.NewRegistry()
-	if err := reg.AddColumnBytes("events", "id", encode(ids)); err != nil {
+	events, err := zktable.Create[int64](filepath.Join(dir, "events"), []string{"id", "score"}, 64, zktable.Options{})
+	if err != nil {
 		log.Fatal(err)
 	}
-	if err := reg.AddColumnBytes("events", "score", encode(scores)); err != nil {
+	if _, err := events.Append([][]int64{ids, scores}); err != nil {
 		log.Fatal(err)
 	}
+	events.Close()
+	reg, err := zkserve.OpenDir(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer reg.Close()
 
 	ts := httptest.NewServer(zkserve.NewServer(zkserve.Config{Registry: reg}))
 	defer ts.Close()

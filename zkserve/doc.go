@@ -30,26 +30,23 @@
 //
 // WithCacheBytes (zkserved -cache-bytes) gives a registry one process-wide
 // hot-block cache — a zukowski.BlockLRU over verified raw frames —
-// shared across every registered table, so repeat traffic to
-// file-backed columns skips the per-block read and checksum work.
+// shared across every registered table, so repeat traffic skips the
+// per-block read and checksum work.
 // Containers are immutable, so the cache needs no invalidation;
 // corrupt blocks are never admitted. /metrics always exports the cache
 // series (hits, misses, inserts, evictions, resident/capacity bytes,
 // entries — zero-valued when the cache is off) and /tables reports the
 // cache configuration alongside the table listing.
 //
-// Tables are directories of .zkc column containers registered from a
-// data directory (one subdirectory per table) or from memory — flat
-// tables, each request running on a ColumnSet built over the columns it
-// involves — or zktable directories, served as sharded tables whose
-// requests run on the zktable handle directly. The container header
-// records element width but not signedness, so columns are served as
-// signed integers of their stored width; values travel as int64 on the
-// wire. Columns scanned together in one request must agree on block
-// geometry (rows and block boundaries), and the columns evaluated or
-// materialized together on element width: every involved column in row
-// and aggregate mode, the predicate columns in frame mode (whose output
-// frames may mix widths). Anything else is refused with 422.
+// Every served table is a zktable directory — a manifest naming the
+// committed segments, each one .zkc container per column — registered
+// from a data directory (one subdirectory per table); requests run on
+// the zktable handle directly, with global row and block numbering
+// across segments. A table has one width and one geometry, by
+// construction: its columns are signed integers of the manifest's
+// element width, and values travel as int64 on the wire. A subdirectory
+// of loose .zkc containers without a manifest is refused at startup;
+// zktable.Create and Append turn such columns into a table.
 //
 // The companion packages are repro/zkserve/client (a small typed client,
 // used by cmd/loadgen and the tests) and the commands cmd/zkserved (the

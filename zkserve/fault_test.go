@@ -21,43 +21,40 @@ import (
 // [faultBlock*testBV, (faultBlock+1)*testBV).
 const faultBlock = 5
 
-// newFaultyRegistry writes table "t" (c0 = row number, c1 = c1Val) to
-// disk, flips one payload byte in block faultBlock of c1, and registers
-// the files with opts. File-backed on purpose: only the ReaderAt path
-// exercises retries and quarantine.
+// newFaultyRegistry writes the standard test tables, flips one payload
+// byte in block faultBlock of t's c1 segment file, and opens the
+// directory with opts. The flip is below the manifest's notice — the
+// segment opens — and surfaces as a checksum mismatch when the block is
+// read.
 func newFaultyRegistry(t *testing.T, opts ...zkserve.RegistryOption) *zkserve.Registry {
 	t.Helper()
-	c0 := make([]int64, testRows)
-	c1 := make([]int64, testRows)
-	for i := range c0 {
-		c0[i] = int64(i)
-		c1[i] = c1Val(int64(i))
+	dir := writeTestTables(t)
+	path := filepath.Join(dir, "t", "seg-00000001-c1.zkc")
+	data, info := blockInfo(t, path, faultBlock)
+	data[int(info.Offset)+info.Length/2] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	reg := zkserve.NewRegistry(opts...)
-	for col, vals := range map[string][]int64{"c0": c0, "c1": c1} {
-		data := encodeCol(t, vals, testBV)
-		if col == "c1" {
-			cr, err := zukowski.OpenColumn[int64](data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			info, err := cr.BlockInfo(faultBlock)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[int(info.Offset)+info.Length/2] ^= 0x20
-		}
-		path := filepath.Join(dir, col+".zkc")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.AddColumnFile("t", col, path); err != nil {
-			t.Fatalf("AddColumnFile(%s): %v", col, err)
-		}
+	return openTestDir(t, dir, opts...)
+}
+
+// blockInfo reads the int64 column container at path and returns its
+// bytes and the directory entry of block b.
+func blockInfo(t *testing.T, path string, b int) ([]byte, zukowski.BlockInfo[int64]) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Cleanup(func() { reg.Close() })
-	return reg
+	cr, err := zukowski.OpenColumn[int64](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := cr.BlockInfo(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, info
 }
 
 // TestDegradedScanEndToEnd drives the whole corruption story over HTTP:
@@ -106,7 +103,7 @@ func TestDegradedScanEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := tables.Tables[0]
+	meta := findTable(t, tables, "t")
 	if !meta.Degraded {
 		t.Fatalf("table meta not degraded: %+v", meta)
 	}
@@ -219,22 +216,12 @@ func TestRegistryRetryPolicy(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	data := encodeCol(t, vals, testBV)
-	cr, err := zukowski.OpenColumn[int64](data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := cr.BlockInfo(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "c0.zkc")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	writeTable(t, dir, "t", []string{"c0"}, [][]int64{vals}, testBV)
+	_, info := blockInfo(t, filepath.Join(dir, "t", "seg-00000001-c0.zkc"), 3)
 
 	var injected *faultio.ReaderAt
-	reg := zkserve.NewRegistry(
+	reg := openTestDir(t, dir,
 		zkserve.WithRetryPolicy(zukowski.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}),
 		zkserve.WithSourceWrapper(func(r io.ReaderAt, size int64) io.ReaderAt {
 			// Arm the faults on one block's payload so the open-time header
@@ -245,10 +232,6 @@ func TestRegistryRetryPolicy(t *testing.T) {
 			return injected
 		}),
 	)
-	if err := reg.AddColumnFile("t", "c0", path); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { reg.Close() })
 
 	_, _, cl := newTestServer(t, zkserve.Config{Registry: reg})
 	res, err := cl.ScanRows(context.Background(), zkserve.ScanRequest{Table: "t", Cols: []string{"c0"}}, nil)
@@ -263,5 +246,70 @@ func TestRegistryRetryPolicy(t *testing.T) {
 	}
 	if n := reg.QuarantinedBlocks(); n != 0 {
 		t.Fatalf("%d blocks quarantined after transient-only faults", n)
+	}
+}
+
+// TestChaosDegradedServe mirrors the CI chaos job in process: a
+// generated one-segment table is served through WithSourceWrapper with a
+// bit flip armed inside one frame of c1 and read retries on. A degraded
+// full frame sweep succeeds and accounts the lost rows, and the
+// quarantine shows on /tables, /healthz and /metrics.
+func TestChaosDegradedServe(t *testing.T) {
+	dir := t.TempDir()
+	if err := zkserve.GenerateTable(dir, zkserve.TableSpec{Name: "chaos", Rows: 20000, Cols: 3, BlockValues: testBV, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	c1 := filepath.Join(dir, "chaos", "seg-00000001-c1.zkc")
+	_, info := blockInfo(t, c1, faultBlock)
+	reg := openTestDir(t, dir,
+		zkserve.WithRetryPolicy(zukowski.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond}),
+		zkserve.WithSourceWrapper(func(r io.ReaderAt, size int64) io.ReaderAt {
+			if f, ok := r.(*os.File); !ok || f.Name() != c1 {
+				return r
+			}
+			return faultio.NewReaderAt(r, 1, faultio.Rule{
+				Kind: faultio.BitFlip, Off: info.Offset + int64(info.Length)/2, Len: 8,
+			})
+		}),
+	)
+	_, ts, cl := newTestServer(t, zkserve.Config{Registry: reg})
+	ctx := context.Background()
+
+	tables, err := cl.Tables(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := findTable(t, tables, "chaos"); m.Segments != 1 || m.Generation < 2 {
+		t.Fatalf("generated table: segments/generation = %d/%d, want 1/>=2", m.Segments, m.Generation)
+	}
+
+	res, err := cl.ScanFrames(ctx, zkserve.ScanRequest{
+		Table: "chaos", Cols: []string{"c0", "c1", "c2"}, SkipCorrupt: true,
+	}, nil)
+	if err != nil {
+		t.Fatalf("degraded sweep: %v", err)
+	}
+	if !res.Degraded || res.RowsLost <= 0 || res.Rows+res.RowsLost != 20000 {
+		t.Fatalf("degraded sweep = %+v, want rows lost and every row accounted", res)
+	}
+
+	if tables, err = cl.Tables(ctx); err != nil {
+		t.Fatal(err)
+	}
+	q := 0
+	for _, cm := range findTable(t, tables, "chaos").Columns {
+		q += cm.QuarantinedBlocks
+	}
+	if q < 1 {
+		t.Fatal("/tables reports no quarantined block")
+	}
+	if body := httpGet(t, ts.URL+"/healthz"); !strings.Contains(body, "degraded") {
+		t.Fatalf("healthz body = %q, want degraded", body)
+	}
+	if n := scrapeMetric(t, ts.URL, "zkserve_blocks_quarantined"); n < 1 {
+		t.Fatalf("zkserve_blocks_quarantined = %d, want >= 1", n)
+	}
+	if n := scrapeMetric(t, ts.URL, "zkserve_scans_degraded_total"); n < 1 {
+		t.Fatalf("zkserve_scans_degraded_total = %d, want >= 1", n)
 	}
 }

@@ -15,85 +15,15 @@ import (
 )
 
 // Typed errors of the serving layer. The HTTP handlers map these to
-// status codes: ErrUnknownTable/ErrUnknownColumn to 404, ErrMismatch
-// (and zukowski.ErrColumnSetMismatch) to 422, ErrBadRequest to 400.
+// status codes: ErrUnknownTable/ErrUnknownColumn to 404, ErrMismatch to
+// 422 (a request understood but not supported, such as a nested any_of),
+// ErrBadRequest to 400.
 var (
 	ErrUnknownTable  = errors.New("zkserve: unknown table")
 	ErrUnknownColumn = errors.New("zkserve: unknown column")
 	ErrBadRequest    = errors.New("zkserve: bad request")
-	ErrMismatch      = errors.New("zkserve: columns cannot be scanned together")
+	ErrMismatch      = errors.New("zkserve: unsupported request")
 )
-
-// colHandle is the width-erased handle of one registered column of a
-// flat table. The underlying reader is a zukowski.ColumnReader[T] for the
-// signed integer type of the column's stored element width; geometry and
-// statistics cross this boundary untyped, predicates cross it inside the
-// typed ColumnSet a request is bound to.
-type colHandle interface {
-	colName() string
-	widthBytes() int
-	rows() int
-	numBlocks() int
-	blockCount(b int) int
-	// meta folds the reader's directory into a capability-listing entry.
-	meta() ColumnMeta
-	// frameBytes returns block b's raw frame, checksum-verified when the
-	// container stores one. The returned slice must not be modified.
-	frameBytes(b int) ([]byte, error)
-	// setCache attaches the registry's hot-block cache to the reader
-	// (a no-op for in-memory columns, which are already resident).
-	setCache(c zukowski.BlockCache)
-	// reader returns the underlying *zukowski.ColumnReader[T].
-	reader() any
-}
-
-// column is the generic colHandle implementation for one element type.
-type column[T zukowski.Integer] struct {
-	name   string
-	cr     *zukowski.ColumnReader[T]
-	counts []int32 // counts[b] = rows in block b, for the per-request geometry check
-}
-
-func (c *column[T]) colName() string  { return c.name }
-func (c *column[T]) widthBytes() int  { return int(elemWidth(*new(T))) }
-func (c *column[T]) rows() int        { return c.cr.Len() }
-func (c *column[T]) numBlocks() int   { return c.cr.NumBlocks() }
-func (c *column[T]) meta() ColumnMeta { return columnMeta(c.name, c.cr) }
-func (c *column[T]) reader() any      { return c.cr }
-
-func (c *column[T]) blockCount(b int) int { return int(c.counts[b]) }
-
-// frameBytes delegates to the reader's verified frame path, so frame-mode
-// streaming shares the reader's verification latch (in-memory) or the
-// registry's hot-block cache (file-backed) instead of re-reading and
-// re-hashing the payload per request.
-func (c *column[T]) frameBytes(b int) ([]byte, error) { return c.cr.FrameBytes(b) }
-
-func (c *column[T]) setCache(cache zukowski.BlockCache) { c.cr.SetBlockCache(cache) }
-
-// columnMeta describes one reader for the capability listing, folding its
-// zone maps into one column-wide [min, max] (what loadgen draws predicate
-// windows from) and counting the blocks it has latched as corrupt.
-func columnMeta[T zukowski.Integer](name string, cr *zukowski.ColumnReader[T]) ColumnMeta {
-	cm := ColumnMeta{
-		Name:              name,
-		WidthBytes:        int(elemWidth(*new(T))),
-		Rows:              cr.Len(),
-		Blocks:            cr.NumBlocks(),
-		CompressedBytes:   cr.CompressedBytes(),
-		QuarantinedBlocks: len(cr.QuarantinedBlocks()),
-	}
-	for b := 0; b < cm.Blocks; b++ {
-		if lo, hi, ok := cr.ZoneMap(b); !ok {
-			break
-		} else if !cm.HasMinMax {
-			cm.Min, cm.Max, cm.HasMinMax = int64(lo), int64(hi), true
-		} else {
-			cm.Min, cm.Max = min(cm.Min, int64(lo)), max(cm.Max, int64(hi))
-		}
-	}
-	return cm
-}
 
 // elemWidth returns T's size in bytes without reflection on the hot path.
 func elemWidth[T zukowski.Integer](T) uintptr {
@@ -129,79 +59,25 @@ func clampRange[T zukowski.Integer](lo, hi int64) (tlo, thi T, ok bool) {
 	return T(max(lo, minT)), T(min(hi, maxT)), true
 }
 
-// openColumn opens the container as element type T and wraps it.
-func openColumn[T zukowski.Integer](name string, mem []byte, src io.ReaderAt, size int64, opts []zukowski.ReaderOption) (colHandle, error) {
-	var cr *zukowski.ColumnReader[T]
-	var err error
-	if mem != nil {
-		cr, err = zukowski.OpenColumn[T](mem)
-	} else {
-		cr, err = zukowski.OpenColumnReaderAt[T](src, size, opts...)
-	}
-	if err != nil {
-		return nil, err
-	}
-	c := &column[T]{name: name, cr: cr, counts: make([]int32, cr.NumBlocks())}
-	for b := range c.counts {
-		info, err := cr.BlockInfo(b)
-		if err != nil {
-			return nil, err
-		}
-		c.counts[b] = int32(info.Count)
-	}
-	return c, nil
-}
-
-// newColHandle sniffs the container's element width from its header and
-// opens the column as the signed integer type of that width (the header
-// records width, not signedness).
-func newColHandle(name string, mem []byte, src io.ReaderAt, size int64, opts []zukowski.ReaderOption) (colHandle, error) {
-	var hdr [16]byte
-	if mem != nil {
-		if len(mem) < len(hdr) {
-			return nil, fmt.Errorf("%w: %d bytes", zukowski.ErrCorruptColumn, len(mem))
-		}
-		copy(hdr[:], mem)
-	} else {
-		if _, err := src.ReadAt(hdr[:], 0); err != nil {
-			return nil, fmt.Errorf("%w: reading header: %v", zukowski.ErrCorruptColumn, err)
-		}
-	}
-	switch hdr[4] {
-	case 1:
-		return openColumn[int8](name, mem, src, size, opts)
-	case 2:
-		return openColumn[int16](name, mem, src, size, opts)
-	case 4:
-		return openColumn[int32](name, mem, src, size, opts)
-	case 8:
-		return openColumn[int64](name, mem, src, size, opts)
-	}
-	return nil, fmt.Errorf("%w: unsupported element width %d", zukowski.ErrCorruptColumn, hdr[4])
-}
-
-// backend is what a Table is served from. A flat table is a set of
-// individually registered column containers (flatTable); a sharded one is
-// a zktable directory — one committed manifest generation spanning many
-// immutable segments (shard). Either binds a validated plan to the typed
-// engine that runs it; nothing above this interface knows which it has.
+// backend is what a Table is served from: a zktable directory — one
+// committed manifest generation spanning many immutable segments — held
+// as its typed handle (shard[T]). This interface erases the element type
+// T; nothing above it knows which width it serves.
 type backend interface {
-	colWidth(i int) int
+	// colWidth is the element width in bytes, one for the whole table.
+	colWidth() int
 	fillMeta(m *TableMeta)
 	setCache(c zukowski.BlockCache)
-	// bind validates p against the stored columns and translates it, once
-	// per request, into the engine's Query. aggCol is the aggregate column
-	// or -1; frames selects frame mode.
-	bind(p *scanPlan, frames bool, aggCol int) (runner, error)
+	// bind translates p, once per request, into the table's Query.
+	// aggCol is the aggregate column or -1; frames selects frame mode.
+	bind(p *scanPlan, frames bool, aggCol int) runner
 }
 
-// Table is a named collection of columns, flat or sharded (see backend).
-// Flat columns are registered and validated individually; whether a
-// particular subset can be scanned together (same geometry, one element
-// width across what is evaluated together) is checked per request, so one
-// malformed column poisons only the requests that touch it. Sharded
-// tables expose the committed generation and quarantine state on /tables
-// and scan with global row and block numbering.
+// Table is a named collection of columns served from one zktable
+// directory (see backend). Its columns share one element width and one
+// block geometry by construction, so a request needs no per-column
+// checks; /tables reports the committed generation and quarantine
+// state, and scans number rows and blocks globally across segments.
 type Table struct {
 	name     string
 	colNames []string // schema order
@@ -243,11 +119,11 @@ type ColumnMeta struct {
 // TableMeta describes one table in the /tables capability listing.
 type TableMeta struct {
 	Name    string       `json:"name"`
-	Rows    int          `json:"rows"` // committed rows (first column for flat tables)
+	Rows    int          `json:"rows"` // committed rows
 	Columns []ColumnMeta `json:"columns"`
 
-	// Sharded (zktable-backed) tables also report the committed manifest
-	// generation they serve and their segment-level health.
+	// The committed manifest generation served, and the table's
+	// segment-level health.
 	Generation          uint64 `json:"generation,omitempty"`
 	Segments            int    `json:"segments,omitempty"`
 	QuarantinedSegments int    `json:"quarantined_segments,omitempty"`
@@ -272,21 +148,22 @@ func (t *Table) Meta() TableMeta {
 	return m
 }
 
-// Registry maps table names to column sets. It is immutable once serving
-// starts: build it (OpenDir or AddColumnBytes/AddColumnFile), then share
-// it across every request — the underlying ColumnReaders are safe for
-// concurrent use, so the registry needs no locking of its own.
+// Registry maps table names to zktable handles. It is immutable once
+// serving starts: build it (OpenDir or AddShardedTable), then share it
+// across every request — the tables are safe for concurrent use, so the
+// registry needs no locking of its own.
 type Registry struct {
 	tables  map[string]*Table
 	names   []string
 	closers []io.Closer
 	cache   *zukowski.BlockLRU // shared hot-block cache, nil when disabled
 
-	// retry is applied to every file-backed column opened after it is set;
-	// wrap interposes on the raw source (fault injection, tracing).
-	retry   zukowski.RetryPolicy
-	hasRtry bool
-	wrap    func(r io.ReaderAt, size int64) io.ReaderAt
+	// retry and wrap apply to the segment readers of every table opened
+	// after they are set: retry to transient source-read failures (the
+	// zero policy retries nothing), wrap on the raw source (fault
+	// injection, tracing).
+	retry zukowski.RetryPolicy
+	wrap  func(r io.ReaderAt, size int64) io.ReaderAt
 }
 
 // RegistryOption configures a Registry at construction.
@@ -298,16 +175,17 @@ func WithCacheBytes(maxBytes int64) RegistryOption {
 	return func(r *Registry) { r.EnableCache(maxBytes) }
 }
 
-// WithRetryPolicy makes every file-backed column registered afterwards
-// retry transient source-read failures per p (see zukowski.RetryPolicy).
-// In-memory columns cannot observe I/O errors and ignore it.
+// WithRetryPolicy makes the segment readers of every table registered
+// afterwards retry transient source-read failures per p (see
+// zukowski.RetryPolicy).
 func WithRetryPolicy(p zukowski.RetryPolicy) RegistryOption {
-	return func(r *Registry) { r.retry, r.hasRtry = p, true }
+	return func(r *Registry) { r.retry = p }
 }
 
 // WithSourceWrapper interposes wrap on the raw io.ReaderAt of every
-// file-backed column registered afterwards — the hook zkserved's chaos
-// mode uses to inject faults between the reader and the filesystem.
+// segment column file of the tables registered afterwards — the hook
+// zkserved's chaos mode uses to inject faults between the reader and the
+// filesystem.
 func WithSourceWrapper(wrap func(r io.ReaderAt, size int64) io.ReaderAt) RegistryOption {
 	return func(r *Registry) { r.wrap = wrap }
 }
@@ -322,10 +200,9 @@ func NewRegistry(opts ...RegistryOption) *Registry {
 }
 
 // EnableCache gives the registry one process-wide hot-block cache of at
-// most maxBytes of verified frame bytes, shared by every file-backed
-// column across all tables (in-memory columns are already resident and
-// ignore it). Columns registered before and after the call are both
-// wired up; under the immutable-container model the cache needs no
+// most maxBytes of verified frame bytes, shared by every segment reader
+// across all tables. Tables registered before and after the call are
+// both wired up; under the immutable-container model the cache needs no
 // explicit invalidation. maxBytes <= 0 disables caching.
 func (r *Registry) EnableCache(maxBytes int64) {
 	if maxBytes <= 0 {
@@ -380,9 +257,9 @@ func (r *Registry) QuarantinedBlocks() int64 {
 	return n
 }
 
-// QuarantinedSegments sums segments out of service across all sharded
-// tables. Like QuarantinedBlocks it is read-only introspection for
-// health reporting; per-table detail is on /tables.
+// QuarantinedSegments sums segments out of service across all tables.
+// Like QuarantinedBlocks it is read-only introspection for health
+// reporting; per-table detail is on /tables.
 func (r *Registry) QuarantinedSegments() int {
 	n := 0
 	for _, t := range r.tables {
@@ -408,89 +285,13 @@ func (r *Registry) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-func (r *Registry) table(name string) *Table {
-	t, ok := r.tables[name]
-	if !ok {
-		t = &Table{name: name, byName: map[string]int{}, src: &flatTable{}}
-		r.tables[name] = t
-		r.names = append(r.names, name)
-	}
-	return t
-}
-
-func (r *Registry) addHandle(table string, h colHandle) error {
-	t := r.table(table)
-	flat, ok := t.src.(*flatTable)
-	if !ok {
-		return fmt.Errorf("%w: table %q is sharded; individual columns cannot be added", ErrBadRequest, table)
-	}
-	if _, dup := t.byName[h.colName()]; dup {
-		return fmt.Errorf("%w: table %q already has column %q", ErrBadRequest, table, h.colName())
-	}
-	t.byName[h.colName()] = len(flat.cols)
-	t.colNames = append(t.colNames, h.colName())
-	flat.cols = append(flat.cols, h)
-	if r.cache != nil {
-		h.setCache(r.cache)
-	}
-	return nil
-}
-
-// readerOpts folds the registry's reader-level configuration into the
-// options passed to every file-backed open.
-func (r *Registry) readerOpts() []zukowski.ReaderOption {
-	if !r.hasRtry {
-		return nil
-	}
-	return []zukowski.ReaderOption{zukowski.WithRetryPolicy(r.retry)}
-}
-
-// AddColumnBytes registers an in-memory column container under
-// table/col. The bytes are retained and must stay immutable.
-func (r *Registry) AddColumnBytes(table, col string, data []byte) error {
-	h, err := newColHandle(col, data, nil, int64(len(data)), nil)
-	if err != nil {
-		return fmt.Errorf("column %s/%s: %w", table, col, err)
-	}
-	return r.addHandle(table, h)
-}
-
-// AddColumnFile registers a column container file under table/col,
-// streaming blocks through an io.ReaderAt so columns larger than RAM
-// serve fine. The file stays open until Close.
-func (r *Registry) AddColumnFile(table, col, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	var src io.ReaderAt = f
-	if r.wrap != nil {
-		src = r.wrap(src, st.Size())
-	}
-	h, err := newColHandle(col, nil, src, st.Size(), r.readerOpts())
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("column %s/%s: %w", table, col, err)
-	}
-	if err := r.addHandle(table, h); err != nil {
-		f.Close()
-		return err
-	}
-	r.closers = append(r.closers, f)
-	return nil
-}
-
-// OpenDir builds a registry from a data directory: every subdirectory is
-// a table. A subdirectory holding a zktable manifest is served as a
-// sharded table (segments, generation and quarantine state included);
-// otherwise every *.zkc file inside it is a flat column named after the
-// file. A directory with no tables yields an empty registry, not an
-// error.
+// OpenDir builds a registry from a data directory: every subdirectory
+// holding a zktable manifest is a table, named after the subdirectory
+// and opened with its startup recovery (see AddShardedTable). A
+// subdirectory of loose .zkc containers without a manifest is refused
+// with an error wrapping zktable.ErrNotTable; other subdirectories and
+// files are skipped. A directory with no tables yields an empty
+// registry, not an error.
 func OpenDir(dir string, opts ...RegistryOption) (*Registry, error) {
 	r := NewRegistry(opts...)
 	entries, err := os.ReadDir(dir)
@@ -501,34 +302,38 @@ func OpenDir(dir string, opts ...RegistryOption) (*Registry, error) {
 		if !e.IsDir() {
 			continue
 		}
-		table := e.Name()
-		if zktable.IsTableDir(filepath.Join(dir, table)) {
-			if err := r.AddShardedTable(table, filepath.Join(dir, table)); err != nil {
-				r.Close()
-				return nil, err
-			}
-			continue
+		tdir := filepath.Join(dir, e.Name())
+		if zktable.IsTableDir(tdir) {
+			err = r.AddShardedTable(e.Name(), tdir)
+		} else {
+			err = refuseLooseContainers(tdir)
 		}
-		files, err := os.ReadDir(filepath.Join(dir, table))
 		if err != nil {
 			r.Close()
 			return nil, err
-		}
-		for _, f := range files {
-			if f.IsDir() || !strings.HasSuffix(f.Name(), ".zkc") {
-				continue
-			}
-			col := strings.TrimSuffix(f.Name(), ".zkc")
-			if err := r.AddColumnFile(table, col, filepath.Join(dir, table, f.Name())); err != nil {
-				r.Close()
-				return nil, err
-			}
 		}
 	}
 	return r, nil
 }
 
-// Close releases the file handles of file-backed columns.
+// refuseLooseContainers fails on a directory that holds column
+// containers but no manifest: data written that way is not a table, and
+// serving nothing of it silently would hide it. zktable.Create plus one
+// Append turns such columns into a table.
+func refuseLooseContainers(dir string) error {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		if !f.IsDir() && strings.HasSuffix(f.Name(), ".zkc") {
+			return fmt.Errorf("%w: %s holds loose .zkc containers; write them as a table with zktable.Create and Append", zktable.ErrNotTable, dir)
+		}
+	}
+	return nil
+}
+
+// Close releases every table's segment files.
 func (r *Registry) Close() error {
 	var first error
 	for _, c := range r.closers {

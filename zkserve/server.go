@@ -267,7 +267,7 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
-	case errors.Is(err, ErrMismatch), errors.Is(err, zukowski.ErrColumnSetMismatch):
+	case errors.Is(err, ErrMismatch):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusRequestTimeout
@@ -407,13 +407,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wantFrames := aggCol < 0 && strings.Contains(r.Header.Get("Accept"), MIMEFrames)
-	// Everything that would 422 must be known before the 200 header
-	// commits; mid-stream failures after this point travel in-band.
-	run, err := plan.table.src.bind(plan, wantFrames, aggCol)
-	if err != nil {
-		s.fail(w, statusFor(err), err)
-		return
-	}
+	run := plan.table.src.bind(plan, wantFrames, aggCol)
 
 	// Admission: take a worker slot now or shed the load at the door.
 	select {
@@ -572,7 +566,7 @@ func (s *Server) runFrames(ctx context.Context, w http.ResponseWriter, plan *sca
 	fw := newFrameWriter(w)
 	cols := make([]FrameStreamCol, len(plan.out))
 	for i, ci := range plan.out {
-		cols[i] = FrameStreamCol{Name: plan.table.colNames[ci], WidthBytes: plan.table.src.colWidth(ci)}
+		cols[i] = FrameStreamCol{Name: plan.table.colNames[ci], WidthBytes: plan.table.src.colWidth()}
 	}
 	fw.header(cols)
 

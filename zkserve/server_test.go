@@ -5,9 +5,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -23,24 +23,9 @@ import (
 	"repro/experiments"
 	"repro/zkserve"
 	"repro/zkserve/client"
+	"repro/zktable"
 	"repro/zukowski"
 )
-
-func encodeCol[T zukowski.Integer](t *testing.T, vals []T, blockValues int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	cw, err := zukowski.NewColumnWriter[T](&buf, nil, blockValues)
-	if err != nil {
-		t.Fatalf("NewColumnWriter: %v", err)
-	}
-	if err := cw.Write(vals); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	return buf.Bytes()
-}
 
 const (
 	testRows = 8192
@@ -49,12 +34,26 @@ const (
 
 func c1Val(i int64) int64 { return (i * 7919) % 1000 }
 
-// newTestRegistry builds table "t": c0 is the row number (sorted, so
-// zone maps prune), c1 a deterministic pseudo-random column, w32 an
-// int32 column with the same geometry, and "short" an int64 column with
-// half the rows (a geometry mismatch on purpose).
-func newTestRegistry(t *testing.T, opts ...zkserve.RegistryOption) *zkserve.Registry {
+// writeTable commits vals as one segment of a new table dir/name.
+func writeTable[T zukowski.Integer](t *testing.T, dir, name string, cols []string, vals [][]T, blockValues int) {
 	t.Helper()
+	tb, err := zktable.Create[T](filepath.Join(dir, name), cols, blockValues, zktable.Options{})
+	if err != nil {
+		t.Fatalf("Create %s: %v", name, err)
+	}
+	defer tb.Close()
+	if _, err := tb.Append(vals); err != nil {
+		t.Fatalf("Append %s: %v", name, err)
+	}
+}
+
+// writeTestTables writes the standard test tables into a fresh data
+// directory and returns it. Table "t": c0 is the row number (sorted, so
+// zone maps prune), c1 a deterministic pseudo-random column. Table "w32":
+// one int32 column, w32, with the same geometry.
+func writeTestTables(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
 	c0 := make([]int64, testRows)
 	c1 := make([]int64, testRows)
 	w32 := make([]int32, testRows)
@@ -63,18 +62,26 @@ func newTestRegistry(t *testing.T, opts ...zkserve.RegistryOption) *zkserve.Regi
 		c1[i] = c1Val(int64(i))
 		w32[i] = int32(i % 100)
 	}
-	reg := zkserve.NewRegistry(opts...)
-	for col, data := range map[string][]byte{
-		"c0":    encodeCol(t, c0, testBV),
-		"c1":    encodeCol(t, c1, testBV),
-		"w32":   encodeCol(t, w32, testBV),
-		"short": encodeCol(t, c0[:testRows/2], testBV),
-	} {
-		if err := reg.AddColumnBytes("t", col, data); err != nil {
-			t.Fatalf("AddColumnBytes(%s): %v", col, err)
-		}
+	writeTable(t, dir, "t", []string{"c0", "c1"}, [][]int64{c0, c1}, testBV)
+	writeTable(t, dir, "w32", []string{"w32"}, [][]int32{w32}, testBV)
+	return dir
+}
+
+// openTestDir opens dir as a registry that is closed with the test.
+func openTestDir(t *testing.T, dir string, opts ...zkserve.RegistryOption) *zkserve.Registry {
+	t.Helper()
+	reg, err := zkserve.OpenDir(dir, opts...)
+	if err != nil {
+		t.Fatalf("OpenDir: %v", err)
 	}
+	t.Cleanup(func() { reg.Close() })
 	return reg
+}
+
+// newTestRegistry serves the standard test tables (see writeTestTables).
+func newTestRegistry(t *testing.T, opts ...zkserve.RegistryOption) *zkserve.Registry {
+	t.Helper()
+	return openTestDir(t, writeTestTables(t), opts...)
 }
 
 func newTestServer(t *testing.T, cfg zkserve.Config) (*zkserve.Server, *httptest.Server, *client.Client) {
@@ -260,14 +267,7 @@ func TestErrorPaths(t *testing.T) {
 		{"unknown table", `{"table":"missing","cols":["c0"]}`, "", http.StatusNotFound},
 		{"unknown output column", `{"table":"t","cols":["zz"]}`, "", http.StatusNotFound},
 		{"unknown predicate column", `{"table":"t","cols":["c0"],"preds":[{"col":"zz"}]}`, "", http.StatusNotFound},
-		{"geometry mismatch", `{"table":"t","cols":["c0","short"]}`, "", http.StatusUnprocessableEntity},
-		{"geometry mismatch frames", `{"table":"t","cols":["c0","short"]}`, zkserve.MIMEFrames, http.StatusUnprocessableEntity},
-		{"width mismatch rows", `{"table":"t","cols":["c0","w32"]}`, "", http.StatusUnprocessableEntity},
-		{"width mismatch frames ok", `{"table":"t","cols":["c0","w32"]}`, zkserve.MIMEFrames, http.StatusOK},
-		{"cross-width predicates frames", `{"table":"t","cols":["c0"],"preds":[{"col":"c0","lo":1},{"col":"w32","lo":1}]}`, zkserve.MIMEFrames, http.StatusUnprocessableEntity},
-		{"cross-width any_of frames", `{"table":"t","cols":["c0"],"any_of":[{"preds":[{"col":"c0","lo":1}]},{"preds":[{"col":"w32","lo":1}]}]}`, zkserve.MIMEFrames, http.StatusUnprocessableEntity},
-		{"other-width predicate frames ok", `{"table":"t","cols":["c0"],"preds":[{"col":"w32","lo":10,"hi":20}]}`, zkserve.MIMEFrames, http.StatusOK},
-		{"mixed width scan ok alone", `{"table":"t","cols":["w32"],"preds":[{"col":"w32","lo":10,"hi":20}]}`, "", http.StatusOK},
+		{"mixed width scan ok alone", `{"table":"w32","cols":["w32"],"preds":[{"col":"w32","lo":10,"hi":20}]}`, "", http.StatusOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -342,11 +342,9 @@ func bigRegistry(t *testing.T, rows int) *zkserve.Registry {
 	for i := range vals {
 		vals[i] = int64(i%997) * 1048583 // ~8 digits per value on the wire
 	}
-	reg := zkserve.NewRegistry()
-	if err := reg.AddColumnBytes("big", "c0", encodeCol(t, vals, 4096)); err != nil {
-		t.Fatalf("AddColumnBytes: %v", err)
-	}
-	return reg
+	dir := t.TempDir()
+	writeTable(t, dir, "big", []string{"c0"}, [][]int64{vals}, 4096)
+	return openTestDir(t, dir)
 }
 
 func TestSaturation429AndDisconnectFreesSlot(t *testing.T) {
@@ -516,11 +514,20 @@ func TestTablesListing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Tables: %v", err)
 	}
-	if len(resp.Tables) != 1 || resp.Tables[0].Name != "t" {
+	if len(resp.Tables) != 2 || resp.Tables[0].Name != "t" || resp.Tables[1].Name != "w32" {
 		t.Fatalf("tables = %+v", resp.Tables)
 	}
-	if len(resp.Tables[0].Columns) != 4 {
+	if len(resp.Tables[0].Columns) != 2 {
 		t.Fatalf("columns = %+v", resp.Tables[0].Columns)
+	}
+	if w := resp.Tables[1].Columns[0].WidthBytes; w != 4 {
+		t.Fatalf("int32 table advertises %d-byte elements", w)
+	}
+	for _, tm := range resp.Tables {
+		if tm.Rows != testRows || tm.Segments != 1 || tm.Generation != 2 {
+			t.Fatalf("table %s: rows/segments/generation = %d/%d/%d, want %d/1/2",
+				tm.Name, tm.Rows, tm.Segments, tm.Generation, testRows)
+		}
 	}
 	if len(resp.Codecs) == 0 || resp.Codecs[0] != "pfor" {
 		t.Fatalf("codecs = %v", resp.Codecs)
@@ -540,11 +547,7 @@ func TestGenerateTableOpenDir(t *testing.T) {
 	if err := zkserve.GenerateTable(dir, spec); err != nil {
 		t.Fatalf("GenerateTable: %v", err)
 	}
-	reg, err := zkserve.OpenDir(dir)
-	if err != nil {
-		t.Fatalf("OpenDir: %v", err)
-	}
-	defer reg.Close()
+	reg := openTestDir(t, dir)
 	_, _, cl := newTestServer(t, zkserve.Config{Registry: reg})
 	resp, err := cl.Aggregate(context.Background(),
 		zkserve.ScanRequest{Table: "gen", Agg: "count", AggCol: "c0"})
@@ -554,38 +557,154 @@ func TestGenerateTableOpenDir(t *testing.T) {
 	if resp.Result.Count != 10000 {
 		t.Fatalf("count = %d, want 10000", resp.Result.Count)
 	}
+	tables, err := cl.Tables(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Create commits generation 1 and the one Append generation 2.
+	if m := findTable(t, tables, "gen"); m.Segments != 1 || m.Generation != 2 {
+		t.Fatalf("segments/generation = %d/%d, want 1/2", m.Segments, m.Generation)
+	}
 	// The generator's draws are the paper harness's, call for call, so a
 	// seed keeps yielding the corpus the CI serve and chaos jobs expect.
+	zt, _, err := zktable.Open[int64](filepath.Join(dir, "gen"), zktable.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zt.Close()
+	rdrs, err := zt.SegmentReaders(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	for c, want := range [][]int64{
 		experiments.SynthSorted(rng, spec.Rows, 3),
 		experiments.SynthPFOR(rng, spec.Rows, 10, 0.02),
 	} {
-		data, err := os.ReadFile(filepath.Join(dir, "gen", fmt.Sprintf("c%d.zkc", c)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cr, err := zukowski.OpenColumn[int64](data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := cr.ReadAll(nil); err != nil || !slices.Equal(got, want) {
+		if got, err := rdrs[c].ReadAll(nil); err != nil || !slices.Equal(got, want) {
 			t.Fatalf("c%d: generated values differ from the harness generator (err %v)", c, err)
 		}
 	}
-	// Determinism: the same spec generates byte-identical containers.
+	// Determinism: the same spec generates a byte-identical directory.
 	dir2 := t.TempDir()
 	if err := zkserve.GenerateTable(dir2, spec); err != nil {
 		t.Fatalf("GenerateTable again: %v", err)
 	}
-	for _, f := range []string{"c0.zkc", "c1.zkc"} {
-		a, err1 := os.ReadFile(filepath.Join(dir, "gen", f))
-		b, err2 := os.ReadFile(filepath.Join(dir2, "gen", f))
-		if err1 != nil || err2 != nil {
-			t.Fatalf("reading %s: %v, %v", f, err1, err2)
+	a, b := readTree(t, filepath.Join(dir, "gen")), readTree(t, filepath.Join(dir2, "gen"))
+	if !maps.EqualFunc(a, b, bytes.Equal) {
+		t.Fatalf("identical specs generated different tables: %v vs %v", slices.Sorted(maps.Keys(a)), slices.Sorted(maps.Keys(b)))
+	}
+}
+
+// readTree returns every file directly under dir, by name.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s differs between identical specs", f)
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestGenerateTableRefusesExistingTable: generating into a table that
+// already exists fails with zktable.ErrTableExists, whatever the segment
+// count, and leaves the table byte for byte as it was.
+func TestGenerateTableRefusesExistingTable(t *testing.T) {
+	for _, segments := range []int{0, 1, 3} {
+		dir := t.TempDir()
+		spec := zkserve.TableSpec{Name: "gen", Rows: 3000, Cols: 2, BlockValues: 512, Seed: 5, Segments: segments}
+		if err := zkserve.GenerateTable(dir, spec); err != nil {
+			t.Fatalf("segments=%d: GenerateTable: %v", segments, err)
+		}
+		before := readTree(t, filepath.Join(dir, "gen"))
+		again := spec
+		again.Seed, again.Cols = 6, 3
+		if err := zkserve.GenerateTable(dir, again); !errors.Is(err, zktable.ErrTableExists) {
+			t.Fatalf("segments=%d: second GenerateTable err = %v, want ErrTableExists", segments, err)
+		}
+		if after := readTree(t, filepath.Join(dir, "gen")); !maps.EqualFunc(before, after, bytes.Equal) {
+			t.Fatalf("segments=%d: refused GenerateTable changed the table", segments)
+		}
+	}
+}
+
+// TestOpenDirRefusesLooseContainers: a subdirectory of .zkc containers
+// without a manifest is not a table, and OpenDir says so instead of
+// serving nothing of it; a subdirectory without containers is skipped.
+func TestOpenDirRefusesLooseContainers(t *testing.T) {
+	dir := writeTestTables(t)
+	if err := os.MkdirAll(filepath.Join(dir, "notes"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes", "README"), []byte("not a table"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if names := openTestDir(t, dir).Tables(); !slices.Equal(names, []string{"t", "w32"}) {
+		t.Fatalf("tables = %v, want [t w32]", names)
+	}
+
+	var buf bytes.Buffer
+	cw, err := zukowski.NewColumnWriter[int64](&buf, nil, testBV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Write([]int64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	loose := filepath.Join(dir, "loose")
+	if err := os.MkdirAll(loose, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(loose, "c0.zkc"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := zkserve.OpenDir(dir)
+	if !errors.Is(err, zktable.ErrNotTable) || !strings.Contains(err.Error(), loose) {
+		t.Fatalf("OpenDir over loose containers: registry %v, err %v; want ErrNotTable naming %s", reg, err, loose)
+	}
+}
+
+// TestInt32TableClampsPredicates scans the int32 table in row mode with
+// predicates the wire states as int64: a bound beyond int32 clamps to
+// the domain, a range wholly outside it selects nothing.
+func TestInt32TableClampsPredicates(t *testing.T) {
+	_, _, cl := newTestServer(t, zkserve.Config{})
+	for _, tc := range []struct{ lo, hi int64 }{
+		{-1 << 40, 14},
+		{1 << 40, 1 << 41},
+		{-1 << 62, 1 << 62},
+		{90, 1<<31 + 5},
+	} {
+		var want int64
+		for i := int64(0); i < testRows; i++ {
+			if v := i % 100; v >= tc.lo && v <= tc.hi {
+				want++
+			}
+		}
+		res, err := cl.ScanRows(context.Background(), zkserve.ScanRequest{
+			Table: "w32", Cols: []string{"w32"}, Preds: []zkserve.PredSpec{pred("w32", tc.lo, tc.hi)},
+		}, func(row int64, vals []int64) bool {
+			if vals[0] != row%100 || vals[0] < tc.lo || vals[0] > tc.hi {
+				t.Fatalf("[%d, %d]: row %d = %d", tc.lo, tc.hi, row, vals[0])
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatalf("[%d, %d]: %v", tc.lo, tc.hi, err)
+		}
+		if res.Rows != want {
+			t.Fatalf("[%d, %d]: %d rows, want %d", tc.lo, tc.hi, res.Rows, want)
 		}
 	}
 }

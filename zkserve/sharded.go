@@ -7,15 +7,16 @@ import (
 	"repro/zukowski"
 )
 
-// Sharded tables: one zktable directory served as one logical table. The
+// Served tables: one zktable directory served as one logical table. The
 // zktable layer owns durability (manifest generations, startup recovery,
 // salvage, quarantine) and segment composition (global row and block
 // numbering, quarantine skip with exact loss accounting); this file only
-// holds the typed handle and binds each plan to it, so clients see one
-// table regardless of how ingest segmented it.
+// opens the typed handle and describes it on /tables, and table.go binds
+// each plan to it, so clients see one table regardless of how ingest
+// segmented it.
 
-// shard is the backend of a zktable-backed table: the typed handle every
-// scan runs against directly.
+// shard is the backend of a served table: the typed handle every scan
+// runs against directly.
 type shard[T zukowski.Integer] struct {
 	*zktable.Table[T]
 	names []string // schema order, from the manifest
@@ -44,32 +45,28 @@ func (r *Registry) AddShardedTable(table, dir string) error {
 }
 
 func addSharded[T zukowski.Integer](r *Registry, table, dir string) error {
-	opts := zktable.Options{Salvage: true, SourceWrapper: r.wrap}
-	if r.hasRtry {
-		opts.Retry = r.retry
+	if _, dup := r.tables[table]; dup {
+		return fmt.Errorf("%w: table %q already registered", ErrBadRequest, table)
 	}
-	zt, _, err := zktable.Open[T](dir, opts)
+	zt, _, err := zktable.Open[T](dir, zktable.Options{Salvage: true, Retry: r.retry, SourceWrapper: r.wrap})
 	if err != nil {
 		return fmt.Errorf("table %q: %w", table, err)
 	}
-	t := r.table(table)
-	if len(t.colNames) > 0 {
-		zt.Close()
-		return fmt.Errorf("%w: table %q already registered", ErrBadRequest, table)
-	}
-	t.colNames = zt.Columns()
+	t := &Table{name: table, colNames: zt.Columns(), byName: map[string]int{}}
 	for i, name := range t.colNames {
 		t.byName[name] = i
 	}
 	t.src = &shard[T]{Table: zt, names: t.colNames}
 	t.src.setCache(blockCacheOrNil(r.cache))
+	r.tables[table] = t
+	r.names = append(r.names, table)
 	r.closers = append(r.closers, zt)
 	return nil
 }
 
 // colWidth is T's width: every column of a zktable shares it, and it
 // holds even when every segment is quarantined.
-func (s *shard[T]) colWidth(int) int { return int(elemWidth(*new(T))) }
+func (s *shard[T]) colWidth() int { return int(elemWidth(*new(T))) }
 
 func (s *shard[T]) setCache(c zukowski.BlockCache) { s.SetBlockCache(c) }
 
@@ -82,7 +79,7 @@ func (s *shard[T]) fillMeta(m *TableMeta) {
 	m.Segments = s.NumSegments()
 	m.Columns = make([]ColumnMeta, len(s.names))
 	for ci, name := range s.names {
-		m.Columns[ci] = ColumnMeta{Name: name, WidthBytes: s.colWidth(ci)}
+		m.Columns[ci] = ColumnMeta{Name: name, WidthBytes: s.colWidth()}
 	}
 	for i := 0; i < m.Segments; i++ {
 		rdrs, err := s.SegmentReaders(i)
@@ -93,28 +90,24 @@ func (s *shard[T]) fillMeta(m *TableMeta) {
 			continue
 		}
 		for ci, cr := range rdrs {
-			cm, sm := &m.Columns[ci], columnMeta(s.names[ci], cr)
-			if sm.HasMinMax {
+			cm := &m.Columns[ci]
+			cm.Rows += cr.Len()
+			cm.Blocks += cr.NumBlocks()
+			cm.CompressedBytes += cr.CompressedBytes()
+			cm.QuarantinedBlocks += len(cr.QuarantinedBlocks())
+			// Fold the zone maps into one column-wide [min, max], what
+			// loadgen draws predicate windows from.
+			for b := 0; b < cr.NumBlocks(); b++ {
+				lo, hi, ok := cr.ZoneMap(b)
+				if !ok {
+					break
+				}
 				if !cm.HasMinMax {
-					cm.Min, cm.Max, cm.HasMinMax = sm.Min, sm.Max, true
+					cm.Min, cm.Max, cm.HasMinMax = int64(lo), int64(hi), true
 				} else {
-					cm.Min, cm.Max = min(cm.Min, sm.Min), max(cm.Max, sm.Max)
+					cm.Min, cm.Max = min(cm.Min, int64(lo)), max(cm.Max, int64(hi))
 				}
 			}
-			cm.Rows += sm.Rows
-			cm.Blocks += sm.Blocks
-			cm.CompressedBytes += sm.CompressedBytes
-			cm.QuarantinedBlocks += sm.QuarantinedBlocks
 		}
 	}
-}
-
-// bind needs no validation: a zktable's columns share geometry and width
-// by construction, and table column indices are the engine's own.
-func (s *shard[T]) bind(p *scanPlan, frames bool, aggCol int) (runner, error) {
-	b := bindEngine[T](p, s.Table, func(ci int) int { return ci }, s.colWidth, frames, aggCol)
-	b.frame = func(cols []*zukowski.ColumnReader[T], i, local int) ([]byte, error) {
-		return cols[p.out[i]].FrameBytes(local)
-	}
-	return b, nil
 }

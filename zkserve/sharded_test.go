@@ -18,7 +18,7 @@ import (
 // buildShardedTable commits segRows-many segments under dir/st: c0 is
 // the global row number (sorted across segments, so zone maps prune and
 // global row IDs are checkable), c1 the same deterministic function of
-// the row the flat test tables use.
+// the row the one-segment test table uses.
 func buildShardedTable(t *testing.T, dir string, segRows []int) int {
 	t.Helper()
 	tb, err := zktable.Create[int64](filepath.Join(dir, "st"), []string{"c0", "c1"}, testBV, zktable.Options{})
@@ -55,14 +55,14 @@ func findTable(t *testing.T, resp zkserve.TablesResponse, name string) zkserve.T
 }
 
 // TestShardedServeEndToEnd drives a zktable directory through the whole
-// serve path: OpenDir auto-detection next to a flat table, /tables
+// serve path: OpenDir next to a generated one-segment table, /tables
 // generation and segment metadata, and row/aggregate/frame scans with
 // global row and block numbering across segment boundaries.
 func TestShardedServeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	segRows := []int{900, 1300, 700} // deliberately not block-aligned
 	total := buildShardedTable(t, dir, segRows)
-	if err := zkserve.GenerateTable(dir, zkserve.TableSpec{Name: "flat", Rows: 1000, Cols: 1, BlockValues: testBV, Seed: 7}); err != nil {
+	if err := zkserve.GenerateTable(dir, zkserve.TableSpec{Name: "gen", Rows: 1000, Cols: 1, BlockValues: testBV, Seed: 7}); err != nil {
 		t.Fatalf("GenerateTable: %v", err)
 	}
 
@@ -78,7 +78,7 @@ func TestShardedServeEndToEnd(t *testing.T) {
 		t.Fatalf("Tables: %v", err)
 	}
 	if len(resp.Tables) != 2 {
-		t.Fatalf("tables = %+v, want flat + st", resp.Tables)
+		t.Fatalf("tables = %+v, want gen + st", resp.Tables)
 	}
 	meta := findTable(t, resp, "st")
 	// Create commits generation 1; each of the three appends bumps it.
@@ -99,8 +99,8 @@ func TestShardedServeEndToEnd(t *testing.T) {
 			t.Fatalf("c0 meta = %+v", cm)
 		}
 	}
-	if findTable(t, resp, "flat").Generation != 0 {
-		t.Fatal("flat table grew a generation")
+	if gen := findTable(t, resp, "gen"); gen.Generation != 2 || gen.Segments != 1 || gen.Rows != 1000 {
+		t.Fatalf("generated table meta = %+v, want generation 2, one segment, 1000 rows", gen)
 	}
 
 	// Row mode across both segment boundaries (at rows 900 and 2200):

@@ -12,81 +12,33 @@ import (
 	"repro/internal/segment"
 )
 
-// Crash-safe column persistence and salvage. A container's directory
-// lives at the end of the file, so a torn write — process death, ENOSPC,
-// power loss mid-stream — leaves a file with valid frames but no footer,
-// which the reader rejects wholesale. Two answers:
+// Column salvage. A container's directory lives at the end of the file,
+// so a torn write — process death, ENOSPC, power loss mid-stream —
+// leaves a file with valid frames but no footer, which the reader
+// rejects wholesale. (Writers that must never expose a torn container
+// stage it in a temp file, fsync and rename, as zktable does for every
+// segment and manifest.)
 //
-//   - WriteColumnAtomic never exposes a torn container: it writes to a
-//     temp file in the destination directory, fsyncs, and renames into
-//     place, so the destination path either holds the old bytes or the
-//     complete new ones.
-//
-//   - RecoverColumn salvages a container whose footer is missing or
-//     damaged by walking frames forward from the header. Every frame's
-//     byte length is computable from its own header (segment.FrameSize;
-//     the baseline FOR/DICT layouts likewise), so the walk needs no
-//     directory: each candidate frame is fully decoded under untrusted
-//     validation, and the walk stops at the first frame that fails —
-//     truncation, bit rot, or the old directory bytes. The surviving
-//     prefix is written out as a fresh ZKC2 container with a rebuilt
-//     directory (checksums and zone maps recomputed from the decoded
-//     values). This mirrors parquet's footer-recovery model: row groups
-//     before the damage survive, everything after is gone.
-
-// WriteColumnAtomic writes vals as a column container at path with
-// all-or-nothing visibility: the container is streamed to a temp file in
-// path's directory, fsynced, and renamed over path. A crash at any point
-// leaves either the previous file (or no file) or the complete new
-// container — never a torn one. codec and blockValues follow
-// NewColumnWriter's defaults.
-func WriteColumnAtomic[T Integer](path string, codec Codec[T], blockValues int, vals []T) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	cw, err := NewColumnWriter[T](tmp, codec, blockValues)
-	if err != nil {
-		return err
-	}
-	if err = cw.Write(vals); err != nil {
-		return err
-	}
-	if err = cw.Close(); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// Sync the directory so the rename itself survives a crash; best
-	// effort, since not every filesystem supports fsync on a directory.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
+// RecoverColumn salvages a container whose footer is missing or damaged
+// by walking frames forward from the header. Every frame's byte length
+// is computable from its own header (segment.FrameSize; the baseline
+// FOR/DICT layouts likewise), so the walk needs no directory: each
+// candidate frame is fully decoded under untrusted validation, and the
+// walk stops at the first frame that fails — truncation, bit rot, or the
+// old directory bytes. The surviving prefix is written out as a fresh
+// ZKC2 container with a rebuilt directory (checksums and zone maps
+// recomputed from the decoded values). This mirrors parquet's
+// footer-recovery model: row groups before the damage survive,
+// everything after is gone.
 
 // RecoverColumnFile salvages the readable prefix of the container in r
-// (see RecoverColumn) into a fresh container at path, with
-// WriteColumnAtomic's all-or-nothing visibility: the rebuilt container is
-// staged in a temp file in path's directory, fsynced, and renamed over
-// path. Every failure — a recovery error, a failed write, sync, close or
-// rename — closes and removes the temp file before returning, so a failed
-// salvage never leaves a stray .tmp file for startup recovery to sweep.
+// (see RecoverColumn) into a fresh container at path with all-or-nothing
+// visibility: the rebuilt container is staged in a temp file in path's
+// directory, fsynced, and renamed over path, so a crash leaves either
+// the previous file (or no file) or the complete new container. Every
+// failure — a recovery error, a failed write, sync, close or rename —
+// closes and removes the temp file before returning, so a failed salvage
+// never leaves a stray .tmp file for startup recovery to sweep.
 func RecoverColumnFile[T Integer](r io.ReaderAt, size int64, path string) (RecoverStats, error) {
 	return recoverColumnToFile[T](r, size, path, nil)
 }
@@ -122,7 +74,8 @@ func recoverColumnToFile[T Integer](r io.ReaderAt, size int64, path string, wrap
 	if err = os.Rename(tmp.Name(), path); err != nil {
 		return stats, err
 	}
-	// Best-effort directory sync, as in WriteColumnAtomic.
+	// Sync the directory so the rename itself survives a crash; best
+	// effort, since not every filesystem supports fsync on a directory.
 	if d, derr := os.Open(dir); derr == nil {
 		d.Sync()
 		d.Close()

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -201,45 +199,6 @@ func TestRecoverColumnRejects(t *testing.T) {
 		t.Fatalf("stats = %+v, want empty", stats)
 	}
 	checkRecovered[int64](t, out.Bytes(), nil)
-}
-
-// TestWriteColumnAtomic: the file appears complete at its final path, and
-// a failed write leaves neither the target nor temp debris behind.
-func TestWriteColumnAtomic(t *testing.T) {
-	rng := rand.New(rand.NewSource(96))
-	src := genValues[int64](rng, 3000)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "col.zkc")
-
-	// Overwrite semantics: stale bytes at the target are replaced whole.
-	if err := os.WriteFile(path, []byte("stale"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := zukowski.WriteColumnAtomic(path, zukowski.PFOR[int64]{}, 512, src); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRecovered(t, data, src) // opens, verifies, matches — and is ZKC2
-
-	// A write that cannot start (unwritable directory entry) must not
-	// leave temp files around.
-	if err := zukowski.WriteColumnAtomic(filepath.Join(dir, "missing", "col.zkc"), zukowski.PFOR[int64]{}, 512, src); err == nil {
-		t.Fatal("write into a missing directory succeeded")
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 || ents[0].Name() != "col.zkc" {
-		names := make([]string, len(ents))
-		for i, e := range ents {
-			names[i] = e.Name()
-		}
-		t.Fatalf("directory holds %v, want only col.zkc", names)
-	}
 }
 
 // TestTornWriteRecovery: the end-to-end crash story — a writer dies mid
