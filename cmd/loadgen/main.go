@@ -5,7 +5,8 @@
 // windows cycle through a selectivity mix, so the server sees a blend of
 // zone-map-prunable narrow scans and full-table sweeps.
 //
-// Modes: rows (NDJSON streams), frames (raw compressed ZKC2 frames,
+// Modes: rows (binary ZKR1 row streams through client.ScanRows; payload
+// MB/s counts their binary bytes), frames (raw compressed ZKC2 frames,
 // optionally decoded client-side with -decode), agg (aggregate pushdown,
 // one JSON object per query), mixed (80% rows, 10% agg, 10% frames).
 //

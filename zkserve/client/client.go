@@ -1,13 +1,13 @@
 // Package client is a small typed client for a zkserve server: request
-// marshalling, NDJSON row-stream and binary frame-stream decoding, and
-// status-code mapping. It exists for cmd/loadgen and the integration
-// tests; it is deliberately thin — one HTTP round trip per call, and no
-// retries unless the caller opts in via DoWithRetry (which honors the
-// server's 429 Retry-After hint with jittered exponential backoff).
+// marshalling, decoding of the binary row stream (ZKR1, which ScanRows
+// asks for) and the frame stream, and status-code mapping. It exists for
+// cmd/loadgen and the integration tests; it is deliberately thin — one
+// HTTP round trip per call, and no retries unless the caller opts in via
+// DoWithRetry (which honors the server's 429 Retry-After hint with
+// jittered exponential backoff).
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -18,13 +18,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
 // repro/zkserve is imported for the shared wire types (ScanRequest,
-// TablesResponse, the frame-stream reader); the client carries no wire
-// definitions of its own.
+// TablesResponse, the row- and frame-stream readers); the client carries
+// no wire definitions of its own.
 import "repro/zkserve"
 
 // ErrScanFailed reports a stream whose trailer carried a server-side
@@ -235,7 +234,7 @@ type ScanResult struct {
 	Truncated bool    // a budget stopped the stream early
 	Reason    string  // "rows" or "bytes" when truncated
 	ElapsedMS float64 // server-side scan time (row mode only)
-	Bytes     int64   // response payload bytes read by this client
+	Bytes     int64   // response payload bytes read by this client (binary, both modes)
 
 	// Degraded accounting for skip_corrupt scans: the blocks the server
 	// dropped for corruption and the rows they held.
@@ -243,26 +242,6 @@ type ScanResult struct {
 	BlocksSkipped int64
 	RowsLost      int64
 }
-
-// rowTrailer mirrors the NDJSON stream's closing object.
-type rowTrailer struct {
-	Done          bool    `json:"done"`
-	Rows          int64   `json:"rows"`
-	Truncated     bool    `json:"truncated"`
-	Reason        string  `json:"reason"`
-	Error         string  `json:"error"`
-	Degraded      bool    `json:"degraded"`
-	BlocksSkipped int64   `json:"blocks_skipped"`
-	RowsLost      int64   `json:"rows_lost"`
-	ElapsedMS     float64 `json:"elapsed_ms"`
-}
-
-// lineBuffers recycles the 64 KiB buffers row streams are scanned
-// through; one per scan would be most of the client's garbage.
-var lineBuffers = sync.Pool{New: func() any {
-	b := make([]byte, 64<<10)
-	return &b
-}}
 
 type countingReader struct {
 	r io.Reader
@@ -278,96 +257,69 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // ScanRows streams a row-mode scan, calling fn once per row with the
 // global row number and the output column values (the slice is reused
 // between calls). fn returning false abandons the stream — the server
-// notices the disconnect and stops. A nil fn drains and counts.
+// notices the disconnect and stops. A nil fn drains and counts. The rows
+// travel as the binary row stream (zkserve.MIMEBinaryRows), decoded a
+// block at a time; a server answering in any other format is an error.
 func (c *Client) ScanRows(ctx context.Context, req zkserve.ScanRequest, fn func(row int64, vals []int64) bool) (ScanResult, error) {
-	resp, err := c.do(ctx, http.MethodPost, "/scan", zkserve.MIMERows, req)
+	resp, err := c.do(ctx, http.MethodPost, "/scan", zkserve.MIMEBinaryRows, req)
 	if err != nil {
 		return ScanResult{}, err
 	}
 	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != zkserve.MIMEBinaryRows {
+		return ScanResult{}, fmt.Errorf("client: row scan answered with Content-Type %q, want %q", ct, zkserve.MIMEBinaryRows)
+	}
 	cr := &countingReader{r: resp.Body}
-	sc := bufio.NewScanner(cr)
-	buf := lineBuffers.Get().(*[]byte)
-	defer lineBuffers.Put(buf) // nothing parsed from a line refers to it
-	sc.Buffer(*buf, 1<<20)
+	rr, err := zkserve.NewRowStreamReader(cr)
+	if err != nil {
+		return ScanResult{}, err
+	}
 	var res ScanResult
-	vals := make([]int64, 0, 8)
-	first := true
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+	vals := make([]int64, len(rr.Cols))
+	for {
+		blk, err := rr.Next()
+		if err != nil {
+			res.Bytes = cr.n
+			return res, fmt.Errorf("%w: %w", ErrScanFailed, err)
+		}
+		if blk == nil {
+			break
+		}
+		if fn == nil {
+			res.Rows += int64(len(blk.Rows))
 			continue
 		}
-		if first {
-			first = false
-			if line[0] == '{' {
-				continue // header object
+		for j, row := range blk.Rows {
+			for i, col := range blk.Vals {
+				vals[i] = col[j]
 			}
-		}
-		if line[0] == '[' {
-			row, parsed, err := parseRowLine(line, vals)
-			if err != nil {
-				return res, fmt.Errorf("client: bad row line: %w", err)
-			}
-			vals = parsed
 			res.Rows++
-			if fn != nil && !fn(row, vals) {
+			if !fn(row, vals) {
 				res.Bytes = cr.n
 				return res, nil
 			}
-			continue
 		}
-		var t rowTrailer
-		if err := json.Unmarshal(line, &t); err != nil {
-			return res, fmt.Errorf("client: bad trailer: %w", err)
-		}
-		res.Rows = t.Rows
-		res.Truncated = t.Truncated
-		res.Reason = t.Reason
-		res.ElapsedMS = t.ElapsedMS
-		res.Degraded = t.Degraded
-		res.BlocksSkipped = t.BlocksSkipped
-		res.RowsLost = t.RowsLost
-		res.Bytes = cr.n
-		if !t.Done {
-			return res, fmt.Errorf("%w: %s", ErrScanFailed, t.Error)
-		}
-		return res, nil
 	}
-	if err := sc.Err(); err != nil {
-		return res, err
+	t, elapsed := rr.Trailer()
+	res.Bytes, res.ElapsedMS = cr.n, float64(elapsed)/float64(time.Millisecond)
+	if res.Rows != t.Rows {
+		return res, fmt.Errorf("client: row stream delivered %d rows, its trailer says %d", res.Rows, t.Rows)
 	}
-	return res, fmt.Errorf("%w: stream ended without a trailer", ErrScanFailed)
+	return settle(res, t)
 }
 
-// parseRowLine decodes "[row,v0,v1]" without a JSON parser: the row
-// stream is the hot path of every load test.
-func parseRowLine(line []byte, vals []int64) (int64, []int64, error) {
-	vals = vals[:0]
-	if len(line) < 2 || line[0] != '[' || line[len(line)-1] != ']' {
-		return 0, vals, fmt.Errorf("not an array: %q", line)
+// settle completes res from a stream's trailer. A truncated row stream's
+// message names the budget; an error trailer is ErrScanFailed.
+func settle(res ScanResult, t zkserve.FrameTrailer) (ScanResult, error) {
+	res.Truncated = t.Status == zkserve.FrameStatusTruncated
+	if res.Truncated {
+		res.Reason = t.Err
 	}
-	body := line[1 : len(line)-1]
-	var row int64
-	for i := 0; len(body) > 0; i++ {
-		j := bytes.IndexByte(body, ',')
-		var field []byte
-		if j < 0 {
-			field, body = body, nil
-		} else {
-			field, body = body[:j], body[j+1:]
-		}
-		v, err := strconv.ParseInt(string(field), 10, 64)
-		if err != nil {
-			return 0, vals, err
-		}
-		if i == 0 {
-			row = v
-		} else {
-			vals = append(vals, v)
-		}
+	res.Degraded, res.BlocksSkipped, res.RowsLost = t.Degraded(), t.BlocksSkipped, t.RowsLost
+	if t.Status == zkserve.FrameStatusError {
+		return res, fmt.Errorf("%w: %s", ErrScanFailed, t.Err)
 	}
-	return row, vals, nil
+	return res, nil
 }
 
 // ScanFrames streams a frame-mode scan, calling fn once per shipped
@@ -400,16 +352,8 @@ func (c *Client) ScanFrames(ctx context.Context, req zkserve.ScanRequest, fn fun
 		}
 	}
 	t := fr.Trailer()
-	res.Rows = t.Rows
-	res.Truncated = t.Status == zkserve.FrameStatusTruncated
-	res.Degraded = t.Degraded()
-	res.BlocksSkipped = t.BlocksSkipped
-	res.RowsLost = t.RowsLost
-	res.Bytes = cr.n
-	if t.Status == zkserve.FrameStatusError {
-		return res, fmt.Errorf("%w: %s", ErrScanFailed, t.Err)
-	}
-	return res, nil
+	res.Rows, res.Bytes = t.Rows, cr.n
+	return settle(res, t)
 }
 
 // Healthy reports whether /healthz answers 200.

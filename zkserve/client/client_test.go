@@ -1,36 +1,39 @@
 package client
 
 import (
-	"slices"
+	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"repro/zkserve"
 )
 
-func TestParseRowLine(t *testing.T) {
-	cases := []struct {
-		line string
-		row  int64
-		vals []int64
-	}{
-		{"[0,1]", 0, []int64{1}},
-		{"[17,3,40]", 17, []int64{3, 40}},
-		{"[5,-20,9223372036854775807]", 5, []int64{-20, 9223372036854775807}},
-		{"[-1,-9223372036854775808]", -1, []int64{-9223372036854775808}},
-		{"[42]", 42, nil},
+// TestScanRowsRefusesNDJSON: a row scan answered with NDJSON — a server
+// that ignored the Accept header — is an error that names the type, not
+// rows parsed another way.
+func TestScanRowsRefusesNDJSON(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if got := r.Header.Get("Accept"); got != zkserve.MIMEBinaryRows {
+			t.Errorf("Accept = %q, want %q", got, zkserve.MIMEBinaryRows)
+		}
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", zkserve.MIMERows)
+		io.WriteString(w, "{\"table\":\"t\",\"cols\":[\"c0\"]}\n[0,1]\n{\"done\":true,\"rows\":1,\"elapsed_ms\":0.1}\n")
+	}))
+	defer ts.Close()
+	called := false
+	_, err := New(ts.URL, ts.Client()).ScanRows(context.Background(),
+		zkserve.ScanRequest{Table: "t", Cols: []string{"c0"}}, func(int64, []int64) bool {
+			called = true
+			return true
+		})
+	if err == nil || !strings.Contains(err.Error(), zkserve.MIMERows) {
+		t.Fatalf("err = %v, want one naming %q", err, zkserve.MIMERows)
 	}
-	var vals []int64
-	for _, tc := range cases {
-		row, got, err := parseRowLine([]byte(tc.line), vals)
-		if err != nil {
-			t.Fatalf("%q: %v", tc.line, err)
-		}
-		vals = got
-		if row != tc.row || !slices.Equal(got, tc.vals) {
-			t.Fatalf("%q: got (%d, %v), want (%d, %v)", tc.line, row, got, tc.row, tc.vals)
-		}
-	}
-	for _, bad := range []string{"", "[", "[]x", "{1,2}", "[1,abc]", "[1,2.5]"} {
-		if _, _, err := parseRowLine([]byte(bad), nil); err == nil {
-			t.Fatalf("%q parsed without error", bad)
-		}
+	if called {
+		t.Fatal("fn called for rows of an unrequested format")
 	}
 }

@@ -7,11 +7,14 @@
 // any_of disjunction; the server translates it, once, into a
 // zukowski.Query and hands it to the engine (zone-map pruning,
 // compressed-domain selection bitmaps, refine and union kernels),
-// streaming back either materialized rows (NDJSON), one aggregate, or —
-// in frame mode — the raw ZKC2 block frames themselves, zone-map-pruned
-// but still compressed, for the client to decode locally with
-// zukowski.FrameDecoder. The three modes are the engine's three entry
-// points: Run, RunAggregate and Candidates. The server is an adapter: it
+// streaming back either materialized rows, one aggregate, or — in frame
+// mode — the raw ZKC2 block frames themselves, zone-map-pruned but still
+// compressed, for the client to decode locally with
+// zukowski.FrameDecoder. Rows travel as little-endian columns at the
+// table's width (the ZKR1 row stream, MIMEBinaryRows, which
+// repro/zkserve/client asks for) or, for curl and jq, as NDJSON. The
+// three modes are the engine's three entry points: Run, RunAggregate
+// and Candidates. The server is an adapter: it
 // owns admission, budgets, encoding and the wire↔typed translation, and
 // decides nothing about pruning or segment composition itself.
 //
@@ -44,7 +47,8 @@
 // the zktable handle directly, with global row and block numbering
 // across segments. A table has one width and one geometry, by
 // construction: its columns are signed integers of the manifest's
-// element width, and values travel as int64 on the wire. A subdirectory
+// element width, and row values travel at that width on the binary
+// wire and as decimal int64 in NDJSON. A subdirectory
 // of loose .zkc containers without a manifest is refused at startup;
 // zktable.Create and Append turn such columns into a table.
 //

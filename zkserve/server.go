@@ -15,12 +15,15 @@ import (
 	"repro/zukowski"
 )
 
-// Content types the scan endpoint negotiates. A request whose Accept
-// header includes MIMEFrames gets frame mode (raw compressed ZKC2
-// frames); everything else gets NDJSON rows.
+// Content types the scan endpoint negotiates (see stream.go). A request
+// whose Accept header includes MIMEFrames gets frame mode (raw compressed
+// ZKC2 frames); one that includes MIMEBinaryRows gets its rows as
+// little-endian columns (ZKR1, advertised as "binary_rows" in
+// TablesResponse.Features); everything else gets NDJSON rows.
 const (
-	MIMERows   = "application/x-ndjson"
-	MIMEFrames = "application/x-zkc2"
+	MIMERows       = "application/x-ndjson"
+	MIMEFrames     = "application/x-zkc2"
+	MIMEBinaryRows = "application/x-zkrows"
 )
 
 // Config configures a Server. The zero value of every limit means
@@ -406,7 +409,8 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, statusFor(err), err)
 		return
 	}
-	wantFrames := aggCol < 0 && strings.Contains(r.Header.Get("Accept"), MIMEFrames)
+	accept := r.Header.Get("Accept")
+	wantFrames := aggCol < 0 && strings.Contains(accept, MIMEFrames)
 	run := plan.table.src.bind(plan, wantFrames, aggCol)
 
 	// Admission: take a worker slot now or shed the load at the door.
@@ -444,7 +448,15 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	case wantFrames:
 		s.runFrames(ctx, w, plan, run, maxRows, maxBytes)
 	default:
-		s.runRows(ctx, w, &req, plan, run, maxRows, maxBytes)
+		var enc rowEncoder
+		if strings.Contains(accept, MIMEBinaryRows) {
+			w.Header().Set("Content-Type", MIMEBinaryRows)
+			enc = binaryRowWriter{newStreamOut(w)}
+		} else {
+			w.Header().Set("Content-Type", MIMERows)
+			enc = &ndjsonWriter{streamOut: newStreamOut(w)}
+		}
+		s.runRows(ctx, w, enc, &req, plan, run, maxRows, maxBytes)
 	}
 }
 
@@ -500,87 +512,97 @@ func (s *Server) noteDegraded(rep *zukowski.ScanReport) {
 	)
 }
 
-func (s *Server) runRows(ctx context.Context, w http.ResponseWriter, req *ScanRequest, plan *scanPlan, run runner, maxRows, maxBytes int64) {
-	start := time.Now()
-	w.Header().Set("Content-Type", MIMERows)
-	w.WriteHeader(http.StatusOK)
-	rw := newRowWriter(w)
-	rw.header(req.Table, req.Cols)
+// streamCols describes the plan's output columns in a stream header.
+func (p *scanPlan) streamCols() []FrameStreamCol {
+	cols := make([]FrameStreamCol, len(p.out))
+	for i, ci := range p.out {
+		cols[i] = FrameStreamCol{Name: p.table.colNames[ci], WidthBytes: p.table.src.colWidth()}
+	}
+	return cols
+}
 
-	var rows int64
-	truncated, reason := false, ""
-	err := run.rows(ctx, func(blockRows []int64, vals [][]int64) bool {
-		if n := int64(len(blockRows)); maxRows > 0 && rows+n > maxRows {
-			keep := maxRows - rows
-			trimmed := make([][]int64, len(vals))
-			for i, v := range vals {
-				trimmed[i] = v[:keep]
+// runRows streams a row scan through enc, NDJSON or binary: the budgets,
+// the trailer's accounting and the metrics are the same for both.
+func (s *Server) runRows(ctx context.Context, w http.ResponseWriter, enc rowEncoder, req *ScanRequest, plan *scanPlan, run runner, maxRows, maxBytes int64) {
+	start := time.Now()
+	w.WriteHeader(http.StatusOK)
+	cols := plan.streamCols()
+	enc.header(req.Table, cols)
+
+	t := FrameTrailer{Status: FrameStatusDone}
+	err := run.rows(ctx, func(blockRows []int64, vals [][]byte) bool {
+		if n := int64(len(blockRows)); maxRows > 0 && t.Rows+n >= maxRows {
+			// The row budget cuts mid-block.
+			keep := int(maxRows - t.Rows)
+			for i, c := range cols {
+				vals[i] = vals[i][:keep*c.WidthBytes]
 			}
-			rw.rows(blockRows[:keep], trimmed)
-			rows += keep
-			truncated, reason = true, "rows"
+			blockRows = blockRows[:keep]
+			t.Status, t.Err = FrameStatusTruncated, "rows"
+		}
+		enc.block(blockRows, vals)
+		t.Rows += int64(len(blockRows))
+		if enc.writeErr() != nil || t.Status == FrameStatusTruncated {
 			return false
 		}
-		rw.rows(blockRows, vals)
-		rows += int64(len(blockRows))
-		if rw.writeErr() != nil {
-			return false
-		}
-		if maxRows > 0 && rows == maxRows {
-			truncated, reason = true, "rows"
-			return false
-		}
-		if maxBytes > 0 && rw.totalBytes() >= maxBytes {
-			truncated, reason = true, "bytes"
+		if maxBytes > 0 && enc.totalBytes() >= maxBytes {
+			t.Status, t.Err = FrameStatusTruncated, "bytes"
 			return false
 		}
 		return true
 	})
 	if err == nil {
-		err = rw.writeErr()
+		err = enc.writeErr()
 	}
+	s.endStream(ctx, run, plan, err, &t)
+	enc.trailer(t, time.Since(start))
+	enc.flush()
+	s.metrics.RowsEmitted.Add(t.Rows)
+	s.metrics.BytesEmitted.Add(enc.bytesWritten())
+}
+
+// endStream settles a streamed scan that stopped with err: it counts the
+// outcome, records the zone-map statistics of a scan that ran to its end,
+// and completes t's status, message and degraded accounting.
+func (s *Server) endStream(ctx context.Context, run runner, plan *scanPlan, err error, t *FrameTrailer) {
 	switch {
 	case err == nil:
-		if !truncated {
+		if t.Status != FrameStatusTruncated {
 			s.recordScanned(ctx, run)
 		}
 		s.metrics.ScansOK.Add(1)
-		if plan.report.Degraded() {
-			s.noteDegraded(plan.report)
-		}
 	case ctx.Err() != nil:
+		t.Status, t.Err = FrameStatusError, err.Error()
 		s.metrics.ScansCanceled.Add(1)
 	default:
+		t.Status, t.Err = FrameStatusError, err.Error()
 		s.metrics.ScansServerErr.Add(1)
 	}
-	rw.trailer(rows, truncated, reason, err,
-		float64(time.Since(start))/float64(time.Millisecond), plan.report)
-	rw.flush()
-	s.metrics.RowsEmitted.Add(rows)
-	s.metrics.BytesEmitted.Add(rw.bytesWritten())
+	if rep := plan.report; rep.Degraded() {
+		t.BlocksSkipped, t.RowsLost = int64(rep.BlocksSkipped), rep.RowsLost
+		if err == nil {
+			s.noteDegraded(rep)
+		}
+	}
 }
 
 func (s *Server) runFrames(ctx context.Context, w http.ResponseWriter, plan *scanPlan, run runner, maxRows, maxBytes int64) {
 	w.Header().Set("Content-Type", MIMEFrames)
 	w.WriteHeader(http.StatusOK)
-	fw := newFrameWriter(w)
-	cols := make([]FrameStreamCol, len(plan.out))
-	for i, ci := range plan.out {
-		cols[i] = FrameStreamCol{Name: plan.table.colNames[ci], WidthBytes: plan.table.src.colWidth()}
-	}
-	fw.header(cols)
+	fw := frameWriter{newStreamOut(w)}
+	fw.header(plan.streamCols())
 
-	var rowsRep, frames int64
-	truncated := false
+	t := FrameTrailer{Status: FrameStatusDone}
+	var frames int64
 	err := run.blocks(ctx, func(b int, firstRow int64, count int, blockFrames [][]byte) bool {
 		fw.block(b, firstRow, count, blockFrames)
-		rowsRep += int64(count)
+		t.Rows += int64(count)
 		frames += int64(len(blockFrames))
 		if fw.writeErr() != nil {
 			return false
 		}
-		if (maxRows > 0 && rowsRep >= maxRows) || (maxBytes > 0 && fw.totalBytes() >= maxBytes) {
-			truncated = true
+		if (maxRows > 0 && t.Rows >= maxRows) || (maxBytes > 0 && fw.totalBytes() >= maxBytes) {
+			t.Status = FrameStatusTruncated
 			return false
 		}
 		return true
@@ -588,38 +610,16 @@ func (s *Server) runFrames(ctx context.Context, w http.ResponseWriter, plan *sca
 	if err == nil {
 		err = fw.writeErr()
 	}
-	status := byte(FrameStatusDone)
-	msg := ""
-	switch {
-	case err == nil && truncated:
-		status = FrameStatusTruncated
-		s.metrics.ScansOK.Add(1)
-	case err == nil:
-		s.recordScanned(ctx, run)
-		s.metrics.ScansOK.Add(1)
-	case ctx.Err() != nil:
-		status, msg = FrameStatusError, err.Error()
-		s.metrics.ScansCanceled.Add(1)
-	default:
-		status, msg = FrameStatusError, err.Error()
-		s.metrics.ScansServerErr.Add(1)
-	}
-	var skipped, lost int64
-	if rep := plan.report; rep.Degraded() {
-		skipped, lost = int64(rep.BlocksSkipped), rep.RowsLost
-		if err == nil {
-			s.noteDegraded(rep)
-		}
-	}
-	fw.trailer(status, rowsRep, skipped, lost, msg)
+	s.endStream(ctx, run, plan, err, &t)
+	fw.trailer(t)
 	fw.flush()
-	s.metrics.RowsEmitted.Add(rowsRep)
+	s.metrics.RowsEmitted.Add(t.Rows)
 	s.metrics.FramesShipped.Add(frames)
 	s.metrics.BytesEmitted.Add(fw.bytesWritten())
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
-	resp := TablesResponse{Codecs: zukowski.Codecs(), Features: []string{"any_of"}}
+	resp := TablesResponse{Codecs: zukowski.Codecs(), Features: []string{"any_of", "binary_rows"}}
 	if s.reg.CacheEnabled() {
 		st := s.reg.CacheStats()
 		resp.Cache = CacheInfo{

@@ -76,10 +76,10 @@ type AggResult struct {
 type runner interface {
 	// rows executes row mode: emit receives, once per block with
 	// surviving rows, the global row numbers and per requested output
-	// column the widened values (vals[i][j] is output column i's value at
-	// rows[j]). The slices are reused between calls. emit returning false
+	// column the values as little-endian bytes at the table's width
+	// (appendLE). The slices are reused between calls. emit returning false
 	// stops the scan cleanly (nil); context death returns ctx.Err().
-	rows(ctx context.Context, emit func(rows []int64, vals [][]int64) bool) error
+	rows(ctx context.Context, emit func(rows []int64, cols [][]byte) bool) error
 	// aggregate folds the plan's aggregate column over the selected rows.
 	aggregate(ctx context.Context) (AggResult, error)
 	// blocks executes frame mode: for every block the predicate's zone
@@ -170,17 +170,13 @@ func (s *shard[T]) bind(p *scanPlan, frames bool, aggCol int) runner {
 	return b
 }
 
-func (b *bound[T]) rows(ctx context.Context, emit func(rows []int64, vals [][]int64) bool) error {
-	widened := make([][]int64, len(b.q.Cols))
+func (b *bound[T]) rows(ctx context.Context, emit func(rows []int64, cols [][]byte) bool) error {
+	les := make([][]byte, len(b.q.Cols))
 	return b.tbl.Run(ctx, b.q, func(_ int, rows []int64, cols [][]T) bool {
-		for i := range cols {
-			w := widened[i][:0]
-			for _, v := range cols[i] {
-				w = append(w, int64(v))
-			}
-			widened[i] = w
+		for i, c := range cols {
+			les[i] = appendLE(les[i][:0], c)
 		}
-		return emit(rows, widened)
+		return emit(rows, les)
 	})
 }
 
