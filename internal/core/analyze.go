@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 )
@@ -15,15 +16,17 @@ import (
 // never measured.
 //
 // One analysis sorts the sample once, for PDICT (which reduces it to a
-// run-length histogram) and PFOR (which slides windows over it) alike, and
-// sorts the consecutive differences once for PFOR-DELTA — unless a few
-// linear passes show that no frame over them can win. Every scheme is
-// searched against the cheapest cost found so far (raw storage to begin
-// with): a width is skipped when a lower bound on its cost, computed with
-// the model's own arithmetic, already exceeds that cost, so what is
-// skipped could not have been chosen and the outcome is the one an
-// exhaustive search returns (analyze_ref_test.go keeps that search as the
-// oracle).
+// run-length histogram and that to a histogram of counts) and PFOR (which
+// slides windows over it) alike, and sorts the consecutive differences once
+// for PFOR-DELTA. Every scheme is searched against the cheapest cost found
+// so far (raw storage to begin with): a width is skipped when a lower bound
+// on its cost, computed with the model's own arithmetic, already exceeds
+// that cost, so what is skipped could not have been chosen and the outcome
+// is the one an exhaustive search returns (analyze_ref_test.go keeps that
+// search as the oracle). Two bounds do the skipping: a histogram of the
+// values over coarse cells caps every window before any is measured (and
+// before the differences are sorted at all), and the longest window
+// measured at one width caps those of the widths after it.
 
 // DefaultSampleSize is the sample the paper suggests for mode analysis
 // ("e.g. s=64K values").
@@ -115,20 +118,19 @@ func firstWindow[T Integer](sorted []T, b uint, length int) int {
 }
 
 // frame finds the (width, base) pair minimizing modeled PFOR size over the
-// sorted sample, for a scheme that pays overhead bits per value on top and
-// matters only if its total does not exceed limit. Bits is +Inf when no
-// width can meet limit.
+// sorted sample, among widths up to maxW, for a scheme that pays overhead
+// bits per value on top and matters only if its total does not exceed
+// limit. Bits is +Inf when no width can meet limit.
 //
 // Widths are measured in increasing order, a batch per pass. A window
 // twice as wide holds at most twice the values, so the longest window
 // found at one width bounds the exception rate — hence the cost — of the
 // widths after it from below; those that cannot undercut the best width so
 // far, or meet limit, are never measured.
-func frame[T Integer](sorted []T, overhead, limit float64) (b uint, base T, bits, excRate float64) {
+func frame[T Integer](sorted []T, overhead, limit float64, maxW uint) (b uint, base T, bits, excRate float64) {
 	n := len(sorted)
 	s := float64(n)
 	b, bits = 1, math.Inf(1)
-	maxW := min(32, typeBits[T]())
 	known, reach := uint(0), n // the longest window at width known holds reach values
 	for known < maxW {
 		// The next widths still worth measuring.
@@ -162,17 +164,90 @@ func frame[T Integer](sorted []T, overhead, limit float64) (b uint, base T, bits
 	return b, base, bits, excRate
 }
 
+// cellBits sets the resolution of the window bound: values are counted into
+// 2^cellBits cells.
+const cellBits = 12
+
+// cells is the histogram behind widest.
+type cells [1 << cellBits]uint32
+
+// cellReach bounds from above how many of vals (lo is their minimum; their
+// order does not matter) a window of width w bits holds, by counting them
+// into cells of width 2^shift. The window lies in at most
+// ((2^w-1 + 2^shift-1) >> shift) + 1 consecutive cells, so no window holds
+// more than the fullest run of that many. Cells are counted modulo their
+// number, which only merges them and so loosens the bound without breaking
+// it; a run that would go round them all bounds nothing.
+func cellReach[T Integer](c *cells, vals []T, lo T, shift, w uint) int {
+	span := (maxCode(w)+1<<shift-1)>>shift + 1
+	if span >= uint64(len(c)) {
+		return len(vals)
+	}
+	mask := typeMask[T]()
+	clear(c[:])
+	for _, v := range vals {
+		c[uint64(v-lo)&mask>>shift&(1<<cellBits-1)]++
+	}
+	sum := 0
+	for _, x := range c[:span] {
+		sum += int(x)
+	}
+	reach := sum
+	for i, x := range c {
+		sum += int(c[(uint64(i)+span)&(1<<cellBits-1)]) - int(x)
+		reach = max(reach, sum)
+	}
+	return reach
+}
+
+// widest returns the widest frame width a PFOR search over vals (lo and hi
+// are their minimum and maximum; their order does not matter) still has to
+// measure: every wider width, paying overhead bits per value on top, costs
+// more than limit. It is 0 when no width can meet limit.
+//
+// The cell bound at a width holds for every narrower width too, and through
+// the model's own arithmetic bounds their costs from below. Each round cuts
+// the cells to half the widest width left (or finer, when that spans the
+// values' range), drops the widths the bound rules out, and asks again for
+// the widest of the rest while that is much narrower.
+func widest[T Integer](c *cells, vals []T, lo, hi T, overhead, limit float64) uint {
+	s := float64(len(vals))
+	floor := func(w uint, reach int) float64 { return modelBits[T](w, (s-float64(reach))/s) + overhead }
+	w := min(32, typeBits[T]())
+	for w > 0 && floor(w, len(vals)) > limit {
+		w--
+	}
+	rangeShift := uint(max(0, bits.Len64(uint64(hi-lo)&typeMask[T]())-cellBits))
+	for w > 0 {
+		reach, was := cellReach(c, vals, lo, min(w-1, rangeShift), w), w
+		for w > 0 && floor(w, reach) > limit {
+			w--
+		}
+		// Cells cut to a width fewer than three steps narrower are not
+		// fine enough to be worth another pass.
+		if w+3 > was {
+			break
+		}
+	}
+	return w
+}
+
 // analyzePFOR searches the sorted sample for the best PFOR frame.
-func analyzePFOR[T Integer](sorted []T, limit float64) Choice[T] {
+func (e *Encoder[T]) analyzePFOR(sorted []T, limit float64) Choice[T] {
 	c := Choice[T]{Scheme: SchemePFOR, B: 1}
-	if len(sorted) > 0 {
-		c.B, c.Base, c.Bits, c.ExceptionRate = frame(sorted, entryBits, limit)
+	if len(sorted) == 0 {
+		return c
+	}
+	c.Bits = math.Inf(1)
+	if w := widest(&e.cells, sorted, sorted[0], sorted[len(sorted)-1], entryBits, limit); w > 0 {
+		c.B, c.Base, c.Bits, c.ExceptionRate = frame(sorted, entryBits, limit, w)
 	}
 	return c
 }
 
 // analyzePFORDelta runs the PFOR search on the sorted consecutive
 // differences of the sample, yielding the delta-frame base and width. It
+// sorts the differences only if widest leaves a width to measure, and then
 // takes over the sorter's buffers.
 func (e *Encoder[T]) analyzePFORDelta(sample []T, limit float64) Choice[T] {
 	c := Choice[T]{Scheme: SchemePFORDelta, B: 1}
@@ -180,87 +255,17 @@ func (e *Encoder[T]) analyzePFORDelta(sample []T, limit float64) Choice[T] {
 		return c
 	}
 	c.Bits = math.Inf(1)
-	if modelBits[T](1, 0)+entryBitsDelta > limit {
-		return c
-	}
 	e.deltas = sized(e.deltas, len(sample)-1)
+	lo, hi := sample[1]-sample[0], sample[1]-sample[0]
 	for i, v := range sample[1:] {
-		e.deltas[i] = v - sample[i]
+		d := v - sample[i]
+		e.deltas[i] = d
+		lo, hi = min(lo, d), max(hi, d)
 	}
-	if !deltaFrameViable(e.deltas, limit) {
-		return c
+	if w := widest(&e.cells, e.deltas, lo, hi, entryBitsDelta, limit); w > 0 {
+		c.B, c.DeltaBase, c.Bits, c.ExceptionRate = frame(e.sort.sortInto(e.deltas), entryBitsDelta, limit, w)
 	}
-	c.B, c.DeltaBase, c.Bits, c.ExceptionRate = frame(e.sort.sortInto(e.deltas), entryBitsDelta, limit)
 	return c
-}
-
-// deltaFrameViable reports whether some PFOR-DELTA frame over deltas could
-// cost no more than limit, from a few linear passes instead of a sort. It
-// errs only towards true.
-//
-// The widest width worth trying is the largest w with w+overhead <= limit.
-// No window that wide or narrower holds more values than the fullest cell
-// that could contain it (fullestCell), which bounds the cost of all those
-// widths from below. If the widest still meets limit under that bound the
-// sort is needed; otherwise only the narrower widths that do are left, and
-// the question repeats for the widest of them.
-func deltaFrameViable[T Integer](deltas []T, limit float64) bool {
-	s := float64(len(deltas))
-	cost := func(w uint, reach int) float64 {
-		return modelBits[T](w, (s-float64(reach))/s) + entryBitsDelta
-	}
-	if cost(1, len(deltas)/2) <= limit {
-		return true // a vote says nothing about windows holding half the deltas or fewer
-	}
-	widest := uint(0)
-	for w := uint(1); w <= min(32, typeBits[T]()) && cost(w, len(deltas)) <= limit; w++ {
-		widest = w
-	}
-	lo := slices.Min(deltas)
-	// A round costs two passes and a sort about ten; three rounds settle
-	// every shape tried, and giving up only means sorting after all.
-	for round := 0; widest > 0 && round < 3; round++ {
-		reach := max(len(deltas)/2, fullestCell(deltas, lo, widest))
-		if cost(widest, reach) <= limit {
-			return true
-		}
-		for widest > 0 && cost(widest, reach) > limit {
-			widest--
-		}
-	}
-	return widest > 0
-}
-
-// fullestCell bounds from above the number of deltas any window of width w
-// bits holds, provided it is more than half of them; lo is their minimum.
-//
-// Cut the value range into cells twice the window's size, once from lo and
-// once shifted by half a cell: every window lies inside one cell of one of
-// the two grids. A majority vote per grid finds the only cell that can hold
-// more than half the deltas, and a second pass counts the two candidates.
-func fullestCell[T Integer](deltas []T, lo T, w uint) int {
-	mask := typeMask[T]()
-	var cellA, cellB uint64
-	var votesA, votesB int
-	for _, d := range deltas {
-		half := (uint64(d-lo) & mask) >> w
-		a, b := half>>1, (half+1)>>1
-		if votesA == 0 {
-			cellA = a
-		}
-		votesA += 2*b2i(a == cellA) - 1
-		if votesB == 0 {
-			cellB = b
-		}
-		votesB += 2*b2i(b == cellB) - 1
-	}
-	inA, inB := 0, 0
-	for _, d := range deltas {
-		half := (uint64(d-lo) & mask) >> w
-		inA += b2i(half>>1 == cellA)
-		inB += b2i((half+1)>>1 == cellB)
-	}
-	return max(inA, inB)
 }
 
 // MaxDictBits caps PDICT dictionaries at 2^16 entries; beyond that the
@@ -296,15 +301,13 @@ func (h *runs[T]) build(sorted []T) {
 // count returns how often vals[i] occurs in the sample.
 func (h *runs[T]) count(i int32) int32 { return h.cum[i+1] - h.cum[i] }
 
-// analyzePDict ranks the distinct values of the sorted sample by frequency
-// and finds the b for which coding the 2^b most frequent values minimizes
-// the modeled size. The exception rate for width b is 1 - (coverage of the
-// top 2^b values). The ranking is total — falling count, then rising value
-// — so the dictionary's membership depends on the sample alone, not on how
-// a sort happens to break ties; the members are returned in ascending
-// order. Bits is +Inf when no width can meet limit. The returned Dict is
-// e's scratch, valid until e's next analysis.
-func (e *Encoder[T]) analyzePDict(sorted []T, limit float64) Choice[T] {
+// analyzePDict finds the b for which coding the 2^b most frequent values
+// of the sorted sample minimizes the modeled size. The exception rate for
+// width b is 1 - (coverage of the top 2^b values), and the coverage of the
+// top k is the sum of the k largest counts, which a histogram of the counts
+// yields in one walk from the top count down. Which values those are is
+// left to dictionary.
+func (e *Encoder[T]) analyzePDict(sorted []T) Choice[T] {
 	c := Choice[T]{Scheme: SchemePDict, B: 1}
 	n := len(sorted)
 	if n == 0 {
@@ -312,80 +315,70 @@ func (e *Encoder[T]) analyzePDict(sorted []T, limit float64) Choice[T] {
 	}
 	c.Bits = math.Inf(1)
 	s := float64(n)
-	maxB := min(MaxDictBits, typeBits[T]())
 	h := &e.hist
 	h.build(sorted)
 	distinct := len(h.vals)
-
-	// The 2^b most frequent values cover at most 2^b times the top count;
-	// unless that makes some width viable the ranking is not needed.
 	top := int32(0)
 	for i := range h.vals {
 		top = max(top, h.count(int32(i)))
 	}
-	viable := false
-	for b := uint(1); b <= maxB && !viable; b++ {
-		k := min(1<<b, distinct)
-		cover := min(int64(n), int64(k)*int64(top))
-		viable = modelBits[T](b, (s-float64(cover))/s)+dictBits[T](k, s)+entryBits <= limit
-		if k == distinct {
-			break
-		}
-	}
-	if !viable {
-		return c
-	}
-
-	// Stable counting sort on falling count over the value-ordered
-	// histogram: the total order above, in linear time.
-	e.slots = sized(e.slots, int(top)+1)
-	clear(e.slots)
+	e.counts = sized(e.counts, int(top)+1)
+	clear(e.counts)
 	for i := range h.vals {
-		e.slots[h.count(int32(i))]++
+		e.counts[h.count(int32(i))]++
 	}
-	at := int32(0)
-	for count := top; count >= 1; count-- {
-		e.slots[count], at = at, at+e.slots[count]
-	}
-	e.rank = sized(e.rank, distinct)
-	for i := range h.vals {
-		slot := &e.slots[h.count(int32(i))]
-		e.rank[*slot] = int32(i)
-		*slot++
-	}
-
-	taken, covered := 0, int32(0)
-	for b := uint(1); b <= maxB; b++ {
-		k := min(1<<b, distinct)
-		for ; taken < k; taken++ {
-			covered += h.count(e.rank[taken])
+	count, left, taken, covered := top, e.counts[top], int32(0), int32(0)
+	for b := uint(1); b <= min(MaxDictBits, typeBits[T]()); b++ {
+		k := int32(min(1<<b, distinct))
+		for taken < k {
+			for left == 0 {
+				count--
+				left = e.counts[count]
+			}
+			t := min(left, k-taken)
+			taken, left, covered = taken+t, left-t, covered+t*count
 		}
 		ePrime := CompulsoryExceptionRate((s-float64(covered))/s, b)
 		// Amortize dictionary storage over the sample.
-		if bits := modelBits[T](b, ePrime) + dictBits[T](k, s); bits < c.Bits {
+		if bits := modelBits[T](b, ePrime) + dictBits[T](int(k), s); bits < c.Bits {
 			c.B, c.Bits, c.ExceptionRate = b, bits, ePrime
 		}
-		if k == distinct {
+		if int(k) == distinct {
 			break
 		}
 	}
-	// The ranking decides who is in the dictionary, not where: the members
-	// are emitted in ascending order, so that a value range is one code
-	// range and a filtered scan stays on the packed range kernels. Entry i
-	// ranks among the first k exactly when it outranks or is the last
-	// member, which one sweep over the value-ordered histogram tests.
-	k := min(1<<c.B, distinct)
-	last := e.rank[k-1]
-	cut := h.count(last)
-	e.dict = sized(e.dict, k+1) // a spare slot for the write past the last member
+	return c
+}
+
+// dictionary returns the 2^b most frequent values of the sample
+// analyzePDict last saw, ranked by falling count, then rising value, so
+// that membership depends on the sample alone, not on how a sort happens to
+// break ties. It lists them in ascending order, so that a value range is
+// one code range and a filtered scan stays on the packed range kernels. The
+// result is e's scratch, valid until e's next analysis.
+//
+// The members are the values counted more than the k-th largest count, cut,
+// and the first of those counted exactly cut; one sweep over the
+// value-ordered histogram takes them.
+func (e *Encoder[T]) dictionary(b uint) []T {
+	h := &e.hist
+	k := int32(min(1<<b, len(h.vals)))
+	cut, above := int32(len(e.counts)-1), int32(0)
+	for above+e.counts[cut] < k {
+		above += e.counts[cut]
+		cut--
+	}
+	need := k - above                // members counted exactly cut
+	e.dict = sized(e.dict, int(k)+1) // a spare slot for the write past the last member
 	next := 0
 	for i, v := range h.vals {
 		e.dict[next] = v
 		count := h.count(int32(i))
-		next += b2i(count > cut || (count == cut && int32(i) <= last))
+		tie := b2i(count == cut && need > 0)
+		next += b2i(count > cut) + tie
+		need -= int32(tie)
 	}
-	c.Dict = e.dict[:k]
-	return c
+	return e.dict[:k]
 }
 
 // Choose runs all applicable analyses on the sample and returns the
@@ -395,16 +388,25 @@ func (e *Encoder[T]) analyzePDict(sorted []T, limit float64) Choice[T] {
 //
 // PDICT and PFOR share one sort of the sample; PDICT goes first because a
 // sample it suits is one PFOR would spend many widths on. PFOR-DELTA pays
-// for a sort of its own and so goes last, against the tightest limit. The
+// for a sort of its own and so goes after PFOR, against the tighter limit —
+// unless the sample is in order already: then its differences sort in one
+// pass, and PFOR-DELTA goes first to tighten PFOR's limit instead. The
 // winner is then picked in the paper's order — PFOR, PFOR-DELTA, PDICT,
 // each only if strictly cheaper — so ties fall as they would with every
 // scheme searched exhaustively.
 func (e *Encoder[T]) Choose(sample []T) Choice[T] {
 	best := Choice[T]{Scheme: SchemeNone, Bits: float64(typeBits[T]())}
 	sorted := e.sort.sortInto(sample)
-	pdict := e.analyzePDict(sorted, best.Bits)
-	pfor := analyzePFOR(sorted, min(best.Bits, pdict.Bits+entryBits))
-	delta := e.analyzePFORDelta(sample, min(best.Bits, pdict.Bits+entryBits, pfor.Bits+entryBits))
+	pdict := e.analyzePDict(sorted)
+	limit := min(best.Bits, pdict.Bits+entryBits)
+	var pfor, delta Choice[T]
+	if len(sample) > 0 && &sorted[0] == &sample[0] { // sortInto returns a sample in order as it is
+		delta = e.analyzePFORDelta(sample, limit)
+		pfor = e.analyzePFOR(sorted, min(limit, delta.Bits+entryBitsDelta))
+	} else {
+		pfor = e.analyzePFOR(sorted, limit)
+		delta = e.analyzePFORDelta(sample, min(limit, pfor.Bits+entryBits))
+	}
 	for _, c := range [...]Choice[T]{pfor, delta, pdict} {
 		overhead := entryBits
 		if c.Scheme == SchemePFORDelta {
@@ -415,6 +417,9 @@ func (e *Encoder[T]) Choose(sample []T) Choice[T] {
 			best.Bits += overhead
 		}
 	}
+	if best.Scheme == SchemePDict {
+		best.Dict = e.dictionary(best.B)
+	}
 	return best
 }
 
@@ -423,7 +428,7 @@ func (e *Encoder[T]) Choose(sample []T) Choice[T] {
 func AnalyzePFOR[T Integer](sample []T) Choice[T] {
 	e := GetEncoder[T]()
 	defer e.Release()
-	return analyzePFOR(e.sort.sortInto(sample), math.Inf(1))
+	return e.analyzePFOR(e.sort.sortInto(sample), math.Inf(1))
 }
 
 // AnalyzePFORDelta finds the (delta base, b) pair minimizing modeled
@@ -440,8 +445,10 @@ func AnalyzePFORDelta[T Integer](sample []T) Choice[T] {
 func AnalyzePDict[T Integer](sample []T) Choice[T] {
 	e := GetEncoder[T]()
 	defer e.Release()
-	c := e.analyzePDict(e.sort.sortInto(sample), math.Inf(1))
-	c.Dict = slices.Clone(c.Dict)
+	c := e.analyzePDict(e.sort.sortInto(sample))
+	if len(sample) > 0 {
+		c.Dict = slices.Clone(e.dictionary(c.B))
+	}
 	return c
 }
 

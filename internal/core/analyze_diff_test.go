@@ -180,6 +180,22 @@ func FuzzChoose(f *testing.F) {
 	}
 	f.Add(uint8(3), seed)
 	f.Add(uint8(6), seed)
+	// One seed per path of the sort and the search, 300 int64 values each:
+	// a cluster with a sparse far tail, keys spread over the whole range,
+	// two far clusters (the plain radix sort), and a sample in order
+	// (PFOR-DELTA searched first).
+	for _, f64 := range []func(i int) uint64{
+		func(i int) uint64 { return uint64(i*7919%1000) + uint64(i%25/24)<<40 },
+		func(i int) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 },
+		func(i int) uint64 { return uint64(i%2)<<40 + uint64(i*31%256) },
+		func(i int) uint64 { return uint64(i*5 + i%3) },
+	} {
+		seed := make([]byte, 0, 8*300)
+		for i := 0; i < 300; i++ {
+			seed = binary.LittleEndian.AppendUint64(seed, f64(i))
+		}
+		f.Add(uint8(3), seed)
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		switch kind % 8 {
 		case 0:

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 	"unsafe"
@@ -192,28 +191,6 @@ func TestLongestWindows(t *testing.T) {
 		rs, rl := refWindow(sorted, w)
 		if rl != lengths[i] || rs != firstWindow(sorted, w, lengths[i]) {
 			t.Fatalf("b=%d: reference window (%d,%d) disagrees", w, rs, rl)
-		}
-	}
-}
-
-func TestSortInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	var s sorter[int32]
-	for _, n := range []int{0, 1, radixMinLen - 1, radixMinLen, 1000, 70000} {
-		for _, spread := range []uint{1, 8, 9, 17, 31} {
-			src := make([]int32, n)
-			for i := range src {
-				src[i] = int32(rng.Int63n(1<<spread)) - 1<<(spread-1)
-			}
-			keep := slices.Clone(src)
-			want := slices.Clone(src)
-			slices.Sort(want)
-			if got := s.sortInto(src); !slices.Equal(got, want) {
-				t.Fatalf("n=%d spread=%d: not sorted", n, spread)
-			}
-			if !slices.Equal(src, keep) {
-				t.Fatalf("n=%d spread=%d: input modified", n, spread)
-			}
 		}
 	}
 }

@@ -15,10 +15,10 @@ import (
 type Encoder[T Integer] struct {
 	// Analysis.
 	sort   sorter[T]
+	cells  cells   // the window bound (widest)
 	sample []T     // run sample of an input longer than the sample size
 	hist   runs[T] // PDICT: run-length histogram of the sorted sample
-	rank   []int32 // PDICT: histogram entries by falling count
-	slots  []int32 // PDICT: counting-sort buckets
+	counts []int32 // PDICT: histogram entries by count
 	dict   []T     // PDICT: the chosen dictionary (Choice.Dict)
 
 	// Compression. deltas also serves the analysis, which is over by then.
