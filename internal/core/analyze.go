@@ -164,12 +164,15 @@ func frame[T Integer](sorted []T, overhead, limit float64, maxW uint) (b uint, b
 	return b, base, bits, excRate
 }
 
-// cellBits sets the resolution of the window bound: values are counted into
-// 2^cellBits cells.
+// cellBits bounds the resolution of the window bound: values are counted
+// into about as many cells as there are values, up to 2^cellBits.
 const cellBits = 12
 
 // cells is the histogram behind widest.
 type cells [1 << cellBits]uint32
+
+// of returns the cells for counting n values.
+func (c *cells) of(n int) []uint32 { return c[:min(len(c), 1<<bits.Len(uint(n)))] }
 
 // cellReach bounds from above how many of vals (lo is their minimum; their
 // order does not matter) a window of width w bits holds, by counting them
@@ -179,22 +182,24 @@ type cells [1 << cellBits]uint32
 // number, which only merges them and so loosens the bound without breaking
 // it; a run that would go round them all bounds nothing.
 func cellReach[T Integer](c *cells, vals []T, lo T, shift, w uint) int {
+	cs := c.of(len(vals))
+	ring := uint64(len(cs) - 1)
 	span := (maxCode(w)+1<<shift-1)>>shift + 1
-	if span >= uint64(len(c)) {
+	if span > ring {
 		return len(vals)
 	}
 	mask := typeMask[T]()
-	clear(c[:])
+	clear(cs)
 	for _, v := range vals {
-		c[uint64(v-lo)&mask>>shift&(1<<cellBits-1)]++
+		cs[uint64(v-lo)&mask>>shift&ring]++
 	}
 	sum := 0
-	for _, x := range c[:span] {
+	for _, x := range cs[:span] {
 		sum += int(x)
 	}
 	reach := sum
-	for i, x := range c {
-		sum += int(c[(uint64(i)+span)&(1<<cellBits-1)]) - int(x)
+	for i, x := range cs {
+		sum += int(cs[(uint64(i)+span)&ring]) - int(x)
 		reach = max(reach, sum)
 	}
 	return reach
@@ -217,7 +222,8 @@ func widest[T Integer](c *cells, vals []T, lo, hi T, overhead, limit float64) ui
 	for w > 0 && floor(w, len(vals)) > limit {
 		w--
 	}
-	rangeShift := uint(max(0, bits.Len64(uint64(hi-lo)&typeMask[T]())-cellBits))
+	cellsBits := bits.Len(uint(len(c.of(len(vals))))) - 1
+	rangeShift := uint(max(0, bits.Len64(uint64(hi-lo)&typeMask[T]())-cellsBits))
 	for w > 0 {
 		reach, was := cellReach(c, vals, lo, min(w-1, rangeShift), w), w
 		for w > 0 && floor(w, reach) > limit {
