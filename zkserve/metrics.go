@@ -143,6 +143,7 @@ func writeCacheProm(w io.Writer, enabled bool, st zukowski.CacheStats) {
 	counter("zkserve_cache_hits_total", "Block fetches served from the hot-block cache.", st.Hits)
 	counter("zkserve_cache_misses_total", "Block fetches that had to read and verify from the source.", st.Misses)
 	counter("zkserve_cache_inserts_total", "Verified frames admitted into the cache.", st.Puts)
+	counter("zkserve_cache_declined_total", "Verified frames a full cache turned away for being asked for no more often than its LRU entry.", st.Declined)
 	counter("zkserve_cache_evictions_total", "Frames evicted to stay under the byte budget.", st.Evictions)
 	gauge("zkserve_cache_resident_bytes", "Bytes currently held by the cache (payload plus bookkeeping).", st.Bytes)
 	gauge("zkserve_cache_capacity_bytes", "Configured cache byte budget.", st.Capacity)

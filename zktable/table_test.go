@@ -287,37 +287,41 @@ func TestRunWorkersEquivalence(t *testing.T) {
 // zero-allocation guard: a warmed Table.Run pays a fixed handful of
 // allocations per scan and per segment (the pin, the per-segment
 // closures) and nothing per block — a table with sixteen times the blocks
-// in the same three segments allocates exactly as much.
+// in the same three segments allocates exactly as much. That holds with
+// the hot-block cache holding the table, the steady state of a serving
+// process, and without a cache, where every frame is read again on every
+// scan, in runs, into buffers the scan borrows from a pool.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation exactness is asserted in the non-race run")
 	}
-	allocs := func(rowsPerSeg int) float64 {
-		tb := mustCreate(t, filepath.Join(t.TempDir(), "tbl"), zktable.Options{})
-		defer tb.Close()
-		// File-backed readers allocate a buffer per uncached block read; the
-		// steady state worth pinning is the one a serving process runs in,
-		// with the hot-block cache holding the table.
-		tb.SetBlockCache(zukowski.NewBlockLRU(64 << 20))
-		for s := 0; s < 3; s++ {
-			mustAppend(t, tb, synthCols(int64(50+s), rowsPerSeg))
-		}
-		q := where(zukowski.Pred[int64]{Col: 1, Lo: 100, Hi: 600}, zukowski.Pred[int64]{Col: 2, Lo: -10, Hi: 20})
-		sink := func(int, []int64, [][]int64) bool { return true }
-		scan := func() {
-			if err := tb.Run(bg, q, sink); err != nil {
-				t.Fatal(err)
+	for _, cached := range []bool{true, false} {
+		allocs := func(rowsPerSeg int) float64 {
+			tb := mustCreate(t, filepath.Join(t.TempDir(), "tbl"), zktable.Options{})
+			defer tb.Close()
+			if cached {
+				tb.SetBlockCache(zukowski.NewBlockLRU(64 << 20))
 			}
+			for s := 0; s < 3; s++ {
+				mustAppend(t, tb, synthCols(int64(50+s), rowsPerSeg))
+			}
+			q := where(zukowski.Pred[int64]{Col: 1, Lo: 100, Hi: 600}, zukowski.Pred[int64]{Col: 2, Lo: -10, Hi: 20})
+			sink := func(int, []int64, [][]int64) bool { return true }
+			scan := func() {
+				if err := tb.Run(bg, q, sink); err != nil {
+					t.Fatal(err)
+				}
+			}
+			scan() // warm the cache, the pooled scan states and run buffers, and the verification latches
+			return testing.AllocsPerRun(20, scan)
 		}
-		scan() // warm the cache, the pooled scan states and the verification latches
-		return testing.AllocsPerRun(20, scan)
-	}
-	few, many := allocs(2*testBV), allocs(32*testBV)
-	if few != many {
-		t.Fatalf("Table.Run allocates per block: %v allocs over 6 blocks, %v over 96", few, many)
-	}
-	if few > 16 {
-		t.Fatalf("Table.Run: %v allocs per 3-segment scan, want a small per-segment constant", few)
+		few, many := allocs(2*testBV), allocs(32*testBV)
+		if few != many {
+			t.Fatalf("cache %v: Table.Run allocates per block: %v allocs over 6 blocks, %v over 96", cached, few, many)
+		}
+		if few > 16 {
+			t.Fatalf("cache %v: Table.Run: %v allocs per 3-segment scan, want a small per-segment constant", cached, few)
+		}
 	}
 }
 

@@ -6,38 +6,73 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/zktable"
 	"repro/zukowski"
 )
 
-// auditedCache is a BlockLRU that remembers every frame it was offered
-// with its checksum, and takes the frames of odd blocks one byte off
-// their alignment: a block parsed from one of those cannot borrow its
-// code section, so a decode state that goes from block to block is
-// recycled through borrowed, copied and borrowed frames.
+// auditedCache is a BlockLRU that audits what it keeps: after every Put
+// it reads the kept frame back and records it with its checksum, and
+// counts the kept frames that share memory with the frame offered — a
+// scan offers frames from the buffer it reads runs into and reuses, so
+// the cache must keep copies. It serves odd blocks one byte off their
+// alignment (a copy it makes once and audits too): a block parsed from one
+// of those cannot borrow its code section, so a decode state that goes
+// from block to block is recycled through borrowed, copied and borrowed
+// frames.
 type auditedCache struct {
 	*zukowski.BlockLRU
-	mu     sync.Mutex
-	frames [][]byte
-	sums   []uint32
+	mu      sync.Mutex
+	frames  [][]byte
+	sums    []uint32
+	aliased int
+	odd     map[[2]uint64][]byte
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func (c *auditedCache) Put(col uint64, block int, frame []byte) {
-	offered := [][]byte{frame}
-	if block%2 == 1 {
-		frame = append([]byte{0}, frame...)[1:]
-		offered = append(offered, frame) // the fetch that filled the cache still reads the original
+	c.BlockLRU.Put(col, block, frame)
+	kept := c.BlockLRU.Get(col, block)
+	if kept == nil {
+		return
 	}
 	c.mu.Lock()
-	for _, f := range offered {
-		c.frames = append(c.frames, f)
-		c.sums = append(c.sums, crc32.Checksum(f, castagnoli))
+	defer c.mu.Unlock()
+	if overlap(kept, frame) {
+		c.aliased++
 	}
-	c.mu.Unlock()
-	c.BlockLRU.Put(col, block, frame)
+	c.frames = append(c.frames, kept)
+	c.sums = append(c.sums, crc32.Checksum(kept, castagnoli))
+	if block%2 == 1 {
+		shifted := append([]byte{0}, kept...)[1:]
+		c.odd[[2]uint64{col, uint64(block)}] = shifted
+		c.frames = append(c.frames, shifted)
+		c.sums = append(c.sums, crc32.Checksum(shifted, castagnoli))
+	}
+}
+
+func (c *auditedCache) Get(col uint64, block int) []byte {
+	kept := c.BlockLRU.Get(col, block)
+	if kept == nil || block%2 == 0 {
+		return kept
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if shifted, ok := c.odd[[2]uint64{col, uint64(block)}]; ok {
+		return shifted
+	}
+	return kept
+}
+
+// overlap reports whether a and b share any byte of memory.
+func overlap(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
 }
 
 // TestScansLeaveCachedFramesIntact: parsed blocks borrow the cached
@@ -51,7 +86,7 @@ func TestScansLeaveCachedFramesIntact(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "tbl")
 	tb := mustCreate(t, dir, zktable.Options{})
 	defer tb.Close()
-	cache := &auditedCache{BlockLRU: zukowski.NewBlockLRU(32 << 10)}
+	cache := &auditedCache{BlockLRU: zukowski.NewBlockLRU(32 << 10), odd: map[[2]uint64][]byte{}}
 	tb.SetBlockCache(cache)
 	segs := [][][]int64{synthCols(40, 2000), synthCols(41, 2300), synthCols(42, 1700)}
 	for _, s := range segs {
@@ -137,6 +172,9 @@ func TestScansLeaveCachedFramesIntact(t *testing.T) {
 
 	if cache.Stats().Evictions == 0 {
 		t.Errorf("the cache never evicted: the table fits, nothing was re-fetched")
+	}
+	if cache.aliased > 0 {
+		t.Fatalf("%d of %d kept frames share memory with the frame offered to Put", cache.aliased, len(cache.frames))
 	}
 	for i, f := range cache.frames {
 		if got := crc32.Checksum(f, castagnoli); got != cache.sums[i] {

@@ -2,17 +2,29 @@ package zukowski
 
 // The hot-block cache. The paper's decompression-bandwidth argument only
 // holds while the compressed bytes are already in RAM: a file-backed
-// column (OpenColumnReaderAt) re-reads and re-verifies every block from
-// its io.ReaderAt on every touch, so a scan-heavy workload over a warm
-// working set pays the read syscall, a fresh allocation and a CRC32-C
-// pass per block per scan — exactly the RAM-CPU gap the schemes exist to
-// close. A BlockCache keeps recently touched, checksum-verified frame
-// bytes resident under a byte budget, shared across every reader (and
-// therefore every column and table) attached to it. Under the
+// column (OpenColumnReaderAt) re-reads and re-verifies every block it
+// touches from its io.ReaderAt, so a scan-heavy workload over a warm
+// working set pays a read syscall and a CRC32-C pass per frame per scan —
+// exactly the RAM-CPU gap the schemes exist to close. (A sequential scan
+// reads the frames it misses in runs, into a buffer it owns and reuses, so
+// what it pays per frame is the read's share and the hash, not an
+// allocation.) A BlockCache keeps recently touched, checksum-verified
+// frame bytes resident under a byte budget, shared across every reader
+// (and therefore every column and table) attached to it. Under the
 // immutable-container model a cached frame can never go stale — the
 // writer never rewrites a closed container, and a replaced file is
 // served through a freshly opened reader whose cache keys differ — so
 // the only invalidation is eviction.
+//
+// A full BlockLRU admits by frequency, after TinyLFU (Einziger, Friedman
+// and Manes, ACM TOS 2017): every Get counts its key in a small count-min
+// sketch per shard, and a frame offered to a full shard displaces the
+// least recently used entry only if its key was asked for strictly more
+// often. A sweep over more frames than the budget holds therefore leaves
+// the frequently used ones resident instead of cycling every frame through
+// the cache once. Counts are halved periodically, so the entries of a
+// retired reader, whose keys are never asked for again, lose their claim
+// within a bounded number of accesses.
 
 import (
 	"sync"
@@ -25,9 +37,11 @@ import (
 // of a discarded reader simply age out), block the block index within
 // that reader's container.
 //
-// Implementations must be safe for concurrent use. The byte slices that
-// flow through a BlockCache are shared between the cache and every
-// caller: they must be treated as immutable by everyone, forever.
+// Implementations must be safe for concurrent use. Put must copy what it
+// keeps: the frame it is offered may be a scan's read buffer, which the
+// scan overwrites once it moves on. The byte slices Get returns are
+// shared between the cache and every caller: they must be treated as
+// immutable by everyone, forever.
 //
 // BlockLRU is the standard implementation; the interface exists so a
 // process can substitute its own policy (clock, ghost lists, tiering)
@@ -36,8 +50,19 @@ type BlockCache interface {
 	// Get returns the frame cached under (col, block), or nil.
 	Get(col uint64, block int) []byte
 	// Put offers a verified frame for caching under (col, block). The
-	// cache may decline (budget, size); Put never fails loudly.
+	// cache may decline (budget, size, policy); Put never fails loudly,
+	// and it never retains frame itself — it copies what it keeps.
 	Put(col uint64, block int, frame []byte)
+}
+
+// peeker is what a reader asks of a cache beyond BlockCache when the
+// cache offers it (BlockLRU does): the resident frame under a key, without
+// counting the look as a hit or a miss and without promoting the entry.
+// The reader uses it to re-check a key it has already counted as missed,
+// to stop a read-ahead at the first resident frame and to return the copy
+// Put kept.
+type peeker interface {
+	peek(col uint64, block int) []byte
 }
 
 // blockCacheIDs hands out the process-unique column ids SetBlockCache
@@ -50,6 +75,7 @@ type CacheStats struct {
 	Hits      int64 // Get calls answered from the cache
 	Misses    int64 // Get calls that found nothing
 	Puts      int64 // frames accepted into the cache
+	Declined  int64 // frames a full shard turned away: asked for no more often than its LRU entry
 	Evictions int64 // frames evicted to stay under the byte budget
 
 	Bytes    int64 // resident payload + bookkeeping bytes right now
@@ -77,6 +103,18 @@ const (
 	// header), so the byte budget reflects real memory, not just frame
 	// bytes.
 	cacheEntryOverhead = 112
+
+	// sketchBytesPer is the shard budget one counter of each of the
+	// sketch's four rows stands for: with frames of a few KiB a row has
+	// several counters per resident entry, and the sketch costs under 1 %
+	// of the budget. A row holds 16 to 2^16 counters.
+	sketchBytesPer = 256
+	sketchMinWords = 4
+	sketchMaxWords = 1 << 14
+
+	// sketchMax saturates a counter: TinyLFU's 4-bit counters, so a halving
+	// every sample period brings the most-used key to 0 within four.
+	sketchMax = 15
 )
 
 type cacheKey struct {
@@ -87,23 +125,88 @@ type cacheKey struct {
 // cacheEntry is one resident frame, linked into its shard's LRU list.
 type cacheEntry struct {
 	key        cacheKey
+	hash       uint64
 	buf        []byte
 	prev, next *cacheEntry
 }
 
-// cacheShard is one lock's worth of the cache: a map for lookup and an
-// intrusive doubly-linked list for recency, most recent at head.next.
+// sketch is a shard's access-frequency estimate: a count-min sketch of
+// four rows of saturating 4-bit counters, laid out so that a key's four
+// counters share one 64-bit word (sixteen counters, four per row), and
+// counting or estimating a key touches one cache line. Every Get adds its
+// key; after period additions every counter is halved, so the estimate
+// follows recent use and a key nobody asks for any more decays to zero.
+type sketch struct {
+	words  []uint64
+	mask   uint64 // len(words) - 1
+	added  int
+	period int
+}
+
+func (s *sketch) init(shardMax int64) {
+	n := sketchMinWords
+	for n < sketchMaxWords && int64(n)*4*sketchBytesPer < shardMax {
+		n <<= 1
+	}
+	s.words = make([]uint64, n)
+	s.mask = uint64(n - 1)
+	s.period = 4 * n
+}
+
+// word returns a key's word and, in g, the bits that pick its counter in
+// each row: row r's counter is the word's nibble 4r+(g>>2r&3). Both come
+// from the high bits of h times an odd constant, which depend on every bit
+// of h, so a shard's keys (which share the bits of h that picked the
+// shard) still spread over the whole sketch.
+func (s *sketch) word(h uint64) (w *uint64, g uint64) {
+	g = h * 0x9E3779B97F4A7C15
+	return &s.words[(g>>40)&s.mask], g >> 56
+}
+
+// nibble is the bit offset of row r's counter for selector bits g.
+func nibble(g uint64, r uint) uint { return 16*r + 4*uint(g>>(2*r)&3) }
+
+func (s *sketch) add(h uint64) {
+	w, g := s.word(h)
+	x := *w
+	// One increment per row at the nibble's low bit, dropped where the
+	// nibble is already full (all four of its bits set).
+	inc := uint64(1)<<nibble(g, 0) | uint64(1)<<nibble(g, 1) | uint64(1)<<nibble(g, 2) | uint64(1)<<nibble(g, 3)
+	full := x & (x >> 1) & (x >> 2) & (x >> 3) & 0x1111111111111111
+	*w = x + inc&^full
+	if s.added++; s.added >= s.period {
+		for i := range s.words {
+			s.words[i] = (s.words[i] >> 1) & 0x7777777777777777
+		}
+		s.added /= 2
+	}
+}
+
+func (s *sketch) estimate(h uint64) uint64 {
+	w, g := s.word(h)
+	x, est := *w, uint64(sketchMax)
+	for r := uint(0); r < 4; r++ {
+		est = min(est, (x>>nibble(g, r))&0xF)
+	}
+	return est
+}
+
+// cacheShard is one lock's worth of the cache: a map for lookup, an
+// intrusive doubly-linked list for recency, most recent at head.next, and
+// the frequency sketch that guards admission once the shard is full.
 type cacheShard struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
 	head    cacheEntry // sentinel: head.next is MRU, head.prev is LRU
 	bytes   int64
+	freq    sketch
 }
 
-func (sh *cacheShard) init() {
+func (sh *cacheShard) init(shardMax int64) {
 	sh.entries = make(map[cacheKey]*cacheEntry)
 	sh.head.next = &sh.head
 	sh.head.prev = &sh.head
+	sh.freq.init(shardMax)
 }
 
 func (sh *cacheShard) unlink(e *cacheEntry) {
@@ -118,12 +221,15 @@ func (sh *cacheShard) pushFront(e *cacheEntry) {
 	sh.head.next = e
 }
 
-// BlockLRU is a sharded, byte-bounded LRU BlockCache. One BlockLRU is
-// meant to be shared process-wide: attach it to every file-backed
-// reader (zkserve's registry does exactly that) and the budget bounds
-// the hot set across all of them together. All methods are safe for
-// concurrent use, and Get on a resident entry performs no allocation —
-// the cache stays off the scan path's allocation profile.
+// BlockLRU is a sharded, byte-bounded LRU BlockCache with frequency-based
+// admission. One BlockLRU is meant to be shared process-wide: attach it
+// to every file-backed reader (zkserve's registry does exactly that) and
+// the budget bounds the hot set across all of them together. A shard with
+// room admits every frame offered; a full one admits a frame only when its
+// key has been asked for more often than the entry it would evict (see the
+// file comment). All methods are safe for concurrent use, and Get on a
+// resident entry performs no allocation — the cache stays off the scan
+// path's allocation profile.
 type BlockLRU struct {
 	shards    [cacheShards]cacheShard
 	shardMax  int64 // byte budget per shard
@@ -131,6 +237,7 @@ type BlockLRU struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	puts      atomic.Int64
+	declined  atomic.Int64
 	evictions atomic.Int64
 	bytes     atomic.Int64
 	entries   atomic.Int64
@@ -140,32 +247,37 @@ type BlockLRU struct {
 // (payload plus per-entry bookkeeping). A frame larger than its shard's
 // share of the budget (maxBytes / 16) is declined rather than allowed
 // to thrash the shard. maxBytes <= 0 yields a cache that stores
-// nothing.
+// nothing. The admission sketch is sized from the budget.
 func NewBlockLRU(maxBytes int64) *BlockLRU {
 	c := &BlockLRU{capacity: max(maxBytes, 0)}
 	c.shardMax = c.capacity / cacheShards
 	for i := range c.shards {
-		c.shards[i].init()
+		c.shards[i].init(c.shardMax)
 	}
 	return c
 }
 
-// shardOf picks the shard for a key with a splitmix64-style finalizer,
-// so sequential block indices of one column spread across shards.
-func (c *BlockLRU) shardOf(k cacheKey) *cacheShard {
+// hashKey mixes a key so that sequential block indices of one column
+// spread across shards (a splitmix64-style finalizer).
+func hashKey(k cacheKey) uint64 {
 	h := k.col ^ (uint64(k.block) * 0x9E3779B97F4A7C15)
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
 	h ^= h >> 27
-	return &c.shards[h%cacheShards]
+	return h
 }
 
+func (c *BlockLRU) shardOf(h uint64) *cacheShard { return &c.shards[h%cacheShards] }
+
 // Get returns the frame cached under (col, block), or nil, promoting a
-// hit to most-recently-used. The returned bytes are shared: read-only.
+// hit to most-recently-used. Hit or miss, the key's use is counted for
+// admission. The returned bytes are shared: read-only.
 func (c *BlockLRU) Get(col uint64, block int) []byte {
 	k := cacheKey{col: col, block: block}
-	sh := c.shardOf(k)
+	h := hashKey(k)
+	sh := c.shardOf(h)
 	sh.mu.Lock()
+	sh.freq.add(h)
 	e := sh.entries[k]
 	if e == nil {
 		sh.mu.Unlock()
@@ -180,24 +292,47 @@ func (c *BlockLRU) Get(col uint64, block int) []byte {
 	return buf
 }
 
-// Put inserts frame under (col, block), evicting least-recently-used
-// entries until the shard fits its budget again. An oversized frame is
-// declined; a duplicate key keeps the resident entry (the fill path is
-// singleflighted per block, so duplicates only arise from independent
-// readers over the same bytes, where either copy is equally valid).
+// peek returns the frame cached under (col, block), or nil, leaving the
+// counters, the sketch and the recency order as they were.
+func (c *BlockLRU) peek(col uint64, block int) []byte {
+	k := cacheKey{col: col, block: block}
+	sh := c.shardOf(hashKey(k))
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e := sh.entries[k]; e != nil {
+		return e.buf
+	}
+	return nil
+}
+
+// Put keeps a copy of frame under (col, block) when the shard admits it,
+// evicting least-recently-used entries until the shard fits its budget
+// again. A shard with room admits; a full one admits only a key Get has
+// counted strictly more often than its LRU entry's, and otherwise keeps
+// the entry and declines. An oversized frame is declined outright; a
+// duplicate key keeps the resident entry (the single-frame fill is
+// singleflighted per block, so duplicates only arise from scans reading
+// ahead and from independent readers over the same bytes, where either
+// copy is equally valid). Only an admitted frame costs an allocation.
 func (c *BlockLRU) Put(col uint64, block int, frame []byte) {
 	cost := int64(len(frame)) + cacheEntryOverhead
 	if cost > c.shardMax {
 		return
 	}
 	k := cacheKey{col: col, block: block}
-	sh := c.shardOf(k)
+	h := hashKey(k)
+	sh := c.shardOf(h)
 	sh.mu.Lock()
 	if _, dup := sh.entries[k]; dup {
 		sh.mu.Unlock()
 		return
 	}
-	e := &cacheEntry{key: k, buf: frame}
+	if sh.bytes+cost > c.shardMax && sh.freq.estimate(h) <= sh.freq.estimate(sh.head.prev.hash) {
+		sh.mu.Unlock()
+		c.declined.Add(1)
+		return
+	}
+	e := &cacheEntry{key: k, hash: h, buf: append([]byte(nil), frame...)}
 	sh.entries[k] = e
 	sh.pushFront(e)
 	sh.bytes += cost
@@ -227,6 +362,7 @@ func (c *BlockLRU) Stats() CacheStats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Puts:      c.puts.Load(),
+		Declined:  c.declined.Load(),
 		Evictions: c.evictions.Load(),
 		Bytes:     c.bytes.Load(),
 		Entries:   c.entries.Load(),

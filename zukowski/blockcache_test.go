@@ -17,7 +17,8 @@ import (
 
 // sameShardCols finds n column ids whose (col, 0) keys hash to one
 // shard, by probing a cache whose shard budget fits a single entry:
-// a colliding insert evicts instead of growing the entry count.
+// a colliding insert is declined or evicts instead of growing the entry
+// count.
 func sameShardCols(t *testing.T, n int, frame []byte) []uint64 {
 	t.Helper()
 	perEntry := int64(len(frame)) + 112
@@ -26,7 +27,7 @@ func sameShardCols(t *testing.T, n int, frame []byte) []uint64 {
 		probe := zukowski.NewBlockLRU(16 * (perEntry + 10))
 		probe.Put(cols[0], 0, frame)
 		probe.Put(col, 0, frame)
-		if probe.Stats().Evictions == 1 {
+		if probe.Len() == 1 {
 			cols = append(cols, col)
 		}
 	}
@@ -38,7 +39,9 @@ func sameShardCols(t *testing.T, n int, frame []byte) []uint64 {
 
 // TestBlockLRUEviction: under byte pressure the cache evicts in LRU
 // order — a Get-promoted entry survives while the untouched one goes —
-// and the byte/entry accounting stays exact through the churn.
+// and the byte/entry accounting stays exact through the churn. The
+// newcomer has been asked for once (a miss) and the LRU entry never, so
+// frequency admission lets it in.
 func TestBlockLRUEviction(t *testing.T) {
 	frame := make([]byte, 1000)
 	perEntry := int64(len(frame)) + 112
@@ -51,6 +54,9 @@ func TestBlockLRUEviction(t *testing.T) {
 	c.Put(b1, 0, frame)
 	if c.Get(a, 0) == nil { // promote a to MRU
 		t.Fatal("entry a missing before eviction")
+	}
+	if c.Get(b2, 0) != nil {
+		t.Fatal("entry b2 resident before its Put")
 	}
 	c.Put(b2, 0, frame) // must evict b1, the LRU
 	if c.Get(a, 0) == nil {
@@ -71,6 +77,52 @@ func TestBlockLRUEviction(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
+	}
+}
+
+// TestBlockLRUAdmission: a full shard keeps its LRU entry against a key
+// asked for less often or as often, and gives it up to a key asked for
+// more often.
+func TestBlockLRUAdmission(t *testing.T) {
+	frame := make([]byte, 1000)
+	perEntry := int64(len(frame)) + 112
+	cols := sameShardCols(t, 4, frame)
+	resident, rare, tied, frequent := cols[0], cols[1], cols[2], cols[3]
+	ask := func(c *zukowski.BlockLRU, col uint64, times int) {
+		for i := 0; i < times; i++ {
+			c.Get(col, 0)
+		}
+	}
+
+	c := zukowski.NewBlockLRU(16 * (perEntry + 10)) // one entry per shard
+	ask(c, resident, 2)
+	c.Put(resident, 0, frame) // room: admitted
+	ask(c, rare, 1)
+	c.Put(rare, 0, frame) // asked for less often: declined
+	ask(c, tied, 2)
+	c.Put(tied, 0, frame) // asked for as often: declined
+	if st := c.Stats(); st.Puts != 1 || st.Declined != 2 || st.Evictions != 0 || st.Entries != 1 {
+		t.Fatalf("after a rarer and an as frequent candidate: %+v, want 1 put, 2 declined, nothing evicted", st)
+	}
+	ask(c, frequent, 3)
+	c.Put(frequent, 0, frame) // asked for more often: admitted
+	if st := c.Stats(); st.Puts != 2 || st.Declined != 2 || st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("after a more frequent candidate: %+v, want 2 puts, 2 declined, 1 evicted", st)
+	}
+	if c.Get(frequent, 0) == nil || c.Get(resident, 0) != nil || c.Get(rare, 0) != nil || c.Get(tied, 0) != nil {
+		t.Fatal("the more frequent candidate did not replace the resident entry")
+	}
+}
+
+// TestBlockLRUPutCopies: Put keeps a copy, so the caller may reuse its
+// slice at once — what a scan does with the buffer it reads runs into.
+func TestBlockLRUPutCopies(t *testing.T) {
+	c := zukowski.NewBlockLRU(1 << 20)
+	frame := []byte{1, 2, 3, 4}
+	c.Put(5, 0, frame)
+	copy(frame, []byte{9, 9, 9, 9})
+	if got := c.Get(5, 0); !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+		t.Fatalf("cached bytes followed the caller's slice: %v", got)
 	}
 }
 
@@ -182,10 +234,12 @@ func TestConcurrentBlockLRUHammer(t *testing.T) {
 type countingReaderAt struct {
 	r     io.ReaderAt
 	reads atomic.Int64
+	bytes atomic.Int64
 }
 
 func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	c.reads.Add(1)
+	c.bytes.Add(int64(len(p)))
 	return c.r.ReadAt(p, off)
 }
 
@@ -199,6 +253,50 @@ func openCached[T zukowski.Integer](t *testing.T, data []byte, c zukowski.BlockC
 		t.Fatal(err)
 	}
 	return cr, src
+}
+
+// TestCacheCountsEachFrameOnce: every frame a fetch or a scan consumes
+// from a cache-attached reader counts exactly one hit or one miss — one
+// miss for a cold FrameBytes, one hit for the next, and over a two-column
+// set one miss per frame on the cold pass and one hit per frame on the
+// warm one.
+func TestCacheCountsEachFrameOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	a, b := genValues[int64](rng, 6*512), genValues[int64](rng, 6*512)
+	dataA, dataB := buildColumnV2[int64](t, nil, 512, a), buildColumnV2[int64](t, nil, 512, b)
+
+	cache := zukowski.NewBlockLRU(1 << 30)
+	cr, _ := openCached[int64](t, dataA, cache)
+	if _, err := cr.FrameBytes(1); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("cold FrameBytes: %d misses, %d hits; want 1, 0", st.Misses, st.Hits)
+	}
+	if _, err := cr.FrameBytes(1); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("warm FrameBytes: %d misses, %d hits; want 1, 1", st.Misses, st.Hits)
+	}
+
+	cache = zukowski.NewBlockLRU(1 << 30)
+	crA, _ := openCached[int64](t, dataA, cache)
+	crB, _ := openCached[int64](t, dataB, cache)
+	cs, err := zukowski.NewColumnSet(crA, crB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := int64(2 * crA.NumBlocks())
+	for pass, want := range []zukowski.CacheStats{{Misses: frames}, {Misses: frames, Hits: frames}} {
+		if _, _, err := collectRun(t, cs, zukowski.Query[int64]{}); err != nil {
+			t.Fatal(err)
+		}
+		if st := cache.Stats(); st.Misses != want.Misses || st.Hits != want.Hits {
+			t.Fatalf("pass %d over %d frames: %d misses, %d hits; want %d, %d",
+				pass, frames, st.Misses, st.Hits, want.Misses, want.Hits)
+		}
+	}
 }
 
 // TestCacheScanEquivalence: scans through a cache — including a tiny
@@ -416,6 +514,46 @@ func TestCacheHitPathZeroAllocs(t *testing.T) {
 	scan()
 	if allocs := testing.AllocsPerRun(10, scan); allocs != 0 {
 		t.Fatalf("warmed file-backed scan allocates %v/op", allocs)
+	}
+}
+
+// TestCacheMissAllocs: a single-frame miss allocates the frame it hands
+// back — with a cache, the copy the cache kept, plus the cache's entry —
+// and nothing else: with a cache the read goes into a pooled buffer, and
+// the source is read with ReadAt directly, not through a SectionReader
+// built per read.
+func TestCacheMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation exactness is asserted in the non-race run")
+	}
+	rng := rand.New(rand.NewSource(80))
+	src := genValues[int64](rng, 400*256)
+	data := buildColumnV2[int64](t, nil, 256, src)
+	for _, tc := range []struct {
+		cache *zukowski.BlockLRU
+		want  float64
+	}{{nil, 1}, {zukowski.NewBlockLRU(1 << 30), 2}} {
+		var opts []zukowski.ReaderOption
+		if tc.cache != nil {
+			opts = append(opts, zukowski.WithBlockCache(tc.cache))
+		}
+		cr, err := zukowski.OpenColumnReaderAt[int64](bytes.NewReader(data), int64(len(data)), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(300, func() {
+			if _, err := cr.FrameBytes(next); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if allocs > tc.want {
+			t.Errorf("cache %v: %v allocations per cold FrameBytes, want at most %v", tc.cache != nil, allocs, tc.want)
+		}
+		if tc.cache != nil && tc.cache.Stats().Misses != int64(next) {
+			t.Fatalf("%d misses over %d cold fetches", tc.cache.Stats().Misses, next)
+		}
 	}
 }
 

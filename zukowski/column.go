@@ -342,10 +342,10 @@ func (cw *ColumnWriter[T]) CompressedBytes() int {
 // in memory, or an io.ReaderAt fetched lazily block by block.
 type columnSource interface {
 	// view returns n bytes at off. A byte-backed source returns a
-	// subslice of the original data; a ReaderAt-backed source returns a
-	// freshly allocated buffer (so callers may retain the result either
-	// way).
-	view(off int64, n int) ([]byte, error)
+	// subslice of the original data and ignores dst; a ReaderAt-backed
+	// source reads into dst, grown to n bytes when it is shorter (a nil
+	// dst yields a fresh buffer the caller may retain).
+	view(dst []byte, off int64, n int) ([]byte, error)
 	size() int64
 	// stable reports whether repeated views of the same range return the
 	// same bytes (true for in-memory data, false for a ReaderAt, whose
@@ -360,7 +360,7 @@ func (s byteSource) size() int64 { return int64(len(s)) }
 
 func (s byteSource) stable() bool { return true }
 
-func (s byteSource) view(off int64, n int) ([]byte, error) {
+func (s byteSource) view(_ []byte, off int64, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off+int64(n) > int64(len(s)) {
 		return nil, fmt.Errorf("%w: read of [%d,%d) beyond %d bytes", ErrCorruptColumn, off, off+int64(n), len(s))
 	}
@@ -376,18 +376,26 @@ func (s *readerAtSource) size() int64 { return s.n }
 
 func (s *readerAtSource) stable() bool { return false }
 
-func (s *readerAtSource) view(off int64, n int) ([]byte, error) {
+func (s *readerAtSource) view(dst []byte, off int64, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off+int64(n) > s.n {
 		return nil, fmt.Errorf("%w: read of [%d,%d) beyond %d bytes", ErrCorruptColumn, off, off+int64(n), s.n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(s.r, off, int64(n)), buf); err != nil {
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	dst = dst[:n]
+	// ReadAt fills dst completely or says why not; a full read may still
+	// come with io.EOF when it ends at the end of the source.
+	if got, err := s.r.ReadAt(dst, off); got < n {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
 		// ErrIO marks the failure as transient-class (the bytes never
 		// arrived) for the retry path; ErrCorruptColumn stays in the chain
 		// as the umbrella every container failure matches.
 		return nil, fmt.Errorf("%w: %w reading [%d,%d): %w", ErrCorruptColumn, ErrIO, off, off+int64(n), err)
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // ColumnReader reads a column container. Point lookups locate the
@@ -518,8 +526,10 @@ func OpenColumn[T Integer](data []byte, opts ...ReaderOption) (*ColumnReader[T],
 // bytes.Reader and mmap wrappers all qualify).
 //
 // Without a block cache every touch of a block re-reads and (for ZKC2)
-// re-verifies its bytes from the ReaderAt; WithBlockCache keeps the hot
-// working set resident — see BlockCache.
+// re-verifies its bytes from the ReaderAt — a sequential Query scan reads
+// the frames it is about to need in runs of adjacent frames, one ReadAt
+// each, the other access paths one frame at a time; WithBlockCache keeps
+// the hot working set resident — see BlockCache.
 func OpenColumnReaderAt[T Integer](r io.ReaderAt, size int64, opts ...ReaderOption) (*ColumnReader[T], error) {
 	return openColumn[T](&readerAtSource{r: r, n: size}, opts)
 }
@@ -529,7 +539,7 @@ func openColumn[T Integer](src columnSource, opts []ReaderOption) (*ColumnReader
 	if size < columnHeaderSize+columnTailSizeV1 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptColumn, size)
 	}
-	hdr, err := src.view(0, columnHeaderSize)
+	hdr, err := src.view(nil, 0, columnHeaderSize)
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +559,7 @@ func openColumn[T Integer](src columnSource, opts []ReaderOption) (*ColumnReader
 	if size < int64(columnHeaderSize+tailSize) {
 		return nil, fmt.Errorf("%w: %d bytes too small for %s tail", ErrCorruptColumn, size, FormatName(version))
 	}
-	tail, err := src.view(size-int64(tailSize), tailSize)
+	tail, err := src.view(nil, size-int64(tailSize), tailSize)
 	if err != nil {
 		return nil, err
 	}
@@ -573,7 +583,7 @@ func openColumn[T Integer](src columnSource, opts []ReaderOption) (*ColumnReader
 	if numBlocks < 0 || dirStart < columnHeaderSize {
 		return nil, fmt.Errorf("%w: directory of %d blocks does not fit", ErrCorruptColumn, numBlocks)
 	}
-	dir, err := src.view(dirStart, numBlocks*entrySize)
+	dir, err := src.view(nil, dirStart, numBlocks*entrySize)
 	if err != nil {
 		return nil, err
 	}
@@ -669,10 +679,31 @@ func (cr *ColumnReader[T]) Ratio() float64 {
 }
 
 // attachedCache pairs a BlockCache with the column id this reader keys
-// it under; the pair swaps atomically so attachment is race-free.
+// it under; the pair swaps atomically so attachment is race-free. p is the
+// cache's peek when it has one.
 type attachedCache struct {
 	c  BlockCache
 	id uint64
+	p  peeker
+}
+
+// resident reports whether block b is known to be cached; a read-ahead
+// stops there. A cache that cannot peek never says so.
+func (ac *attachedCache) resident(b int) bool {
+	return ac.p != nil && ac.p.peek(ac.id, b) != nil
+}
+
+// keep offers block b's verified frame, which lives in a buffer the
+// caller will reuse, and returns bytes that stay valid: the copy the cache
+// kept, or a copy of its own when the cache declined or cannot peek.
+func (ac *attachedCache) keep(b int, frame []byte) []byte {
+	ac.c.Put(ac.id, b, frame)
+	if ac.p != nil {
+		if kept := ac.p.peek(ac.id, b); kept != nil {
+			return kept
+		}
+	}
+	return slices.Clone(frame)
 }
 
 // SetBlockCache attaches c as this reader's hot-block cache, or
@@ -693,7 +724,8 @@ func (cr *ColumnReader[T]) SetBlockCache(c BlockCache) {
 	if cr.src.stable() {
 		return
 	}
-	cr.cache.Store(&attachedCache{c: c, id: blockCacheIDs.Add(1)})
+	p, _ := c.(peeker)
+	cr.cache.Store(&attachedCache{c: c, id: blockCacheIDs.Add(1), p: p})
 }
 
 // checkCRC verifies buf against block b's stored payload CRC32-C.
@@ -707,29 +739,22 @@ func checkCRC(buf []byte, want uint32, b int) error {
 
 // view returns block b's bytes without integrity checks.
 func (cr *ColumnReader[T]) view(b int) ([]byte, error) {
-	blk := cr.blocks[b]
-	return cr.src.view(int64(blk.offset), int(blk.length))
+	return cr.readFrames(nil, b, b+1)
 }
 
-// viewVerified returns block b's bytes after an unconditional ZKC2
-// checksum check (ZKC1 stores none), latching the pass for stable sources.
-// Callers that want the hash to run at most once must consult the latch
-// under the slot mutex themselves — frame does; VerifyBlock deliberately
-// re-hashes.
-func (cr *ColumnReader[T]) viewVerified(b int) ([]byte, error) {
-	buf, err := cr.view(b)
-	if err != nil {
-		return nil, err
+// verify checks block b's frame against its ZKC2 checksum (ZKC1 stores
+// none), latching the pass for stable sources.
+func (cr *ColumnReader[T]) verify(frame []byte, b int) error {
+	if cr.version < FormatZKC2 {
+		return nil
 	}
-	if cr.version >= FormatZKC2 {
-		if err := checkCRC(buf, cr.blocks[b].crc, b); err != nil {
-			return nil, err
-		}
-		if cr.src.stable() {
-			cr.slots[b].verified.Store(true)
-		}
+	if err := checkCRC(frame, cr.blocks[b].crc, b); err != nil {
+		return err
 	}
-	return buf, nil
+	if cr.src.stable() {
+		cr.slots[b].verified.Store(true)
+	}
+	return nil
 }
 
 // frame returns block b's bytes, verifying the ZKC2 payload checksum: on a
@@ -739,48 +764,171 @@ func (cr *ColumnReader[T]) viewVerified(b int) ([]byte, error) {
 // re-reads bytes on every view, so every fetch is re-verified — unless a
 // block cache is attached, in which case the fill (one read, one
 // verification) is singleflighted under the block's mutex and every hit
-// is served from the cache without touching the source or the hash.
+// is served from the cache without touching the source or the hash. With
+// a cache, each call counts exactly one hit or one miss.
 //
-// A quarantined block fails fast with its latched error; transient I/O
-// failures retry under the reader's RetryPolicy (see fetchVerified).
+// The bytes returned are the caller's to keep: the source's own, the
+// cache's, or a fresh buffer. A quarantined block fails fast with its
+// latched error; transient I/O failures retry under the reader's
+// RetryPolicy (see fetchVerified).
 func (cr *ColumnReader[T]) frame(b int) ([]byte, error) {
 	if err := cr.quarantined(b); err != nil {
 		return nil, err
 	}
-	slot := &cr.slots[b]
-	if ac := cr.cache.Load(); ac != nil {
+	ac := cr.cache.Load()
+	if ac != nil {
 		if buf := ac.c.Get(ac.id, b); buf != nil {
 			return buf, nil
 		}
 	} else if cr.version < FormatZKC2 || !cr.src.stable() {
-		return cr.fetchVerified(b) // nothing to latch or fill: no singleflight
-	} else if slot.verified.Load() {
+		return cr.fetchVerified(nil, b) // nothing to latch or fill: no singleflight
+	} else if cr.slots[b].verified.Load() {
 		return cr.view(b)
 	}
+	slot := &cr.slots[b]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
-	return cr.frameLocked(b)
+	return cr.frameLocked(b, ac != nil)
 }
 
 // frameLocked is the part of frame that runs under slots[b].mu, which the
 // caller holds: the re-check of the cache or the verification latch, and
-// on a miss the one fetch. The caller has consulted the quarantine latch.
-func (cr *ColumnReader[T]) frameLocked(b int) ([]byte, error) {
+// on a miss the one fetch. The caller has consulted the quarantine latch;
+// counted says whether its Get already counted the miss, in which case the
+// re-check peeks (a cache that cannot is asked again), so that the fetch
+// counts one miss, not two.
+func (cr *ColumnReader[T]) frameLocked(b int, counted bool) ([]byte, error) {
 	if ac := cr.cache.Load(); ac != nil {
-		if buf := ac.c.Get(ac.id, b); buf != nil {
+		var buf []byte
+		if counted && ac.p != nil {
+			buf = ac.p.peek(ac.id, b)
+		} else {
+			buf = ac.c.Get(ac.id, b)
+		}
+		if buf != nil {
 			return buf, nil
 		}
-		buf, err := cr.fetchVerified(b)
+		// The frame is read into a pooled buffer and offered from there:
+		// the cache copies what it admits, and the caller gets that copy.
+		scratch := runBufs.Get().(*[]byte)
+		defer runBufs.Put(scratch)
+		buf, err := cr.fetchVerified(*scratch, b)
 		if err != nil {
 			return nil, err // corrupt or unreadable blocks are never cached
 		}
-		ac.c.Put(ac.id, b, buf)
-		return buf, nil
+		*scratch = buf
+		return ac.keep(b, buf), nil
 	}
 	if cr.src.stable() && cr.slots[b].verified.Load() {
 		return cr.view(b)
 	}
-	return cr.fetchVerified(b)
+	return cr.fetchVerified(nil, b)
+}
+
+// runCap bounds one run: a sequential scan that misses a frame reads at
+// most this many bytes from the start of that frame on (the missed frame
+// itself whatever its size). 256 KiB is tens of 4,096-value frames, few
+// enough to stay in L2 while they are checked and decoded.
+const runCap = 256 << 10
+
+// runBufs holds the buffers runs are read into, shared by every reader of
+// the process, so a column costs a buffer only while a scan is reading it.
+// A sequential scan takes one per file-backed column at its first miss
+// there and puts it back when the scan ends; a single-frame fill through a
+// cache borrows one for the length of its fetch.
+var runBufs = sync.Pool{New: func() any {
+	buf := make([]byte, 0, runCap)
+	return &buf
+}}
+
+// frameRun is one column's read-ahead within one sequential scan: the
+// frames of blocks [first, end), as one fetch left them back to back in
+// *buf. A run belongs to the scan that read it — it is never shared and
+// never singleflighted — and the frames it holds are borrowed: valid until
+// the scan reads the column's next run, which happens only between blocks.
+// Nothing that outlives a block may keep them.
+type frameRun struct {
+	buf        *[]byte // from runBufs; nil until the column's first miss
+	first, end int
+}
+
+// release returns the run's buffer to runBufs.
+func (r *frameRun) release() {
+	if r.buf != nil {
+		runBufs.Put(r.buf)
+		r.buf = nil
+	}
+	r.first, r.end = 0, 0
+}
+
+// scanFrame returns block b's frame to a sequential scan that keeps run
+// for this column and will read the column's block k wherever reads[k] is
+// set: from the attached cache (one hit or one miss counted), else from
+// run, reading a new run from b first when run does not hold it. Every
+// frame taken from a run is CRC-checked before use and, with a cache, then
+// offered to it (the cache copies what it admits). A frame that fails its
+// check cuts the run before it and goes the single-frame way: one re-read,
+// then quarantine. So a torn run quarantines exactly the bad frame, and a
+// frame read ahead but never taken reports nothing. The frame is borrowed
+// from run or shared with the cache: read-only, and only for this block.
+func (cr *ColumnReader[T]) scanFrame(run *frameRun, b int, reads []bool) ([]byte, error) {
+	if err := cr.quarantined(b); err != nil {
+		return nil, err
+	}
+	ac := cr.cache.Load()
+	if ac != nil {
+		if buf := ac.c.Get(ac.id, b); buf != nil {
+			return buf, nil
+		}
+	}
+	if b < run.first || b >= run.end {
+		if err := cr.readRun(run, b, reads, ac); err != nil {
+			return nil, err
+		}
+	}
+	blk := cr.blocks[b]
+	lo := blk.offset - cr.blocks[run.first].offset
+	frame := (*run.buf)[lo : lo+uint64(blk.length)]
+	if err := cr.verify(frame, b); err != nil {
+		run.end = b
+		if frame, err = cr.reread(nil, b, err); err != nil {
+			return nil, err
+		}
+	}
+	if ac != nil {
+		ac.c.Put(ac.id, b, frame)
+	}
+	return frame, nil
+}
+
+// readRun refills run with one fetch: block b's frame and those of the
+// blocks after it that the scan will read (reads), up to the first block
+// the cache holds and within runCap bytes. A run of several frames that
+// cannot be read after the retries is cut to a run of one, so that an
+// unreadable neighbour costs block b nothing.
+func (cr *ColumnReader[T]) readRun(run *frameRun, b int, reads []bool, ac *attachedCache) error {
+	limit := cr.blocks[b].offset + runCap
+	end := b + 1
+	for end < len(cr.blocks) && reads[end] &&
+		cr.blocks[end].offset+uint64(cr.blocks[end].length) <= limit &&
+		(ac == nil || !ac.resident(end)) {
+		end++
+	}
+	if run.buf == nil {
+		run.buf = runBufs.Get().(*[]byte)
+	}
+	run.first, run.end = b, b
+	buf, err := cr.fetch(*run.buf, b, end)
+	if err != nil && end > b+1 {
+		end = b + 1
+		buf, err = cr.fetch(*run.buf, b, end)
+	}
+	if err != nil {
+		return err
+	}
+	*run.buf = buf
+	run.end = end
+	return nil
 }
 
 // decodeColumnFrame decodes one frame regardless of which codec wrote it,
@@ -1003,7 +1151,7 @@ func (cr *ColumnReader[T]) parseBlock(b int) (*parsedBlock[T], error) {
 	if p := slot.parsed.Load(); p != nil {
 		return p, nil
 	}
-	frame, err := cr.frameLocked(b)
+	frame, err := cr.frameLocked(b, false)
 	if err != nil {
 		return nil, err
 	}

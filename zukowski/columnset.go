@@ -46,6 +46,10 @@ type Pred[T Integer] struct {
 type ColumnSet[T Integer] struct {
 	cols   []*ColumnReader[T]
 	states sync.Pool
+
+	// fileBacked reports whether any column reads through an io.ReaderAt,
+	// so that a sequential scan has frames to read ahead.
+	fileBacked bool
 }
 
 // NewColumnSet groups columns for conjunctive scans. Every column must
@@ -73,7 +77,11 @@ func NewColumnSet[T Integer](cols ...*ColumnReader[T]) (*ColumnSet[T], error) {
 			}
 		}
 	}
-	return &ColumnSet[T]{cols: cols}, nil
+	cs := &ColumnSet[T]{cols: cols}
+	for _, cr := range cols {
+		cs.fileBacked = cs.fileBacked || !cr.src.stable()
+	}
+	return cs, nil
 }
 
 // Columns returns the number of columns in the set.
@@ -94,8 +102,9 @@ func (cs *ColumnSet[T]) NumBlocks() int { return cs.cols[0].NumBlocks() }
 // predicate masking is not re-parsed for materialization.
 type setColState[T Integer] struct {
 	decodeState[T]
-	gath []T   // materialized output buffer of this column
-	form uint8 // what the state holds for the current block
+	gath []T      // materialized output buffer of this column
+	form uint8    // what the state holds for the current block
+	run  frameRun // the sequential scan's read-ahead of a file-backed column
 }
 
 const (
@@ -121,6 +130,13 @@ type setState[T Integer] struct {
 	// codes is the per-block dictionary-code scratch of GroupAggregate's
 	// code-space path, one slice per group column.
 	codes [][]int32
+
+	// plan is a sequential pass's read plan over a set with a file-backed
+	// column: plan[c*NumBlocks()+b] says whether the pass fetches column c's
+	// block b (see planReads). Empty outside visitBlocks, so a parallel
+	// worker's state fetches single frames. reads is planReads' scratch.
+	plan  []bool
+	reads []bool
 }
 
 func (cs *ColumnSet[T]) getState() *setState[T] {
@@ -135,6 +151,66 @@ func (cs *ColumnSet[T]) getState() *setState[T] {
 
 func (cs *ColumnSet[T]) putState(st *setState[T]) { cs.states.Put(st) }
 
+// planReads fills st.plan for a sequential pass of q whose visits
+// materialize the columns mat (nil: every column): column c's block b is
+// fetched when queryVerdict does not rule the block out and c is either
+// materialized or named by markReads for the predicate. This is what
+// "will read" means to a run (see ColumnReader.scanFrame); a block whose
+// bitmap empties early reads less, and the frames read ahead for it go
+// unused.
+func (cs *ColumnSet[T]) planReads(st *setState[T], q *Query[T], mat []int) {
+	nb, nc := cs.NumBlocks(), len(cs.cols)
+	if cap(st.plan) < nb*nc {
+		st.plan = make([]bool, nb*nc)
+	}
+	st.plan = st.plan[:nb*nc]
+	clear(st.plan)
+	if cap(st.reads) < nc {
+		st.reads = make([]bool, nc)
+	}
+	reads := st.reads[:nc]
+	for b := 0; b < nb; b++ {
+		if cs.queryVerdict(q, b) == verdictNone {
+			continue
+		}
+		clear(reads)
+		cs.markReads(q, b, reads)
+		if mat == nil {
+			for c := range reads {
+				reads[c] = true
+			}
+		}
+		for _, c := range mat {
+			reads[c] = true
+		}
+		for c, r := range reads {
+			st.plan[c*nb+b] = r
+		}
+	}
+}
+
+// frame returns column ci's block b for the scan st: through the column's
+// run when st is a planned sequential pass and the column is file-backed,
+// the reader's single-frame fetch otherwise.
+func (cs *ColumnSet[T]) frame(st *setState[T], ci, b int) ([]byte, error) {
+	cr := cs.cols[ci]
+	if len(st.plan) == 0 || cr.src.stable() {
+		return cr.frame(b)
+	}
+	nb := len(cr.blocks)
+	return cr.scanFrame(&st.cols[ci].run, b, st.plan[ci*nb:(ci+1)*nb])
+}
+
+// endScan hands a sequential pass's run buffers back to the shared pool,
+// forgets its plan and returns st to the set's pool.
+func (cs *ColumnSet[T]) endScan(st *setState[T]) {
+	for i := range st.cols {
+		st.cols[i].run.release()
+	}
+	st.plan = st.plan[:0]
+	cs.putState(st)
+}
+
 // begin invalidates the per-block memos before evaluating a new block.
 func (st *setState[T]) begin() {
 	for i := range st.cols {
@@ -142,19 +218,21 @@ func (st *setState[T]) begin() {
 	}
 }
 
-// prepare fetches block b of cr into st, memoized per block iteration:
-// patched frames are parsed once (sections only, nothing decoded), raw
-// and baseline frames are decoded once into st.vals. It reports whether
-// the block is patched-compressed, i.e. whether the compressed-domain
-// mask kernels apply.
-func (st *setColState[T]) prepare(cr *ColumnReader[T], b int) (patched bool, err error) {
+// prepare fetches column ci's block b into the scan state st, memoized
+// per block iteration: patched frames are parsed once (sections only,
+// nothing decoded), raw and baseline frames are decoded once into
+// st.vals. It reports whether the block is patched-compressed, i.e.
+// whether the compressed-domain mask kernels apply.
+func (cs *ColumnSet[T]) prepare(scan *setState[T], ci, b int) (patched bool, err error) {
+	st := &scan.cols[ci]
 	switch st.form {
 	case colSeg:
 		return true, nil
 	case colVals:
 		return false, nil
 	}
-	frame, err := cr.frame(b)
+	cr := cs.cols[ci]
+	frame, err := cs.frame(scan, ci, b)
 	if err != nil {
 		return false, err
 	}
@@ -195,11 +273,12 @@ func b2u32(v bool) uint32 {
 // (maskRefine), or a union into it (maskUnion). Patched frames stay in
 // the compressed code domain; raw and baseline frames compare decoded
 // values (fetched once per block thanks to the prepare memo).
-func (cs *ColumnSet[T]) maskCol(st *setColState[T], ci, b int, lo, hi T, sv *core.SelectionVector, mode uint8) error {
-	patched, err := st.prepare(cs.cols[ci], b)
+func (cs *ColumnSet[T]) maskCol(scan *setState[T], ci, b int, lo, hi T, sv *core.SelectionVector, mode uint8) error {
+	patched, err := cs.prepare(scan, ci, b)
 	if err != nil {
 		return err
 	}
+	st := &scan.cols[ci]
 	if patched {
 		switch mode {
 		case maskRefine:
@@ -265,11 +344,11 @@ func (cs *ColumnSet[T]) maskCol(st *setColState[T], ci, b int, lo, hi T, sv *cor
 // crafted-frame panic guard.
 func (cs *ColumnSet[T]) gatherCol(st *setState[T], b, ci int) (out []T, err error) {
 	defer guardSegment(&err)
-	cst := &st.cols[ci]
-	patched, err := cst.prepare(cs.cols[ci], b)
+	patched, err := cs.prepare(st, ci, b)
 	if err != nil {
 		return nil, err
 	}
+	cst := &st.cols[ci]
 	if patched {
 		cst.gath = cst.dec.DecompressSelected(&cst.blk, &st.sv, cst.gath[:0])
 		return cst.gath, nil
@@ -367,7 +446,7 @@ func (cs *ColumnSet[T]) blockMaskQuery(st *setState[T], b int, q *Query[T]) (any
 	mode := maskFresh
 	for _, pi := range st.orderPreds(cs, b, q.Preds) {
 		p := q.Preds[pi]
-		if err := cs.maskCol(&st.cols[p.Col], p.Col, b, p.Lo, p.Hi, &st.sv, mode); err != nil {
+		if err := cs.maskCol(st, p.Col, b, p.Lo, p.Hi, &st.sv, mode); err != nil {
 			return false, err
 		}
 		if !st.sv.Any() {
@@ -409,7 +488,11 @@ func (cs *ColumnSet[T]) gatherBlock(st *setState[T], b int, q *Query[T]) (rows [
 
 // visitBlocks is the engine's one sequential block loop; every sequential
 // scan — Run, RunAggregate, GroupAggregate and JoinOn — is a visit function
-// under it. It checks q, holds one pooled state for the whole pass and, per
+// under it, and mat names the columns its visit materializes on a block
+// with surviving rows (nil: every column). It checks q, holds one pooled
+// state for the whole pass — over file-backed columns with the read plan
+// and the runs of adjacent frames the plan lets a missed block fetch (see
+// planReads) — and, per
 // block, consults ctx (the natural preemption point: one block is one bounded
 // quantum of decode work; context.Background() never fires and costs one
 // predictable branch), drops the block when its zone maps prove no row
@@ -419,13 +502,16 @@ func (cs *ColumnSet[T]) gatherBlock(st *setState[T], b int, q *Query[T]) (rows [
 // runs degraded and it is a fault of the data, and ends the scan otherwise.
 // visit runs outside any panic guard: a panic in caller code reaches the
 // caller.
-func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, q *Query[T], visit func(st *setState[T], b int) (more bool, err error)) error {
+func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, q *Query[T], mat []int, visit func(st *setState[T], b int) (more bool, err error)) error {
 	empty, err := cs.checkQuery(q)
 	if err != nil || empty {
 		return err
 	}
 	st := cs.getState()
-	defer cs.putState(st)
+	defer cs.endScan(st)
+	if cs.fileBacked {
+		cs.planReads(st, q, mat)
+	}
 	for b := range cs.cols[0].blocks {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -454,7 +540,7 @@ func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, q *Query[T], visit func
 // runSeq is Run's sequential form — also the one-worker degenerate case of
 // the parallel one.
 func (cs *ColumnSet[T]) runSeq(ctx context.Context, q *Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
-	return cs.visitBlocks(ctx, q, func(st *setState[T], b int) (bool, error) {
+	return cs.visitBlocks(ctx, q, q.Cols, func(st *setState[T], b int) (bool, error) {
 		rows, out, err := cs.gatherBlock(st, b, q)
 		if err != nil {
 			return true, err

@@ -47,11 +47,16 @@
 // # Hot-block caching
 //
 // File-backed readers pay a read plus a CRC32-C verification per block
-// fetch. SetBlockCache attaches a BlockCache — typically a BlockLRU, a
-// sharded, byte-budgeted LRU over verified raw frames — under that
+// fetch; a sequential scan reads the frames it misses in runs of adjacent
+// frames, one ReadAt per run, into buffers it borrows from a shared pool,
+// so a warmed scan allocates nothing even without a cache. SetBlockCache
+// attaches a BlockCache — typically a BlockLRU, a sharded, byte-budgeted
+// LRU over verified raw frames that, once full, admits a frame only if it
+// is asked for more often than the entry it would evict — under that
 // path: hits return the frame with zero allocations, a cold block
-// faulted by many goroutines is read and verified exactly once (the
-// fill rides the per-block parse slot), and corrupt blocks are never
+// faulted by many goroutines through FrameBytes, Get or ReadBlock is read
+// and verified exactly once (the fill rides the per-block parse slot),
+// Put copies what the cache keeps, and corrupt blocks are never
 // admitted. Entries are keyed by a process-unique id assigned at
 // attach, so under immutable containers eviction is the only
 // invalidation. One BlockLRU may be shared by any number of readers;

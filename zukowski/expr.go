@@ -301,7 +301,7 @@ func (cs *ColumnSet[T]) evalExpr(st *setState[T], e *Expr[T], b, n int, sv *core
 func (cs *ColumnSet[T]) evalSome(st *setState[T], e *Expr[T], b, n int, sv *core.SelectionVector, mode uint8) error {
 	switch e.op {
 	case opRange:
-		return cs.maskCol(&st.cols[e.col], e.col, b, e.lo, e.hi, sv, mode)
+		return cs.maskCol(st, e.col, b, e.lo, e.hi, sv, mode)
 	case opIn:
 		return cs.evalIn(st, e, b, n, sv, mode)
 	case opAnd:
@@ -331,7 +331,7 @@ func (cs *ColumnSet[T]) evalIn(st *setState[T], e *Expr[T], b, n int, sv *core.S
 		if cs.cols[e.col].rangeVerdict(b, v, v) == verdictNone {
 			continue
 		}
-		if err := cs.maskCol(&st.cols[e.col], e.col, b, v, v, sv, mode); err != nil {
+		if err := cs.maskCol(st, e.col, b, v, v, sv, mode); err != nil {
 			return err
 		}
 		mode = maskUnion

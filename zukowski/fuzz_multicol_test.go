@@ -24,7 +24,11 @@ import (
 // zone maps — from the minimum of block loA to the maximum of block hiA,
 // each end moved by -1, 0 or +1 as typeSel's top nibble says — so that the
 // conjunct is decided "every row" on the blocks in between, "no row"
-// outside, and evaluated only where the window's ends cut a block.
+// outside, and evaluated only where the window's ends cut a block. The
+// same containers are then read through an io.ReaderAt, the source whose
+// sequential scans read runs of adjacent frames, once without a cache and
+// once through a cache smaller than the containers, and must answer
+// exactly as the in-memory readers did.
 func FuzzMultiColumnScan(f *testing.F) {
 	names := zukowski.Codecs()
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), uint8(30), uint8(220), uint8(3))
@@ -82,6 +86,7 @@ func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, 
 	}
 
 	blockValues := 64 + int(blockSel)*97
+	var containers [][]byte
 	build := func(name string, vals []T) *zukowski.ColumnReader[T] {
 		codec, err := zukowski.Lookup[T](name)
 		if err != nil {
@@ -106,6 +111,7 @@ func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, 
 			}
 			t.Fatalf("Close: %v", err)
 		}
+		containers = append(containers, buf.Bytes())
 		cr, err := zukowski.OpenColumn[T](buf.Bytes())
 		if err != nil {
 			t.Fatalf("OpenColumn: %v", err)
@@ -192,5 +198,48 @@ func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, 
 	}
 	if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotA, wantA) || !slices.Equal(gotB, wantB) {
 		t.Fatalf("%s+%s: ordered parallel Run disagrees with oracle", nameA, nameB)
+	}
+
+	// A cache of at most half the containers, in which a shard holds one
+	// of the largest frames at most.
+	var total, largest int
+	for c, data := range containers {
+		total += len(data)
+		for b := range cs.NumBlocks() {
+			info, err := cs.Column(c).BlockInfo(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			largest = max(largest, info.Length)
+		}
+	}
+	for _, cache := range []*zukowski.BlockLRU{nil, zukowski.NewBlockLRU(int64(min(total/2, 16*(largest+112))))} {
+		var opts []zukowski.ReaderOption
+		if cache != nil {
+			opts = append(opts, zukowski.WithBlockCache(cache))
+		}
+		files := make([]*zukowski.ColumnReader[T], len(containers))
+		for c, data := range containers {
+			if files[c], err = zukowski.OpenColumnReaderAt[T](bytes.NewReader(data), int64(len(data)), opts...); err != nil {
+				t.Fatalf("OpenColumnReaderAt: %v", err)
+			}
+		}
+		fs, err := zukowski.NewColumnSet(files...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			gotRows, gotA, gotB = nil, nil, nil
+			if err := fs.Run(ctx, zukowski.Query[T]{Preds: preds}, collect); err != nil {
+				t.Fatalf("%s+%s through a ReaderAt (cache %v, pass %d): Run: %v", nameA, nameB, cache != nil, pass, err)
+			}
+			if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotA, wantA) || !slices.Equal(gotB, wantB) {
+				t.Fatalf("%s+%s through a ReaderAt (cache %v, pass %d): Run disagrees with oracle", nameA, nameB, cache != nil, pass)
+			}
+			if agg, err := fs.RunAggregate(ctx, zukowski.Query[T]{Preds: preds}, 1); err != nil || agg != want {
+				t.Fatalf("%s+%s through a ReaderAt (cache %v, pass %d): RunAggregate = %+v, %v; want %+v",
+					nameA, nameB, cache != nil, pass, agg, err, want)
+			}
+		}
 	}
 }

@@ -214,6 +214,12 @@ func (cs *ColumnSet[T]) GroupAggregate(q Query[T], groupCols []int, specs []AggS
 		need[specs[s].Col] = true
 	}
 
+	mat := make([]int, 0, len(need)) // non-nil: no column at all is not every column
+	for ci, n := range need {
+		if n {
+			mat = append(mat, ci)
+		}
+	}
 	gt := newGroupTable(specs)
 	colsBuf := make([][]T, len(cs.cols))
 	key := make([]T, len(groupCols))
@@ -221,7 +227,7 @@ func (cs *ColumnSet[T]) GroupAggregate(q Query[T], groupCols []int, specs []AggS
 	var flatCells []int64 // specs-major: flatCells[s*P+code]
 	var flatCount []int64
 	var touched []int32
-	err := cs.visitBlocks(context.Background(), &q, func(st *setState[T], b int) (bool, error) {
+	err := cs.visitBlocks(context.Background(), &q, mat, func(st *setState[T], b int) (bool, error) {
 		return true, cs.groupBlock(st, b, groupCols, specs, need, gt,
 			colsBuf, key, dictLens, &flatCells, &flatCount, &touched)
 	})

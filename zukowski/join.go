@@ -64,7 +64,8 @@ func (cs *ColumnSet[T]) JoinOn(q Query[T], probeCol int, jt *JoinTable[T], fn fu
 		codes    []int32
 		dictRows [][]int32 // build matches per dictionary code of the current block
 	)
-	return cs.visitBlocks(context.Background(), &q, func(st *setState[T], b int) (bool, error) {
+	mat := [1]int{probeCol}
+	return cs.visitBlocks(context.Background(), &q, mat[:], func(st *setState[T], b int) (bool, error) {
 		cst := &st.cols[probeCol]
 		vals, err := cs.gatherCol(st, b, probeCol)
 		if err != nil {

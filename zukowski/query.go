@@ -108,7 +108,8 @@ func (cs *ColumnSet[T]) RunAggregate(ctx context.Context, q Query[T], col int) (
 	if col < 0 || col >= len(cs.cols) {
 		return agg, fmt.Errorf("%w: aggregate column %d not in [0,%d)", ErrIndexOutOfRange, col, len(cs.cols))
 	}
-	err := cs.visitBlocks(ctx, &q, func(st *setState[T], b int) (bool, error) {
+	mat := [1]int{col}
+	err := cs.visitBlocks(ctx, &q, mat[:], func(st *setState[T], b int) (bool, error) {
 		vals, err := cs.gatherCol(st, b, col)
 		if err != nil {
 			return true, err

@@ -13,12 +13,16 @@ import (
 //   - Transient: the source returned an I/O error or short read (ErrIO).
 //     The bytes never arrived, so nothing is known about the block itself;
 //     a reader configured with a RetryPolicy re-reads with jittered
-//     exponential backoff before giving up.
+//     exponential backoff before giving up. A scan's run of adjacent
+//     frames is retried the same way, as one read; a run that still fails
+//     shrinks to the one frame the scan needs, so an unreadable neighbour
+//     costs that frame nothing.
 //
 //   - Permanent: the bytes arrived but their CRC32-C disagrees with the
-//     directory (ErrChecksumMismatch). One unconditional re-read
-//     distinguishes in-flight corruption (a flaky bus heals on re-read)
-//     from at-rest damage; if the mismatch persists the block is
+//     directory (ErrChecksumMismatch) — checked frame by frame, when a
+//     frame is used, also within a run. One unconditional re-read of the
+//     frame distinguishes in-flight corruption (a flaky bus heals on
+//     re-read) from at-rest damage; if the mismatch persists the block is
 //     quarantined — the failure latches in the block's slot and every
 //     later touch fails fast with ErrBlockQuarantined instead of
 //     re-reading and re-hashing doomed bytes. Quarantined frames never
@@ -84,38 +88,61 @@ func (p RetryPolicy) backoff(retry int) {
 	time.Sleep(d)
 }
 
-// fetchVerified is the failure-handling fetch the scan and parse paths
-// use: viewVerified plus transient retries and the permanent-corruption
-// quarantine. The caller must have checked the quarantine latch first
-// (frame and parseBlock do).
-func (cr *ColumnReader[T]) fetchVerified(b int) ([]byte, error) {
-	buf, err := cr.viewVerified(b)
-	if err == nil {
-		return buf, nil
-	}
+// readFrames reads the frames of blocks [b, end) — stored back to back,
+// so one contiguous byte range — with one view of the source into dst.
+// Nothing is checked or retried.
+func (cr *ColumnReader[T]) readFrames(dst []byte, b, end int) ([]byte, error) {
+	first, last := cr.blocks[b], cr.blocks[end-1]
+	return cr.src.view(dst, int64(first.offset), int(last.offset+uint64(last.length)-first.offset))
+}
+
+// fetch is the one routine that reads frames from the source, for a
+// scan's run of adjacent frames and for a single frame alike (a run of
+// one): readFrames, repeated with backoff under the reader's RetryPolicy
+// while it fails with ErrIO. The caller CRC-checks every frame before it
+// uses one.
+func (cr *ColumnReader[T]) fetch(dst []byte, b, end int) ([]byte, error) {
+	buf, err := cr.readFrames(dst, b, end)
 	for retry := 1; errors.Is(err, ErrIO) && retry < cr.retry.attempts(); retry++ {
 		cr.retry.backoff(retry)
-		if buf, err = cr.viewVerified(b); err == nil {
-			return buf, nil
-		}
+		buf, err = cr.readFrames(dst, b, end)
 	}
-	if errors.Is(err, ErrChecksumMismatch) {
-		// The bytes arrived wrong. A stable source returns the same bytes
-		// on every view, so the mismatch is proven permanent; a ReaderAt
-		// gets one re-read to rule out in-flight corruption.
-		if !cr.src.stable() {
-			buf2, err2 := cr.viewVerified(b)
-			if err2 == nil {
-				return buf2, nil
-			}
-			if !errors.Is(err2, ErrChecksumMismatch) {
-				return nil, err2
-			}
-			err = err2
-		}
-		return nil, cr.quarantine(b, err)
+	return buf, err
+}
+
+// fetchVerified is the failure-handling single-frame fetch the lookup and
+// parse paths use: fetch of a run of one into dst (nil: a fresh buffer),
+// the checksum, and on a mismatch reread. The caller must have checked the
+// quarantine latch first (frame and parseBlock do).
+func (cr *ColumnReader[T]) fetchVerified(dst []byte, b int) ([]byte, error) {
+	buf, err := cr.fetch(dst, b, b+1)
+	if err != nil {
+		return nil, err
 	}
-	return nil, err
+	if err := cr.verify(buf, b); err != nil {
+		return cr.reread(buf, b, err)
+	}
+	return buf, nil
+}
+
+// reread answers block b's checksum mismatch err. A stable source returns
+// the same bytes on every view, so the mismatch is proven permanent; a
+// ReaderAt gets one re-read, into dst, to rule out in-flight corruption.
+// A mismatch that survives is quarantined.
+func (cr *ColumnReader[T]) reread(dst []byte, b int, err error) ([]byte, error) {
+	if !cr.src.stable() {
+		buf, err2 := cr.readFrames(dst, b, b+1)
+		if err2 == nil {
+			if err2 = cr.verify(buf, b); err2 == nil {
+				return buf, nil
+			}
+		}
+		if !errors.Is(err2, ErrChecksumMismatch) {
+			return nil, err2
+		}
+		err = err2
+	}
+	return nil, cr.quarantine(b, err)
 }
 
 // quarantine latches cause as block b's permanent failure; the first

@@ -18,6 +18,16 @@ import (
 // buildColumn writes vals through codec into a fresh in-memory container.
 func buildSelectColumn[T zukowski.Integer](t testing.TB, codec zukowski.Codec[T], blockValues int, vals []T) *zukowski.ColumnReader[T] {
 	t.Helper()
+	cr, err := zukowski.OpenColumn[T](selectColumnBytes(t, codec, blockValues, vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cr
+}
+
+// selectColumnBytes is the container buildSelectColumn opens.
+func selectColumnBytes[T zukowski.Integer](t testing.TB, codec zukowski.Codec[T], blockValues int, vals []T) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	cw, err := zukowski.NewColumnWriter(&buf, codec, blockValues)
 	if err != nil {
@@ -29,11 +39,7 @@ func buildSelectColumn[T zukowski.Integer](t testing.TB, codec zukowski.Codec[T]
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cr, err := zukowski.OpenColumn[T](buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cr
+	return buf.Bytes()
 }
 
 // selectOracle is the decode-then-filter reference a one-column range
@@ -403,23 +409,40 @@ func TestScanSelectSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := oneColumn(t, buildSelectColumn(t, codec, 8000, vals))
+		data := selectColumnBytes(t, codec, 8000, vals)
+		mem, err := zukowski.OpenColumn[int64](data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The same container through an io.ReaderAt without a cache: every
+		// frame is read again on every pass, in runs, into buffers the scan
+		// takes from a pool and returns.
+		file, err := zukowski.OpenColumnReaderAt[int64](bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		ctx := context.Background()
-		// A narrow range (sparse groups), one most rows satisfy (dense
-		// groups) and one every row does (full blocks).
-		for _, r := range [][2]int64{{10, 200}, {100, 1 << 30}, {0, 1 << 30}} {
-			q := rangeQuery(r[0], r[1])
-			scan := func() {
-				if err := cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }); err != nil {
-					t.Fatal(err)
+		for _, src := range []struct {
+			kind string
+			cs   *zukowski.ColumnSet[int64]
+		}{{"OpenColumn", oneColumn(t, mem)}, {"OpenColumnReaderAt", oneColumn(t, file)}} {
+			cs := src.cs
+			// A narrow range (sparse groups), one most rows satisfy (dense
+			// groups) and one every row does (full blocks).
+			for _, r := range [][2]int64{{10, 200}, {100, 1 << 30}, {0, 1 << 30}} {
+				q := rangeQuery(r[0], r[1])
+				scan := func() {
+					if err := cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := cs.RunAggregate(ctx, q, 0); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if _, err := cs.RunAggregate(ctx, q, 0); err != nil {
-					t.Fatal(err)
+				scan() // warm the pooled state, the run buffers and block verification latches
+				if avg := testing.AllocsPerRun(20, scan); avg != 0 {
+					t.Errorf("%s %s [%d,%d]: %v allocs/op on warmed Run+RunAggregate, want 0", src.kind, name, r[0], r[1], avg)
 				}
-			}
-			scan() // warm the pooled state and block verification latches
-			if avg := testing.AllocsPerRun(20, scan); avg != 0 {
-				t.Errorf("%s [%d,%d]: %v allocs/op on warmed Run+RunAggregate, want 0", name, r[0], r[1], avg)
 			}
 		}
 	}

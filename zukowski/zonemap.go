@@ -92,10 +92,13 @@ func (cr *ColumnReader[T]) VerifyBlock(b int) error {
 		return fmt.Errorf("%w: block %d not in [0,%d)", ErrIndexOutOfRange, b, len(cr.blocks))
 	}
 	if cr.version >= FormatZKC2 {
-		// viewVerified hashes unconditionally: VerifyBlock's contract is to
-		// check the bytes now, not to trust the latch.
-		_, err := cr.viewVerified(b)
-		return err
+		// The hash runs unconditionally: VerifyBlock's contract is to check
+		// the bytes now, not to trust the latch.
+		frame, err := cr.view(b)
+		if err != nil {
+			return err
+		}
+		return cr.verify(frame, b)
 	}
 	st := cr.getState()
 	defer cr.putState(st)
