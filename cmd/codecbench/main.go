@@ -44,7 +44,7 @@ var (
 )
 
 // result holds one codec's row of the table. A codec that cannot encode
-// the dataset (e.g. vbyte over values outside its domain) reports err.
+// the dataset, or a -codecs name the registry does not hold, reports err.
 type result struct {
 	codec      string
 	err        error

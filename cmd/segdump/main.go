@@ -1,15 +1,15 @@
 // Command segdump inspects serialized compressed storage: either a single
 // compressed segment (the Figure-3 layout: header fields, section sizes,
-// per-group exception statistics) or a whole column container (ZKC1 or
-// ZKC2), for which it prints the format version, the block directory, and
-// — on ZKC2 — per-block checksum status and min/max zone maps. Useful when
-// debugging storage files.
+// per-group exception statistics) or a whole ZKC2 column container, for
+// which it prints the block directory with per-block checksum status and
+// min/max zone maps. Useful when debugging storage files.
 //
 // segdump is also a CI/ops corruption probe: it exits non-zero whenever
 // the input fails validation — an unreadable container or segment, or any
-// block whose checksum (ZKC2) or decode (ZKC1) fails — so a cron job or
-// pipeline step can gate on its exit code alone. Pass -verify to skip the
-// per-block table and print only the verification summary.
+// block whose checksum fails — so a cron job or pipeline step can gate on
+// its exit code alone. A container in a retired layout is refused
+// with a typed error. Pass -verify to skip the per-block table and print
+// only the verification summary.
 //
 // Pass -repair out.zkc to salvage a damaged container: the readable
 // frame prefix is recovered (zukowski.RecoverColumn), the directory is
@@ -204,27 +204,21 @@ func dump[T zukowski.Integer](buf []byte, verifyOnly bool) error {
 	return dumpSegment[T](buf, verifyOnly)
 }
 
-// dumpColumn prints a column container: format version, totals, and the
-// block directory with checksum status and zone maps where the format
-// carries them. Every block is verified either way; the first failure is
-// returned (after the full table has printed, so the damaged blocks are
-// all visible).
+// dumpColumn prints a column container: totals and the block directory
+// with checksum status and zone maps. Every block is verified; the first
+// failure is returned (after the full table has printed, so the damaged
+// blocks are all visible).
 func dumpColumn[T zukowski.Integer](buf []byte, verifyOnly bool) error {
 	cr, err := zukowski.OpenColumn[T](buf)
 	if err != nil {
 		return fmt.Errorf("not a valid column container: %w", err)
 	}
 	if !verifyOnly {
-		fmt.Printf("format:        %s (version %d)\n", zukowski.FormatName(cr.FormatVersion()), cr.FormatVersion())
+		fmt.Printf("format:        ZKC2\n")
 		fmt.Printf("values:        %d in %d blocks\n", cr.Len(), cr.NumBlocks())
 		fmt.Printf("sizes:         container %d B, raw %d B, ratio %.2fx\n",
 			cr.CompressedBytes(), cr.UncompressedBytes(), cr.Ratio())
-		if cr.HasZoneMaps() {
-			fmt.Printf("integrity:     per-block CRC32-C + directory checksum (verified on open)\n")
-		} else {
-			fmt.Printf("integrity:     none stored (%s predates checksums; status below is a decode check)\n",
-				zukowski.FormatName(cr.FormatVersion()))
-		}
+		fmt.Printf("integrity:     per-block CRC32-C + directory checksum (verified on open)\n")
 		fmt.Println()
 		fmt.Printf("%-6s %10s %9s %8s %-9s %s\n", "block", "offset", "bytes", "values", "checksum", "zone map")
 	}
@@ -246,18 +240,11 @@ func dumpColumn[T zukowski.Integer](buf []byte, verifyOnly bool) error {
 		if verifyOnly {
 			continue
 		}
-		checksum := status
-		if info.HasChecksum {
-			checksum = fmt.Sprintf("%08x", info.CRC32C)
-			if status != "ok" {
-				checksum += "!"
-			}
+		checksum := fmt.Sprintf("%08x", info.CRC32C)
+		if status != "ok" {
+			checksum += "!"
 		}
-		zone := "-"
-		if info.HasZoneMap {
-			zone = fmt.Sprintf("[%v, %v]", info.Min, info.Max)
-		}
-		fmt.Printf("%-6d %10d %9d %8d %-9s %s\n", b, info.Offset, info.Length, info.Count, checksum, zone)
+		fmt.Printf("%-6d %10d %9d %8d %-9s [%v, %v]\n", b, info.Offset, info.Length, info.Count, checksum, info.Min, info.Max)
 	}
 	if firstErr != nil {
 		return fmt.Errorf("%d of %d blocks corrupt: %w", failed, cr.NumBlocks(), firstErr)

@@ -1,20 +1,14 @@
-// Package baseline implements the compression schemes the paper compares
-// against: the classic database schemes FOR, prefix suppression and plain
-// dictionary coding (Section 2.1), the fast byte-stream compressors LZRW1
-// and LZW plus DEFLATE (Figure 2), and the inverted-file codecs
-// carryover-12, semi-static Huffman ("shuff") and variable-byte (Table 4).
+// Package baseline implements the compression schemes the paper measures
+// against its own and does not store: the fast byte-stream compressors
+// LZRW1 and LZW plus DEFLATE and semi-static Huffman (Figure 2), and the
+// inverted-file codecs carryover-12, gap Huffman ("shuff") and
+// variable-byte (Table 4). The experiments package calls them directly;
+// the product's container holds only the patched schemes.
 //
-// Everything here is implemented from scratch on the Go standard library;
-// see DESIGN.md §3 for the mapping from the paper's exact comparators to
-// these implementations.
+// Everything here is implemented from scratch on the Go standard library.
 package baseline
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/bitpack"
-)
+import "errors"
 
 // ErrCorrupt is returned when a compressed stream fails validation.
 var ErrCorrupt = errors.New("baseline: corrupt compressed data")
@@ -39,199 +33,6 @@ type IntCodec interface {
 	// remaining input.
 	Decode(dst []uint32, src []byte, n int) ([]uint32, []byte, error)
 }
-
-// --- FOR: Frame Of Reference (Goldstein et al.) --------------------------
-
-// FORBlock is a plain frame-of-reference compressed block: every value is
-// stored as an offset from the block minimum in exactly
-// log2(max-min+1) bits. No exceptions — a single outlier inflates the width
-// for the whole block, which is precisely the weakness PFOR fixes.
-type FORBlock struct {
-	Min   int64
-	B     uint
-	N     int
-	Codes []uint32
-}
-
-// CompressFOR builds a FOR block from src.
-func CompressFOR(src []int64) *FORBlock {
-	blk := &FORBlock{N: len(src)}
-	if len(src) == 0 {
-		return blk
-	}
-	minV, maxV := src[0], src[0]
-	for _, v := range src[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	blk.Min = minV
-	spread := uint64(maxV - minV)
-	b := uint(0)
-	for spread>>b != 0 {
-		b++
-	}
-	if b > 32 {
-		panic(fmt.Sprintf("baseline: FOR spread needs %d bits; split the block", b))
-	}
-	blk.B = b
-	codes := make([]uint32, len(src))
-	for i, v := range src {
-		codes[i] = uint32(uint64(v - minV))
-	}
-	blk.Codes = make([]uint32, bitpack.WordCount(len(src), b))
-	bitpack.Pack(blk.Codes, codes, b)
-	return blk
-}
-
-// Decompress expands the block into dst (len >= N).
-func (blk *FORBlock) Decompress(dst []int64) []int64 {
-	raw := make([]uint32, blk.N)
-	bitpack.Unpack(raw, blk.Codes, blk.B)
-	for i, c := range raw {
-		dst[i] = blk.Min + int64(c)
-	}
-	return dst[:blk.N]
-}
-
-// CompressedBytes returns the block's compressed size.
-func (blk *FORBlock) CompressedBytes() int { return 16 + len(blk.Codes)*4 }
-
-// --- PS: Prefix Suppression (Westmann et al.) ----------------------------
-
-// PS implements prefix suppression for 64-bit integers: each value is
-// stored as a 4-bit byte-length followed by only its significant bytes
-// (zero prefixes suppressed). It is a variable-width encoding, unlike FOR.
-type PS struct{}
-
-// Name implements IntCodec-style naming for reports.
-func (PS) Name() string { return "PS" }
-
-// Encode appends prefix-suppressed vals to dst.
-func (PS) Encode(dst []byte, vals []uint64) []byte {
-	// Nibble-packed lengths first (two per byte), then the value bytes.
-	lens := make([]byte, (len(vals)+1)/2)
-	body := make([]byte, 0, len(vals)*4)
-	for i, v := range vals {
-		n := byte(0)
-		for x := v; x != 0; x >>= 8 {
-			n++
-		}
-		if i%2 == 0 {
-			lens[i/2] = n
-		} else {
-			lens[i/2] |= n << 4
-		}
-		for k := byte(0); k < n; k++ {
-			body = append(body, byte(v>>(8*k)))
-		}
-	}
-	var hdr [4]byte
-	putU32(hdr[:], uint32(len(vals)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, lens...)
-	return append(dst, body...)
-}
-
-// Decode parses an Encode stream, appending the values to dst.
-func (PS) Decode(dst []uint64, src []byte) ([]uint64, error) {
-	if len(src) < 4 {
-		return nil, ErrCorrupt
-	}
-	n := int(getU32(src))
-	src = src[4:]
-	lenBytes := (n + 1) / 2
-	if len(src) < lenBytes {
-		return nil, ErrCorrupt
-	}
-	lens, body := src[:lenBytes], src[lenBytes:]
-	for i := 0; i < n; i++ {
-		l := lens[i/2]
-		if i%2 == 0 {
-			l &= 0x0F
-		} else {
-			l >>= 4
-		}
-		if int(l) > len(body) || l > 8 {
-			return nil, ErrCorrupt
-		}
-		var v uint64
-		for k := byte(0); k < l; k++ {
-			v |= uint64(body[k]) << (8 * k)
-		}
-		body = body[l:]
-		dst = append(dst, v)
-	}
-	return dst, nil
-}
-
-// EncodedBytes returns the exact compressed size Encode would produce.
-func (PS) EncodedBytes(vals []uint64) int {
-	size := 4 + (len(vals)+1)/2
-	for _, v := range vals {
-		for x := v; x != 0; x >>= 8 {
-			size++
-		}
-	}
-	return size
-}
-
-// --- Plain dictionary coding ---------------------------------------------
-
-// DictBlock is Teradata-style whole-column dictionary compression without
-// patching: every distinct value must be in the dictionary, so codes need
-// log2(|D|) bits even on highly skewed frequency distributions.
-type DictBlock struct {
-	Dict  []int64
-	B     uint
-	N     int
-	Codes []uint32
-}
-
-// CompressDict dictionary-compresses src. It returns an error when src has
-// more than 1<<24 distinct values (the paper's maximum code width).
-func CompressDict(src []int64) (*DictBlock, error) {
-	codeOf := make(map[int64]uint32)
-	blk := &DictBlock{N: len(src)}
-	codes := make([]uint32, len(src))
-	for i, v := range src {
-		c, ok := codeOf[v]
-		if !ok {
-			c = uint32(len(blk.Dict))
-			if c >= 1<<24 {
-				return nil, errors.New("baseline: too many distinct values for dictionary coding")
-			}
-			codeOf[v] = c
-			blk.Dict = append(blk.Dict, v)
-		}
-		codes[i] = c
-	}
-	b := uint(1)
-	for len(blk.Dict) > 1<<b {
-		b++
-	}
-	blk.B = b
-	blk.Codes = make([]uint32, bitpack.WordCount(len(src), b))
-	bitpack.Pack(blk.Codes, codes, b)
-	return blk, nil
-}
-
-// Decompress expands the block into dst (len >= N).
-func (blk *DictBlock) Decompress(dst []int64) []int64 {
-	raw := make([]uint32, blk.N)
-	bitpack.Unpack(raw, blk.Codes, blk.B)
-	for i, c := range raw {
-		dst[i] = blk.Dict[c]
-	}
-	return dst[:blk.N]
-}
-
-// CompressedBytes returns the block's compressed size including the
-// dictionary.
-func (blk *DictBlock) CompressedBytes() int { return 8 + len(blk.Dict)*8 + len(blk.Codes)*4 }
 
 // --- little-endian helpers shared across the package ---------------------
 

@@ -7,133 +7,6 @@ import (
 	"testing/quick"
 )
 
-// --- FOR ------------------------------------------------------------------
-
-func TestFORRoundTrip(t *testing.T) {
-	src := []int64{100, 105, 103, 100, 110, 101}
-	blk := CompressFOR(src)
-	if blk.Min != 100 {
-		t.Fatalf("min %d, want 100", blk.Min)
-	}
-	if blk.B != 4 {
-		t.Fatalf("width %d, want 4 (spread 10)", blk.B)
-	}
-	out := make([]int64, len(src))
-	blk.Decompress(out)
-	for i := range src {
-		if out[i] != src[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-}
-
-func TestFOREmptyAndConstant(t *testing.T) {
-	blk := CompressFOR(nil)
-	if blk.N != 0 {
-		t.Fatal("empty block")
-	}
-	src := []int64{7, 7, 7, 7}
-	blk = CompressFOR(src)
-	if blk.B != 0 {
-		t.Fatalf("constant column needs 0 bits, got %d", blk.B)
-	}
-	out := make([]int64, 4)
-	blk.Decompress(out)
-	for i := range src {
-		if out[i] != 7 {
-			t.Fatal("constant decode")
-		}
-	}
-}
-
-func TestFORVulnerableToOutliers(t *testing.T) {
-	// The motivating weakness: one outlier inflates every code.
-	tight := make([]int64, 1000)
-	for i := range tight {
-		tight[i] = int64(i % 16)
-	}
-	blkTight := CompressFOR(tight)
-	withOutlier := append(append([]int64{}, tight...), 1<<30)
-	blkOut := CompressFOR(withOutlier)
-	if blkOut.CompressedBytes() < 5*blkTight.CompressedBytes() {
-		t.Fatalf("one outlier should blow up FOR: %d vs %d bytes",
-			blkOut.CompressedBytes(), blkTight.CompressedBytes())
-	}
-}
-
-// --- PS ---------------------------------------------------------------------
-
-func TestPSRoundTrip(t *testing.T) {
-	vals := []uint64{0, 1, 255, 256, 65535, 1 << 40, ^uint64(0)}
-	enc := PS{}.Encode(nil, vals)
-	if want := (PS{}).EncodedBytes(vals); len(enc) != want {
-		t.Fatalf("EncodedBytes %d != actual %d", want, len(enc))
-	}
-	out, err := PS{}.Decode(nil, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(vals) {
-		t.Fatalf("got %d values", len(out))
-	}
-	for i := range vals {
-		if out[i] != vals[i] {
-			t.Fatalf("mismatch at %d: %d != %d", i, out[i], vals[i])
-		}
-	}
-}
-
-func TestPSCompressesSmallValues(t *testing.T) {
-	vals := make([]uint64, 10_000)
-	for i := range vals {
-		vals[i] = uint64(i % 200) // one byte each
-	}
-	enc := PS{}.Encode(nil, vals)
-	// ~1 byte payload + 0.5 byte length per value.
-	if len(enc) > len(vals)*2 {
-		t.Fatalf("PS on 1-byte values took %d bytes for %d values", len(enc), len(vals))
-	}
-}
-
-func TestPSQuick(t *testing.T) {
-	f := func(vals []uint64) bool {
-		enc := PS{}.Encode(nil, vals)
-		out, err := PS{}.Decode(nil, enc)
-		if err != nil || len(out) != len(vals) {
-			return false
-		}
-		for i := range vals {
-			if out[i] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- Dict -------------------------------------------------------------------
-
-func TestDictRoundTrip(t *testing.T) {
-	src := []int64{5, 9, 5, 5, 9, 12, 5}
-	blk, err := CompressDict(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blk.Dict) != 3 {
-		t.Fatalf("dict size %d, want 3", len(blk.Dict))
-	}
-	out := make([]int64, len(src))
-	blk.Decompress(out)
-	for i := range src {
-		if out[i] != src[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-}
-
 // --- byte codecs ------------------------------------------------------------
 
 func byteCodecs() []ByteCodec {

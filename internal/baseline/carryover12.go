@@ -11,8 +11,7 @@ package baseline
 // unused high bits, the selector of the *next* word is carried in them, so
 // the next word keeps all 32 bits for data. (The exact 2005 selector tables
 // are not reproducible offline; these 12-entry tables follow the paper's
-// construction and preserve the codec's speed/ratio character — see
-// DESIGN.md §3.)
+// construction and preserve the codec's speed/ratio character.)
 type Carryover12 struct{}
 
 // Name returns the codec name used in reports.

@@ -47,20 +47,3 @@ func (Flate) Decompress(dst, src []byte) ([]byte, error) {
 	}
 	return append(dst, out...), nil
 }
-
-// DecompressLimit is Decompress with an output cap: a stream that would
-// expand beyond max bytes returns ErrCorrupt instead of allocating its
-// full inflation — the guard a reader needs when the stream comes from an
-// untrusted container and the expected size is known from its metadata.
-func (Flate) DecompressLimit(dst, src []byte, max int) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	out, err := io.ReadAll(io.LimitReader(r, int64(max)+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(out) > max {
-		return nil, ErrCorrupt
-	}
-	return append(dst, out...), nil
-}

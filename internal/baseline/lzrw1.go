@@ -73,19 +73,6 @@ func (LZRW1) Compress(dst, src []byte) []byte {
 	return dst
 }
 
-// DecompressLimit is Decompress with an output cap: the stream's declared
-// length is validated against max before any inflation happens, so a
-// crafted length prefix cannot demand an oversized allocation.
-func (z LZRW1) DecompressLimit(dst, src []byte, max int) ([]byte, error) {
-	if len(src) < 4 {
-		return nil, ErrCorrupt
-	}
-	if int(getU32(src)) > max {
-		return nil, ErrCorrupt
-	}
-	return z.Decompress(dst, src)
-}
-
 // Decompress appends the original bytes to dst.
 func (LZRW1) Decompress(dst, src []byte) ([]byte, error) {
 	if len(src) < 4 {

@@ -453,11 +453,11 @@ func verifyAgainstManifest[T zukowski.Integer](cr *zukowski.ColumnReader[T], sm 
 			return fmt.Errorf("%w: block %d holds %d rows, manifest committed %d",
 				zukowski.ErrCorruptColumn, b, info.Count, sm.Counts[b])
 		}
-		if !info.HasChecksum || info.CRC32C != cs.CRCs[b] {
+		if info.CRC32C != cs.CRCs[b] {
 			return fmt.Errorf("%w: block %d payload CRC %08x, manifest committed %08x",
 				zukowski.ErrChecksumMismatch, b, info.CRC32C, cs.CRCs[b])
 		}
-		if !info.HasZoneMap || zoneBitsOf(info.Min) != cs.MinBits[b] || zoneBitsOf(info.Max) != cs.MaxBits[b] {
+		if zoneBitsOf(info.Min) != cs.MinBits[b] || zoneBitsOf(info.Max) != cs.MaxBits[b] {
 			return fmt.Errorf("%w: block %d zone map diverges from manifest",
 				zukowski.ErrCorruptColumn, b)
 		}

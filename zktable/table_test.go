@@ -628,6 +628,14 @@ func TestOpenErrors(t *testing.T) {
 	if _, _, err := zktable.Open[int64](empty, zktable.Options{}); !errors.Is(err, zktable.ErrNotTable) {
 		t.Fatalf("Open of empty dir: %v, want ErrNotTable", err)
 	}
+	// The paper's comparators are not codecs a table can store: naming one
+	// is refused before a manifest is written.
+	if _, err := zktable.Create[int64](empty, testSchema, testBV, zktable.Options{Codec: "flate"}); !errors.Is(err, zukowski.ErrUnknownCodec) {
+		t.Fatalf("Create with codec flate: %v, want ErrUnknownCodec", err)
+	}
+	if _, _, err := zktable.Open[int64](empty, zktable.Options{}); !errors.Is(err, zktable.ErrNotTable) {
+		t.Fatalf("Open after the refused Create: %v, want ErrNotTable", err)
+	}
 
 	dir := filepath.Join(t.TempDir(), "tbl")
 	tb := mustCreate(t, dir, zktable.Options{})

@@ -28,7 +28,7 @@ const MaxBlockValues = core.MaxBlockValues
 // Codec is the unified compression contract every scheme implements. A
 // Codec value is stateless and safe for concurrent use.
 type Codec[T Integer] interface {
-	// Name returns the codec's registry name (e.g. "pfor", "vbyte").
+	// Name returns the codec's registry name (e.g. "pfor", "pdict").
 	Name() string
 
 	// Encode appends the compressed frame for src to dst and returns the
@@ -41,7 +41,7 @@ type Codec[T Integer] interface {
 
 	// Get returns the single value at position i of the frame. The patched
 	// codecs use the entry-point machinery and touch at most one 128-value
-	// group; the baseline codecs fall back to decoding the frame.
+	// group; a raw frame is read in place.
 	Get(encoded []byte, i int) (T, error)
 
 	// Stats inspects a frame without decoding its values.
@@ -62,7 +62,7 @@ type Stats struct {
 	Exceptions    int
 	ExceptionRate float64
 	// DictEntries is the number of meaningful dictionary entries (PDICT
-	// and DICT frames).
+	// frames).
 	DictEntries int
 	// Groups counts 128-value entry-point groups; GroupsWithExceptions and
 	// MaxGroupExceptions summarize how exceptions cluster across them.

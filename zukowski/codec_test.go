@@ -14,9 +14,8 @@ import (
 var testLengths = []int{0, 1, 5, 127, 128, 129, 1000, 4099}
 
 // genValues produces values codable by every registered codec for every
-// element type: small non-negative integers with repetition (so PDICT and
-// DICT have frequent values) and mild clustering (so PFOR-DELTA sees small
-// deltas).
+// element type: small non-negative integers with repetition (so PDICT has
+// frequent values) and mild clustering (so PFOR-DELTA sees small deltas).
 func genValues[T zukowski.Integer](rng *rand.Rand, n int) []T {
 	vals := make([]T, n)
 	for i := range vals {
@@ -193,10 +192,6 @@ func TestWidthErrors(t *testing.T) {
 			_, err := zukowski.PDict[int64]{Width: 20, Dict: []int64{1, 2, 3}}.Encode(nil, src64)
 			return err
 		}},
-		{"FOR spread wider than 32 bits", func() error {
-			_, err := zukowski.FOR[int64]{}.Encode(nil, []int64{0, 1 << 40})
-			return err
-		}},
 	}
 	for _, tc := range cases {
 		if err := tc.run(); !errors.Is(err, zukowski.ErrWidthOutOfRange) {
@@ -209,37 +204,13 @@ func TestWidthErrors(t *testing.T) {
 // rejected up front (the internal kernels would panic).
 func TestBlockTooLarge(t *testing.T) {
 	src := make([]int8, zukowski.MaxBlockValues+1)
-	for _, name := range []string{"pfor", "none", "vbyte"} {
+	for _, name := range []string{"pfor", "none"} {
 		codec, err := zukowski.Lookup[int8](name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := codec.Encode(nil, src); !errors.Is(err, zukowski.ErrBlockTooLarge) {
 			t.Errorf("%s: err = %v, want ErrBlockTooLarge", name, err)
-		}
-	}
-}
-
-// TestValueOutOfRange: the 32-bit variable-byte codec rejects wider values
-// with a typed error.
-func TestValueOutOfRange(t *testing.T) {
-	if _, err := (zukowski.VByte[int64]{}).Encode(nil, []int64{1 << 40}); !errors.Is(err, zukowski.ErrValueOutOfRange) {
-		t.Fatalf("err = %v, want ErrValueOutOfRange", err)
-	}
-	// Negative values of narrow types travel through their unsigned image
-	// and still round-trip exactly.
-	src := []int8{-1, -128, 127, 0}
-	frame, err := zukowski.VByte[int8]{}.Encode(nil, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := zukowski.VByte[int8]{}.Decode(nil, frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range src {
-		if out[i] != src[i] {
-			t.Fatalf("value %d: got %d want %d", i, out[i], src[i])
 		}
 	}
 }
@@ -345,7 +316,7 @@ func TestCorruptSegmentErrors(t *testing.T) {
 	// Allocation bombs: tiny frames whose headers demand enormous
 	// buffers must be rejected before anything is allocated. A crafted
 	// PDICT frame with a huge code width (the padded dictionary would be
-	// 1<<B entries) and a vbyte frame announcing 2^25 values with no
+	// 1<<B entries) and a raw frame announcing 2^25 values with no
 	// payload.
 	pdictBomb := make([]byte, 52)
 	pdictBomb[0] = 0xC5 // segment magic
@@ -360,12 +331,12 @@ func TestCorruptSegmentErrors(t *testing.T) {
 	if _, err := codec.Decode(nil, pdictBomb); !errors.Is(err, zukowski.ErrCorruptSegment) {
 		t.Fatalf("pdict width bomb: err = %v, want ErrCorruptSegment", err)
 	}
-	vbyteBomb := []byte{0xB6, 3, 8, 0, 0, 0, 0, 2} // n = 1<<25, empty payload
-	if _, err := (zukowski.VByte[int64]{}).Decode(nil, vbyteBomb); !errors.Is(err, zukowski.ErrCorruptSegment) {
-		t.Fatalf("vbyte count bomb: err = %v, want ErrCorruptSegment", err)
+	rawBomb := []byte{0xC5, 0, 8, 0, 0, 0, 0, 2} // SchemeNone, n = 1<<25, empty payload
+	if _, err := (zukowski.None[int64]{}).Decode(nil, rawBomb); !errors.Is(err, zukowski.ErrCorruptSegment) {
+		t.Fatalf("raw count bomb: err = %v, want ErrCorruptSegment", err)
 	}
 
-	// Arbitrary garbage for every codec, including the baseline frames.
+	// Arbitrary garbage for every codec.
 	garbage := make([]byte, 64)
 	rng.Read(garbage)
 	garbage[0] = 0x00

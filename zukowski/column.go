@@ -21,16 +21,8 @@ import (
 // under the 25-bit exception-offset limit, lets the analyzer re-tune
 // parameters as the data drifts, and bounds the work of a point lookup.
 //
-// Two format versions exist. ZKC1 (the original layout) is read-only:
-// OpenColumn, RecoverColumn and every scan accept it, nothing writes it.
-//
-//	header (16 B): "ZKC1", element size, reserved, block size in values
-//	blocks:        one compressed frame per block, back to back
-//	directory:     per block: u64 offset, u32 byte length, u32 value count
-//	tail (16 B):   u64 total values, u32 block count, "ZKE1"
-//
-// ZKC2 (the one format ColumnWriter emits) keeps the header and frame
-// layout byte-identical but hardens and enriches the footer:
+// The container format is ZKC2, the one format ColumnWriter emits and
+// ColumnReader reads:
 //
 //	header (16 B): "ZKC2", element size, reserved, block size in values
 //	blocks:        one compressed frame per block, back to back
@@ -49,50 +41,29 @@ import (
 
 const (
 	columnHeaderSize = 16
-
-	columnDirEntryV1 = 16
-	columnTailSizeV1 = 16
-
-	columnDirEntryV2 = 40
-	columnTailSizeV2 = 24
+	columnDirEntry   = 40
+	columnTailSize   = 24
 
 	// DefaultBlockValues is the writer's default block size: 64K values,
 	// the granularity the paper suggests for sample-based analysis and
 	// small enough that a block comfortably outlives its 25-bit exception
 	// offsets.
 	DefaultBlockValues = 64 * 1024
-
-	// FormatZKC1 and FormatZKC2 are the column container format versions.
-	// Readers handle both; writers emit FormatZKC2.
-	FormatZKC1 = 1
-	FormatZKC2 = 2
 )
 
 var (
-	columnMagicV1 = [4]byte{'Z', 'K', 'C', '1'}
-	columnTailV1  = [4]byte{'Z', 'K', 'E', '1'}
-	columnMagicV2 = [4]byte{'Z', 'K', 'C', '2'}
-	columnTailV2  = [4]byte{'Z', 'K', 'E', '2'}
+	columnMagic = [4]byte{'Z', 'K', 'C', '2'}
+	columnTail  = [4]byte{'Z', 'K', 'E', '2'}
+
+	// retiredMagic opens a ZKC1 container, the layout nothing has written
+	// since ZKC2 replaced it; readers refuse it by name.
+	retiredMagic = [4]byte{'Z', 'K', 'C', '1'}
 
 	// castagnoli is the CRC32-C polynomial table; hardware-accelerated on
 	// amd64/arm64, which keeps the per-block checksum off the critical
 	// path relative to decompression itself.
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
-
-func columnDirEntrySize(version int) int {
-	if version == FormatZKC1 {
-		return columnDirEntryV1
-	}
-	return columnDirEntryV2
-}
-
-func columnTailSize(version int) int {
-	if version == FormatZKC1 {
-		return columnTailSizeV1
-	}
-	return columnTailSizeV2
-}
 
 // ColumnWriter streams a column of values into an io.Writer as a sequence
 // of compressed blocks. Values accumulate via Write; every full block is
@@ -118,7 +89,7 @@ type columnBlock struct {
 	length uint32
 	count  uint32
 
-	// ZKC2 only: payload checksum and zone map (element bit patterns).
+	// Payload checksum and zone map (element bit patterns).
 	crc     uint32
 	minBits uint64
 	maxBits uint64
@@ -140,7 +111,7 @@ func NewColumnWriter[T Integer](w io.Writer, codec Codec[T], blockValues int) (*
 		codec = Auto[T]{}
 	}
 	var hdr [columnHeaderSize]byte
-	copy(hdr[:4], columnMagicV2[:])
+	copy(hdr[:4], columnMagic[:])
 	hdr[4] = byte(elemSize[T]())
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(blockValues))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -181,7 +152,7 @@ func (cw *ColumnWriter[T]) flushBlock() error {
 		// Fail at write time if the codec emits frames ColumnReader
 		// cannot dispatch on — otherwise the column would be accepted now
 		// and unreadable forever. User codecs must emit (or wrap) the
-		// segment or baseline frame formats.
+		// segment frame format.
 		err = fmt.Errorf("%w: codec %q emits frames the column reader cannot decode",
 			ErrUnknownCodec, cw.codec.Name())
 	}
@@ -212,9 +183,10 @@ func (cw *ColumnWriter[T]) flushBlock() error {
 	return nil
 }
 
-// readableFrame reports whether ColumnReader can dispatch on frame's magic.
+// readableFrame reports whether frame carries the segment magic, the one
+// frame format ColumnReader decodes.
 func readableFrame(frame []byte) bool {
-	return len(frame) > 0 && (frame[0] == segment.Magic || frame[0] == baselineMagic)
+	return len(frame) > 0 && frame[0] == segment.Magic
 }
 
 // appendBlock writes one frame to the stream and enters blk — its count,
@@ -240,12 +212,11 @@ func (cw *ColumnWriter[T]) appendBlock(frame []byte, blk columnBlock) error {
 //
 // Nothing unverified gets a fresh directory entry: WriteFrame hashes frame
 // and refuses it with ErrChecksumMismatch when that differs from
-// info.CRC32C. It also refuses an entry without a checksum or zone map
-// (ZKC1), a frame ColumnReader could not dispatch on, and anything that
-// would break the container's geometry — values still buffered by Write,
-// or a count other than the writer's block size; a column's short last
-// block has to arrive through Write. A refusal changes nothing: the writer
-// is as usable as before the call.
+// info.CRC32C. It also refuses a frame ColumnReader could not dispatch on,
+// and anything that would break the container's geometry — values still
+// buffered by Write, or a count other than the writer's block size; a
+// column's short last block has to arrive through Write. A refusal changes
+// nothing: the writer is as usable as before the call.
 func (cw *ColumnWriter[T]) WriteFrame(frame []byte, info BlockInfo[T]) error {
 	if cw.closed {
 		return ErrClosed
@@ -259,9 +230,6 @@ func (cw *ColumnWriter[T]) WriteFrame(frame []byte, info BlockInfo[T]) error {
 	case info.Count != cw.blockValues:
 		return fmt.Errorf("zukowski: WriteFrame of a %d-value block into a column of %d-value blocks",
 			info.Count, cw.blockValues)
-	case !info.HasChecksum || !info.HasZoneMap:
-		return fmt.Errorf("zukowski: WriteFrame needs the source block's checksum and zone map (%s has none)",
-			FormatName(FormatZKC1))
 	case !readableFrame(frame):
 		return fmt.Errorf("%w: frame the column reader cannot decode", ErrUnknownCodec)
 	}
@@ -301,10 +269,10 @@ func (cw *ColumnWriter[T]) Close() error {
 // appendFooter serializes the ZKC2 directory and tail of a container — the
 // format authority shared by ColumnWriter.Close and RecoverColumn.
 func appendFooter(footer []byte, dir []columnBlock, total uint64) []byte {
-	footer = slices.Grow(footer, len(dir)*columnDirEntryV2+columnTailSizeV2)
+	footer = slices.Grow(footer, len(dir)*columnDirEntry+columnTailSize)
 	dirStart := len(footer)
 	for _, blk := range dir {
-		var ent [columnDirEntryV2]byte
+		var ent [columnDirEntry]byte
 		binary.LittleEndian.PutUint64(ent[:], blk.offset)
 		binary.LittleEndian.PutUint32(ent[8:], blk.length)
 		binary.LittleEndian.PutUint32(ent[12:], blk.count)
@@ -314,11 +282,11 @@ func appendFooter(footer []byte, dir []columnBlock, total uint64) []byte {
 		footer = append(footer, ent[:]...)
 	}
 	dirCRC := crc32.Checksum(footer[dirStart:], castagnoli)
-	var tail [columnTailSizeV2]byte
+	var tail [columnTailSize]byte
 	binary.LittleEndian.PutUint64(tail[:], total)
 	binary.LittleEndian.PutUint32(tail[8:], uint32(len(dir)))
 	binary.LittleEndian.PutUint32(tail[12:], dirCRC)
-	copy(tail[20:], columnTailV2[:])
+	copy(tail[20:], columnTail[:])
 	return append(footer, tail[:]...)
 }
 
@@ -333,7 +301,7 @@ func (cw *ColumnWriter[T]) NumBlocks() int { return len(cw.dir) }
 func (cw *ColumnWriter[T]) CompressedBytes() int {
 	n := int(cw.offset)
 	if cw.closed {
-		n += len(cw.dir)*columnDirEntryV2 + columnTailSizeV2
+		n += len(cw.dir)*columnDirEntry + columnTailSize
 	}
 	return n
 }
@@ -416,11 +384,10 @@ func (s *readerAtSource) view(dst []byte, off int64, n int) ([]byte, error) {
 // lookup (Get). A filtered, aggregating, degraded or parallel scan of the
 // column is a Query on NewColumnSet(cr).
 type ColumnReader[T Integer] struct {
-	src     columnSource
-	version int
-	blocks  []columnBlock
-	starts  []int // starts[i] = first row of block i; len = len(blocks)+1
-	total   int
+	src    columnSource
+	blocks []columnBlock
+	starts []int // starts[i] = first row of block i; len = len(blocks)+1
+	total  int
 
 	// fixedBlock is the writer's uniform block size when every block but
 	// the last holds exactly that many values (true of every container our
@@ -468,8 +435,8 @@ type blockSlot[T Integer] struct {
 
 // parsedBlock is the memoized random-access form of one block: the parsed
 // sections of a patched frame (fine-grained access needs only those, not
-// the decoded values), or the fully decoded values of frames without entry
-// points (raw and baseline frames through a ReaderAt).
+// the decoded values), or the fully decoded values of a raw frame read
+// through a ReaderAt.
 type parsedBlock[T Integer] struct {
 	blk  *core.Block[T]
 	vals []T
@@ -511,9 +478,8 @@ func WithBlockCache(c BlockCache) ReaderOption {
 	return func(rc *readerConfig) { rc.cache = c }
 }
 
-// OpenColumn parses a container produced by ColumnWriter, accepting both
-// the ZKC1 and ZKC2 formats. The bytes are retained (not copied); they
-// must stay immutable while the reader lives.
+// OpenColumn parses a container produced by ColumnWriter. The bytes are
+// retained (not copied); they must stay immutable while the reader lives.
 func OpenColumn[T Integer](data []byte, opts ...ReaderOption) (*ColumnReader[T], error) {
 	return openColumn[T](byteSource(data), opts)
 }
@@ -525,8 +491,8 @@ func OpenColumn[T Integer](data []byte, opts ...ReaderOption) (*ColumnReader[T],
 // ReaderAt must allow concurrent-safe reads at arbitrary offsets (os.File,
 // bytes.Reader and mmap wrappers all qualify).
 //
-// Without a block cache every touch of a block re-reads and (for ZKC2)
-// re-verifies its bytes from the ReaderAt — a sequential Query scan reads
+// Without a block cache every touch of a block re-reads and re-verifies
+// its bytes from the ReaderAt — a sequential Query scan reads
 // the frames it is about to need in runs of adjacent frames, one ReadAt
 // each, the other access paths one frame at a time; WithBlockCache keeps
 // the hot working set resident — see BlockCache.
@@ -534,85 +500,75 @@ func OpenColumnReaderAt[T Integer](r io.ReaderAt, size int64, opts ...ReaderOpti
 	return openColumn[T](&readerAtSource{r: r, n: size}, opts)
 }
 
+// checkMagic refuses a header that does not open a ZKC2 container.
+func checkMagic(hdr []byte) error {
+	switch [4]byte(hdr[:4]) {
+	case columnMagic:
+		return nil
+	case retiredMagic:
+		return fmt.Errorf("%w: a ZKC1 container, a retired format this build does not read; "+
+			"rewrite it with an earlier build", ErrCorruptColumn)
+	}
+	return fmt.Errorf("%w: bad header magic", ErrCorruptColumn)
+}
+
 func openColumn[T Integer](src columnSource, opts []ReaderOption) (*ColumnReader[T], error) {
 	size := src.size()
-	if size < columnHeaderSize+columnTailSizeV1 {
+	if size < columnHeaderSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptColumn, size)
 	}
 	hdr, err := src.view(nil, 0, columnHeaderSize)
 	if err != nil {
 		return nil, err
 	}
-	var version int
-	switch [4]byte(hdr[:4]) {
-	case columnMagicV1:
-		version = FormatZKC1
-	case columnMagicV2:
-		version = FormatZKC2
-	default:
-		return nil, fmt.Errorf("%w: bad header magic", ErrCorruptColumn)
+	if err := checkMagic(hdr); err != nil {
+		return nil, err
 	}
 	if int(hdr[4]) != elemSize[T]() {
 		return nil, fmt.Errorf("%w: element size %d, reading as %d", ErrCorruptColumn, hdr[4], elemSize[T]())
 	}
-	tailSize := columnTailSize(version)
-	if size < int64(columnHeaderSize+tailSize) {
-		return nil, fmt.Errorf("%w: %d bytes too small for %s tail", ErrCorruptColumn, size, FormatName(version))
+	if size < columnHeaderSize+columnTailSize {
+		return nil, fmt.Errorf("%w: %d bytes too small for the tail", ErrCorruptColumn, size)
 	}
-	tail, err := src.view(nil, size-int64(tailSize), tailSize)
+	tail, err := src.view(nil, size-columnTailSize, columnTailSize)
 	if err != nil {
 		return nil, err
 	}
-	var total uint64
-	var numBlocks int
-	var dirCRC uint32
-	if version == FormatZKC1 {
-		if [4]byte(tail[12:]) != columnTailV1 {
-			return nil, fmt.Errorf("%w: bad tail magic", ErrCorruptColumn)
-		}
-	} else {
-		if [4]byte(tail[20:]) != columnTailV2 {
-			return nil, fmt.Errorf("%w: bad tail magic", ErrCorruptColumn)
-		}
-		dirCRC = binary.LittleEndian.Uint32(tail[12:])
+	if [4]byte(tail[20:]) != columnTail {
+		return nil, fmt.Errorf("%w: bad tail magic", ErrCorruptColumn)
 	}
-	total = binary.LittleEndian.Uint64(tail)
-	numBlocks = int(binary.LittleEndian.Uint32(tail[8:]))
-	entrySize := columnDirEntrySize(version)
-	dirStart := size - int64(tailSize) - int64(numBlocks)*int64(entrySize)
+	total := binary.LittleEndian.Uint64(tail)
+	numBlocks := int(binary.LittleEndian.Uint32(tail[8:]))
+	dirCRC := binary.LittleEndian.Uint32(tail[12:])
+	dirStart := size - columnTailSize - int64(numBlocks)*columnDirEntry
 	if numBlocks < 0 || dirStart < columnHeaderSize {
 		return nil, fmt.Errorf("%w: directory of %d blocks does not fit", ErrCorruptColumn, numBlocks)
 	}
-	dir, err := src.view(nil, dirStart, numBlocks*entrySize)
+	dir, err := src.view(nil, dirStart, numBlocks*columnDirEntry)
 	if err != nil {
 		return nil, err
 	}
-	if version >= FormatZKC2 {
-		if got := crc32.Checksum(dir, castagnoli); got != dirCRC {
-			return nil, fmt.Errorf("%w: %w over directory (stored %08x, computed %08x)",
-				ErrCorruptColumn, ErrChecksumMismatch, dirCRC, got)
-		}
+	if got := crc32.Checksum(dir, castagnoli); got != dirCRC {
+		return nil, fmt.Errorf("%w: %w over directory (stored %08x, computed %08x)",
+			ErrCorruptColumn, ErrChecksumMismatch, dirCRC, got)
 	}
 	cr := &ColumnReader[T]{
-		src:     src,
-		version: version,
-		blocks:  make([]columnBlock, numBlocks),
-		starts:  make([]int, numBlocks+1),
-		total:   int(total),
-		slots:   make([]blockSlot[T], numBlocks),
+		src:    src,
+		blocks: make([]columnBlock, numBlocks),
+		starts: make([]int, numBlocks+1),
+		total:  int(total),
+		slots:  make([]blockSlot[T], numBlocks),
 	}
 	rows, nextOffset := 0, uint64(columnHeaderSize)
 	for i := range cr.blocks {
-		ent := dir[i*entrySize:]
+		ent := dir[i*columnDirEntry:]
 		blk := columnBlock{
-			offset: binary.LittleEndian.Uint64(ent),
-			length: binary.LittleEndian.Uint32(ent[8:]),
-			count:  binary.LittleEndian.Uint32(ent[12:]),
-		}
-		if version >= FormatZKC2 {
-			blk.crc = binary.LittleEndian.Uint32(ent[16:])
-			blk.minBits = binary.LittleEndian.Uint64(ent[24:])
-			blk.maxBits = binary.LittleEndian.Uint64(ent[32:])
+			offset:  binary.LittleEndian.Uint64(ent),
+			length:  binary.LittleEndian.Uint32(ent[8:]),
+			count:   binary.LittleEndian.Uint32(ent[12:]),
+			crc:     binary.LittleEndian.Uint32(ent[16:]),
+			minBits: binary.LittleEndian.Uint64(ent[24:]),
+			maxBits: binary.LittleEndian.Uint64(ent[32:]),
 		}
 		if blk.offset != nextOffset || blk.offset+uint64(blk.length) > uint64(dirStart) {
 			return nil, fmt.Errorf("%w: block %d escapes the data area", ErrCorruptColumn, i)
@@ -659,10 +615,6 @@ func (cr *ColumnReader[T]) Len() int { return cr.total }
 
 // NumBlocks returns the number of blocks.
 func (cr *ColumnReader[T]) NumBlocks() int { return len(cr.blocks) }
-
-// FormatVersion returns the container format version (FormatZKC1 or
-// FormatZKC2).
-func (cr *ColumnReader[T]) FormatVersion() int { return cr.version }
 
 // CompressedBytes returns the container size in bytes.
 func (cr *ColumnReader[T]) CompressedBytes() int { return int(cr.src.size()) }
@@ -742,12 +694,9 @@ func (cr *ColumnReader[T]) view(b int) ([]byte, error) {
 	return cr.readFrames(nil, b, b+1)
 }
 
-// verify checks block b's frame against its ZKC2 checksum (ZKC1 stores
-// none), latching the pass for stable sources.
+// verify checks block b's frame against its stored checksum, latching the
+// pass for stable sources.
 func (cr *ColumnReader[T]) verify(frame []byte, b int) error {
-	if cr.version < FormatZKC2 {
-		return nil
-	}
 	if err := checkCRC(frame, cr.blocks[b].crc, b); err != nil {
 		return err
 	}
@@ -757,7 +706,7 @@ func (cr *ColumnReader[T]) verify(frame []byte, b int) error {
 	return nil
 }
 
-// frame returns block b's bytes, verifying the ZKC2 payload checksum: on a
+// frame returns block b's bytes, verifying the payload checksum: on a
 // stable (in-memory) source the first verification is singleflighted under
 // the block's mutex and latched, so the block is hashed exactly once no
 // matter how many goroutines race to first touch; a ReaderAt source
@@ -780,7 +729,7 @@ func (cr *ColumnReader[T]) frame(b int) ([]byte, error) {
 		if buf := ac.c.Get(ac.id, b); buf != nil {
 			return buf, nil
 		}
-	} else if cr.version < FormatZKC2 || !cr.src.stable() {
+	} else if !cr.src.stable() {
 		return cr.fetchVerified(nil, b) // nothing to latch or fill: no singleflight
 	} else if cr.slots[b].verified.Load() {
 		return cr.view(b)
@@ -931,45 +880,14 @@ func (cr *ColumnReader[T]) readRun(run *frameRun, b int, reads []bool, ac *attac
 	return nil
 }
 
-// decodeColumnFrame decodes one frame regardless of which codec wrote it,
-// dispatching on the frame magic.
-func decodeColumnFrame[T Integer](dst []T, frame []byte) ([]T, error) {
-	if len(frame) == 0 {
-		return nil, corrupt(segment.ErrTooShort)
-	}
-	switch frame[0] {
-	case segment.Magic:
-		return decodeSegment(dst, frame)
-	case baselineMagic:
-		if len(frame) < 2 {
-			return nil, corrupt(segment.ErrTooShort)
-		}
-		switch frame[1] {
-		case frameFOR:
-			return FOR[T]{}.Decode(dst, frame)
-		case frameDict:
-			return Dict[T]{}.Decode(dst, frame)
-		case frameVByte:
-			return VByte[T]{}.Decode(dst, frame)
-		}
-		if c := byteStreamCodec[T](frame[1]); c != nil {
-			return c.Decode(dst, frame)
-		}
-	}
-	return nil, corrupt(fmt.Errorf("unknown frame magic 0x%02x", frame[0]))
-}
-
-// trustedFrames reports whether block frames reach the decoder already
-// integrity-checked: the ZKC2 reader verifies a hardware CRC32-C over
-// every frame (latched for stable sources, re-hashed per fetch through a
-// ReaderAt), which makes the segment-level byte-wise FNV checksum a
-// redundant second pass over the same bytes — skipping it roughly doubles
-// scan bandwidth on patched columns. ZKC1 stores no container checksum, so
-// its frames keep the full segment validation.
-func (cr *ColumnReader[T]) trustedFrames() bool { return cr.version >= FormatZKC2 }
-
 // parseSegmentInto parses a compressed segment frame into blk, skipping
-// the redundant payload hash when trusted.
+// the segment's payload hash when trusted. A container's frames are
+// trusted: the reader verifies a hardware CRC32-C over every frame
+// (latched for stable sources, re-hashed per fetch through a ReaderAt),
+// which makes the segment-level byte-wise FNV checksum a redundant second
+// pass over the same bytes — skipping it roughly doubles scan bandwidth on
+// patched columns. A frame off the wire (FrameDecoder) carries no
+// container checksum and keeps the full segment validation.
 func parseSegmentInto[T Integer](blk *core.Block[T], frame []byte, trusted bool) error {
 	if trusted {
 		return segment.UnmarshalIntoTrusted(blk, frame)
@@ -981,24 +899,18 @@ func parseSegmentInto[T Integer](blk *core.Block[T], frame []byte, trusted bool)
 // reuse st's segment parse target and decoder scratch, so a scan that
 // recycles one state decodes block after block without allocating (once
 // dst and the scratch have grown to block size). trusted skips the
-// segment-level payload hash (see trustedFrames).
+// segment-level payload hash (see parseSegmentInto).
 func (st *decodeState[T]) decodeInto(dst []T, frame []byte, trusted bool) (out []T, err error) {
 	defer guardSegment(&err)
-	if len(frame) == 0 {
-		return nil, corrupt(segment.ErrTooShort)
+	if !segment.IsCompressed(frame) {
+		return rawAppend[T](dst, frame)
 	}
-	if frame[0] == segment.Magic {
-		if !segment.IsCompressed(frame) {
-			return rawAppend[T](dst, frame)
-		}
-		if err := parseSegmentInto(&st.blk, frame, trusted); err != nil {
-			return nil, corrupt(err)
-		}
-		out, tail := grow(dst, st.blk.N)
-		st.dec.Decompress(&st.blk, tail)
-		return out, nil
+	if err := parseSegmentInto(&st.blk, frame, trusted); err != nil {
+		return nil, corrupt(err)
 	}
-	return decodeColumnFrame[T](dst, frame)
+	out, tail := grow(dst, st.blk.N)
+	st.dec.Decompress(&st.blk, tail)
+	return out, nil
 }
 
 // readBlockInto fetches and decodes block b with st's scratch, appending
@@ -1008,7 +920,7 @@ func (cr *ColumnReader[T]) readBlockInto(st *decodeState[T], b int, dst []T) ([]
 	if err != nil {
 		return nil, err
 	}
-	out, err := st.decodeInto(dst, frame, cr.trustedFrames())
+	out, err := st.decodeInto(dst, frame, true)
 	if err != nil {
 		return nil, fmt.Errorf("block %d: %w", b, err)
 	}
@@ -1016,7 +928,7 @@ func (cr *ColumnReader[T]) readBlockInto(st *decodeState[T], b int, dst []T) ([]
 }
 
 // FrameBytes returns block b's raw compressed frame bytes, verified
-// against the container's stored checksum when it has one (ZKC2). The
+// against the container's stored checksum. The
 // returned slice is shared — with the container bytes, with the block
 // cache, with other callers — and must be treated as read-only. This is
 // the block-granular serve path: a service that ships raw frames to
@@ -1094,8 +1006,8 @@ func (cr *ColumnReader[T]) blockOf(i int) int {
 
 // Get returns the value at row i. For patched frames it uses the
 // entry-point fine-grained access path (at most one 128-value group is
-// touched); raw frames on an in-memory source are read in place; baseline
-// frames are decoded whole and memoized.
+// touched); raw frames on an in-memory source are read in place, and
+// through a ReaderAt are decoded whole and memoized.
 func (cr *ColumnReader[T]) Get(i int) (v T, err error) {
 	defer guardSegment(&err)
 	if i < 0 || i >= cr.total {
@@ -1115,7 +1027,7 @@ func (cr *ColumnReader[T]) Get(i int) (v T, err error) {
 			if ferr != nil {
 				return v, ferr
 			}
-			if len(frame) > 0 && frame[0] == segment.Magic && !segment.IsCompressed(frame) {
+			if !segment.IsCompressed(frame) {
 				return rawGet[T](frame, off)
 			}
 		}
@@ -1157,9 +1069,9 @@ func (cr *ColumnReader[T]) parseBlock(b int) (*parsedBlock[T], error) {
 	}
 	want := int(cr.blocks[b].count)
 	p := &parsedBlock[T]{}
-	if len(frame) > 0 && frame[0] == segment.Magic && segment.IsCompressed(frame) {
+	if segment.IsCompressed(frame) {
 		pb := new(core.Block[T])
-		if err := parseSegmentInto(pb, frame, cr.trustedFrames()); err != nil {
+		if err := parseSegmentInto(pb, frame, true); err != nil {
 			return nil, corrupt(err)
 		}
 		if pb.N != want {
@@ -1174,7 +1086,7 @@ func (cr *ColumnReader[T]) parseBlock(b int) (*parsedBlock[T], error) {
 		}
 		p.blk = pb
 	} else {
-		vals, err := decodeColumnFrame[T](nil, frame)
+		vals, err := rawAppend[T](nil, frame)
 		if err != nil {
 			return nil, err
 		}

@@ -3,139 +3,66 @@ package zukowski_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/zukowski"
 )
 
-// --- ZKC1 backward compatibility ---------------------------------------
+// --- Retired layouts are refused ----------------------------------------
 
-// compatInt64 regenerates the value stream baked into
-// testdata/zkc1_int64_pfor.bin (written by the PR-1 writer).
-func compatInt64(rng *rand.Rand) []int64 {
-	vals := make([]int64, 3000)
-	for i := range vals {
-		vals[i] = 100_000 + rng.Int63n(4096)
-		if i%100 == 0 {
-			vals[i] = rng.Int63()
-		}
+// openAs hands data to the entry point named by path as a container of T
+// and returns the bytes it wrote (only RecoverColumn writes) and its error.
+func openAs[T zukowski.Integer](path string, data []byte) (int, error) {
+	switch path {
+	case "OpenColumn":
+		_, err := zukowski.OpenColumn[T](data)
+		return 0, err
+	case "OpenColumnReaderAt":
+		_, err := zukowski.OpenColumnReaderAt[T](bytes.NewReader(data), int64(len(data)))
+		return 0, err
 	}
-	return vals
+	var out bytes.Buffer
+	_, err := zukowski.RecoverColumn[T](bytes.NewReader(data), int64(len(data)), &out)
+	return out.Len(), err
 }
 
-// compatUint32 regenerates testdata/zkc1_uint32_auto.bin.
-func compatUint32(rng *rand.Rand) []uint32 {
-	vals := make([]uint32, 2500)
-	for i := range vals {
-		vals[i] = 7_000_000 + uint32(rng.Intn(1<<14))
-	}
-	return vals
-}
-
-// compatInt16 regenerates testdata/zkc1_int16_for.bin.
-func compatInt16(rng *rand.Rand) []int16 {
-	vals := make([]int16, 900)
-	for i := range vals {
-		vals[i] = int16(rng.Intn(512)) - 100
-	}
-	return vals
-}
-
-// checkZKC1Fixture reads a golden ZKC1 container written by the pre-ZKC2
-// writer and verifies it still parses as format version 1 and yields the
-// original values. A query over it finds no zone map to decide anything
-// with: no block is pruned, every candidate reads the predicate's column
-// — even under a window that covers the whole column — and the result is
-// the oracle's.
-func checkZKC1Fixture[T zukowski.Integer](t *testing.T, file string, want []T) {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr, err := zukowski.OpenColumn[T](data)
-	if err != nil {
-		t.Fatalf("%s: OpenColumn: %v", file, err)
-	}
-	if cr.FormatVersion() != zukowski.FormatZKC1 {
-		t.Fatalf("%s: FormatVersion = %d, want %d", file, cr.FormatVersion(), zukowski.FormatZKC1)
-	}
-	if cr.HasZoneMaps() {
-		t.Fatalf("%s: ZKC1 container claims zone maps", file)
-	}
-	if _, _, ok := cr.ZoneMap(0); ok {
-		t.Fatalf("%s: ZoneMap ok on ZKC1", file)
-	}
-	got, err := cr.ReadAll(nil)
-	if err != nil {
-		t.Fatalf("%s: ReadAll: %v", file, err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: read %d values, want %d", file, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: value %d: got %v want %v", file, i, got[i], want[i])
-		}
-	}
-	if err := cr.Verify(); err != nil {
-		t.Fatalf("%s: Verify: %v", file, err)
-	}
-
-	cs, err := zukowski.NewColumnSet(cr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := slices.Clone(want)
-	slices.Sort(sorted)
-	for _, window := range [][2]T{{sorted[0], sorted[len(sorted)-1]}, {sorted[len(sorted)/4], sorted[len(sorted)/2]}} {
-		q := zukowski.Query[T]{Preds: []zukowski.Pred[T]{{Col: 0, Lo: window[0], Hi: window[1]}}}
-		pruned, err := cs.Candidates(t.Context(), q, func(c zukowski.Candidate[T]) bool {
-			if !c.Reads[0] {
-				t.Fatalf("%s: block %d decided without a zone map", file, c.Block)
-			}
-			return true
-		})
-		if err != nil || pruned != 0 {
-			t.Fatalf("%s: Candidates pruned %d blocks, %v; want none", file, pruned, err)
-		}
-		var wantRows []int64
-		var wantVals []T
-		for i, v := range want {
-			if v >= window[0] && v <= window[1] {
-				wantRows, wantVals = append(wantRows, int64(i)), append(wantVals, v)
-			}
-		}
-		gotRows, gotVals, err := cs.Project(zukowski.Range(0, window[0], window[1]))
-		if err != nil || !slices.Equal(gotRows, wantRows) || !slices.Equal(gotVals[0], wantVals) {
-			t.Fatalf("%s: window %v: %d rows, %v; oracle %d", file, window, len(gotRows), err, len(wantRows))
-		}
-		var gotPredRows []int64
-		if err := cs.Run(t.Context(), q, func(_ int, rows []int64, _ [][]T) bool {
-			gotPredRows = append(gotPredRows, rows...)
-			return true
-		}); err != nil || !slices.Equal(gotPredRows, wantRows) {
-			t.Fatalf("%s: window %v through Preds: %d rows, %v; oracle %d", file, window, len(gotPredRows), err, len(wantRows))
-		}
-	}
-}
-
-// TestZKC1Fixtures: golden containers written by the pre-ZKC2 writer still
-// read back exactly.
+// TestZKC1Fixtures: golden containers written in the retired ZKC1 layout
+// (one of them holding a FOR frame, a codec that is gone too) are refused
+// by every way into a container — the in-memory and ReaderAt-backed
+// readers and the salvage walk — with an ErrCorruptColumn that names the
+// layout: never read, never a panic, and a refused salvage writes nothing.
 func TestZKC1Fixtures(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	i64 := compatInt64(rng)
-	u32 := compatUint32(rng)
-	i16 := compatInt16(rng)
-	checkZKC1Fixture(t, "zkc1_int64_pfor.bin", i64)
-	checkZKC1Fixture(t, "zkc1_uint32_auto.bin", u32)
-	checkZKC1Fixture(t, "zkc1_int16_for.bin", i16)
+	fixtures := []struct {
+		file string
+		open func(string, []byte) (int, error)
+	}{
+		{"zkc1_int64_pfor.bin", openAs[int64]},
+		{"zkc1_uint32_auto.bin", openAs[uint32]},
+		{"zkc1_int16_for.bin", openAs[int16]},
+	}
+	for _, path := range []string{"OpenColumn", "OpenColumnReaderAt", "RecoverColumn"} {
+		t.Run(path, func(t *testing.T) {
+			for _, fx := range fixtures {
+				data, err := os.ReadFile(filepath.Join("testdata", fx.file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wrote, err := fx.open(path, data)
+				if !errors.Is(err, zukowski.ErrCorruptColumn) || !strings.Contains(err.Error(), "ZKC1") {
+					t.Fatalf("%s: err = %v, want ErrCorruptColumn naming ZKC1", fx.file, err)
+				}
+				if wrote != 0 {
+					t.Fatalf("%s: a refused salvage wrote %d bytes", fx.file, wrote)
+				}
+			}
+		})
+	}
 }
 
 // --- ZKC2 round trip ----------------------------------------------------
@@ -155,28 +82,6 @@ func buildColumnV2[T zukowski.Integer](t *testing.T, codec zukowski.Codec[T], bl
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// zkc1From rewrites a ZKC2 container as the ZKC1 container of the same
-// frames: v1 magic, 16-byte directory entries (offset, length, count — the
-// head of each 40-byte v2 entry), v1 tail. Nothing writes ZKC1 any more;
-// a test that needs one over values of its choosing gets it here.
-func zkc1From(t testing.TB, v2 []byte) []byte {
-	t.Helper()
-	const header, entryV1, entryV2, tailV2 = 16, 16, 40, 24
-	if len(v2) < header+tailV2 || string(v2[:4]) != "ZKC2" {
-		t.Fatalf("zkc1From: not a ZKC2 container (%d bytes)", len(v2))
-	}
-	tail := v2[len(v2)-tailV2:]
-	blocks := int(binary.LittleEndian.Uint32(tail[8:]))
-	dirStart := len(v2) - tailV2 - blocks*entryV2
-	out := slices.Clone(v2[:dirStart])
-	copy(out, "ZKC1")
-	for b := 0; b < blocks; b++ {
-		out = append(out, v2[dirStart+b*entryV2:][:entryV1]...)
-	}
-	out = append(out, tail[:12]...) // total values, block count
-	return append(out, "ZKE1"...)
 }
 
 // checkReads drives ReadAll, Get and Verify of one reader against src.
@@ -221,9 +126,6 @@ func zkc2RoundTrip[T zukowski.Integer](t *testing.T, rng *rand.Rand) {
 	if err != nil {
 		t.Fatalf("OpenColumn: %v", err)
 	}
-	if cr.FormatVersion() != zukowski.FormatZKC2 {
-		t.Fatalf("FormatVersion = %d, want %d", cr.FormatVersion(), zukowski.FormatZKC2)
-	}
 	checkReads(t, cr, src)
 
 	// Zone maps must bound every block's actual values exactly.
@@ -252,7 +154,7 @@ func zkc2RoundTrip[T zukowski.Integer](t *testing.T, rng *rand.Rand) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !info.HasChecksum || !info.HasZoneMap || info.Min != wantLo || info.Max != wantHi || info.Count != len(vals) {
+		if info.Min != wantLo || info.Max != wantHi || info.Count != len(vals) {
 			t.Fatalf("block %d: BlockInfo = %+v", b, info)
 		}
 	}
@@ -286,7 +188,7 @@ func TestZKC2NegativeZoneMaps(t *testing.T) {
 	for i := range src {
 		src[i] = int32(i%200) - 100 // spans [-100, 99]
 	}
-	data := buildColumnV2(t, zukowski.FOR[int32]{}, 250, src)
+	data := buildColumnV2(t, zukowski.PFOR[int32]{}, 250, src)
 	cr, err := zukowski.OpenColumn[int32](data)
 	if err != nil {
 		t.Fatal(err)
@@ -483,20 +385,6 @@ func TestScanWherePrunes(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	// ZKC1 has no zone maps: every block stays a candidate, and the answer
-	// is the same.
-	crV1, err := zukowski.OpenColumn[int64](zkc1From(t, data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	csV1 := oneColumn(t, crV1)
-	if n := candidateBlocks(t, csV1, q); n != crV1.NumBlocks() {
-		t.Fatalf("ZKC1: %d candidate blocks of %d", n, crV1.NumBlocks())
-	}
-	if _, v1, err := collectRun(t, csV1, q); err != nil || !slices.Equal(v1, selected) {
-		t.Fatalf("ZKC1 range Query: %d values, err %v; want the ZKC2 answer", len(v1), err)
-	}
 }
 
 // --- ReaderAt source ----------------------------------------------------
@@ -620,8 +508,8 @@ func TestColumnEmptyV2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cr.Len() != 0 || cr.NumBlocks() != 0 || cr.FormatVersion() != zukowski.FormatZKC2 {
-			t.Fatalf("Len=%d NumBlocks=%d version=%d", cr.Len(), cr.NumBlocks(), cr.FormatVersion())
+		if cr.Len() != 0 || cr.NumBlocks() != 0 {
+			t.Fatalf("Len=%d NumBlocks=%d", cr.Len(), cr.NumBlocks())
 		}
 		if err := cr.Verify(); err != nil {
 			t.Fatal(err)

@@ -110,7 +110,7 @@ type setColState[T Integer] struct {
 const (
 	colNone uint8 = iota // nothing prepared for this block yet
 	colSeg               // blk holds the parsed patched segment
-	colVals              // vals holds the fully decoded block (raw/baseline)
+	colVals              // vals holds the fully decoded raw block
 )
 
 // setState is the per-scan (per-worker) scratch of a ColumnSet scan.
@@ -220,9 +220,9 @@ func (st *setState[T]) begin() {
 
 // prepare fetches column ci's block b into the scan state st, memoized
 // per block iteration: patched frames are parsed once (sections only,
-// nothing decoded), raw and baseline frames are decoded once into
-// st.vals. It reports whether the block is patched-compressed, i.e.
-// whether the compressed-domain mask kernels apply.
+// nothing decoded), raw frames are decoded once into st.vals. It reports
+// whether the block is patched-compressed, i.e. whether the
+// compressed-domain mask kernels apply.
 func (cs *ColumnSet[T]) prepare(scan *setState[T], ci, b int) (patched bool, err error) {
 	st := &scan.cols[ci]
 	switch st.form {
@@ -237,8 +237,8 @@ func (cs *ColumnSet[T]) prepare(scan *setState[T], ci, b int) (patched bool, err
 		return false, err
 	}
 	want := int(cr.blocks[b].count)
-	if len(frame) > 0 && frame[0] == segment.Magic && segment.IsCompressed(frame) {
-		if err := parseSegmentInto(&st.blk, frame, cr.trustedFrames()); err != nil {
+	if segment.IsCompressed(frame) {
+		if err := parseSegmentInto(&st.blk, frame, true); err != nil {
 			return false, fmt.Errorf("block %d: %w", b, corrupt(err))
 		}
 		if st.blk.N != want {
@@ -248,7 +248,7 @@ func (cs *ColumnSet[T]) prepare(scan *setState[T], ci, b int) (patched bool, err
 		st.form = colSeg
 		return true, nil
 	}
-	dec, err := st.decodeInto(st.vals[:0], frame, cr.trustedFrames())
+	dec, err := rawAppend[T](st.vals[:0], frame)
 	if err != nil {
 		return false, fmt.Errorf("block %d: %w", b, err)
 	}
@@ -271,8 +271,8 @@ func b2u32(v bool) uint32 {
 // maskCol evaluates [lo, hi] over column ci's block b into sv: a fresh
 // bitmap (maskFresh), an intersection with the running bitmap
 // (maskRefine), or a union into it (maskUnion). Patched frames stay in
-// the compressed code domain; raw and baseline frames compare decoded
-// values (fetched once per block thanks to the prepare memo).
+// the compressed code domain; raw frames compare decoded values (fetched
+// once per block thanks to the prepare memo).
 func (cs *ColumnSet[T]) maskCol(scan *setState[T], ci, b int, lo, hi T, sv *core.SelectionVector, mode uint8) error {
 	patched, err := cs.prepare(scan, ci, b)
 	if err != nil {
@@ -368,13 +368,9 @@ func (cs *ColumnSet[T]) gatherCol(st *setState[T], b, ci int) (out []T, err erro
 // predEstimate estimates the fraction of block b's rows [lo, hi] can
 // select, from the zone map alone: the width of the predicate's overlap
 // with the block's value range, relative to that range. It orders
-// predicates cheapest-first; correctness never depends on it. Without
-// zone maps (ZKC1) every predicate estimates 1.
+// predicates cheapest-first; correctness never depends on it.
 func (cr *ColumnReader[T]) predEstimate(b int, lo, hi T) float64 {
-	bmin, bmax, ok := cr.ZoneMap(b)
-	if !ok {
-		return 1
-	}
+	bmin, bmax := zoneValue[T](cr.blocks[b].minBits), zoneValue[T](cr.blocks[b].maxBits)
 	l, h := max(lo, bmin), min(hi, bmax)
 	if l > h {
 		return 0

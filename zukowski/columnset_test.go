@@ -3,8 +3,11 @@ package zukowski_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -121,8 +124,8 @@ func synthColumn(rng *rand.Rand, n int) []int64 {
 }
 
 // TestRunConjunctionOracle drives conjunctive scans over two and three
-// columns across codec mixes (patched, raw, baseline byte-stream) against
-// the decode-then-filter oracle.
+// columns across codec mixes (patched, analyzed, raw) against the
+// decode-then-filter oracle.
 func TestRunConjunctionOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 40_000
@@ -136,7 +139,7 @@ func TestRunConjunctionOracle(t *testing.T) {
 	codecMixes := [][]string{
 		{"pfor", "pfor", "pfor-delta"},
 		{"pfor", "pdict", "none"},
-		{"auto", "for", "flate"},
+		{"auto", "pdict", "none"},
 	}
 	for _, mix := range codecMixes {
 		cols := make([]*zukowski.ColumnReader[int64], 3)
@@ -381,27 +384,78 @@ func TestRunConjunctionCorruptBlock(t *testing.T) {
 	}
 }
 
-// TestRunConjunctionZKC1 runs the conjunction over containers without zone
-// maps: no pruning, no ordering estimates, same answers.
-func TestRunConjunctionZKC1(t *testing.T) {
+// unprunable rewrites a ZKC2 container's zone maps to claim the whole
+// int64 domain for every block — still true bounds, but ones that decide
+// nothing and estimate every predicate alike — and reseals the directory
+// checksum.
+func unprunable(t testing.TB, data []byte) []byte {
+	t.Helper()
+	const entry, tail = 40, 24
+	out := slices.Clone(data)
+	blocks := int(binary.LittleEndian.Uint32(out[len(out)-tail+8:]))
+	dirStart := len(out) - tail - blocks*entry
+	for b := range blocks {
+		ent := out[dirStart+b*entry:]
+		binary.LittleEndian.PutUint64(ent[24:], 1<<63)         // math.MinInt64
+		binary.LittleEndian.PutUint64(ent[32:], math.MaxInt64) // its bit pattern
+	}
+	dirCRC := crc32.Checksum(out[dirStart:len(out)-tail], crc32.MakeTable(crc32.Castagnoli))
+	binary.LittleEndian.PutUint32(out[len(out)-tail+12:], dirCRC)
+	return out
+}
+
+// TestRunConjunctionUnpruned runs one conjunction over the same values
+// twice: through zone maps that prune, and through zone maps that decide
+// nothing, so every block is a candidate and no predicate is dropped or
+// ordered by its estimate. The answers are the same, and the oracle's.
+func TestRunConjunctionUnpruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const n = 20_000
 	a := synthColumn(rng, n)
-	b := synthColumn(rng, n)
-	build := func(vals []int64) *zukowski.ColumnReader[int64] {
-		cr, err := zukowski.OpenColumn[int64](zkc1From(t, buildColumnV2[int64](t, zukowski.PFOR[int64]{}, 1500, vals)))
+	c := make([]int64, n) // clustered: its zone maps prune
+	for i := range c {
+		c[i] = int64(i / 100)
+	}
+	build := func(widen bool) (*zukowski.ColumnSet[int64], []*zukowski.ColumnReader[int64]) {
+		var cols []*zukowski.ColumnReader[int64]
+		for _, vals := range [][]int64{a, c} {
+			data := buildColumnV2[int64](t, zukowski.PFOR[int64]{}, 1500, vals)
+			if widen {
+				data = unprunable(t, data)
+			}
+			cr, err := zukowski.OpenColumn[int64](data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols = append(cols, cr)
+		}
+		cs, err := zukowski.NewColumnSet(cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cr
+		return cs, cols
 	}
-	colA, colB := build(a), build(b)
-	cs, err := zukowski.NewColumnSet(colA, colB)
-	if err != nil {
-		t.Fatal(err)
+	pruned, _ := build(false)
+	open, openCols := build(true)
+	preds := []zukowski.Pred[int64]{{Col: 0, Lo: 0, Hi: 600}, {Col: 1, Lo: 40, Hi: 90}}
+	q := zukowski.Query[int64]{Preds: preds}
+	if got := candidateBlocks(t, pruned, q); got == pruned.NumBlocks() {
+		t.Fatalf("the pruning columns left all %d blocks", got)
 	}
-	checkWhereAll(t, cs, []*zukowski.ColumnReader[int64]{colA, colB},
-		[]zukowski.Pred[int64]{{Col: 0, Lo: 0, Hi: 600}, {Col: 1, Lo: 0, Hi: 600}})
+	if got := candidateBlocks(t, open, q); got != open.NumBlocks() {
+		t.Fatalf("unprunable zone maps: %d candidate blocks of %d", got, open.NumBlocks())
+	}
+	wantRows, wantVals := collectWhereAll(t, pruned, preds)
+	gotRows, gotVals := collectWhereAll(t, open, preds)
+	if len(wantRows) == 0 || !slices.Equal(gotRows, wantRows) {
+		t.Fatalf("unpruned run: %d rows, pruned run %d", len(gotRows), len(wantRows))
+	}
+	for ci := range wantVals {
+		if !slices.Equal(gotVals[ci], wantVals[ci]) {
+			t.Fatalf("unpruned run: column %d values differ from the pruned run's", ci)
+		}
+	}
+	checkWhereAll(t, open, openCols, preds)
 }
 
 // TestRunSteadyStateAllocs pins the 0 allocs/op contract of warmed
@@ -626,7 +680,7 @@ func BenchmarkOrScan(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					keep = keep || !info.HasZoneMap || (info.Max >= lo[c] && info.Min <= hi[c])
+					keep = keep || (info.Max >= lo[c] && info.Min <= hi[c])
 					count = info.Count // the same in every column of a set
 				}
 				starts[blk+1] = starts[blk] + int64(count)

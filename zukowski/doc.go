@@ -1,7 +1,10 @@
 // Package zukowski is the public face of this repository: a unified codec
 // API over the super-scalar patched compression schemes of Zukowski, Héman,
-// Nes and Boncz ("Super-Scalar RAM-CPU Cache Compression", ICDE 2006) and
-// the baseline schemes the paper compares against.
+// Nes and Boncz ("Super-Scalar RAM-CPU Cache Compression", ICDE 2006):
+// PFOR, PFOR-DELTA and PDICT, plus uncoded blocks and the analyzer that
+// picks among them. The comparators the paper measures (LZRW1, LZW,
+// DEFLATE, the inverted-file codecs) are not codecs of this package:
+// internal/baseline implements them for the paper's figures.
 //
 // The package wraps the internal kernels (which keep their allocation-free,
 // branch-free hot-loop shapes) behind three layers:
@@ -15,15 +18,15 @@
 //     benchmarks enumerate schemes instead of hard-coding them.
 //   - ColumnWriter / ColumnReader: a streaming multi-block column container
 //     with a directory footer, per-block codec dispatch and fine-grained
-//     Get across block boundaries. The ZKC2 format the writer emits adds
-//     per-block CRC32-C checksums, min/max zone maps a Query consults to
-//     skip blocks before decompression, and a checksummed directory; ZKC1
-//     containers are read-only — every reader, scan and RecoverColumn
-//     accepts them, nothing writes them — and OpenColumnReaderAt streams
-//     columns larger than RAM from any io.ReaderAt. A ColumnReader offers
-//     the paper's access paths over one column — ReadBlock, Scan/ReadAll
-//     and Get — and is safe for concurrent use: goroutines share one
-//     reader's block cache and checksum state.
+//     Get across block boundaries. Its ZKC2 format carries per-block
+//     CRC32-C checksums, min/max zone maps a Query consults to skip blocks
+//     before decompression, and a checksummed directory; readers refuse
+//     the retired layout that came before it with a typed error.
+//     OpenColumnReaderAt streams columns larger than RAM from any
+//     io.ReaderAt. A ColumnReader offers the paper's access paths over one
+//     column — ReadBlock, Scan/ReadAll and Get — and is safe for
+//     concurrent use: goroutines share one reader's block cache and
+//     checksum state.
 //
 // # Filtered scans and aggregate pushdown
 //
@@ -40,9 +43,9 @@
 // 128-value group through its stored running total — and the packed code
 // section is scanned by generated branch-free kernels emitting a selection
 // bitmap, exception slots judged on their true values. Only the rows the
-// bitmap selects are materialized, and RunAggregate folds those. Raw and
-// baseline frames decode-then-filter with the same output contract, and
-// warmed sequential filtered scans allocate nothing.
+// bitmap selects are materialized, and RunAggregate folds those. Raw
+// frames decode-then-filter with the same output contract, and warmed
+// sequential filtered scans allocate nothing.
 //
 // # Hot-block caching
 //
@@ -132,9 +135,8 @@
 // parameters and corrupt or truncated bytes surface as typed errors
 // (ErrWidthOutOfRange, ErrBlockTooLarge, ErrCorruptSegment, ...).
 //
-// The patched codecs (PFOR, PFORDelta, PDict, None, Auto) all emit the
-// Figure-3 segment layout of internal/segment and can each decode any
-// segment frame regardless of which of them produced it. The baseline
-// codecs (FOR, Dict, VByte) use a private frame layout and decode only
-// their own output.
+// Every built-in codec (PFOR, PFORDelta, PDict, None, Auto) emits the
+// Figure-3 segment layout of internal/segment and can decode any segment
+// frame regardless of which of them produced it; the segment layout is
+// the one frame format a container holds.
 package zukowski

@@ -29,11 +29,6 @@ var (
 	// ErrIndexOutOfRange reports a Get position outside [0, NumValues).
 	ErrIndexOutOfRange = errors.New("zukowski: value index out of range")
 
-	// ErrValueOutOfRange reports an encode input value outside the codec's
-	// representable domain (e.g. a 64-bit value handed to the 32-bit
-	// variable-byte codec).
-	ErrValueOutOfRange = errors.New("zukowski: value outside codec domain")
-
 	// ErrUnknownCodec reports a Lookup of a name with no registered codec
 	// for the requested element type.
 	ErrUnknownCodec = errors.New("zukowski: unknown codec")

@@ -109,14 +109,13 @@ const (
 )
 
 // rangeVerdict is the verdict of the inclusive range [lo, hi] over block b
-// of cr. Without zone maps (ZKC1) nothing is provable but the emptiness of
-// an inverted range.
+// of cr.
 func (cr *ColumnReader[T]) rangeVerdict(b int, lo, hi T) verdict {
-	bmin, bmax, ok := cr.ZoneMap(b)
+	bmin, bmax := zoneValue[T](cr.blocks[b].minBits), zoneValue[T](cr.blocks[b].maxBits)
 	switch {
-	case lo > hi || ok && (bmax < lo || bmin > hi):
+	case lo > hi || bmax < lo || bmin > hi:
 		return verdictNone
-	case ok && lo <= bmin && bmax <= hi:
+	case lo <= bmin && bmax <= hi:
 		return verdictAll
 	}
 	return verdictSome

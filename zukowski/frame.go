@@ -6,14 +6,13 @@ package zukowski
 // move compressed bits, decode at the consumer) hands the client exactly
 // the per-block frames a ColumnWriter produced, stripped of their
 // container. FrameDecoder decodes any such frame regardless of which
-// registered codec wrote it, dispatching on the frame magic the way the
-// column reader does, with full validation — a frame off the wire carries
-// no container CRC, so the segment-level checksum is never skipped.
+// registered codec wrote it — every one emits the segment layout, raw or
+// patched — with full validation: a frame off the wire carries no
+// container CRC, so the segment-level checksum is never skipped.
 
 // FrameDecoder decodes standalone column block frames — the per-block
-// byte strings a ColumnWriter emits, in any registered frame format
-// (patched segments, raw, baselines, byte-stream codecs). The zero value
-// is ready to use. A FrameDecoder reuses its parse and unpack scratch
+// byte strings a ColumnWriter emits, patched or raw segments. The zero
+// value is ready to use. A FrameDecoder reuses its parse and unpack scratch
 // across calls, so decoding frame after frame allocates only when the
 // destination grows; it is not safe for concurrent use — give each
 // goroutine its own.
@@ -23,7 +22,7 @@ type FrameDecoder[T Integer] struct {
 
 // Decode appends frame's values to dst, returning the extended slice.
 // Corrupt or truncated frames return ErrCorruptSegment (never a panic);
-// frames of an unknown format return ErrCorruptSegment as well.
+// frames of an unknown or retired format return ErrCorruptSegment as well.
 func (d *FrameDecoder[T]) Decode(dst []T, frame []byte) ([]T, error) {
 	return d.st.decodeInto(dst, frame, false)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -442,15 +441,9 @@ func checkExprScan(t *testing.T, cols [][]int64, blockValues int, node *fuzzNode
 			t.Fatalf("NewColumnWriter: %v", err)
 		}
 		if err := cw.Write(cols[c]); err != nil {
-			if errors.Is(err, zukowski.ErrWidthOutOfRange) || errors.Is(err, zukowski.ErrValueOutOfRange) {
-				t.Skip()
-			}
 			t.Fatalf("Write: %v", err)
 		}
 		if err := cw.Close(); err != nil {
-			if errors.Is(err, zukowski.ErrWidthOutOfRange) || errors.Is(err, zukowski.ErrValueOutOfRange) {
-				t.Skip()
-			}
 			t.Fatalf("Close: %v", err)
 		}
 		if crs[c], err = zukowski.OpenColumn[int64](buf.Bytes()); err != nil {
@@ -604,9 +597,6 @@ func checkExprScan(t *testing.T, cols [][]int64, blockValues int, node *fuzzNode
 			seg[c] = cols[c][cut[0]:cut[1]]
 		}
 		if _, err := tb.Append(seg); err != nil {
-			if errors.Is(err, zukowski.ErrWidthOutOfRange) || errors.Is(err, zukowski.ErrValueOutOfRange) {
-				t.Skip()
-			}
 			t.Fatalf("Append: %v", err)
 		}
 		blocks += (cut[1] - cut[0] + blockValues - 1) / blockValues

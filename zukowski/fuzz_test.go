@@ -19,7 +19,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(1))
 	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<40), uint8(2))
 	f.Add([]byte{0xC5, 1, 10, 8, 1, 0, 0, 0}, uint8(3)) // segment-ish prefix
-	f.Add([]byte{0xB6, 1, 8, 4, 2, 0, 0, 0}, uint8(4))  // baseline-ish prefix
+	f.Add([]byte{0xB6, 1, 8, 4, 2, 0, 0, 0}, uint8(4))  // a retired frame magic
 
 	names := zukowski.Codecs()
 	f.Fuzz(func(t *testing.T, data []byte, codecSel uint8) {
@@ -85,11 +85,11 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzColumn drives the column container decode path (both ZKC1 and the
-// checksummed ZKC2) with arbitrary bytes and writer round-trips. Whatever
-// the writer produces must read back exactly through both OpenColumn and
-// OpenColumnReaderAt; arbitrary bytes must be rejected with typed errors
-// or read successfully — never panic.
+// FuzzColumn drives the column container decode path with arbitrary bytes
+// and writer round-trips. Whatever the writer produces must read back
+// exactly through both OpenColumn and OpenColumnReaderAt; arbitrary bytes
+// must be rejected with typed errors or read successfully — never panic.
+// sel picks the point the round-trip looks up.
 func FuzzColumn(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(16))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(1), uint8(1))
@@ -98,8 +98,7 @@ func FuzzColumn(f *testing.F) {
 	f.Add([]byte("ZKC2........................ZKE2"), uint8(4), uint8(8))
 
 	f.Fuzz(func(t *testing.T, data []byte, sel uint8, blockSel uint8) {
-		// Writer round-trip: fuzz bytes as values, fuzzed block size and
-		// format version.
+		// Writer round-trip: fuzz bytes as values, fuzzed block size.
 		src := make([]int64, 0, len(data)/8+1)
 		for chunk := data; len(chunk) > 0; {
 			var tail [8]byte
@@ -107,12 +106,8 @@ func FuzzColumn(f *testing.F) {
 			src = append(src, int64(binary.LittleEndian.Uint64(tail[:])))
 			chunk = chunk[n:]
 		}
-		version := zukowski.FormatZKC1 + int(sel)%2
 		blockValues := 1 + int(blockSel)*7 // [1, 1786]: past one-value, group, and multi-group shapes
 		container := buildColumnV2[int64](t, nil, blockValues, src)
-		if version == zukowski.FormatZKC1 {
-			container = zkc1From(t, container)
-		}
 		for _, open := range []func() (*zukowski.ColumnReader[int64], error){
 			func() (*zukowski.ColumnReader[int64], error) { return zukowski.OpenColumn[int64](container) },
 			func() (*zukowski.ColumnReader[int64], error) {
@@ -124,10 +119,7 @@ func FuzzColumn(f *testing.F) {
 		} {
 			cr, err := open()
 			if err != nil {
-				t.Fatalf("open own container (v%d): %v", version, err)
-			}
-			if cr.FormatVersion() != version {
-				t.Fatalf("FormatVersion = %d, want %d", cr.FormatVersion(), version)
+				t.Fatalf("open own container: %v", err)
 			}
 			out, err := cr.ReadAll(nil)
 			if err != nil {

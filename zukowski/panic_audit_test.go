@@ -252,6 +252,49 @@ func containerWithFrame(t *testing.T, frame []byte, count int) []byte {
 	return buf.Bytes()
 }
 
+// TestRetiredFrameInContainer puts a frame with the retired comparator
+// magic 0xB6 into a container whose block and directory checksums are
+// both valid, so the container opens and only the frame dispatch can
+// refuse it: every read of the block is ErrCorruptSegment, never a panic,
+// and a degraded scan skips it and says so.
+func TestRetiredFrameInContainer(t *testing.T) {
+	frame := pforFrame(t)
+	frame[0] = 0xB6
+	cr, err := zukowski.OpenColumn[int64](containerWithFrame(t, frame, 300))
+	if err != nil {
+		t.Fatalf("OpenColumn of a checksum-valid container: %v", err)
+	}
+	cs := oneColumn(t, cr)
+	ctx := context.Background()
+	q := rangeQuery[int64](0, 1<<50)
+	for _, p := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ReadAll", func() error { _, err := cr.ReadAll(nil); return err }},
+		{"Get", func() error { _, err := cr.Get(5); return err }},
+		{"Run", func() error { return cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }) }},
+		{"DecodeFrame", func() error { _, err := zukowski.DecodeFrame[int64](nil, frame); return err }},
+	} {
+		if err := mustNotPanic(t, p.name, p.run); !errors.Is(err, zukowski.ErrCorruptSegment) {
+			t.Fatalf("%s: err = %v, want ErrCorruptSegment", p.name, err)
+		}
+	}
+	var report zukowski.ScanReport
+	dq := q
+	dq.SkipCorrupt, dq.Report = true, &report
+	if err := cs.Run(ctx, dq, func(int, []int64, [][]int64) bool {
+		t.Fatal("a degraded Run delivered the retired block")
+		return false
+	}); err != nil {
+		t.Fatalf("degraded Run: %v", err)
+	}
+	if report.BlocksSkipped != 1 || report.RowsLost != 300 || !errors.Is(report.FirstErr, zukowski.ErrCorruptSegment) {
+		t.Fatalf("ScanReport = %d blocks, %d rows, %v; want the one block of 300 rows, ErrCorruptSegment",
+			report.BlocksSkipped, report.RowsLost, report.FirstErr)
+	}
+}
+
 // TestCraftedCountMismatch puts a frame holding fewer values than the
 // directory claims into a checksum-valid container: a filtered Query must
 // refuse with ErrCorruptColumn rather than emit wrong row numbers.

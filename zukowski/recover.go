@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/bitpack"
 	"repro/internal/segment"
 )
 
@@ -21,11 +20,10 @@ import (
 //
 // RecoverColumn salvages a container whose footer is missing or damaged
 // by walking frames forward from the header. Every frame's byte length
-// is computable from its own header (segment.FrameSize; the baseline
-// FOR/DICT layouts likewise), so the walk needs no directory: each
-// candidate frame is fully decoded under untrusted validation, and the
-// walk stops at the first frame that fails — truncation, bit rot, or the
-// old directory bytes. The surviving prefix is written out as a fresh
+// is computable from its own header (segment.FrameSize), so the walk
+// needs no directory: each candidate frame is fully decoded under
+// untrusted validation, and the walk stops at the first frame that fails
+// — truncation, bit rot, or the old directory bytes. The surviving prefix is written out as a fresh
 // ZKC2 container with a rebuilt directory (checksums and zone maps
 // recomputed from the decoded values). This mirrors parquet's
 // footer-recovery model: row groups before the damage survive,
@@ -98,8 +96,8 @@ type RecoverStats struct {
 	DroppedBytes int64
 }
 
-// recoverProbeSize covers the longest header any sizable frame needs:
-// segment headers are 44 bytes, baseline FOR needs 16, DICT needs 12.
+// recoverProbeSize covers the longest frame header: segment headers are
+// 44 bytes.
 const recoverProbeSize = 64
 
 // RecoverColumn salvages the readable prefix of a column container whose
@@ -112,12 +110,11 @@ const recoverProbeSize = 64
 // unreachable without a directory and is dropped. The rebuilt directory
 // carries recomputed CRC32-C checksums and zone maps, so the output
 // always passes Verify; recovering an intact container is a lossless
-// footer rebuild (ZKC1 inputs are upgraded to ZKC2).
+// footer rebuild.
 //
 // A container whose damage reaches the 16-byte header, or whose element
-// size does not match T, cannot be recovered and returns an error. Frames
-// of codecs whose length is not header-derivable (vbyte and the
-// byte-stream baselines) stop the walk. An output of zero blocks is still
+// size does not match T, cannot be recovered and returns an error, as
+// does a container in a retired format. An output of zero blocks is still
 // a valid, empty container.
 func RecoverColumn[T Integer](r io.ReaderAt, size int64, w io.Writer) (RecoverStats, error) {
 	stats := RecoverStats{BytesIn: size}
@@ -128,10 +125,8 @@ func RecoverColumn[T Integer](r io.ReaderAt, size int64, w io.Writer) (RecoverSt
 	if _, err := r.ReadAt(hdr[:], 0); err != nil {
 		return stats, fmt.Errorf("%w: %w reading header: %w", ErrCorruptColumn, ErrIO, err)
 	}
-	switch [4]byte(hdr[:4]) {
-	case columnMagicV1, columnMagicV2:
-	default:
-		return stats, fmt.Errorf("%w: bad header magic", ErrCorruptColumn)
+	if err := checkMagic(hdr[:]); err != nil {
+		return stats, err
 	}
 	if int(hdr[4]) != elemSize[T]() {
 		return stats, fmt.Errorf("%w: element size %d, recovering as %d", ErrCorruptColumn, hdr[4], elemSize[T]())
@@ -141,12 +136,11 @@ func RecoverColumn[T Integer](r io.ReaderAt, size int64, w io.Writer) (RecoverSt
 		return stats, fmt.Errorf("%w: block size %d values", ErrCorruptColumn, blockValues)
 	}
 
-	// Emit a canonical header first (always ZKC2 — the rebuilt directory
-	// carries checksums and zone maps either way; damage to the input's
-	// reserved header bytes is healed rather than copied), then stream
-	// each frame as it validates.
+	// Emit a canonical header first (damage to the input's reserved header
+	// bytes is healed rather than copied), then stream each frame as it
+	// validates.
 	hdr = [columnHeaderSize]byte{}
-	copy(hdr[:4], columnMagicV2[:])
+	copy(hdr[:4], columnMagic[:])
 	hdr[4] = byte(elemSize[T]())
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(blockValues))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -163,7 +157,7 @@ func RecoverColumn[T Integer](r io.ReaderAt, size int64, w io.Writer) (RecoverSt
 	)
 	for off < size {
 		n, _ := r.ReadAt(probe[:min(int64(recoverProbeSize), size-off)], off)
-		frameLen, err := sizeColumnFrame[T](probe[:n])
+		frameLen, err := segment.FrameSize(probe[:n])
 		if err != nil || off+int64(frameLen) > size {
 			break
 		}
@@ -171,7 +165,7 @@ func RecoverColumn[T Integer](r io.ReaderAt, size int64, w io.Writer) (RecoverSt
 		if _, err := r.ReadAt(frame, off); err != nil {
 			break
 		}
-		if vals, err = decodeColumnFrame[T](vals[:0], frame); err != nil {
+		if vals, err = decodeSegment[T](vals[:0], frame); err != nil {
 			break
 		}
 		if len(vals) == 0 || len(vals) > blockValues {
@@ -206,56 +200,4 @@ func RecoverColumn[T Integer](r io.ReaderAt, size int64, w io.Writer) (RecoverSt
 	}
 	stats.BytesOut += int64(len(footer))
 	return stats, nil
-}
-
-// sizeColumnFrame returns the byte length of the frame whose header
-// starts at buf[0], for the frame formats whose length is derivable from
-// the header alone.
-func sizeColumnFrame[T Integer](buf []byte) (int, error) {
-	if len(buf) == 0 {
-		return 0, corrupt(segment.ErrTooShort)
-	}
-	switch buf[0] {
-	case segment.Magic:
-		n, err := segment.FrameSize(buf)
-		if err != nil {
-			return 0, corrupt(err)
-		}
-		return n, nil
-	case baselineMagic:
-		return sizeBaselineFrame[T](buf)
-	}
-	return 0, corrupt(fmt.Errorf("unknown frame magic 0x%02x", buf[0]))
-}
-
-// sizeBaselineFrame sizes the baseline frames with header-derivable
-// lengths: FOR (fixed sections) and DICT (dictionary length in the first
-// payload word). VByte and the byte-stream frames end wherever their
-// streams end, which only the directory knows.
-func sizeBaselineFrame[T Integer](buf []byte) (int, error) {
-	if len(buf) < 8 {
-		return 0, corrupt(segment.ErrTooShort)
-	}
-	if int(buf[2]) != elemSize[T]() {
-		return 0, corrupt(fmt.Errorf("element size %d, sizing as %d", buf[2], elemSize[T]()))
-	}
-	b := uint(buf[3])
-	n := int(binary.LittleEndian.Uint32(buf[4:]))
-	if b > 32 || n > MaxBlockValues {
-		return 0, corrupt(fmt.Errorf("baseline frame header b=%d n=%d", b, n))
-	}
-	switch buf[1] {
-	case frameFOR:
-		return 8 + 8 + 4*bitpack.WordCount(n, b), nil
-	case frameDict:
-		if len(buf) < 12 {
-			return 0, corrupt(segment.ErrTooShort)
-		}
-		dictLen := int(binary.LittleEndian.Uint32(buf[8:]))
-		if dictLen > 1<<24 {
-			return 0, corrupt(fmt.Errorf("dict frame: %d dictionary entries", dictLen))
-		}
-		return 8 + 4 + 8*dictLen + 4*bitpack.WordCount(n, b), nil
-	}
-	return 0, corrupt(fmt.Errorf("frame id 0x%02x has no header-derivable length", buf[1]))
 }

@@ -32,9 +32,6 @@ func checkRecovered[T zukowski.Integer](t *testing.T, rebuilt []byte, want []T) 
 	if err != nil {
 		t.Fatalf("OpenColumn on recovered container: %v", err)
 	}
-	if cr.FormatVersion() != zukowski.FormatZKC2 {
-		t.Fatalf("recovered version = %d, want ZKC2", cr.FormatVersion())
-	}
 	if err := cr.Verify(); err != nil {
 		t.Fatalf("Verify on recovered container: %v", err)
 	}
@@ -157,17 +154,6 @@ func TestRecoverColumnBitFlip(t *testing.T) {
 	if stats.DroppedBytes == 0 {
 		t.Fatal("bit-flip recovery dropped nothing")
 	}
-}
-
-// TestRecoverColumnZKC1: a ZKC1 container with its footer torn off is
-// recovered and upgraded to ZKC2, checksums and zone maps included.
-func TestRecoverColumnZKC1(t *testing.T) {
-	rng := rand.New(rand.NewSource(94))
-	src := genValues[int64](rng, 3000)
-	data := zkc1From(t, buildColumnV2(t, zukowski.PFOR[int64]{}, 512, src))
-	torn := data[:len(data)-10] // rip through the ZKC1 tail
-	rebuilt, _ := recoverBytes[int64](t, torn)
-	checkRecovered(t, rebuilt, src)
 }
 
 // TestRecoverColumnRejects: inputs without a usable header are refused

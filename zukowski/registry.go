@@ -8,9 +8,11 @@ import (
 )
 
 // The codec registry maps (name, element type) to a constructor, so tools
-// and benchmarks enumerate schemes instead of hard-coding them. Every
-// built-in codec is registered for all eight Integer element types at init
-// time; user codecs join via Register.
+// and benchmarks enumerate schemes instead of hard-coding them. The
+// built-ins are the paper's patched schemes plus none and auto, registered
+// for all eight Integer element types at init time; user codecs join via
+// Register. The paper's comparators (the byte-stream and inverted-file
+// codecs) are measured by its figures, not stored, and are not here.
 
 type registryKey struct {
 	name string
@@ -57,21 +59,13 @@ func Codecs() []string {
 	return slices.Clone(registryNames)
 }
 
-// registerBuiltins registers every built-in codec for one element type:
-// the patched schemes, the array baselines, and the Figure-2 byte-stream
-// baselines behind their block-framing adapter.
+// registerBuiltins registers every built-in codec for one element type.
 func registerBuiltins[T Integer]() {
 	Register("pfor", func() Codec[T] { return PFOR[T]{} })
 	Register("pfor-delta", func() Codec[T] { return PFORDelta[T]{} })
 	Register("pdict", func() Codec[T] { return PDict[T]{} })
 	Register("none", func() Codec[T] { return None[T]{} })
 	Register("auto", func() Codec[T] { return Auto[T]{} })
-	Register("for", func() Codec[T] { return FOR[T]{} })
-	Register("dict", func() Codec[T] { return Dict[T]{} })
-	Register("vbyte", func() Codec[T] { return VByte[T]{} })
-	Register("flate", func() Codec[T] { return byteStreamCodec[T](frameFlate) })
-	Register("lzw", func() Codec[T] { return byteStreamCodec[T](frameLZW) })
-	Register("lzrw1", func() Codec[T] { return byteStreamCodec[T](frameLZRW1) })
 }
 
 func init() {

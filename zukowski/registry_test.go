@@ -10,17 +10,22 @@ import (
 	"repro/zukowski"
 )
 
-// TestRegistryBuiltins: the registry must report every built-in scheme —
-// the four patched schemes plus at least two baselines — for every element
-// type.
+// TestRegistryBuiltins: the registry reports every built-in scheme — the
+// paper's patched schemes plus none and auto — for every element type, and
+// none of the comparators the paper measures but does not store.
 func TestRegistryBuiltins(t *testing.T) {
 	names := zukowski.Codecs()
-	if len(names) < 6 {
-		t.Fatalf("registry reports %d codecs (%v), want >= 6", len(names), names)
-	}
-	for _, want := range []string{"pfor", "pfor-delta", "pdict", "none", "auto", "for", "dict", "vbyte"} {
+	for _, want := range []string{"pfor", "pfor-delta", "pdict", "none", "auto"} {
 		if !slices.Contains(names, want) {
 			t.Errorf("registry is missing %q (have %v)", want, names)
+		}
+	}
+	for _, retired := range []string{"for", "dict", "vbyte", "flate", "lzw", "lzrw1"} {
+		if slices.Contains(names, retired) {
+			t.Errorf("registry still holds comparator %q (have %v)", retired, names)
+		}
+		if _, err := zukowski.Lookup[int64](retired); !errors.Is(err, zukowski.ErrUnknownCodec) {
+			t.Errorf("Lookup(%q) err = %v, want ErrUnknownCodec", retired, err)
 		}
 	}
 	// Every name resolves for every element type, and the codec's Name
@@ -45,10 +50,7 @@ func TestRegistryBuiltins(t *testing.T) {
 // built-in prefix exactly and then checks a second call returns an
 // identical snapshot.
 func TestCodecsDeterministicOrder(t *testing.T) {
-	wantPrefix := []string{
-		"pfor", "pfor-delta", "pdict", "none", "auto",
-		"for", "dict", "vbyte", "flate", "lzw", "lzrw1",
-	}
+	wantPrefix := []string{"pfor", "pfor-delta", "pdict", "none", "auto"}
 	names := zukowski.Codecs()
 	if len(names) < len(wantPrefix) {
 		t.Fatalf("Codecs() = %v, want at least the %d built-ins", names, len(wantPrefix))

@@ -43,18 +43,18 @@ func TestWriteFrameRefusals(t *testing.T) {
 	frame, info := blockOf(t, cr, 0)
 	shortFrame, shortInfo := blockOf(t, cr, 2)
 
-	cr1, err := zukowski.OpenColumn[int64](zkc1From(t, src))
-	if err != nil {
-		t.Fatal(err)
+	// Frames of an unknown kind whose checksums are nonetheless right: only
+	// the magic check can stop them. 0xB6 is the magic of the comparator
+	// frames containers no longer hold.
+	alienOf := func(magic byte) ([]byte, zukowski.BlockInfo[int64]) {
+		alien := slices.Clone(frame)
+		alien[0] = magic
+		alienInfo := info
+		alienInfo.CRC32C = crc32.Checksum(alien, crc32.MakeTable(crc32.Castagnoli))
+		return alien, alienInfo
 	}
-	v1Frame, v1Info := blockOf(t, cr1, 0)
-
-	// A frame of an unknown kind whose checksum is nonetheless right: only
-	// the magic check can stop it.
-	alien := slices.Clone(frame)
-	alien[0] = 0x7f
-	alienInfo := info
-	alienInfo.CRC32C = crc32.Checksum(alien, crc32.MakeTable(crc32.Castagnoli))
+	alien, alienInfo := alienOf(0x7f)
+	retired, retiredInfo := alienOf(0xB6)
 
 	rotten := slices.Clone(frame)
 	rotten[len(rotten)/2] ^= 0x10
@@ -75,8 +75,8 @@ func TestWriteFrameRefusals(t *testing.T) {
 	}{
 		{"short block", shortFrame, shortInfo, nil},
 		{"another block size", frame, otherSize, nil},
-		{"no checksum or zone map", v1Frame, v1Info, nil},
 		{"unknown magic", alien, alienInfo, zukowski.ErrUnknownCodec},
+		{"retired magic", retired, retiredInfo, zukowski.ErrUnknownCodec},
 		{"empty frame", nil, info, zukowski.ErrUnknownCodec},
 		{"flipped bit", rotten, info, zukowski.ErrChecksumMismatch},
 	} {

@@ -22,44 +22,23 @@ func zoneBits[T Integer](v T) uint64 { return uint64(int64(v)) }
 // stored patterns against corruption.
 func zoneValue[T Integer](bits uint64) T { return T(bits) }
 
-// FormatName returns the container magic string for a format version
-// ("ZKC1", "ZKC2"), or a descriptive placeholder for unknown versions.
-func FormatName(version int) string {
-	switch version {
-	case FormatZKC1:
-		return "ZKC1"
-	case FormatZKC2:
-		return "ZKC2"
-	}
-	return fmt.Sprintf("unknown(%d)", version)
-}
-
-// HasZoneMaps reports whether the container carries per-block min/max
-// statistics (ZKC2 and later).
-func (cr *ColumnReader[T]) HasZoneMaps() bool { return cr.version >= FormatZKC2 }
-
-// ZoneMap returns the min and max value of block b. ok is false when the
-// container predates zone maps (ZKC1) or b is out of range.
+// ZoneMap returns the min and max value of block b. ok is false when b is
+// out of range.
 func (cr *ColumnReader[T]) ZoneMap(b int) (min, max T, ok bool) {
-	if !cr.HasZoneMaps() || b < 0 || b >= len(cr.blocks) {
+	if b < 0 || b >= len(cr.blocks) {
 		return min, max, false
 	}
 	return zoneValue[T](cr.blocks[b].minBits), zoneValue[T](cr.blocks[b].maxBits), true
 }
 
 // BlockInfo describes one block of a column container: its extent in the
-// file, its directory statistics, and whether those statistics exist in
-// this format version.
+// file and its directory statistics.
 type BlockInfo[T Integer] struct {
-	Offset int64 // first byte of the frame
-	Length int   // frame size in bytes
-	Count  int   // values in the block
-
-	HasChecksum bool   // ZKC2: CRC32C holds the stored payload checksum
-	CRC32C      uint32 // stored payload CRC32-C (0 for ZKC1)
-
-	HasZoneMap bool // ZKC2: Min and Max hold the block's zone map
-	Min, Max   T
+	Offset   int64  // first byte of the frame
+	Length   int    // frame size in bytes
+	Count    int    // values in the block
+	CRC32C   uint32 // stored payload CRC32-C
+	Min, Max T      // the block's zone map
 }
 
 // BlockInfo returns block b's directory entry without touching the
@@ -69,41 +48,28 @@ func (cr *ColumnReader[T]) BlockInfo(b int) (BlockInfo[T], error) {
 		return BlockInfo[T]{}, fmt.Errorf("%w: block %d not in [0,%d)", ErrIndexOutOfRange, b, len(cr.blocks))
 	}
 	blk := cr.blocks[b]
-	info := BlockInfo[T]{
+	return BlockInfo[T]{
 		Offset: int64(blk.offset),
 		Length: int(blk.length),
 		Count:  int(blk.count),
-	}
-	if cr.version >= FormatZKC2 {
-		info.HasChecksum = true
-		info.CRC32C = blk.crc
-		info.HasZoneMap = true
-		info.Min = zoneValue[T](blk.minBits)
-		info.Max = zoneValue[T](blk.maxBits)
-	}
-	return info, nil
+		CRC32C: blk.crc,
+		Min:    zoneValue[T](blk.minBits),
+		Max:    zoneValue[T](blk.maxBits),
+	}, nil
 }
 
-// VerifyBlock checks block b's integrity without decoding its values on
-// ZKC2 (payload CRC32-C); on ZKC1, which stores no checksum, it falls
-// back to a full decode so damage still surfaces as a typed error.
+// VerifyBlock checks block b's payload CRC32-C without decoding its
+// values. The hash runs unconditionally: VerifyBlock's contract is to
+// check the bytes now, not to trust the latch.
 func (cr *ColumnReader[T]) VerifyBlock(b int) error {
 	if b < 0 || b >= len(cr.blocks) {
 		return fmt.Errorf("%w: block %d not in [0,%d)", ErrIndexOutOfRange, b, len(cr.blocks))
 	}
-	if cr.version >= FormatZKC2 {
-		// The hash runs unconditionally: VerifyBlock's contract is to check
-		// the bytes now, not to trust the latch.
-		frame, err := cr.view(b)
-		if err != nil {
-			return err
-		}
-		return cr.verify(frame, b)
+	frame, err := cr.view(b)
+	if err != nil {
+		return err
 	}
-	st := cr.getState()
-	defer cr.putState(st)
-	_, err := cr.readBlockInto(st, b, nil)
-	return err
+	return cr.verify(frame, b)
 }
 
 // Verify checks every block of the column; the directory checksum was
