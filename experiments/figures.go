@@ -18,8 +18,10 @@ var Budget = 100 * time.Millisecond
 
 // Fig2 reproduces Figure 2: compression ratio, compression speed and
 // decompression speed of the byte-stream compressors versus PFOR on four
-// TPC-H lineitem columns. DEFLATE stands in for zlib and the semi-static
-// Huffman coder for bzip2 (DESIGN.md §3).
+// TPC-H lineitem columns. DEFLATE stands in for zlib (the same algorithm)
+// and the semi-static Huffman coder for bzip2, whose Burrows-Wheeler
+// stage Go's standard library cannot compress with (compress/bzip2 only
+// decompresses).
 func Fig2(w io.Writer, sf float64) {
 	ds := tpch.Generate(sf, 1)
 	li := ds.Rel(tpch.Lineitem)

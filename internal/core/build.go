@@ -79,11 +79,17 @@ func (e *Encoder[T]) finish(blk *Block[T], miss []int32, excSrc []T) {
 // walks the linked exception list (gaps read from the unpacked raw codes)
 // and overwrites the bogus decoded values with the stored exceptions.
 // Iterating the list is a data hazard, not a control hazard — the loop body
-// is branch-free.
+// is branch-free. An indexed block (ExcOff) stores each exception where
+// its offset says, with no hazard at all.
 func patchGroups[T Integer](blk *Block[T], raw []uint32, dst []T) {
+	indexed := blk.indexed()
 	for g := 0; g < len(blk.Entries); g++ {
 		es, ee := blk.groupExc(g)
 		if es == ee {
+			continue
+		}
+		if indexed {
+			patchIndexed(blk, es, ee, dst[g*GroupSize:])
 			continue
 		}
 		pos := g*GroupSize + blk.patchStart(g)
@@ -91,6 +97,14 @@ func patchGroups[T Integer](blk *Block[T], raw []uint32, dst []T) {
 			dst[pos] = blk.Exc[k]
 			pos += int(raw[pos]) + 1
 		}
+	}
+}
+
+// patchIndexed stores exceptions es..ee of an indexed block into dst, a
+// group's values, at their in-group offsets.
+func patchIndexed[T Integer](blk *Block[T], es, ee int, dst []T) {
+	for k, o := range blk.ExcOff[es:ee] {
+		dst[o] = blk.Exc[es+k]
 	}
 }
 

@@ -132,7 +132,44 @@ type Block[T Integer] struct {
 	// Totals (PFOR-DELTA only) stores the running total just before each
 	// group, so fine-grained access decodes at most one group.
 	Totals []T
+	// ExcOff, once IndexExceptions has built it, holds each exception's
+	// offset within its group, in Exc order: the patch kernels then read
+	// where a group's exceptions are instead of hopping its patch list one
+	// code extraction at a time. nil means not indexed, and the kernels
+	// walk; a parse leaves it nil.
+	ExcOff []uint8
 }
+
+// IndexExceptions records every exception's in-group offset in ExcOff,
+// with one walk of each group's patch list, and reports whether it did.
+// A list that leaves its group (only a crafted frame holds one) leaves
+// ExcOff nil, so the kernels walk that block as they would have. Indexing
+// costs a walk and a byte per exception, which pays only on a block that
+// is scanned again and again; the block must not change afterwards.
+func (b *Block[T]) IndexExceptions() bool {
+	b.ExcOff = nil
+	off := make([]uint8, len(b.Exc))
+	for g := range b.Entries {
+		es, ee := b.groupExc(g)
+		if es == ee {
+			continue
+		}
+		gStart, gEnd := groupBounds(b, g)
+		pos := uint64(b.patchStart(g))
+		for k := es; k < ee; k++ {
+			if pos >= uint64(gEnd-gStart) {
+				return false
+			}
+			off[k] = uint8(pos)
+			pos += uint64(bitpack.CodeAt(b.Codes, gStart+int(pos), b.B)) + 1
+		}
+	}
+	b.ExcOff = off
+	return true
+}
+
+// indexed reports whether ExcOff locates every exception.
+func (b *Block[T]) indexed() bool { return b.ExcOff != nil && len(b.ExcOff) == len(b.Exc) }
 
 // OwnCodes makes Codes an n-word buffer the block owns, recycled from its
 // previous OwnCodes call, and returns it for the caller to fill. What

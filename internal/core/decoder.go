@@ -73,14 +73,16 @@ func (d *Decoder[T]) decompressGroup(blk *Block[T], g int, raw []uint32, dst []T
 	switch blk.Scheme {
 	case SchemePFOR:
 		base := blk.Base
-		for i := 0; i < n; i++ {
-			dst[i] = base + T(raw[i])
+		out := dst[:n]
+		for i, c := range raw[:n] {
+			out[i] = base + T(c)
 		}
 		patchOneGroup(blk, g, raw, dst)
 	case SchemePDict:
 		dict := blk.Dict
-		for i := 0; i < n; i++ {
-			dst[i] = dict[raw[i]]
+		out := dst[:n]
+		for i, c := range raw[:n] {
+			out[i] = dict[c]
 		}
 		patchOneGroup(blk, g, raw, dst)
 	case SchemePFORDelta:
@@ -96,6 +98,10 @@ func (d *Decoder[T]) decompressGroup(blk *Block[T], g int, raw []uint32, dst []T
 func patchOneGroup[T Integer](blk *Block[T], g int, raw []uint32, dst []T) {
 	es, ee := blk.groupExc(g)
 	if es == ee {
+		return
+	}
+	if blk.indexed() {
+		patchIndexed(blk, es, ee, dst)
 		return
 	}
 	pos := blk.patchStart(g)
@@ -135,7 +141,16 @@ func (d *Decoder[T]) Get(blk *Block[T], x int) T {
 	}
 
 	es, ee := blk.groupExc(g)
-	if es != ee {
+	if es != ee && blk.indexed() {
+		for k, o := range blk.ExcOff[es:ee] {
+			if int(o) >= off {
+				if int(o) == off {
+					return blk.Exc[es+k]
+				}
+				break
+			}
+		}
+	} else if es != ee {
 		// Walk the linked exception list until we pass position off.
 		p := blk.patchStart(g)
 		for k := es; k < ee && p <= off; k++ {

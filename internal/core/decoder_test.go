@@ -2,8 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bitpack"
 )
 
 func TestGetMatchesDecompressPFOR(t *testing.T) {
@@ -216,5 +219,69 @@ func TestQuickRoundTripAllSchemes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExceptionIndex: IndexExceptions records exactly the positions the
+// patch lists link, and on the indexed block every patch kernel of the
+// decoder — Decompress, DecompressRange, Get — returns what it returns
+// walking the lists.
+func TestExceptionIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	dict := makeDict(64)
+	for name, blk := range map[string]*Block[int64]{
+		"pfor":       CompressPFOR(synthPFOR(rng, 3000, 7, 6, 0.2), 7, 6),
+		"pfor-1bit":  CompressPFOR(synthPFOR(rng, 1000, 0, 1, 0.01), 0, 1), // compulsory exceptions
+		"pdict":      CompressPDict(synthPDict(rng, 2000, dict, 0.2), dict, 6),
+		"pfor-delta": CompressPFORDelta(synthMonotonic(rng, 2000, 5, 0.1), 0, 0, 5),
+		"no-exc":     CompressPFOR(synthPFOR(rng, 500, 0, 8, 0), 0, 8),
+	} {
+		ix := indexed(t, blk)
+		var d Decoder[int64]
+		var xpos [GroupSize]int32
+		for g := 0; g < blk.NumGroups(); g++ {
+			es, _ := blk.groupExc(g)
+			for k, pos := range d.excPositions(blk, g, &xpos) {
+				if got := g*GroupSize + int(ix.ExcOff[es+k]); got != int(pos) {
+					t.Fatalf("%s: exception %d indexed at row %d, its list links row %d", name, es+k, got, pos)
+				}
+			}
+		}
+		walked := Decompress(blk, make([]int64, blk.N))
+		if got := Decompress(ix, make([]int64, blk.N)); !slices.Equal(got, walked) {
+			t.Fatalf("%s: indexed Decompress differs at %d", name, firstDiff(got, walked))
+		}
+		if got := d.DecompressRange(ix, make([]int64, blk.N), 0, blk.N); !slices.Equal(got, walked) {
+			t.Fatalf("%s: indexed DecompressRange differs at %d", name, firstDiff(got, walked))
+		}
+		for x := range walked {
+			if got := d.Get(ix, x); got != walked[x] {
+				t.Fatalf("%s: indexed Get(%d) = %d, want %d", name, x, got, walked[x])
+			}
+		}
+	}
+}
+
+// TestExceptionIndexRefusesEscapingList: a patch list whose hop leaves
+// its group — a gap code only a crafted frame holds — is not indexed, and
+// the kernels keep walking it as they did: the hop lands the second
+// exception in the next group.
+func TestExceptionIndexRefusesEscapingList(t *testing.T) {
+	src := make([]int64, 300)
+	for i := range src {
+		src[i] = int64(i % 50)
+	}
+	src[10], src[20] = 1<<40, 1<<41 // one list of two exceptions in group 0
+	blk := CompressPFOR(src, 0, 8)
+	raw := make([]uint32, blk.N)
+	unpackAll(blk, raw)
+	raw[10] = 200 // re-point the first exception's gap past its group
+	bitpack.Pack(blk.Codes, raw, blk.B)
+	if blk.IndexExceptions() || blk.ExcOff != nil {
+		t.Fatalf("a list leaving its group was indexed: %v", blk.ExcOff)
+	}
+	got := Decompress(blk, make([]int64, blk.N))
+	if got[10] != 1<<40 || got[211] != 1<<41 {
+		t.Fatalf("walked patch: rows 10, 211 = %d, %d; want %d, %d", got[10], got[211], int64(1<<40), int64(1<<41))
 	}
 }

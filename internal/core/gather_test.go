@@ -45,9 +45,28 @@ func (d *Decoder[T]) excPositions(blk *Block[T], g int, out *[GroupSize]int32) [
 	return out[:n]
 }
 
+// indexed returns a copy of blk sharing its sections, with the exception
+// index built: the form a block takes while it is resident in a cache.
+// The kernels must give the same answers on it as on blk, which they walk.
+func indexed[T Integer](t testing.TB, blk *Block[T]) *Block[T] {
+	t.Helper()
+	ix := *blk
+	if !ix.IndexExceptions() {
+		t.Fatalf("%s block of %d values: the exception index was not built", blk.Scheme, blk.N)
+	}
+	return &ix
+}
+
 // checkGather holds every regime of DecompressSelected — and, for PDICT,
-// of DecompressSelectedCodes — to the oracle under selection sv.
+// of DecompressSelectedCodes — to the oracle under selection sv, on blk
+// walked and indexed.
 func checkGather[T Integer](t *testing.T, what string, d *Decoder[T], blk *Block[T], full []T, excSlot []bool, sv *SelectionVector) {
+	t.Helper()
+	checkGatherOnce(t, what+", walked", d, blk, full, excSlot, sv)
+	checkGatherOnce(t, what+", indexed", d, indexed(t, blk), full, excSlot, sv)
+}
+
+func checkGatherOnce[T Integer](t *testing.T, what string, d *Decoder[T], blk *Block[T], full []T, excSlot []bool, sv *SelectionVector) {
 	t.Helper()
 	var want []T
 	var wantRows []int

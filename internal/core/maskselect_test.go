@@ -10,8 +10,15 @@ import (
 // DecompressSelected over one block: the mask of r1 must select exactly
 // the oracle's rows, refining it with r2 must equal the conjunction of
 // the two oracle filters, and gathering through the composed bitmap must
-// materialize exactly the surviving values.
+// materialize exactly the surviving values. It runs on blk walked and
+// indexed.
 func checkMaskCompose[T Integer](t *testing.T, name string, blk *Block[T], r1, r2 [2]T) {
+	t.Helper()
+	checkMaskComposeOnce(t, name+" walked", blk, r1, r2)
+	checkMaskComposeOnce(t, name+" indexed", indexed(t, blk), r1, r2)
+}
+
+func checkMaskComposeOnce[T Integer](t *testing.T, name string, blk *Block[T], r1, r2 [2]T) {
 	t.Helper()
 	var d Decoder[T]
 	dst := make([]T, blk.N)

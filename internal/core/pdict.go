@@ -55,9 +55,8 @@ func decompressPDict[T Integer](blk *Block[T], raw []uint32, dst []T) {
 
 // dictLookup maps values to their dictionary codes. The paper uses an
 // unspecified "super-scalar perfect hash function" built at analysis time;
-// we substitute an open-addressing table sized to keep probe chains short
-// (documented in DESIGN.md §3). Lookup of a missing value terminates at the
-// first empty slot.
+// we substitute an open-addressing table sized to keep probe chains short.
+// Lookup of a missing value terminates at the first empty slot.
 type dictLookup[T Integer] struct {
 	keys  []T
 	codes []int32 // -1 = empty

@@ -78,11 +78,14 @@ func decompressPFORDeltaGroup[T Integer](blk *Block[T], g int, raw []uint32, dst
 	}
 	n := gEnd - gStart
 	db := blk.DeltaBase
-	for i := 0; i < n; i++ {
-		dst[i] = db + T(raw[i])
+	out := dst[:n]
+	for i, c := range raw[:n] {
+		out[i] = db + T(c)
 	}
 	es, ee := blk.groupExc(g)
-	if es != ee {
+	if es != ee && blk.indexed() {
+		patchIndexed(blk, es, ee, dst)
+	} else if es != ee {
 		pos := blk.patchStart(g)
 		for k := es; k < ee; k++ {
 			dst[pos] = blk.Exc[k]
@@ -90,9 +93,9 @@ func decompressPFORDeltaGroup[T Integer](blk *Block[T], g int, raw []uint32, dst
 		}
 	}
 	acc := blk.Totals[g]
-	for i := 0; i < n; i++ {
-		acc += dst[i]
-		dst[i] = acc
+	for i, v := range out {
+		acc += v
+		out[i] = acc
 	}
 	return n
 }

@@ -20,8 +20,15 @@ func selectOracleCore[T Integer](blk *Block[T], lo, hi T) (rows []int64, vals []
 }
 
 // checkSelect runs the engine's per-block sequence — DecompressMask, row
-// positions from the bitmap, DecompressSelected — against decode-then-filter.
+// positions from the bitmap, DecompressSelected — against decode-then-filter,
+// on blk walked and indexed.
 func checkSelect[T Integer](t *testing.T, name string, blk *Block[T], lo, hi T) {
+	t.Helper()
+	checkSelectOnce(t, name+" walked", blk, lo, hi)
+	checkSelectOnce(t, name+" indexed", indexed(t, blk), lo, hi)
+}
+
+func checkSelectOnce[T Integer](t *testing.T, name string, blk *Block[T], lo, hi T) {
 	t.Helper()
 	var d Decoder[T]
 	var sv SelectionVector

@@ -8,7 +8,7 @@
 // The TREC disks are proprietary, so collections are synthesized with
 // Zipfian term-document frequencies and geometric within-list gaps, with
 // each profile's mean gap size calibrated so that the d-gap entropy matches
-// what the paper's compression ratios imply (DESIGN.md §3). This preserves
+// what the paper's compression ratios imply (Table 4). This preserves
 // the compressibility regime that drives the Table 4 comparison.
 package invfile
 

@@ -255,6 +255,7 @@ func unmarshalInto[T core.Integer](blk *core.Block[T], buf []byte, verify bool) 
 	}
 	blk.Exc = sized(blk.Exc, excCount)
 	getValues(buf, size-elem, -elem, blk.Exc)
+	blk.ExcOff = nil // a parse builds no exception index
 	return nil
 }
 

@@ -4,8 +4,8 @@
 // Table 3 and Figure 7).
 //
 // Pure Go cannot read PMU counters portably, so instrumented replays of the
-// exact same kernels drive these models instead; DESIGN.md §3 documents the
-// substitution. The models are deliberately simple — a 2-bit saturating
+// exact same kernels drive these models instead of the paper's hardware
+// counters. The models are deliberately simple — a 2-bit saturating
 // predictor and set-associative LRU caches — because the paper's claims are
 // about the *shape* of the curves (NAIVE's miss-rate peak near 50%
 // exceptions, page-wise decompression's extra L2 misses), which any

@@ -12,7 +12,8 @@ import (
 // specification needs features outside this engine's scope (string LIKE,
 // correlated EXISTS), but every query touches the same columns, applies
 // the same dominant selections, and produces a deterministic result so
-// compressed and uncompressed runs can be cross-checked (DESIGN.md §3).
+// compressed and uncompressed runs can be cross-checked (Oracle, and
+// cmd/tpchbench -check).
 
 // QueryFunc runs one benchmark query and returns its materialized result.
 type QueryFunc func(*DB) [][]int64

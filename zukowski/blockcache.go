@@ -25,6 +25,19 @@ package zukowski
 // the cache once. Counts are halved periodically, so the entries of a
 // retired reader, whose keys are never asked for again, lose their claim
 // within a bounded number of accesses.
+//
+// A BlockLRU also keeps, beside a resident frame, the frame's parsed form
+// (a core.Block: header, entry points, dictionary, exceptions, and an
+// index of where each exception sits in its group) once a scan has parsed
+// it there, and charges its bytes to the budget. A hot block is then
+// parsed once per residency, not once per query; eviction drops both.
+// A parsed form only takes room the shard has to spare — room it would
+// still have with one more frame of the same size admitted — so it never
+// evicts a frame, and it does not take the room the next frame needs: a
+// frame costs a read to get back, the form only a parse. In a shard full
+// of frames hits parse per query as before. The parsed form is read-only,
+// forever, like the frame: every scan that finds it shares it, and its
+// code section reads the frame in place.
 
 import (
 	"sync"
@@ -65,6 +78,23 @@ type peeker interface {
 	peek(col uint64, block int) []byte
 }
 
+// residentCache is what a scan asks of a cache beyond BlockCache when the
+// cache offers it (BlockLRU does): a frame together with the parsed form
+// kept beside it, and a place to keep that form for as long as the frame
+// stays resident, so a block is parsed once per residency.
+type residentCache interface {
+	// lookup is Get that also returns the parsed form attached to the
+	// frame, or nil, and the bytes the frame's shard has to spare for one
+	// (see spare): one lock, one hit or one miss counted.
+	lookup(col uint64, block int) (frame []byte, parsed any, room int64)
+	// attach keeps parsed, which costs bytes of memory, beside the
+	// resident frame it was parsed from, and returns the parsed form now
+	// resident: parsed, or what an earlier attach kept (the first attach
+	// wins). It returns nil when frame is no longer the copy resident
+	// under (col, block), or when the shard has not the room to spare.
+	attach(col uint64, block int, frame []byte, parsed any, bytes int64) any
+}
+
 // blockCacheIDs hands out the process-unique column ids SetBlockCache
 // assigns. Ids are never reused, which is what makes eviction the only
 // invalidation a cache needs.
@@ -78,7 +108,7 @@ type CacheStats struct {
 	Declined  int64 // frames a full shard turned away: asked for no more often than its LRU entry
 	Evictions int64 // frames evicted to stay under the byte budget
 
-	Bytes    int64 // resident payload + bookkeeping bytes right now
+	Bytes    int64 // resident frames, parsed forms and bookkeeping bytes right now
 	Entries  int64 // resident frames right now
 	Capacity int64 // configured byte budget
 }
@@ -123,10 +153,14 @@ type cacheKey struct {
 }
 
 // cacheEntry is one resident frame, linked into its shard's LRU list.
+// parsed is the frame's parsed form once a scan attached it; cost is what
+// the entry charges the budget: frame, parsed form and bookkeeping.
 type cacheEntry struct {
 	key        cacheKey
 	hash       uint64
 	buf        []byte
+	parsed     any
+	cost       int64
 	prev, next *cacheEntry
 }
 
@@ -273,6 +307,13 @@ func (c *BlockLRU) shardOf(h uint64) *cacheShard { return &c.shards[h%cacheShard
 // hit to most-recently-used. Hit or miss, the key's use is counted for
 // admission. The returned bytes are shared: read-only.
 func (c *BlockLRU) Get(col uint64, block int) []byte {
+	buf, _, _ := c.lookup(col, block)
+	return buf
+}
+
+// lookup is Get returning the entry's parsed form and the shard's spare
+// bytes as well; see residentCache.
+func (c *BlockLRU) lookup(col uint64, block int) ([]byte, any, int64) {
 	k := cacheKey{col: col, block: block}
 	h := hashKey(k)
 	sh := c.shardOf(h)
@@ -282,14 +323,45 @@ func (c *BlockLRU) Get(col uint64, block int) []byte {
 	if e == nil {
 		sh.mu.Unlock()
 		c.misses.Add(1)
-		return nil
+		return nil, nil, 0
 	}
 	sh.unlink(e)
 	sh.pushFront(e)
-	buf := e.buf
+	buf, parsed, room := e.buf, e.parsed, c.spare(sh, e)
 	sh.mu.Unlock()
 	c.hits.Add(1)
-	return buf
+	return buf, parsed, room
+}
+
+// attach keeps parsed beside the frame resident under (col, block) when
+// frame is that very copy and the shard has bytes to spare, charging them
+// to the budget; see residentCache.
+func (c *BlockLRU) attach(col uint64, block int, frame []byte, parsed any, bytes int64) any {
+	k := cacheKey{col: col, block: block}
+	sh := c.shardOf(hashKey(k))
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.entries[k]
+	switch {
+	case e == nil || len(e.buf) != len(frame) || len(frame) == 0 || &e.buf[0] != &frame[0]:
+		return nil
+	case e.parsed != nil:
+		return e.parsed
+	case bytes > c.spare(sh, e):
+		return nil
+	}
+	e.parsed = parsed
+	e.cost += bytes
+	sh.bytes += bytes
+	c.bytes.Add(bytes)
+	return parsed
+}
+
+// spare is the room sh has for e's parsed form: what is left of its
+// budget once one more frame of e's size is admitted. The caller holds
+// sh.mu.
+func (c *BlockLRU) spare(sh *cacheShard, e *cacheEntry) int64 {
+	return c.shardMax - sh.bytes - int64(len(e.buf)) - cacheEntryOverhead
 }
 
 // peek returns the frame cached under (col, block), or nil, leaving the
@@ -332,25 +404,31 @@ func (c *BlockLRU) Put(col uint64, block int, frame []byte) {
 		c.declined.Add(1)
 		return
 	}
-	e := &cacheEntry{key: k, hash: h, buf: append([]byte(nil), frame...)}
+	e := &cacheEntry{key: k, hash: h, buf: append([]byte(nil), frame...), cost: cost}
 	sh.entries[k] = e
 	sh.pushFront(e)
 	sh.bytes += cost
 	c.bytes.Add(cost)
 	c.entries.Add(1)
 	c.puts.Add(1)
+	c.evictTo(sh, c.shardMax)
+	sh.mu.Unlock()
+}
+
+// evictTo evicts sh's least-recently-used entries, each frame with its
+// parsed form, until the shard holds at most limit bytes. The caller
+// holds sh.mu.
+func (c *BlockLRU) evictTo(sh *cacheShard, limit int64) {
 	var evicted int64
-	for sh.bytes > c.shardMax {
+	for sh.bytes > limit {
 		lru := sh.head.prev
 		sh.unlink(lru)
 		delete(sh.entries, lru.key)
-		freed := int64(len(lru.buf)) + cacheEntryOverhead
-		sh.bytes -= freed
-		c.bytes.Add(-freed)
+		sh.bytes -= lru.cost
+		c.bytes.Add(-lru.cost)
 		c.entries.Add(-1)
 		evicted++
 	}
-	sh.mu.Unlock()
 	if evicted > 0 {
 		c.evictions.Add(evicted)
 	}

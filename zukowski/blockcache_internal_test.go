@@ -1,8 +1,12 @@
 package zukowski
 
 import (
+	"bytes"
 	"math/bits"
+	"math/rand"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestBlockLRURetiredReaderAgesOut: the frames of a reader nobody asks for
@@ -64,4 +68,78 @@ func TestBlockLRURetiredReaderAgesOut(t *testing.T) {
 	}
 	t.Logf("retired frames replaced after %d accesses (bound %d, sketch period %d); %d offers declined on the way",
 		accesses, bound, sh.freq.period, st.Declined)
+}
+
+// TestResidentGetKeepsNoMemo: with a BlockLRU attached, Get reads the
+// parsed block resident in the cache and memoizes nothing in the reader,
+// so point lookups over a column larger than the cache stay within the
+// cache's budget. A cache with room for two of the 64 blocks in each of
+// its 16 shards takes all the lookups' frames, parsed forms where there is
+// room to spare, and stays within its budget; one that holds the column
+// keeps every block's parsed form, and Get reads it.
+func TestResidentGetKeepsNoMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	const bv = 256
+	src := make([]int64, 64*bv)
+	for i := range src {
+		src[i] = rng.Int63n(1000)
+		if rng.Intn(15) == 0 {
+			src[i] = rng.Int63n(1 << 40)
+		}
+	}
+	var buf bytes.Buffer
+	cw, err := NewColumnWriter[int64](&buf, PFOR[int64]{Base: 0, Width: 10}, bv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	plain, err := OpenColumn[int64](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := plain.FrameBytes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := new(core.Block[int64])
+	if err := parseSegmentInto(blk, frame, true); err != nil {
+		t.Fatal(err)
+	}
+	entry := int64(len(frame)) + cacheEntryOverhead + parsedCost(blk, frame)
+	for _, c := range []struct {
+		name   string
+		budget int64
+	}{{"two a shard", cacheShards * (2*entry + entry/8)}, {"the column", 1 << 30}} {
+		cache := NewBlockLRU(c.budget)
+		cr, err := OpenColumnReaderAt[int64](bytes.NewReader(data), int64(len(data)), WithBlockCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 3; pass++ {
+			for b := 0; b < cr.NumBlocks(); b++ {
+				i := b*bv + rng.Intn(bv)
+				if v, err := cr.Get(i); err != nil || v != src[i] {
+					t.Fatalf("%s, pass %d: Get(%d) = %d, %v; want %d", c.name, pass, i, v, err, src[i])
+				}
+				if st := cache.Stats(); st.Bytes > st.Capacity {
+					t.Fatalf("%s, pass %d, block %d: %d bytes resident, capacity %d", c.name, pass, b, st.Bytes, st.Capacity)
+				}
+			}
+		}
+		for b := range cr.slots {
+			if cr.slots[b].parsed.Load() != nil {
+				t.Fatalf("%s: block %d: Get memoized a parsed block in the reader beside a BlockLRU", c.name, b)
+			}
+		}
+		st, parsed := cache.Stats(), len(ResidentParsed[int64](cache))
+		if c.budget == 1<<30 && (st.Entries != 64 || parsed != 64) {
+			t.Fatalf("%s: %d frames and %d parsed forms resident, want all 64", c.name, st.Entries, parsed)
+		}
+	}
 }

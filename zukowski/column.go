@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/segment"
@@ -632,11 +633,31 @@ func (cr *ColumnReader[T]) Ratio() float64 {
 
 // attachedCache pairs a BlockCache with the column id this reader keys
 // it under; the pair swaps atomically so attachment is race-free. p is the
-// cache's peek when it has one.
+// cache's peek and r its store of parsed forms, when it has them.
 type attachedCache struct {
 	c  BlockCache
 	id uint64
 	p  peeker
+	r  residentCache
+}
+
+// fetched is a frame as a fetch hands it over: the bytes and, when they
+// were hit in a cache that keeps parsed forms, the parsed form resident
+// beside them if one has been attached, and the bytes the cache has to
+// spare for one (room; none when 0 or less).
+type fetched struct {
+	frame  []byte
+	parsed any
+	room   int64
+}
+
+// get asks the cache for block b: one hit or one miss counted.
+func (ac *attachedCache) get(b int) (f fetched) {
+	if ac.r != nil {
+		f.frame, f.parsed, f.room = ac.r.lookup(ac.id, b)
+		return f
+	}
+	return fetched{frame: ac.c.Get(ac.id, b)}
 }
 
 // resident reports whether block b is known to be cached; a read-ahead
@@ -677,7 +698,8 @@ func (cr *ColumnReader[T]) SetBlockCache(c BlockCache) {
 		return
 	}
 	p, _ := c.(peeker)
-	cr.cache.Store(&attachedCache{c: c, id: blockCacheIDs.Add(1), p: p})
+	r, _ := c.(residentCache)
+	cr.cache.Store(&attachedCache{c: c, id: blockCacheIDs.Add(1), p: p, r: r})
 }
 
 // checkCRC verifies buf against block b's stored payload CRC32-C.
@@ -721,23 +743,33 @@ func (cr *ColumnReader[T]) verify(frame []byte, b int) error {
 // latched error; transient I/O failures retry under the reader's
 // RetryPolicy (see fetchVerified).
 func (cr *ColumnReader[T]) frame(b int) ([]byte, error) {
+	f, err := cr.fetchFrame(b)
+	return f.frame, err
+}
+
+// fetchFrame is frame handing over, for a frame hit in a cache that keeps
+// parsed forms, the parsed form resident beside it or the room for one.
+func (cr *ColumnReader[T]) fetchFrame(b int) (f fetched, err error) {
 	if err := cr.quarantined(b); err != nil {
-		return nil, err
+		return f, err
 	}
 	ac := cr.cache.Load()
 	if ac != nil {
-		if buf := ac.c.Get(ac.id, b); buf != nil {
-			return buf, nil
+		if f = ac.get(b); f.frame != nil {
+			return f, nil
 		}
 	} else if !cr.src.stable() {
-		return cr.fetchVerified(nil, b) // nothing to latch or fill: no singleflight
+		f.frame, err = cr.fetchVerified(nil, b) // nothing to latch or fill: no singleflight
+		return f, err
 	} else if cr.slots[b].verified.Load() {
-		return cr.view(b)
+		f.frame, err = cr.view(b)
+		return f, err
 	}
 	slot := &cr.slots[b]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
-	return cr.frameLocked(b, ac != nil)
+	f.frame, err = cr.frameLocked(b, ac != nil)
+	return f, err
 }
 
 // frameLocked is the part of frame that runs under slots[b].mu, which the
@@ -820,19 +852,19 @@ func (r *frameRun) release() {
 // then quarantine. So a torn run quarantines exactly the bad frame, and a
 // frame read ahead but never taken reports nothing. The frame is borrowed
 // from run or shared with the cache: read-only, and only for this block.
-func (cr *ColumnReader[T]) scanFrame(run *frameRun, b int, reads []bool) ([]byte, error) {
+func (cr *ColumnReader[T]) scanFrame(run *frameRun, b int, reads []bool) (f fetched, err error) {
 	if err := cr.quarantined(b); err != nil {
-		return nil, err
+		return f, err
 	}
 	ac := cr.cache.Load()
 	if ac != nil {
-		if buf := ac.c.Get(ac.id, b); buf != nil {
-			return buf, nil
+		if f = ac.get(b); f.frame != nil {
+			return f, nil
 		}
 	}
 	if b < run.first || b >= run.end {
 		if err := cr.readRun(run, b, reads, ac); err != nil {
-			return nil, err
+			return f, err
 		}
 	}
 	blk := cr.blocks[b]
@@ -841,13 +873,13 @@ func (cr *ColumnReader[T]) scanFrame(run *frameRun, b int, reads []bool) ([]byte
 	if err := cr.verify(frame, b); err != nil {
 		run.end = b
 		if frame, err = cr.reread(nil, b, err); err != nil {
-			return nil, err
+			return f, err
 		}
 	}
 	if ac != nil {
 		ac.c.Put(ac.id, b, frame)
 	}
-	return frame, nil
+	return fetched{frame: frame}, nil
 }
 
 // readRun refills run with one fetch: block b's frame and those of the
@@ -893,6 +925,74 @@ func parseSegmentInto[T Integer](blk *core.Block[T], frame []byte, trusted bool)
 		return segment.UnmarshalIntoTrusted(blk, frame)
 	}
 	return segment.UnmarshalInto(blk, frame)
+}
+
+// block fetches block b and returns its parsed form when the frame is
+// patched, or the frame itself when it is raw: through run when a
+// sequential scan has planned its reads (see scanFrame), by the
+// single-frame fetch when run is nil. A frame resident in a cache that
+// keeps parsed forms (BlockLRU) comes with the form parsed beside it; the
+// first hit to find it without one, and the room for one, parses it into
+// a block of its own, indexes its exceptions and attaches it, so a
+// resident block is parsed once per residency and is shared, read-only,
+// by every scan after. Any other frame is parsed into scratch, as every
+// fetch of it will be.
+func (cr *ColumnReader[T]) block(run *frameRun, b int, reads []bool, scratch *core.Block[T]) (blk *core.Block[T], raw []byte, err error) {
+	var f fetched
+	if run != nil {
+		f, err = cr.scanFrame(run, b, reads)
+	} else {
+		f, err = cr.fetchFrame(b)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if p, ok := f.parsed.(*core.Block[T]); ok {
+		return p, nil, nil
+	}
+	if !segment.IsCompressed(f.frame) {
+		return nil, f.frame, nil
+	}
+	if err := parseSegmentInto(scratch, f.frame, true); err != nil {
+		return nil, nil, fmt.Errorf("block %d: %w", b, corrupt(err))
+	}
+	if want := int(cr.blocks[b].count); scratch.N != want {
+		return nil, nil, fmt.Errorf("%w: block %d holds %d values, directory says %d",
+			ErrCorruptColumn, b, scratch.N, want)
+	}
+	if f.room <= 0 {
+		return scratch, nil, nil
+	}
+	ac, cost := cr.cache.Load(), parsedCost(scratch, f.frame)
+	if ac == nil || ac.r == nil || cost > f.room {
+		return scratch, nil, nil
+	}
+	// The scratch goes on to the next block, so the form kept is a parse of
+	// its own: a second parse of these bytes, paid once per residency.
+	kept := new(core.Block[T])
+	if parseSegmentInto(kept, f.frame, true) != nil {
+		return scratch, nil, nil
+	}
+	kept.IndexExceptions()
+	if p, ok := ac.r.attach(ac.id, b, f.frame, kept, cost).(*core.Block[T]); ok {
+		return p, nil, nil
+	}
+	return scratch, nil, nil
+}
+
+// parsedCost is what a cache charges for keeping blk, indexed, beside
+// frame, the frame it was parsed from: the Block itself and the sections
+// it owns — exceptions, the 1<<B dictionary, entry points, totals, the
+// exception index (a byte per exception), and the codes when it had to
+// copy them instead of reading the frame in place.
+func parsedCost[T Integer](blk *core.Block[T], frame []byte) int64 {
+	n := int(unsafe.Sizeof(*blk)) + (len(blk.Exc)+len(blk.Dict)+len(blk.Totals))*elemSize[T]() +
+		4*len(blk.Entries) + len(blk.Exc)
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(frame)))
+	if codes := uintptr(unsafe.Pointer(unsafe.SliceData(blk.Codes))); codes < start || codes >= start+uintptr(len(frame)) {
+		n += 4 * len(blk.Codes)
+	}
+	return int64(n)
 }
 
 // decodeInto decodes frame, appending its values to dst. Patched frames
@@ -1007,7 +1107,10 @@ func (cr *ColumnReader[T]) blockOf(i int) int {
 // Get returns the value at row i. For patched frames it uses the
 // entry-point fine-grained access path (at most one 128-value group is
 // touched); raw frames on an in-memory source are read in place, and
-// through a ReaderAt are decoded whole and memoized.
+// through a ReaderAt are decoded whole and memoized. With a BlockLRU
+// attached nothing is memoized in the reader: the parsed block is the
+// one resident in the cache beside its frame, under the cache's budget,
+// and a raw frame is read in place there.
 func (cr *ColumnReader[T]) Get(i int) (v T, err error) {
 	defer guardSegment(&err)
 	if i < 0 || i >= cr.total {
@@ -1015,6 +1118,18 @@ func (cr *ColumnReader[T]) Get(i int) (v T, err error) {
 	}
 	b := cr.blockOf(i)
 	off := i - cr.starts[b]
+	if ac := cr.cache.Load(); ac != nil && ac.r != nil {
+		st := cr.getState()
+		defer cr.putState(st)
+		blk, raw, err := cr.block(nil, b, nil, &st.blk)
+		if err != nil {
+			return v, err
+		}
+		if raw != nil {
+			return rawGet[T](raw, off)
+		}
+		return st.dec.Get(blk, off), nil
+	}
 	p := cr.slots[b].parsed.Load()
 	if p == nil {
 		if cr.src.stable() {
@@ -1078,10 +1193,10 @@ func (cr *ColumnReader[T]) parseBlock(b int) (*parsedBlock[T], error) {
 			return nil, fmt.Errorf("%w: block %d holds %d values, directory says %d", ErrCorruptColumn, b, pb.N, want)
 		}
 		if !cr.src.stable() {
-			// The memo outlives the fetched frame — and its stay in the block
-			// cache, whose byte budget would not count a frame pinned from
-			// here — so it keeps its own codes; a stable source is resident
-			// anyway and is borrowed from.
+			// The memo outlives the fetched frame — and its stay in a custom
+			// block cache, whose byte budget would not count a frame pinned
+			// from here — so it keeps its own codes; a stable source is
+			// resident anyway and is borrowed from.
 			pb.Codes = slices.Clone(pb.Codes)
 		}
 		p.blk = pb

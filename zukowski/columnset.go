@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/segment"
 )
 
 // Multi-predicate selection-vector composition: the conjunctive scan the
@@ -102,6 +101,10 @@ func (cs *ColumnSet[T]) NumBlocks() int { return cs.cols[0].NumBlocks() }
 // predicate masking is not re-parsed for materialization.
 type setColState[T Integer] struct {
 	decodeState[T]
+	// cur is the parsed block in use: blk, the scratch the frame was
+	// parsed into, or the block resident in the cache beside its frame,
+	// which every scan shares and none may write.
+	cur  *core.Block[T]
 	gath []T      // materialized output buffer of this column
 	form uint8    // what the state holds for the current block
 	run  frameRun // the sequential scan's read-ahead of a file-backed column
@@ -109,7 +112,7 @@ type setColState[T Integer] struct {
 
 const (
 	colNone uint8 = iota // nothing prepared for this block yet
-	colSeg               // blk holds the parsed patched segment
+	colSeg               // cur is the parsed patched segment
 	colVals              // vals holds the fully decoded raw block
 )
 
@@ -149,7 +152,14 @@ func (cs *ColumnSet[T]) getState() *setState[T] {
 	}
 }
 
-func (cs *ColumnSet[T]) putState(st *setState[T]) { cs.states.Put(st) }
+// putState returns st to the pool. It lets go of the parsed blocks the
+// state last used, so a pooled state pins no block the cache has evicted.
+func (cs *ColumnSet[T]) putState(st *setState[T]) {
+	for i := range st.cols {
+		st.cols[i].cur = nil
+	}
+	cs.states.Put(st)
+}
 
 // planReads fills st.plan for a sequential pass of q whose visits
 // materialize the columns mat (nil: every column): column c's block b is
@@ -189,16 +199,18 @@ func (cs *ColumnSet[T]) planReads(st *setState[T], q *Query[T], mat []int) {
 	}
 }
 
-// frame returns column ci's block b for the scan st: through the column's
-// run when st is a planned sequential pass and the column is file-backed,
-// the reader's single-frame fetch otherwise.
-func (cs *ColumnSet[T]) frame(st *setState[T], ci, b int) ([]byte, error) {
+// block returns column ci's block b for the scan st, parsed or raw (see
+// ColumnReader.block): through the column's run when st is a planned
+// sequential pass and the column is file-backed, the reader's
+// single-frame fetch otherwise.
+func (cs *ColumnSet[T]) block(st *setState[T], ci, b int) (*core.Block[T], []byte, error) {
 	cr := cs.cols[ci]
+	cst := &st.cols[ci]
 	if len(st.plan) == 0 || cr.src.stable() {
-		return cr.frame(b)
+		return cr.block(nil, b, nil, &cst.blk)
 	}
 	nb := len(cr.blocks)
-	return cr.scanFrame(&st.cols[ci].run, b, st.plan[ci*nb:(ci+1)*nb])
+	return cr.block(&cst.run, b, st.plan[ci*nb:(ci+1)*nb], &cst.blk)
 }
 
 // endScan hands a sequential pass's run buffers back to the shared pool,
@@ -220,9 +232,10 @@ func (st *setState[T]) begin() {
 
 // prepare fetches column ci's block b into the scan state st, memoized
 // per block iteration: patched frames are parsed once (sections only,
-// nothing decoded), raw frames are decoded once into st.vals. It reports
-// whether the block is patched-compressed, i.e. whether the
-// compressed-domain mask kernels apply.
+// nothing decoded) — or not at all, when the cache holds the block parsed
+// — and raw frames are decoded once into st.vals. It reports whether the
+// block is patched-compressed, i.e. whether the compressed-domain mask
+// kernels apply.
 func (cs *ColumnSet[T]) prepare(scan *setState[T], ci, b int) (patched bool, err error) {
 	st := &scan.cols[ci]
 	switch st.form {
@@ -231,23 +244,16 @@ func (cs *ColumnSet[T]) prepare(scan *setState[T], ci, b int) (patched bool, err
 	case colVals:
 		return false, nil
 	}
-	cr := cs.cols[ci]
-	frame, err := cs.frame(scan, ci, b)
+	blk, frame, err := cs.block(scan, ci, b)
 	if err != nil {
 		return false, err
 	}
-	want := int(cr.blocks[b].count)
-	if segment.IsCompressed(frame) {
-		if err := parseSegmentInto(&st.blk, frame, true); err != nil {
-			return false, fmt.Errorf("block %d: %w", b, corrupt(err))
-		}
-		if st.blk.N != want {
-			return false, fmt.Errorf("%w: block %d holds %d values, directory says %d",
-				ErrCorruptColumn, b, st.blk.N, want)
-		}
+	if blk != nil {
+		st.cur = blk
 		st.form = colSeg
 		return true, nil
 	}
+	want := int(cs.cols[ci].blocks[b].count)
 	dec, err := rawAppend[T](st.vals[:0], frame)
 	if err != nil {
 		return false, fmt.Errorf("block %d: %w", b, err)
@@ -282,11 +288,11 @@ func (cs *ColumnSet[T]) maskCol(scan *setState[T], ci, b int, lo, hi T, sv *core
 	if patched {
 		switch mode {
 		case maskRefine:
-			st.dec.RefineMask(&st.blk, lo, hi, sv)
+			st.dec.RefineMask(st.cur, lo, hi, sv)
 		case maskUnion:
-			st.dec.UnionMask(&st.blk, lo, hi, sv)
+			st.dec.UnionMask(st.cur, lo, hi, sv)
 		default:
-			st.dec.DecompressMask(&st.blk, lo, hi, sv)
+			st.dec.DecompressMask(st.cur, lo, hi, sv)
 		}
 		return nil
 	}
@@ -350,7 +356,7 @@ func (cs *ColumnSet[T]) gatherCol(st *setState[T], b, ci int) (out []T, err erro
 	}
 	cst := &st.cols[ci]
 	if patched {
-		cst.gath = cst.dec.DecompressSelected(&cst.blk, &st.sv, cst.gath[:0])
+		cst.gath = cst.dec.DecompressSelected(cst.cur, &st.sv, cst.gath[:0])
 		return cst.gath, nil
 	}
 	out = cst.gath[:0]
@@ -566,5 +572,5 @@ func foldValues[T Integer](vals []T) Aggregate[T] {
 // behind the crafted-frame panic guard.
 func selectedCodes[T Integer](cst *setColState[T], sv *core.SelectionVector, dst []int32) (codes []int32, err error) {
 	defer guardSegment(&err)
-	return cst.dec.DecompressSelectedCodes(&cst.blk, sv, dst), nil
+	return cst.dec.DecompressSelectedCodes(cst.cur, sv, dst), nil
 }

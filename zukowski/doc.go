@@ -60,7 +60,13 @@
 // faulted by many goroutines through FrameBytes, Get or ReadBlock is read
 // and verified exactly once (the fill rides the per-block parse slot),
 // Put copies what the cache keeps, and corrupt blocks are never
-// admitted. Entries are keyed by a process-unique id assigned at
+// admitted. A BlockLRU also keeps each resident frame's parsed form, once
+// a scan has parsed it there and the shard has room to spare for it,
+// charged to the same budget: a hot block is parsed once per residency,
+// not once per query, with an index of where its exceptions sit so the
+// kernels need not hop its patch lists, and every scan shares it
+// read-only; with a BlockLRU attached, Get reads that form and keeps no
+// parse of its own. Entries are keyed by a process-unique id assigned at
 // attach, so under immutable containers eviction is the only
 // invalidation. One BlockLRU may be shared by any number of readers;
 // in-memory readers ignore the cache (their frames are already

@@ -264,12 +264,12 @@ func (cs *ColumnSet[T]) groupBlock(st *setState[T], b int,
 	flat, product := true, 1
 	for gi, ci := range groupCols {
 		cst := &st.cols[ci]
-		if cst.form != colSeg || cst.blk.Scheme != core.SchemePDict {
+		if cst.form != colSeg || cst.cur.Scheme != core.SchemePDict {
 			flat = false
 			break
 		}
-		dictLens[gi] = cst.blk.DictLen
-		if product *= cst.blk.DictLen; product > maxFlatGroups {
+		dictLens[gi] = cst.cur.DictLen
+		if product *= cst.cur.DictLen; product > maxFlatGroups {
 			flat = false
 			break
 		}
@@ -343,7 +343,7 @@ func (cs *ColumnSet[T]) groupBlock(st *setState[T], b int,
 		rem := code
 		for gi := len(groupCols) - 1; gi >= 0; gi-- {
 			ci := groupCols[gi]
-			key[gi] = st.cols[ci].blk.Dict[rem%dictLens[gi]]
+			key[gi] = st.cols[ci].cur.Dict[rem%dictLens[gi]]
 			rem /= dictLens[gi]
 		}
 		g := gt.group(key)

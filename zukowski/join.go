@@ -73,9 +73,9 @@ func (cs *ColumnSet[T]) JoinOn(q Query[T], probeCol int, jt *JoinTable[T], fn fu
 		}
 		st.rows = st.sv.AppendRows(st.rows[:0], int64(cs.cols[0].starts[b]))
 		pr, br = pr[:0], br[:0]
-		if cst.form == colSeg && cst.blk.Scheme == core.SchemePDict {
+		if cst.form == colSeg && cst.cur.Scheme == core.SchemePDict {
 			dictRows = dictRows[:0]
-			for _, v := range cst.blk.Dict[:cst.blk.DictLen] {
+			for _, v := range cst.cur.Dict[:cst.cur.DictLen] {
 				dictRows = append(dictRows, jt.rows[v])
 			}
 			if codes, err = selectedCodes(cst, &st.sv, codes[:0]); err != nil {

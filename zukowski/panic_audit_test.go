@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"slices"
@@ -256,7 +257,8 @@ func containerWithFrame(t *testing.T, frame []byte, count int) []byte {
 // magic 0xB6 into a container whose block and directory checksums are
 // both valid, so the container opens and only the frame dispatch can
 // refuse it: every read of the block is ErrCorruptSegment, never a panic,
-// and a degraded scan skips it and says so.
+// and so is a verification of it — the checksum holds, the format does
+// not — and a degraded scan skips it and says so.
 func TestRetiredFrameInContainer(t *testing.T) {
 	frame := pforFrame(t)
 	frame[0] = 0xB6
@@ -275,6 +277,8 @@ func TestRetiredFrameInContainer(t *testing.T) {
 		{"Get", func() error { _, err := cr.Get(5); return err }},
 		{"Run", func() error { return cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }) }},
 		{"DecodeFrame", func() error { _, err := zukowski.DecodeFrame[int64](nil, frame); return err }},
+		{"VerifyBlock", func() error { return cr.VerifyBlock(0) }},
+		{"Verify", cr.Verify},
 	} {
 		if err := mustNotPanic(t, p.name, p.run); !errors.Is(err, zukowski.ErrCorruptSegment) {
 			t.Fatalf("%s: err = %v, want ErrCorruptSegment", p.name, err)
@@ -455,5 +459,77 @@ func TestRunCallerPanic(t *testing.T) {
 					p.name, degraded, rep.BlocksSkipped, rep.RowsLost, rep.FirstErr)
 			}
 		}
+	}
+}
+
+// TestCraftedEscapingPatchList: a CRC-valid frame whose patch list hops
+// out of its group — row 0's gap code re-pointed from row 10 to row 201,
+// in the next group — cannot be indexed when it becomes resident in a
+// BlockLRU: it is attached with an empty index, no scan panics, and every
+// scan of it answers (or fails) exactly as a reader without a cache does,
+// whose parse walks the list every time.
+func TestCraftedEscapingPatchList(t *testing.T) {
+	frame := pforFrame(t)
+	const codes = 44 + 4*3 // header, then one entry word per group of the 300 values
+	if frame[codes] != 9 {
+		t.Fatalf("row 0's gap code is %d, want 9 (the exception at row 10)", frame[codes])
+	}
+	frame[codes] = 200
+	fixSegmentChecksum(frame)
+	data := containerWithFrame(t, frame, 300)
+	plain, err := zukowski.OpenColumn[int64](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := zukowski.NewBlockLRU(1 << 20)
+	cached, err := zukowski.OpenColumnReaderAt[int64](bytes.NewReader(data), int64(len(data)), zukowski.WithBlockCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	answer := func(cr *zukowski.ColumnReader[int64]) (out []string) {
+		cs := oneColumn(t, cr)
+		for _, q := range []zukowski.Query[int64]{
+			{},
+			rangeQuery[int64](0, 50),
+			rangeQuery[int64](1<<40, 1<<42),
+			{Expr: zukowski.And(zukowski.Range[int64](0, 0, 99), zukowski.Range[int64](0, 1<<41, 1<<41))},
+		} {
+			err := mustNotPanic(t, "Run", func() error {
+				return cs.Run(ctx, q, func(_ int, rows []int64, cols [][]int64) bool {
+					out = append(out, fmt.Sprint(rows, cols))
+					return true
+				})
+			})
+			out = append(out, fmt.Sprint(err))
+			err = mustNotPanic(t, "RunAggregate", func() error {
+				agg, err := cs.RunAggregate(ctx, q, 0)
+				out = append(out, fmt.Sprint(agg))
+				return err
+			})
+			out = append(out, fmt.Sprint(err))
+		}
+		for _, i := range []int{0, 10, 11, 201, 299} {
+			err := mustNotPanic(t, "Get", func() error {
+				v, err := cr.Get(i)
+				out = append(out, fmt.Sprint(v))
+				return err
+			})
+			out = append(out, fmt.Sprint(err))
+		}
+		return out
+	}
+	want := answer(plain)
+	for pass := 0; pass < 3; pass++ { // a miss, the attaching hit, resident hits
+		if got := answer(cached); !slices.Equal(got, want) {
+			t.Fatalf("pass %d: the resident block answers\n%v\nwhere a walking parse answers\n%v", pass, got, want)
+		}
+	}
+	resident := zukowski.ResidentParsed[int64](cache)
+	if len(resident) != 1 {
+		t.Fatalf("%d parsed blocks resident, want the one", len(resident))
+	}
+	if resident[0].ExcOff != nil {
+		t.Fatalf("a patch list leaving its group was indexed: %v", resident[0].ExcOff)
 	}
 }
