@@ -447,24 +447,16 @@ func (d *Decoder[T]) gatherSelected(blk *Block[T], sv *SelectionVector, vals []T
 		// Exception slots hold bogus gap codes; a selected exception row
 		// reads its true value from the exception section. The merge follows
 		// the group's patch list alongside the ordered set bits, one hop at
-		// a time and no further than the last selected row; on an indexed
-		// block a hop reads the next offset.
+		// a time and no further than the last selected row. An indexed block
+		// walks too when its group has fewer than rankPatchMin selected rows.
 		xp, xk := gStart+blk.patchStart(g), es
 		for w := w0; w < w1; w++ {
 			vb := w << 5
 			for m := mask[w]; m != 0; m &= m - 1 {
 				p := vb + bits.TrailingZeros32(m)
-				if indexed {
-					for xk < ee && xp < p {
-						if xk++; xk < ee {
-							xp = gStart + int(blk.ExcOff[xk])
-						}
-					}
-				} else {
-					for xk < ee && xp < p {
-						xp += int(bitpack.CodeAt(codes, xp, b)) + 1
-						xk++
-					}
+				for xk < ee && xp < p {
+					xp += int(bitpack.CodeAt(codes, xp, b)) + 1
+					xk++
 				}
 				if xk < ee && xp == p {
 					vals[k] = blk.Exc[xk]
@@ -486,20 +478,19 @@ func (d *Decoder[T]) gatherSelected(blk *Block[T], sv *SelectionVector, vals []T
 // rankPatchMin is the number of selected rows in a group of an indexed
 // block at or above which the sparse gathers read every selected row
 // through its code and then overwrite the selected exception rows, found
-// by rank from the group's exception bitmap; below it they merge the
-// offsets with the set bits, as the walk merges the patch list. Measured
-// with DecompressSelected on 4,096-value PFOR blocks (ns per block,
-// medians of three, the throttled 2-vCPU box; "walked" is the same block
-// without its index):
+// by rank from the group's exception bitmap; below it they walk the patch
+// list, as on a block without an index. Measured with DecompressSelected
+// on 4,096-value PFOR blocks (ns per block, medians of three, a throttled
+// 2-vCPU box; "walked" is the same block without its index):
 //
-//	               16 bit, 10 % exceptions       10 bit, 2 % exceptions
-//	rows/group    merge    rank   walked        merge    rank   walked
-//	         1    2,283   3,311    2,592        1,664   2,850    1,658
-//	         2    2,812   3,127    3,158        2,491   2,785    2,610
-//	         4    4,811   3,764    4,923        4,164   4,258    4,754
-//	         6    6,678   4,918    7,773        6,508   5,356    5,379
-//	         8    7,430   5,328    8,960        5,441   5,195    6,202
-//	        16   11,550   8,325   13,715        8,214   7,326    8,847
+//	               16 bit, 10 % exceptions    10 bit, 2 % exceptions
+//	rows/group     rank   walked               rank   walked
+//	         1    3,311    2,592              2,850    1,658
+//	         2    3,127    3,158              2,785    2,610
+//	         4    3,764    4,923              4,258    4,754
+//	         6    4,918    7,773              5,356    5,379
+//	         8    5,328    8,960              5,195    6,202
+//	        16    8,325   13,715              7,326    8,847
 const rankPatchMin = 4
 
 // excWords returns a group's exception rows, given by their in-group
@@ -629,17 +620,9 @@ func (d *Decoder[T]) gatherSelectedCodes(blk *Block[T], sv *SelectionVector, cod
 			vb := w << 5
 			for m := mask[w]; m != 0; m &= m - 1 {
 				p := vb + bits.TrailingZeros32(m)
-				if indexed {
-					for xk < ee && xp < p {
-						if xk++; xk < ee {
-							xp = gStart + int(blk.ExcOff[xk])
-						}
-					}
-				} else {
-					for xk < ee && xp < p {
-						xp += int(bitpack.CodeAt(packed, xp, b)) + 1
-						xk++
-					}
+				for xk < ee && xp < p {
+					xp += int(bitpack.CodeAt(packed, xp, b)) + 1
+					xk++
 				}
 				if xk < ee && xp == p {
 					codes[k] = -1

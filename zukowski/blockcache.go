@@ -32,12 +32,15 @@ package zukowski
 // it there, and charges its bytes to the budget. A hot block is then
 // parsed once per residency, not once per query; eviction drops both.
 // A parsed form only takes room the shard has to spare — room it would
-// still have with one more frame of the same size admitted — so it never
-// evicts a frame, and it does not take the room the next frame needs: a
-// frame costs a read to get back, the form only a parse. In a shard full
-// of frames hits parse per query as before. The parsed form is read-only,
-// forever, like the frame: every scan that finds it shares it, and its
-// code section reads the frame in place.
+// still have with one more frame of the same size admitted — and it gives
+// that room back before any frame is declined or evicted: a frame costs a
+// read to get back, the form only a parse. Put decides admission on the
+// frames' bytes alone and sheds parsed forms, least recently used first,
+// before it evicts a frame, so the frames a shard holds are the ones it
+// would hold without forms. In a shard full of frames hits parse per query
+// as before. The parsed form is read-only, forever, like the frame: every
+// scan that finds it shares it, and its code section reads the frame in
+// place.
 
 import (
 	"sync"
@@ -66,33 +69,6 @@ type BlockCache interface {
 	// cache may decline (budget, size, policy); Put never fails loudly,
 	// and it never retains frame itself — it copies what it keeps.
 	Put(col uint64, block int, frame []byte)
-}
-
-// peeker is what a reader asks of a cache beyond BlockCache when the
-// cache offers it (BlockLRU does): the resident frame under a key, without
-// counting the look as a hit or a miss and without promoting the entry.
-// The reader uses it to re-check a key it has already counted as missed,
-// to stop a read-ahead at the first resident frame and to return the copy
-// Put kept.
-type peeker interface {
-	peek(col uint64, block int) []byte
-}
-
-// residentCache is what a scan asks of a cache beyond BlockCache when the
-// cache offers it (BlockLRU does): a frame together with the parsed form
-// kept beside it, and a place to keep that form for as long as the frame
-// stays resident, so a block is parsed once per residency.
-type residentCache interface {
-	// lookup is Get that also returns the parsed form attached to the
-	// frame, or nil, and the bytes the frame's shard has to spare for one
-	// (see spare): one lock, one hit or one miss counted.
-	lookup(col uint64, block int) (frame []byte, parsed any, room int64)
-	// attach keeps parsed, which costs bytes of memory, beside the
-	// resident frame it was parsed from, and returns the parsed form now
-	// resident: parsed, or what an earlier attach kept (the first attach
-	// wins). It returns nil when frame is no longer the copy resident
-	// under (col, block), or when the shard has not the room to spare.
-	attach(col uint64, block int, frame []byte, parsed any, bytes int64) any
 }
 
 // blockCacheIDs hands out the process-unique column ids SetBlockCache
@@ -153,13 +129,15 @@ type cacheKey struct {
 }
 
 // cacheEntry is one resident frame, linked into its shard's LRU list.
-// parsed is the frame's parsed form once a scan attached it; cost is what
-// the entry charges the budget: frame, parsed form and bookkeeping.
+// parsed is the frame's parsed form once a scan attached it, and pcost
+// what that form charges; cost is what the entry charges the budget:
+// frame, parsed form and bookkeeping.
 type cacheEntry struct {
 	key        cacheKey
 	hash       uint64
 	buf        []byte
 	parsed     any
+	pcost      int64
 	cost       int64
 	prev, next *cacheEntry
 }
@@ -228,11 +206,14 @@ func (s *sketch) estimate(h uint64) uint64 {
 // cacheShard is one lock's worth of the cache: a map for lookup, an
 // intrusive doubly-linked list for recency, most recent at head.next, and
 // the frequency sketch that guards admission once the shard is full.
+// bytes counts everything the shard charges, forms the share of it that
+// parsed forms take.
 type cacheShard struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
 	head    cacheEntry // sentinel: head.next is MRU, head.prev is LRU
 	bytes   int64
+	forms   int64
 	freq    sketch
 }
 
@@ -311,8 +292,9 @@ func (c *BlockLRU) Get(col uint64, block int) []byte {
 	return buf
 }
 
-// lookup is Get returning the entry's parsed form and the shard's spare
-// bytes as well; see residentCache.
+// lookup is Get that also returns the parsed form attached to the frame,
+// or nil, and the bytes the frame's shard has to spare for one (see
+// spare): one lock, one hit or one miss counted.
 func (c *BlockLRU) lookup(col uint64, block int) ([]byte, any, int64) {
 	k := cacheKey{col: col, block: block}
 	h := hashKey(k)
@@ -333,9 +315,12 @@ func (c *BlockLRU) lookup(col uint64, block int) ([]byte, any, int64) {
 	return buf, parsed, room
 }
 
-// attach keeps parsed beside the frame resident under (col, block) when
-// frame is that very copy and the shard has bytes to spare, charging them
-// to the budget; see residentCache.
+// attach keeps parsed, which costs bytes of memory, beside the frame
+// resident under (col, block), charging them to the budget, and returns
+// the parsed form now resident: parsed, or what an earlier attach kept
+// (the first attach wins). It returns nil when frame is not the copy
+// resident under (col, block), or when the shard has not the room to
+// spare.
 func (c *BlockLRU) attach(col uint64, block int, frame []byte, parsed any, bytes int64) any {
 	k := cacheKey{col: col, block: block}
 	sh := c.shardOf(hashKey(k))
@@ -350,9 +335,10 @@ func (c *BlockLRU) attach(col uint64, block int, frame []byte, parsed any, bytes
 	case bytes > c.spare(sh, e):
 		return nil
 	}
-	e.parsed = parsed
+	e.parsed, e.pcost = parsed, bytes
 	e.cost += bytes
 	sh.bytes += bytes
+	sh.forms += bytes
 	c.bytes.Add(bytes)
 	return parsed
 }
@@ -365,7 +351,9 @@ func (c *BlockLRU) spare(sh *cacheShard, e *cacheEntry) int64 {
 }
 
 // peek returns the frame cached under (col, block), or nil, leaving the
-// counters, the sketch and the recency order as they were.
+// counters, the sketch and the recency order as they were. A reader uses
+// it to re-check a key it has already counted as missed, to stop a
+// read-ahead at the first resident frame and to return the copy Put kept.
 func (c *BlockLRU) peek(col uint64, block int) []byte {
 	k := cacheKey{col: col, block: block}
 	sh := c.shardOf(hashKey(k))
@@ -378,10 +366,12 @@ func (c *BlockLRU) peek(col uint64, block int) []byte {
 }
 
 // Put keeps a copy of frame under (col, block) when the shard admits it,
-// evicting least-recently-used entries until the shard fits its budget
-// again. A shard with room admits; a full one admits only a key Get has
-// counted strictly more often than its LRU entry's, and otherwise keeps
-// the entry and declines. An oversized frame is declined outright; a
+// shedding parsed forms and then evicting least-recently-used entries
+// until the shard fits its budget again. A shard whose frames leave room
+// admits; a full one admits only a key Get has counted strictly more often
+// than its LRU entry's, and otherwise keeps the entry and declines. Parsed
+// forms count for neither: a frame is never declined or evicted to keep
+// one. An oversized frame is declined outright; a
 // duplicate key keeps the resident entry (the single-frame fill is
 // singleflighted per block, so duplicates only arise from scans reading
 // ahead and from independent readers over the same bytes, where either
@@ -399,7 +389,7 @@ func (c *BlockLRU) Put(col uint64, block int, frame []byte) {
 		sh.mu.Unlock()
 		return
 	}
-	if sh.bytes+cost > c.shardMax && sh.freq.estimate(h) <= sh.freq.estimate(sh.head.prev.hash) {
+	if sh.bytes-sh.forms+cost > c.shardMax && sh.freq.estimate(h) <= sh.freq.estimate(sh.head.prev.hash) {
 		sh.mu.Unlock()
 		c.declined.Add(1)
 		return
@@ -411,8 +401,25 @@ func (c *BlockLRU) Put(col uint64, block int, frame []byte) {
 	c.bytes.Add(cost)
 	c.entries.Add(1)
 	c.puts.Add(1)
+	c.shedForms(sh, c.shardMax)
 	c.evictTo(sh, c.shardMax)
 	sh.mu.Unlock()
+}
+
+// shedForms drops parsed forms, least recently used first, until sh holds
+// at most limit bytes or keeps no form; their frames stay resident. The
+// caller holds sh.mu.
+func (c *BlockLRU) shedForms(sh *cacheShard, limit int64) {
+	for e := sh.head.prev; e != &sh.head && sh.bytes > limit && sh.forms > 0; e = e.prev {
+		if e.parsed == nil {
+			continue
+		}
+		sh.bytes -= e.pcost
+		sh.forms -= e.pcost
+		c.bytes.Add(-e.pcost)
+		e.cost -= e.pcost
+		e.parsed, e.pcost = nil, 0
+	}
 }
 
 // evictTo evicts sh's least-recently-used entries, each frame with its
@@ -425,6 +432,7 @@ func (c *BlockLRU) evictTo(sh *cacheShard, limit int64) {
 		sh.unlink(lru)
 		delete(sh.entries, lru.key)
 		sh.bytes -= lru.cost
+		sh.forms -= lru.pcost
 		c.bytes.Add(-lru.cost)
 		c.entries.Add(-1)
 		evicted++

@@ -2,6 +2,7 @@ package zukowski
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -141,5 +142,100 @@ func TestResidentGetKeepsNoMemo(t *testing.T) {
 		if c.budget == 1<<30 && (st.Entries != 64 || parsed != 64) {
 			t.Fatalf("%s: %d frames and %d parsed forms resident, want all 64", c.name, st.Entries, parsed)
 		}
+	}
+}
+
+// TestBlockLRUShedsFormsBeforeFrames: parsed forms give their room back
+// before a frame is declined or evicted. A shard warmed with forms admits
+// the frames that fill it by dropping forms, without evicting, and under a
+// random mix of hits, misses and attaches its frames, evictions and
+// declines stay those of a twin cache that never keeps a form.
+func TestBlockLRUShedsFormsBeforeFrames(t *testing.T) {
+	const form = 300
+	entry := int64(1000) + cacheEntryOverhead
+	withForms, framesOnly := NewBlockLRU(cacheShards*8*entry), NewBlockLRU(cacheShards*8*entry) // eight frames a shard
+	sh := &withForms.shards[0]
+	var keys []int
+	for b := 0; len(keys) < 24; b++ {
+		if withForms.shardOf(hashKey(cacheKey{col: 1, block: b})) == sh {
+			keys = append(keys, b)
+		}
+	}
+	// Frames of 100 to 1,900 bytes leave slack in a full shard for forms.
+	frame := func(b int) []byte { return make([]byte, 100+b*337%1801) }
+	// access is one scan's lookup of key b on both caches: a miss fills,
+	// a hit without a form attaches one where the shard has room for it.
+	attached, shed := 0, 0
+	access := func(b int) {
+		framesOnly.lookup(1, b)
+		buf, parsed, room := withForms.lookup(1, b)
+		switch {
+		case buf == nil:
+			forms := sh.forms
+			withForms.Put(1, b, frame(b))
+			framesOnly.Put(1, b, frame(b))
+			if sh.forms < forms {
+				shed++
+			}
+		case parsed == nil && room >= form:
+			if withForms.attach(1, b, buf, b, form) == nil {
+				t.Fatalf("block %d: attach with %d bytes of room declined", b, room)
+			}
+			attached++
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		a, b := withForms.Stats(), framesOnly.Stats()
+		if a.Entries != b.Entries || a.Puts != b.Puts || a.Evictions != b.Evictions || a.Declined != b.Declined {
+			t.Fatalf("%s: with forms %d frames, %d puts, %d evictions, %d declined; without %d, %d, %d, %d",
+				when, a.Entries, a.Puts, a.Evictions, a.Declined, b.Entries, b.Puts, b.Evictions, b.Declined)
+		}
+		for _, k := range keys {
+			if (withForms.peek(1, k) == nil) != (framesOnly.peek(1, k) == nil) {
+				t.Fatalf("%s: block %d resident in one cache only", when, k)
+			}
+		}
+		if a.Bytes > a.Capacity || a.Bytes != b.Bytes+sh.forms {
+			t.Fatalf("%s: %d bytes with forms, %d without, %d in forms, capacity %d", when, a.Bytes, b.Bytes, sh.forms, a.Capacity)
+		}
+	}
+
+	var warm []int // frames filling half the shard: a miss, then a hit that attaches
+	for used, i := int64(0), 0; used+int64(len(frame(keys[i])))+cacheEntryOverhead <= 4*entry; i++ {
+		used += int64(len(frame(keys[i]))) + cacheEntryOverhead
+		warm = append(warm, keys[i])
+		access(keys[i])
+		access(keys[i])
+	}
+	if sh.forms != int64(len(warm))*form {
+		t.Fatalf("warm shard keeps %d bytes of forms, want %d", sh.forms, len(warm)*form)
+	}
+	// Fill the shard with the frames that still fit beside the warm ones.
+	for _, b := range keys[len(warm):] {
+		if framesOnly.shards[0].bytes+int64(len(frame(b)))+cacheEntryOverhead > framesOnly.shardMax {
+			continue
+		}
+		access(b)
+		check(fmt.Sprintf("filling, block %d", b))
+	}
+	if st := withForms.Stats(); st.Evictions != 0 || st.Declined != 0 || shed == 0 {
+		t.Fatalf("filling the shard: %d evictions, %d declines, %d Puts shed forms; want forms shed, no frame lost",
+			st.Evictions, st.Declined, shed)
+	}
+
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 4000; i++ {
+		access(keys[min(rng.Intn(len(keys)), rng.Intn(len(keys)))]) // skewed to the first keys
+		check(fmt.Sprintf("access %d", i))
+	}
+	if st := withForms.Stats(); st.Evictions == 0 || st.Declined == 0 || attached < 50 || shed < 50 {
+		t.Fatalf("%d evictions, %d declines, %d forms attached, %d Puts shed forms: the mix did not exercise the rule",
+			st.Evictions, st.Declined, attached, shed)
+	}
+	t.Logf("%d evictions, %d declines, %d forms attached, %d Puts shed forms", withForms.Stats().Evictions, withForms.Stats().Declined, attached, shed)
+	EvictAll(withForms)
+	if st := withForms.Stats(); st.Bytes != 0 || st.Entries != 0 || sh.forms != 0 {
+		t.Fatalf("evicting everything left %d bytes, %d frames, %d bytes of forms", st.Bytes, st.Entries, sh.forms)
 	}
 }

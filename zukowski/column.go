@@ -632,13 +632,13 @@ func (cr *ColumnReader[T]) Ratio() float64 {
 }
 
 // attachedCache pairs a BlockCache with the column id this reader keys
-// it under; the pair swaps atomically so attachment is race-free. p is the
-// cache's peek and r its store of parsed forms, when it has them.
+// it under; the pair swaps atomically so attachment is race-free. r is the
+// cache when it is a BlockLRU, which can peek and keeps parsed forms
+// beside its frames; nil for any other BlockCache.
 type attachedCache struct {
 	c  BlockCache
 	id uint64
-	p  peeker
-	r  residentCache
+	r  *BlockLRU
 }
 
 // fetched is a frame as a fetch hands it over: the bytes and, when they
@@ -663,7 +663,7 @@ func (ac *attachedCache) get(b int) (f fetched) {
 // resident reports whether block b is known to be cached; a read-ahead
 // stops there. A cache that cannot peek never says so.
 func (ac *attachedCache) resident(b int) bool {
-	return ac.p != nil && ac.p.peek(ac.id, b) != nil
+	return ac.r != nil && ac.r.peek(ac.id, b) != nil
 }
 
 // keep offers block b's verified frame, which lives in a buffer the
@@ -671,8 +671,8 @@ func (ac *attachedCache) resident(b int) bool {
 // kept, or a copy of its own when the cache declined or cannot peek.
 func (ac *attachedCache) keep(b int, frame []byte) []byte {
 	ac.c.Put(ac.id, b, frame)
-	if ac.p != nil {
-		if kept := ac.p.peek(ac.id, b); kept != nil {
+	if ac.r != nil {
+		if kept := ac.r.peek(ac.id, b); kept != nil {
 			return kept
 		}
 	}
@@ -697,9 +697,8 @@ func (cr *ColumnReader[T]) SetBlockCache(c BlockCache) {
 	if cr.src.stable() {
 		return
 	}
-	p, _ := c.(peeker)
-	r, _ := c.(residentCache)
-	cr.cache.Store(&attachedCache{c: c, id: blockCacheIDs.Add(1), p: p, r: r})
+	r, _ := c.(*BlockLRU)
+	cr.cache.Store(&attachedCache{c: c, id: blockCacheIDs.Add(1), r: r})
 }
 
 // checkCRC verifies buf against block b's stored payload CRC32-C.
@@ -781,8 +780,8 @@ func (cr *ColumnReader[T]) fetchFrame(b int) (f fetched, err error) {
 func (cr *ColumnReader[T]) frameLocked(b int, counted bool) ([]byte, error) {
 	if ac := cr.cache.Load(); ac != nil {
 		var buf []byte
-		if counted && ac.p != nil {
-			buf = ac.p.peek(ac.id, b)
+		if counted && ac.r != nil {
+			buf = ac.r.peek(ac.id, b)
 		} else {
 			buf = ac.c.Get(ac.id, b)
 		}

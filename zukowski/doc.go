@@ -62,7 +62,8 @@
 // Put copies what the cache keeps, and corrupt blocks are never
 // admitted. A BlockLRU also keeps each resident frame's parsed form, once
 // a scan has parsed it there and the shard has room to spare for it,
-// charged to the same budget: a hot block is parsed once per residency,
+// charged to the same budget and dropped before any frame is declined or
+// evicted: a hot block is parsed once per residency,
 // not once per query, with an index of where its exceptions sit so the
 // kernels need not hop its patch lists, and every scan shares it
 // read-only; with a BlockLRU attached, Get reads that form and keeps no
