@@ -123,6 +123,16 @@ func TestFsckExitContract(t *testing.T) {
 		}
 	}
 
+	// Every checksum valid, but column v's block 1 is a PDICT frame whose
+	// dictionary is in frequency order, as writers laid it out before
+	// dictionaries were stored ascending, and which every read refuses:
+	// the table zktable's TestFsckRefusesFrequencyOrderedDictionary builds.
+	for _, verifyOnly := range []bool{false, true} {
+		if err := fsck(filepath.Join("testdata", "pdict_freq_table"), verifyOnly); err == nil {
+			t.Fatalf("verify=%v: frequency-ordered dictionary went unreported", verifyOnly)
+		}
+	}
+
 	// A non-table directory is an error, not a zero exit.
 	if err := fsck(t.TempDir(), true); err == nil {
 		t.Fatal("non-table directory went unreported")

@@ -79,32 +79,12 @@ func (e *Encoder[T]) finish(blk *Block[T], miss []int32, excSrc []T) {
 // walks the linked exception list (gaps read from the unpacked raw codes)
 // and overwrites the bogus decoded values with the stored exceptions.
 // Iterating the list is a data hazard, not a control hazard — the loop body
-// is branch-free. An indexed block (ExcOff) stores each exception where
-// its offset says, with no hazard at all.
+// is branch-free; an indexed block has no hazard at all.
 func patchGroups[T Integer](blk *Block[T], raw []uint32, dst []T) {
-	indexed := blk.indexed()
-	for g := 0; g < len(blk.Entries); g++ {
-		es, ee := blk.groupExc(g)
-		if es == ee {
-			continue
-		}
-		if indexed {
-			patchIndexed(blk, es, ee, dst[g*GroupSize:])
-			continue
-		}
-		pos := g*GroupSize + blk.patchStart(g)
-		for k := es; k < ee; k++ {
-			dst[pos] = blk.Exc[k]
-			pos += int(raw[pos]) + 1
-		}
-	}
-}
-
-// patchIndexed stores exceptions es..ee of an indexed block into dst, a
-// group's values, at their in-group offsets.
-func patchIndexed[T Integer](blk *Block[T], es, ee int, dst []T) {
-	for k, o := range blk.ExcOff[es:ee] {
-		dst[o] = blk.Exc[es+k]
+	var buf [GroupSize]uint8
+	for g := range blk.Entries {
+		gStart := g * GroupSize
+		blk.exceptions(g, GroupSize-1, raw[gStart:], &buf, dst[gStart:])
 	}
 }
 

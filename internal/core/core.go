@@ -103,14 +103,12 @@ type Block[T Integer] struct {
 	// 1<<B entries so that LOOP1 can index it with any b-bit code — the
 	// bogus codes at exception slots (patch-list gaps) then read garbage
 	// instead of faulting, and LOOP2 overwrites the result.
+	//
+	// Dict[:DictLen] is in ascending (non-decreasing) order, so a value
+	// range is one code range, found by binary search: the compressor sorts
+	// the dictionary it is given and the segment parser refuses any other.
 	Dict    []T
 	DictLen int // number of meaningful dictionary entries
-	// DictAscending says that Dict[:DictLen] is in non-decreasing order, so
-	// a value range is one code range found by binary search. The parser
-	// and the compressor note it while copying the dictionary; false is
-	// always safe. Dictionaries written since PR 14 are ascending, older
-	// frames hold theirs by falling frequency.
-	DictAscending bool
 
 	// Codes is the bit-packed code section: N codes of B bits each. It is
 	// the one section that may alias memory the block does not own; treat
@@ -133,43 +131,96 @@ type Block[T Integer] struct {
 	// group, so fine-grained access decodes at most one group.
 	Totals []T
 	// ExcOff, once IndexExceptions has built it, holds each exception's
-	// offset within its group, in Exc order: the patch kernels then read
-	// where a group's exceptions are instead of hopping its patch list one
-	// code extraction at a time. nil means not indexed, and the kernels
-	// walk; a parse leaves it nil.
+	// offset within its group, in Exc order, so the patch kernels find a
+	// group's exceptions without walking its patch list. Only a block a
+	// cache keeps resident is indexed; a parse leaves ExcOff nil.
 	ExcOff []uint8
 }
 
 // IndexExceptions records every exception's in-group offset in ExcOff,
-// with one walk of each group's patch list, and reports whether it did.
-// A list that leaves its group (only a crafted frame holds one) leaves
-// ExcOff nil, so the kernels walk that block as they would have. Indexing
-// costs a walk and a byte per exception, which pays only on a block that
-// is scanned again and again; the block must not change afterwards.
-func (b *Block[T]) IndexExceptions() bool {
+// walking each group's patch list once. Indexing costs that walk and a
+// byte per exception, which pays only on a block that is scanned again
+// and again; the block must not change afterwards. Like every reader of a
+// patch list, it panics on a list that leaves its group.
+func (b *Block[T]) IndexExceptions() {
 	b.ExcOff = nil
 	off := make([]uint8, len(b.Exc))
+	var buf [GroupSize]uint8
 	for g := range b.Entries {
-		es, ee := b.groupExc(g)
-		if es == ee {
-			continue
-		}
-		gStart, gEnd := groupBounds(b, g)
-		pos := uint64(b.patchStart(g))
-		for k := es; k < ee; k++ {
-			if pos >= uint64(gEnd-gStart) {
-				return false
-			}
-			off[k] = uint8(pos)
-			pos += uint64(bitpack.CodeAt(b.Codes, gStart+int(pos), b.B)) + 1
-		}
+		es, _ := b.groupExc(g)
+		offs, _ := b.exceptions(g, GroupSize-1, nil, &buf, nil)
+		copy(off[es:], offs)
 	}
 	b.ExcOff = off
-	return true
 }
 
-// indexed reports whether ExcOff locates every exception.
-func (b *Block[T]) indexed() bool { return b.ExcOff != nil && len(b.ExcOff) == len(b.Exc) }
+// exceptions returns the in-group offsets of group g's exceptions and
+// their values, in list order: all of them on an indexed block, otherwise
+// those at or before limit, the last in-group position the caller needs.
+// Those are found by one walk of the group's patch list into buf (LOOP2's
+// hops, no more), which reads each gap from raw, the group's unpacked
+// codes, when the caller has them and from the packed codes otherwise. A
+// hop that leaves the group panics: only a corrupt frame links one.
+//
+// Given patch, the group's values as LOOP1 decoded them, exceptions also
+// stores every exception at its offset there: LOOP2 itself, done in the
+// walk that finds the offsets, so a decode pays one pass over a group's
+// exceptions as the fused loop of the paper does, not two.
+func (b *Block[T]) exceptions(g, limit int, raw []uint32, buf *[GroupSize]uint8, patch []T) ([]uint8, []T) {
+	es, ee := b.groupExc(g)
+	if es == ee {
+		return nil, nil
+	}
+	exc := b.Exc[es:ee]
+	if b.ExcOff != nil {
+		offs := b.ExcOff[es:ee]
+		if patch != nil {
+			for k, o := range offs {
+				patch[o] = exc[k]
+			}
+		}
+		return offs, exc
+	}
+	gStart, gEnd := groupBounds(b, g)
+	n := gEnd - gStart
+	lim := uint64(min(limit, n-1))
+	// A group holds at most GroupSize exceptions; a crafted list claiming
+	// more runs out of positions and panics below.
+	out := buf[:min(len(exc), GroupSize)]
+	pos := uint64(b.patchStart(g))
+	k := 0
+	if raw != nil {
+		raw = raw[:n]
+		for ; k < len(out) && pos <= lim; k++ {
+			out[k] = uint8(pos)
+			if patch != nil {
+				patch[pos] = exc[k]
+			}
+			pos += uint64(raw[pos]) + 1
+		}
+	} else {
+		k, pos = walkPacked(b.Codes, b.B, gStart, pos, lim, out)
+	}
+	if k < len(exc) && pos >= uint64(n) {
+		panic(fmt.Sprintf("core: corrupt segment: group %d's patch list leaves the group", g))
+	}
+	return out[:k], exc[:k]
+}
+
+// walkPacked is exceptions' walk over packed codes: from in-group position
+// pos of the group starting at code at, it records positions into out
+// until out is full or a position passes lim, and returns how many it
+// recorded and the position it stopped at. It does not depend on the
+// element type, so it is compiled once, in this package, with the code
+// extraction inlined, whichever package instantiates the generic kernels.
+func walkPacked(codes []uint32, width uint, at int, pos, lim uint64, out []uint8) (int, uint64) {
+	k := 0
+	for ; k < len(out) && pos <= lim; k++ {
+		out[k] = uint8(pos)
+		pos += uint64(bitpack.CodeAt(codes, at+int(pos), width)) + 1
+	}
+	return k, pos
+}
 
 // OwnCodes makes Codes an n-word buffer the block owns, recycled from its
 // previous OwnCodes call, and returns it for the caller to fill. What

@@ -12,6 +12,9 @@ import (
 // goroutine.
 type Decoder[T Integer] struct {
 	raw []uint32
+	// offs holds one group's exception offsets as Block.exceptions walks
+	// them, for the kernels that patch group by group.
+	offs [GroupSize]uint8
 	// sel holds the compressed-domain selection scratch (select.go),
 	// allocated on the first mask, refine, union or gather call.
 	sel *selScratch[T]
@@ -77,38 +80,19 @@ func (d *Decoder[T]) decompressGroup(blk *Block[T], g int, raw []uint32, dst []T
 		for i, c := range raw[:n] {
 			out[i] = base + T(c)
 		}
-		patchOneGroup(blk, g, raw, dst)
 	case SchemePDict:
 		dict := blk.Dict
 		out := dst[:n]
 		for i, c := range raw[:n] {
 			out[i] = dict[c]
 		}
-		patchOneGroup(blk, g, raw, dst)
 	case SchemePFORDelta:
-		decompressPFORDeltaGroup(blk, g, raw, dst)
+		return d.decompressPFORDeltaGroup(blk, g, raw, dst)
 	default:
 		panic("core: cannot decompress scheme " + blk.Scheme.String())
 	}
+	blk.exceptions(g, GroupSize-1, raw, &d.offs, dst) // LOOP2
 	return n
-}
-
-// patchOneGroup applies LOOP2 for a single group with group-relative raw
-// codes.
-func patchOneGroup[T Integer](blk *Block[T], g int, raw []uint32, dst []T) {
-	es, ee := blk.groupExc(g)
-	if es == ee {
-		return
-	}
-	if blk.indexed() {
-		patchIndexed(blk, es, ee, dst)
-		return
-	}
-	pos := blk.patchStart(g)
-	for k := es; k < ee; k++ {
-		dst[pos] = blk.Exc[k]
-		pos += int(raw[pos]) + 1
-	}
 }
 
 // unpackGroup unpacks the n codes of group g into raw (group-relative).
@@ -121,8 +105,9 @@ func unpackGroup[T Integer](blk *Block[T], g, n int, raw []uint32) {
 
 // Get returns the single value at position x without decompressing the
 // block: the finegrained_decompress routine of Section 3.1. For PFOR and
-// PDICT it walks at most one group's patch list (≈ E'*128/2 iterations on
-// average); for PFOR-DELTA it decodes the enclosing 128-value group.
+// PDICT it walks at most one group's patch list, and only up to x (≈
+// E'*128/2 hops on average); for PFOR-DELTA it decodes the enclosing
+// 128-value group.
 func (d *Decoder[T]) Get(blk *Block[T], x int) T {
 	if x < 0 || x >= blk.N {
 		panic(fmt.Sprintf("core: index %d out of range [0,%d)", x, blk.N))
@@ -136,28 +121,17 @@ func (d *Decoder[T]) Get(blk *Block[T], x int) T {
 		gEnd := min(gStart+GroupSize, blk.N)
 		unpackGroup(blk, g, gEnd-gStart, raw)
 		var vbuf [GroupSize]T
-		decompressPFORDeltaGroup(blk, g, raw[:gEnd-gStart], vbuf[:])
+		d.decompressPFORDeltaGroup(blk, g, raw[:gEnd-gStart], vbuf[:])
 		return vbuf[off]
 	}
 
-	es, ee := blk.groupExc(g)
-	if es != ee && blk.indexed() {
-		for k, o := range blk.ExcOff[es:ee] {
-			if int(o) >= off {
-				if int(o) == off {
-					return blk.Exc[es+k]
-				}
-				break
+	offs, exc := blk.exceptions(g, off, nil, &d.offs, nil)
+	for k, o := range offs {
+		if int(o) >= off {
+			if int(o) == off {
+				return exc[k]
 			}
-		}
-	} else if es != ee {
-		// Walk the linked exception list until we pass position off.
-		p := blk.patchStart(g)
-		for k := es; k < ee && p <= off; k++ {
-			if p == off {
-				return blk.Exc[k]
-			}
-			p += int(d.codeAt(blk, g*GroupSize+p)) + 1
+			break
 		}
 	}
 	c := d.codeAt(blk, x)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -263,9 +265,9 @@ func TestExceptionIndex(t *testing.T) {
 }
 
 // TestExceptionIndexRefusesEscapingList: a patch list whose hop leaves
-// its group — a gap code only a crafted frame holds — is not indexed, and
-// the kernels keep walking it as they did: the hop lands the second
-// exception in the next group.
+// its group — a gap code only a crafted frame holds — is refused by every
+// reader of the list with a corrupt-segment panic: the index is not built,
+// and no kernel patches a row outside the group.
 func TestExceptionIndexRefusesEscapingList(t *testing.T) {
 	src := make([]int64, 300)
 	for i := range src {
@@ -277,11 +279,29 @@ func TestExceptionIndexRefusesEscapingList(t *testing.T) {
 	unpackAll(blk, raw)
 	raw[10] = 200 // re-point the first exception's gap past its group
 	bitpack.Pack(blk.Codes, raw, blk.B)
-	if blk.IndexExceptions() || blk.ExcOff != nil {
-		t.Fatalf("a list leaving its group was indexed: %v", blk.ExcOff)
+	var d Decoder[int64]
+	sparse := new(SelectionVector)
+	sparse.size(blk.N)
+	sparse.words[0] = 1<<10 | 1<<25
+	for name, read := range map[string]func(){
+		"IndexExceptions":    func() { blk.IndexExceptions() },
+		"Decompress":         func() { Decompress(blk, make([]int64, blk.N)) },
+		"DecompressRange":    func() { d.DecompressRange(blk, make([]int64, blk.N), 0, GroupSize) },
+		"Get":                func() { d.Get(blk, 25) },
+		"DecompressMask":     func() { d.DecompressMask(blk, 0, 10, new(SelectionVector)) },
+		"RefineMask":         func() { d.RefineMask(blk, 0, 10, sparse) },
+		"DecompressSelected": func() { d.DecompressSelected(blk, sparse, nil) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "corrupt segment") {
+					t.Errorf("%s: recovered %v, want a corrupt-segment panic", name, r)
+				}
+			}()
+			read()
+		}()
 	}
-	got := Decompress(blk, make([]int64, blk.N))
-	if got[10] != 1<<40 || got[211] != 1<<41 {
-		t.Fatalf("walked patch: rows 10, 211 = %d, %d; want %d, %d", got[10], got[211], int64(1<<40), int64(1<<41))
+	if blk.ExcOff != nil {
+		t.Fatalf("a list leaving its group was indexed: %v", blk.ExcOff)
 	}
 }

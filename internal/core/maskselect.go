@@ -20,10 +20,10 @@ import (
 
 // DecompressMask evaluates the inclusive range [lo, hi] over blk and fills
 // sv with the block-level match bitmap: bit i set iff value i lies in the
-// range. No value is materialized — PFOR and contiguous PDICT predicates
-// run entirely in the packed code domain, non-contiguous PDICT tests codes
-// against a per-block bitmap, PFOR-DELTA falls back to a fused per-group
-// decode+compare — and exception slots are judged on their true values.
+// range. No value is materialized — PFOR and PDICT predicates run
+// entirely in the packed code domain, PFOR-DELTA falls back to a fused
+// per-group decode+compare — and exception slots are judged on their true
+// values.
 // An inverted range (lo > hi) selects nothing.
 func (d *Decoder[T]) DecompressMask(blk *Block[T], lo, hi T, sv *SelectionVector) {
 	sv.size(blk.N)
@@ -45,17 +45,9 @@ func (d *Decoder[T]) DecompressMask(blk *Block[T], lo, hi T, sv *SelectionVector
 // destination needs no clearing, and tail bits beyond blk.N stay zero.
 func (d *Decoder[T]) buildMask(blk *Block[T], lo, hi T, mask []uint32, s *selScratch[T]) {
 	switch blk.Scheme {
-	case SchemePFOR:
-		clo, span, ok := pforCodeRange(blk.Base, blk.B, lo, hi)
+	case SchemePFOR, SchemePDict:
+		clo, span, ok := codeRange(blk, lo, hi)
 		d.blockMasks(blk, clo, span, ok, mask)
-		maskFixExceptions(blk, lo, hi, mask)
-	case SchemePDict:
-		clo, span, ok, contiguous := d.pdictCodeMatch(blk, lo, hi, s)
-		if contiguous {
-			d.blockMasks(blk, clo, span, ok, mask)
-		} else {
-			d.bitmapMasks(blk, mask, s)
-		}
 		maskFixExceptions(blk, lo, hi, mask)
 	case SchemePFORDelta:
 		d.maskPFORDelta(blk, lo, hi, mask, s)
@@ -88,31 +80,17 @@ func (d *Decoder[T]) UnionMask(blk *Block[T], lo, hi T, sv *SelectionVector) {
 // maskFixExceptions resolves exception slots of a freshly built mask: the
 // bogus patch-list gap codes produced whatever bits the kernels computed,
 // so each exception slot is overwritten with the verdict on its true
-// value as the walk of its group's patch list reaches it — or, on an
-// indexed block, at the slot its offset names.
+// value.
 func maskFixExceptions[T Integer](blk *Block[T], lo, hi T, mask []uint32) {
-	numGroups := blk.NumGroups()
-	indexed := blk.indexed()
-	for g := 0; g < numGroups; g++ {
-		es, ee := blk.groupExc(g)
-		if es == ee {
-			continue
-		}
-		if indexed {
-			gStart := g * GroupSize
-			for k, o := range blk.ExcOff[es:ee] {
-				pos := gStart + int(o)
-				v := blk.Exc[es+k]
-				sh := uint(pos) & 31
-				mask[pos>>5] = mask[pos>>5]&^(1<<sh) | uint32(b2i(v >= lo && v <= hi))<<sh
-			}
-			continue
-		}
-		pos := g*GroupSize + blk.patchStart(g)
-		for k := es; k < ee; k++ {
+	var buf [GroupSize]uint8
+	for g := range blk.Entries {
+		gStart := g * GroupSize
+		offs, exc := blk.exceptions(g, GroupSize-1, nil, &buf, nil)
+		for k, o := range offs {
+			pos := gStart + int(o)
+			v := exc[k]
 			sh := uint(pos) & 31
-			mask[pos>>5] = mask[pos>>5]&^(1<<sh) | uint32(b2i(blk.Exc[k] >= lo && blk.Exc[k] <= hi))<<sh
-			pos += int(bitpack.CodeAt(blk.Codes, pos, blk.B)) + 1
+			mask[pos>>5] = mask[pos>>5]&^(1<<sh) | uint32(b2i(v >= lo && v <= hi))<<sh
 		}
 	}
 }
@@ -158,12 +136,9 @@ func (d *Decoder[T]) RefineMask(blk *Block[T], lo, hi T, sv *SelectionVector) {
 	}
 	s := d.selectScratch()
 	switch blk.Scheme {
-	case SchemePFOR:
-		clo, span, ok := pforCodeRange(blk.Base, blk.B, lo, hi)
-		d.refineCoded(blk, lo, hi, clo, span, ok, true, sv.words, s)
-	case SchemePDict:
-		clo, span, ok, contiguous := d.pdictCodeMatch(blk, lo, hi, s)
-		d.refineCoded(blk, lo, hi, clo, span, ok, contiguous, sv.words, s)
+	case SchemePFOR, SchemePDict:
+		clo, span, ok := codeRange(blk, lo, hi)
+		d.refineCoded(blk, lo, hi, clo, span, ok, sv.words, s)
 	case SchemePFORDelta:
 		d.refinePFORDelta(blk, lo, hi, sv.words, s)
 	default:
@@ -173,88 +148,46 @@ func (d *Decoder[T]) RefineMask(blk *Block[T], lo, hi T, sv *SelectionVector) {
 
 // refineCoded is the PFOR / PDICT refinement. It first captures which
 // still-selected exception slots truly match (their codes are bogus
-// patch-list gaps, so the kernels must not judge them), following each
-// group's patch list — or, on an indexed block, its offsets — only up to
-// the group's last selected row: refining never sets a bit, so slots
-// past it stay clear. Then the branch-free
-// refine kernels run over the packed codes — a contiguous code range in
-// one refmask32 call for the whole block, whose per-call set-up is paid
-// once and which skips every 32-row word already empty; a non-contiguous
-// PDICT predicate group by group against the per-code bitmap — and
-// finally the exception slots are overwritten with the captured verdicts.
-func (d *Decoder[T]) refineCoded(blk *Block[T], lo, hi T, clo, span uint32, codable, contiguous bool, mask []uint32, s *selScratch[T]) {
+// patch-list gaps, so the kernels must not judge them), reading each
+// group's exceptions only up to the group's last selected row: refining
+// never sets a bit, so slots past it stay clear. Then the branch-free
+// refine kernel runs over the packed codes of the whole block in one
+// refmask32 call, whose per-call set-up is paid once and which skips every
+// 32-row word already empty, and finally the exception slots are
+// overwritten with the captured verdicts.
+func (d *Decoder[T]) refineCoded(blk *Block[T], lo, hi T, clo, span uint32, codable bool, mask []uint32, s *selScratch[T]) {
 	// fix lists the selected exception slots as pos<<1 | verdict.
 	if cap(s.fix) < blk.N {
 		s.fix = make([]int32, 0, blk.N)
 	}
 	fix := s.fix[:0]
-	numGroups := blk.NumGroups()
-	indexed := blk.indexed()
-	for g := 0; g < numGroups; g++ {
-		es, ee := blk.groupExc(g)
-		if es == ee {
+	var buf [GroupSize]uint8
+	for g := range blk.Entries {
+		if es, ee := blk.groupExc(g); es == ee {
 			continue
 		}
 		gStart, gEnd := groupBounds(blk, g)
 		last := lastLive(mask, gStart>>5, (gEnd+31)>>5)
-		if indexed {
-			for k, o := range blk.ExcOff[es:ee] {
-				pos := gStart + int(o)
-				if pos > last {
-					break
-				}
-				if mask[pos>>5]&(1<<(uint(pos)&31)) != 0 {
-					v := blk.Exc[es+k]
-					fix = append(fix, int32(pos<<1|b2i(v >= lo && v <= hi)))
-				}
-			}
+		if last < 0 {
 			continue
 		}
-		pos := gStart + blk.patchStart(g)
-		for k := es; k < ee && pos <= last; k++ {
+		offs, exc := blk.exceptions(g, last-gStart, nil, &buf, nil)
+		for k, o := range offs {
+			pos := gStart + int(o)
 			if mask[pos>>5]&(1<<(uint(pos)&31)) != 0 {
-				fix = append(fix, int32(pos<<1|b2i(blk.Exc[k] >= lo && blk.Exc[k] <= hi)))
+				v := exc[k]
+				fix = append(fix, int32(pos<<1|b2i(v >= lo && v <= hi)))
 			}
-			pos += int(bitpack.CodeAt(blk.Codes, pos, blk.B)) + 1
 		}
 	}
-	switch {
-	case !codable:
-		clear(mask)
-	case contiguous:
+	if codable {
 		full := blk.N / 32
 		bitpack.RefineMask(mask[:full], blk.Codes, blk.B, clo, span)
 		if tail := blk.N % 32; tail > 0 {
 			mask[full] = bitpack.RefineMaskTail(blk.Codes[full*int(blk.B):], tail, blk.B, clo, span, mask[full])
 		}
-	default:
-		// Non-contiguous PDICT: unpack each group with survivors once and
-		// test each still-live word's codes against the per-code bitmap.
-		raw := d.scratch(GroupSize)
-		bm := s.bm
-		for g := 0; g < numGroups; g++ {
-			gStart, gEnd := groupBounds(blk, g)
-			n := gEnd - gStart
-			w0 := gStart >> 5
-			if allZero(mask[w0 : (gEnd+31)>>5]) {
-				continue
-			}
-			unpackGroup(blk, g, n, raw)
-			for i := 0; i < n; i += 32 {
-				w := w0 + i>>5
-				m := mask[w]
-				if m == 0 {
-					continue
-				}
-				var match uint32
-				lim := min(32, n-i)
-				for j := 0; j < lim; j++ {
-					c := raw[i+j]
-					match |= uint32(bm[c>>6]>>(c&63)&1) << j
-				}
-				mask[w] = m & match
-			}
-		}
+	} else {
+		clear(mask)
 	}
 	for _, f := range fix {
 		pos := f >> 1
@@ -273,7 +206,7 @@ func (d *Decoder[T]) maskPFORDelta(blk *Block[T], lo, hi T, mask []uint32, s *se
 		gStart, gEnd := groupBounds(blk, g)
 		n := gEnd - gStart
 		unpackGroup(blk, g, n, raw)
-		decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
+		d.decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
 		w0 := gStart >> 5
 		for i := 0; i < n; i += 32 {
 			var m uint32
@@ -301,7 +234,7 @@ func (d *Decoder[T]) refinePFORDelta(blk *Block[T], lo, hi T, mask []uint32, s *
 			continue
 		}
 		unpackGroup(blk, g, n, raw)
-		decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
+		d.decompressPFORDeltaGroup(blk, g, raw, s.vbuf[:n])
 		for i := 0; i < n; i += 32 {
 			w := w0 + i>>5
 			m := mask[w]
@@ -323,9 +256,10 @@ func (d *Decoder[T]) refinePFORDelta(blk *Block[T], lo, hi T, mask []uint32, s *
 // or above which the group is materialized by decoding it whole — unpack,
 // LOOP1, LOOP2, the paper's branch-free two-loop decompression — and
 // compacting the decoded values through the bitmap; below it each selected
-// row is extracted on its own (CodeAt plus the patch walk up to it, the
-// paper's fine-grained access). Both paths return the same values, so the
-// choice is made per group from the bitmap's popcount alone.
+// row is extracted on its own (CodeAt plus the group's exceptions up to
+// it, the paper's fine-grained access). Both paths return the same
+// values, so the choice is made per group from the bitmap's popcount
+// alone.
 //
 // The value is the crossover of BenchmarkGatherCrossover: ns per group on
 // the benchmark's column shapes (experiments.SynthBenchColumns), every
@@ -394,9 +328,8 @@ func (d *Decoder[T]) gatherSelected(blk *Block[T], sv *SelectionVector, vals []T
 	dict := blk.Dict
 	b := blk.B
 	codes := blk.Codes
-	indexed := blk.indexed()
-	numGroups := blk.NumGroups()
-	for g := 0; g < numGroups; g++ {
+	var buf [GroupSize]uint8
+	for g := range blk.Entries {
 		gStart, gEnd := groupBounds(blk, g)
 		w0 := gStart >> 5
 		w1 := (gEnd + 31) >> 5
@@ -409,59 +342,23 @@ func (d *Decoder[T]) gatherSelected(blk *Block[T], sv *SelectionVector, vals []T
 			k = compactSelected(vals, k, s.vbuf[:], mask[w0:w1])
 			continue
 		}
-		es, ee := blk.groupExc(g)
-		if es == ee || (indexed && live >= rankPatchMin) {
-			kg := k
-			for w := w0; w < w1; w++ {
-				vb := w << 5
-				for m := mask[w]; m != 0; m &= m - 1 {
-					p := vb + bits.TrailingZeros32(m)
-					c := bitpack.CodeAt(codes, p, b)
-					if pdict {
-						vals[k] = dict[c]
-					} else {
-						vals[k] = base + T(c)
-					}
-					k++
-				}
-			}
-			if es == ee {
-				continue
-			}
-			// On an indexed block the exception rows were read through their
-			// bogus gap codes too; each selected one now gets its true value,
-			// stored at its rank among the group's selected rows and read at
-			// its rank among the group's exceptions.
-			xm := excWords(blk.ExcOff[es:ee])
-			r, x := kg, es // selected rows and exceptions before word i
-			for i, m := range mask[w0:w1] {
-				for sel := m & xm[i]; sel != 0; sel &= sel - 1 {
-					below := sel&-sel - 1
-					vals[r+bits.OnesCount32(m&below)] = blk.Exc[x+bits.OnesCount32(xm[i]&below)]
-				}
-				r += bits.OnesCount32(m)
-				x += bits.OnesCount32(xm[i])
-			}
-			continue
-		}
 		// Exception slots hold bogus gap codes; a selected exception row
-		// reads its true value from the exception section. The merge follows
-		// the group's patch list alongside the ordered set bits, one hop at
-		// a time and no further than the last selected row. An indexed block
-		// walks too when its group has fewer than rankPatchMin selected rows.
-		xp, xk := gStart+blk.patchStart(g), es
+		// reads its true value from the exception section. The merge runs
+		// the group's exception offsets, up to its last selected row,
+		// alongside the ordered set bits.
+		offs, exc := blk.exceptions(g, lastLive(mask, w0, w1)-gStart, nil, &buf, nil)
+		x := 0
 		for w := w0; w < w1; w++ {
-			vb := w << 5
+			vb := w<<5 - gStart
 			for m := mask[w]; m != 0; m &= m - 1 {
 				p := vb + bits.TrailingZeros32(m)
-				for xk < ee && xp < p {
-					xp += int(bitpack.CodeAt(codes, xp, b)) + 1
-					xk++
+				for x < len(offs) && int(offs[x]) < p {
+					x++
 				}
-				if xk < ee && xp == p {
-					vals[k] = blk.Exc[xk]
+				if x < len(offs) && int(offs[x]) == p {
+					vals[k] = exc[x]
 				} else {
-					c := bitpack.CodeAt(codes, p, b)
+					c := bitpack.CodeAt(codes, gStart+p, b)
 					if pdict {
 						vals[k] = dict[c]
 					} else {
@@ -473,37 +370,6 @@ func (d *Decoder[T]) gatherSelected(blk *Block[T], sv *SelectionVector, vals []T
 		}
 	}
 	return vals[:k]
-}
-
-// rankPatchMin is the number of selected rows in a group of an indexed
-// block at or above which the sparse gathers read every selected row
-// through its code and then overwrite the selected exception rows, found
-// by rank from the group's exception bitmap; below it they walk the patch
-// list, as on a block without an index. Measured with DecompressSelected
-// on 4,096-value PFOR blocks (ns per block, medians of three, a throttled
-// 2-vCPU box; "walked" is the same block without its index):
-//
-//	               16 bit, 10 % exceptions    10 bit, 2 % exceptions
-//	rows/group     rank   walked               rank   walked
-//	         1    3,311    2,592              2,850    1,658
-//	         2    3,127    3,158              2,785    2,610
-//	         4    3,764    4,923              4,258    4,754
-//	         6    4,918    7,773              5,356    5,379
-//	         8    5,328    8,960              5,195    6,202
-//	        16    8,325   13,715              7,326    8,847
-const rankPatchMin = 4
-
-// excWords returns a group's exception rows, given by their in-group
-// offsets, as mask words: bit o set for the exception at offset o.
-func excWords(off []uint8) [GroupSize / 32]uint32 {
-	// Two register halves: a shift by 64 or more yields 0, so each offset
-	// sets its bit in exactly one of them (o-64 wraps below 64).
-	var lo, hi uint64
-	for _, o := range off {
-		lo |= 1 << o
-		hi |= 1 << (o - 64)
-	}
-	return [GroupSize / 32]uint32{uint32(lo), uint32(lo >> 32), uint32(hi), uint32(hi >> 32)}
 }
 
 // compactSelected stores src[i] at dst[k], dst[k+1], ... for every bit i
@@ -561,9 +427,8 @@ func (d *Decoder[T]) gatherSelectedCodes(blk *Block[T], sv *SelectionVector, cod
 	packed := blk.Codes
 	b := blk.B
 	raw := d.scratch(GroupSize)
-	indexed := blk.indexed()
-	numGroups := blk.NumGroups()
-	for g := 0; g < numGroups; g++ {
+	var buf [GroupSize]uint8
+	for g := range blk.Entries {
 		gStart, gEnd := groupBounds(blk, g)
 		w0 := gStart >> 5
 		w1 := (gEnd + 31) >> 5
@@ -571,63 +436,31 @@ func (d *Decoder[T]) gatherSelectedCodes(blk *Block[T], sv *SelectionVector, cod
 		if live == 0 {
 			continue
 		}
-		es, ee := blk.groupExc(g)
 		if live >= denseMin {
 			// Unpack the group, overwrite each exception slot's gap code with
-			// all ones once the walk has read it, and compact: int32 of all
+			// all ones once the offsets are read, and compact: int32 of all
 			// ones is the -1 the caller expects.
 			unpackGroup(blk, g, gEnd-gStart, raw)
-			if indexed {
-				for _, o := range blk.ExcOff[es:ee] {
-					raw[o] = ^uint32(0)
-				}
-			} else {
-				pos := blk.patchStart(g)
-				for x := es; x < ee; x++ {
-					next := pos + int(raw[pos]) + 1
-					raw[pos] = ^uint32(0)
-					pos = next
-				}
+			offs, _ := blk.exceptions(g, GroupSize-1, raw, &buf, nil)
+			for _, o := range offs {
+				raw[o] = ^uint32(0)
 			}
 			k = compactSelected(codes, k, raw, mask[w0:w1])
 			continue
 		}
-		if es == ee || (indexed && live >= rankPatchMin) {
-			kg := k
-			for w := w0; w < w1; w++ {
-				vb := w << 5
-				for m := mask[w]; m != 0; m &= m - 1 {
-					p := vb + bits.TrailingZeros32(m)
-					codes[k] = int32(bitpack.CodeAt(packed, p, b))
-					k++
-				}
-			}
-			if es == ee {
-				continue
-			}
-			xm := excWords(blk.ExcOff[es:ee])
-			r := kg // selected rows before word i
-			for i, m := range mask[w0:w1] {
-				for sel := m & xm[i]; sel != 0; sel &= sel - 1 {
-					codes[r+bits.OnesCount32(m&(sel&-sel-1))] = -1
-				}
-				r += bits.OnesCount32(m)
-			}
-			continue
-		}
-		xp, xk := gStart+blk.patchStart(g), es
+		offs, _ := blk.exceptions(g, lastLive(mask, w0, w1)-gStart, nil, &buf, nil)
+		x := 0
 		for w := w0; w < w1; w++ {
-			vb := w << 5
+			vb := w<<5 - gStart
 			for m := mask[w]; m != 0; m &= m - 1 {
 				p := vb + bits.TrailingZeros32(m)
-				for xk < ee && xp < p {
-					xp += int(bitpack.CodeAt(packed, xp, b)) + 1
-					xk++
+				for x < len(offs) && int(offs[x]) < p {
+					x++
 				}
-				if xk < ee && xp == p {
+				if x < len(offs) && int(offs[x]) == p {
 					codes[k] = -1
 				} else {
-					codes[k] = int32(bitpack.CodeAt(packed, p, b))
+					codes[k] = int32(bitpack.CodeAt(packed, gStart+p, b))
 				}
 				k++
 			}

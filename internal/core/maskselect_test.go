@@ -154,8 +154,8 @@ func TestMaskComposeOracle(t *testing.T) {
 		for _, pr := range maskRangePairs(src) {
 			checkMaskCompose(t, "pdict", blk, pr[0], pr[1])
 		}
-		// Non-contiguous code image refined by a contiguous one and the
-		// reverse — both orders of the PDICT bitmap/range kernels.
+		// Ranges whose values were apart in the dictionary as given, refined
+		// by one code and the reverse.
 		checkMaskCompose(t, "pdict-mix", blk, [2]int64{10, 20}, [2]int64{70, 70})
 		checkMaskCompose(t, "pdict-mix", blk, [2]int64{70, 70}, [2]int64{10, 20})
 	})
@@ -288,7 +288,7 @@ func TestDecompressSelectedCodes(t *testing.T) {
 			if code != -1 {
 				t.Fatalf("row %d: exception slot yielded code %d, want -1", row, code)
 			}
-		} else if code < 0 || dict[code] != src[row] {
+		} else if code < 0 || blk.Dict[code] != src[row] {
 			t.Fatalf("row %d: code %d, want the code of %d", row, code, src[row])
 		}
 	}

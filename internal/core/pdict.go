@@ -13,7 +13,9 @@ import "slices"
 // hold at most 1<<b distinct values; values of src not present in dict
 // become exceptions. Dictionaries are typically produced by AnalyzePDict,
 // which fills them with the most frequent sample values in ascending
-// order; any order is valid.
+// order. Any order is accepted: the block holds the dictionary sorted
+// ascending (dict itself is left as it is), which is the only order a
+// segment reader accepts.
 func CompressPDict[T Integer](src []T, dict []T, b uint) *Block[T] {
 	return detach(new(Encoder[T]).pdict(src, dict, b))
 }
@@ -24,14 +26,16 @@ func (e *Encoder[T]) pdict(src []T, dict []T, b uint) *Block[T] {
 	if len(dict) > 1<<b {
 		panic("core: dictionary larger than code space")
 	}
-	blk := e.newBlock(Block[T]{Scheme: SchemePDict, B: b, N: len(src), DictLen: len(dict), DictAscending: slices.IsSorted(dict)})
+	blk := e.newBlock(Block[T]{Scheme: SchemePDict, B: b, N: len(src), DictLen: len(dict)})
 	// Pad the dictionary to the full code space so LOOP1 can index it with
 	// the bogus gap codes sitting at exception slots.
 	blk.Dict = sized(blk.Dict, 1<<b)
 	clear(blk.Dict[copy(blk.Dict, dict):])
+	sorted := blk.Dict[:len(dict)]
+	slices.Sort(sorted)
 
 	lk := &e.lookup
-	lk.build(dict)
+	lk.build(sorted)
 	codes, miss := e.codes, e.miss
 	j := 0
 	for i := 0; i < len(src); i++ {

@@ -150,30 +150,42 @@ func TestPDictStringsViaCodes(t *testing.T) {
 	}
 }
 
-// TestPDictCodeRangeBySearch: on an ascending dictionary the two binary
-// searches find the code range the linear scan finds, bounds at the ends of
-// the type included, and the analyzer's dictionaries are ascending.
+// TestPDictCodeRangeBySearch: the two binary searches find the code range
+// a linear scan of the dictionary finds, bounds at the ends of the type
+// included; a dictionary given in any order is stored ascending and the
+// caller's slice is left alone; and the analyzer's dictionaries are
+// ascending already.
 func TestPDictCodeRangeBySearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	dict := []int8{-128, -100, -3, 0, 1, 7, 50, 127}
+	given := []int8{50, -3, 127, 0, -128, 7, 1, -100}
+	dict := slices.Clone(given)
 	src := make([]int8, 700)
 	for i := range src {
 		src[i] = dict[rng.Intn(len(dict))]
 	}
 	blk := CompressPDict(src, dict, 3)
-	if !blk.DictAscending {
-		t.Fatal("an ascending dictionary was not noted as one")
+	checkRoundTrip(t, blk, src)
+	if !slices.Equal(dict, given) {
+		t.Fatalf("CompressPDict reordered the caller's dictionary: %v", dict)
 	}
-	scanned := *blk
-	scanned.DictAscending = false
-	var d Decoder[int8]
-	s := d.selectScratch()
+	stored := blk.Dict[:blk.DictLen]
+	if !slices.IsSorted(stored) {
+		t.Fatalf("block dictionary %v is not ascending", stored)
+	}
 	for lo := -128; lo <= 127; lo++ {
 		for hi := lo; hi <= 127; hi++ {
-			c1, s1, ok1, cont1 := d.pdictCodeMatch(blk, int8(lo), int8(hi), s)
-			c2, s2, ok2, cont2 := d.pdictCodeMatch(&scanned, int8(lo), int8(hi), s)
-			if c1 != c2 || s1 != s2 || ok1 != ok2 || !cont1 || !cont2 {
-				t.Fatalf("[%d,%d]: search (%d,%d,%v,%v), scan (%d,%d,%v,%v)", lo, hi, c1, s1, ok1, cont1, c2, s2, ok2, cont2)
+			first, last := -1, -1
+			for c, v := range stored {
+				if int(v) >= lo && int(v) <= hi {
+					if first < 0 {
+						first = c
+					}
+					last = c
+				}
+			}
+			clo, span, ok := pdictCodeRange(stored, int8(lo), int8(hi))
+			if ok != (first >= 0) || ok && (int(clo) != first || int(clo+span) != last) {
+				t.Fatalf("[%d,%d]: search (%d,%d,%v), scan [%d,%d]", lo, hi, clo, span, ok, first, last)
 			}
 		}
 	}
@@ -183,7 +195,7 @@ func TestPDictCodeRangeBySearch(t *testing.T) {
 	if len(c.Dict) < 2 || !slices.IsSorted(c.Dict) {
 		t.Fatalf("AnalyzePDict returned dictionary %v, want ascending", c.Dict)
 	}
-	if !c.Compress(skewed).DictAscending {
-		t.Fatal("a block compressed against the analyzer's dictionary is not marked ascending")
+	if got := c.Compress(skewed); !slices.Equal(got.Dict[:got.DictLen], c.Dict) {
+		t.Fatal("a block compressed against the analyzer's dictionary does not hold it as chosen")
 	}
 }

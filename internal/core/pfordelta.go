@@ -70,7 +70,7 @@ func decompressPFORDelta[T Integer](blk *Block[T], raw []uint32, dst []T) {
 // (len >= group length), used by fine-grained access. The paper notes that
 // fine-grained PFOR-DELTA access "requires decompressing a vector of 128
 // values"; the per-group running total makes that self-contained.
-func decompressPFORDeltaGroup[T Integer](blk *Block[T], g int, raw []uint32, dst []T) int {
+func (d *Decoder[T]) decompressPFORDeltaGroup(blk *Block[T], g int, raw []uint32, dst []T) int {
 	gStart := g * GroupSize
 	gEnd := gStart + GroupSize
 	if gEnd > blk.N {
@@ -82,16 +82,7 @@ func decompressPFORDeltaGroup[T Integer](blk *Block[T], g int, raw []uint32, dst
 	for i, c := range raw[:n] {
 		out[i] = db + T(c)
 	}
-	es, ee := blk.groupExc(g)
-	if es != ee && blk.indexed() {
-		patchIndexed(blk, es, ee, dst)
-	} else if es != ee {
-		pos := blk.patchStart(g)
-		for k := es; k < ee; k++ {
-			dst[pos] = blk.Exc[k]
-			pos += int(raw[pos]) + 1
-		}
-	}
+	blk.exceptions(g, GroupSize-1, raw, &d.offs, dst) // LOOP2
 	acc := blk.Totals[g]
 	for i, v := range out {
 		acc += v

@@ -18,11 +18,9 @@ package core
 //     A range that misses the window entirely reduces the scan to a walk
 //     of the patch lists.
 //   - PDICT: the predicate is remapped into dictionary-code space once per
-//     block. An ascending dictionary — what the analyzer emits — maps a
-//     value range to one code range and the range kernels run as for PFOR,
-//     as they do whenever the matching codes happen to be contiguous;
-//     otherwise a per-code bitmap is built and membership is tested
-//     branch-free after unpacking.
+//     block. Every dictionary is ascending (the compressor sorts it, the
+//     parser refuses any other), so a value range is one code range, found
+//     by two binary searches, and the range kernels run as for PFOR.
 //   - PFOR-DELTA: codes are differences, so a value predicate has no fixed
 //     code image; each group falls back to a fused decode+compare over the
 //     group's running sum (prefix-sum-aware: the per-group Totals keep the
@@ -44,7 +42,6 @@ import (
 type selScratch[T Integer] struct {
 	mask []uint32     // one match bit per value, (N+31)/32 words
 	vbuf [GroupSize]T // decoded group values (PFOR-DELTA fallback)
-	bm   []uint64     // PDICT code-match bitmap, 1<<B bits
 	fix  []int32      // selected exception slots of a refinement, pos<<1 | verdict
 }
 
@@ -110,88 +107,29 @@ func (d *Decoder[T]) blockMasks(blk *Block[T], clo, span uint32, codable bool, m
 	}
 }
 
-// bitmapMasks is blockMasks for a non-contiguous PDICT predicate: each
-// group is unpacked and its codes tested against the per-code bitmap.
-func (d *Decoder[T]) bitmapMasks(blk *Block[T], mask []uint32, s *selScratch[T]) {
-	raw := d.scratch(GroupSize)
-	bm := s.bm
-	numGroups := blk.NumGroups()
-	for g := 0; g < numGroups; g++ {
-		gStart, gEnd := groupBounds(blk, g)
-		n := gEnd - gStart
-		unpackGroup(blk, g, n, raw)
-		mw := mask[gStart>>5:]
-		i := 0
-		for ; i+32 <= n; i += 32 {
-			var m uint32
-			for j := 0; j < 32; j++ {
-				c := raw[i+j]
-				m |= uint32(bm[c>>6]>>(c&63)&1) << j
-			}
-			mw[i>>5] = m
-		}
-		if i < n {
-			var m uint32
-			for j := 0; i+j < n; j++ {
-				c := raw[i+j]
-				m |= uint32(bm[c>>6]>>(c&63)&1) << j
-			}
-			mw[i>>5] = m
-		}
+// codeRange translates the value-domain range [lo, hi] (lo <= hi) into the
+// code domain of a PFOR or PDICT block: the codes that decode into the
+// range are exactly [clo, clo+span] when ok, and none otherwise.
+func codeRange[T Integer](blk *Block[T], lo, hi T) (clo, span uint32, ok bool) {
+	if blk.Scheme == SchemePDict {
+		return pdictCodeRange(blk.Dict[:blk.DictLen], lo, hi)
 	}
+	return pforCodeRange(blk.Base, blk.B, lo, hi)
 }
 
-// pdictCodeMatch remaps [lo, hi] into dictionary-code space. When the
-// matching codes form one contiguous range it returns (clo, span, ok,
-// contiguous=true) so the packed range kernels apply — always the case for
-// an ascending dictionary, where two binary searches find the range.
-// Otherwise (a dictionary in frequency order from before PR 14, or one a
-// caller supplied) it builds the per-code bitmap in s.bm (1<<B bits; codes
-// >= DictLen never match — they only occur as bogus gap codes on exception
-// slots) and returns contiguous=false. ok=false means no dictionary entry
-// matches at all.
-func (d *Decoder[T]) pdictCodeMatch(blk *Block[T], lo, hi T, s *selScratch[T]) (clo, span uint32, ok, contiguous bool) {
-	dict := blk.Dict[:blk.DictLen]
-	if blk.DictAscending {
-		first, _ := slices.BinarySearch(dict, lo)
-		// How many entries from first on are no greater than hi (searching
-		// for hi+1 would wrap at the top of the type).
-		rest := dict[first:]
-		n := sort.Search(len(rest), func(i int) bool { return rest[i] > hi })
-		if n == 0 {
-			return 0, 0, false, true
-		}
-		return uint32(first), uint32(n - 1), true, true
+// pdictCodeRange remaps [lo, hi] into the code space of dict, an ascending
+// dictionary: two binary searches find the one code range. Codes >= len(dict)
+// never match — they only occur as bogus gap codes on exception slots.
+func pdictCodeRange[T Integer](dict []T, lo, hi T) (clo, span uint32, ok bool) {
+	first, _ := slices.BinarySearch(dict, lo)
+	// How many entries from first on are no greater than hi (searching for
+	// hi+1 would wrap at the top of the type).
+	rest := dict[first:]
+	n := sort.Search(len(rest), func(i int) bool { return rest[i] > hi })
+	if n == 0 {
+		return 0, 0, false
 	}
-	first, last := -1, -1
-	count := 0
-	for c, v := range dict {
-		if v >= lo && v <= hi {
-			if first < 0 {
-				first = c
-			}
-			last = c
-			count++
-		}
-	}
-	if count == 0 {
-		return 0, 0, false, true
-	}
-	if last-first+1 == count {
-		return uint32(first), uint32(last - first), true, true
-	}
-	words := (1<<blk.B + 63) / 64
-	if cap(s.bm) < words {
-		s.bm = make([]uint64, words)
-	}
-	s.bm = s.bm[:words]
-	clear(s.bm)
-	for c, v := range dict {
-		if v >= lo && v <= hi {
-			s.bm[c>>6] |= 1 << (uint(c) & 63)
-		}
-	}
-	return 0, 0, true, false
+	return uint32(first), uint32(n - 1), true
 }
 
 // selectScratch lazily allocates the decoder's selection scratch; one

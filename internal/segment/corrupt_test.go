@@ -3,6 +3,7 @@ package segment
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -33,6 +34,27 @@ func TestChecksumDetectsBitFlips(t *testing.T) {
 		bad[pos] ^= bit
 		if _, err := Unmarshal[int64](bad); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("flip at %d: err = %v, want ErrChecksum", pos, err)
+		}
+	}
+}
+
+// TestUnmarshalRefusesUnorderedDictionary: a PDICT frame whose dictionary
+// is not ascending — the frequency order older writers used — is refused
+// as corrupt, checksum intact or not, and signed order is what counts.
+func TestUnmarshalRefusesUnorderedDictionary(t *testing.T) {
+	blk := core.CompressPDict([]int64{-5, 3, 3, 9, -5, 100}, []int64{9, -5, 3}, 2)
+	if _, err := Unmarshal[int64](Marshal(blk)); err != nil {
+		t.Fatalf("ascending dictionary refused: %v", err)
+	}
+	blk.Dict[0], blk.Dict[2] = blk.Dict[2], blk.Dict[0]
+	frame := Marshal(blk)
+	var into core.Block[int64]
+	for name, err := range map[string]error{
+		"UnmarshalInto":        UnmarshalInto(&into, frame),
+		"UnmarshalIntoTrusted": UnmarshalIntoTrusted(&into, frame),
+	} {
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "ascending") {
+			t.Fatalf("%s of a dictionary in order %v = %v, want ErrCorrupt naming the order", name, blk.Dict[:3], err)
 		}
 	}
 }

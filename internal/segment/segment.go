@@ -29,7 +29,7 @@ var (
 	ErrTooShort  = errors.New("segment: buffer too short")
 	ErrBadMagic  = errors.New("segment: bad magic byte")
 	ErrBadScheme = errors.New("segment: unknown compression scheme")
-	ErrCorrupt   = errors.New("segment: inconsistent section sizes")
+	ErrCorrupt   = errors.New("segment: inconsistent header or sections")
 	ErrChecksum  = errors.New("segment: payload checksum mismatch")
 )
 
@@ -241,7 +241,12 @@ func unmarshalInto[T core.Integer](blk *core.Block[T], buf []byte, verify bool) 
 	} else {
 		blk.Dict = blk.Dict[:0]
 	}
-	blk.DictAscending = slices.IsSorted(blk.Dict[:blk.DictLen])
+	// The predicate kernels find a value range's codes by binary search.
+	// Writers from before dictionaries were stored sorted laid them out by
+	// falling frequency; such a frame must be rewritten.
+	if !slices.IsSorted(blk.Dict[:blk.DictLen]) {
+		return fmt.Errorf("%w: PDICT dictionary not in ascending order (frequency order, from an older writer; rewrite the column)", ErrCorrupt)
+	}
 	blk.Totals = sized(blk.Totals, numTotals)
 	off = getValues(buf, off, elem, blk.Totals)
 	codes := buf[off : off+codeWords*4]

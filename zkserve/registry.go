@@ -67,7 +67,7 @@ type backend interface {
 	// colWidth is the element width in bytes, one for the whole table.
 	colWidth() int
 	fillMeta(m *TableMeta)
-	setCache(c zukowski.BlockCache)
+	setCache(c *zukowski.BlockLRU)
 	// bind translates p, once per request, into the table's Query.
 	// aggCol is the aggregate column or -1; frames selects frame mode.
 	bind(p *scanPlan, frames bool, aggCol int) runner
@@ -211,17 +211,8 @@ func (r *Registry) EnableCache(maxBytes int64) {
 		r.cache = zukowski.NewBlockLRU(maxBytes)
 	}
 	for _, t := range r.tables {
-		t.src.setCache(blockCacheOrNil(r.cache))
+		t.src.setCache(r.cache)
 	}
-}
-
-// blockCacheOrNil converts a possibly-nil *BlockLRU into the interface
-// without producing a non-nil interface around a nil pointer.
-func blockCacheOrNil(c *zukowski.BlockLRU) zukowski.BlockCache {
-	if c == nil {
-		return nil
-	}
-	return c
 }
 
 // CacheEnabled reports whether a hot-block cache is attached.

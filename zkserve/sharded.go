@@ -57,7 +57,7 @@ func addSharded[T zukowski.Integer](r *Registry, table, dir string) error {
 		t.byName[name] = i
 	}
 	t.src = &shard[T]{Table: zt, names: t.colNames}
-	t.src.setCache(blockCacheOrNil(r.cache))
+	t.src.setCache(r.cache)
 	r.tables[table] = t
 	r.names = append(r.names, table)
 	r.closers = append(r.closers, zt)
@@ -68,7 +68,7 @@ func addSharded[T zukowski.Integer](r *Registry, table, dir string) error {
 // holds even when every segment is quarantined.
 func (s *shard[T]) colWidth() int { return int(elemWidth(*new(T))) }
 
-func (s *shard[T]) setCache(c zukowski.BlockCache) { s.SetBlockCache(c) }
+func (s *shard[T]) setCache(c *zukowski.BlockLRU) { s.SetBlockCache(c) }
 
 // fillMeta folds per-segment column statistics into one capability entry
 // and reports what the ops surface needs: which committed generation is

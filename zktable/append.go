@@ -265,9 +265,10 @@ func (t *Table[T]) Append(cols [][]T) (uint64, error) {
 // of the writer's block is one block, whatever the table's size. Either
 // way the new files hold the blocks a single write of each whole column
 // would have cut, and a copied frame keeps the layout it was written
-// with: compacting does not re-encode it under this handle's codec, and
-// PDICT frames from before dictionaries were stored ascending stay
-// frequency-ordered (readers check Block.DictAscending).
+// with: compacting does not re-encode it under this handle's codec. A
+// frame no read would take — a PDICT dictionary in frequency order, from
+// before dictionaries were stored ascending, say — is refused by
+// WriteFrame, and the compaction fails without committing anything.
 // Refuses to run with quarantined segments, which would silently drop
 // committed rows.
 func (t *Table[T]) Compact() (uint64, error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,23 +14,19 @@ import (
 	"repro/zukowski"
 )
 
-// TestFsckRefusesRetiredFrame: a table appended by a build that still
-// wrote comparator codecs holds frames whose checksums are valid all the
-// way up — container directory and manifest — but whose first byte is a
-// retired magic (0xB6), which every scan of the block refuses. Fsck must
-// refuse it too, naming the column and the block, rather than pass a
-// table nothing can read.
-func TestFsckRefusesRetiredFrame(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "tbl")
-	tb, err := Create[int64](dir, []string{"k", "v"}, 64, Options{})
+// resealedTable creates a table of columns k and v in dir, 1000-value
+// blocks under codec, appends vals to both, and then overwrites column
+// v's block 1 with edit's result, re-sealing the frame CRC in the container
+// directory, the directory CRC in the tail, and the frame CRC the manifest
+// committed: a table whose every checksum is valid around a frame of
+// the caller's choosing.
+func resealedTable(t *testing.T, dir, codec string, vals []int64, edit func(frame []byte)) {
+	t.Helper()
+	tb, err := Create[int64](dir, []string{"k", "v"}, 1000, Options{Codec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, v := make([]int64, 200), make([]int64, 200)
-	for i := range k {
-		k[i], v[i] = int64(i), int64(i%13)
-	}
-	if _, err := tb.Append([][]int64{k, v}); err != nil {
+	if _, err := tb.Append([][]int64{vals, vals}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Close(); err != nil {
@@ -38,10 +35,6 @@ func TestFsckRefusesRetiredFrame(t *testing.T) {
 	if rep, err := Fsck(dir); err != nil || !rep.OK() {
 		t.Fatalf("clean table: %v, %v", rep, err)
 	}
-
-	// Rewrite column v's block 1 to open with 0xB6, then re-seal the frame
-	// CRC in the container directory, the directory CRC in the tail, and
-	// the frame CRC the manifest committed.
 	man, _, _, _, err := manifestsOnDisk(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +54,7 @@ func TestFsckRefusesRetiredFrame(t *testing.T) {
 	}
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	frame := data[info.Offset : info.Offset+int64(info.Length)]
-	frame[0] = 0xB6
+	edit(frame)
 	crc := crc32.Checksum(frame, castagnoli)
 	const dirEntry, tailSize = 40, 24
 	dirStart := len(data) - tailSize - cr.NumBlocks()*dirEntry
@@ -74,27 +67,96 @@ func TestFsckRefusesRetiredFrame(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, manifestName(man.Generation)), man.encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	// The table opens (nothing it checks at open is wrong) and a scan of
-	// the block fails, as it did before Fsck looked at frames.
-	tb2, _, err := Open[int64](dir, Options{})
+// checkRefused asserts that the table in dir opens (nothing it checks at
+// open is wrong), that a scan fails on column v's block 1 with
+// ErrCorruptSegment, and that Fsck refuses the table with one problem
+// naming the column, the block and what (a phrase of the cause).
+func checkRefused(t *testing.T, dir, what string) {
+	t.Helper()
+	tb, _, err := Open[int64](dir, Options{})
 	if err != nil {
 		t.Fatalf("open of the re-sealed table: %v", err)
 	}
-	defer tb2.Close()
+	defer tb.Close()
 	sink := func(int, []int64, [][]int64) bool { return true }
-	if err := tb2.Run(context.Background(), zukowski.Query[int64]{}, sink); !errors.Is(err, zukowski.ErrCorruptSegment) {
-		t.Fatalf("read of the retired frame: %v, want ErrCorruptSegment", err)
+	if err := tb.Run(context.Background(), zukowski.Query[int64]{}, sink); !errors.Is(err, zukowski.ErrCorruptSegment) {
+		t.Fatalf("read of the re-sealed frame: %v, want ErrCorruptSegment", err)
 	}
-
 	rep, err := Fsck(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.OK() || len(rep.Problems) != 1 {
-		t.Fatalf("Fsck of a table holding a 0xB6 frame: OK=%v, problems %v; want the one block", rep.OK(), rep.Problems)
+		t.Fatalf("Fsck: OK=%v, problems %v; want the one block", rep.OK(), rep.Problems)
 	}
-	if p := rep.Problems[0]; !strings.Contains(p, `column "v"`) || !strings.Contains(p, "block 1") || !strings.Contains(p, "magic") {
-		t.Fatalf("problem %q does not name column v, block 1 and the magic", p)
+	if p := rep.Problems[0]; !strings.Contains(p, `column "v"`) || !strings.Contains(p, "block 1") || !strings.Contains(p, what) {
+		t.Fatalf("problem %q does not name column v, block 1 and %q", p, what)
 	}
+}
+
+// TestFsckRefusesRetiredFrame: a table appended by a build that still
+// wrote comparator codecs holds frames whose checksums are valid all the
+// way up — container directory and manifest — but whose first byte is a
+// retired magic (0xB6), which every scan of the block refuses. Fsck must
+// refuse it too, naming the column and the block, rather than pass a
+// table nothing can read.
+func TestFsckRefusesRetiredFrame(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "tbl")
+	vals := make([]int64, 3000)
+	for i := range vals {
+		vals[i] = int64(i % 13)
+	}
+	resealedTable(t, dir, "", vals, func(frame []byte) { frame[0] = 0xB6 })
+	checkRefused(t, dir, "magic")
+}
+
+// TestFsckRefusesFrequencyOrderedDictionary: the same for a PDICT frame
+// whose dictionary is laid out by falling frequency, as writers did
+// before dictionaries were stored ascending: block 1 of the zukowski
+// fixture zkc2_int64_pdict_freq.bin, spliced over the frame today's
+// writer makes of the same values, which is as long.
+func TestFsckRefusesFrequencyOrderedDictionary(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("..", "zukowski", "testdata", "zkc2_int64_pdict_freq.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := zukowski.OpenColumn[int64](fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := legacy.FrameBytes(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "tbl")
+	resealedTable(t, dir, "pdict", frequencyOrderedValues(), func(frame []byte) {
+		if len(frame) != len(old) {
+			t.Fatalf("today's frame of the fixture's block 1 is %d bytes, the fixture's %d", len(frame), len(old))
+		}
+		copy(frame, old)
+	})
+	checkRefused(t, dir, "ascending")
+}
+
+// frequencyOrderedValues regenerates the 3,000 values of the zukowski
+// fixture zkc2_int64_pdict_freq.bin (zukowski's legacyPDictValues): a
+// dozen hot values, each about half as frequent as the one before, plus
+// one outlier in a hundred.
+func frequencyOrderedValues() []int64 {
+	rng := rand.New(rand.NewSource(14))
+	hot := []int64{900, 17, 512, 64, 3, 333, 128, 77, 5000, 41, 256, 1}
+	vals := make([]int64, 3000)
+	for i := range vals {
+		j := 0
+		for j < len(hot)-1 && rng.Intn(2) == 0 {
+			j++
+		}
+		vals[i] = hot[j]
+		if rng.Intn(100) == 0 {
+			vals[i] = rng.Int63()
+		}
+	}
+	return vals
 }

@@ -138,7 +138,7 @@ type Table[T zukowski.Integer] struct {
 	rows    int64
 	nextSeg uint64
 	era     *epoch[T] // the current compaction era; scans pin it
-	cache   zukowski.BlockCache
+	cache   *zukowski.BlockLRU
 	closed  bool
 
 	// recent holds the retained manifest generations, newest first —
@@ -586,8 +586,8 @@ func (t *Table[T]) QuarantinedSegments() []SegmentFault {
 }
 
 // SetBlockCache attaches a hot-block cache to every current and future
-// segment reader (see zukowski.BlockCache). Pass nil to detach.
-func (t *Table[T]) SetBlockCache(c zukowski.BlockCache) {
+// segment reader (see zukowski.BlockLRU). Pass nil to detach.
+func (t *Table[T]) SetBlockCache(c *zukowski.BlockLRU) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.cache = c

@@ -6,73 +6,40 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/zktable"
 	"repro/zukowski"
 )
 
-// auditedCache is a BlockLRU that audits what it keeps: after every Put
-// it reads the kept frame back and records it with its checksum, and
-// counts the kept frames that share memory with the frame offered — a
-// scan offers frames from the buffer it reads runs into and reuses, so
-// the cache must keep copies. It serves odd blocks one byte off their
-// alignment (a copy it makes once and audits too): a block parsed from one
-// of those cannot borrow its code section, so a decode state that goes
-// from block to block is recycled through borrowed, copied and borrowed
-// frames.
-type auditedCache struct {
-	*zukowski.BlockLRU
-	mu      sync.Mutex
-	frames  [][]byte
-	sums    []uint32
-	aliased int
-	odd     map[[2]uint64][]byte
-}
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func (c *auditedCache) Put(col uint64, block int, frame []byte) {
-	c.BlockLRU.Put(col, block, frame)
-	kept := c.BlockLRU.Get(col, block)
-	if kept == nil {
+// frameAudit keeps every frame a cache-attached reader handed out, with the
+// checksum it had then: FrameBytes on a resident block returns the cache's
+// own copy, unverified, so a copy that a scan wrote through, or that still
+// shared the scan's reused read buffer, shows as a changed checksum.
+type frameAudit struct {
+	mu     sync.Mutex
+	frames [][]byte
+	sums   []uint32
+}
+
+// take records block b's frame as cr hands it out, failing when it does
+// not match the checksum the directory stores for it.
+func (a *frameAudit) take(t *testing.T, cr *zukowski.ColumnReader[int64], b int) {
+	frame, err := cr.FrameBytes(b)
+	if err != nil {
+		t.Errorf("FrameBytes(%d): %v", b, err)
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if overlap(kept, frame) {
-		c.aliased++
+	info, _ := cr.BlockInfo(b)
+	sum := crc32.Checksum(frame, castagnoli)
+	if sum != info.CRC32C {
+		t.Errorf("block %d handed out with CRC32-C %08x, directory says %08x", b, sum, info.CRC32C)
 	}
-	c.frames = append(c.frames, kept)
-	c.sums = append(c.sums, crc32.Checksum(kept, castagnoli))
-	if block%2 == 1 {
-		shifted := append([]byte{0}, kept...)[1:]
-		c.odd[[2]uint64{col, uint64(block)}] = shifted
-		c.frames = append(c.frames, shifted)
-		c.sums = append(c.sums, crc32.Checksum(shifted, castagnoli))
-	}
-}
-
-func (c *auditedCache) Get(col uint64, block int) []byte {
-	kept := c.BlockLRU.Get(col, block)
-	if kept == nil || block%2 == 0 {
-		return kept
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if shifted, ok := c.odd[[2]uint64{col, uint64(block)}]; ok {
-		return shifted
-	}
-	return kept
-}
-
-// overlap reports whether a and b share any byte of memory.
-func overlap(a, b []byte) bool {
-	if len(a) == 0 || len(b) == 0 {
-		return false
-	}
-	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.frames = append(a.frames, frame)
+	a.sums = append(a.sums, sum)
 }
 
 // TestScansLeaveCachedFramesIntact: parsed blocks borrow the cached
@@ -80,14 +47,18 @@ func overlap(a, b []byte) bool {
 // block — not a recycled decode state, not a lookup's memo, not a
 // compaction reading its sources. Scans, aggregates, lookups and a
 // compaction run together over a cache too small for the table, and every
-// frame the cache ever held must still have the checksum it came with.
+// cached frame the lookups were handed must still have the checksum it
+// came with. Scans read what they miss in runs, where a frame sits at
+// whatever alignment the file gives it, so one decode state goes through
+// frames whose codes it copies and cached ones whose codes it borrows.
 // Runs under -race in CI.
 func TestScansLeaveCachedFramesIntact(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "tbl")
 	tb := mustCreate(t, dir, zktable.Options{})
 	defer tb.Close()
-	cache := &auditedCache{BlockLRU: zukowski.NewBlockLRU(32 << 10), odd: map[[2]uint64][]byte{}}
+	cache := zukowski.NewBlockLRU(32 << 10)
 	tb.SetBlockCache(cache)
+	var audit frameAudit
 	segs := [][][]int64{synthCols(40, 2000), synthCols(41, 2300), synthCols(42, 1700)}
 	for _, s := range segs {
 		mustAppend(t, tb, s)
@@ -111,6 +82,11 @@ func TestScansLeaveCachedFramesIntact(t *testing.T) {
 				return
 			}
 			rows, _ := tb.SegmentRows(s)
+			for _, cr := range rdrs {
+				for b := 0; b < cr.NumBlocks(); b++ {
+					audit.take(t, cr, b)
+				}
+			}
 			for i := 0; i < 200; i++ {
 				ci, r := rng.Intn(len(rdrs)), rng.Int63n(rows)
 				if v, err := rdrs[ci].Get(int(r)); err != nil || v != all[ci][first+r] {
@@ -173,12 +149,9 @@ func TestScansLeaveCachedFramesIntact(t *testing.T) {
 	if cache.Stats().Evictions == 0 {
 		t.Errorf("the cache never evicted: the table fits, nothing was re-fetched")
 	}
-	if cache.aliased > 0 {
-		t.Fatalf("%d of %d kept frames share memory with the frame offered to Put", cache.aliased, len(cache.frames))
-	}
-	for i, f := range cache.frames {
-		if got := crc32.Checksum(f, castagnoli); got != cache.sums[i] {
-			t.Fatalf("frame %d of %d changed after it was cached: CRC32-C %08x, was %08x", i, len(cache.frames), got, cache.sums[i])
+	for i, f := range audit.frames {
+		if got := crc32.Checksum(f, castagnoli); got != audit.sums[i] {
+			t.Fatalf("frame %d of %d changed after it was handed out: CRC32-C %08x, was %08x", i, len(audit.frames), got, audit.sums[i])
 		}
 	}
 }

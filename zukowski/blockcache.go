@@ -8,7 +8,7 @@ package zukowski
 // exactly the RAM-CPU gap the schemes exist to close. (A sequential scan
 // reads the frames it misses in runs, into a buffer it owns and reuses, so
 // what it pays per frame is the read's share and the hash, not an
-// allocation.) A BlockCache keeps recently touched, checksum-verified
+// allocation.) A BlockLRU keeps recently touched, checksum-verified
 // frame bytes resident under a byte budget, shared across every reader
 // (and therefore every column and table) attached to it. Under the
 // immutable-container model a cached frame can never go stale — the
@@ -46,30 +46,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// BlockCache is a store of verified raw block frames shared across
-// column readers. Keys are (col, block): col is a process-unique id a
-// reader acquires when the cache is attached (never reused, so entries
-// of a discarded reader simply age out), block the block index within
-// that reader's container.
-//
-// Implementations must be safe for concurrent use. Put must copy what it
-// keeps: the frame it is offered may be a scan's read buffer, which the
-// scan overwrites once it moves on. The byte slices Get returns are
-// shared between the cache and every caller: they must be treated as
-// immutable by everyone, forever.
-//
-// BlockLRU is the standard implementation; the interface exists so a
-// process can substitute its own policy (clock, ghost lists, tiering)
-// without touching the reader.
-type BlockCache interface {
-	// Get returns the frame cached under (col, block), or nil.
-	Get(col uint64, block int) []byte
-	// Put offers a verified frame for caching under (col, block). The
-	// cache may decline (budget, size, policy); Put never fails loudly,
-	// and it never retains frame itself — it copies what it keeps.
-	Put(col uint64, block int, frame []byte)
-}
 
 // blockCacheIDs hands out the process-unique column ids SetBlockCache
 // assigns. Ids are never reused, which is what makes eviction the only
@@ -236,15 +212,21 @@ func (sh *cacheShard) pushFront(e *cacheEntry) {
 	sh.head.next = e
 }
 
-// BlockLRU is a sharded, byte-bounded LRU BlockCache with frequency-based
-// admission. One BlockLRU is meant to be shared process-wide: attach it
-// to every file-backed reader (zkserve's registry does exactly that) and
-// the budget bounds the hot set across all of them together. A shard with
-// room admits every frame offered; a full one admits a frame only when its
-// key has been asked for more often than the entry it would evict (see the
-// file comment). All methods are safe for concurrent use, and Get on a
-// resident entry performs no allocation — the cache stays off the scan
-// path's allocation profile.
+// BlockLRU is the hot-block cache: a sharded, byte-bounded LRU store of
+// verified raw block frames, and of their parsed forms, with
+// frequency-based admission. One BlockLRU is meant to be shared
+// process-wide: attach it to every file-backed reader (zkserve's registry
+// does exactly that) and the budget bounds the hot set across all of them
+// together. Keys are (col, block): col is a process-unique id a reader
+// acquires when the cache is attached (never reused, so entries of a
+// discarded reader simply age out), block the block index within that
+// reader's container. A shard with room admits every frame offered; a
+// full one admits a frame only when its key has been asked for more often
+// than the entry it would evict (see the file comment). All methods are
+// safe for concurrent use, and Get on a resident entry performs no
+// allocation — the cache stays off the scan path's allocation profile.
+// The bytes Get returns are shared between the cache and every caller:
+// they must be treated as immutable by everyone, forever.
 type BlockLRU struct {
 	shards    [cacheShards]cacheShard
 	shardMax  int64 // byte budget per shard

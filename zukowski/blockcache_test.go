@@ -245,7 +245,7 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 
 // openCached opens data through a counting ReaderAt with cache c
 // attached, returning the reader and the counter.
-func openCached[T zukowski.Integer](t *testing.T, data []byte, c zukowski.BlockCache) (*zukowski.ColumnReader[T], *countingReaderAt) {
+func openCached[T zukowski.Integer](t *testing.T, data []byte, c *zukowski.BlockLRU) (*zukowski.ColumnReader[T], *countingReaderAt) {
 	t.Helper()
 	src := &countingReaderAt{r: bytes.NewReader(data)}
 	cr, err := zukowski.OpenColumnReaderAt[T](src, int64(len(data)), zukowski.WithBlockCache(c))

@@ -78,6 +78,7 @@ type ColumnWriter[T Integer] struct {
 
 	buf    []T
 	frame  []byte
+	check  core.Block[T] // parse target of readableFrame
 	dir    []columnBlock
 	offset uint64
 	total  uint64
@@ -149,13 +150,15 @@ func (cw *ColumnWriter[T]) Write(vals []T) error {
 
 func (cw *ColumnWriter[T]) flushBlock() error {
 	frame, err := cw.codec.Encode(cw.frame[:0], cw.buf)
-	if err == nil && !readableFrame(frame) {
-		// Fail at write time if the codec emits frames ColumnReader
-		// cannot dispatch on — otherwise the column would be accepted now
-		// and unreadable forever. User codecs must emit (or wrap) the
-		// segment frame format.
-		err = fmt.Errorf("%w: codec %q emits frames the column reader cannot decode",
-			ErrUnknownCodec, cw.codec.Name())
+	if err == nil {
+		if rerr := readableFrame(frame, &cw.check); rerr != nil {
+			// Fail at write time if the codec emits frames ColumnReader
+			// cannot decode — otherwise the column would be accepted now
+			// and unreadable forever. User codecs must emit (or wrap) the
+			// segment frame format.
+			err = fmt.Errorf("%w: codec %q emits frames the column reader cannot decode: %w",
+				ErrUnknownCodec, cw.codec.Name(), rerr)
+		}
 	}
 	if err != nil {
 		cw.err = err
@@ -184,10 +187,19 @@ func (cw *ColumnWriter[T]) flushBlock() error {
 	return nil
 }
 
-// readableFrame reports whether frame carries the segment magic, the one
-// frame format ColumnReader decodes.
-func readableFrame(frame []byte) bool {
-	return len(frame) > 0 && frame[0] == segment.Magic
+// readableFrame checks that frame is one ColumnReader decodes: a segment
+// frame, and when patched one that parses, into blk, as a read parses it
+// (a PDICT dictionary in frequency order, say, does not). It is the check
+// every written, spliced or verified frame passes, so the offline checks
+// refuse what reads refuse.
+func readableFrame[T Integer](frame []byte, blk *core.Block[T]) error {
+	switch {
+	case len(frame) == 0 || frame[0] != segment.Magic:
+		return segment.ErrBadMagic
+	case segment.IsCompressed(frame):
+		return segment.UnmarshalIntoTrusted(blk, frame)
+	}
+	return nil
 }
 
 // appendBlock writes one frame to the stream and enters blk — its count,
@@ -213,7 +225,7 @@ func (cw *ColumnWriter[T]) appendBlock(frame []byte, blk columnBlock) error {
 //
 // Nothing unverified gets a fresh directory entry: WriteFrame hashes frame
 // and refuses it with ErrChecksumMismatch when that differs from
-// info.CRC32C. It also refuses a frame ColumnReader could not dispatch on,
+// info.CRC32C. It also refuses a frame ColumnReader could not decode,
 // and anything that would break the container's geometry — values still
 // buffered by Write, or a count other than the writer's block size; a
 // column's short last block has to arrive through Write. A refusal changes
@@ -231,8 +243,9 @@ func (cw *ColumnWriter[T]) WriteFrame(frame []byte, info BlockInfo[T]) error {
 	case info.Count != cw.blockValues:
 		return fmt.Errorf("zukowski: WriteFrame of a %d-value block into a column of %d-value blocks",
 			info.Count, cw.blockValues)
-	case !readableFrame(frame):
-		return fmt.Errorf("%w: frame the column reader cannot decode", ErrUnknownCodec)
+	}
+	if err := readableFrame(frame, &cw.check); err != nil {
+		return fmt.Errorf("%w: frame the column reader cannot decode: %w", ErrUnknownCodec, corrupt(err))
 	}
 	if err := checkCRC(frame, info.CRC32C, len(cw.dir)); err != nil {
 		return err
@@ -466,7 +479,7 @@ func (cr *ColumnReader[T]) putState(st *decodeState[T]) { cr.states.Put(st) }
 type ReaderOption func(*readerConfig)
 
 type readerConfig struct {
-	cache BlockCache
+	cache *BlockLRU
 	retry RetryPolicy
 }
 
@@ -475,7 +488,7 @@ type readerConfig struct {
 // (OpenColumnReaderAt) use the cache — an in-memory container is already
 // resident and latches its verification per block — so the option is a
 // no-op for OpenColumn.
-func WithBlockCache(c BlockCache) ReaderOption {
+func WithBlockCache(c *BlockLRU) ReaderOption {
 	return func(rc *readerConfig) { rc.cache = c }
 }
 
@@ -496,7 +509,7 @@ func OpenColumn[T Integer](data []byte, opts ...ReaderOption) (*ColumnReader[T],
 // its bytes from the ReaderAt — a sequential Query scan reads
 // the frames it is about to need in runs of adjacent frames, one ReadAt
 // each, the other access paths one frame at a time; WithBlockCache keeps
-// the hot working set resident — see BlockCache.
+// the hot working set resident — see BlockLRU.
 func OpenColumnReaderAt[T Integer](r io.ReaderAt, size int64, opts ...ReaderOption) (*ColumnReader[T], error) {
 	return openColumn[T](&readerAtSource{r: r, n: size}, opts)
 }
@@ -631,14 +644,11 @@ func (cr *ColumnReader[T]) Ratio() float64 {
 	return float64(cr.UncompressedBytes()) / float64(cr.src.size())
 }
 
-// attachedCache pairs a BlockCache with the column id this reader keys
-// it under; the pair swaps atomically so attachment is race-free. r is the
-// cache when it is a BlockLRU, which can peek and keeps parsed forms
-// beside its frames; nil for any other BlockCache.
+// attachedCache pairs a BlockLRU with the column id this reader keys it
+// under; the pair swaps atomically so attachment is race-free.
 type attachedCache struct {
-	c  BlockCache
+	c  *BlockLRU
 	id uint64
-	r  *BlockLRU
 }
 
 // fetched is a frame as a fetch hands it over: the bytes and, when they
@@ -653,28 +663,20 @@ type fetched struct {
 
 // get asks the cache for block b: one hit or one miss counted.
 func (ac *attachedCache) get(b int) (f fetched) {
-	if ac.r != nil {
-		f.frame, f.parsed, f.room = ac.r.lookup(ac.id, b)
-		return f
-	}
-	return fetched{frame: ac.c.Get(ac.id, b)}
+	f.frame, f.parsed, f.room = ac.c.lookup(ac.id, b)
+	return f
 }
 
-// resident reports whether block b is known to be cached; a read-ahead
-// stops there. A cache that cannot peek never says so.
-func (ac *attachedCache) resident(b int) bool {
-	return ac.r != nil && ac.r.peek(ac.id, b) != nil
-}
+// resident reports whether block b is cached; a read-ahead stops there.
+func (ac *attachedCache) resident(b int) bool { return ac.c.peek(ac.id, b) != nil }
 
 // keep offers block b's verified frame, which lives in a buffer the
 // caller will reuse, and returns bytes that stay valid: the copy the cache
-// kept, or a copy of its own when the cache declined or cannot peek.
+// kept, or a copy of its own when the cache declined.
 func (ac *attachedCache) keep(b int, frame []byte) []byte {
 	ac.c.Put(ac.id, b, frame)
-	if ac.r != nil {
-		if kept := ac.r.peek(ac.id, b); kept != nil {
-			return kept
-		}
+	if kept := ac.c.peek(ac.id, b); kept != nil {
+		return kept
 	}
 	return slices.Clone(frame)
 }
@@ -689,7 +691,7 @@ func (ac *attachedCache) keep(b int, frame []byte) []byte {
 // reader can never be observed again; under the immutable-container
 // model a cached frame cannot go stale, only get evicted. Attaching is
 // safe at any time, including while scans run on other goroutines.
-func (cr *ColumnReader[T]) SetBlockCache(c BlockCache) {
+func (cr *ColumnReader[T]) SetBlockCache(c *BlockLRU) {
 	if c == nil {
 		cr.cache.Store(nil)
 		return
@@ -697,8 +699,7 @@ func (cr *ColumnReader[T]) SetBlockCache(c BlockCache) {
 	if cr.src.stable() {
 		return
 	}
-	r, _ := c.(*BlockLRU)
-	cr.cache.Store(&attachedCache{c: c, id: blockCacheIDs.Add(1), r: r})
+	cr.cache.Store(&attachedCache{c: c, id: blockCacheIDs.Add(1)})
 }
 
 // checkCRC verifies buf against block b's stored payload CRC32-C.
@@ -746,8 +747,8 @@ func (cr *ColumnReader[T]) frame(b int) ([]byte, error) {
 	return f.frame, err
 }
 
-// fetchFrame is frame handing over, for a frame hit in a cache that keeps
-// parsed forms, the parsed form resident beside it or the room for one.
+// fetchFrame is frame handing over, for a frame hit in the cache, the
+// parsed form resident beside it or the room for one.
 func (cr *ColumnReader[T]) fetchFrame(b int) (f fetched, err error) {
 	if err := cr.quarantined(b); err != nil {
 		return f, err
@@ -775,13 +776,12 @@ func (cr *ColumnReader[T]) fetchFrame(b int) (f fetched, err error) {
 // caller holds: the re-check of the cache or the verification latch, and
 // on a miss the one fetch. The caller has consulted the quarantine latch;
 // counted says whether its Get already counted the miss, in which case the
-// re-check peeks (a cache that cannot is asked again), so that the fetch
-// counts one miss, not two.
+// re-check peeks, so that the fetch counts one miss, not two.
 func (cr *ColumnReader[T]) frameLocked(b int, counted bool) ([]byte, error) {
 	if ac := cr.cache.Load(); ac != nil {
 		var buf []byte
-		if counted && ac.r != nil {
-			buf = ac.r.peek(ac.id, b)
+		if counted {
+			buf = ac.c.peek(ac.id, b)
 		} else {
 			buf = ac.c.Get(ac.id, b)
 		}
@@ -929,12 +929,14 @@ func parseSegmentInto[T Integer](blk *core.Block[T], frame []byte, trusted bool)
 // block fetches block b and returns its parsed form when the frame is
 // patched, or the frame itself when it is raw: through run when a
 // sequential scan has planned its reads (see scanFrame), by the
-// single-frame fetch when run is nil. A frame resident in a cache that
-// keeps parsed forms (BlockLRU) comes with the form parsed beside it; the
-// first hit to find it without one, and the room for one, parses it into
-// a block of its own, indexes its exceptions and attaches it, so a
-// resident block is parsed once per residency and is shared, read-only,
-// by every scan after. Any other frame is parsed into scratch, as every
+// single-frame fetch when run is nil. A frame resident in the cache comes
+// with the form parsed beside it; the first hit to find it without one,
+// and the room for one, parses it into a block of its own, indexes its
+// exceptions and attaches it, so a resident block is parsed once per
+// residency and is shared, read-only, by every scan after. Indexing walks
+// every patch list whole, so a list that leaves its group fails the scan
+// there, as the kernels' walk fails one over any other frame: no block is
+// attached unindexed. Any other frame is parsed into scratch, as every
 // fetch of it will be.
 func (cr *ColumnReader[T]) block(run *frameRun, b int, reads []bool, scratch *core.Block[T]) (blk *core.Block[T], raw []byte, err error) {
 	var f fetched
@@ -963,7 +965,7 @@ func (cr *ColumnReader[T]) block(run *frameRun, b int, reads []bool, scratch *co
 		return scratch, nil, nil
 	}
 	ac, cost := cr.cache.Load(), parsedCost(scratch, f.frame)
-	if ac == nil || ac.r == nil || cost > f.room {
+	if ac == nil || cost > f.room {
 		return scratch, nil, nil
 	}
 	// The scratch goes on to the next block, so the form kept is a parse of
@@ -973,7 +975,7 @@ func (cr *ColumnReader[T]) block(run *frameRun, b int, reads []bool, scratch *co
 		return scratch, nil, nil
 	}
 	kept.IndexExceptions()
-	if p, ok := ac.r.attach(ac.id, b, f.frame, kept, cost).(*core.Block[T]); ok {
+	if p, ok := ac.c.attach(ac.id, b, f.frame, kept, cost).(*core.Block[T]); ok {
 		return p, nil, nil
 	}
 	return scratch, nil, nil
@@ -1032,7 +1034,7 @@ func (cr *ColumnReader[T]) readBlockInto(st *decodeState[T], b int, dst []T) ([]
 // cache, with other callers — and must be treated as read-only. This is
 // the block-granular serve path: a service that ships raw frames to
 // clients (zkserve's frame mode) reads them here, so an attached
-// BlockCache serves repeated requests without re-reading the source.
+// BlockLRU serves repeated requests without re-reading the source.
 func (cr *ColumnReader[T]) FrameBytes(b int) ([]byte, error) {
 	if b < 0 || b >= len(cr.blocks) {
 		return nil, fmt.Errorf("%w: block %d not in [0,%d)", ErrIndexOutOfRange, b, len(cr.blocks))
@@ -1117,7 +1119,7 @@ func (cr *ColumnReader[T]) Get(i int) (v T, err error) {
 	}
 	b := cr.blockOf(i)
 	off := i - cr.starts[b]
-	if ac := cr.cache.Load(); ac != nil && ac.r != nil {
+	if ac := cr.cache.Load(); ac != nil {
 		st := cr.getState()
 		defer cr.putState(st)
 		blk, raw, err := cr.block(nil, b, nil, &st.blk)

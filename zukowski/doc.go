@@ -38,8 +38,8 @@
 // remaining patched block the predicate is translated into the compressed
 // code domain — PFOR subtracts the block base and clamps to the codable
 // window, PDICT remaps the range into dictionary-code space once per block
-// (a contiguous code run uses the packed range kernels, anything else a
-// per-code bitmap), PFOR-DELTA falls back to a fused decode+compare per
+// (every dictionary is ascending, so a range is one code range and uses
+// the packed range kernels), PFOR-DELTA falls back to a fused decode+compare per
 // 128-value group through its stored running total — and the packed code
 // section is scanned by generated branch-free kernels emitting a selection
 // bitmap, exception slots judged on their true values. Only the rows the
@@ -53,9 +53,9 @@
 // fetch; a sequential scan reads the frames it misses in runs of adjacent
 // frames, one ReadAt per run, into buffers it borrows from a shared pool,
 // so a warmed scan allocates nothing even without a cache. SetBlockCache
-// attaches a BlockCache — typically a BlockLRU, a sharded, byte-budgeted
-// LRU over verified raw frames that, once full, admits a frame only if it
-// is asked for more often than the entry it would evict — under that
+// attaches a BlockLRU — a sharded, byte-budgeted LRU over verified raw
+// frames that, once full, admits a frame only if it is asked for more
+// often than the entry it would evict — under that
 // path: hits return the frame with zero allocations, a cold block
 // faulted by many goroutines through FrameBytes, Get or ReadBlock is read
 // and verified exactly once (the fill rides the per-block parse slot),

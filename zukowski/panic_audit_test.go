@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/zukowski"
@@ -464,10 +465,13 @@ func TestRunCallerPanic(t *testing.T) {
 
 // TestCraftedEscapingPatchList: a CRC-valid frame whose patch list hops
 // out of its group — row 0's gap code re-pointed from row 10 to row 201,
-// in the next group — cannot be indexed when it becomes resident in a
-// BlockLRU: it is attached with an empty index, no scan panics, and every
-// scan of it answers (or fails) exactly as a reader without a cache does,
-// whose parse walks the list every time.
+// in the next group — is ErrCorruptSegment, never a panic and never an
+// answer patched from the wrong group: on a reader without a cache, whose
+// kernels walk the list as far as each read needs and refuse the hop, and
+// on a cached one, which indexes the block when it becomes resident and
+// attaches nothing. Every read here needs group 0's list past row 0; a
+// plain lookup of a row in another group never reaches the hop and
+// answers, where the cached reader has refused the whole block.
 func TestCraftedEscapingPatchList(t *testing.T) {
 	frame := pforFrame(t)
 	const codes = 44 + 4*3 // header, then one entry word per group of the 300 values
@@ -476,6 +480,9 @@ func TestCraftedEscapingPatchList(t *testing.T) {
 	}
 	frame[codes] = 200
 	fixSegmentChecksum(frame)
+	if _, err := zukowski.DecodeFrame[int64](nil, frame); !errors.Is(err, zukowski.ErrCorruptSegment) {
+		t.Fatalf("DecodeFrame = %v, want ErrCorruptSegment", err)
+	}
 	data := containerWithFrame(t, frame, 300)
 	plain, err := zukowski.OpenColumn[int64](data)
 	if err != nil {
@@ -487,49 +494,38 @@ func TestCraftedEscapingPatchList(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	answer := func(cr *zukowski.ColumnReader[int64]) (out []string) {
-		cs := oneColumn(t, cr)
-		for _, q := range []zukowski.Query[int64]{
-			{},
-			rangeQuery[int64](0, 50),
-			rangeQuery[int64](1<<40, 1<<42),
-			{Expr: zukowski.And(zukowski.Range[int64](0, 0, 99), zukowski.Range[int64](0, 1<<41, 1<<41))},
-		} {
-			err := mustNotPanic(t, "Run", func() error {
-				return cs.Run(ctx, q, func(_ int, rows []int64, cols [][]int64) bool {
-					out = append(out, fmt.Sprint(rows, cols))
-					return true
-				})
-			})
-			out = append(out, fmt.Sprint(err))
-			err = mustNotPanic(t, "RunAggregate", func() error {
-				agg, err := cs.RunAggregate(ctx, q, 0)
-				out = append(out, fmt.Sprint(agg))
-				return err
-			})
-			out = append(out, fmt.Sprint(err))
-		}
-		for _, i := range []int{0, 10, 11, 201, 299} {
-			err := mustNotPanic(t, "Get", func() error {
-				v, err := cr.Get(i)
-				out = append(out, fmt.Sprint(v))
-				return err
-			})
-			out = append(out, fmt.Sprint(err))
-		}
-		return out
-	}
-	want := answer(plain)
-	for pass := 0; pass < 3; pass++ { // a miss, the attaching hit, resident hits
-		if got := answer(cached); !slices.Equal(got, want) {
-			t.Fatalf("pass %d: the resident block answers\n%v\nwhere a walking parse answers\n%v", pass, got, want)
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, zukowski.ErrCorruptSegment) || !strings.Contains(err.Error(), "patch list") {
+			t.Fatalf("%s = %v, want ErrCorruptSegment naming the patch list", what, err)
 		}
 	}
-	resident := zukowski.ResidentParsed[int64](cache)
-	if len(resident) != 1 {
-		t.Fatalf("%d parsed blocks resident, want the one", len(resident))
+	for pass := 0; pass < 3; pass++ { // the cached reader: a miss, then hits
+		for name, cr := range map[string]*zukowski.ColumnReader[int64]{"plain": plain, "cached": cached} {
+			cs := oneColumn(t, cr)
+			for i, q := range []zukowski.Query[int64]{
+				{},
+				rangeQuery[int64](0, 50),
+				rangeQuery[int64](1<<40, 1<<42),
+				{Expr: zukowski.And(zukowski.Range[int64](0, 0, 99), zukowski.Range[int64](0, 1<<41, 1<<41))},
+			} {
+				refused(fmt.Sprintf("pass %d %s query %d Run", pass, name, i), mustNotPanic(t, "Run", func() error {
+					return cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true })
+				}))
+				refused(fmt.Sprintf("pass %d %s query %d RunAggregate", pass, name, i), mustNotPanic(t, "RunAggregate", func() error {
+					_, err := cs.RunAggregate(ctx, q, 0)
+					return err
+				}))
+			}
+			for _, i := range []int{0, 10, 11, 127} {
+				refused(fmt.Sprintf("pass %d %s Get(%d)", pass, name, i), mustNotPanic(t, "Get", func() error {
+					_, err := cr.Get(i)
+					return err
+				}))
+			}
+		}
 	}
-	if resident[0].ExcOff != nil {
-		t.Fatalf("a patch list leaving its group was indexed: %v", resident[0].ExcOff)
+	if resident := zukowski.ResidentParsed[int64](cache); len(resident) != 0 {
+		t.Fatalf("%d parsed blocks resident, want none: a list leaving its group is not attached", len(resident))
 	}
 }

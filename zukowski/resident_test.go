@@ -59,7 +59,7 @@ func residentColumns(t *testing.T, n, bv int) (data [][]byte, src [][]int64) {
 
 // residentSet opens data as one column set through ReaderAts, with cache
 // attached when it is not nil.
-func residentSet(t *testing.T, data [][]byte, cache zukowski.BlockCache) *zukowski.ColumnSet[int64] {
+func residentSet(t *testing.T, data [][]byte, cache *zukowski.BlockLRU) *zukowski.ColumnSet[int64] {
 	t.Helper()
 	var cols []*zukowski.ColumnReader[int64]
 	for _, d := range data {
@@ -131,7 +131,7 @@ func scanAnswer(t *testing.T, cs *zukowski.ColumnSet[int64], qs []zukowski.Query
 // borrows from its frame included.
 func blockSum(blk *core.Block[int64]) uint32 {
 	h := crc32.NewIEEE()
-	fmt.Fprint(h, blk.Scheme, blk.B, blk.N, blk.Base, blk.DeltaBase, blk.DictLen, blk.DictAscending,
+	fmt.Fprint(h, blk.Scheme, blk.B, blk.N, blk.Base, blk.DeltaBase, blk.DictLen,
 		blk.Dict, blk.Exc, blk.Entries, blk.Totals, blk.ExcOff)
 	h.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(blk.Codes))), 4*len(blk.Codes)))
 	return h.Sum32()
@@ -280,36 +280,9 @@ func TestResidentWarmScanZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestResidentCustomCacheParsesPerQuery: a BlockCache other than BlockLRU
-// keeps frames only; scans through it answer the same and no parsed form
-// is kept anywhere.
-func TestResidentCustomCacheParsesPerQuery(t *testing.T) {
-	data, src := residentColumns(t, 8*512, 512)
-	qs := residentQueries(src)
-	want := scanAnswer(t, residentSet(t, data, nil), qs)
-	custom := &frameOnlyCache{lru: zukowski.NewBlockLRU(1 << 30)}
-	cs := residentSet(t, data, custom)
-	for pass := 0; pass < 2; pass++ {
-		if got := scanAnswer(t, cs, qs); got != want {
-			t.Fatalf("pass %d through a custom cache: answers differ", pass)
-		}
-	}
-	if n := len(zukowski.ResidentParsed[int64](custom.lru)); n != 0 {
-		t.Fatalf("%d parsed forms kept behind a custom cache", n)
-	}
-}
-
-// frameOnlyCache is a BlockCache that is not a BlockLRU: it stores
-// through one but offers nothing beyond the interface.
-type frameOnlyCache struct{ lru *zukowski.BlockLRU }
-
-func (c *frameOnlyCache) Get(col uint64, block int) []byte { return c.lru.Get(col, block) }
-func (c *frameOnlyCache) Put(col uint64, block int, frame []byte) {
-	c.lru.Put(col, block, frame)
-}
-
 // TestResidentBlocksMatchWalked: a resident (indexed) block and the same
-// frame parsed afresh (walked) decode to the same values.
+// frame parsed afresh (its patch lists walked into scratch) decode to the
+// same values.
 func TestResidentBlocksMatchWalked(t *testing.T) {
 	data, _ := residentColumns(t, 8*512, 512)
 	cache := zukowski.NewBlockLRU(1 << 30)
@@ -347,7 +320,7 @@ func TestResidentCopiedCodes(t *testing.T) {
 		vals[i] = int16(100*(i/bv) + 7*rng.Intn(5)) // five values a block: DictLen 5
 	}
 	data := buildColumnV2(t, zukowski.PDict[int16]{}, bv, vals)
-	open := func(cache zukowski.BlockCache) *zukowski.ColumnSet[int16] {
+	open := func(cache *zukowski.BlockLRU) *zukowski.ColumnSet[int16] {
 		var opts []zukowski.ReaderOption
 		if cache != nil {
 			opts = append(opts, zukowski.WithBlockCache(cache))

@@ -26,7 +26,7 @@ import (
 //     quarantined — the failure latches in the block's slot and every
 //     later touch fails fast with ErrBlockQuarantined instead of
 //     re-reading and re-hashing doomed bytes. Quarantined frames never
-//     enter an attached BlockCache, and concurrent scanners observing the
+//     enter an attached BlockLRU, and concurrent scanners observing the
 //     quarantine pay one atomic load, not a read and a hash.
 //
 // VerifyBlock bypasses both treatments on purpose: its contract is to

@@ -2,7 +2,6 @@ package zukowski_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"hash/crc32"
 	"math/rand"
@@ -113,11 +112,12 @@ func TestWriteFrameRefusals(t *testing.T) {
 	}
 }
 
-// TestWriteFrameKeepsFrequencyOrderedDictionaries: the fixture's frames,
-// whose dictionaries are laid out by falling frequency, spliced between a
-// block written today and a short tail, are still the frames the fixture
-// holds — DictAscending false — and the column answers like the oracle.
-func TestWriteFrameKeepsFrequencyOrderedDictionaries(t *testing.T) {
+// TestWriteFrameRefusesFrequencyOrderedDictionaries: the fixture's frames,
+// whose dictionaries are laid out by falling frequency, are CRC-valid but
+// unreadable, so WriteFrame refuses each of them and the refusal changes
+// nothing: the writer goes on to store the same bytes as one that was
+// never offered them.
+func TestWriteFrameRefusesFrequencyOrderedDictionaries(t *testing.T) {
 	const bv = 1000
 	data, err := os.ReadFile(filepath.Join("testdata", "zkc2_int64_pdict_freq.bin"))
 	if err != nil {
@@ -129,80 +129,37 @@ func TestWriteFrameKeepsFrequencyOrderedDictionaries(t *testing.T) {
 	}
 	legacyVals := legacyPDictValues(rand.New(rand.NewSource(14)))
 	head, tail := legacyVals[:bv], legacyVals[bv:bv+123]
-	vals := slices.Concat(head, legacyVals, tail)
 
-	var out bytes.Buffer
-	cw, err := zukowski.NewColumnWriter[int64](&out, zukowski.PDict[int64]{}, bv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Write(head); err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < legacy.NumBlocks(); b++ {
-		if err := cw.WriteFrame(blockOf(t, legacy, b)); err != nil {
-			t.Fatalf("WriteFrame of fixture block %d: %v", b, err)
-		}
-	}
-	if err := cw.Write(tail); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if cw.Len() != len(vals) || cw.NumBlocks() != 5 {
-		t.Fatalf("writer holds %d values in %d blocks, want %d in 5", cw.Len(), cw.NumBlocks(), len(vals))
-	}
-
-	cr, err := zukowski.OpenColumn[int64](out.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReads(t, cr, vals)
-	_, ascending := parsedDicts(t, cr)
-	if want := []bool{true, false, false, false, true}; !slices.Equal(ascending, want) {
-		t.Fatalf("dictionaries ascending = %v, want %v", ascending, want)
-	}
-	for b := 0; b < legacy.NumBlocks(); b++ {
-		want, _ := blockOf(t, legacy, b)
-		got, info := blockOf(t, cr, b+1)
-		lo, hi, _ := legacy.ZoneMap(b)
-		if !bytes.Equal(got, want) || info.Min != lo || info.Max != hi {
-			t.Fatalf("block %d is not fixture block %d with its zone map", b+1, b)
-		}
-	}
-
-	cs, err := zukowski.NewColumnSet(cr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := slices.Clone(vals)
-	slices.Sort(sorted)
-	rng := rand.New(rand.NewSource(151))
-	for trial := 0; trial < 40; trial++ {
-		lo, hi := sorted[rng.Intn(len(sorted))], sorted[rng.Intn(len(sorted))]
-		lo, hi = min(lo, hi)-int64(trial%2), max(lo, hi)+int64(trial%2)
-		q := zukowski.Query[int64]{Expr: zukowski.Range(0, lo, hi)}
-		var wantRows []int64
-		var want zukowski.Aggregate[int64]
-		for i, v := range vals {
-			if v >= lo && v <= hi {
-				wantRows = append(wantRows, int64(i))
-				want.Merge(zukowski.Aggregate[int64]{Count: 1, Sum: v, Min: v, Max: v})
-			}
-		}
-		var gotRows []int64
-		if err := cs.Run(context.Background(), q, func(_ int, rows []int64, _ [][]int64) bool {
-			gotRows = append(gotRows, rows...)
-			return true
-		}); err != nil {
+	write := func(offer bool) []byte {
+		var out bytes.Buffer
+		cw, err := zukowski.NewColumnWriter[int64](&out, zukowski.PDict[int64]{}, bv)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(gotRows, wantRows) {
-			t.Fatalf("[%d,%d]: Run selected %d rows, oracle %d", lo, hi, len(gotRows), len(wantRows))
+		if err := cw.Write(head); err != nil {
+			t.Fatal(err)
 		}
-		if got, err := cs.RunAggregate(context.Background(), q, 0); err != nil || got != want {
-			t.Fatalf("[%d,%d]: RunAggregate = %+v, %v; oracle %+v", lo, hi, got, err, want)
+		for b := 0; offer && b < legacy.NumBlocks(); b++ {
+			err := cw.WriteFrame(blockOf(t, legacy, b))
+			if !errors.Is(err, zukowski.ErrUnknownCodec) || !refusesOrder(err) {
+				t.Fatalf("WriteFrame of fixture block %d = %v, want the dictionary order refused", b, err)
+			}
 		}
+		if err := cw.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
 	}
+	got, want := write(true), write(false)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("a writer offered the fixture's frames wrote %d bytes unlike the %d of one never offered them", len(got), len(want))
+	}
+	cr, err := zukowski.OpenColumn[int64](got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReads(t, cr, slices.Concat(head, tail))
 }

@@ -1,10 +1,6 @@
 package zukowski
 
-import (
-	"fmt"
-
-	"repro/internal/segment"
-)
+import "fmt"
 
 // Zone maps: the ZKC2 directory stores the min and max value of every
 // block, so a selective scan consults 16 bytes of metadata instead of
@@ -63,11 +59,12 @@ func (cr *ColumnReader[T]) BlockInfo(b int) (BlockInfo[T], error) {
 }
 
 // VerifyBlock checks block b's payload CRC32-C without decoding its
-// values, and that the frame opens with the segment magic, the one frame
-// format a read can dispatch on: a checksum-valid frame of any other
-// format (a retired comparator codec's, say) is ErrCorruptSegment here,
-// as it is on every read. The hash runs unconditionally: VerifyBlock's
-// contract is to check the bytes now, not to trust the latch.
+// values, and that the frame parses as a read parses it: a checksum-valid
+// frame of another format (a retired comparator codec's, say) or with a
+// PDICT dictionary in frequency order (an older writer's) is
+// ErrCorruptSegment here, as it is on every read. The hash runs
+// unconditionally: VerifyBlock's contract is to check the bytes now, not
+// to trust the latch.
 func (cr *ColumnReader[T]) VerifyBlock(b int) error {
 	if b < 0 || b >= len(cr.blocks) {
 		return fmt.Errorf("%w: block %d not in [0,%d)", ErrIndexOutOfRange, b, len(cr.blocks))
@@ -79,8 +76,10 @@ func (cr *ColumnReader[T]) VerifyBlock(b int) error {
 	if err := cr.verify(frame, b); err != nil {
 		return err
 	}
-	if !readableFrame(frame) {
-		return fmt.Errorf("block %d: %w", b, corrupt(segment.ErrBadMagic))
+	st := cr.getState()
+	defer cr.putState(st)
+	if err := readableFrame(frame, &st.blk); err != nil {
+		return fmt.Errorf("block %d: %w", b, corrupt(err))
 	}
 	return nil
 }
