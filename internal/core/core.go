@@ -154,6 +154,16 @@ func (b *Block[T]) IndexExceptions() {
 	b.ExcOff = off
 }
 
+// CheckExceptions walks every group's patch list of a block just parsed,
+// as IndexExceptions does, and keeps nothing: it panics where a read of
+// the block would.
+func (b *Block[T]) CheckExceptions() {
+	var buf [GroupSize]uint8
+	for g := range b.Entries {
+		b.exceptions(g, GroupSize-1, nil, &buf, nil)
+	}
+}
+
 // exceptions returns the in-group offsets of group g's exceptions and
 // their values, in list order: all of them on an indexed block, otherwise
 // those at or before limit, the last in-group position the caller needs.

@@ -27,9 +27,11 @@ type Metrics struct {
 	InFlight atomic.Int64
 
 	// Data-plane volume. RawBytesScanned is the uncompressed size of the
-	// column blocks the scan read: over the blocks the zone maps could not
-	// prune, every output column and each predicate-only column the
-	// engine still had a conjunct to evaluate on (bound.stats);
+	// column blocks the scan planned to read, as the engine's block plans
+	// report it (recordScanned): over the blocks the zone maps could not
+	// prune, the materialized columns and each predicate column the
+	// engine still had a conjunct to evaluate on — in frame mode, every
+	// output column;
 	// BytesEmitted is response payload bytes;
 	// RowsEmitted counts rows (row mode) or rows represented by shipped
 	// frames (frame mode); FramesShipped counts raw frames sent in frame

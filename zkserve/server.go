@@ -289,13 +289,9 @@ func (s *Server) buildPlan(req *ScanRequest) (plan *scanPlan, aggCol int, err er
 	if err != nil {
 		return nil, 0, err
 	}
-	plan = &scanPlan{table: t, workers: 1}
+	plan = &scanPlan{table: t, workers: 1, skip: req.SkipCorrupt, report: new(zukowski.ScanReport)}
 	if req.Workers > 1 {
 		plan.workers = min(req.Workers, s.cfg.MaxWorkers)
-	}
-	if req.SkipCorrupt {
-		plan.skip = true
-		plan.report = new(zukowski.ScanReport)
 	}
 	for _, name := range req.Cols {
 		ci, err := t.colIndex(name)
@@ -460,14 +456,20 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// recordScanned feeds the zone-map effectiveness counters from directory
-// metadata; called once per scan that ran to completion — even one whose
-// budget expired on its last block, hence the uncancelled context.
-func (s *Server) recordScanned(ctx context.Context, run runner) {
-	scanned, pruned, raw := run.stats(context.WithoutCancel(ctx))
-	s.metrics.BlocksScanned.Add(int64(scanned))
-	s.metrics.BlocksPruned.Add(int64(pruned))
-	s.metrics.RawBytesScanned.Add(raw)
+// recordScanned feeds the zone-map effectiveness counters from the block
+// plans the engine recorded in plan.report; called once per scan that ran
+// to completion. A row or aggregate scan read the column values its plans
+// planned. A frame scan evaluates nothing and ships every output column
+// of every planned block.
+func (s *Server) recordScanned(plan *scanPlan, frames bool) {
+	rep := plan.report
+	values := rep.ValuesPlanned
+	if frames {
+		values = rep.RowsPlanned * int64(len(plan.out))
+	}
+	s.metrics.BlocksScanned.Add(int64(rep.BlocksPlanned))
+	s.metrics.BlocksPruned.Add(int64(rep.BlocksPruned))
+	s.metrics.RawBytesScanned.Add(values * int64(plan.table.src.colWidth()))
 }
 
 func (s *Server) runAgg(ctx context.Context, w http.ResponseWriter, req *ScanRequest, plan *scanPlan, run runner, aggCol int) {
@@ -482,7 +484,7 @@ func (s *Server) runAgg(ctx context.Context, w http.ResponseWriter, req *ScanReq
 		s.fail(w, statusFor(err), err)
 		return
 	}
-	s.recordScanned(ctx, run)
+	s.recordScanned(plan, false)
 	s.metrics.ScansOK.Add(1)
 	resp := AggResponse{
 		Table:     req.Table,
@@ -554,7 +556,7 @@ func (s *Server) runRows(ctx context.Context, w http.ResponseWriter, enc rowEnco
 	if err == nil {
 		err = enc.writeErr()
 	}
-	s.endStream(ctx, run, plan, err, &t)
+	s.endStream(ctx, plan, false, err, &t)
 	enc.trailer(t, time.Since(start))
 	enc.flush()
 	s.metrics.RowsEmitted.Add(t.Rows)
@@ -564,11 +566,11 @@ func (s *Server) runRows(ctx context.Context, w http.ResponseWriter, enc rowEnco
 // endStream settles a streamed scan that stopped with err: it counts the
 // outcome, records the zone-map statistics of a scan that ran to its end,
 // and completes t's status, message and degraded accounting.
-func (s *Server) endStream(ctx context.Context, run runner, plan *scanPlan, err error, t *FrameTrailer) {
+func (s *Server) endStream(ctx context.Context, plan *scanPlan, frames bool, err error, t *FrameTrailer) {
 	switch {
 	case err == nil:
 		if t.Status != FrameStatusTruncated {
-			s.recordScanned(ctx, run)
+			s.recordScanned(plan, frames)
 		}
 		s.metrics.ScansOK.Add(1)
 	case ctx.Err() != nil:
@@ -610,7 +612,7 @@ func (s *Server) runFrames(ctx context.Context, w http.ResponseWriter, plan *sca
 	if err == nil {
 		err = fw.writeErr()
 	}
-	s.endStream(ctx, run, plan, err, &t)
+	s.endStream(ctx, plan, true, err, &t)
 	fw.trailer(t)
 	fw.flush()
 	s.metrics.RowsEmitted.Add(t.Rows)

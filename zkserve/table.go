@@ -2,7 +2,6 @@ package zkserve
 
 import (
 	"context"
-	"slices"
 
 	"repro/zktable"
 	"repro/zukowski"
@@ -15,9 +14,10 @@ import (
 // becomes one zukowski.Query (the conjunction as Preds, any any_of
 // disjunction as an expression tree, the outputs as Query.Cols), and the
 // three response modes are the table's own three entry points — Run for
-// rows, RunAggregate for aggregates, Candidates for raw frames and for
-// the prune statistics. The serving layer decides nothing about pruning
-// or segment composition itself, it only translates between the wire and
+// rows, RunAggregate for aggregates, Candidates for raw frames. The prune
+// statistics are the block plans the engine records in the plan's report
+// as the scan runs. The serving layer decides nothing about pruning or
+// segment composition itself, it only translates between the wire and
 // the typed domain.
 
 // predSpec is one resolved conjunct in the wire domain.
@@ -40,26 +40,9 @@ type scanPlan struct {
 
 	// skip makes the scan degraded: corrupt or quarantined blocks are
 	// dropped and accounted in report instead of failing the request.
-	skip   bool
+	skip bool
+	// report receives the scan's plan totals and, under skip, its losses.
 	report *zukowski.ScanReport
-}
-
-// predCols returns the deduplicated predicate columns in
-// first-appearance order.
-func (p *scanPlan) predCols() []int {
-	var cols []int
-	add := func(specs []predSpec) {
-		for _, ps := range specs {
-			if !slices.Contains(cols, ps.col) {
-				cols = append(cols, ps.col)
-			}
-		}
-	}
-	add(p.preds)
-	for _, g := range p.orGroups {
-		add(g)
-	}
-	return cols
 }
 
 // AggResult is an aggregate in the wire domain. Min and Max are only
@@ -72,7 +55,8 @@ type AggResult struct {
 }
 
 // runner is a plan bound to the table that executes it — the
-// width-erased face of bound[T].
+// width-erased face of bound[T]. Each mode records its block plans in the
+// plan's report.
 type runner interface {
 	// rows executes row mode: emit receives, once per block with
 	// surviving rows, the global row numbers and per requested output
@@ -88,14 +72,6 @@ type runner interface {
 	// frame of every output column. The frames alias the block cache or a
 	// fresh per-block read; emit must not modify them.
 	blocks(ctx context.Context, emit func(b int, firstRow int64, count int, frames [][]byte) bool) error
-	// stats walks directory metadata only: how many blocks the predicate
-	// prunes, how many survive, and the raw (uncompressed) bytes of the
-	// survivors across the columns the scan read — every output column,
-	// and a predicate-only column where the engine says the block's zone
-	// maps left a conjunct on it to evaluate. These are the denominators of
-	// the bytes-scanned and prune-rate metrics. Blocks out of service are
-	// neither.
-	stats(ctx context.Context) (scanned, pruned int, rawBytes int64)
 }
 
 // bound is the generic runner: one request's Query over one table.
@@ -104,14 +80,6 @@ type bound[T zukowski.Integer] struct {
 	q   zukowski.Query[T]
 	agg int   // aggregate column
 	out []int // output columns, in request order; frame mode ships their frames
-
-	// What one row of a candidate block costs in raw bytes: width per
-	// output column, read in every candidate, and width per predOnly
-	// column — one the predicate alone names — where the engine reports a
-	// conjunct left to evaluate on it (zukowski.Candidate.Reads). Frame
-	// mode ships blocks whole and evaluates nothing, so it has no predOnly.
-	width    int64
-	predOnly []int
 }
 
 // bind translates p into the table's vocabulary. A zktable's columns
@@ -120,15 +88,10 @@ type bound[T zukowski.Integer] struct {
 // aggregate mode materialize through the engine, so their outputs become
 // Query.Cols; frame mode ships frames and leaves Cols alone.
 func (s *shard[T]) bind(p *scanPlan, frames bool, aggCol int) runner {
-	b := &bound[T]{tbl: s.Table, agg: aggCol, out: p.out, width: int64(s.colWidth())}
+	b := &bound[T]{tbl: s.Table, agg: aggCol, out: p.out}
 	b.q = zukowski.Query[T]{SkipCorrupt: p.skip, Report: p.report}
 	if !frames {
 		b.q.Cols = p.out
-		for _, ci := range p.predCols() {
-			if !slices.Contains(p.out, ci) {
-				b.predOnly = append(b.predOnly, ci)
-			}
-		}
 	}
 	if p.workers > 1 {
 		b.q.Workers, b.q.InOrder = p.workers, true
@@ -210,23 +173,4 @@ func (b *bound[T]) blocks(ctx context.Context, emit func(blk int, firstRow int64
 		return fetchErr
 	}
 	return err
-}
-
-func (b *bound[T]) stats(ctx context.Context) (scanned, pruned int, rawBytes int64) {
-	// The dry run must neither fail on nor re-record what the scan itself
-	// already skipped and accounted.
-	q := b.q
-	q.SkipCorrupt, q.Report = true, nil
-	pruned, _ = b.tbl.Candidates(ctx, q, func(c zukowski.Candidate[T]) bool {
-		scanned++
-		cols := int64(len(b.out))
-		for _, ci := range b.predOnly {
-			if c.Reads[ci] {
-				cols++
-			}
-		}
-		rawBytes += int64(c.Rows) * cols * b.width
-		return true
-	})
-	return scanned, pruned, rawBytes
 }

@@ -57,7 +57,8 @@
 // fold with Aggregate.Merge, and quarantined segments fail exact scans
 // with ErrSegmentQuarantined while scans with Query.SkipCorrupt skip
 // them and record every lost block and row in Query.Report — the same
-// contract the block engine applies within a segment.
+// contract the block engine applies within a segment; Query.Report also
+// sums the block plans of the segments a scan reached.
 //
 // # Concurrency
 //

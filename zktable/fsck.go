@@ -236,7 +236,7 @@ func fsckSegments[T zukowski.Integer](dir string, man *manifest, rep *FsckReport
 			}
 			for b := 0; b < cr.NumBlocks(); b++ {
 				if err := cr.VerifyBlock(b); err != nil {
-					problem(fmt.Errorf("block %d: %w", b, err))
+					problem(err) // VerifyBlock names the block
 					continue
 				}
 				rep.BlocksVerified++

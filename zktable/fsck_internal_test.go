@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	zkseg "repro/internal/segment"
 	"repro/zukowski"
 )
 
@@ -72,7 +75,7 @@ func resealedTable(t *testing.T, dir, codec string, vals []int64, edit func(fram
 // checkRefused asserts that the table in dir opens (nothing it checks at
 // open is wrong), that a scan fails on column v's block 1 with
 // ErrCorruptSegment, and that Fsck refuses the table with one problem
-// naming the column, the block and what (a phrase of the cause).
+// naming the column, the block — once — and what (a phrase of the cause).
 func checkRefused(t *testing.T, dir, what string) {
 	t.Helper()
 	tb, _, err := Open[int64](dir, Options{})
@@ -91,8 +94,8 @@ func checkRefused(t *testing.T, dir, what string) {
 	if rep.OK() || len(rep.Problems) != 1 {
 		t.Fatalf("Fsck: OK=%v, problems %v; want the one block", rep.OK(), rep.Problems)
 	}
-	if p := rep.Problems[0]; !strings.Contains(p, `column "v"`) || !strings.Contains(p, "block 1") || !strings.Contains(p, what) {
-		t.Fatalf("problem %q does not name column v, block 1 and %q", p, what)
+	if p := rep.Problems[0]; !strings.Contains(p, `column "v"`) || strings.Count(p, "block 1") != 1 || !strings.Contains(p, what) {
+		t.Fatalf("problem %q does not name column v, block 1 (once) and %q", p, what)
 	}
 }
 
@@ -110,6 +113,41 @@ func TestFsckRefusesRetiredFrame(t *testing.T) {
 	}
 	resealedTable(t, dir, "", vals, func(frame []byte) { frame[0] = 0xB6 })
 	checkRefused(t, dir, "magic")
+}
+
+// TestFsckRefusesEscapingPatchList: the same for a PFOR frame that parses
+// but whose first patch-list hop leaves its group, which every read of the
+// block refuses when it walks the list: block 1's first exception (row 0
+// of the block) has its gap code raised to the width's maximum, and the
+// frame's own FNV re-sealed too.
+func TestFsckRefusesEscapingPatchList(t *testing.T) {
+	vals := make([]int64, 3000)
+	for i := range vals {
+		vals[i] = int64(i % 100)
+	}
+	vals[1000], vals[1010] = 1<<40, 1<<41 // exceptions at rows 0 and 10 of block 1
+	dir := filepath.Join(t.TempDir(), "tbl")
+	resealedTable(t, dir, "pfor", vals, func(frame []byte) {
+		blk, err := zkseg.Unmarshal[int64](frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blk.Scheme != core.SchemePFOR || blk.Entries[0]&0x7F != 0 || blk.B < 7 {
+			t.Fatalf("block 1 is scheme %v, width %d, patch start %d; want PFOR of width ≥ 7 patching from row 0",
+				blk.Scheme, blk.B, blk.Entries[0]&0x7F)
+		}
+		codes := 44 + 4*len(blk.Entries)
+		mask := uint32(1)<<blk.B - 1
+		word := binary.LittleEndian.Uint32(frame[codes:])
+		if word&mask != 9 {
+			t.Fatalf("row 0's gap code is %d, want 9 (the exception at row 10)", word&mask)
+		}
+		binary.LittleEndian.PutUint32(frame[codes:], word|mask)
+		h := fnv.New32a()
+		h.Write(frame[44:])
+		binary.LittleEndian.PutUint32(frame[40:], h.Sum32())
+	})
+	checkRefused(t, dir, "patch list")
 }
 
 // TestFsckRefusesFrequencyOrderedDictionary: the same for a PDICT frame

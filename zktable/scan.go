@@ -13,7 +13,8 @@ import (
 // quarantine handling with exact loss accounting, base offsets and early
 // stop — and Run, RunAggregate and Candidates are each one ColumnSet call
 // per segment on top of it. q.Workers is spent inside each segment;
-// segments run one after another, so deliveries stay serialized.
+// segments run one after another, so deliveries stay serialized. q.Report
+// sums the block plans of the segments the scan reached.
 
 // scan pins the committed generation and calls visit for each in-service
 // segment in row order with the segment's first global row and block.

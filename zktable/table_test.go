@@ -213,7 +213,11 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 
 // TestRunWorkersEquivalence: Query{Workers: n} returns exactly the
 // sequential scan's rows — unordered as a multiset, InOrder as the same
-// sequence — with global block indices, and stops on fn's say-so.
+// sequence — with global block indices, and stops on fn's say-so. At
+// every worker count from 1 to 8, ordered or not, exact or degraded, over
+// a healthy table and one with a block whose payload fails its checksum,
+// it answers as the sequential scan does and fills the same ScanReport:
+// the same plan totals, the same losses.
 func TestRunWorkersEquivalence(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "tbl")
 	tb := mustCreate(t, dir, zktable.Options{})
@@ -280,6 +284,86 @@ func TestRunWorkersEquivalence(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Fatalf("early-stop parallel scan delivered %d times, want 1", fired)
+	}
+
+	damaged := filepath.Join(t.TempDir(), "damaged")
+	tbD := mustCreate(t, damaged, zktable.Options{})
+	mustAppend(t, tbD, segA)
+	mustAppend(t, tbD, segB)
+	tbD.Close()
+	path := filepath.Join(damaged, "seg-00000001-v.zkc")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := zukowski.OpenColumn[int64](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := cr.BlockInfo(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[info.Offset+int64(info.Length)/2] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tbD, _, err = zktable.Open[int64](damaged, zktable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbD.Close()
+
+	// report is a ScanReport's fields, the first error by its class.
+	type report struct {
+		planned, pruned, skipped int
+		rows, values, lost       int64
+		fault                    bool
+	}
+	scan := func(tb *zktable.Table[int64], q zukowski.Query[int64]) (rows []int64, rep report, err error) {
+		sr := new(zukowski.ScanReport)
+		q.Report = sr
+		err = tb.Run(bg, q, func(_ int, r []int64, _ [][]int64) bool {
+			rows = append(rows, r...)
+			return true
+		})
+		if !q.InOrder {
+			slices.Sort(rows)
+		}
+		return rows, report{sr.BlocksPlanned, sr.BlocksPruned, sr.BlocksSkipped,
+			sr.RowsPlanned, sr.ValuesPlanned, sr.RowsLost, zukowski.IsDataFault(sr.FirstErr)}, err
+	}
+	for name, tb := range map[string]*zktable.Table[int64]{"healthy": tb, "damaged": tbD} {
+		for _, skip := range []bool{false, true} {
+			// The payload range, and a key window over segment A's rows
+			// 700..2500 that prunes blocks of both segments.
+			q := where(append(preds, zukowski.Pred[int64]{Col: 0, Lo: segA[0][700], Hi: segA[0][2500]})...)
+			q.Cols, q.SkipCorrupt = []int{0, 2}, skip
+			wantRows, wantRep, wantErr := scan(tb, q)
+			if wantRep.planned == 0 || wantRep.pruned == 0 {
+				t.Fatalf("%s skip=%v: the sequential scan planned %d blocks and pruned %d; the test wants both",
+					name, skip, wantRep.planned, wantRep.pruned)
+			}
+			if (name == "damaged") != (wantErr != nil || wantRep.skipped > 0) {
+				t.Fatalf("%s skip=%v: sequential scan %v, report %+v", name, skip, wantErr, wantRep)
+			}
+			for workers := 1; workers <= 8; workers++ {
+				for _, inOrder := range []bool{false, true} {
+					q.Workers, q.InOrder = workers, inOrder
+					rows, rep, err := scan(tb, q)
+					what := fmt.Sprintf("%s skip=%v workers=%d inOrder=%v", name, skip, workers, inOrder)
+					if zukowski.IsDataFault(err) != zukowski.IsDataFault(wantErr) || (err == nil) != (wantErr == nil) {
+						t.Fatalf("%s: %v, the sequential scan %v", what, err, wantErr)
+					}
+					if err == nil && !slices.Equal(rows, wantRows) {
+						t.Fatalf("%s: %d rows, the sequential scan %d", what, len(rows), len(wantRows))
+					}
+					if rep != wantRep {
+						t.Fatalf("%s: report %+v, the sequential scan's %+v", what, rep, wantRep)
+					}
+				}
+			}
+		}
 	}
 }
 

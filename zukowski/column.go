@@ -189,16 +189,22 @@ func (cw *ColumnWriter[T]) flushBlock() error {
 
 // readableFrame checks that frame is one ColumnReader decodes: a segment
 // frame, and when patched one that parses, into blk, as a read parses it
-// (a PDICT dictionary in frequency order, say, does not). It is the check
+// (a PDICT dictionary in frequency order, say, does not) and whose every
+// patch list stays in its group, as a read walks it. It is the check
 // every written, spliced or verified frame passes, so the offline checks
-// refuse what reads refuse.
-func readableFrame[T Integer](frame []byte, blk *core.Block[T]) error {
+// refuse what reads refuse; what it refuses is ErrCorruptSegment.
+func readableFrame[T Integer](frame []byte, blk *core.Block[T]) (err error) {
 	switch {
 	case len(frame) == 0 || frame[0] != segment.Magic:
-		return segment.ErrBadMagic
-	case segment.IsCompressed(frame):
-		return segment.UnmarshalIntoTrusted(blk, frame)
+		return corrupt(segment.ErrBadMagic)
+	case !segment.IsCompressed(frame):
+		return nil
 	}
+	if err := segment.UnmarshalIntoTrusted(blk, frame); err != nil {
+		return corrupt(err)
+	}
+	defer guardSegment(&err)
+	blk.CheckExceptions()
 	return nil
 }
 
@@ -245,7 +251,7 @@ func (cw *ColumnWriter[T]) WriteFrame(frame []byte, info BlockInfo[T]) error {
 			info.Count, cw.blockValues)
 	}
 	if err := readableFrame(frame, &cw.check); err != nil {
-		return fmt.Errorf("%w: frame the column reader cannot decode: %w", ErrUnknownCodec, corrupt(err))
+		return fmt.Errorf("%w: frame the column reader cannot decode: %w", ErrUnknownCodec, err)
 	}
 	if err := checkCRC(frame, info.CRC32C, len(cw.dir)); err != nil {
 		return err
@@ -842,8 +848,8 @@ func (r *frameRun) release() {
 }
 
 // scanFrame returns block b's frame to a sequential scan that keeps run
-// for this column and will read the column's block k wherever reads[k] is
-// set: from the attached cache (one hit or one miss counted), else from
+// for this column and will read the column's block k wherever reads.has(k)
+// holds: from the attached cache (one hit or one miss counted), else from
 // run, reading a new run from b first when run does not hold it. Every
 // frame taken from a run is CRC-checked before use and, with a cache, then
 // offered to it (the cache copies what it admits). A frame that fails its
@@ -851,7 +857,7 @@ func (r *frameRun) release() {
 // then quarantine. So a torn run quarantines exactly the bad frame, and a
 // frame read ahead but never taken reports nothing. The frame is borrowed
 // from run or shared with the cache: read-only, and only for this block.
-func (cr *ColumnReader[T]) scanFrame(run *frameRun, b int, reads []bool) (f fetched, err error) {
+func (cr *ColumnReader[T]) scanFrame(run *frameRun, b int, reads planned) (f fetched, err error) {
 	if err := cr.quarantined(b); err != nil {
 		return f, err
 	}
@@ -886,10 +892,10 @@ func (cr *ColumnReader[T]) scanFrame(run *frameRun, b int, reads []bool) (f fetc
 // the cache holds and within runCap bytes. A run of several frames that
 // cannot be read after the retries is cut to a run of one, so that an
 // unreadable neighbour costs block b nothing.
-func (cr *ColumnReader[T]) readRun(run *frameRun, b int, reads []bool, ac *attachedCache) error {
+func (cr *ColumnReader[T]) readRun(run *frameRun, b int, reads planned, ac *attachedCache) error {
 	limit := cr.blocks[b].offset + runCap
 	end := b + 1
-	for end < len(cr.blocks) && reads[end] &&
+	for end < len(cr.blocks) && reads.has(end) &&
 		cr.blocks[end].offset+uint64(cr.blocks[end].length) <= limit &&
 		(ac == nil || !ac.resident(end)) {
 		end++
@@ -938,7 +944,7 @@ func parseSegmentInto[T Integer](blk *core.Block[T], frame []byte, trusted bool)
 // there, as the kernels' walk fails one over any other frame: no block is
 // attached unindexed. Any other frame is parsed into scratch, as every
 // fetch of it will be.
-func (cr *ColumnReader[T]) block(run *frameRun, b int, reads []bool, scratch *core.Block[T]) (blk *core.Block[T], raw []byte, err error) {
+func (cr *ColumnReader[T]) block(run *frameRun, b int, reads planned, scratch *core.Block[T]) (blk *core.Block[T], raw []byte, err error) {
 	var f fetched
 	if run != nil {
 		f, err = cr.scanFrame(run, b, reads)
@@ -1122,7 +1128,7 @@ func (cr *ColumnReader[T]) Get(i int) (v T, err error) {
 	if ac := cr.cache.Load(); ac != nil {
 		st := cr.getState()
 		defer cr.putState(st)
-		blk, raw, err := cr.block(nil, b, nil, &st.blk)
+		blk, raw, err := cr.block(nil, b, planned{}, &st.blk)
 		if err != nil {
 			return v, err
 		}

@@ -45,10 +45,6 @@ type Pred[T Integer] struct {
 type ColumnSet[T Integer] struct {
 	cols   []*ColumnReader[T]
 	states sync.Pool
-
-	// fileBacked reports whether any column reads through an io.ReaderAt,
-	// so that a sequential scan has frames to read ahead.
-	fileBacked bool
 }
 
 // NewColumnSet groups columns for conjunctive scans. Every column must
@@ -76,11 +72,7 @@ func NewColumnSet[T Integer](cols ...*ColumnReader[T]) (*ColumnSet[T], error) {
 			}
 		}
 	}
-	cs := &ColumnSet[T]{cols: cols}
-	for _, cr := range cols {
-		cs.fileBacked = cs.fileBacked || !cr.src.stable()
-	}
-	return cs, nil
+	return &ColumnSet[T]{cols: cols}, nil
 }
 
 // Columns returns the number of columns in the set.
@@ -134,12 +126,11 @@ type setState[T Integer] struct {
 	// code-space path, one slice per group column.
 	codes [][]int32
 
-	// plan is a sequential pass's read plan over a set with a file-backed
-	// column: plan[c*NumBlocks()+b] says whether the pass fetches column c's
-	// block b (see planReads). Empty outside visitBlocks, so a parallel
-	// worker's state fetches single frames. reads is planReads' scratch.
-	plan  []bool
-	reads []bool
+	// plan is the scan's block plan (see planScan), and at the entry the
+	// sequential walk is evaluating. A worker of the parallel form plans
+	// nothing: its plan is empty, so it fetches single frames.
+	plan blockPlan
+	at   int
 }
 
 func (cs *ColumnSet[T]) getState() *setState[T] {
@@ -152,37 +143,69 @@ func (cs *ColumnSet[T]) getState() *setState[T] {
 	}
 }
 
-// putState returns st to the pool. It lets go of the parsed blocks the
-// state last used, so a pooled state pins no block the cache has evicted.
+// putState returns st to the pool. It hands the state's run buffers back
+// to the shared pool, forgets its plan and lets go of the parsed blocks
+// the state last used, so a pooled state pins no block the cache has
+// evicted and plans nothing for its next scan.
 func (cs *ColumnSet[T]) putState(st *setState[T]) {
 	for i := range st.cols {
 		st.cols[i].cur = nil
+		st.cols[i].run.release()
 	}
+	st.plan.entries = st.plan.entries[:0]
 	cs.states.Put(st)
 }
 
-// planReads fills st.plan for a sequential pass of q whose visits
-// materialize the columns mat (nil: every column): column c's block b is
-// fetched when queryVerdict does not rule the block out and c is either
-// materialized or named by markReads for the predicate. This is what
-// "will read" means to a run (see ColumnReader.scanFrame); a block whose
-// bitmap empties early reads less, and the frames read ahead for it go
-// unused.
-func (cs *ColumnSet[T]) planReads(st *setState[T], q *Query[T], mat []int) {
-	nb, nc := cs.NumBlocks(), len(cs.cols)
-	if cap(st.plan) < nb*nc {
-		st.plan = make([]bool, nb*nc)
+// blockPlan is one scan's answer to "which blocks, with which verdict,
+// reading which columns", built once from the zone maps before any frame
+// is read (planScan) and walked by every executor of the scan: the
+// sequential loop (visitBlocks), Run's workers, Candidates and the
+// sequential read-ahead (ColumnReader.scanFrame).
+type blockPlan struct {
+	entries []planEntry // the blocks no zone map rules out, ascending
+	reads   []bool      // reads[i*ncols+c]: entry i fetches column c
+	ncols   int
+	pruned  int   // blocks the zone maps rule out
+	rows    int64 // rows of the planned blocks
+	values  int64 // rows × columns fetched, summed over the entries
+}
+
+// planEntry is one planned block.
+type planEntry struct {
+	block   int
+	first   int64   // the block's first row
+	rows    int     // rows in the block
+	verdict verdict // verdictSome or verdictAll
+}
+
+// colReads returns which columns entry i fetches, indexed by column.
+func (p *blockPlan) colReads(i int) []bool { return p.reads[i*p.ncols : (i+1)*p.ncols] }
+
+// planScan validates q and plans its scan into st.plan: every block whose
+// verdict is not none, with the columns the scan fetches there — those
+// markReads names for the predicate and the materialized columns mat (nil:
+// every column). It is the one place a scan asks the zone maps; the plan's
+// totals go to q.Report, once per scan.
+func (cs *ColumnSet[T]) planScan(st *setState[T], q *Query[T], mat []int) error {
+	if err := cs.checkQuery(q); err != nil {
+		return err
 	}
-	st.plan = st.plan[:nb*nc]
-	clear(st.plan)
-	if cap(st.reads) < nc {
-		st.reads = make([]bool, nc)
+	first := cs.cols[0]
+	nb, nc := len(first.blocks), len(cs.cols)
+	p := &st.plan
+	if cap(p.reads) < nb*nc {
+		p.reads = make([]bool, nb*nc)
 	}
-	reads := st.reads[:nc]
-	for b := 0; b < nb; b++ {
-		if cs.queryVerdict(q, b) == verdictNone {
+	p.entries, p.reads, p.ncols = p.entries[:0], p.reads[:nb*nc], nc
+	p.pruned, p.rows, p.values = 0, 0, 0
+	for b := range first.blocks {
+		v := cs.queryVerdict(q, b)
+		if v == verdictNone {
+			p.pruned++
 			continue
 		}
+		e := planEntry{block: b, first: int64(first.starts[b]), rows: int(first.blocks[b].count), verdict: v}
+		reads := p.colReads(len(p.entries))
 		clear(reads)
 		cs.markReads(q, b, reads)
 		if mat == nil {
@@ -193,34 +216,45 @@ func (cs *ColumnSet[T]) planReads(st *setState[T], q *Query[T], mat []int) {
 		for _, c := range mat {
 			reads[c] = true
 		}
-		for c, r := range reads {
-			st.plan[c*nb+b] = r
+		for _, r := range reads {
+			if r {
+				p.values += int64(e.rows)
+			}
 		}
+		p.rows += int64(e.rows)
+		p.entries = append(p.entries, e)
 	}
+	q.Report.addPlan(p)
+	return nil
 }
 
 // block returns column ci's block b for the scan st, parsed or raw (see
-// ColumnReader.block): through the column's run when st is a planned
-// sequential pass and the column is file-backed, the reader's
-// single-frame fetch otherwise.
+// ColumnReader.block): through the column's run when st is walking a plan
+// and the column is file-backed, the reader's single-frame fetch
+// otherwise.
 func (cs *ColumnSet[T]) block(st *setState[T], ci, b int) (*core.Block[T], []byte, error) {
 	cr := cs.cols[ci]
 	cst := &st.cols[ci]
-	if len(st.plan) == 0 || cr.src.stable() {
-		return cr.block(nil, b, nil, &cst.blk)
+	if len(st.plan.entries) == 0 || cr.src.stable() {
+		return cr.block(nil, b, planned{}, &cst.blk)
 	}
-	nb := len(cr.blocks)
-	return cr.block(&cst.run, b, st.plan[ci*nb:(ci+1)*nb], &cst.blk)
+	return cr.block(&cst.run, b, planned{&st.plan, st.at, ci}, &cst.blk)
 }
 
-// endScan hands a sequential pass's run buffers back to the shared pool,
-// forgets its plan and returns st to the set's pool.
-func (cs *ColumnSet[T]) endScan(st *setState[T]) {
-	for i := range st.cols {
-		st.cols[i].run.release()
-	}
-	st.plan = st.plan[:0]
-	cs.putState(st)
+// planned is column col's view of a plan from entry at on, for the
+// column's read-ahead.
+type planned struct {
+	p       *blockPlan
+	at, col int
+}
+
+// has reports whether the scan fetches the column's block k, for k at or
+// after entry at's block. Entries ascend without repeats, so block k can
+// only be entry at+(k-block) — and is exactly when every block between
+// them is planned too.
+func (v planned) has(k int) bool {
+	j := v.at + k - v.p.entries[v.at].block
+	return j < len(v.p.entries) && v.p.entries[j].block == k && v.p.reads[j*v.p.ncols+v.col]
 }
 
 // begin invalidates the per-block memos before evaluating a new block.
@@ -420,21 +454,6 @@ func insertByEstimate(ord []int, est []float64, i int) []int {
 	return ord
 }
 
-// checkPreds validates predicate column indices and reports whether the
-// conjunction is trivially empty (some Lo > Hi).
-func (cs *ColumnSet[T]) checkPreds(preds []Pred[T]) (empty bool, err error) {
-	for _, p := range preds {
-		if p.Col < 0 || p.Col >= len(cs.cols) {
-			return false, fmt.Errorf("%w: predicate column %d not in [0,%d)",
-				ErrIndexOutOfRange, p.Col, len(cs.cols))
-		}
-		if p.Lo > p.Hi {
-			empty = true
-		}
-	}
-	return empty, nil
-}
-
 // blockMaskQuery composes block b's bitmap for q into st.sv and reports
 // whether any row survives: the []Pred conjunction first, most selective
 // first, then the expression tree refining it — or, without preds left to
@@ -491,43 +510,36 @@ func (cs *ColumnSet[T]) gatherBlock(st *setState[T], b int, q *Query[T]) (rows [
 // visitBlocks is the engine's one sequential block loop; every sequential
 // scan — Run, RunAggregate, GroupAggregate and JoinOn — is a visit function
 // under it, and mat names the columns its visit materializes on a block
-// with surviving rows (nil: every column). It checks q, holds one pooled
-// state for the whole pass — over file-backed columns with the read plan
-// and the runs of adjacent frames the plan lets a missed block fetch (see
-// planReads) — and, per
-// block, consults ctx (the natural preemption point: one block is one bounded
-// quantum of decode work; context.Background() never fires and costs one
-// predictable branch), drops the block when its zone maps prove no row
-// matches, composes q's bitmap into st.sv and, when a row survives, calls
-// visit to materialize what it needs from st. visit returning false stops the
-// scan; an error from the bitmap or the visit is skipped and accounted when q
-// runs degraded and it is a fault of the data, and ends the scan otherwise.
-// visit runs outside any panic guard: a panic in caller code reaches the
-// caller.
+// with surviving rows (nil: every column). It holds one pooled state for
+// the whole pass, plans the pass into it (planScan) and walks the plan:
+// per planned block it consults ctx (the natural preemption point: one
+// block is one bounded quantum of decode work; context.Background() never
+// fires and costs one predictable branch), composes q's bitmap into st.sv
+// and, when a row survives, calls visit to materialize what it needs from
+// st. Over file-backed columns a missed frame is fetched with the run of
+// adjacent frames the plan reads next. visit returning false stops the
+// scan; an error from the bitmap or the visit is skipped and accounted
+// when q runs degraded and it is a fault of the data, and ends the scan
+// otherwise. visit runs outside any panic guard: a panic in caller code
+// reaches the caller.
 func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, q *Query[T], mat []int, visit func(st *setState[T], b int) (more bool, err error)) error {
-	empty, err := cs.checkQuery(q)
-	if err != nil || empty {
+	st := cs.getState()
+	defer cs.putState(st)
+	if err := cs.planScan(st, q, mat); err != nil {
 		return err
 	}
-	st := cs.getState()
-	defer cs.endScan(st)
-	if cs.fileBacked {
-		cs.planReads(st, q, mat)
-	}
-	for b := range cs.cols[0].blocks {
+	for i, e := range st.plan.entries {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if cs.queryVerdict(q, b) == verdictNone {
-			continue
-		}
+		st.at = i
 		more := true
-		any, err := cs.blockMaskQuery(st, b, q)
+		any, err := cs.blockMaskQuery(st, e.block, q)
 		if err == nil && any {
-			more, err = visit(st, b)
+			more, err = visit(st, e.block)
 		}
 		if err != nil {
-			if q.skipBlock(int(cs.cols[0].blocks[b].count), err) {
+			if q.skipBlock(e.rows, err) {
 				continue
 			}
 			return err
@@ -539,8 +551,7 @@ func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, q *Query[T], mat []int,
 	return nil
 }
 
-// runSeq is Run's sequential form — also the one-worker degenerate case of
-// the parallel one.
+// runSeq is Run's sequential form.
 func (cs *ColumnSet[T]) runSeq(ctx context.Context, q *Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
 	return cs.visitBlocks(ctx, q, q.Cols, func(st *setState[T], b int) (bool, error) {
 		rows, out, err := cs.gatherBlock(st, b, q)

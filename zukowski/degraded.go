@@ -27,12 +27,27 @@ import (
 // is evaluated or materialized fails or skips exactly that block, as ever.
 // Verify and VerifyBlock are the passes that check every frame.
 
-// ScanReport accumulates what a degraded scan skipped. Set a pointer to one
-// as Query.Report beside Query.SkipCorrupt and read the fields after the
-// scan returns; a parallel scan records from its workers, so the fields
-// must not be read while the scan runs.
+// ScanReport is what a scan reports beside its answer: the totals of its
+// block plans, and what a degraded scan skipped. Set a pointer to one as
+// Query.Report and read the fields after the scan returns; a parallel scan
+// records from its workers, so the fields must not be read while the scan
+// runs. A nil report costs a scan nothing.
 type ScanReport struct {
 	mu sync.Mutex
+
+	// The plan totals sum, over every ColumnSet pass of the scan (one per
+	// segment of a zktable.Table), what the pass planned from the zone maps
+	// before it read a frame: the blocks planned, the blocks pruned, the
+	// rows of the planned blocks, and their column values to fetch — per
+	// planned block, its rows times the columns read there: those the
+	// predicate leaves undecided and the materialized ones (none for
+	// Candidates). They count what was planned, not what was done: a block
+	// whose bitmap empties early reads less, and a scan that stops early or
+	// skips a block still counts it.
+	BlocksPlanned int
+	BlocksPruned  int
+	RowsPlanned   int64
+	ValuesPlanned int64
 
 	// BlocksSkipped counts blocks dropped from the scan.
 	BlocksSkipped int
@@ -43,6 +58,19 @@ type ScanReport struct {
 
 	// FirstErr is the fault of the first skipped block.
 	FirstErr error
+}
+
+// addPlan adds p's totals to r; a nil report discards.
+func (r *ScanReport) addPlan(p *blockPlan) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.BlocksPlanned += len(p.entries)
+	r.BlocksPruned += p.pruned
+	r.RowsPlanned += p.rows
+	r.ValuesPlanned += p.values
+	r.mu.Unlock()
 }
 
 // Record notes one skipped block of rows rows lost to err. Safe for

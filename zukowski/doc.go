@@ -121,9 +121,13 @@
 // round — so whole branches are skipped at block granularity, in either
 // direction, without their columns being read. Inside an AND, the
 // children left to evaluate still run most-selective-first by zone-map
-// estimate. That verdict lives in one place (verdict in expr.go) and
-// every layer above asks it rather than re-deriving it: Candidates
-// reports, per block, which columns the predicate still reads.
+// estimate. That verdict lives in one place (verdict in expr.go), and
+// each scan asks it once: the scan's block plan — which blocks, with which
+// verdict, reading which columns — is built before any frame is read, and
+// the sequential loop, Run's workers, Candidates and the read-ahead all
+// walk it. Candidates reports, per block, which columns the predicate
+// still reads, and Query.Report receives the plan's totals (blocks
+// planned and pruned, rows and column values planned).
 //
 // On top of the expression scan sit three result-shaped operators.
 // Project materializes the selected rows of chosen columns in one pass

@@ -97,9 +97,9 @@ func (e *Expr[T]) check(ncols int) error {
 
 // verdict is what a block's zone maps prove about a predicate before any
 // of the block is read. It is the one block-level pruning decision of the
-// query layer: visitBlocks and runParallel drop blocks on verdictNone,
-// blockMaskQuery and evalExpr skip every conjunct and subtree decided
-// either way, Candidates reports what is left to read.
+// query layer: planScan asks it once per block of a scan, and every
+// executor walks that plan; blockMaskQuery and evalExpr skip every
+// conjunct and subtree decided either way.
 type verdict uint8
 
 const (

@@ -269,14 +269,20 @@ type queryEngine interface {
 // no matching row outside a candidate, hands out no block whose own min
 // and max rule it out, and names as read exactly the columns that
 // q.Preds[0] and the tree node (q.Expr, in the oracle's form) leave
-// undecided over the block's rows of cols.
+// undecided over the block's rows of cols. Each entry point's plan totals
+// (Query.Report) are that walk's: its candidates, its pruned blocks, their
+// rows, and per candidate its rows times the columns read — the oracle's,
+// plus q.Cols for Run and aggCol for RunAggregate; checkQueryEngine
+// returns them.
 func checkQueryEngine(t *testing.T, what string, eng queryEngine, q zukowski.Query[int64], blocks int,
 	wantRows []int64, wantVals [][]int64, aggCol int, wantAgg zukowski.Aggregate[int64],
-	cols [][]int64, node *fuzzNode) {
+	cols [][]int64, node *fuzzNode) [3]planTotals {
 	t.Helper()
+	reps := [3]zukowski.ScanReport{} // Run, RunAggregate, Candidates
 	var gotRows []int64
 	gotVals := make([][]int64, len(q.Cols))
 	lastBlock := -1
+	q.Report = &reps[0]
 	if err := eng.Run(t.Context(), q, func(b int, r []int64, bc [][]int64) bool {
 		if b <= lastBlock || b >= blocks {
 			t.Fatalf("%s: Run delivered block %d after %d (of %d)", what, b, lastBlock, blocks)
@@ -299,12 +305,15 @@ func checkQueryEngine(t *testing.T, what string, eng queryEngine, q zukowski.Que
 		}
 	}
 
+	q.Report = &reps[1]
 	if agg, err := eng.RunAggregate(t.Context(), q, aggCol); err != nil || agg != wantAgg {
 		t.Fatalf("%s: RunAggregate = %+v, %v; want %+v", what, agg, err, wantAgg)
 	}
 
 	candidates, lastBlock, next := 0, -1, 0 // next indexes wantRows
 	wantReads := make([]bool, len(cols))
+	var wantPlans [3]planTotals
+	q.Report = &reps[2]
 	pruned, err := eng.Candidates(t.Context(), q, func(c zukowski.Candidate[int64]) bool {
 		b, firstRow, rows := c.Block, c.FirstRow, c.Rows
 		if b <= lastBlock || b >= blocks {
@@ -325,6 +334,15 @@ func checkQueryEngine(t *testing.T, what string, eng queryEngine, q zukowski.Que
 		if !slices.Equal(c.Reads, wantReads) {
 			t.Fatalf("%s: candidate %d (rows %d..%d): the predicate reads columns %v, want %v", what, b, r0, r1, c.Reads, wantReads)
 		}
+		for i, mat := range [3][]int{q.Cols, {aggCol}, nil} {
+			wantPlans[i].planned++
+			wantPlans[i].rows += int64(rows)
+			for col, r := range wantReads {
+				if r || slices.Contains(mat, col) {
+					wantPlans[i].values += int64(rows)
+				}
+			}
+		}
 		if next < len(wantRows) && wantRows[next] < firstRow {
 			t.Fatalf("%s: matching row %d lies in a pruned block before candidate %d", what, wantRows[next], b)
 		}
@@ -344,6 +362,13 @@ func checkQueryEngine(t *testing.T, what string, eng queryEngine, q zukowski.Que
 	if candidates+pruned != blocks {
 		t.Fatalf("%s: %d candidates + %d pruned != %d blocks", what, candidates, pruned, blocks)
 	}
+	for i, entry := range []string{"Run", "RunAggregate", "Candidates"} {
+		wantPlans[i].pruned = pruned
+		if got := totalsOf(&reps[i]); got != wantPlans[i] {
+			t.Fatalf("%s: %s planned %+v, want %+v", what, entry, got, wantPlans[i])
+		}
+	}
+	return wantPlans
 }
 
 // FuzzExprScan is the differential fuzzer of the expression scan: random
@@ -557,7 +582,7 @@ func checkExprScan(t *testing.T, cols [][]int64, blockValues int, node *fuzzNode
 		}
 		want.Merge(zukowski.Aggregate[int64]{Count: 1, Sum: cols[1][i], Min: cols[1][i], Max: cols[1][i]})
 	}
-	checkQueryEngine(t, "ColumnSet", cs, q, cs.NumBlocks(), wantRows, wantOut, 1, want, cols, node)
+	setPlans := checkQueryEngine(t, "ColumnSet", cs, q, cs.NumBlocks(), wantRows, wantOut, 1, want, cols, node)
 
 	n := len(cols[0])
 	if n < 3 {
@@ -605,5 +630,9 @@ func checkExprScan(t *testing.T, cols [][]int64, blockValues int, node *fuzzNode
 	if _, err := tb.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	checkQueryEngine(t, "compacted table", tb, q, cs.NumBlocks(), wantRows, wantOut, 1, want, cols, node)
+	// Compacted, the table is the ColumnSet's blocks in one segment, and
+	// plans exactly what the ColumnSet plans.
+	if plans := checkQueryEngine(t, "compacted table", tb, q, cs.NumBlocks(), wantRows, wantOut, 1, want, cols, node); plans != setPlans {
+		t.Fatalf("the compacted table planned %+v, the ColumnSet %+v", plans, setPlans)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"slices"
 	"strings"
@@ -528,4 +529,17 @@ func TestCraftedEscapingPatchList(t *testing.T) {
 	if resident := zukowski.ResidentParsed[int64](cache); len(resident) != 0 {
 		t.Fatalf("%d parsed blocks resident, want none: a list leaving its group is not attached", len(resident))
 	}
+	// The offline checks walk the lists the reads walk, and a writer
+	// takes no frame the reads refuse.
+	refused("Verify", plain.Verify())
+	refused("cached VerifyBlock", cached.VerifyBlock(0))
+	info, err := plain.BlockInfo(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw, err := zukowski.NewColumnWriter[int64](io.Discard, zukowski.PFOR[int64]{}, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("WriteFrame", cw.WriteFrame(frame, info))
 }

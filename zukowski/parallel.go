@@ -21,29 +21,23 @@ import (
 
 // runParallel is Run's block-parallel form. It stays apart from the
 // sequential visitBlocks because core.ParallelDo moves whatever its closure
-// captures to the heap (Run hands it a copy of q for that reason). Workers
-// claim, in block order, the blocks queryVerdict does not rule out — the
-// pruning step of visitBlocks and Candidates — and deliver serialized, in
-// block order under q.InOrder. fn returning false, an error q does not skip,
-// or a panic in fn stops the scan as it would the sequential one: in-flight
-// blocks are discarded undelivered, and the panic is re-raised here once the
-// pool has drained. With InOrder an error surfaces exactly where the
-// sequential scan would hit it; unordered, the first error delivered wins.
+// captures to the heap (Run hands it a copy of q for that reason). It
+// plans the scan once, in a state of its own, and its workers claim the
+// plan's entries in order and deliver serialized, in block order under
+// q.InOrder. fn returning false, an error q does not skip, or a panic in fn
+// stops the scan as it would the sequential one: in-flight blocks are
+// discarded undelivered, and the panic is re-raised here once the pool has
+// drained. With InOrder an error surfaces exactly where the sequential scan
+// would hit it; unordered, the first error delivered wins. A plan of one
+// block runs on the calling goroutine.
 func (cs *ColumnSet[T]) runParallel(ctx context.Context, q *Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
-	empty, err := cs.checkQuery(q)
-	if err != nil || empty {
+	lead := cs.getState()
+	defer cs.putState(lead)
+	if err := cs.planScan(lead, q, q.Cols); err != nil {
 		return err
 	}
-	var candidates []int
-	for b := range cs.cols[0].blocks {
-		if cs.queryVerdict(q, b) != verdictNone {
-			candidates = append(candidates, b)
-		}
-	}
-	workers := min(q.Workers, len(candidates))
-	if workers <= 1 {
-		return cs.runSeq(ctx, q, fn)
-	}
+	plan := lead.plan.entries
+	workers := min(q.Workers, len(plan))
 
 	var (
 		mu       sync.Mutex
@@ -73,18 +67,18 @@ func (cs *ColumnSet[T]) runParallel(ctx context.Context, q *Query[T], fn func(bl
 	for w := range states {
 		states[w] = cs.getState()
 	}
-	core.ParallelDo(workers, len(candidates), func(w, t int) bool {
-		b, st := candidates[t], states[w]
+	core.ParallelDo(workers, len(plan), func(w, t int) bool {
+		e, st := plan[t], states[w]
 		var rows []int64
 		var out [][]T
 		err := ctx.Err()
 		if err == nil {
 			var any bool
-			if any, err = cs.blockMaskQuery(st, b, q); err == nil && any {
-				rows, out, err = cs.gatherBlock(st, b, q)
+			if any, err = cs.blockMaskQuery(st, e.block, q); err == nil && any {
+				rows, out, err = cs.gatherBlock(st, e.block, q)
 			}
 		}
-		if err != nil && q.skipBlock(int(cs.cols[0].blocks[b].count), err) {
+		if err != nil && q.skipBlock(e.rows, err) {
 			err = nil
 		}
 
@@ -102,7 +96,7 @@ func (cs *ColumnSet[T]) runParallel(ctx context.Context, q *Query[T], fn func(bl
 		}
 		if err != nil {
 			firstErr = err
-		} else if len(rows) == 0 || deliver(b, rows, out) {
+		} else if len(rows) == 0 || deliver(e.block, rows, out) {
 			return true
 		}
 		// Returning false makes ParallelDo stop handing out tasks; workers

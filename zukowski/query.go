@@ -48,28 +48,29 @@ type Query[T Integer] struct {
 	// honours it.
 	SkipCorrupt bool
 
-	// Report receives the degraded-scan accounting when SkipCorrupt is
-	// set. May be nil to skip without accounting.
+	// Report receives what the scan planned and, when SkipCorrupt is set,
+	// what it skipped (see ScanReport). May be nil to account nothing.
 	Report *ScanReport
 }
 
-// checkQuery validates every column reference in q and reports whether
-// the predicate conjunction is trivially empty.
-func (cs *ColumnSet[T]) checkQuery(q *Query[T]) (empty bool, err error) {
-	empty, err = cs.checkPreds(q.Preds)
-	if err != nil {
-		return false, err
+// checkQuery validates every column reference in q.
+func (cs *ColumnSet[T]) checkQuery(q *Query[T]) error {
+	for _, p := range q.Preds {
+		if p.Col < 0 || p.Col >= len(cs.cols) {
+			return fmt.Errorf("%w: predicate column %d not in [0,%d)",
+				ErrIndexOutOfRange, p.Col, len(cs.cols))
+		}
 	}
 	if err := q.Expr.check(len(cs.cols)); err != nil {
-		return false, err
+		return err
 	}
 	for _, ci := range q.Cols {
 		if ci < 0 || ci >= len(cs.cols) {
-			return false, fmt.Errorf("%w: output column %d not in [0,%d)",
+			return fmt.Errorf("%w: output column %d not in [0,%d)",
 				ErrIndexOutOfRange, ci, len(cs.cols))
 		}
 	}
-	return empty, nil
+	return nil
 }
 
 // Run executes q, invoking fn once per block with at least one surviving
@@ -172,34 +173,27 @@ type Candidate[T Integer] struct {
 // Candidates is the dry run of q: it walks the blocks q's zone-map
 // analysis cannot exclude — exactly the blocks Run would evaluate —
 // reading directory metadata only, and returns how many blocks were
-// pruned. fn returning false stops the walk; ctx is consulted once per
-// block.
+// pruned. It plans the scan as Run does, materializing nothing, and
+// records the plan in q.Report. fn returning false stops the walk; ctx is
+// consulted once per candidate.
 func (cs *ColumnSet[T]) Candidates(ctx context.Context, q Query[T], fn func(c Candidate[T]) bool) (pruned int, err error) {
-	empty, err := cs.checkQuery(&q)
-	if err != nil {
+	st := cs.getState()
+	defer cs.putState(st)
+	if err := cs.planScan(st, &q, []int{}); err != nil {
 		return 0, err
 	}
-	first := cs.cols[0]
-	if empty {
-		return len(first.blocks), nil
-	}
 	c := Candidate[T]{Cols: cs.cols, Reads: make([]bool, len(cs.cols))}
-	for b := range first.blocks {
+	for i, e := range st.plan.entries {
 		if err := ctx.Err(); err != nil {
-			return pruned, err
+			return st.plan.pruned, err
 		}
-		if cs.queryVerdict(&q, b) == verdictNone {
-			pruned++
-			continue
-		}
-		clear(c.Reads)
-		cs.markReads(&q, b, c.Reads)
-		c.Block, c.Local, c.FirstRow, c.Rows = b, b, int64(first.starts[b]), int(first.blocks[b].count)
+		copy(c.Reads, st.plan.colReads(i))
+		c.Block, c.Local, c.FirstRow, c.Rows = e.block, e.block, e.first, e.rows
 		if !fn(c) {
 			break
 		}
 	}
-	return pruned, nil
+	return st.plan.pruned, nil
 }
 
 // Project materializes the named columns at every row expr selects, in
