@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"math/rand"
@@ -197,4 +198,65 @@ func frequencyOrderedValues() []int64 {
 		}
 	}
 	return vals
+}
+
+// TestFsckRefusesCountMismatch: a raw frame whose header counts half the
+// values its directory entry and the manifest count for it — every
+// checksum valid — is refused by every scan of the block, by Fsck (one
+// problem naming column v and block 1 once), and by Compact, which fails
+// without publishing a manifest. Block 1 is a full block, which Compact
+// splices as a frame, and then a column's short last block, which it
+// decodes and re-encodes.
+func TestFsckRefusesCountMismatch(t *testing.T) {
+	for _, n := range []int{3000, 1500} {
+		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = int64(i)
+			}
+			count := min(n-1000, 1000)
+			dir := filepath.Join(t.TempDir(), "tbl")
+			resealedTable(t, dir, "none", vals, func(frame []byte) {
+				if got := binary.LittleEndian.Uint32(frame[4:]); got != uint32(count) {
+					t.Fatalf("block 1's raw header counts %d values, want %d", got, count)
+				}
+				binary.LittleEndian.PutUint32(frame[4:], uint32(count/2))
+			})
+			mismatch := fmt.Sprintf("holds %d values, directory says %d", count/2, count)
+			tb, _, err := Open[int64](dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tb.Close()
+			sink := func(int, []int64, [][]int64) bool { return true }
+			if err := tb.Run(context.Background(), zukowski.Query[int64]{}, sink); !zukowski.IsDataFault(err) ||
+				!strings.Contains(err.Error(), mismatch) {
+				t.Fatalf("scan: %v, want a data fault: %s", err, mismatch)
+			}
+			rep, err := Fsck(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.OK() || len(rep.Problems) != 1 {
+				t.Fatalf("Fsck: OK=%v, problems %v; want the one block", rep.OK(), rep.Problems)
+			}
+			if p := rep.Problems[0]; !strings.Contains(p, `column "v"`) || strings.Count(p, "block 1") != 1 || !strings.Contains(p, mismatch) {
+				t.Fatalf("problem %q does not name column v, block 1 (once) and %q", p, mismatch)
+			}
+			if _, err := tb.Append([][]int64{vals[:1000], vals[:1000]}); err != nil {
+				t.Fatal(err)
+			}
+			gen := tb.Generation()
+			if _, err := tb.Compact(); !zukowski.IsDataFault(err) || !strings.Contains(err.Error(), mismatch) {
+				t.Fatalf("Compact: %v, want a data fault: %s", err, mismatch)
+			}
+			man, _, _, _, err := manifestsOnDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tb.Generation() != gen || man.Generation != gen {
+				t.Fatalf("after the failed Compact: generation %d published, %d on disk; want %d", tb.Generation(), man.Generation, gen)
+			}
+		})
+	}
 }

@@ -44,7 +44,7 @@ func (a *frameAudit) take(t *testing.T, cr *zukowski.ColumnReader[int64], b int)
 
 // TestScansLeaveCachedFramesIntact: parsed blocks borrow the cached
 // frames' code sections, so nothing on the read path may write through a
-// block — not a recycled decode state, not a lookup's memo, not a
+// block — not a recycled decode state, not a lookup, not a
 // compaction reading its sources. Scans, aggregates, lookups and a
 // compaction run together over a cache too small for the table, and every
 // cached frame the lookups were handed must still have the checksum it

@@ -2,12 +2,15 @@ package zukowski
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/segment"
 )
 
 // TestBlockLRURetiredReaderAgesOut: the frames of a reader nobody asks for
@@ -72,34 +75,15 @@ func TestBlockLRURetiredReaderAgesOut(t *testing.T) {
 }
 
 // TestResidentGetKeepsNoMemo: with a BlockLRU attached, Get reads the
-// parsed block resident in the cache and memoizes nothing in the reader,
-// so point lookups over a column larger than the cache stay within the
-// cache's budget. A cache with room for two of the 64 blocks in each of
+// parsed block resident in the cache, so point lookups over a column
+// larger than the cache stay within the cache's budget. A cache with room for two of the 64 blocks in each of
 // its 16 shards takes all the lookups' frames, parsed forms where there is
 // room to spare, and stays within its budget; one that holds the column
 // keeps every block's parsed form, and Get reads it.
 func TestResidentGetKeepsNoMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	const bv = 256
-	src := make([]int64, 64*bv)
-	for i := range src {
-		src[i] = rng.Int63n(1000)
-		if rng.Intn(15) == 0 {
-			src[i] = rng.Int63n(1 << 40)
-		}
-	}
-	var buf bytes.Buffer
-	cw, err := NewColumnWriter[int64](&buf, PFOR[int64]{Base: 0, Width: 10}, bv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Write(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	src, data := patchedColumn(t, rng, 64, bv)
 	plain, err := OpenColumn[int64](data)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +93,7 @@ func TestResidentGetKeepsNoMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	blk := new(core.Block[int64])
-	if err := parseSegmentInto(blk, frame, true); err != nil {
+	if err := segment.UnmarshalIntoTrusted(blk, frame); err != nil {
 		t.Fatal(err)
 	}
 	entry := int64(len(frame)) + cacheEntryOverhead + parsedCost(blk, frame)
@@ -133,14 +117,173 @@ func TestResidentGetKeepsNoMemo(t *testing.T) {
 				}
 			}
 		}
-		for b := range cr.slots {
-			if cr.slots[b].parsed.Load() != nil {
-				t.Fatalf("%s: block %d: Get memoized a parsed block in the reader beside a BlockLRU", c.name, b)
-			}
-		}
 		st, parsed := cache.Stats(), len(ResidentParsed[int64](cache))
 		if c.budget == 1<<30 && (st.Entries != 64 || parsed != 64) {
 			t.Fatalf("%s: %d frames and %d parsed forms resident, want all 64", c.name, st.Entries, parsed)
+		}
+	}
+}
+
+// patchedColumn writes a column of blocks blocks of bv values as PFOR
+// blocks with about one exception in fifteen values, and returns the
+// values and the container.
+func patchedColumn(t *testing.T, rng *rand.Rand, blocks, bv int) ([]int64, []byte) {
+	t.Helper()
+	src := make([]int64, blocks*bv)
+	for i := range src {
+		src[i] = rng.Int63n(1000)
+		if rng.Intn(15) == 0 {
+			src[i] = rng.Int63n(1 << 40)
+		}
+	}
+	var buf bytes.Buffer
+	cw, err := NewColumnWriter[int64](&buf, PFOR[int64]{Base: 0, Width: 10}, bv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return src, buf.Bytes()
+}
+
+// TestResidentUncachedKeepsNothing: a file-backed reader without a cache
+// has no resident bytes to keep a parsed form beside, so Get, ReadBlock,
+// ReadAll, Scan and Run leave every block's slot empty; an in-memory
+// reader of the same container keeps a form in every slot after one Get
+// per block.
+func TestResidentUncachedKeepsNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	const bv = 256
+	src, data := patchedColumn(t, rng, 8, bv)
+	file, err := OpenColumnReaderAt[int64](bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := OpenColumn[int64](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cr := range []*ColumnReader[int64]{file, plain} {
+		for b := 0; b < cr.NumBlocks(); b++ {
+			i := b*bv + rng.Intn(bv)
+			if v, err := cr.Get(i); err != nil || v != src[i] {
+				t.Fatalf("Get(%d) = %d, %v; want %d", i, v, err, src[i])
+			}
+		}
+	}
+	for b := 0; b < file.NumBlocks(); b++ {
+		if _, err := file.ReadBlock(b, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if all, err := file.ReadAll(nil); err != nil || len(all) != len(src) {
+		t.Fatalf("ReadAll: %d values, %v", len(all), err)
+	}
+	if err := file.Scan(func([]int64) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewColumnSet(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Run(context.Background(), Query[int64]{}, func(int, []int64, [][]int64) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	for b := range file.slots {
+		if file.slots[b].form.Load() != nil {
+			t.Fatalf("block %d: an uncached file-backed reader kept a parsed form", b)
+		}
+		if plain.slots[b].form.Load() == nil {
+			t.Fatalf("block %d: an in-memory reader kept no parsed form after a Get", b)
+		}
+	}
+}
+
+// TestResidentInMemoryOneForm: on an in-memory reader Get, ReadBlock and
+// Run share one resident form per block — the one in the block's slot,
+// indexed. (TestResidentInMemoryZeroAllocs times the same paths.)
+func TestResidentInMemoryOneForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	const bv = 512
+	src, data := patchedColumn(t, rng, 8, bv)
+	cr, err := OpenColumn[int64](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewColumnSet(cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < cr.NumBlocks(); b++ {
+		if v, err := cr.Get(b*bv + 7); err != nil || v != src[b*bv+7] {
+			t.Fatalf("Get(%d) = %d, %v", b*bv+7, v, err)
+		}
+	}
+	st := cs.getState()
+	defer cs.putState(st)
+	for b := 0; b < cr.NumBlocks(); b++ {
+		form := cr.slots[b].form.Load()
+		if form == nil || form.ExcOff == nil {
+			t.Fatalf("block %d: slot form %v, want an indexed form", b, form)
+		}
+		if blk, _, err := cr.block(nil, b, planned{}, new(core.Block[int64])); err != nil || blk != form {
+			t.Fatalf("block %d: Get's and ReadBlock's path read %p, %v; the slot holds %p", b, blk, err, form)
+		}
+		st.begin()
+		if _, err := cs.prepare(st, 0, b); err != nil || st.cols[0].cur != form {
+			t.Fatalf("block %d: Run's path read %p, %v; the slot holds %p", b, st.cols[0].cur, err, form)
+		}
+	}
+}
+
+// TestResidentConcurrentFirstParse: 100 goroutines racing to read the
+// same cold blocks of an in-memory reader leave exactly one form per
+// block: every read returns the form the slot holds, whichever parse
+// stored it. Runs under -race in CI.
+func TestResidentConcurrentFirstParse(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	const bv = 256
+	src, data := patchedColumn(t, rng, 4, bv)
+	cr, err := OpenColumn[int64](data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 100
+	seen := make([][]*core.Block[int64], goroutines)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for g := range seen {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start.Wait()
+			for b := 0; b < cr.NumBlocks(); b++ {
+				i := b*bv + (g*31)%bv
+				if v, err := cr.Get(i); err != nil || v != src[i] {
+					t.Errorf("Get(%d) = %d, %v; want %d", i, v, err, src[i])
+					return
+				}
+				blk, _, err := cr.block(nil, b, planned{}, new(core.Block[int64]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen[g] = append(seen[g], blk)
+			}
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	for b := 0; b < cr.NumBlocks(); b++ {
+		form := cr.slots[b].form.Load()
+		for g := range seen {
+			if len(seen[g]) != cr.NumBlocks() || seen[g][b] != form {
+				t.Fatalf("block %d: goroutine %d read another form than the slot's %p", b, g, form)
+			}
 		}
 	}
 }

@@ -151,7 +151,7 @@ func (cw *ColumnWriter[T]) Write(vals []T) error {
 func (cw *ColumnWriter[T]) flushBlock() error {
 	frame, err := cw.codec.Encode(cw.frame[:0], cw.buf)
 	if err == nil {
-		if rerr := readableFrame(frame, &cw.check); rerr != nil {
+		if rerr := readableFrame(frame, len(cw.buf), &cw.check); rerr != nil {
 			// Fail at write time if the codec emits frames ColumnReader
 			// cannot decode — otherwise the column would be accepted now
 			// and unreadable forever. User codecs must emit (or wrap) the
@@ -187,25 +187,45 @@ func (cw *ColumnWriter[T]) flushBlock() error {
 	return nil
 }
 
-// readableFrame checks that frame is one ColumnReader decodes: a segment
-// frame, and when patched one that parses, into blk, as a read parses it
-// (a PDICT dictionary in frequency order, say, does not) and whose every
-// patch list stays in its group, as a read walks it. It is the check
-// every written, spliced or verified frame passes, so the offline checks
-// refuse what reads refuse; what it refuses is ErrCorruptSegment.
-func readableFrame[T Integer](frame []byte, blk *core.Block[T]) (err error) {
-	switch {
-	case len(frame) == 0 || frame[0] != segment.Magic:
-		return corrupt(segment.ErrBadMagic)
-	case !segment.IsCompressed(frame):
-		return nil
-	}
-	if err := segment.UnmarshalIntoTrusted(blk, frame); err != nil {
-		return corrupt(err)
+// readableFrame checks that frame is one ColumnReader decodes as a block
+// of want values: a segment frame of that count (parseFrame), and when
+// patched one whose every patch list stays in its group, as a read walks
+// it. It is the check every written, spliced or verified frame passes, so
+// the offline checks refuse what reads refuse: ErrCorruptSegment for a
+// frame no read decodes, ErrCorruptColumn for one of another count.
+func readableFrame[T Integer](frame []byte, want int, blk *core.Block[T]) (err error) {
+	patched, err := parseFrame(blk, frame, want)
+	if err != nil || !patched {
+		return err
 	}
 	defer guardSegment(&err)
 	blk.CheckExceptions()
 	return nil
+}
+
+// parseFrame parses frame, which its directory entry says holds want
+// values, into blk when it is patched, and reports whether it is; a raw
+// frame's header is checked in place. A frame that does not parse is
+// ErrCorruptSegment, one of any other count ErrCorruptColumn. A
+// container's frames parse trusted: the reader verifies a hardware
+// CRC32-C over every frame before it is used, which makes the segment's
+// own byte-wise FNV checksum a redundant second pass over the same bytes
+// (skipping it roughly doubles scan bandwidth on patched columns).
+// FrameDecoder, whose frames come with no container checksum, keeps it.
+func parseFrame[T Integer](blk *core.Block[T], frame []byte, want int) (patched bool, err error) {
+	n := 0
+	if patched = segment.IsCompressed(frame); patched {
+		if err := segment.UnmarshalIntoTrusted(blk, frame); err != nil {
+			return false, corrupt(err)
+		}
+		n = blk.N
+	} else if n, err = rawHeader[T](frame); err != nil {
+		return false, err
+	}
+	if n != want {
+		return false, fmt.Errorf("%w: frame holds %d values, directory says %d", ErrCorruptColumn, n, want)
+	}
+	return patched, nil
 }
 
 // appendBlock writes one frame to the stream and enters blk — its count,
@@ -250,7 +270,7 @@ func (cw *ColumnWriter[T]) WriteFrame(frame []byte, info BlockInfo[T]) error {
 		return fmt.Errorf("zukowski: WriteFrame of a %d-value block into a column of %d-value blocks",
 			info.Count, cw.blockValues)
 	}
-	if err := readableFrame(frame, &cw.check); err != nil {
+	if err := readableFrame(frame, info.Count, &cw.check); err != nil {
 		return fmt.Errorf("%w: frame the column reader cannot decode: %w", ErrUnknownCodec, err)
 	}
 	if err := checkCRC(frame, info.CRC32C, len(cw.dir)); err != nil {
@@ -388,12 +408,18 @@ func (s *readerAtSource) view(dst []byte, off int64, n int) ([]byte, error) {
 
 // ColumnReader reads a column container. Point lookups locate the
 // enclosing block through the directory and then use the fine-grained
-// entry-point access of the patched schemes; a block stays parsed once
-// touched, so clustered lookups avoid re-parsing the frame.
+// entry-point access of the patched schemes.
+//
+// Every access path turns a frame into a block one way (block), and a
+// block's parsed form is kept only beside bytes that stay resident: an
+// in-memory reader keeps one per patched block it has touched, for its
+// life, as its container bytes live; a file-backed reader with a BlockLRU
+// keeps it in the cache beside the frame, under the cache's budget; a
+// file-backed reader without one keeps nothing and parses on every touch.
 //
 // A ColumnReader is safe for concurrent use: all per-block state lives in
-// atomic slots whose first parse and first checksum verification are
-// singleflighted, and decode scratch comes from an internal pool. Any mix
+// atomic slots (the first form stored in a slot wins, and a cache fill is
+// singleflighted), and decode scratch comes from an internal pool. Any mix
 // of Get, Scan, ReadBlock, ReadAll and Query scans over ColumnSets holding
 // the reader, parallel ones included, may share one reader over one set of
 // bytes or one io.ReaderAt — the multi-core scan path the paper's
@@ -433,33 +459,25 @@ type ColumnReader[T Integer] struct {
 
 // blockSlot is one block's share of the reader's concurrent state.
 type blockSlot[T Integer] struct {
-	// parsed memoizes the block's random-access form for Get. Readers load
-	// it lock-free; the first writer singleflights under mu.
-	parsed atomic.Pointer[parsedBlock[T]]
+	// form is the parsed, indexed form of a patched block of an in-memory
+	// source, kept beside bytes that live as long as the reader. Readers
+	// load it lock-free; of racing first parses, the first stored wins.
+	form atomic.Pointer[core.Block[T]]
 
 	// verified latches a passed CRC32-C check. Only set for stable
 	// sources: a ReaderAt re-reads bytes on every view, so every fetch is
 	// re-verified.
 	verified atomic.Bool
 
-	// mu serializes the first parse / first verification of this block, so
-	// under contention the work happens exactly once. Contention is
-	// confined to one block's first touch; the steady state is lock-free.
+	// mu singleflights the fill of an attached cache with this block, so
+	// under contention the source is read once. Contention is confined to
+	// a block's misses; hits take no slot lock.
 	mu sync.Mutex
 
 	// quar latches the block's permanent failure: a checksum mismatch that
 	// survived a re-read. Once set, every fetch of the block fails fast
 	// with the latched error — see RetryPolicy's package comments.
 	quar atomic.Pointer[error]
-}
-
-// parsedBlock is the memoized random-access form of one block: the parsed
-// sections of a patched frame (fine-grained access needs only those, not
-// the decoded values), or the fully decoded values of a raw frame read
-// through a ReaderAt.
-type parsedBlock[T Integer] struct {
-	blk  *core.Block[T]
-	vals []T
 }
 
 // decodeState is the per-worker scratch of the decode paths: a Decoder
@@ -500,6 +518,10 @@ func WithBlockCache(c *BlockLRU) ReaderOption {
 
 // OpenColumn parses a container produced by ColumnWriter. The bytes are
 // retained (not copied); they must stay immutable while the reader lives.
+// Beside them the reader keeps the parsed form of every patched block any
+// access path has read, one per block, until the reader is dropped: its
+// header, entry points, exceptions and their index, and its codes, which
+// read the container in place where the host allows it.
 func OpenColumn[T Integer](data []byte, opts ...ReaderOption) (*ColumnReader[T], error) {
 	return openColumn[T](byteSource(data), opts)
 }
@@ -511,11 +533,12 @@ func OpenColumn[T Integer](data []byte, opts ...ReaderOption) (*ColumnReader[T],
 // ReaderAt must allow concurrent-safe reads at arbitrary offsets (os.File,
 // bytes.Reader and mmap wrappers all qualify).
 //
-// Without a block cache every touch of a block re-reads and re-verifies
-// its bytes from the ReaderAt — a sequential Query scan reads
-// the frames it is about to need in runs of adjacent frames, one ReadAt
-// each, the other access paths one frame at a time; WithBlockCache keeps
-// the hot working set resident — see BlockLRU.
+// Without a block cache every touch of a block, Get included, re-reads,
+// re-verifies and re-parses its bytes from the ReaderAt, and the reader
+// keeps nothing of it — a sequential Query scan reads the frames it is
+// about to need in runs of adjacent frames, one ReadAt each, the other
+// access paths one frame at a time; WithBlockCache keeps the hot working
+// set resident, frames and their parsed forms — see BlockLRU.
 func OpenColumnReaderAt[T Integer](r io.ReaderAt, size int64, opts ...ReaderOption) (*ColumnReader[T], error) {
 	return openColumn[T](&readerAtSource{r: r, n: size}, opts)
 }
@@ -734,81 +757,55 @@ func (cr *ColumnReader[T]) verify(frame []byte, b int) error {
 	return nil
 }
 
-// frame returns block b's bytes, verifying the payload checksum: on a
-// stable (in-memory) source the first verification is singleflighted under
-// the block's mutex and latched, so the block is hashed exactly once no
-// matter how many goroutines race to first touch; a ReaderAt source
-// re-reads bytes on every view, so every fetch is re-verified — unless a
-// block cache is attached, in which case the fill (one read, one
-// verification) is singleflighted under the block's mutex and every hit
-// is served from the cache without touching the source or the hash. With
-// a cache, each call counts exactly one hit or one miss.
+// fetchFrame returns block b's bytes, verifying the payload checksum,
+// and, for a frame hit in the cache, the parsed form resident beside it
+// or the room for one. On a stable (in-memory) source the first
+// verification is latched, so later fetches view the bytes unhashed; a
+// ReaderAt source re-reads bytes on every view, so every fetch is
+// re-verified — unless a block cache is attached, in which case the fill
+// (one read, one verification) is singleflighted under the block's mutex
+// and every hit is served from the cache without touching the source or
+// the hash. With a cache, each call counts exactly one hit or one miss.
 //
 // The bytes returned are the caller's to keep: the source's own, the
 // cache's, or a fresh buffer. A quarantined block fails fast with its
 // latched error; transient I/O failures retry under the reader's
 // RetryPolicy (see fetchVerified).
-func (cr *ColumnReader[T]) frame(b int) ([]byte, error) {
-	f, err := cr.fetchFrame(b)
-	return f.frame, err
-}
-
-// fetchFrame is frame handing over, for a frame hit in the cache, the
-// parsed form resident beside it or the room for one.
 func (cr *ColumnReader[T]) fetchFrame(b int) (f fetched, err error) {
 	if err := cr.quarantined(b); err != nil {
 		return f, err
 	}
 	ac := cr.cache.Load()
-	if ac != nil {
-		if f = ac.get(b); f.frame != nil {
-			return f, nil
+	if ac == nil {
+		if cr.src.stable() && cr.slots[b].verified.Load() {
+			f.frame, err = cr.view(b)
+		} else {
+			f.frame, err = cr.fetchVerified(nil, b)
 		}
-	} else if !cr.src.stable() {
-		f.frame, err = cr.fetchVerified(nil, b) // nothing to latch or fill: no singleflight
 		return f, err
-	} else if cr.slots[b].verified.Load() {
-		f.frame, err = cr.view(b)
-		return f, err
+	}
+	if f = ac.get(b); f.frame != nil {
+		return f, nil
 	}
 	slot := &cr.slots[b]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
-	f.frame, err = cr.frameLocked(b, ac != nil)
-	return f, err
-}
-
-// frameLocked is the part of frame that runs under slots[b].mu, which the
-// caller holds: the re-check of the cache or the verification latch, and
-// on a miss the one fetch. The caller has consulted the quarantine latch;
-// counted says whether its Get already counted the miss, in which case the
-// re-check peeks, so that the fetch counts one miss, not two.
-func (cr *ColumnReader[T]) frameLocked(b int, counted bool) ([]byte, error) {
-	if ac := cr.cache.Load(); ac != nil {
-		var buf []byte
-		if counted {
-			buf = ac.c.peek(ac.id, b)
-		} else {
-			buf = ac.c.Get(ac.id, b)
-		}
-		if buf != nil {
-			return buf, nil
-		}
-		// The frame is read into a pooled buffer and offered from there:
-		// the cache copies what it admits, and the caller gets that copy.
-		scratch := runBufs.Get().(*[]byte)
-		defer runBufs.Put(scratch)
-		buf, err := cr.fetchVerified(*scratch, b)
-		if err != nil {
-			return nil, err // corrupt or unreadable blocks are never cached
-		}
-		*scratch = buf
-		return ac.keep(b, buf), nil
+	// The miss is counted: the re-check peeks, so the fill counts one miss,
+	// not two.
+	if f.frame = ac.c.peek(ac.id, b); f.frame != nil {
+		return f, nil
 	}
-	if cr.src.stable() && cr.slots[b].verified.Load() {
-		return cr.view(b)
+	// The frame is read into a pooled buffer and offered from there: the
+	// cache copies what it admits, and the caller gets that copy.
+	scratch := runBufs.Get().(*[]byte)
+	defer runBufs.Put(scratch)
+	buf, err := cr.fetchVerified(*scratch, b)
+	if err != nil {
+		return f, err // corrupt or unreadable blocks are never cached
 	}
-	return cr.fetchVerified(nil, b)
+	*scratch = buf
+	f.frame = ac.keep(b, buf)
+	return f, nil
 }
 
 // runCap bounds one run: a sequential scan that misses a frame reads at
@@ -917,34 +914,28 @@ func (cr *ColumnReader[T]) readRun(run *frameRun, b int, reads planned, ac *atta
 	return nil
 }
 
-// parseSegmentInto parses a compressed segment frame into blk, skipping
-// the segment's payload hash when trusted. A container's frames are
-// trusted: the reader verifies a hardware CRC32-C over every frame
-// (latched for stable sources, re-hashed per fetch through a ReaderAt),
-// which makes the segment-level byte-wise FNV checksum a redundant second
-// pass over the same bytes — skipping it roughly doubles scan bandwidth on
-// patched columns. A frame off the wire (FrameDecoder) carries no
-// container checksum and keeps the full segment validation.
-func parseSegmentInto[T Integer](blk *core.Block[T], frame []byte, trusted bool) error {
-	if trusted {
-		return segment.UnmarshalIntoTrusted(blk, frame)
-	}
-	return segment.UnmarshalInto(blk, frame)
-}
-
 // block fetches block b and returns its parsed form when the frame is
 // patched, or the frame itself when it is raw: through run when a
 // sequential scan has planned its reads (see scanFrame), by the
-// single-frame fetch when run is nil. A frame resident in the cache comes
-// with the form parsed beside it; the first hit to find it without one,
-// and the room for one, parses it into a block of its own, indexes its
-// exceptions and attaches it, so a resident block is parsed once per
-// residency and is shared, read-only, by every scan after. Indexing walks
-// every patch list whole, so a list that leaves its group fails the scan
-// there, as the kernels' walk fails one over any other frame: no block is
-// attached unindexed. Any other frame is parsed into scratch, as every
-// fetch of it will be.
+// single-frame fetch when run is nil. It is the one place a read turns a
+// frame into a block, and every frame it returns holds the values the
+// directory counts (parseFrame).
+//
+// A parsed form is kept only beside resident bytes, parsed into a block of
+// its own with its exceptions indexed, and shared, read-only, by every read
+// after. An in-memory source keeps it in the block's slot. A frame resident
+// in the cache comes with the form parsed beside it; the first hit to find
+// it without one, and the room for one, parses and attaches it, so a
+// resident block is parsed once per residency. Indexing walks every patch
+// list whole, so a list that leaves its group fails the read there, as the
+// kernels' walk fails one over any other frame: no block is kept
+// unindexed. Any other frame is parsed into scratch, as every fetch of it
+// will be.
 func (cr *ColumnReader[T]) block(run *frameRun, b int, reads planned, scratch *core.Block[T]) (blk *core.Block[T], raw []byte, err error) {
+	slot := &cr.slots[b]
+	if p := slot.form.Load(); p != nil {
+		return p, nil, nil
+	}
 	var f fetched
 	if run != nil {
 		f, err = cr.scanFrame(run, b, reads)
@@ -957,15 +948,22 @@ func (cr *ColumnReader[T]) block(run *frameRun, b int, reads planned, scratch *c
 	if p, ok := f.parsed.(*core.Block[T]); ok {
 		return p, nil, nil
 	}
-	if !segment.IsCompressed(f.frame) {
+	stable := cr.src.stable()
+	if stable && segment.IsCompressed(f.frame) {
+		scratch = new(core.Block[T]) // the form kept
+	}
+	patched, err := parseFrame(scratch, f.frame, int(cr.blocks[b].count))
+	switch {
+	case err != nil:
+		return nil, nil, fmt.Errorf("block %d: %w", b, err)
+	case !patched:
 		return nil, f.frame, nil
-	}
-	if err := parseSegmentInto(scratch, f.frame, true); err != nil {
-		return nil, nil, fmt.Errorf("block %d: %w", b, corrupt(err))
-	}
-	if want := int(cr.blocks[b].count); scratch.N != want {
-		return nil, nil, fmt.Errorf("%w: block %d holds %d values, directory says %d",
-			ErrCorruptColumn, b, scratch.N, want)
+	case stable:
+		scratch.IndexExceptions()
+		if !slot.form.CompareAndSwap(nil, scratch) {
+			return slot.form.Load(), nil, nil
+		}
+		return scratch, nil, nil
 	}
 	if f.room <= 0 {
 		return scratch, nil, nil
@@ -977,7 +975,7 @@ func (cr *ColumnReader[T]) block(run *frameRun, b int, reads planned, scratch *c
 	// The scratch goes on to the next block, so the form kept is a parse of
 	// its own: a second parse of these bytes, paid once per residency.
 	kept := new(core.Block[T])
-	if parseSegmentInto(kept, f.frame, true) != nil {
+	if _, err := parseFrame(kept, f.frame, scratch.N); err != nil {
 		return scratch, nil, nil
 	}
 	kept.IndexExceptions()
@@ -1002,35 +1000,19 @@ func parsedCost[T Integer](blk *core.Block[T], frame []byte) int64 {
 	return int64(n)
 }
 
-// decodeInto decodes frame, appending its values to dst. Patched frames
-// reuse st's segment parse target and decoder scratch, so a scan that
-// recycles one state decodes block after block without allocating (once
-// dst and the scratch have grown to block size). trusted skips the
-// segment-level payload hash (see parseSegmentInto).
-func (st *decodeState[T]) decodeInto(dst []T, frame []byte, trusted bool) (out []T, err error) {
-	defer guardSegment(&err)
-	if !segment.IsCompressed(frame) {
-		return rawAppend[T](dst, frame)
-	}
-	if err := parseSegmentInto(&st.blk, frame, trusted); err != nil {
-		return nil, corrupt(err)
-	}
-	out, tail := grow(dst, st.blk.N)
-	st.dec.Decompress(&st.blk, tail)
-	return out, nil
-}
-
-// readBlockInto fetches and decodes block b with st's scratch, appending
+// readBlockInto decodes block b (see block) with st's scratch, appending
 // its values to dst.
-func (cr *ColumnReader[T]) readBlockInto(st *decodeState[T], b int, dst []T) ([]T, error) {
-	frame, err := cr.frame(b)
+func (cr *ColumnReader[T]) readBlockInto(st *decodeState[T], b int, dst []T) (out []T, err error) {
+	defer guardSegment(&err)
+	blk, raw, err := cr.block(nil, b, planned{}, &st.blk)
 	if err != nil {
 		return nil, err
 	}
-	out, err := st.decodeInto(dst, frame, true)
-	if err != nil {
-		return nil, fmt.Errorf("block %d: %w", b, err)
+	if raw != nil {
+		return rawAppend[T](dst, raw)
 	}
+	out, tail := grow(dst, blk.N)
+	st.dec.Decompress(blk, tail)
 	return out, nil
 }
 
@@ -1045,7 +1027,8 @@ func (cr *ColumnReader[T]) FrameBytes(b int) ([]byte, error) {
 	if b < 0 || b >= len(cr.blocks) {
 		return nil, fmt.Errorf("%w: block %d not in [0,%d)", ErrIndexOutOfRange, b, len(cr.blocks))
 	}
-	return cr.frame(b)
+	f, err := cr.fetchFrame(b)
+	return f.frame, err
 }
 
 // ReadAll appends every value of the column to dst, pre-sized from the
@@ -1111,112 +1094,26 @@ func (cr *ColumnReader[T]) blockOf(i int) int {
 	return sort.SearchInts(cr.starts, i+1) - 1
 }
 
-// Get returns the value at row i. For patched frames it uses the
-// entry-point fine-grained access path (at most one 128-value group is
-// touched); raw frames on an in-memory source are read in place, and
-// through a ReaderAt are decoded whole and memoized. With a BlockLRU
-// attached nothing is memoized in the reader: the parsed block is the
-// one resident in the cache beside its frame, under the cache's budget,
-// and a raw frame is read in place there.
+// Get returns the value at row i, read through block: for a patched frame
+// by the entry-point fine-grained access path (at most one 128-value group
+// is touched), for a raw frame in place. Get keeps what block keeps, so
+// on an in-memory reader and on a cached block it parses nothing, and on
+// an uncached file-backed reader every call fetches, verifies and parses
+// the block.
 func (cr *ColumnReader[T]) Get(i int) (v T, err error) {
 	defer guardSegment(&err)
 	if i < 0 || i >= cr.total {
 		return v, fmt.Errorf("%w: %d not in [0,%d)", ErrIndexOutOfRange, i, cr.total)
 	}
 	b := cr.blockOf(i)
-	off := i - cr.starts[b]
-	if ac := cr.cache.Load(); ac != nil {
-		st := cr.getState()
-		defer cr.putState(st)
-		blk, raw, err := cr.block(nil, b, planned{}, &st.blk)
-		if err != nil {
-			return v, err
-		}
-		if raw != nil {
-			return rawGet[T](raw, off)
-		}
-		return st.dec.Get(blk, off), nil
-	}
-	p := cr.slots[b].parsed.Load()
-	if p == nil {
-		if cr.src.stable() {
-			// On an in-memory source, raw frames are read in place: one
-			// header check and a direct load, no decode and nothing
-			// cached. Through a ReaderAt that shortcut would re-fetch the
-			// whole block from the source on every lookup, so those fall
-			// through to the decode-and-memoize path like any other frame.
-			frame, ferr := cr.frame(b)
-			if ferr != nil {
-				return v, ferr
-			}
-			if !segment.IsCompressed(frame) {
-				return rawGet[T](frame, off)
-			}
-		}
-		if p, err = cr.parseBlock(b); err != nil {
-			return v, err
-		}
-	}
-	if p.blk != nil {
-		st := cr.getState()
-		v = st.dec.Get(p.blk, off)
-		cr.putState(st)
-		return v, nil
-	}
-	return p.vals[off], nil
-}
-
-// parseBlock memoizes block b's random-access form in its slot, parsing
-// (and CRC-verifying) exactly once under contention: the first caller does
-// the work under the slot mutex while latecomers wait, and every later
-// call is a single atomic load. Parsed blocks stay resident for the life
-// of the reader, so a random-access workload pays the frame parse once per
-// block, not once per lookup.
-func (cr *ColumnReader[T]) parseBlock(b int) (*parsedBlock[T], error) {
-	slot := &cr.slots[b]
-	if p := slot.parsed.Load(); p != nil {
-		return p, nil
-	}
-	if err := cr.quarantined(b); err != nil {
-		return nil, err
-	}
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if p := slot.parsed.Load(); p != nil {
-		return p, nil
-	}
-	frame, err := cr.frameLocked(b, false)
+	st := cr.getState()
+	defer cr.putState(st)
+	blk, raw, err := cr.block(nil, b, planned{}, &st.blk)
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	want := int(cr.blocks[b].count)
-	p := &parsedBlock[T]{}
-	if segment.IsCompressed(frame) {
-		pb := new(core.Block[T])
-		if err := parseSegmentInto(pb, frame, true); err != nil {
-			return nil, corrupt(err)
-		}
-		if pb.N != want {
-			return nil, fmt.Errorf("%w: block %d holds %d values, directory says %d", ErrCorruptColumn, b, pb.N, want)
-		}
-		if !cr.src.stable() {
-			// The memo outlives the fetched frame — and its stay in a custom
-			// block cache, whose byte budget would not count a frame pinned
-			// from here — so it keeps its own codes; a stable source is
-			// resident anyway and is borrowed from.
-			pb.Codes = slices.Clone(pb.Codes)
-		}
-		p.blk = pb
-	} else {
-		vals, err := rawAppend[T](nil, frame)
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) != want {
-			return nil, fmt.Errorf("%w: block %d holds %d values, directory says %d", ErrCorruptColumn, b, len(vals), want)
-		}
-		p.vals = vals
+	if raw != nil {
+		return rawGet[T](raw, i-cr.starts[b])
 	}
-	slot.parsed.Store(p)
-	return p, nil
+	return st.dec.Get(blk, i-cr.starts[b]), nil
 }

@@ -94,8 +94,9 @@ func (cs *ColumnSet[T]) NumBlocks() int { return cs.cols[0].NumBlocks() }
 type setColState[T Integer] struct {
 	decodeState[T]
 	// cur is the parsed block in use: blk, the scratch the frame was
-	// parsed into, or the block resident in the cache beside its frame,
-	// which every scan shares and none may write.
+	// parsed into, or a kept form — resident in the cache beside its
+	// frame, or in an in-memory reader's slot — which every scan shares
+	// and none may write.
 	cur  *core.Block[T]
 	gath []T      // materialized output buffer of this column
 	form uint8    // what the state holds for the current block
@@ -266,10 +267,10 @@ func (st *setState[T]) begin() {
 
 // prepare fetches column ci's block b into the scan state st, memoized
 // per block iteration: patched frames are parsed once (sections only,
-// nothing decoded) — or not at all, when the cache holds the block parsed
-// — and raw frames are decoded once into st.vals. It reports whether the
-// block is patched-compressed, i.e. whether the compressed-domain mask
-// kernels apply.
+// nothing decoded) — or not at all, when the reader keeps the block's
+// parsed form (see ColumnReader.block) — and raw frames are decoded once
+// into st.vals. It reports whether the block is patched-compressed, i.e.
+// whether the compressed-domain mask kernels apply.
 func (cs *ColumnSet[T]) prepare(scan *setState[T], ci, b int) (patched bool, err error) {
 	st := &scan.cols[ci]
 	switch st.form {
@@ -287,16 +288,11 @@ func (cs *ColumnSet[T]) prepare(scan *setState[T], ci, b int) (patched bool, err
 		st.form = colSeg
 		return true, nil
 	}
-	want := int(cs.cols[ci].blocks[b].count)
 	dec, err := rawAppend[T](st.vals[:0], frame)
 	if err != nil {
 		return false, fmt.Errorf("block %d: %w", b, err)
 	}
 	st.vals = dec
-	if len(dec) != want {
-		return false, fmt.Errorf("%w: block %d holds %d values, directory says %d",
-			ErrCorruptColumn, b, len(dec), want)
-	}
 	st.form = colVals
 	return false, nil
 }

@@ -58,20 +58,23 @@
 // often than the entry it would evict — under that
 // path: hits return the frame with zero allocations, a cold block
 // faulted by many goroutines through FrameBytes, Get or ReadBlock is read
-// and verified exactly once (the fill rides the per-block parse slot),
+// and verified exactly once (the fill is singleflighted per block),
 // Put copies what the cache keeps, and corrupt blocks are never
 // admitted. A BlockLRU also keeps each resident frame's parsed form, once
-// a scan has parsed it there and the shard has room to spare for it,
+// a read has parsed it there and the shard has room to spare for it,
 // charged to the same budget and dropped before any frame is declined or
 // evicted: a hot block is parsed once per residency,
 // not once per query, with an index of where its exceptions sit so the
-// kernels need not hop its patch lists, and every scan shares it
-// read-only; with a BlockLRU attached, Get reads that form and keeps no
-// parse of its own. Entries are keyed by a process-unique id assigned at
+// kernels need not hop its patch lists, and every read shares it
+// read-only. Entries are keyed by a process-unique id assigned at
 // attach, so under immutable containers eviction is the only
 // invalidation. One BlockLRU may be shared by any number of readers;
-// in-memory readers ignore the cache (their frames are already
-// resident). FrameBytes exposes the same verified-raw-frame fetch the
+// in-memory readers ignore the cache: their frames are already resident,
+// and each keeps the parsed form of a patched block it has read beside
+// them, one per block for the reader's life. A parsed form lives nowhere
+// else: a file-backed reader without a cache parses on every touch, and
+// every access path — Get, ReadBlock, ReadAll, Scan and every ColumnSet
+// scan — reads a block the same way. FrameBytes exposes the same verified-raw-frame fetch the
 // cache accelerates, for callers that ship frames instead of decoding
 // them; ColumnWriter.WriteFrame is its counterpart, appending such a
 // frame and its directory entry to another container after hashing it

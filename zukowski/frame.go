@@ -1,5 +1,10 @@
 package zukowski
 
+import (
+	"repro/internal/core"
+	"repro/internal/segment"
+)
+
 // Standalone frame decoding. A column container is not the only place a
 // block frame can arrive from: a scan service that ships raw ZKC2 frames
 // over the network (the paper's RAM–CPU argument extended to the wire —
@@ -17,14 +22,24 @@ package zukowski
 // destination grows; it is not safe for concurrent use — give each
 // goroutine its own.
 type FrameDecoder[T Integer] struct {
-	st decodeState[T]
+	dec core.Decoder[T]
+	blk core.Block[T]
 }
 
 // Decode appends frame's values to dst, returning the extended slice.
 // Corrupt or truncated frames return ErrCorruptSegment (never a panic);
 // frames of an unknown or retired format return ErrCorruptSegment as well.
-func (d *FrameDecoder[T]) Decode(dst []T, frame []byte) ([]T, error) {
-	return d.st.decodeInto(dst, frame, false)
+func (d *FrameDecoder[T]) Decode(dst []T, frame []byte) (out []T, err error) {
+	defer guardSegment(&err)
+	if !segment.IsCompressed(frame) {
+		return rawAppend[T](dst, frame)
+	}
+	if err := segment.UnmarshalInto(&d.blk, frame); err != nil {
+		return nil, corrupt(err)
+	}
+	out, tail := grow(dst, d.blk.N)
+	d.dec.Decompress(&d.blk, tail)
+	return out, nil
 }
 
 // DecodeFrame decodes one standalone block frame with a throwaway

@@ -543,3 +543,115 @@ func TestCraftedEscapingPatchList(t *testing.T) {
 	}
 	refused("WriteFrame", cw.WriteFrame(frame, info))
 }
+
+// TestResidentRefusesCountMismatch: a container whose one directory entry
+// says 128 values, over a frame that holds 64 with every checksum valid
+// (the frame's own, the directory's entry and the directory's), is a data
+// fault on every access path — offline checks, whole-block reads, scans,
+// lookups, queries and the splice into another container — in memory,
+// file-backed and cached, patched (PFOR) and raw. Each refusal names the
+// block once, and none returns a short result.
+func TestResidentRefusesCountMismatch(t *testing.T) {
+	vals := make([]int64, 64)
+	for i := range vals {
+		vals[i] = int64(i % 10)
+	}
+	vals[5] = 1 << 40
+	for _, codec := range []zukowski.Codec[int64]{zukowski.PFOR[int64]{}, zukowski.None[int64]{}} {
+		frame, err := codec.Encode(nil, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := containerWithFrame(t, frame, 128)
+		plain, err := zukowski.OpenColumn[int64](data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := zukowski.OpenColumnReaderAt[int64](bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := zukowski.OpenColumnReaderAt[int64](bytes.NewReader(data), int64(len(data)),
+			zukowski.WithBlockCache(zukowski.NewBlockLRU(1<<20)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := func(what string, err error) {
+			t.Helper()
+			if !zukowski.IsDataFault(err) || strings.Count(err.Error(), "block 0") != 1 ||
+				!strings.Contains(err.Error(), "holds 64 values, directory says 128") {
+				t.Fatalf("%s %s = %v; want a data fault naming block 0 once and both counts", codec.Name(), what, err)
+			}
+		}
+		ctx := context.Background()
+		for pass := 0; pass < 2; pass++ { // the cached reader: a miss, then a hit
+			for name, cr := range map[string]*zukowski.ColumnReader[int64]{"in memory": plain, "file": file, "cached": cached} {
+				what := func(path string) string { return fmt.Sprintf("pass %d %s %s", pass, name, path) }
+				refused(what("VerifyBlock"), cr.VerifyBlock(0))
+				refused(what("Verify"), cr.Verify())
+				got, err := mustNotPanicVals(t, func() ([]int64, error) { return cr.ReadBlock(0, nil) })
+				refused(what("ReadBlock"), err)
+				if len(got) != 0 {
+					t.Fatalf("%s returned %d values", what("ReadBlock"), len(got))
+				}
+				got, err = mustNotPanicVals(t, func() ([]int64, error) { return cr.ReadAll(nil) })
+				refused(what("ReadAll"), err)
+				if len(got) != 0 {
+					t.Fatalf("%s returned %d values", what("ReadAll"), len(got))
+				}
+				scanned := 0
+				refused(what("Scan"), mustNotPanic(t, "Scan", func() error {
+					return cr.Scan(func(v []int64) bool { scanned += len(v); return true })
+				}))
+				if scanned != 0 {
+					t.Fatalf("%s delivered %d values", what("Scan"), scanned)
+				}
+				for _, i := range []int{0, 63, 64, 127} {
+					refused(what(fmt.Sprintf("Get(%d)", i)), mustNotPanic(t, "Get", func() error {
+						_, err := cr.Get(i)
+						return err
+					}))
+				}
+				delivered := 0
+				refused(what("Run"), mustNotPanic(t, "Run", func() error {
+					return oneColumn(t, cr).Run(ctx, zukowski.Query[int64]{}, func(_ int, r []int64, _ [][]int64) bool {
+						delivered += len(r)
+						return true
+					})
+				}))
+				if delivered != 0 {
+					t.Fatalf("%s delivered %d rows", what("Run"), delivered)
+				}
+				refused(what("RunAggregate"), mustNotPanic(t, "RunAggregate", func() error {
+					_, err := oneColumn(t, cr).RunAggregate(ctx, zukowski.Query[int64]{}, 0)
+					return err
+				}))
+			}
+		}
+		info, err := plain.BlockInfo(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cw, err := zukowski.NewColumnWriter[int64](io.Discard, codec, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = cw.WriteFrame(frame, info)
+		if !zukowski.IsDataFault(err) || !strings.Contains(err.Error(), "holds 64 values, directory says 128") {
+			t.Fatalf("%s WriteFrame = %v; want a data fault naming both counts", codec.Name(), err)
+		}
+		if cw.NumBlocks() != 0 {
+			t.Fatalf("%s WriteFrame wrote the refused frame", codec.Name())
+		}
+	}
+}
+
+// mustNotPanicVals is mustNotPanic for a read that returns values.
+func mustNotPanicVals(t *testing.T, f func() ([]int64, error)) (vals []int64, err error) {
+	t.Helper()
+	err = mustNotPanic(t, "read", func() error {
+		vals, err = f()
+		return err
+	})
+	return vals, err
+}

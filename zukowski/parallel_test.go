@@ -433,6 +433,24 @@ func equalSlices[T comparable](a, b []T) bool {
 // count, the numerator of every scan-bandwidth claim.
 func benchReader(b *testing.B, numBlocks, blockValues int) (*zukowski.ColumnReader[uint32], int64) {
 	b.Helper()
+	data, n := benchColumn(b, numBlocks, blockValues)
+	cr, err := zukowski.OpenColumn[uint32](data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm the per-block checksum latches so every measured pass exercises
+	// pure decode, matching the steady state of a resident column.
+	if _, err := cr.ReadAll(nil); err != nil {
+		b.Fatal(err)
+	}
+	return cr, int64(n * 4)
+}
+
+// benchColumn writes benchReader's column — numBlocks PFOR blocks of
+// blockValues uint32 values, one in 1,013 an exception — and returns the
+// container and its value count.
+func benchColumn(b *testing.B, numBlocks, blockValues int) ([]byte, int) {
+	b.Helper()
 	rng := rand.New(rand.NewSource(42))
 	n := numBlocks * blockValues
 	src := make([]uint32, n)
@@ -453,16 +471,7 @@ func benchReader(b *testing.B, numBlocks, blockValues int) (*zukowski.ColumnRead
 	if err := cw.Close(); err != nil {
 		b.Fatal(err)
 	}
-	cr, err := zukowski.OpenColumn[uint32](buf.Bytes())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm the per-block checksum latches so every measured pass exercises
-	// pure decode, matching the steady state of a resident column.
-	if _, err := cr.ReadAll(nil); err != nil {
-		b.Fatal(err)
-	}
-	return cr, int64(n * 4)
+	return buf.Bytes(), n
 }
 
 // BenchmarkScan is the sequential baseline; with -benchmem it demonstrates
@@ -505,6 +514,54 @@ func BenchmarkParallelScan(b *testing.B) {
 				}); err != nil {
 					b.Fatal(err)
 				}
+			}
+			_ = sink
+		})
+	}
+}
+
+// BenchmarkReaderGet times ColumnReader.Get at random rows of
+// benchReader's column, through each source: in memory (the parsed form
+// kept in the block's slot), file-backed with a BlockLRU that holds the
+// column (the form kept beside the cached frame), and file-backed without
+// a cache, where every call fetches, verifies and parses its block.
+func BenchmarkReaderGet(b *testing.B) {
+	data, n := benchColumn(b, 64, 16384)
+	rng := rand.New(rand.NewSource(43))
+	rows := make([]int, 4096)
+	for i := range rows {
+		rows[i] = rng.Intn(n)
+	}
+	open := map[string]func() (*zukowski.ColumnReader[uint32], error){
+		"memory": func() (*zukowski.ColumnReader[uint32], error) { return zukowski.OpenColumn[uint32](data) },
+		"cached": func() (*zukowski.ColumnReader[uint32], error) {
+			return zukowski.OpenColumnReaderAt[uint32](bytes.NewReader(data), int64(len(data)),
+				zukowski.WithBlockCache(zukowski.NewBlockLRU(1<<30)))
+		},
+		"uncached": func() (*zukowski.ColumnReader[uint32], error) {
+			return zukowski.OpenColumnReaderAt[uint32](bytes.NewReader(data), int64(len(data)))
+		},
+	}
+	for _, source := range []string{"memory", "cached", "uncached"} {
+		b.Run(source, func(b *testing.B) {
+			cr, err := open[source]()
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, i := range rows { // warm: every block touched at least once
+				if _, err := cr.Get(i); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink uint32
+			for i := 0; i < b.N; i++ {
+				v, err := cr.Get(rows[i%len(rows)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink += v
 			}
 			_ = sink
 		})

@@ -280,6 +280,53 @@ func TestResidentWarmScanZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestResidentInMemoryZeroAllocs: an in-memory reader keeps one parsed
+// form per patched block, so once Get, ReadBlock and Run have touched
+// every block, none of them allocates — on every patched scheme.
+func TestResidentInMemoryZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation exactness is asserted in the non-race run")
+	}
+	const bv = 512
+	data, src := residentColumns(t, 8*bv, bv)
+	ctx := context.Background()
+	sink := func(int, []int64, [][]int64) bool { return true }
+	for c := range data {
+		cr, err := zukowski.OpenColumn[int64](data[c])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := oneColumn(t, cr)
+		dst := make([]int64, 0, bv)
+		for name, path := range map[string]func(){
+			"Get": func() {
+				for b := 0; b < cr.NumBlocks(); b++ {
+					if v, err := cr.Get(b*bv + 7); err != nil || v != src[c][b*bv+7] {
+						t.Fatalf("Get(%d) = %d, %v", b*bv+7, v, err)
+					}
+				}
+			},
+			"ReadBlock": func() {
+				for b := 0; b < cr.NumBlocks(); b++ {
+					if got, err := cr.ReadBlock(b, dst[:0]); err != nil || got[9] != src[c][b*bv+9] {
+						t.Fatalf("ReadBlock(%d): %v", b, err)
+					}
+				}
+			},
+			"Run": func() {
+				if err := cs.Run(ctx, zukowski.Query[int64]{}, sink); err != nil {
+					t.Fatal(err)
+				}
+			},
+		} {
+			path()
+			if avg := testing.AllocsPerRun(20, path); avg != 0 {
+				t.Fatalf("column %d, %s over warm blocks: %v allocs per run, want 0", c, name, avg)
+			}
+		}
+	}
+}
+
 // TestResidentBlocksMatchWalked: a resident (indexed) block and the same
 // frame parsed afresh (its patch lists walked into scratch) decode to the
 // same values.

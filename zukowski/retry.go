@@ -113,7 +113,7 @@ func (cr *ColumnReader[T]) fetch(dst []byte, b, end int) ([]byte, error) {
 // fetchVerified is the failure-handling single-frame fetch the lookup and
 // parse paths use: fetch of a run of one into dst (nil: a fresh buffer),
 // the checksum, and on a mismatch reread. The caller must have checked the
-// quarantine latch first (frame and parseBlock do).
+// quarantine latch first (fetchFrame does).
 func (cr *ColumnReader[T]) fetchVerified(dst []byte, b int) ([]byte, error) {
 	buf, err := cr.fetch(dst, b, b+1)
 	if err != nil {

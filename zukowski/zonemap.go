@@ -59,13 +59,15 @@ func (cr *ColumnReader[T]) BlockInfo(b int) (BlockInfo[T], error) {
 }
 
 // VerifyBlock checks block b's payload CRC32-C without decoding its
-// values, and that the frame parses and its patch lists walk as a read
-// parses and walks them: a checksum-valid frame of another format (a
-// retired comparator codec's, say), with a PDICT dictionary in frequency
-// order (an older writer's) or with a patch list that leaves its group is
-// ErrCorruptSegment here, as it is on every read. Every error names the
-// block. The hash runs unconditionally: VerifyBlock's contract is to check
-// the bytes now, not to trust the latch.
+// values, and that the frame parses, holds the values its directory entry
+// counts and walks its patch lists as a read parses, counts and walks
+// them: a checksum-valid frame of another format (a retired comparator
+// codec's, say), with a PDICT dictionary in frequency order (an older
+// writer's) or with a patch list that leaves its group is
+// ErrCorruptSegment here, and one of another count ErrCorruptColumn, as
+// each is on every read. Every error names the block once. The hash runs
+// unconditionally: VerifyBlock's contract is to check the bytes now, not
+// to trust the latch.
 func (cr *ColumnReader[T]) VerifyBlock(b int) error {
 	if b < 0 || b >= len(cr.blocks) {
 		return fmt.Errorf("%w: block %d not in [0,%d)", ErrIndexOutOfRange, b, len(cr.blocks))
@@ -79,7 +81,7 @@ func (cr *ColumnReader[T]) VerifyBlock(b int) error {
 	}
 	st := cr.getState()
 	defer cr.putState(st)
-	if err := readableFrame(frame, &st.blk); err != nil {
+	if err := readableFrame(frame, int(cr.blocks[b].count), &st.blk); err != nil {
 		return fmt.Errorf("block %d: %w", b, err)
 	}
 	return nil
