@@ -88,7 +88,7 @@ func runDirect[T zukowski.Integer](tbl *zktable.Table[T], cols []string, req zks
 		q.Report = new(zukowski.ScanReport)
 	}
 	if req.Workers > 1 {
-		q.Workers, q.InOrder = req.Workers, true
+		q.Workers = req.Workers
 	}
 	for _, c := range req.Cols {
 		q.Cols = append(q.Cols, slices.Index(cols, c))

@@ -11,8 +11,8 @@ import (
 // resolved output columns, resolved predicates in the wire (int64)
 // domain, and a worker count. The table's backend binds it — once per
 // request — to the typed zktable handle that will run it: the plan
-// becomes one zukowski.Query (the conjunction as Preds, any any_of
-// disjunction as an expression tree, the outputs as Query.Cols), and the
+// becomes one zukowski.Query (the predicate as one expression tree,
+// And(Range…, Or(branches…)), the outputs as Query.Cols), and the
 // three response modes are the table's own three entry points — Run for
 // rows, RunAggregate for aggregates, Candidates for raw frames. The prune
 // statistics are the block plans the engine records in the plan's report
@@ -89,13 +89,11 @@ type bound[T zukowski.Integer] struct {
 // Query.Cols; frame mode ships frames and leaves Cols alone.
 func (s *shard[T]) bind(p *scanPlan, frames bool, aggCol int) runner {
 	b := &bound[T]{tbl: s.Table, agg: aggCol, out: p.out}
-	b.q = zukowski.Query[T]{SkipCorrupt: p.skip, Report: p.report}
+	b.q = zukowski.Query[T]{Workers: p.workers, SkipCorrupt: p.skip, Report: p.report}
 	if !frames {
 		b.q.Cols = p.out
 	}
-	if p.workers > 1 {
-		b.q.Workers, b.q.InOrder = p.workers, true
-	}
+	var conj []zukowski.Expr[T]
 	for _, ps := range p.preds {
 		tlo, thi, ok := clampRange[T](ps.lo, ps.hi)
 		if !ok {
@@ -103,15 +101,23 @@ func (s *shard[T]) bind(p *scanPlan, frames bool, aggCol int) runner {
 			// conjunct, which selects no row and prunes every block.
 			tlo, thi = 1, 0
 		}
-		b.q.Preds = append(b.q.Preds, zukowski.Pred[T]{Col: ps.col, Lo: tlo, Hi: thi})
+		conj = append(conj, zukowski.Range[T](ps.col, tlo, thi))
 	}
-	if len(p.orGroups) == 0 {
-		return b
+	if len(p.orGroups) > 0 {
+		conj = append(conj, anyOf[T](p.orGroups))
 	}
-	// An alternative with an unrepresentable conjunct can never hold and
-	// is dropped; the others still apply. Or() of nothing selects nothing.
+	if len(conj) > 0 {
+		b.q.Expr = zukowski.And(conj...)
+	}
+	return b
+}
+
+// anyOf is the any_of disjunction in T's domain. An alternative with an
+// unrepresentable conjunct can never hold and is dropped; the others still
+// apply. Or() of nothing selects nothing.
+func anyOf[T zukowski.Integer](groups [][]predSpec) zukowski.Expr[T] {
 	var branches []zukowski.Expr[T]
-	for _, g := range p.orGroups {
+	for _, g := range groups {
 		var branch []zukowski.Expr[T]
 		for _, ps := range g {
 			tlo, thi, ok := clampRange[T](ps.lo, ps.hi)
@@ -129,8 +135,7 @@ func (s *shard[T]) bind(p *scanPlan, frames bool, aggCol int) runner {
 			branches = append(branches, zukowski.And(branch...))
 		}
 	}
-	b.q.Expr = zukowski.Or(branches...)
-	return b
+	return zukowski.Or(branches...)
 }
 
 func (b *bound[T]) rows(ctx context.Context, emit func(rows []int64, cols [][]byte) bool) error {

@@ -53,7 +53,8 @@ func (t *Table[T]) scan(q *zukowski.Query[T], visit func(seg *segment[T], rowBas
 // every block of every earlier segment) and global row numbers. fn
 // returning false stops the scan (still returning nil). Every Query
 // field means what it means on a ColumnSet — Expr, Preds, Cols, Workers
-// (block workers within a segment), InOrder, SkipCorrupt and Report.
+// (block workers within a segment), SkipCorrupt and Report — so blocks
+// arrive in global block order however many workers run.
 // Quarantined segments fail exact scans with ErrSegmentQuarantined and
 // are skipped, with every lost block and row recorded, under SkipCorrupt.
 func (t *Table[T]) Run(ctx context.Context, q zukowski.Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,9 +211,9 @@ func TestCreateAppendScanRoundtrip(t *testing.T) {
 }
 
 // TestRunWorkersEquivalence: Query{Workers: n} returns exactly the
-// sequential scan's rows — unordered as a multiset, InOrder as the same
-// sequence — with global block indices, and stops on fn's say-so. At
-// every worker count from 1 to 8, ordered or not, exact or degraded, over
+// sequential scan's rows in the same sequence, across segment boundaries,
+// with global block indices, and stops on fn's say-so. At every worker
+// count from 1 to 8, exact or degraded, over
 // a healthy table and one with a block whose payload fails its checksum,
 // it answers as the sequential scan does and fills the same ScanReport:
 // the same plan totals, the same losses.
@@ -244,14 +243,8 @@ func TestRunWorkersEquivalence(t *testing.T) {
 	if err := tb.Run(bg, q, collect); err != nil {
 		t.Fatalf("parallel Run: %v", err)
 	}
-	sort.Slice(gotRows, func(i, j int) bool { return gotRows[i] < gotRows[j] })
-	if len(gotRows) != len(wantRows) {
-		t.Fatalf("parallel scan returned %d rows, oracle %d", len(gotRows), len(wantRows))
-	}
-	for i := range gotRows {
-		if gotRows[i] != wantRows[i] {
-			t.Fatalf("sorted row %d: got %d, want %d", i, gotRows[i], wantRows[i])
-		}
+	if !slices.Equal(gotRows, wantRows) {
+		t.Fatalf("parallel scan delivered %d rows out of sequence (oracle %d)", len(gotRows), len(wantRows))
 	}
 	// Global block indices must be distinct across segments.
 	nb := (len(segA[0])+testBV-1)/testBV + (len(segB[0])+testBV-1)/testBV
@@ -259,16 +252,6 @@ func TestRunWorkersEquivalence(t *testing.T) {
 		if b < 0 || b >= nb {
 			t.Fatalf("block index %d outside [0,%d)", b, nb)
 		}
-	}
-
-	// InOrder restores the sequential sequence across segment boundaries.
-	gotRows = gotRows[:0]
-	q.InOrder = true
-	if err := tb.Run(bg, q, collect); err != nil {
-		t.Fatalf("ordered parallel Run: %v", err)
-	}
-	if !slices.Equal(gotRows, wantRows) {
-		t.Fatalf("ordered parallel scan delivered %d rows out of sequence (oracle %d)", len(gotRows), len(wantRows))
 	}
 
 	// Early stop terminates without error, and no later segment delivers
@@ -327,9 +310,6 @@ func TestRunWorkersEquivalence(t *testing.T) {
 			rows = append(rows, r...)
 			return true
 		})
-		if !q.InOrder {
-			slices.Sort(rows)
-		}
 		return rows, report{sr.BlocksPlanned, sr.BlocksPruned, sr.BlocksSkipped,
 			sr.RowsPlanned, sr.ValuesPlanned, sr.RowsLost, zukowski.IsDataFault(sr.FirstErr)}, err
 	}
@@ -348,19 +328,17 @@ func TestRunWorkersEquivalence(t *testing.T) {
 				t.Fatalf("%s skip=%v: sequential scan %v, report %+v", name, skip, wantErr, wantRep)
 			}
 			for workers := 1; workers <= 8; workers++ {
-				for _, inOrder := range []bool{false, true} {
-					q.Workers, q.InOrder = workers, inOrder
-					rows, rep, err := scan(tb, q)
-					what := fmt.Sprintf("%s skip=%v workers=%d inOrder=%v", name, skip, workers, inOrder)
-					if zukowski.IsDataFault(err) != zukowski.IsDataFault(wantErr) || (err == nil) != (wantErr == nil) {
-						t.Fatalf("%s: %v, the sequential scan %v", what, err, wantErr)
-					}
-					if err == nil && !slices.Equal(rows, wantRows) {
-						t.Fatalf("%s: %d rows, the sequential scan %d", what, len(rows), len(wantRows))
-					}
-					if rep != wantRep {
-						t.Fatalf("%s: report %+v, the sequential scan's %+v", what, rep, wantRep)
-					}
+				q.Workers = workers
+				rows, rep, err := scan(tb, q)
+				what := fmt.Sprintf("%s skip=%v workers=%d", name, skip, workers)
+				if zukowski.IsDataFault(err) != zukowski.IsDataFault(wantErr) || (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s: %v, the sequential scan %v", what, err, wantErr)
+				}
+				if err == nil && !slices.Equal(rows, wantRows) {
+					t.Fatalf("%s: %d rows, the sequential scan %d", what, len(rows), len(wantRows))
+				}
+				if rep != wantRep {
+					t.Fatalf("%s: report %+v, the sequential scan's %+v", what, rep, wantRep)
 				}
 			}
 		}

@@ -9,29 +9,30 @@ import (
 	"repro/internal/core"
 )
 
-// Multi-predicate selection-vector composition: the conjunctive scan the
-// paper's RAM-CPU pipeline runs on compressed vectors. A ColumnSet groups
-// columns that share block geometry (same rows, same block boundaries —
-// the layout one ColumnWriter configuration produces for every column of
-// a table), so a selection bitmap computed over one column's block applies
+// Multi-predicate selection-vector composition: the selection the paper's
+// RAM-CPU pipeline runs on compressed vectors. A ColumnSet groups columns
+// that share block geometry (same rows, same block boundaries — the
+// layout one ColumnWriter configuration produces for every column of a
+// table), so a selection bitmap computed over one column's block applies
 // row-for-row to every other column's same-numbered block. Run evaluates
-// a conjunction of range predicates (Query.Preds) one predicate at a time:
-// the most selective predicate (estimated per block from the zone maps)
-// builds the block's bitmap with DecompressMask, each further predicate
+// a Query's predicate tree (see Expr) one bitmap step at a time: inside a
+// conjunction the most selective child (estimated per block from the zone
+// maps) builds the block's bitmap with DecompressMask, each further child
 // narrows it with RefineMask — skipping 128-row groups the running bitmap
 // has already emptied, without extracting a single code — and only the
-// rows that survive every predicate are materialized, from each column,
-// by DecompressSelected. A predicate a block's zone map already decides is
+// rows that survive are materialized, from each column, by
+// DecompressSelected. A predicate a block's zone map already decides is
 // not evaluated at all — its column is not even fetched — and a block
 // every row of which is selected is decoded whole. Where few rows of a
-// 128-value group survive, nothing that fails the conjunction is decoded
-// into a value; where many do, the group is decoded whole and the
-// survivors compacted out of it, which is cheaper than picking them one by
-// one (core.DecompressSelected).
+// 128-value group survive, nothing the predicate rejects is decoded into
+// a value; where many do, the group is decoded whole and the survivors
+// compacted out of it, which is cheaper than picking them one by one
+// (core.DecompressSelected).
 
-// Pred is one conjunct of a multi-column predicate: the inclusive value
-// range [Lo, Hi] over column Col of a ColumnSet. A Pred with Lo > Hi
-// selects nothing (and therefore empties the whole conjunction).
+// Pred is one conjunct of Query.Preds: the inclusive value range
+// [Lo, Hi] over column Col of a ColumnSet, exactly Range(Col, Lo, Hi). A
+// Pred with Lo > Hi selects nothing (and therefore empties the whole
+// conjunction).
 type Pred[T Integer] struct {
 	Col    int
 	Lo, Hi T
@@ -115,13 +116,21 @@ type setState[T Integer] struct {
 	sv   core.SelectionVector
 	rows []int64
 	out  [][]T // out[i] aliases cols[i].gath after materialization
-	ord  []int // predicate evaluation order scratch
-	est  []float64
+
+	// kids holds the children of the AND node Query.Preds folds into (see
+	// foldPreds), reused across scans.
+	kids []Expr[T]
 
 	// svPool holds scratch selection vectors for nested expression
 	// subtrees (see pushSV), one per active depth, reused across blocks.
 	svPool  []*core.SelectionVector
 	svDepth int
+
+	// ord and est hold evalAnd's ordering scratch, one pair per active AND
+	// depth (see pushOrder), reused across blocks.
+	ord      [][]int
+	est      [][]float64
+	ordDepth int
 
 	// codes is the per-block dictionary-code scratch of GroupAggregate's
 	// code-space path, one slice per group column.
@@ -146,14 +155,17 @@ func (cs *ColumnSet[T]) getState() *setState[T] {
 
 // putState returns st to the pool. It hands the state's run buffers back
 // to the shared pool, forgets its plan and lets go of the parsed blocks
-// the state last used, so a pooled state pins no block the cache has
-// evicted and plans nothing for its next scan.
+// the state last used and of the predicate it folded, so a pooled state
+// pins no block the cache has evicted, no caller's tree, and plans nothing
+// for its next scan.
 func (cs *ColumnSet[T]) putState(st *setState[T]) {
 	for i := range st.cols {
 		st.cols[i].cur = nil
 		st.cols[i].run.release()
 	}
 	st.plan.entries = st.plan.entries[:0]
+	clear(st.kids)
+	st.kids = st.kids[:0]
 	cs.states.Put(st)
 }
 
@@ -182,12 +194,15 @@ type planEntry struct {
 // colReads returns which columns entry i fetches, indexed by column.
 func (p *blockPlan) colReads(i int) []bool { return p.reads[i*p.ncols : (i+1)*p.ncols] }
 
-// planScan validates q and plans its scan into st.plan: every block whose
-// verdict is not none, with the columns the scan fetches there — those
-// markReads names for the predicate and the materialized columns mat (nil:
-// every column). It is the one place a scan asks the zone maps; the plan's
-// totals go to q.Report, once per scan.
+// planScan folds q.Preds into q.Expr (foldPreds), validates q and plans
+// its scan into st.plan: every block whose verdict is not none, with the
+// columns the scan fetches there — those markReads names for the
+// predicate and the materialized columns mat (nil: every column). It is
+// the one place a scan asks the zone maps; the plan's totals go to
+// q.Report, once per scan. q is the scan's own copy, and every executor
+// after planScan sees only its tree.
 func (cs *ColumnSet[T]) planScan(st *setState[T], q *Query[T], mat []int) error {
+	st.foldPreds(q)
 	if err := cs.checkQuery(q); err != nil {
 		return err
 	}
@@ -200,7 +215,7 @@ func (cs *ColumnSet[T]) planScan(st *setState[T], q *Query[T], mat []int) error 
 	p.entries, p.reads, p.ncols = p.entries[:0], p.reads[:nb*nc], nc
 	p.pruned, p.rows, p.values = 0, 0, 0
 	for b := range first.blocks {
-		v := cs.queryVerdict(q, b)
+		v := cs.verdict(&q.Expr, b)
 		if v == verdictNone {
 			p.pruned++
 			continue
@@ -208,7 +223,7 @@ func (cs *ColumnSet[T]) planScan(st *setState[T], q *Query[T], mat []int) error 
 		e := planEntry{block: b, first: int64(first.starts[b]), rows: int(first.blocks[b].count), verdict: v}
 		reads := p.colReads(len(p.entries))
 		clear(reads)
-		cs.markReads(q, b, reads)
+		cs.markReads(&q.Expr, b, reads)
 		if mat == nil {
 			for c := range reads {
 				reads[c] = true
@@ -401,77 +416,16 @@ func (cs *ColumnSet[T]) gatherCol(st *setState[T], b, ci int) (out []T, err erro
 	return out, nil
 }
 
-// predEstimate estimates the fraction of block b's rows [lo, hi] can
-// select, from the zone map alone: the width of the predicate's overlap
-// with the block's value range, relative to that range. It orders
-// predicates cheapest-first; correctness never depends on it.
-func (cr *ColumnReader[T]) predEstimate(b int, lo, hi T) float64 {
-	bmin, bmax := zoneValue[T](cr.blocks[b].minBits), zoneValue[T](cr.blocks[b].maxBits)
-	l, h := max(lo, bmin), min(hi, bmax)
-	if l > h {
-		return 0
-	}
-	span := float64(bmax) - float64(bmin) + 1
-	if span <= 0 {
-		return 1
-	}
-	return (float64(h) - float64(l) + 1) / span
-}
-
-// orderPreds fills st.ord with the indices of the predicates block b's
-// zone maps leave undecided — one every row satisfies has nothing to
-// contribute — most selective first by zone-map estimate (insertion sort
-// on scratch: stable, allocation-free).
-func (st *setState[T]) orderPreds(cs *ColumnSet[T], b int, preds []Pred[T]) []int {
-	if cap(st.ord) < len(preds) {
-		st.ord = make([]int, len(preds))
-		st.est = make([]float64, len(preds))
-	}
-	ord, est := st.ord[:0], st.est[:len(preds)]
-	for i, p := range preds {
-		if cs.cols[p.Col].rangeVerdict(b, p.Lo, p.Hi) == verdictAll {
-			continue
-		}
-		est[i] = cs.cols[p.Col].predEstimate(b, p.Lo, p.Hi)
-		ord = insertByEstimate(ord, est, i)
-	}
-	return ord
-}
-
-// insertByEstimate appends conjunct i to ord, which it keeps ascending by
-// est[conjunct]; among equal estimates the earlier conjunct stays first.
-func insertByEstimate(ord []int, est []float64, i int) []int {
-	j := len(ord)
-	ord = append(ord, i)
-	for ; j > 0 && est[i] < est[ord[j-1]]; j-- {
-		ord[j] = ord[j-1]
-	}
-	ord[j] = i
-	return ord
-}
-
-// blockMaskQuery composes block b's bitmap for q into st.sv and reports
-// whether any row survives: the []Pred conjunction first, most selective
-// first, then the expression tree refining it — or, without preds left to
-// evaluate, the tree evaluated fresh. Conjuncts and subtrees block b's
-// zone maps decide are skipped (see verdict), so a block every row of
-// which matches costs one Fill; either side emptying the bitmap stops the
-// block early.
-func (cs *ColumnSet[T]) blockMaskQuery(st *setState[T], b int, q *Query[T]) (any bool, err error) {
+// blockMask composes planned block e's bitmap for q into st.sv and
+// reports whether any row survives. A block the plan's verdict selects
+// whole costs one Fill; otherwise q's tree is evaluated, the conjuncts and
+// subtrees the block's zone maps decide skipped (see evalSome).
+func (cs *ColumnSet[T]) blockMask(st *setState[T], e planEntry, q *Query[T]) (any bool, err error) {
 	defer guardSegment(&err)
 	st.begin()
-	mode := maskFresh
-	for _, pi := range st.orderPreds(cs, b, q.Preds) {
-		p := q.Preds[pi]
-		if err := cs.maskCol(st, p.Col, b, p.Lo, p.Hi, &st.sv, mode); err != nil {
-			return false, err
-		}
-		if !st.sv.Any() {
-			return false, nil
-		}
-		mode = maskRefine
-	}
-	if err := cs.evalExpr(st, &q.Expr, b, int(cs.cols[0].blocks[b].count), &st.sv, mode); err != nil {
+	if e.verdict == verdictAll {
+		st.sv.Fill(e.rows)
+	} else if err := cs.evalSome(st, &q.Expr, e.block, e.rows, &st.sv, maskFresh); err != nil {
 		return false, err
 	}
 	return st.sv.Any(), nil
@@ -530,7 +484,7 @@ func (cs *ColumnSet[T]) visitBlocks(ctx context.Context, q *Query[T], mat []int,
 		}
 		st.at = i
 		more := true
-		any, err := cs.blockMaskQuery(st, e.block, q)
+		any, err := cs.blockMask(st, e, q)
 		if err == nil && any {
 			more, err = visit(st, e.block)
 		}

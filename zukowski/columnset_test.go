@@ -249,8 +249,8 @@ func TestColumnSetMismatch(t *testing.T) {
 }
 
 // TestRunWorkersMatchesSequential checks the parallel conjunctive scan
-// (Query.Workers) against the sequential one: ordered mode byte for
-// byte, unordered mode as a multiset keyed by block.
+// (Query.Workers) against the sequential one, byte for byte and in the
+// same block order.
 func TestRunWorkersMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const n = 60_000
@@ -279,10 +279,9 @@ func TestRunWorkersMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4, 8} {
-		// Ordered: identical sequence of (block, rows, values).
 		var order []int
 		got := map[int]csBatch{}
-		if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: workers, InOrder: true}, func(blk int, rows []int64, cols [][]int64) bool {
+		if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: workers}, func(blk int, rows []int64, cols [][]int64) bool {
 			order = append(order, blk)
 			got[blk] = csBatch{slices.Clone(rows), slices.Clone(cols[0]), slices.Clone(cols[1])}
 			return true
@@ -290,17 +289,7 @@ func TestRunWorkersMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !slices.Equal(order, seqOrder) {
-			t.Fatalf("%d workers ordered: block order %v, want %v", workers, order, seqOrder)
-		}
-		compareBatches(t, workers, got, seq)
-
-		// Unordered: same multiset of per-block batches.
-		got = map[int]csBatch{}
-		if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: workers}, func(blk int, rows []int64, cols [][]int64) bool {
-			got[blk] = csBatch{slices.Clone(rows), slices.Clone(cols[0]), slices.Clone(cols[1])}
-			return true
-		}); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%d workers: block order %v, want %v", workers, order, seqOrder)
 		}
 		compareBatches(t, workers, got, seq)
 	}
@@ -506,7 +495,9 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	// decoded whole) and cuts the blocks at its ends (a mixed block: the
 	// key is evaluated there), beside a wide range on a (most groups keep
 	// more rows than the dense threshold) and a narrow one (sparse groups),
-	// through Preds and through a tree with an AND to order.
+	// through Preds, through a tree with an AND to order, and through Preds
+	// beside an Or of ranges — the any_of shape, whose fold gives the AND
+	// node a subtree to order among its ranges.
 	k := make([]int64, n)
 	for i := range k {
 		k[i] = int64(i)*3 + rng.Int63n(3)
@@ -533,6 +524,8 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		"tree": {Expr: zukowski.Or(
 			zukowski.And(zukowski.Range(0, window.Lo, window.Hi), zukowski.Range(1, wide.Lo, wide.Hi), zukowski.Expr[int64]{}),
 			zukowski.In(2, b[0], b[1]))},
+		"any-of": {Preds: []zukowski.Pred[int64]{window, wide},
+			Expr: zukowski.Or(zukowski.Range(1, narrow.Lo, narrow.Hi), zukowski.Range[int64](2, 0, 400))},
 	} {
 		ctx := context.Background()
 		rows := 0

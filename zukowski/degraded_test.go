@@ -190,7 +190,7 @@ func TestDegradedParallelScanSelect(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		var rep zukowski.ScanReport
-		q.Workers, q.InOrder, q.SkipCorrupt, q.Report = workers, true, true, &rep
+		q.Workers, q.SkipCorrupt, q.Report = workers, true, &rep
 		_, got, err := collectRun(t, cs, q) // fn is never called concurrently
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -274,7 +274,7 @@ func TestDegradedRunParallel(t *testing.T) {
 
 	var prep zukowski.ScanReport
 	gotRows = gotRows[:0]
-	if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: 4, InOrder: true, SkipCorrupt: true, Report: &prep}, collect); err != nil {
+	if err := cs.Run(ctx, zukowski.Query[int64]{Preds: preds, Workers: 4, SkipCorrupt: true, Report: &prep}, collect); err != nil {
 		t.Fatalf("degraded parallel Run: %v", err)
 	}
 	if !slices.Equal(gotRows, wantRows) || prep.BlocksSkipped != 1 {
@@ -474,7 +474,7 @@ func TestDegradedScanReportsWhatItRead(t *testing.T) {
 
 					ctx := context.Background()
 					q := q
-					q.Workers, q.InOrder = workers, true
+					q.Workers = workers
 					if tc.read {
 						err := cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true })
 						if !errors.Is(err, zukowski.ErrCorruptColumn) {

@@ -86,10 +86,10 @@
 // the conjunctive step of the paper's RAM-CPU query pipeline. Columns
 // sharing block geometry (same rows, same block boundaries; anything
 // else is ErrColumnSetMismatch) scan as one unit: Run evaluates a
-// Query's []Pred conjunction per block by building a one-bit-per-row
-// bitmap with the compare kernels of the most selective predicate
-// (ordered by a zone-map estimate), intersecting it branch-free with
-// each further predicate's matches — 32-row groups the running bitmap
+// Query's predicate tree per block, a conjunction by building a
+// one-bit-per-row bitmap with the compare kernels of the most selective
+// child (ordered by a zone-map estimate), intersecting it branch-free
+// with each further child's matches — 32-row groups the running bitmap
 // has emptied are skipped before a single code is extracted — and
 // materializing the rows that survive every predicate, from the
 // requested columns. Two things keep that from doing work nobody needs.
@@ -103,21 +103,22 @@
 // branch-free two-loop decompression — and the survivors are compacted
 // out of it; a block selected whole is one block decode. RunAggregate
 // folds one column's survivors without delivering them; Query.Workers
-// runs Run's blocks across a worker pool, delivering serialized and — with
-// Query.InOrder — in block order. Warmed sequential scans allocate nothing.
+// runs Run's blocks across a worker pool, delivering serialized and in
+// block order. Warmed sequential scans allocate nothing.
 //
 // # One scan vocabulary: Query, Expr, grouping and joins
 //
 // Query[T] is the only way a filtered or parallel scan is expressed, at
-// every layer: predicate (conjunction and/or expression tree), output columns,
-// parallelism, ordering, degraded mode and the context it runs under.
+// every layer: predicate (one expression tree; Query.Preds is shorthand
+// for a conjunction of ranges in it), output columns, parallelism,
+// degraded mode and the context it runs under.
 // ColumnSet executes it with Run, RunAggregate and Candidates (the
 // decode-free dry run: which blocks would be evaluated, how many the
 // zone maps prune); zktable.Table executes the same Query with the same
 // three methods across every segment of a durable table, and zkserve
-// translates each wire request into one. Expr generalizes the
-// conjunction to an AND/OR tree of Range and In leaves (built with
-// And, Or, Range, In), evaluated entirely at the selection-bitmap
+// translates each wire request into one. Expr is an AND/OR tree of
+// Range and In leaves (built with And, Or, Range, In; an And takes any
+// number of children), evaluated entirely at the selection-bitmap
 // level: a disjunction is one word-wise union per 32 rows, and the
 // zone-map verdict composes through the tree — an AND is "no row" when
 // any child is and "every row" when every child is, an OR the other way

@@ -1,6 +1,9 @@
 package zukowski
 
-import "repro/internal/core"
+import (
+	"repro/internal/core"
+	"repro/internal/segment"
+)
 
 // RunCap is the byte budget of one run of adjacent frames, for tests that
 // bound how many reads a sequential scan issues.
@@ -31,4 +34,34 @@ func EvictAll(c *BlockLRU) {
 		c.evictTo(sh, 0)
 		sh.mu.Unlock()
 	}
+}
+
+// SetBlockCacheID attaches c to the file-backed reader cr under column id
+// id rather than a fresh one, so that a test places the same frames in the
+// same shards on every run. The caller keeps ids unique within c.
+func SetBlockCacheID[T Integer](cr *ColumnReader[T], c *BlockLRU, id uint64) {
+	cr.cache.Store(&attachedCache{c: c, id: id})
+}
+
+// MissingForms counts the patched frames c holds without a parsed form,
+// and of those the ones whose shard has the room to spare (spare) for the
+// form a parse of the frame costs: frames the room rule should have given
+// one.
+func MissingForms[T Integer](c *BlockLRU) (missing, withRoom int) {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for _, e := range sh.entries {
+			var blk core.Block[T]
+			if e.parsed != nil || !segment.IsCompressed(e.buf) || segment.UnmarshalIntoTrusted(&blk, e.buf) != nil {
+				continue
+			}
+			missing++
+			if parsedCost(&blk, e.buf) <= c.spare(sh, e) {
+				withRoom++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return missing, withRoom
 }

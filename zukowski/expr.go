@@ -6,20 +6,21 @@ import (
 	"repro/internal/core"
 )
 
-// Predicate expression trees: the disjunctive generalization of the
-// []Pred conjunction. An Expr is an AND/OR tree over range and membership
-// leaves, evaluated entirely at the selection-bitmap level — each leaf
-// produces, refines or unions a per-block bitmap with the compressed-
-// domain mask kernels (DecompressMask / RefineMask / UnionMask), so a
-// disjunction composes with one OR per 32 rows and nothing outside the
-// final bitmap is ever decoded into a value.
+// Predicate expression trees: the one form of a scan's predicate
+// (Query.Preds is folded into one before a scan starts). An Expr is an
+// AND/OR tree over range and membership leaves, evaluated entirely at the
+// selection-bitmap level — each leaf produces, refines or unions a
+// per-block bitmap with the compressed-domain mask kernels
+// (DecompressMask / RefineMask / UnionMask), so a disjunction composes
+// with one OR per 32 rows and nothing outside the final bitmap is ever
+// decoded into a value.
 //
 // Before a block is evaluated its zone maps give every node of the tree a
 // three-valued verdict — no row of the block matches, every row does, or
 // the node has to be evaluated (see verdict). A node decided either way
 // costs nothing: its column's frame is not fetched, checksummed, cached,
 // parsed or scanned. Evaluation order inside an AND node is
-// most-selective-first by zone-map estimate, exactly like the []Pred path.
+// most-selective-first by zone-map estimate.
 
 type exprOp uint8
 
@@ -44,8 +45,8 @@ type Expr[T Integer] struct {
 }
 
 // Range selects the rows whose value in column col lies in the inclusive
-// range [lo, hi]. A Range with lo > hi selects nothing. The []Pred form
-// {Col, Lo, Hi} is exactly And(Range(Col, Lo, Hi), ...).
+// range [lo, hi]. A Range with lo > hi selects nothing. A Query.Preds
+// entry {Col, Lo, Hi} is exactly And(Range(Col, Lo, Hi), ...).
 func Range[T Integer](col int, lo, hi T) Expr[T] {
 	return Expr[T]{op: opRange, col: col, lo: lo, hi: hi}
 }
@@ -57,8 +58,9 @@ func In[T Integer](col int, vals ...T) Expr[T] {
 	return Expr[T]{op: opIn, col: col, vals: vals}
 }
 
-// And selects the rows every child selects. And() with no children
-// selects everything (the identity of conjunction).
+// And selects the rows every child selects, of any number of children.
+// And() with no children selects everything (the identity of
+// conjunction).
 func And[T Integer](kids ...Expr[T]) Expr[T] {
 	return Expr[T]{op: opAnd, kids: kids}
 }
@@ -83,9 +85,6 @@ func (e *Expr[T]) check(ncols int) error {
 		}
 		return nil
 	default:
-		if e.op == opAnd && len(e.kids) > maxAndKids {
-			return fmt.Errorf("%w: AND node with more than %d children", ErrIndexOutOfRange, maxAndKids)
-		}
 		for i := range e.kids {
 			if err := e.kids[i].check(ncols); err != nil {
 				return err
@@ -98,8 +97,8 @@ func (e *Expr[T]) check(ncols int) error {
 // verdict is what a block's zone maps prove about a predicate before any
 // of the block is read. It is the one block-level pruning decision of the
 // query layer: planScan asks it once per block of a scan, and every
-// executor walks that plan; blockMaskQuery and evalExpr skip every
-// conjunct and subtree decided either way.
+// executor walks that plan; evalAnd and evalOr skip every conjunct and
+// subtree decided either way.
 type verdict uint8
 
 const (
@@ -170,37 +169,10 @@ func (cs *ColumnSet[T]) verdict(e *Expr[T], b int) verdict {
 	}
 }
 
-// queryVerdict is the verdict of q's whole predicate — the []Pred
-// conjunction AND the expression tree — over block b.
-func (cs *ColumnSet[T]) queryVerdict(q *Query[T], b int) verdict {
-	out := cs.verdict(&q.Expr, b)
-	if out == verdictNone {
-		return verdictNone
-	}
-	for _, p := range q.Preds {
-		switch cs.cols[p.Col].rangeVerdict(b, p.Lo, p.Hi) {
-		case verdictNone:
-			return verdictNone
-		case verdictSome:
-			out = verdictSome
-		}
-	}
-	return out
-}
-
-// markReads sets reads[c] for every column c that evaluating q over block
-// b fetches for the predicate's sake: the columns of the conjuncts and
-// leaves the verdict leaves undecided, outside any subtree it decides.
-func (cs *ColumnSet[T]) markReads(q *Query[T], b int, reads []bool) {
-	for _, p := range q.Preds {
-		if cs.cols[p.Col].rangeVerdict(b, p.Lo, p.Hi) == verdictSome {
-			reads[p.Col] = true
-		}
-	}
-	cs.markExprReads(&q.Expr, b, reads)
-}
-
-func (cs *ColumnSet[T]) markExprReads(e *Expr[T], b int, reads []bool) {
+// markReads sets reads[c] for every column c that evaluating e over block
+// b fetches: the columns of the leaves the verdict leaves undecided,
+// outside any subtree it decides.
+func (cs *ColumnSet[T]) markReads(e *Expr[T], b int, reads []bool) {
 	if cs.verdict(e, b) != verdictSome {
 		return
 	}
@@ -209,7 +181,7 @@ func (cs *ColumnSet[T]) markExprReads(e *Expr[T], b int, reads []bool) {
 		reads[e.col] = true
 	default:
 		for i := range e.kids {
-			cs.markExprReads(&e.kids[i], b, reads)
+			cs.markReads(&e.kids[i], b, reads)
 		}
 	}
 }
@@ -251,6 +223,35 @@ func (cs *ColumnSet[T]) exprEstimate(e *Expr[T], b int) float64 {
 	}
 }
 
+// predEstimate estimates the fraction of block b's rows [lo, hi] can
+// select, from the zone map alone: the width of the predicate's overlap
+// with the block's value range, relative to that range. It orders
+// predicates cheapest-first; correctness never depends on it.
+func (cr *ColumnReader[T]) predEstimate(b int, lo, hi T) float64 {
+	bmin, bmax := zoneValue[T](cr.blocks[b].minBits), zoneValue[T](cr.blocks[b].maxBits)
+	l, h := max(lo, bmin), min(hi, bmax)
+	if l > h {
+		return 0
+	}
+	span := float64(bmax) - float64(bmin) + 1
+	if span <= 0 {
+		return 1
+	}
+	return (float64(h) - float64(l) + 1) / span
+}
+
+// insertByEstimate appends conjunct i to ord, which it keeps ascending by
+// est[conjunct]; among equal estimates the earlier conjunct stays first.
+func insertByEstimate(ord []int, est []float64, i int) []int {
+	j := len(ord)
+	ord = append(ord, i)
+	for ; j > 0 && est[i] < est[ord[j-1]]; j-- {
+		ord[j] = ord[j-1]
+	}
+	ord[j] = i
+	return ord
+}
+
 // Bitmap targeting modes of one evaluation step: build a fresh bitmap,
 // AND into the running bitmap, or OR into it.
 const (
@@ -273,30 +274,11 @@ func (st *setState[T]) pushSV() *core.SelectionVector {
 
 func (st *setState[T]) popSV() { st.svDepth-- }
 
-// evalExpr evaluates e over block b (n rows) into sv under the given
-// mode. A subtree the zone maps decide is not evaluated: when no row can
-// match, fresh evaluation and refinement leave the bitmap empty and union
-// leaves it untouched; when every row does, fresh evaluation and union
-// fill it and refinement leaves it untouched.
-func (cs *ColumnSet[T]) evalExpr(st *setState[T], e *Expr[T], b, n int, sv *core.SelectionVector, mode uint8) error {
-	switch cs.verdict(e, b) {
-	case verdictNone:
-		if mode != maskUnion {
-			sv.Reset(n)
-		}
-		return nil
-	case verdictAll:
-		if mode != maskRefine {
-			sv.Fill(n)
-		}
-		return nil
-	}
-	return cs.evalSome(st, e, b, n, sv, mode)
-}
-
-// evalSome evaluates a node whose verdict is verdictSome — established by
-// the caller, so that no node's zone maps are consulted twice on the way
-// down.
+// evalSome evaluates e over block b (n rows) into sv under the given
+// mode: a fresh bitmap, an intersection with the running one, or a union
+// into it. e's verdict is verdictSome — established by the caller, the
+// plan for the root, so that no node's zone maps are consulted twice on
+// the way down.
 func (cs *ColumnSet[T]) evalSome(st *setState[T], e *Expr[T], b, n int, sv *core.SelectionVector, mode uint8) error {
 	switch e.op {
 	case opRange:
@@ -338,9 +320,23 @@ func (cs *ColumnSet[T]) evalIn(st *setState[T], e *Expr[T], b, n int, sv *core.S
 	return nil
 }
 
-// maxAndKids bounds the children of one AND node (Expr.check enforces it),
-// which sizes the per-block ordering scratch evalAnd keeps on its stack.
-const maxAndKids = 64
+// pushOrder borrows evalAnd's ordering scratch for an AND node of n
+// children: ord empty, est of length n. Like the selection vectors it is
+// pooled per depth in the scan state, so a warmed scan of a fixed tree
+// shape orders any number of children without allocating.
+func (st *setState[T]) pushOrder(n int) (ord []int, est []float64) {
+	d := st.ordDepth
+	if d == len(st.ord) {
+		st.ord, st.est = append(st.ord, nil), append(st.est, nil)
+	}
+	if cap(st.ord[d]) < n {
+		st.ord[d], st.est[d] = make([]int, n), make([]float64, n)
+	}
+	st.ordDepth++
+	return st.ord[d][:0], st.est[d][:n]
+}
+
+func (st *setState[T]) popOrder() { st.ordDepth-- }
 
 // evalAnd evaluates a conjunction node: each child's verdict and zone-map
 // estimate are taken once, children every row satisfies are dropped, and
@@ -357,17 +353,14 @@ func (cs *ColumnSet[T]) evalAnd(st *setState[T], e *Expr[T], b, n int, sv *core.
 		sv.Or(tmp)
 		return nil
 	}
-	var (
-		ordBuf [maxAndKids]int
-		est    [maxAndKids]float64
-	)
-	ord := ordBuf[:0]
+	ord, est := st.pushOrder(len(e.kids))
+	defer st.popOrder()
 	for i := range e.kids {
 		if cs.verdict(&e.kids[i], b) == verdictAll {
 			continue
 		}
 		est[i] = cs.exprEstimate(&e.kids[i], b)
-		ord = insertByEstimate(ord, est[:], i)
+		ord = insertByEstimate(ord, est, i)
 	}
 	for _, i := range ord {
 		if err := cs.evalSome(st, &e.kids[i], b, n, sv, mode); err != nil {

@@ -2,7 +2,6 @@ package zukowski_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"math/rand"
 	"os"
@@ -254,13 +253,6 @@ func shuffledPDict(vals []int64, seed uint8) zukowski.PDict[int64] {
 	return zukowski.PDict[int64]{Dict: dict, Width: 4}
 }
 
-// queryEngine is the scan surface a ColumnSet and a zktable.Table share.
-type queryEngine interface {
-	Run(ctx context.Context, q zukowski.Query[int64], fn func(block int, rows []int64, cols [][]int64) bool) error
-	RunAggregate(ctx context.Context, q zukowski.Query[int64], col int) (zukowski.Aggregate[int64], error)
-	Candidates(ctx context.Context, q zukowski.Query[int64], fn func(c zukowski.Candidate[int64]) bool) (int, error)
-}
-
 // checkQueryEngine runs q (tree, Preds and Cols together) through all
 // three entry points of eng against the scalar oracle's answer: the same
 // global row ids and projected values from Run, the same fold from
@@ -273,8 +265,9 @@ type queryEngine interface {
 // (Query.Report) are that walk's: its candidates, its pruned blocks, their
 // rows, and per candidate its rows times the columns read — the oracle's,
 // plus q.Cols for Run and aggCol for RunAggregate; checkQueryEngine
-// returns them.
-func checkQueryEngine(t *testing.T, what string, eng queryEngine, q zukowski.Query[int64], blocks int,
+// returns them. Spelled as one tree (treeForm), q answers the same,
+// exact and degraded.
+func checkQueryEngine(t *testing.T, what string, eng scanEngine[int64], q zukowski.Query[int64], blocks int,
 	wantRows []int64, wantVals [][]int64, aggCol int, wantAgg zukowski.Aggregate[int64],
 	cols [][]int64, node *fuzzNode) [3]planTotals {
 	t.Helper()
@@ -368,6 +361,7 @@ func checkQueryEngine(t *testing.T, what string, eng queryEngine, q zukowski.Que
 			t.Fatalf("%s: %s planned %+v, want %+v", what, entry, got, wantPlans[i])
 		}
 	}
+	checkPredsForm(t, what, eng, q, aggCol)
 	return wantPlans
 }
 
@@ -379,7 +373,8 @@ func checkQueryEngine(t *testing.T, what string, eng queryEngine, q zukowski.Que
 // composed with a Preds window and a Cols projection, through Run,
 // RunAggregate and Candidates of the ColumnSet and of a three-segment
 // zktable cut from the same columns (once on a block boundary, once inside
-// a block), before and after Compact.
+// a block), before and after Compact, where the query spelled as one tree
+// answers exactly as the Preds form does.
 func FuzzExprScan(f *testing.F) {
 	f.Add([]byte{}, []byte{0}, uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, []byte{3, 0, 1, 2, 9, 4}, uint8(1), uint8(2), uint8(3), uint8(1))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -27,7 +28,10 @@ import (
 // same containers are then read through an io.ReaderAt, the source whose
 // sequential scans read runs of adjacent frames, once without a cache and
 // once through a cache smaller than the containers, and must answer
-// exactly as the in-memory readers did.
+// exactly as the in-memory readers did. Spelled as one tree, the
+// conjunction answers exactly as the Preds form does, exact and degraded,
+// over the columns and over a copy with one frame of the first column
+// damaged.
 func FuzzMultiColumnScan(f *testing.F) {
 	names := zukowski.Codecs()
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(255), uint8(30), uint8(220), uint8(3))
@@ -184,7 +188,7 @@ func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, 
 	}
 
 	gotRows, gotA, gotB = nil, nil, nil
-	if err := cs.Run(ctx, zukowski.Query[T]{Preds: preds, Workers: 2, InOrder: true}, collect); err != nil {
+	if err := cs.Run(ctx, zukowski.Query[T]{Preds: preds, Workers: 2}, collect); err != nil {
 		t.Fatalf("%s+%s: ordered parallel Run: %v", nameA, nameB, err)
 	}
 	if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotA, wantA) || !slices.Equal(gotB, wantB) {
@@ -233,4 +237,25 @@ func fuzzMultiColumnScan[T zukowski.Integer](t *testing.T, nameA, nameB string, 
 			}
 		}
 	}
+
+	checkPredsForm(t, nameA+"+"+nameB, cs, zukowski.Query[T]{Preds: preds}, 1)
+	if cs.NumBlocks() == 0 {
+		return
+	}
+	bad := int(blockSel) % cs.NumBlocks()
+	info, err := colA.BlockInfo(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := slices.Clone(containers[0])
+	damaged[info.Offset+int64(info.Length)/2] ^= 0x10
+	cr, err := zukowski.OpenColumn[T](damaged)
+	if err != nil {
+		t.Fatalf("OpenColumn over a damaged payload: %v", err)
+	}
+	ds, err := zukowski.NewColumnSet(cr, colB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPredsForm(t, fmt.Sprintf("%s+%s, block %d damaged", nameA, nameB, bad), ds, zukowski.Query[T]{Preds: preds}, 1)
 }

@@ -114,7 +114,7 @@ func fuzzFilteredScan[T zukowski.Integer](t *testing.T, name string, data []byte
 		t.Fatalf("%s [%v,%v]: RunAggregate = %+v, want %+v", name, lo, hi, agg, want)
 	}
 
-	q.Workers, q.InOrder = 2, true
+	q.Workers = 2
 	if gotRows, gotVals, err = collectRun(t, cs, q); err != nil {
 		t.Fatalf("%s: two-worker Run: %v", name, err)
 	}

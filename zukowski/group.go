@@ -183,8 +183,8 @@ func applyRow[T Integer](specs []AggSpec[T], cells []int64, cols [][]T, i int) {
 // aggregate inputs themselves are materialized only at the selected
 // rows, exactly like a scan.
 //
-// Of q's run options SkipCorrupt and Report apply; Cols, Workers and
-// InOrder are ignored, as in RunAggregate. A panic in a spec's Map reaches
+// Of q's run options SkipCorrupt and Report apply; Cols and Workers are
+// ignored, as in RunAggregate. A panic in a spec's Map reaches
 // the caller.
 func (cs *ColumnSet[T]) GroupAggregate(q Query[T], groupCols []int, specs []AggSpec[T]) (Grouped[T], error) {
 	var zero Grouped[T]

@@ -52,8 +52,8 @@ func (jt *JoinTable[T]) Rows(key T) []int32 { return jt.rows[key] }
 // only exception-slot rows probe the table individually, on their
 // materialized values.
 //
-// Of q's run options SkipCorrupt and Report apply; Cols, Workers and
-// InOrder are ignored, as in RunAggregate. A panic in fn reaches the caller.
+// Of q's run options SkipCorrupt and Report apply; Cols and Workers are
+// ignored, as in RunAggregate. A panic in fn reaches the caller.
 func (cs *ColumnSet[T]) JoinOn(q Query[T], probeCol int, jt *JoinTable[T], fn func(probeRows []int64, buildRows []int32) bool) error {
 	if probeCol < 0 || probeCol >= len(cs.cols) {
 		return fmt.Errorf("%w: probe column %d not in [0,%d)", ErrIndexOutOfRange, probeCol, len(cs.cols))

@@ -15,21 +15,22 @@ import (
 // ZKC2 fetch path is stateless — so a Query with Workers > 1 runs a
 // block-granular worker pool (core.ParallelDo) over the candidate blocks.
 // Each worker owns one pooled scan state for the whole scan and hands its
-// block's output to fn under a delivery mutex: decoding overlaps freely,
-// delivery is serialized, and no channel hop or consumer goroutine sits on
-// the per-block path.
+// block's output to fn under a delivery mutex, in block order: decoding
+// overlaps freely, delivery is serialized in the sequential scan's
+// sequence, and no channel hop or consumer goroutine sits on the per-block
+// path.
 
 // runParallel is Run's block-parallel form. It stays apart from the
 // sequential visitBlocks because core.ParallelDo moves whatever its closure
 // captures to the heap (Run hands it a copy of q for that reason). It
 // plans the scan once, in a state of its own, and its workers claim the
-// plan's entries in order and deliver serialized, in block order under
-// q.InOrder. fn returning false, an error q does not skip, or a panic in fn
-// stops the scan as it would the sequential one: in-flight blocks are
-// discarded undelivered, and the panic is re-raised here once the pool has
-// drained. With InOrder an error surfaces exactly where the sequential scan
-// would hit it; unordered, the first error delivered wins. A plan of one
-// block runs on the calling goroutine.
+// plan's entries in order and deliver them serialized, in block order; a
+// worker whose block is ready early waits its turn. fn returning false, an
+// error q does not skip, or a panic in fn stops the scan as it would the
+// sequential one: in-flight blocks are discarded undelivered, and the
+// panic is re-raised here once the pool has drained. An error surfaces
+// exactly where the sequential scan would hit it. A plan of one block runs
+// on the calling goroutine.
 func (cs *ColumnSet[T]) runParallel(ctx context.Context, q *Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
 	lead := cs.getState()
 	defer cs.putState(lead)
@@ -41,8 +42,8 @@ func (cs *ColumnSet[T]) runParallel(ctx context.Context, q *Query[T], fn func(bl
 
 	var (
 		mu       sync.Mutex
-		turn     = sync.NewCond(&mu) // ordered mode: gates delivery by rank
-		next     int                 // ordered mode: next rank to deliver
+		turn     = sync.NewCond(&mu) // gates delivery by rank
+		next     int                 // next rank to deliver
 		stopped  bool                // guarded by mu
 		firstErr error
 		panicked any
@@ -59,10 +60,10 @@ func (cs *ColumnSet[T]) runParallel(ctx context.Context, q *Query[T], fn func(bl
 		}()
 		return fn(b, rows, out)
 	}
-	// Tasks are claimed in rank order, so in ordered mode every rank below
-	// the one a worker holds is either delivered or in flight; waiting for
-	// next == t therefore cannot deadlock and buffers at most one evaluated
-	// block per worker.
+	// Tasks are claimed in rank order, so every rank below the one a worker
+	// holds is either delivered or in flight; waiting for next == t
+	// therefore cannot deadlock and buffers at most one evaluated block per
+	// worker.
 	states := make([]*setState[T], workers)
 	for w := range states {
 		states[w] = cs.getState()
@@ -74,7 +75,7 @@ func (cs *ColumnSet[T]) runParallel(ctx context.Context, q *Query[T], fn func(bl
 		err := ctx.Err()
 		if err == nil {
 			var any bool
-			if any, err = cs.blockMaskQuery(st, e.block, q); err == nil && any {
+			if any, err = cs.blockMask(st, e, q); err == nil && any {
 				rows, out, err = cs.gatherBlock(st, e.block, q)
 			}
 		}
@@ -84,13 +85,11 @@ func (cs *ColumnSet[T]) runParallel(ctx context.Context, q *Query[T], fn func(bl
 
 		mu.Lock()
 		defer mu.Unlock()
-		if q.InOrder {
-			for next != t && !stopped {
-				turn.Wait()
-			}
-			next = t + 1
-			defer turn.Broadcast()
+		for next != t && !stopped {
+			turn.Wait()
 		}
+		next = t + 1
+		defer turn.Broadcast()
 		if stopped {
 			return false
 		}

@@ -57,8 +57,8 @@ func collectSeq[T zukowski.Integer](t *testing.T, cr *zukowski.ColumnReader[T]) 
 }
 
 // TestParallelScanMatchesScan: a whole-column Query (the zero Expr) run
-// with Workers delivers exactly what the sequential Scan decodes — in the
-// same sequence with InOrder, every block exactly once without.
+// with Workers delivers exactly what the sequential Scan decodes, in the
+// same sequence.
 func TestParallelScanMatchesScan(t *testing.T) {
 	src := rampValues(50_000)
 	data := buildColumn[int64](t, zukowski.Auto[int64]{}, 4096, src)
@@ -69,11 +69,9 @@ func TestParallelScanMatchesScan(t *testing.T) {
 			ctx := context.Background()
 
 			for _, workers := range []int{0, 1, 3, 4, 100} {
-				// Ordered delivery must reproduce the sequential sequence
-				// exactly.
 				var ordered []int64
 				lastBlock := -1
-				q := zukowski.Query[int64]{Workers: workers, InOrder: true}
+				q := zukowski.Query[int64]{Workers: workers}
 				err := cs.Run(ctx, q, func(b int, _ []int64, cols [][]int64) bool {
 					if b <= lastBlock {
 						t.Errorf("workers=%d: block %d delivered after %d", workers, b, lastBlock)
@@ -86,28 +84,7 @@ func TestParallelScanMatchesScan(t *testing.T) {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				if !equalSlices(ordered, want) {
-					t.Fatalf("workers=%d: ordered Run diverges from Scan", workers)
-				}
-
-				// Unordered delivery must cover every block exactly once.
-				byBlock := map[int][]int64{}
-				q.InOrder = false
-				err = cs.Run(ctx, q, func(b int, _ []int64, cols [][]int64) bool {
-					if _, dup := byBlock[b]; dup {
-						t.Errorf("workers=%d: block %d delivered twice", workers, b)
-					}
-					byBlock[b] = append([]int64(nil), cols[0]...)
-					return true
-				})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				var unordered []int64
-				for b := 0; b < cr.NumBlocks(); b++ {
-					unordered = append(unordered, byBlock[b]...)
-				}
-				if !equalSlices(unordered, want) {
-					t.Fatalf("workers=%d: unordered Run diverges from Scan", workers)
+					t.Fatalf("workers=%d: Run diverges from Scan", workers)
 				}
 			}
 		})
@@ -116,7 +93,7 @@ func TestParallelScanMatchesScan(t *testing.T) {
 
 // TestParallelScanWhereMatchesSequential: a zone-pruned range Query over one
 // column selects exactly the full-scan oracle's values, and with Workers
-// and InOrder the same rows in the same sequence.
+// the same rows in the same sequence.
 func TestParallelScanWhereMatchesSequential(t *testing.T) {
 	src := rampValues(60_000)
 	data := buildColumn[int64](t, zukowski.Auto[int64]{}, 4096, src)
@@ -142,7 +119,7 @@ func TestParallelScanWhereMatchesSequential(t *testing.T) {
 				t.Fatalf("sequential range Query: %d values, oracle has %d", len(seq), len(oracle))
 			}
 
-			q.Workers, q.InOrder = 4, true
+			q.Workers = 4
 			parRows, par, err := collectRun(t, cs, q)
 			if err != nil {
 				t.Fatal(err)
@@ -155,7 +132,7 @@ func TestParallelScanWhereMatchesSequential(t *testing.T) {
 }
 
 // TestParallelScanEarlyStop: fn returning false ends a Run after exactly one
-// delivery, sequential or parallel, ordered or not.
+// delivery, sequential or parallel.
 func TestParallelScanEarlyStop(t *testing.T) {
 	src := rampValues(50_000)
 	data := buildColumn[int64](t, zukowski.Auto[int64]{}, 4096, src)
@@ -165,25 +142,23 @@ func TestParallelScanEarlyStop(t *testing.T) {
 	}
 	cs := oneColumn(t, cr)
 	for _, workers := range []int{1, 4} {
-		for _, inOrder := range []bool{false, true} {
-			calls := 0
-			q := zukowski.Query[int64]{Workers: workers, InOrder: inOrder}
-			err := cs.Run(context.Background(), q, func(int, []int64, [][]int64) bool {
-				calls++
-				return false
-			})
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			if calls != 1 {
-				t.Fatalf("workers=%d: fn called %d times after returning false", workers, calls)
-			}
+		calls := 0
+		q := zukowski.Query[int64]{Workers: workers}
+		err := cs.Run(context.Background(), q, func(int, []int64, [][]int64) bool {
+			calls++
+			return false
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if calls != 1 {
+			t.Fatalf("workers=%d: fn called %d times after returning false", workers, calls)
 		}
 	}
 }
 
 // TestParallelScanError: a corrupt block fails a parallel Run with the typed
-// error, after delivering in order every block before it under InOrder.
+// error, after delivering in order every block before it.
 func TestParallelScanError(t *testing.T) {
 	src := rampValues(50_000)
 	data := buildColumn[int64](t, zukowski.Auto[int64]{}, 4096, src)
@@ -205,29 +180,23 @@ func TestParallelScanError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ordered: blocks before the corrupt one arrive, then the error —
-	// exactly where the sequential scan would fail.
+	// Blocks before the corrupt one arrive, then the error — exactly where
+	// the sequential scan would fail.
 	cs := oneColumn(t, cc)
 	ctx := context.Background()
 	var delivered []int
-	q := zukowski.Query[int64]{Workers: 4, InOrder: true}
+	q := zukowski.Query[int64]{Workers: 4}
 	err = cs.Run(ctx, q, func(b int, _ []int64, _ [][]int64) bool {
 		delivered = append(delivered, b)
 		return true
 	})
 	if !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("ordered scan over corrupt block: err = %v", err)
+		t.Fatalf("scan over corrupt block: err = %v", err)
 	}
 	for i, b := range delivered {
 		if b != i || b >= bad {
-			t.Fatalf("ordered scan delivered block %d at position %d around corrupt block %d", b, i, bad)
+			t.Fatalf("scan delivered block %d at position %d around corrupt block %d", b, i, bad)
 		}
-	}
-
-	// Unordered: the error must still surface.
-	q.InOrder = false
-	if err := cs.Run(ctx, q, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-		t.Fatalf("unordered scan over corrupt block: err = %v", err)
 	}
 }
 

@@ -19,10 +19,9 @@ type Query[T Integer] struct {
 	// pruning of whole AND-branches. The zero Expr selects every row.
 	Expr Expr[T]
 
-	// Preds is the conjunctive range-predicate form; it composes with
-	// Expr by AND. The conjunction runs first, most-selective-first, and
-	// the expression tree refines its bitmap. An empty Preds with a zero
-	// Expr selects every row.
+	// Preds is shorthand for a conjunction of ranges: a scan runs
+	// And(Range(p.Col, p.Lo, p.Hi)…, Expr), and nothing else sees Preds.
+	// An empty Preds with a zero Expr selects every row.
 	Preds []Pred[T]
 
 	// Cols names the columns to materialize, by set index, in the order
@@ -37,11 +36,6 @@ type Query[T Integer] struct {
 	// GroupAggregate and JoinOn are sequential and ignore it.
 	Workers int
 
-	// InOrder makes a parallel Run deliver blocks in ascending block order,
-	// the sequential scan's sequence; a worker whose block is ready early
-	// waits its turn. Sequential scans are always ordered.
-	InOrder bool
-
 	// SkipCorrupt runs the scan degraded: block-level data faults are
 	// skipped — and accounted in Report when non-nil — instead of
 	// failing the scan (see ScanReport). Every scan that takes a Query
@@ -53,14 +47,27 @@ type Query[T Integer] struct {
 	Report *ScanReport
 }
 
+// foldPreds rewrites q — the scan's own copy — into its one tree form,
+// And(Range(p.Col, p.Lo, p.Hi)…, q.Expr), and clears q.Preds. The AND
+// node's children live in st's pooled scratch, so a warmed scan folds
+// without allocating; they stay valid until st goes back to the pool.
+func (st *setState[T]) foldPreds(q *Query[T]) {
+	if len(q.Preds) == 0 {
+		return
+	}
+	kids := st.kids[:0]
+	for _, p := range q.Preds {
+		kids = append(kids, Range(p.Col, p.Lo, p.Hi))
+	}
+	if !q.Expr.isZero() {
+		kids = append(kids, q.Expr)
+	}
+	st.kids = kids
+	q.Expr, q.Preds = And(kids...), nil
+}
+
 // checkQuery validates every column reference in q.
 func (cs *ColumnSet[T]) checkQuery(q *Query[T]) error {
-	for _, p := range q.Preds {
-		if p.Col < 0 || p.Col >= len(cs.cols) {
-			return fmt.Errorf("%w: predicate column %d not in [0,%d)",
-				ErrIndexOutOfRange, p.Col, len(cs.cols))
-		}
-	}
 	if err := q.Expr.check(len(cs.cols)); err != nil {
 		return err
 	}
@@ -78,15 +85,15 @@ func (cs *ColumnSet[T]) checkQuery(q *Query[T]) error {
 // those rows. The slices are reused between calls; fn must copy what it
 // keeps. fn returning false stops the scan early (still returning nil).
 //
-// Sequential runs (Workers < 2) deliver blocks in ascending order and
-// consult ctx once per block, returning ctx.Err() before starting
-// another; a warmed sequential Run performs no heap allocation of its own
-// — the scan holds one pooled state (per-column decode scratch, the
-// bitmap, the output buffers) for its whole pass. fn escapes, so a closure
-// that captures variables costs one allocation where it is built. Parallel
-// runs deliver serialized but unordered unless InOrder is set; workers
-// stop claiming blocks once ctx is done and in-flight blocks are
-// discarded undelivered. A panic in fn reaches the caller either way.
+// Blocks are delivered in ascending order, one call at a time, whatever
+// Workers is. Sequential runs (Workers < 2) consult ctx once per block,
+// returning ctx.Err() before starting another; a warmed sequential Run
+// performs no heap allocation of its own — the scan holds one pooled
+// state (per-column decode scratch, the bitmap, the output buffers) for
+// its whole pass. fn escapes, so a closure that captures variables costs
+// one allocation where it is built. Parallel runs stop claiming blocks
+// once ctx is done, and in-flight blocks are discarded undelivered. A
+// panic in fn reaches the caller either way.
 func (cs *ColumnSet[T]) Run(ctx context.Context, q Query[T], fn func(block int, rows []int64, cols [][]T) bool) error {
 	if q.Workers > 1 {
 		// The worker closures outlive this frame's escape analysis; a
@@ -100,8 +107,8 @@ func (cs *ColumnSet[T]) Run(ctx context.Context, q Query[T], fn func(block int, 
 
 // RunAggregate computes Count, Sum, Min and Max over column col's values
 // at the rows q selects, without materializing any other column. The
-// bitmap composes exactly as in Run; q.Cols is ignored, and so are
-// q.Workers and q.InOrder: the fold is one sequential pass on the calling
+// bitmap composes exactly as in Run; q.Cols is ignored, and so is
+// q.Workers: the fold is one sequential pass on the calling
 // goroutine, consulting ctx once per block. A warmed RunAggregate performs
 // no heap allocation.
 func (cs *ColumnSet[T]) RunAggregate(ctx context.Context, q Query[T], col int) (Aggregate[T], error) {

@@ -136,7 +136,7 @@ func TestRunExprOracle(t *testing.T) {
 			for _, workers := range []int{0, 3} {
 				var gotRows []int64
 				gotVals := make([][]int64, 3)
-				q := zukowski.Query[int64]{Expr: tc.expr, Workers: workers, InOrder: workers > 1}
+				q := zukowski.Query[int64]{Expr: tc.expr, Workers: workers}
 				err := cs.Run(context.Background(), q, func(_ int, r []int64, cols [][]int64) bool {
 					gotRows = append(gotRows, r...)
 					for c := range cols {
@@ -274,17 +274,10 @@ func TestQueryErrors(t *testing.T) {
 		{Expr: zukowski.Or(zukowski.Range[int64](0, 0, 1), zukowski.In[int64](-1, 5))},
 		{Cols: []int{0, 3}},
 		{Preds: []zukowski.Pred[int64]{{Col: 9, Lo: 0, Hi: 1}}},
-		// More conjuncts than an AND node may hold — refused up front,
-		// whatever the zone maps would make of them, nested or not.
-		{Expr: zukowski.Or(zukowski.And(slices.Repeat([]zukowski.Expr[int64]{zukowski.Range[int64](0, 5, 1)}, 65)...))},
 	}
 	for i, q := range bad {
 		if err := cs.Run(context.Background(), q, func(int, []int64, [][]int64) bool { return true }); !errors.Is(err, zukowski.ErrIndexOutOfRange) {
 			t.Fatalf("bad query %d: Run returned %v, want ErrIndexOutOfRange", i, err)
 		}
-	}
-	ok := zukowski.Query[int64]{Expr: zukowski.And(slices.Repeat([]zukowski.Expr[int64]{zukowski.Range[int64](0, 0, 1<<40)}, 64)...)}
-	if err := cs.Run(context.Background(), ok, func(int, []int64, [][]int64) bool { return true }); err != nil {
-		t.Fatalf("an AND of 64 children: %v", err)
 	}
 }

@@ -57,6 +57,14 @@ func residentColumns(t *testing.T, n, bv int) (data [][]byte, src [][]int64) {
 	return data, src
 }
 
+// TestResidentParsedAccounting keys its readers' frames by the column ids
+// residentIDBase+off+c for column c, at offsets 0 and 1. At offset 1 the
+// ids crowd one shard until, under a budget of 4x the stored bytes, it
+// lacks the room for some of its frames' forms (six on a 64-bit host, two
+// on a 32-bit one, whose forms are smaller); at offset 0 every frame gets
+// its form.
+const residentIDBase = 1<<40 + 146
+
 // residentSet opens data as one column set through ReaderAts, with cache
 // attached when it is not nil.
 func residentSet(t *testing.T, data [][]byte, cache *zukowski.BlockLRU) *zukowski.ColumnSet[int64] {
@@ -98,17 +106,22 @@ func residentQueries(src [][]int64) []zukowski.Query[int64] {
 // scanAnswer runs every residentQueries query over cs — Run sequentially
 // and with four workers, RunAggregate, a GroupAggregate over the PDICT
 // column and a JoinOn probing it — and returns a printable digest of all
-// the answers.
+// the answers: Run's as a checksum of every block's number, rows and
+// values.
 func scanAnswer(t *testing.T, cs *zukowski.ColumnSet[int64], qs []zukowski.Query[int64]) string {
 	t.Helper()
 	ctx := context.Background()
 	var out bytes.Buffer
 	for i, q := range qs {
 		for _, workers := range []int{1, 4} {
-			q.Workers, q.InOrder = workers, true
+			q.Workers = workers
 			h := crc32.NewIEEE()
-			err := cs.Run(ctx, q, func(_ int, rows []int64, cols [][]int64) bool {
-				fmt.Fprint(h, rows, cols)
+			err := cs.Run(ctx, q, func(b int, rows []int64, cols [][]int64) bool {
+				fmt.Fprint(h, b, len(rows))
+				h.Write(int64Bytes(rows))
+				for _, c := range cols {
+					h.Write(int64Bytes(c))
+				}
 				return true
 			})
 			fmt.Fprintf(&out, "q%d/w%d run %08x %v\n", i, workers, h.Sum32(), err)
@@ -127,6 +140,11 @@ func scanAnswer(t *testing.T, cs *zukowski.ColumnSet[int64], qs []zukowski.Query
 	return out.String()
 }
 
+// int64Bytes is the memory of s, for hashing.
+func int64Bytes(s []int64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
+}
+
 // blockSum checksums every section of a parsed block, the codes it
 // borrows from its frame included.
 func blockSum(blk *core.Block[int64]) uint32 {
@@ -138,11 +156,19 @@ func blockSum(blk *core.Block[int64]) uint32 {
 }
 
 // TestResidentParsedAccounting: scans over a cache that holds the table
-// attach an indexed parsed form to every patched frame, answer exactly
-// what uncached readers answer, and keep Bytes within Capacity; the
-// charge is released with the entry, so evicting everything brings Bytes
-// back to 0. A cache too small for the table answers the same and stays
-// within its budget too.
+// answer exactly what uncached readers answer, keep Bytes within
+// Capacity, and attach an indexed parsed form to every patched frame whose
+// shard has the room to spare for it (BlockLRU.spare) — and to no other.
+// The charge is released with the entry, so evicting everything brings
+// Bytes back to 0. A cache too small for the table answers the same and
+// stays within its budget too.
+//
+// Room is a shard's, not the cache's: forms are not part of the stored
+// bytes, and the column ids the readers key the cache by decide which
+// shard each frame falls in. A budget of 4x the stored bytes holds every
+// frame, but at some ids one shard takes so many of them that it has no
+// room left for a few forms. The readers therefore take fixed ids, at two
+// offsets: one with such a spread and one without.
 func TestResidentParsedAccounting(t *testing.T) {
 	data, src := residentColumns(t, 40*512, 512)
 	qs := residentQueries(src)
@@ -151,41 +177,60 @@ func TestResidentParsedAccounting(t *testing.T) {
 	for _, d := range data {
 		stored += int64(len(d))
 	}
+	missing := 0
 	for _, budget := range []int64{4 * stored, stored / 4} {
+		offsets := []uint64{0, 1}
+		if budget < stored {
+			offsets = offsets[:1]
+		}
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			cache := zukowski.NewBlockLRU(budget)
-			cs := residentSet(t, data, cache)
-			frames := 0
-			for pass := 0; pass < 3; pass++ {
-				if got := scanAnswer(t, cs, qs); got != want {
-					t.Fatalf("pass %d: cached answers differ from uncached ones\n got %s\nwant %s", pass, got, want)
-				}
-				st := cache.Stats()
-				if st.Bytes > st.Capacity {
-					t.Fatalf("pass %d: %d bytes resident, capacity %d", pass, st.Bytes, st.Capacity)
-				}
-				frames = int(st.Entries)
-			}
-			parsed := zukowski.ResidentParsed[int64](cache)
-			if budget > stored {
-				if len(parsed) != 3*40 || frames != 3*40 {
-					t.Fatalf("%d frames resident, %d with a parsed form; want all %d", frames, len(parsed), 3*40)
-				}
-			}
-			for _, blk := range parsed {
-				if len(blk.Exc) > 0 && len(blk.ExcOff) != len(blk.Exc) {
-					t.Fatalf("resident %s block of %d exceptions is not indexed", blk.Scheme, len(blk.Exc))
-				}
-			}
-			zukowski.EvictAll(cache)
-			if st := cache.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Puts != st.Evictions {
-				t.Fatalf("after evicting everything: %d bytes, %d entries, %d puts, %d evictions",
-					st.Bytes, st.Entries, st.Puts, st.Evictions)
-			}
-			if got := scanAnswer(t, cs, qs); got != want {
-				t.Fatalf("after eviction: cached answers differ from uncached ones")
+			for _, off := range offsets {
+				t.Run(fmt.Sprintf("ids=%d", off), func(t *testing.T) {
+					cache := zukowski.NewBlockLRU(budget)
+					cs := residentSet(t, data, nil)
+					for c := range cs.Columns() {
+						zukowski.SetBlockCacheID(cs.Column(c), cache, residentIDBase+off+uint64(c))
+					}
+					frames := 0
+					for pass := 0; pass < 3; pass++ {
+						if got := scanAnswer(t, cs, qs); got != want {
+							t.Fatalf("pass %d: cached answers differ from uncached ones\n got %s\nwant %s", pass, got, want)
+						}
+						st := cache.Stats()
+						if st.Bytes > st.Capacity {
+							t.Fatalf("pass %d: %d bytes resident, capacity %d", pass, st.Bytes, st.Capacity)
+						}
+						frames = int(st.Entries)
+					}
+					if budget > stored {
+						n, withRoom := zukowski.MissingForms[int64](cache)
+						// At offset 0 no shard is crowded, so every frame has its
+						// form, whatever spare says.
+						if frames != 3*40 || withRoom != 0 || (off == 0 && n != 0) {
+							t.Fatalf("%d of %d frames resident; %d without a parsed form, %d of them in a shard with room for it",
+								frames, 3*40, n, withRoom)
+						}
+						missing += n
+					}
+					for _, blk := range zukowski.ResidentParsed[int64](cache) {
+						if len(blk.Exc) > 0 && len(blk.ExcOff) != len(blk.Exc) {
+							t.Fatalf("resident %s block of %d exceptions is not indexed", blk.Scheme, len(blk.Exc))
+						}
+					}
+					zukowski.EvictAll(cache)
+					if st := cache.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Puts != st.Evictions {
+						t.Fatalf("after evicting everything: %d bytes, %d entries, %d puts, %d evictions",
+							st.Bytes, st.Entries, st.Puts, st.Evictions)
+					}
+					if got := scanAnswer(t, cs, qs); got != want {
+						t.Fatalf("after eviction: cached answers differ from uncached ones")
+					}
+				})
 			}
 		})
+	}
+	if missing == 0 {
+		t.Fatal("at no offset did a shard lack the room for a form; the ids no longer cover the room rule")
 	}
 }
 

@@ -265,8 +265,8 @@ func TestScanSelectEarlyStop(t *testing.T) {
 }
 
 // TestParallelScanSelectEquivalence checks a one-column range Query with
-// Workers against the sequential oracle: exact sequence with InOrder, same
-// multiset unordered, plus early-stop and zero-match ranges.
+// Workers against the sequential oracle, in the same sequence, plus
+// early-stop and zero-match ranges.
 func TestParallelScanSelectEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	vals := make([]int64, 50_000)
@@ -285,48 +285,13 @@ func TestParallelScanSelectEquivalence(t *testing.T) {
 		// Below 2 workers the scan is the sequential loop.
 		for _, workers := range []int{1, 2, 4, 8} {
 			q := rangeQuery(lo, hi)
-			q.Workers, q.InOrder = workers, true
+			q.Workers = workers
 			rows, got, err := collectRun(t, cs, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(rows, wantRows) || !slices.Equal(got, wantVals) {
-				t.Fatalf("[%v,%v] workers=%d ordered: mismatch vs sequential", lo, hi, workers)
-			}
-
-			// Unordered: same multiset, and within a batch rows ascend.
-			type pair struct {
-				row int64
-				val int64
-			}
-			var pairs []pair
-			q.InOrder = false
-			err = cs.Run(context.Background(), q, func(_ int, r []int64, c [][]int64) bool {
-				for i := range r {
-					pairs = append(pairs, pair{r[i], c[0][i]})
-				}
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			slices.SortFunc(pairs, func(a, b pair) int {
-				switch {
-				case a.row < b.row:
-					return -1
-				case a.row > b.row:
-					return 1
-				}
-				return 0
-			})
-			if len(pairs) != len(wantRows) {
-				t.Fatalf("[%v,%v] workers=%d unordered: %d matches, want %d", lo, hi, workers, len(pairs), len(wantRows))
-			}
-			for i, p := range pairs {
-				if p.row != wantRows[i] || p.val != wantVals[i] {
-					t.Fatalf("[%v,%v] workers=%d unordered: pair %d = %+v, want (%d,%d)",
-						lo, hi, workers, i, p, wantRows[i], wantVals[i])
-				}
+				t.Fatalf("[%v,%v] workers=%d: mismatch vs sequential", lo, hi, workers)
 			}
 		}
 	}
@@ -382,11 +347,9 @@ func TestScanSelectCorruptBlock(t *testing.T) {
 	if _, err := cs.RunAggregate(ctx, q, 0); !errors.Is(err, zukowski.ErrChecksumMismatch) {
 		t.Fatalf("RunAggregate on corrupt block: %v, want ErrChecksumMismatch", err)
 	}
-	for _, inOrder := range []bool{false, true} {
-		q.Workers, q.InOrder = 4, inOrder
-		if _, _, err := collectRun(t, cs, q); !errors.Is(err, zukowski.ErrChecksumMismatch) {
-			t.Fatalf("Run with 4 workers (InOrder %v) on corrupt block: %v, want ErrChecksumMismatch", inOrder, err)
-		}
+	q.Workers = 4
+	if _, _, err := collectRun(t, cs, q); !errors.Is(err, zukowski.ErrChecksumMismatch) {
+		t.Fatalf("Run with 4 workers on corrupt block: %v, want ErrChecksumMismatch", err)
 	}
 }
 
