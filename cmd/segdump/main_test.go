@@ -138,3 +138,54 @@ func TestFsckExitContract(t *testing.T) {
 		t.Fatal("non-table directory went unreported")
 	}
 }
+
+// TestFsckListsStaleManifest: a valid manifest older than the retention
+// window — what a crash between a commit's rename and its prune leaves —
+// is debris the next writable open sweeps. fsck passes the table and
+// lists that manifest as an orphan.
+func TestFsckListsStaleManifest(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "tbl")
+	tb, err := zktable.Create[int64](dir, []string{"a"}, 512, zktable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]int64, 1000)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	if _, err := tb.Append([][]int64{vals}); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := os.ReadFile(filepath.Join(dir, "MANIFEST-00000002"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // generations 3 and 4 age generation 2 out
+		if _, err := tb.Append([][]int64{vals}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.Close()
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST-00000002"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = fsck(dir, false)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("fsck of a table with a stale manifest: %v (exit code would be 1)", err)
+	}
+	report, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(report, []byte("orphan:        MANIFEST-00000002")) {
+		t.Fatalf("fsck did not list MANIFEST-00000002 as an orphan:\n%s", report)
+	}
+}

@@ -5,7 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 
 	"repro/zukowski"
 )
@@ -103,79 +103,67 @@ func (t *Table[T]) writeManifest(m *manifest) error {
 	return err
 }
 
-// loadSegment opens the freshly written segment id, hoists its directory
-// statistics into a manifest entry, and builds the serving segment — one
-// open for both jobs. wantRows guards against the writer and the reader
-// disagreeing about what was just written.
-func (t *Table[T]) loadSegment(id uint64, wantRows int64) (seg *segment[T], sm *segMeta, err error) {
-	sm = &segMeta{ID: id, Rows: wantRows, Cols: make([]colSlice, len(t.cols))}
-	seg = &segment[T]{id: id, rows: wantRows}
-	defer func() {
-		if err != nil {
-			seg.close()
-		}
-	}()
-	var rdOpts []zukowski.ReaderOption
-	if t.opts.Retry.MaxAttempts > 1 {
-		rdOpts = append(rdOpts, zukowski.WithRetryPolicy(t.opts.Retry))
-	}
-	for ci, col := range t.cols {
-		f, ferr := os.Open(filepath.Join(t.dir, segFileName(id, col)))
-		if ferr != nil {
-			return seg, sm, ferr
-		}
-		seg.files = append(seg.files, f)
-		st, ferr := f.Stat()
-		if ferr != nil {
-			return seg, sm, ferr
-		}
-		var src io.ReaderAt = f
-		if t.opts.SourceWrapper != nil {
-			src = t.opts.SourceWrapper(src, st.Size())
-		}
-		cr, ferr := zukowski.OpenColumnReaderAt[T](src, st.Size(), rdOpts...)
-		if ferr != nil {
-			return seg, sm, fmt.Errorf("column %q: reopening just-written segment: %w", col, ferr)
-		}
-		if int64(cr.Len()) != wantRows {
-			return seg, sm, fmt.Errorf("column %q: wrote %d rows, container holds %d", col, wantRows, cr.Len())
-		}
-		cs := &sm.Cols[ci]
-		cs.FileSize = st.Size()
-		nb := cr.NumBlocks()
-		if ci == 0 {
-			sm.Counts = make([]uint32, nb)
-		} else if nb != len(sm.Counts) {
-			return seg, sm, fmt.Errorf("column %q: %d blocks, column %q has %d", col, nb, t.cols[0], len(sm.Counts))
-		}
-		cs.CRCs = make([]uint32, nb)
-		cs.MinBits = make([]uint64, nb)
-		cs.MaxBits = make([]uint64, nb)
-		for b := 0; b < nb; b++ {
-			info, berr := cr.BlockInfo(b)
-			if berr != nil {
-				return seg, sm, berr
-			}
-			if ci == 0 {
-				sm.Counts[b] = uint32(info.Count)
-			} else if uint32(info.Count) != sm.Counts[b] {
-				return seg, sm, fmt.Errorf("column %q: block %d geometry diverges", col, b)
-			}
-			cs.CRCs[b] = info.CRC32C
-			cs.MinBits[b] = zoneBitsOf(info.Min)
-			cs.MaxBits[b] = zoneBitsOf(info.Max)
-		}
-		if t.cache != nil {
-			cr.SetBlockCache(t.cache)
-		}
-		seg.rdrs = append(seg.rdrs, cr)
-	}
-	seg.counts = sm.Counts
-	seg.set, err = zukowski.NewColumnSet(seg.rdrs...)
+// commit writes a segment of rows rows under the next segment id — fill
+// hands column ci's blocks to the writer — and commits it as the next
+// generation: it opens the new files and hoists their manifest entry,
+// writes a manifest of kept plus that entry, publishes it, and prunes
+// what aged out. install runs under the write lock with the new segment
+// and must replace (never modify) the published slices — scans hold
+// snapshots of the old ones. A failure before the manifest rename
+// removes the new files and publishes nothing. Runs under the ingest
+// lock.
+func (t *Table[T]) commit(rows int64, kept []segMeta, fill func(ci int, cw *zukowski.ColumnWriter[T]) error, install func(seg *segment[T])) (uint64, error) {
+	id := t.nextSeg
+	remove, err := t.writeSegment(id, fill)
 	if err != nil {
-		return seg, sm, err
+		return 0, err
 	}
-	return seg, sm, nil
+	sm := &segMeta{ID: id, Rows: rows, Cols: make([]colSlice, len(t.cols))}
+	seg, err := t.openSegment(sm, true)
+	newMan := &manifest{
+		Generation:  t.man.Generation + 1,
+		Width:       t.man.Width,
+		BlockValues: t.man.BlockValues,
+		Rows:        rows,
+		Cols:        t.man.Cols,
+		Segs:        append(slices.Clone(kept), *sm),
+	}
+	for _, s := range kept {
+		newMan.Rows += s.Rows
+	}
+	if err == nil {
+		err = t.writeManifest(newMan)
+	}
+	if err != nil {
+		seg.close()
+		remove()
+		return 0, err
+	}
+	t.mu.Lock()
+	t.man = newMan
+	install(seg)
+	t.nextSeg = id + 1
+	t.mu.Unlock()
+	t.recent = append([]*manifest{newMan}, t.recent...)
+	if keep := t.opts.keep(); len(t.recent) > keep {
+		t.recent = t.recent[:keep:keep]
+		t.sweep()
+	}
+	return newMan.Generation, nil
+}
+
+// sweep removes the debris of the table directory, judged against the
+// retained manifests in t.recent, and returns the names it removed.
+// Removals are best-effort: anything missed is debris still, and the
+// next sweep takes it.
+func (t *Table[T]) sweep() (removed []string) {
+	names, _ := debris(t.dir, t.recent) // an unlistable directory keeps its debris until a later sweep
+	for _, name := range names {
+		if os.Remove(filepath.Join(t.dir, name)) == nil {
+			removed = append(removed, name)
+		}
+	}
+	return removed
 }
 
 // Append writes cols (one value slice per schema column, equal lengths)
@@ -211,40 +199,13 @@ func (t *Table[T]) Append(cols [][]T) (uint64, error) {
 		}
 	}
 
-	id := t.nextSeg
-	cleanup, err := t.writeSegment(id, func(ci int, cw *zukowski.ColumnWriter[T]) error {
+	return t.commit(n, man.Segs, func(ci int, cw *zukowski.ColumnWriter[T]) error {
 		return cw.Write(cols[ci])
-	})
-	if err != nil {
-		return 0, err
-	}
-	seg, sm, err := t.loadSegment(id, n)
-	if err != nil {
-		seg.close()
-		cleanup()
-		return 0, err
-	}
-	newMan := &manifest{
-		Generation:  man.Generation + 1,
-		Width:       man.Width,
-		BlockValues: man.BlockValues,
-		Rows:        man.Rows + n,
-		Cols:        man.Cols,
-		Segs:        append(append([]segMeta{}, man.Segs...), *sm),
-	}
-	if err := t.writeManifest(newMan); err != nil {
-		seg.close()
-		cleanup()
-		return 0, err
-	}
-	t.publish(newMan, func() {
+	}, func(seg *segment[T]) {
 		t.segs = append(append([]*segment[T]{}, t.segs...), seg)
 		t.starts = append(append([]int64{}, t.starts...), t.rows)
 		t.rows += n
-		t.nextSeg = id + 1
 	})
-	t.pruneAfterCommit()
-	return newMan.Generation, nil
 }
 
 // Compact gathers every live row into one fresh segment and commits a
@@ -289,9 +250,8 @@ func (t *Table[T]) Compact() (uint64, error) {
 		return man.Generation, nil
 	}
 
-	id := t.nextSeg
 	var vals []T // the one block being recoded
-	cleanup, err := t.writeSegment(id, func(ci int, cw *zukowski.ColumnWriter[T]) error {
+	return t.commit(rows, nil, func(ci int, cw *zukowski.ColumnWriter[T]) error {
 		for _, s := range segs {
 			cr := s.rdrs[ci]
 			for b := 0; b < cr.NumBlocks(); b++ {
@@ -302,39 +262,13 @@ func (t *Table[T]) Compact() (uint64, error) {
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	seg, sm, err := t.loadSegment(id, rows)
-	if err != nil {
-		seg.close()
-		cleanup()
-		return 0, err
-	}
-	newMan := &manifest{
-		Generation:  man.Generation + 1,
-		Width:       man.Width,
-		BlockValues: man.BlockValues,
-		Rows:        rows,
-		Cols:        man.Cols,
-		Segs:        []segMeta{*sm},
-	}
-	if err := t.writeManifest(newMan); err != nil {
-		seg.close()
-		cleanup()
-		return 0, err
-	}
-	t.publish(newMan, func() {
+	}, func(seg *segment[T]) {
 		t.era.retired = t.segs
 		t.era.drain()
 		t.era = new(epoch[T])
 		t.segs = []*segment[T]{seg}
 		t.starts = []int64{0}
-		t.nextSeg = id + 1
 	})
-	t.pruneAfterCommit()
-	return newMan.Generation, nil
 }
 
 // moveBlock appends block b of cr to cw. A full block arriving on a block
@@ -357,49 +291,4 @@ func (t *Table[T]) moveBlock(cw *zukowski.ColumnWriter[T], cr *zukowski.ColumnRe
 		return vals, err
 	}
 	return vals, cw.Write(vals)
-}
-
-// publish swaps in the new committed state under the write lock. mutate
-// runs with the lock held and must replace (never modify) the published
-// slices — scans hold snapshots of the old ones.
-func (t *Table[T]) publish(newMan *manifest, mutate func()) {
-	t.mu.Lock()
-	t.man = newMan
-	mutate()
-	t.mu.Unlock()
-	t.recent = append([]*manifest{newMan}, t.recent...)
-}
-
-// pruneAfterCommit drops manifests beyond the retention window and
-// sweeps segment files no retained manifest references (compacted-away
-// segments whose last referencing manifest just aged out). Runs under
-// the ingest lock; all removals are best-effort — anything missed is
-// swept by the next Open.
-func (t *Table[T]) pruneAfterCommit() {
-	keep := t.opts.keep()
-	if len(t.recent) <= keep {
-		return
-	}
-	drop := t.recent[keep:]
-	t.recent = t.recent[:keep:keep]
-	for _, m := range drop {
-		os.Remove(filepath.Join(t.dir, manifestName(m.Generation)))
-	}
-	referenced := map[string]bool{}
-	for _, m := range t.recent {
-		for i := range m.Segs {
-			for _, col := range m.Cols {
-				referenced[segFileName(m.Segs[i].ID, col)] = true
-			}
-		}
-	}
-	ents, err := os.ReadDir(t.dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		if name := e.Name(); strings.HasPrefix(name, segPrefix) && !referenced[name] {
-			os.Remove(filepath.Join(t.dir, name))
-		}
-	}
 }

@@ -36,15 +36,18 @@
 // # Recovery
 //
 // Open picks the highest-generation manifest that parses and passes its
-// CRC32-C, falling back to older retained generations when newer ones
-// are damaged. It then sweeps temp files, manifests beyond the retention
-// window, and segment files no retained manifest references; opens and
-// spot-verifies every referenced segment against the manifest (file
-// size, geometry, per-block CRCs and zone maps); and — per Options —
-// salvages damaged segments via zukowski.RecoverColumn or quarantines
-// them with exact loss accounting. Fsck performs the full read-only walk
-// (every payload CRC of every block) for ops; segdump -fsck exposes it on
-// the command line.
+// CRC32-C, falling back to older generations when newer ones are
+// damaged; the newest KeepManifests valid manifests are retained. It
+// then sweeps the debris: temp files, manifests that are not retained
+// (damaged ones included), and segment files no retained manifest
+// references — the same rule by which every commit prunes what aged out
+// and Fsck lists its orphans. It opens and spot-verifies every
+// referenced segment against the manifest (file size, geometry,
+// per-block CRCs and zone maps) and — per Options — salvages damaged
+// segments via zukowski.RecoverColumn or quarantines them with exact
+// loss accounting. Fsck performs the full read-only walk (every payload
+// CRC of every block) for ops; segdump -fsck exposes it on the command
+// line.
 //
 // # Scans
 //

@@ -3,9 +3,7 @@ package zktable
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/zukowski"
 )
@@ -36,67 +34,9 @@ func IsTableDir(dir string) bool {
 	return false
 }
 
-// manifestsOnDisk decodes every MANIFEST-* file in dir. It returns the
-// newest valid manifest (the generation recovery would serve), the names
-// of files that failed validation, whether a damaged manifest outranked
-// the chosen one, and the set of segment files referenced by any valid
-// manifest. err is non-nil only when dir is unreadable, holds no
-// manifest at all (ErrNotTable), or none validates (ErrNoUsableManifest).
-func manifestsOnDisk(dir string) (chosen *manifest, corrupt []string, fellBack bool, referenced map[string]bool, err error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, false, nil, err
-	}
-	type manFile struct {
-		gen  uint64
-		name string
-	}
-	var manFiles []manFile
-	for _, e := range ents {
-		if gen, ok := parseManifestName(e.Name()); ok && !e.IsDir() {
-			manFiles = append(manFiles, manFile{gen, e.Name()})
-		}
-	}
-	if len(manFiles) == 0 {
-		return nil, nil, false, nil, fmt.Errorf("%w: %s", ErrNotTable, dir)
-	}
-	sort.Slice(manFiles, func(i, j int) bool { return manFiles[i].gen > manFiles[j].gen })
-	referenced = map[string]bool{}
-	for _, mf := range manFiles {
-		data, rerr := os.ReadFile(filepath.Join(dir, mf.name))
-		var m *manifest
-		if rerr == nil {
-			m, rerr = decodeManifest(data)
-		}
-		if rerr == nil && m.Generation != mf.gen {
-			rerr = fmt.Errorf("%w: file %s holds generation %d", ErrCorruptManifest, mf.name, m.Generation)
-		}
-		if rerr != nil {
-			corrupt = append(corrupt, mf.name)
-			if chosen == nil {
-				fellBack = true
-			}
-			continue
-		}
-		for _, s := range m.Segs {
-			for _, col := range m.Cols {
-				referenced[segFileName(s.ID, col)] = true
-			}
-		}
-		if chosen == nil {
-			chosen = m
-		}
-	}
-	if chosen == nil {
-		return nil, corrupt, false, referenced,
-			fmt.Errorf("%w: %s (%d manifests, all damaged)", ErrNoUsableManifest, dir, len(manFiles))
-	}
-	return chosen, corrupt, fellBack, referenced, nil
-}
-
 // Peek reads a table directory's identity without opening any segment.
 func Peek(dir string) (Info, error) {
-	m, _, _, _, err := manifestsOnDisk(dir)
+	m, _, _, _, err := manifestsOnDisk(dir, defaultKeep)
 	if err != nil {
 		return Info{}, err
 	}
@@ -128,9 +68,10 @@ type FsckReport struct {
 	// interrupted write.
 	CorruptManifests []string
 
-	// Orphans lists temp files and unreferenced segment files —
-	// informational, the normal debris of a crash, swept by the next
-	// writable Open.
+	// Orphans lists what the next writable Open with default Options
+	// sweeps, damaged manifests apart: temp files, valid manifests beyond
+	// the retention window, and segment files no retained manifest
+	// references — informational, the normal debris of a crash.
 	Orphans []string
 
 	// Problems lists every integrity violation found. Empty means the
@@ -143,7 +84,8 @@ type FsckReport struct {
 func (r *FsckReport) OK() bool { return len(r.Problems) == 0 }
 
 // Fsck runs a full offline consistency check of a table directory: pick
-// the manifest Open would serve, then read every block of every column
+// the manifest Open would serve, list what a writable Open would sweep,
+// then read every block of every column
 // of every committed segment and verify payload CRC32-Cs, block
 // geometry and zone maps against the manifest's hoisted statistics. The
 // walk is strictly read-only — nothing is swept, salvaged or rewritten —
@@ -151,7 +93,11 @@ func (r *FsckReport) OK() bool { return len(r.Problems) == 0 }
 // err is non-nil only when no generation is checkable at all; damage in
 // a checkable table comes back in the report.
 func Fsck(dir string) (*FsckReport, error) {
-	man, corrupt, _, referenced, err := manifestsOnDisk(dir)
+	man, retained, corrupt, _, err := manifestsOnDisk(dir, defaultKeep)
+	if err != nil {
+		return nil, err
+	}
+	names, err := debris(dir, retained)
 	if err != nil {
 		return nil, err
 	}
@@ -166,17 +112,8 @@ func Fsck(dir string) (*FsckReport, error) {
 	for _, name := range corrupt {
 		rep.Problems = append(rep.Problems, fmt.Sprintf("manifest %s failed validation", name))
 	}
-
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range ents {
-		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-"):
-			rep.Orphans = append(rep.Orphans, name)
-		case strings.HasPrefix(name, segPrefix) && !referenced[name]:
+	for _, name := range names {
+		if !slices.Contains(corrupt, name) {
 			rep.Orphans = append(rep.Orphans, name)
 		}
 	}
@@ -206,40 +143,21 @@ func fsckSegments[T zukowski.Integer](dir string, man *manifest, rep *FsckReport
 				rep.Problems = append(rep.Problems,
 					fmt.Sprintf("segment %d column %q: %v", sm.ID, col, err))
 			}
-			path := filepath.Join(dir, segFileName(sm.ID, col))
-			f, err := os.Open(path)
+			f, cr, got, err := openColumn[T](dir, segFileName(sm.ID, col), &Options{})
 			if err != nil {
 				problem(err)
 				continue
 			}
-			st, err := f.Stat()
-			if err != nil {
-				f.Close()
+			if err := verifyAgainstManifest(got, sm, ci); err != nil {
 				problem(err)
-				continue
-			}
-			if st.Size() != sm.Cols[ci].FileSize {
-				f.Close()
-				problem(fmt.Errorf("file is %d bytes, manifest committed %d", st.Size(), sm.Cols[ci].FileSize))
-				continue
-			}
-			cr, err := zukowski.OpenColumnReaderAt[T](f, st.Size())
-			if err != nil {
-				f.Close()
-				problem(err)
-				continue
-			}
-			if err := verifyAgainstManifest(cr, sm, ci); err != nil {
-				f.Close()
-				problem(err)
-				continue
-			}
-			for b := 0; b < cr.NumBlocks(); b++ {
-				if err := cr.VerifyBlock(b); err != nil {
-					problem(err) // VerifyBlock names the block
-					continue
+			} else {
+				for b := range cr.NumBlocks() {
+					if err := cr.VerifyBlock(b); err != nil {
+						problem(err) // VerifyBlock names the block
+						continue
+					}
+					rep.BlocksVerified++
 				}
-				rep.BlocksVerified++
 			}
 			f.Close()
 		}

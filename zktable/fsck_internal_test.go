@@ -39,7 +39,7 @@ func resealedTable(t *testing.T, dir, codec string, vals []int64, edit func(fram
 	if rep, err := Fsck(dir); err != nil || !rep.OK() {
 		t.Fatalf("clean table: %v, %v", rep, err)
 	}
-	man, _, _, _, err := manifestsOnDisk(dir)
+	man, _, _, _, err := manifestsOnDisk(dir, defaultKeep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestFsckRefusesCountMismatch(t *testing.T) {
 			if _, err := tb.Compact(); !zukowski.IsDataFault(err) || !strings.Contains(err.Error(), mismatch) {
 				t.Fatalf("Compact: %v, want a data fault: %s", err, mismatch)
 			}
-			man, _, _, _, err := manifestsOnDisk(dir)
+			man, _, _, _, err := manifestsOnDisk(dir, defaultKeep)
 			if err != nil {
 				t.Fatal(err)
 			}

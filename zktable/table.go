@@ -5,8 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/zukowski"
@@ -48,12 +46,17 @@ type Options struct {
 	// below 2 mean 2.
 	KeepManifests int
 
-	// ReadOnly makes Open purely observational: no orphan sweep, no
-	// manifest pruning, no salvage writes. Fsck opens tables this way.
+	// ReadOnly makes Open purely observational: no debris sweep, no
+	// salvage writes. Fsck opens no Table at all; it reads the directory
+	// by the rules Open recovers by and lists as orphans what a writable
+	// Open with default Options would sweep.
 	ReadOnly bool
 }
 
-func (o *Options) keep() int { return max(o.KeepManifests, 2) }
+// defaultKeep is the retention Peek and Fsck judge a directory by.
+const defaultKeep = 2
+
+func (o *Options) keep() int { return max(o.KeepManifests, defaultKeep) }
 
 // SegmentFault describes one segment Open could not return to service.
 type SegmentFault struct {
@@ -230,8 +233,9 @@ func newTable[T zukowski.Integer](dir string, opts Options) (*Table[T], error) {
 }
 
 // Open opens dir and runs startup recovery: pick the newest manifest
-// that validates (falling back across damaged ones), sweep files no
-// retained manifest references, open and spot-verify every committed
+// that validates (falling back across damaged ones), sweep the debris
+// Fsck lists (temp files, manifests not retained, segment files no
+// retained manifest references), open and spot-verify every committed
 // segment against the manifest's hoisted statistics, and salvage or
 // quarantine segments that fail. The report says exactly what happened;
 // err is non-nil only when no committed generation is servable at all.
@@ -240,65 +244,10 @@ func Open[T zukowski.Integer](dir string, opts Options) (*Table[T], *OpenReport,
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &OpenReport{}
-
-	ents, err := os.ReadDir(dir)
+	chosen, retained, corrupt, fellBack, err := manifestsOnDisk(dir, t.opts.keep())
+	rep := &OpenReport{FellBack: fellBack, CorruptManifests: corrupt}
 	if err != nil {
-		return nil, nil, err
-	}
-	type manFile struct {
-		gen  uint64
-		name string
-	}
-	var manFiles []manFile
-	for _, e := range ents {
-		if gen, ok := parseManifestName(e.Name()); ok && !e.IsDir() {
-			manFiles = append(manFiles, manFile{gen, e.Name()})
-		}
-	}
-	if len(manFiles) == 0 {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotTable, dir)
-	}
-	sort.Slice(manFiles, func(i, j int) bool { return manFiles[i].gen > manFiles[j].gen })
-
-	// Newest valid manifest wins; older valid ones are retained as
-	// fallbacks and pin their segment files against the sweep.
-	var chosen *manifest
-	retained := map[string]bool{}
-	referenced := map[string]bool{}
-	for _, mf := range manFiles {
-		if chosen != nil && len(retained) >= t.opts.keep() {
-			break
-		}
-		data, rerr := os.ReadFile(filepath.Join(dir, mf.name))
-		var m *manifest
-		if rerr == nil {
-			m, rerr = decodeManifest(data)
-		}
-		if rerr == nil && m.Generation != mf.gen {
-			rerr = fmt.Errorf("%w: file %s holds generation %d", ErrCorruptManifest, mf.name, m.Generation)
-		}
-		if rerr != nil {
-			rep.CorruptManifests = append(rep.CorruptManifests, mf.name)
-			if chosen == nil {
-				rep.FellBack = true
-			}
-			continue
-		}
-		retained[mf.name] = true
-		t.recent = append(t.recent, m)
-		for _, s := range m.Segs {
-			for _, col := range m.Cols {
-				referenced[segFileName(s.ID, col)] = true
-			}
-		}
-		if chosen == nil {
-			chosen = m
-		}
-	}
-	if chosen == nil {
-		rep.FellBack = false
-		return nil, rep, fmt.Errorf("%w: %s (%d manifests, all damaged)", ErrNoUsableManifest, dir, len(manFiles))
+		return nil, rep, err
 	}
 	if w := widthOf[T](); chosen.Width != w {
 		return nil, rep, fmt.Errorf("zktable: %s stores %d-byte elements, opened as %d-byte", dir, chosen.Width, w)
@@ -306,29 +255,9 @@ func Open[T zukowski.Integer](dir string, opts Options) (*Table[T], *OpenReport,
 	rep.Generation = chosen.Generation
 	rep.Rows = chosen.Rows
 	rep.Segments = len(chosen.Segs)
-
-	// Sweep: temp files from interrupted atomic writes, manifests beyond
-	// the retention window (including damaged ones), and segment files no
-	// retained manifest references — the debris of crashed ingests and
-	// compactions. Read-only opens just look.
+	t.recent = retained
 	if !t.opts.ReadOnly {
-		for _, e := range ents {
-			name := e.Name()
-			var sweep bool
-			switch {
-			case strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp-"):
-				sweep = true
-			case strings.HasPrefix(name, manifestPrefix):
-				sweep = !retained[name]
-			case strings.HasPrefix(name, segPrefix):
-				sweep = !referenced[name]
-			}
-			if sweep {
-				if err := os.Remove(filepath.Join(dir, name)); err == nil {
-					rep.Swept = append(rep.Swept, name)
-				}
-			}
-		}
+		rep.Swept = t.sweep()
 	}
 
 	t.man = chosen
@@ -344,10 +273,10 @@ func Open[T zukowski.Integer](dir string, opts Options) (*Table[T], *OpenReport,
 
 	for si := range chosen.Segs {
 		sm := &chosen.Segs[si]
-		seg, err := t.openSegment(sm)
+		seg, err := t.openSegment(sm, false)
 		if err != nil && t.opts.Salvage && !t.opts.ReadOnly {
 			if serr := t.salvageSegment(sm); serr == nil {
-				if seg, err = t.openSegment(sm); err == nil {
+				if seg, err = t.openSegment(sm, false); err == nil {
 					rep.Salvaged = append(rep.Salvaged, sm.ID)
 				}
 			}
@@ -372,102 +301,45 @@ func (t *Table[T]) rowsBefore() int64 {
 	return 0
 }
 
-// openSegment opens every column of one committed segment and
-// cross-checks it against the manifest's hoisted statistics: file size,
-// row total, block geometry, per-block payload CRC32-C and zone maps.
-// The check reads only directory metadata — payload verification stays
-// lazy (per-block CRC on first read) or explicit (Fsck). Errors wrap
-// zukowski.ErrCorruptColumn via their cause wherever the data itself is
-// at fault.
-func (t *Table[T]) openSegment(sm *segMeta) (seg *segment[T], err error) {
-	seg = &segment[T]{id: sm.ID, rows: sm.Rows, counts: sm.Counts}
+// openSegment opens every column of segment sm and checks it against
+// sm: file size, row total, block geometry, per-block payload CRC32-C
+// and zone maps. The check reads only directory metadata — payload
+// verification stays lazy (per-block CRC on first read) or explicit
+// (Fsck). fresh is for a segment just written: sm then takes its
+// geometry and every column's statistics from the files, and the check
+// holds each column to the first. Errors wrap zukowski.ErrCorruptColumn
+// via their cause wherever the data itself is at fault.
+func (t *Table[T]) openSegment(sm *segMeta, fresh bool) (seg *segment[T], err error) {
+	seg = &segment[T]{id: sm.ID, rows: sm.Rows}
 	defer func() {
 		if err != nil {
 			seg.close()
 		}
 	}()
-	var rdOpts []zukowski.ReaderOption
-	if t.opts.Retry.MaxAttempts > 1 {
-		rdOpts = append(rdOpts, zukowski.WithRetryPolicy(t.opts.Retry))
-	}
 	for ci, col := range t.cols {
-		path := filepath.Join(t.dir, segFileName(sm.ID, col))
-		f, ferr := os.Open(path)
-		if ferr != nil {
-			return seg, fmt.Errorf("column %q: %w", col, ferr)
+		f, cr, got, err := openColumn[T](t.dir, segFileName(sm.ID, col), &t.opts)
+		if err == nil {
+			seg.files = append(seg.files, f)
+			if fresh {
+				if ci == 0 {
+					sm.Counts = got.Counts
+				}
+				sm.Cols[ci] = got.Cols[0]
+			}
+			err = verifyAgainstManifest(got, sm, ci)
 		}
-		seg.files = append(seg.files, f)
-		st, ferr := f.Stat()
-		if ferr != nil {
-			return seg, fmt.Errorf("column %q: %w", col, ferr)
-		}
-		cs := &sm.Cols[ci]
-		if st.Size() != cs.FileSize {
-			return seg, fmt.Errorf("column %q: %w: file is %d bytes, manifest committed %d",
-				col, zukowski.ErrCorruptColumn, st.Size(), cs.FileSize)
-		}
-		var src io.ReaderAt = f
-		if t.opts.SourceWrapper != nil {
-			src = t.opts.SourceWrapper(src, st.Size())
-		}
-		cr, ferr := zukowski.OpenColumnReaderAt[T](src, st.Size(), rdOpts...)
-		if ferr != nil {
-			return seg, fmt.Errorf("column %q: %w", col, ferr)
-		}
-		if ferr := verifyAgainstManifest(cr, sm, ci); ferr != nil {
-			return seg, fmt.Errorf("column %q: %w", col, ferr)
+		if err != nil {
+			return seg, fmt.Errorf("column %q: %w", col, err)
 		}
 		if t.cache != nil {
 			cr.SetBlockCache(t.cache)
 		}
 		seg.rdrs = append(seg.rdrs, cr)
 	}
+	seg.counts = sm.Counts
 	seg.set, err = zukowski.NewColumnSet(seg.rdrs...)
-	if err != nil {
-		return seg, err
-	}
-	return seg, nil
+	return seg, err
 }
-
-// verifyAgainstManifest spot-checks an opened column reader against the
-// manifest's hoisted copy of its directory. The container's own footer
-// CRC already verified on open; this detects a *different* container
-// than the one committed — a swapped, regenerated or in-place-salvaged
-// file whose self-consistent directory no longer matches the manifest.
-func verifyAgainstManifest[T zukowski.Integer](cr *zukowski.ColumnReader[T], sm *segMeta, ci int) error {
-	cs := &sm.Cols[ci]
-	if cr.NumBlocks() != len(sm.Counts) {
-		return fmt.Errorf("%w: container holds %d blocks, manifest committed %d",
-			zukowski.ErrCorruptColumn, cr.NumBlocks(), len(sm.Counts))
-	}
-	if int64(cr.Len()) != sm.Rows {
-		return fmt.Errorf("%w: container holds %d rows, manifest committed %d",
-			zukowski.ErrCorruptColumn, cr.Len(), sm.Rows)
-	}
-	for b := 0; b < cr.NumBlocks(); b++ {
-		info, err := cr.BlockInfo(b)
-		if err != nil {
-			return err
-		}
-		if uint32(info.Count) != sm.Counts[b] {
-			return fmt.Errorf("%w: block %d holds %d rows, manifest committed %d",
-				zukowski.ErrCorruptColumn, b, info.Count, sm.Counts[b])
-		}
-		if info.CRC32C != cs.CRCs[b] {
-			return fmt.Errorf("%w: block %d payload CRC %08x, manifest committed %08x",
-				zukowski.ErrChecksumMismatch, b, info.CRC32C, cs.CRCs[b])
-		}
-		if zoneBitsOf(info.Min) != cs.MinBits[b] || zoneBitsOf(info.Max) != cs.MaxBits[b] {
-			return fmt.Errorf("%w: block %d zone map diverges from manifest",
-				zukowski.ErrCorruptColumn, b)
-		}
-	}
-	return nil
-}
-
-// zoneBitsOf is the storage encoding of a zone-map bound, matching the
-// ZKC2 directory and the manifest.
-func zoneBitsOf[T zukowski.Integer](v T) uint64 { return uint64(int64(v)) }
 
 // salvageSegment rewrites every column file of sm through
 // zukowski.RecoverColumn (readable-prefix recovery with a rebuilt
