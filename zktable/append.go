@@ -145,8 +145,8 @@ func (t *Table[T]) commit(rows int64, kept []segMeta, fill func(ci int, cw *zuko
 	t.nextSeg = id + 1
 	t.mu.Unlock()
 	t.recent = append([]*manifest{newMan}, t.recent...)
-	if keep := t.opts.keep(); len(t.recent) > keep {
-		t.recent = t.recent[:keep:keep]
+	if len(t.recent) > defaultKeep {
+		t.recent = t.recent[:defaultKeep:defaultKeep]
 		t.sweep()
 	}
 	return newMan.Generation, nil
@@ -184,6 +184,9 @@ func (t *Table[T]) Append(cols [][]T) (uint64, error) {
 	t.mu.RUnlock()
 	if closed {
 		return 0, ErrClosed
+	}
+	if t.opts.ReadOnly {
+		return 0, ErrReadOnly
 	}
 	if len(cols) != len(t.cols) {
 		return 0, fmt.Errorf("zktable: Append got %d columns, schema has %d", len(cols), len(t.cols))
@@ -240,6 +243,9 @@ func (t *Table[T]) Compact() (uint64, error) {
 	t.mu.RUnlock()
 	if closed {
 		return 0, ErrClosed
+	}
+	if t.opts.ReadOnly {
+		return 0, ErrReadOnly
 	}
 	for _, s := range segs {
 		if s.quar != nil {

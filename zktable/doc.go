@@ -37,7 +37,7 @@
 //
 // Open picks the highest-generation manifest that parses and passes its
 // CRC32-C, falling back to older generations when newer ones are
-// damaged; the newest KeepManifests valid manifests are retained. It
+// damaged; the newest two valid manifests are retained. It
 // then sweeps the debris: temp files, manifests that are not retained
 // (damaged ones included), and segment files no retained manifest
 // references — the same rule by which every commit prunes what aged out

@@ -32,4 +32,8 @@ var (
 
 	// ErrClosed reports use of a closed table.
 	ErrClosed = errors.New("zktable: table closed")
+
+	// ErrReadOnly reports an Append or Compact on a table opened with
+	// Options.ReadOnly; nothing was written.
+	ErrReadOnly = errors.New("zktable: table opened read-only")
 )

@@ -1,6 +1,7 @@
 package zktable_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -224,6 +225,35 @@ func TestOpenServesTheFixture(t *testing.T) {
 	for ci := range all {
 		if !slices.Equal(vals[ci], all[ci]) {
 			t.Fatalf("column %q of testdata/table does not hold the values appended", testSchema[ci])
+		}
+	}
+}
+
+// TestReadOnlyRefusesWrites: Append and Compact on a handle opened
+// ReadOnly fail with ErrReadOnly and leave the directory as it was, name
+// for name and byte for byte.
+func TestReadOnlyRefusesWrites(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "tbl")
+	copyDir(t, filepath.Join("testdata", "table"), dir)
+	before := readDir(t, dir)
+	tb, _, err := zktable.Open[int64](dir, zktable.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if _, err := tb.Append(fixtureSegs()[0]); !errors.Is(err, zktable.ErrReadOnly) {
+		t.Fatalf("Append on a read-only handle: %v, want ErrReadOnly", err)
+	}
+	if _, err := tb.Compact(); !errors.Is(err, zktable.ErrReadOnly) {
+		t.Fatalf("Compact on a read-only handle: %v, want ErrReadOnly", err)
+	}
+	after := readDir(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("the directory held %d files, now %d", len(before), len(after))
+	}
+	for name, data := range before {
+		if got, ok := after[name]; !ok || !slices.Equal(got, data) {
+			t.Fatalf("%s changed under a read-only handle", name)
 		}
 	}
 }

@@ -41,22 +41,17 @@ type Options struct {
 	// rows from exact scans.
 	Salvage bool
 
-	// KeepManifests is how many manifest generations stay on disk: the
-	// current one plus fallbacks for when it is later damaged. Values
-	// below 2 mean 2.
-	KeepManifests int
-
 	// ReadOnly makes Open purely observational: no debris sweep, no
-	// salvage writes. Fsck opens no Table at all; it reads the directory
+	// salvage writes; Append and Compact fail with ErrReadOnly. Fsck opens no Table at all; it reads the directory
 	// by the rules Open recovers by and lists as orphans what a writable
 	// Open with default Options would sweep.
 	ReadOnly bool
 }
 
-// defaultKeep is the retention Peek and Fsck judge a directory by.
+// defaultKeep is how many manifest generations stay on disk: the current
+// one plus a fallback for when it is later damaged. Open and a commit
+// retain that many, and Peek and Fsck judge a directory by it.
 const defaultKeep = 2
-
-func (o *Options) keep() int { return max(o.KeepManifests, defaultKeep) }
 
 // SegmentFault describes one segment Open could not return to service.
 type SegmentFault struct {
@@ -244,7 +239,7 @@ func Open[T zukowski.Integer](dir string, opts Options) (*Table[T], *OpenReport,
 	if err != nil {
 		return nil, nil, err
 	}
-	chosen, retained, corrupt, fellBack, err := manifestsOnDisk(dir, t.opts.keep())
+	chosen, retained, corrupt, fellBack, err := manifestsOnDisk(dir, defaultKeep)
 	rep := &OpenReport{FellBack: fellBack, CorruptManifests: corrupt}
 	if err != nil {
 		return nil, rep, err

@@ -354,10 +354,11 @@ func (c *BlockLRU) peek(col uint64, block int) []byte {
 // than its LRU entry's, and otherwise keeps the entry and declines. Parsed
 // forms count for neither: a frame is never declined or evicted to keep
 // one. An oversized frame is declined outright; a
-// duplicate key keeps the resident entry (the single-frame fill is
-// singleflighted per block, so duplicates only arise from scans reading
-// ahead and from independent readers over the same bytes, where either
-// copy is equally valid). Only an admitted frame costs an allocation.
+// duplicate key keeps the resident entry (a reader's fill from the source
+// is singleflighted per block, so duplicates only arise from frames a scan
+// read ahead and from independent readers over the same bytes, where
+// either copy is equally valid). Only an admitted frame costs an
+// allocation.
 func (c *BlockLRU) Put(col uint64, block int, frame []byte) {
 	cost := int64(len(frame)) + cacheEntryOverhead
 	if cost > c.shardMax {

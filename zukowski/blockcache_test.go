@@ -384,48 +384,73 @@ func TestCacheHitsSkipSource(t *testing.T) {
 	}
 }
 
-// TestConcurrentCacheSingleflight: 100 goroutines racing to materialize
-// the same cold blocks trigger exactly one source read per block — the
-// fill is singleflighted under the block slot's mutex.
+// TestConcurrentCacheSingleflight: 100 goroutines racing to read the same
+// cold blocks — by FrameBytes, by Get or by ReadBlock — trigger exactly
+// one source read per block: the fill is singleflighted under the block
+// slot's mutex.
 func TestConcurrentCacheSingleflight(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	src := genValues[int64](rng, 4*512)
-	data := buildColumnV2[int64](t, nil, 512, src)
+	const bv = 512
+	src := genValues[int64](rng, 4*bv)
+	data := buildColumnV2[int64](t, nil, bv, src)
 
-	cache := zukowski.NewBlockLRU(1 << 30)
-	cr, counter := openCached[int64](t, data, cache)
-	baseline := counter.reads.Load() // open-time directory reads
-
-	const goroutines = 100
-	var start, wg sync.WaitGroup
-	start.Add(1)
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			start.Wait()
-			for b := 0; b < cr.NumBlocks(); b++ {
-				if _, err := cr.FrameBytes(b); err != nil {
-					errs <- err
-					return
-				}
+	for _, caller := range []struct {
+		name string
+		read func(cr *zukowski.ColumnReader[int64], b int) error
+	}{
+		{"FrameBytes", func(cr *zukowski.ColumnReader[int64], b int) error {
+			_, err := cr.FrameBytes(b)
+			return err
+		}},
+		{"Get", func(cr *zukowski.ColumnReader[int64], b int) error {
+			v, err := cr.Get(b*bv + 3)
+			if err == nil && v != src[b*bv+3] {
+				err = fmt.Errorf("Get(%d) = %d, want %d", b*bv+3, v, src[b*bv+3])
 			}
-		}()
-	}
-	start.Done()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := counter.reads.Load() - baseline; got != int64(cr.NumBlocks()) {
-		t.Fatalf("%d goroutines x %d blocks issued %d source reads, want %d",
-			goroutines, cr.NumBlocks(), got, cr.NumBlocks())
-	}
-	st := cache.Stats()
-	if st.Puts != int64(cr.NumBlocks()) {
-		t.Fatalf("cache filled %d times, want %d", st.Puts, cr.NumBlocks())
+			return err
+		}},
+		{"ReadBlock", func(cr *zukowski.ColumnReader[int64], b int) error {
+			_, err := cr.ReadBlock(b, nil)
+			return err
+		}},
+	} {
+		t.Run(caller.name, func(t *testing.T) {
+			cache := zukowski.NewBlockLRU(1 << 30)
+			cr, counter := openCached[int64](t, data, cache)
+			baseline := counter.reads.Load() // open-time directory reads
+
+			const goroutines = 100
+			var start, wg sync.WaitGroup
+			start.Add(1)
+			errs := make(chan error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					start.Wait()
+					for b := 0; b < cr.NumBlocks(); b++ {
+						if err := caller.read(cr, b); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			start.Done()
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if got := counter.reads.Load() - baseline; got != int64(cr.NumBlocks()) {
+				t.Fatalf("%d goroutines x %d blocks issued %d source reads, want %d",
+					goroutines, cr.NumBlocks(), got, cr.NumBlocks())
+			}
+			st := cache.Stats()
+			if st.Puts != int64(cr.NumBlocks()) {
+				t.Fatalf("cache filled %d times, want %d", st.Puts, cr.NumBlocks())
+			}
+		})
 	}
 }
 
@@ -517,11 +542,11 @@ func TestCacheHitPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCacheMissAllocs: a single-frame miss allocates the frame it hands
+// TestCacheMissAllocs: a cold FrameBytes allocates the frame it hands
 // back — with a cache, the copy the cache kept, plus the cache's entry —
-// and nothing else: with a cache the read goes into a pooled buffer, and
-// the source is read with ReadAt directly, not through a SectionReader
-// built per read.
+// and nothing else: the read goes into a pooled run buffer, and the
+// source is read with ReadAt directly, not through a SectionReader built
+// per read.
 func TestCacheMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation exactness is asserted in the non-race run")

@@ -481,13 +481,15 @@ type blockSlot[T Integer] struct {
 }
 
 // decodeState is the per-worker scratch of the decode paths: a Decoder
-// (bit-unpack and selection scratch), a reusable segment parse target and
-// the vector buffer scans hand to fn. States cycle through the reader's
-// pool, never shared between two goroutines at once.
+// (bit-unpack and selection scratch), a reusable segment parse target, the
+// vector buffer scans hand to fn and the run the read fetches frames
+// through (see frame). States cycle through the reader's pool, never shared
+// between two goroutines at once.
 type decodeState[T Integer] struct {
 	dec  core.Decoder[T]
 	blk  core.Block[T]
 	vals []T
+	run  frameRun
 }
 
 func (cr *ColumnReader[T]) getState() *decodeState[T] {
@@ -497,7 +499,11 @@ func (cr *ColumnReader[T]) getState() *decodeState[T] {
 	return new(decodeState[T])
 }
 
-func (cr *ColumnReader[T]) putState(st *decodeState[T]) { cr.states.Put(st) }
+// putState returns st to the pool, and its run's buffer to runBufs.
+func (cr *ColumnReader[T]) putState(st *decodeState[T]) {
+	st.run.release()
+	cr.states.Put(st)
+}
 
 // ReaderOption configures a ColumnReader beyond the required arguments.
 type ReaderOption func(*readerConfig)
@@ -699,17 +705,6 @@ func (ac *attachedCache) get(b int) (f fetched) {
 // resident reports whether block b is cached; a read-ahead stops there.
 func (ac *attachedCache) resident(b int) bool { return ac.c.peek(ac.id, b) != nil }
 
-// keep offers block b's verified frame, which lives in a buffer the
-// caller will reuse, and returns bytes that stay valid: the copy the cache
-// kept, or a copy of its own when the cache declined.
-func (ac *attachedCache) keep(b int, frame []byte) []byte {
-	ac.c.Put(ac.id, b, frame)
-	if kept := ac.c.peek(ac.id, b); kept != nil {
-		return kept
-	}
-	return slices.Clone(frame)
-}
-
 // SetBlockCache attaches c as this reader's hot-block cache, or
 // detaches with nil. Only file-backed readers use a cache — in-memory
 // sources are already resident and latch their verification per block —
@@ -740,11 +735,6 @@ func checkCRC(buf []byte, want uint32, b int) error {
 	return nil
 }
 
-// view returns block b's bytes without integrity checks.
-func (cr *ColumnReader[T]) view(b int) ([]byte, error) {
-	return cr.readFrames(nil, b, b+1)
-}
-
 // verify checks block b's frame against its stored checksum, latching the
 // pass for stable sources.
 func (cr *ColumnReader[T]) verify(frame []byte, b int) error {
@@ -757,57 +747,6 @@ func (cr *ColumnReader[T]) verify(frame []byte, b int) error {
 	return nil
 }
 
-// fetchFrame returns block b's bytes, verifying the payload checksum,
-// and, for a frame hit in the cache, the parsed form resident beside it
-// or the room for one. On a stable (in-memory) source the first
-// verification is latched, so later fetches view the bytes unhashed; a
-// ReaderAt source re-reads bytes on every view, so every fetch is
-// re-verified — unless a block cache is attached, in which case the fill
-// (one read, one verification) is singleflighted under the block's mutex
-// and every hit is served from the cache without touching the source or
-// the hash. With a cache, each call counts exactly one hit or one miss.
-//
-// The bytes returned are the caller's to keep: the source's own, the
-// cache's, or a fresh buffer. A quarantined block fails fast with its
-// latched error; transient I/O failures retry under the reader's
-// RetryPolicy (see fetchVerified).
-func (cr *ColumnReader[T]) fetchFrame(b int) (f fetched, err error) {
-	if err := cr.quarantined(b); err != nil {
-		return f, err
-	}
-	ac := cr.cache.Load()
-	if ac == nil {
-		if cr.src.stable() && cr.slots[b].verified.Load() {
-			f.frame, err = cr.view(b)
-		} else {
-			f.frame, err = cr.fetchVerified(nil, b)
-		}
-		return f, err
-	}
-	if f = ac.get(b); f.frame != nil {
-		return f, nil
-	}
-	slot := &cr.slots[b]
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	// The miss is counted: the re-check peeks, so the fill counts one miss,
-	// not two.
-	if f.frame = ac.c.peek(ac.id, b); f.frame != nil {
-		return f, nil
-	}
-	// The frame is read into a pooled buffer and offered from there: the
-	// cache copies what it admits, and the caller gets that copy.
-	scratch := runBufs.Get().(*[]byte)
-	defer runBufs.Put(scratch)
-	buf, err := cr.fetchVerified(*scratch, b)
-	if err != nil {
-		return f, err // corrupt or unreadable blocks are never cached
-	}
-	*scratch = buf
-	f.frame = ac.keep(b, buf)
-	return f, nil
-}
-
 // runCap bounds one run: a sequential scan that misses a frame reads at
 // most this many bytes from the start of that frame on (the missed frame
 // itself whatever its size). 256 KiB is tens of 4,096-value frames, few
@@ -815,25 +754,27 @@ func (cr *ColumnReader[T]) fetchFrame(b int) (f fetched, err error) {
 const runCap = 256 << 10
 
 // runBufs holds the buffers runs are read into, shared by every reader of
-// the process, so a column costs a buffer only while a scan is reading it.
-// A sequential scan takes one per file-backed column at its first miss
-// there and puts it back when the scan ends; a single-frame fill through a
-// cache borrows one for the length of its fetch.
+// the process, so a column costs a buffer only while a read holds it: a
+// read takes one per file-backed column at its first fetch there and puts
+// it back when it ends, a sequential scan at the end of its pass.
 var runBufs = sync.Pool{New: func() any {
 	buf := make([]byte, 0, runCap)
 	return &buf
 }}
 
-// frameRun is one column's read-ahead within one sequential scan: the
-// frames of blocks [first, end), as one fetch left them back to back in
-// *buf. A run belongs to the scan that read it — it is never shared and
-// never singleflighted — and the frames it holds are borrowed: valid until
-// the scan reads the column's next run, which happens only between blocks.
-// Nothing that outlives a block may keep them.
+// frameRun is one column's read-ahead within one read: the frames of blocks
+// [first, end), as one fetch left them back to back in *buf. A run belongs
+// to the read that holds it — it is never shared — and the frames it holds
+// are borrowed: valid until the read fetches the column's next run, which
+// a scan does only between blocks. Nothing that outlives a block may keep
+// them.
 type frameRun struct {
-	buf        *[]byte // from runBufs; nil until the column's first miss
+	buf        *[]byte // from runBufs; nil until the column's first fetch
 	first, end int
 }
+
+// holds reports whether the run holds block b's frame.
+func (r *frameRun) holds(b int) bool { return b >= r.first && b < r.end }
 
 // release returns the run's buffer to runBufs.
 func (r *frameRun) release() {
@@ -844,18 +785,41 @@ func (r *frameRun) release() {
 	r.first, r.end = 0, 0
 }
 
-// scanFrame returns block b's frame to a sequential scan that keeps run
-// for this column and will read the column's block k wherever reads.has(k)
-// holds: from the attached cache (one hit or one miss counted), else from
-// run, reading a new run from b first when run does not hold it. Every
-// frame taken from a run is CRC-checked before use and, with a cache, then
-// offered to it (the cache copies what it admits). A frame that fails its
-// check cuts the run before it and goes the single-frame way: one re-read,
-// then quarantine. So a torn run quarantines exactly the bad frame, and a
-// frame read ahead but never taken reports nothing. The frame is borrowed
-// from run or shared with the cache: read-only, and only for this block.
-func (cr *ColumnReader[T]) scanFrame(run *frameRun, b int, reads planned) (f fetched, err error) {
+// frame is the one way a read gets block b's frame. The read holds run for
+// this column and will read the column's block k wherever reads.has(k)
+// holds (a zero planned: block b alone).
+//
+// An in-memory source hands out its own bytes, checked once: the first pass
+// of the CRC latches, and a mismatch is proven permanent and quarantined.
+// It never touches run.
+//
+// A file-backed frame comes from the attached cache (one hit or one miss
+// counted), else from run, reading a new run from b first when run does not
+// hold it. That read is the cache's fill: under b's slot mutex, which
+// re-checks the cache uncounted first, so concurrent reads of a missed
+// block read the source once. Every frame taken from a run is CRC-checked
+// before use and, with a cache, then offered to it (the cache copies what
+// it admits). A frame that fails its check cuts the run before it: one
+// re-read of that frame alone, then quarantine. So a torn run quarantines
+// exactly the bad frame, and a frame read ahead but never taken reports
+// nothing.
+//
+// The frame is read-only, and borrowed when run holds b after the call:
+// valid only for this block. Otherwise it is the caller's to keep: the
+// container's bytes, the cache's or a re-read's.
+func (cr *ColumnReader[T]) frame(run *frameRun, b int, reads planned) (f fetched, err error) {
 	if err := cr.quarantined(b); err != nil {
+		return f, err
+	}
+	if cr.src.stable() {
+		// byteSource.view ignores dst and returns the container's own
+		// bytes, which must never become a run's buffer.
+		f.frame, err = cr.readFrames(nil, b, b+1)
+		if err == nil && !cr.slots[b].verified.Load() {
+			if err = cr.verify(f.frame, b); err != nil {
+				f.frame, err = cr.reread(nil, b, err)
+			}
+		}
 		return f, err
 	}
 	ac := cr.cache.Load()
@@ -864,24 +828,34 @@ func (cr *ColumnReader[T]) scanFrame(run *frameRun, b int, reads planned) (f fet
 			return f, nil
 		}
 	}
-	if b < run.first || b >= run.end {
+	if !run.holds(b) {
+		if ac != nil {
+			slot := &cr.slots[b]
+			slot.mu.Lock()
+			defer slot.mu.Unlock()
+			// The miss is counted: the re-check peeks, so a fill counts one
+			// miss, not two.
+			if f.frame = ac.c.peek(ac.id, b); f.frame != nil {
+				return f, nil
+			}
+		}
 		if err := cr.readRun(run, b, reads, ac); err != nil {
 			return f, err
 		}
 	}
 	blk := cr.blocks[b]
 	lo := blk.offset - cr.blocks[run.first].offset
-	frame := (*run.buf)[lo : lo+uint64(blk.length)]
-	if err := cr.verify(frame, b); err != nil {
+	f.frame = (*run.buf)[lo : lo+uint64(blk.length)]
+	if err := cr.verify(f.frame, b); err != nil {
 		run.end = b
-		if frame, err = cr.reread(nil, b, err); err != nil {
+		if f.frame, err = cr.reread(nil, b, err); err != nil {
 			return f, err
 		}
 	}
 	if ac != nil {
-		ac.c.Put(ac.id, b, frame)
+		ac.c.Put(ac.id, b, f.frame)
 	}
-	return fetched{frame: frame}, nil
+	return f, nil
 }
 
 // readRun refills run with one fetch: block b's frame and those of the
@@ -914,12 +888,10 @@ func (cr *ColumnReader[T]) readRun(run *frameRun, b int, reads planned, ac *atta
 	return nil
 }
 
-// block fetches block b and returns its parsed form when the frame is
-// patched, or the frame itself when it is raw: through run when a
-// sequential scan has planned its reads (see scanFrame), by the
-// single-frame fetch when run is nil. It is the one place a read turns a
-// frame into a block, and every frame it returns holds the values the
-// directory counts (parseFrame).
+// block fetches block b through run (see frame) and returns its parsed
+// form when the frame is patched, or the frame itself when it is raw. It is
+// the one place a read turns a frame into a block, and every frame it
+// returns holds the values the directory counts (parseFrame).
 //
 // A parsed form is kept only beside resident bytes, parsed into a block of
 // its own with its exceptions indexed, and shared, read-only, by every read
@@ -936,12 +908,7 @@ func (cr *ColumnReader[T]) block(run *frameRun, b int, reads planned, scratch *c
 	if p := slot.form.Load(); p != nil {
 		return p, nil, nil
 	}
-	var f fetched
-	if run != nil {
-		f, err = cr.scanFrame(run, b, reads)
-	} else {
-		f, err = cr.fetchFrame(b)
-	}
+	f, err := cr.frame(run, b, reads)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1004,7 +971,7 @@ func parsedCost[T Integer](blk *core.Block[T], frame []byte) int64 {
 // its values to dst.
 func (cr *ColumnReader[T]) readBlockInto(st *decodeState[T], b int, dst []T) (out []T, err error) {
 	defer guardSegment(&err)
-	blk, raw, err := cr.block(nil, b, planned{}, &st.blk)
+	blk, raw, err := cr.block(&st.run, b, planned{}, &st.blk)
 	if err != nil {
 		return nil, err
 	}
@@ -1027,8 +994,22 @@ func (cr *ColumnReader[T]) FrameBytes(b int) ([]byte, error) {
 	if b < 0 || b >= len(cr.blocks) {
 		return nil, fmt.Errorf("%w: block %d not in [0,%d)", ErrIndexOutOfRange, b, len(cr.blocks))
 	}
-	f, err := cr.fetchFrame(b)
-	return f.frame, err
+	// A run of its own: FrameBytes decodes nothing, so it takes no state.
+	var run frameRun
+	defer run.release()
+	f, err := cr.frame(&run, b, planned{})
+	if err != nil || !run.holds(b) {
+		return f.frame, err
+	}
+	// The frame is borrowed from the run: hand out the copy the cache kept,
+	// or one of the caller's own when the cache declined it or none is
+	// attached.
+	if ac := cr.cache.Load(); ac != nil {
+		if kept := ac.c.peek(ac.id, b); kept != nil {
+			return kept, nil
+		}
+	}
+	return slices.Clone(f.frame), nil
 }
 
 // ReadAll appends every value of the column to dst, pre-sized from the
@@ -1108,7 +1089,7 @@ func (cr *ColumnReader[T]) Get(i int) (v T, err error) {
 	b := cr.blockOf(i)
 	st := cr.getState()
 	defer cr.putState(st)
-	blk, raw, err := cr.block(nil, b, planned{}, &st.blk)
+	blk, raw, err := cr.block(&st.run, b, planned{}, &st.blk)
 	if err != nil {
 		return v, err
 	}

@@ -89,9 +89,9 @@ func (cs *ColumnSet[T]) Len() int { return cs.cols[0].Len() }
 func (cs *ColumnSet[T]) NumBlocks() int { return cs.cols[0].NumBlocks() }
 
 // setColState is one column's share of a scan state: the column's decode
-// scratch plus a memo of what has already been computed for the block the
-// scan is currently evaluating, so a column whose block was parsed for
-// predicate masking is not re-parsed for materialization.
+// scratch and run plus a memo of what has already been computed for the
+// block the scan is currently evaluating, so a column whose block was
+// parsed for predicate masking is not re-parsed for materialization.
 type setColState[T Integer] struct {
 	decodeState[T]
 	// cur is the parsed block in use: blk, the scratch the frame was
@@ -99,9 +99,8 @@ type setColState[T Integer] struct {
 	// frame, or in an in-memory reader's slot — which every scan shares
 	// and none may write.
 	cur  *core.Block[T]
-	gath []T      // materialized output buffer of this column
-	form uint8    // what the state holds for the current block
-	run  frameRun // the sequential scan's read-ahead of a file-backed column
+	gath []T   // materialized output buffer of this column
+	form uint8 // what the state holds for the current block
 }
 
 const (
@@ -138,7 +137,7 @@ type setState[T Integer] struct {
 
 	// plan is the scan's block plan (see planScan), and at the entry the
 	// sequential walk is evaluating. A worker of the parallel form plans
-	// nothing: its plan is empty, so it fetches single frames.
+	// nothing: its plan is empty, so its runs read one frame each.
 	plan blockPlan
 	at   int
 }
@@ -173,7 +172,7 @@ func (cs *ColumnSet[T]) putState(st *setState[T]) {
 // reading which columns", built once from the zone maps before any frame
 // is read (planScan) and walked by every executor of the scan: the
 // sequential loop (visitBlocks), Run's workers, Candidates and the
-// sequential read-ahead (ColumnReader.scanFrame).
+// sequential read-ahead (ColumnReader.frame).
 type blockPlan struct {
 	entries []planEntry // the blocks no zone map rules out, ascending
 	reads   []bool      // reads[i*ncols+c]: entry i fetches column c
@@ -245,16 +244,12 @@ func (cs *ColumnSet[T]) planScan(st *setState[T], q *Query[T], mat []int) error 
 }
 
 // block returns column ci's block b for the scan st, parsed or raw (see
-// ColumnReader.block): through the column's run when st is walking a plan
-// and the column is file-backed, the reader's single-frame fetch
-// otherwise.
+// ColumnReader.block), through the column's run: it reads ahead the
+// column's next frames that st's plan reads, and none when st plans
+// nothing.
 func (cs *ColumnSet[T]) block(st *setState[T], ci, b int) (*core.Block[T], []byte, error) {
-	cr := cs.cols[ci]
 	cst := &st.cols[ci]
-	if len(st.plan.entries) == 0 || cr.src.stable() {
-		return cr.block(nil, b, planned{}, &cst.blk)
-	}
-	return cr.block(&cst.run, b, planned{&st.plan, st.at, ci}, &cst.blk)
+	return cs.cols[ci].block(&cst.run, b, planned{&st.plan, st.at, ci}, &cst.blk)
 }
 
 // planned is column col's view of a plan from entry at on, for the
@@ -265,10 +260,13 @@ type planned struct {
 }
 
 // has reports whether the scan fetches the column's block k, for k at or
-// after entry at's block. Entries ascend without repeats, so block k can
-// only be entry at+(k-block) — and is exactly when every block between
-// them is planned too.
+// after entry at's block: never for a zero planned or an empty plan.
+// Entries ascend without repeats, so block k can only be entry at+(k-block)
+// — and is exactly when every block between them is planned too.
 func (v planned) has(k int) bool {
+	if v.p == nil || v.at >= len(v.p.entries) {
+		return false
+	}
 	j := v.at + k - v.p.entries[v.at].block
 	return j < len(v.p.entries) && v.p.entries[j].block == k && v.p.reads[j*v.p.ncols+v.col]
 }

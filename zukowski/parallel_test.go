@@ -330,19 +330,37 @@ func TestConcurrentColumnReader(t *testing.T) {
 	}
 }
 
-// TestScanSteadyStateAllocs proves the sequential hot path is
-// allocation-free once warm: one pooled decode state serves frame parse,
-// bit-unpack scratch and the delivered vector.
+// TestScanSteadyStateAllocs proves the read paths allocation-free once
+// warm, over an in-memory column and over the same bytes file-backed
+// without a cache: one pooled decode state serves frame fetch, frame
+// parse, bit-unpack scratch and the delivered vector, and a file-backed
+// read fetches into a pooled run buffer.
 func TestScanSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations; exactness only holds in normal builds")
 	}
 	src := rampValues(100_000)
 	data := buildColumn[int64](t, zukowski.Auto[int64]{}, 4096, src)
-	cr, err := zukowski.OpenColumn[int64](data)
-	if err != nil {
-		t.Fatal(err)
+	for _, source := range []string{"memory", "file"} {
+		t.Run(source, func(t *testing.T) {
+			var cr *zukowski.ColumnReader[int64]
+			var err error
+			if source == "memory" {
+				cr, err = zukowski.OpenColumn[int64](data)
+			} else {
+				cr, err = zukowski.OpenColumnReaderAt[int64](bytes.NewReader(data), int64(len(data)))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			steadyStateAllocs(t, cr, src)
+		})
 	}
+}
+
+// steadyStateAllocs holds cr's warmed Scan, ReadBlock, Get and one-worker
+// Run to zero allocations.
+func steadyStateAllocs(t *testing.T, cr *zukowski.ColumnReader[int64], src []int64) {
 	var sink int64
 	scan := func() {
 		if err := cr.Scan(func(vals []int64) bool {
@@ -356,7 +374,29 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, scan); avg != 0 {
 		t.Fatalf("sequential Scan allocates %.1f times per pass in steady state, want 0", avg)
 	}
-	_ = sink
+	var vals []int64
+	next := 0
+	readBlock := func() {
+		var err error
+		if vals, err = cr.ReadBlock(next%cr.NumBlocks(), vals[:0]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	readBlock()
+	if avg := testing.AllocsPerRun(50, readBlock); avg != 0 {
+		t.Fatalf("ReadBlock allocates %.1f times per call in steady state, want 0", avg)
+	}
+	get := func() {
+		i := next * 4099 % len(src)
+		if v, err := cr.Get(i); err != nil || v != src[i] {
+			t.Fatalf("Get(%d) = %d, %v; want %d", i, v, err, src[i])
+		}
+		next++
+	}
+	if avg := testing.AllocsPerRun(50, get); avg != 0 {
+		t.Fatalf("Get allocates %.1f times per call in steady state, want 0", avg)
+	}
 
 	// The same column as a one-column set under a window on its sorted
 	// values: the blocks inside are selected whole without being evaluated
@@ -381,6 +421,7 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, run); avg != 0 {
 		t.Fatalf("one-worker Run under a covering window allocates %.1f times per pass, want 0", avg)
 	}
+	_ = sink
 }
 
 func equalSlices[T comparable](a, b []T) bool {

@@ -96,11 +96,10 @@ func (cr *ColumnReader[T]) readFrames(dst []byte, b, end int) ([]byte, error) {
 	return cr.src.view(dst, int64(first.offset), int(last.offset+uint64(last.length)-first.offset))
 }
 
-// fetch is the one routine that reads frames from the source, for a
-// scan's run of adjacent frames and for a single frame alike (a run of
-// one): readFrames, repeated with backoff under the reader's RetryPolicy
-// while it fails with ErrIO. The caller CRC-checks every frame before it
-// uses one.
+// fetch is the one routine that reads a run of frames from the source
+// (readRun): readFrames, repeated with backoff under the reader's
+// RetryPolicy while it fails with ErrIO. The caller CRC-checks every frame
+// before it uses one.
 func (cr *ColumnReader[T]) fetch(dst []byte, b, end int) ([]byte, error) {
 	buf, err := cr.readFrames(dst, b, end)
 	for retry := 1; errors.Is(err, ErrIO) && retry < cr.retry.attempts(); retry++ {
@@ -108,21 +107,6 @@ func (cr *ColumnReader[T]) fetch(dst []byte, b, end int) ([]byte, error) {
 		buf, err = cr.readFrames(dst, b, end)
 	}
 	return buf, err
-}
-
-// fetchVerified is the failure-handling single-frame fetch the lookup and
-// parse paths use: fetch of a run of one into dst (nil: a fresh buffer),
-// the checksum, and on a mismatch reread. The caller must have checked the
-// quarantine latch first (fetchFrame does).
-func (cr *ColumnReader[T]) fetchVerified(dst []byte, b int) ([]byte, error) {
-	buf, err := cr.fetch(dst, b, b+1)
-	if err != nil {
-		return nil, err
-	}
-	if err := cr.verify(buf, b); err != nil {
-		return cr.reread(buf, b, err)
-	}
-	return buf, nil
 }
 
 // reread answers block b's checksum mismatch err. A stable source returns

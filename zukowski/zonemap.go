@@ -72,7 +72,7 @@ func (cr *ColumnReader[T]) VerifyBlock(b int) error {
 	if b < 0 || b >= len(cr.blocks) {
 		return fmt.Errorf("%w: block %d not in [0,%d)", ErrIndexOutOfRange, b, len(cr.blocks))
 	}
-	frame, err := cr.view(b)
+	frame, err := cr.readFrames(nil, b, b+1)
 	if err != nil {
 		return fmt.Errorf("block %d: %w", b, err)
 	}
