@@ -382,3 +382,47 @@ func TestBlockLRUShedsFormsBeforeFrames(t *testing.T) {
 		t.Fatalf("evicting everything left %d bytes, %d frames, %d bytes of forms", st.Bytes, st.Entries, sh.forms)
 	}
 }
+
+// TestRunBufferFitsTheRead: a read without a plan (Get, ReadBlock, Scan,
+// FrameBytes, Run's workers) holds a buffer the size of its one frame, not
+// a runCap buffer; a read that plans a run of several frames trades it for
+// one.
+func TestRunBufferFitsTheRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	_, data := patchedColumn(t, rng, 8, 256)
+	cr, err := OpenColumnReaderAt[int64](bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &blockPlan{ncols: 1}
+	for b := 0; b < cr.NumBlocks(); b++ {
+		plan.entries = append(plan.entries, planEntry{block: b})
+		plan.reads = append(plan.reads, true)
+	}
+	var run frameRun
+	defer run.release()
+	for _, tc := range []struct {
+		b     int
+		reads planned
+		end   int
+		big   bool
+	}{
+		{2, planned{}, 3, false},
+		{4, planned{plan, 4, 0}, cr.NumBlocks(), true},
+	} {
+		f, err := cr.frame(&run, tc.b, tc.reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cr.FrameBytes(tc.b)
+		if err != nil || !bytes.Equal(f.frame, want) {
+			t.Fatalf("block %d: frame differs from FrameBytes (%v)", tc.b, err)
+		}
+		if run.first != tc.b || run.end != tc.end {
+			t.Fatalf("block %d: run holds [%d,%d), want [%d,%d)", tc.b, run.first, run.end, tc.b, tc.end)
+		}
+		if big := cap(*run.buf) >= runCap; big != tc.big {
+			t.Fatalf("block %d: run of %d frames holds a buffer of cap %d", tc.b, run.end-run.first, cap(*run.buf))
+		}
+	}
+}

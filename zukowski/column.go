@@ -499,7 +499,7 @@ func (cr *ColumnReader[T]) getState() *decodeState[T] {
 	return new(decodeState[T])
 }
 
-// putState returns st to the pool, and its run's buffer to runBufs.
+// putState returns st to the pool, and its run's buffer to its own.
 func (cr *ColumnReader[T]) putState(st *decodeState[T]) {
 	st.run.release()
 	cr.states.Put(st)
@@ -753,14 +753,21 @@ func (cr *ColumnReader[T]) verify(frame []byte, b int) error {
 // enough to stay in L2 while they are checked and decoded.
 const runCap = 256 << 10
 
-// runBufs holds the buffers runs are read into, shared by every reader of
-// the process, so a column costs a buffer only while a read holds it: a
-// read takes one per file-backed column at its first fetch there and puts
-// it back when it ends, a sequential scan at the end of its pass.
-var runBufs = sync.Pool{New: func() any {
-	buf := make([]byte, 0, runCap)
-	return &buf
-}}
+// runBufs and frameBufs hold the buffers runs are read into, shared by
+// every reader of the process, so a column costs a buffer only while a read
+// holds it: a read takes one per file-backed column at its first fetch
+// there and puts it back when it ends, a sequential scan at the end of its
+// pass. A run of several frames takes a runCap buffer from runBufs; a run
+// of one frame (every read without a plan, Run's workers included) takes
+// one from frameBufs, which grows to the frames read into it. release
+// sorts a buffer back by its capacity.
+var (
+	runBufs = sync.Pool{New: func() any {
+		buf := make([]byte, 0, runCap)
+		return &buf
+	}}
+	frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // frameRun is one column's read-ahead within one read: the frames of blocks
 // [first, end), as one fetch left them back to back in *buf. A run belongs
@@ -776,10 +783,14 @@ type frameRun struct {
 // holds reports whether the run holds block b's frame.
 func (r *frameRun) holds(b int) bool { return b >= r.first && b < r.end }
 
-// release returns the run's buffer to runBufs.
+// release returns the run's buffer to its pool.
 func (r *frameRun) release() {
 	if r.buf != nil {
-		runBufs.Put(r.buf)
+		if cap(*r.buf) >= runCap {
+			runBufs.Put(r.buf)
+		} else {
+			frameBufs.Put(r.buf)
+		}
 		r.buf = nil
 	}
 	r.first, r.end = 0, 0
@@ -797,9 +808,10 @@ func (r *frameRun) release() {
 // counted), else from run, reading a new run from b first when run does not
 // hold it. That read is the cache's fill: under b's slot mutex, which
 // re-checks the cache uncounted first, so concurrent reads of a missed
-// block read the source once. Every frame taken from a run is CRC-checked
-// before use and, with a cache, then offered to it (the cache copies what
-// it admits). A frame that fails its check cuts the run before it: one
+// block read the source once. The mutex covers the whole run, so a read
+// waiting on b waits for every frame the run reads ahead and for the
+// read's retries. Every frame taken from a run is CRC-checked before use
+// and, with a cache, then offered to it (the cache copies what it admits). A frame that fails its check cuts the run before it: one
 // re-read of that frame alone, then quarantine. So a torn run quarantines
 // exactly the bad frame, and a frame read ahead but never taken reports
 // nothing.
@@ -871,8 +883,15 @@ func (cr *ColumnReader[T]) readRun(run *frameRun, b int, reads planned, ac *atta
 		(ac == nil || !ac.resident(end)) {
 		end++
 	}
+	if run.buf != nil && end > b+1 && cap(*run.buf) < runCap {
+		run.release()
+	}
 	if run.buf == nil {
-		run.buf = runBufs.Get().(*[]byte)
+		if end > b+1 {
+			run.buf = runBufs.Get().(*[]byte)
+		} else {
+			run.buf = frameBufs.Get().(*[]byte)
+		}
 	}
 	run.first, run.end = b, b
 	buf, err := cr.fetch(*run.buf, b, end)
