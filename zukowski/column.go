@@ -811,7 +811,8 @@ func (r *frameRun) release() {
 // block read the source once. The mutex covers the whole run, so a read
 // waiting on b waits for every frame the run reads ahead and for the
 // read's retries. Every frame taken from a run is CRC-checked before use
-// and, with a cache, then offered to it (the cache copies what it admits). A frame that fails its check cuts the run before it: one
+// and, with a cache, then offered to it (the cache copies what it admits).
+// A frame that fails its check cuts the run before it: one
 // re-read of that frame alone, then quarantine. So a torn run quarantines
 // exactly the bad frame, and a frame read ahead but never taken reports
 // nothing.
